@@ -7,44 +7,40 @@ entanglement rates and three-qubit conditional parities of such a
 system.
 """
 
-from .detection import DetectorGroup, DetectorModel, apply_readout, confusion_matrix
+from .detection import DetectorGroup, DetectorModel, confusion_matrix
 from .gates import GateNoise, GateTiming, analysis_rotation, gate_timing, ms_gate, rotation, spin_echo_ramsey
 from .montecarlo import (
     ProtocolConfig,
     ProtocolResult,
     ProtocolScript,
-    TrialRecord,
     coherent_entanglement_distance,
     run_protocol,
-    sample_waiting,
 )
-from .phases import MemoryDecoherence, PhaseLedger, evolve_entangled_state, phi_ab
+from .phases import MemoryDecoherence, PhaseLedger, free_evolution, phi_ab
 from .photonics import (
     HeraldEvent,
     LinkBudget,
     LinkErrorModel,
-    bsm,
     emit_atom_photon,
     expected_rate,
-    herald_remote_pair,
     qwp_map,
     success_probability,
 )
 from .scenario import Scenario, ScenarioError, emit_scenario, load_scenario, loads_scenario
-from .states import QuantumState, fidelity, measure, parity_expectation, partial_trace, tensor
+from .states import QuantumState, fidelity, parity_expectation, partial_trace, tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuantumState", "tensor", "measure", "fidelity", "parity_expectation", "partial_trace",
-    "LinkBudget", "LinkErrorModel", "HeraldEvent", "emit_atom_photon", "qwp_map", "bsm",
-    "herald_remote_pair", "success_probability", "expected_rate",
+    "QuantumState", "tensor", "fidelity", "parity_expectation", "partial_trace",
+    "LinkBudget", "LinkErrorModel", "HeraldEvent", "emit_atom_photon", "qwp_map",
+    "success_probability", "expected_rate",
     "GateTiming", "GateNoise", "gate_timing", "ms_gate", "rotation", "analysis_rotation",
     "spin_echo_ramsey",
-    "PhaseLedger", "MemoryDecoherence", "phi_ab", "evolve_entangled_state",
-    "DetectorModel", "DetectorGroup", "apply_readout", "confusion_matrix",
-    "ProtocolScript", "ProtocolConfig", "ProtocolResult", "TrialRecord",
-    "run_protocol", "sample_waiting", "coherent_entanglement_distance",
+    "PhaseLedger", "MemoryDecoherence", "phi_ab", "free_evolution",
+    "DetectorModel", "DetectorGroup", "confusion_matrix",
+    "ProtocolScript", "ProtocolConfig", "ProtocolResult",
+    "run_protocol", "coherent_entanglement_distance",
     "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",
     "__version__",
 ]

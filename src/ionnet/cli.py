@@ -37,8 +37,10 @@ SUBCOMMANDS = (
 
 
 def _fmt_value(value) -> str:
+    # float() first: numpy float scalars are floats too, but their repr
+    # carries the type name under numpy 2.
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "DetectorModel",
     "DetectorGroup",
-    "apply_readout",
     "apply_readout_array",
     "confusion_matrix",
 ]
@@ -78,19 +77,6 @@ def _validate_layout(n_bits: int, layout: Sequence[DetectorGroup], model: Detect
         )
 
 
-def apply_readout(
-    true_bits: Sequence[int],
-    model: DetectorModel,
-    layout: Sequence[DetectorGroup],
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """Reported bits for one shot of state detection."""
-    arr = apply_readout_array(
-        np.asarray(true_bits, dtype=np.int64)[None, :], model, layout, rng
-    )
-    return tuple(int(b) for b in arr[0])
-
-
 def apply_readout_array(
     true_bits: np.ndarray,
     model: DetectorModel,
@@ -134,8 +120,9 @@ def confusion_matrix(
 ) -> np.ndarray:
     """Exact stochastic matrix M[reported, true] of the readout channel.
 
-    Columns sum to one. Used for exact reported statistics; the sampled
-    readout converges to the same matrix.
+    Columns sum to one. The exact reported statistics and the sampled
+    trials both use it; ``apply_readout_array`` draws the same channel
+    shot by shot.
     """
     _validate_layout(n_bits, layout, model)
     eps = model.single_qubit_error

@@ -30,14 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    QuantumState,
-    StateError,
-    apply_phase,
-    apply_unitary,
-    depolarize,
-    dephase_pair,
-)
+from .phases import free_evolution
+from .states import QuantumState, StateError, apply_unitary, depolarize
 
 __all__ = [
     "GateTiming",
@@ -125,35 +119,16 @@ def ms_unitary(phi: float) -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-_TWO_QUBIT_PAULIS: list[np.ndarray] | None = None
-
-
-def _two_qubit_paulis() -> list[np.ndarray]:
-    global _TWO_QUBIT_PAULIS
-    if _TWO_QUBIT_PAULIS is None:
-        i2 = np.eye(2, dtype=complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        z = np.array([[1, 0], [0, -1]], dtype=complex)
-        singles = [i2, x, y, z]
-        _TWO_QUBIT_PAULIS = [np.kron(a, b) for a in singles for b in singles]
-    return _TWO_QUBIT_PAULIS
-
-
 def ms_gate(
     s: QuantumState,
     pair: Sequence[str],
     phi_a: float,
     noise: GateNoise | None = None,
-    rng: np.random.Generator | None = None,
 ) -> QuantumState:
     """Entangling gate on ``pair`` with intramodular phase ``phi_a``.
 
-    Without a generator the noise is applied as the exact depolarizing
-    channel (output becomes a density matrix). With a generator the
-    channel is unravelled as a trajectory instead: with probability p a
-    uniformly random two-qubit Pauli is applied, which keeps pure states
-    pure and has the same ensemble statistics.
+    The noise is applied as the exact depolarizing channel, so a noisy
+    gate returns a density matrix.
     """
     pair = list(pair)
     if len(pair) != 2 or pair[0] == pair[1]:
@@ -161,12 +136,7 @@ def ms_gate(
     out = apply_unitary(s, ms_unitary(phi_a), pair)
     if noise is None or noise.depolarizing_p == 0.0:
         return out
-    if rng is None:
-        return depolarize(out, pair, noise.depolarizing_p)
-    if rng.random() < noise.depolarizing_p:
-        pauli = _two_qubit_paulis()[rng.integers(16)]
-        out = apply_unitary(out, pauli, pair)
-    return out
+    return depolarize(out, pair, noise.depolarizing_p)
 
 
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
@@ -227,21 +197,13 @@ def spin_echo_ramsey(
     if total_delay_s > 0:
         # With zero delay the sequence degenerates to the bare analysis
         # pulse; the echo is only inserted when there is a delay to split.
-        out = _free_evolution_half(out, pair, half, gradient_rad_per_s, coherence_time_s)
+        # The gradient phase accrues on the B atom in the A-module frame,
+        # so a static gradient cancels across the echo exactly.
+        b_atom = pair[1:]
+        out = free_evolution(out, half, gradient_rad_per_s, b_atom, [pair], coherence_time_s)
         for t in pair:
             out = rotation(out, t, math.pi, 0.0)
-        out = _free_evolution_half(out, pair, half, gradient_rad_per_s, coherence_time_s)
+        out = free_evolution(out, half, gradient_rad_per_s, b_atom, [pair], coherence_time_s)
     for t in pair:
         out = rotation(out, t, math.pi / 2.0, final_phase)
-    return out
-
-
-def _free_evolution_half(s, pair, half, gradient, tau):
-    if half <= 0:
-        return s
-    # Gradient phase accrues on the B atom in the A-module frame; a
-    # static gradient therefore cancels across the echo exactly.
-    out = apply_phase(s, pair[1], -gradient * half)
-    if tau is not None:
-        out = dephase_pair(out, pair, math.exp(-half / tau))
     return out

@@ -8,14 +8,15 @@ Two statistics paths share all channel code. The exact path propagates
 density matrices conditioned on each herald branch (the four detector
 pairs), which is cheap because the stochastic waiting time never touches
 the state: the pair is born at the herald and only deterministic step
-durations evolve it afterwards. The sampled path draws per-trial herald
-branches, waiting times, measurement outcomes and detector errors from
-the exact conditional states.
+durations evolve it afterwards. The sampled path draws all trials at
+once from the exact joint distribution of herald branch, true outcome
+and reported outcome, and their herald attempt counts from the geometric
+distribution of the link budget.
 
-Randomness is reproducible and order-independent: every trial uses its
-own generator derived from the root seed by the counter scheme
-``default_rng(SeedSequence(entropy=seed, spawn_key=(stream, index)))``
-with stream 0 reserved for trial sampling.
+Randomness is reproducible: generators derive from the root seed by the
+counter scheme ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
+A protocol run draws every trial from the one generator of stream 0; a
+parity scan draws each scan point from its own (stream, point) generator.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import states as st
-from .detection import DetectorGroup, DetectorModel, apply_readout_array, confusion_matrix
-from .fitting import CosineFit, DecayFit, RateFit, fit_cosine, fit_exponential_rate
+from .detection import DetectorGroup, DetectorModel, confusion_matrix
+from .fitting import CosineFit, fit_cosine
 from .gates import GateNoise, GateTiming, analysis_rotation, gate_timing, ms_gate
-from .phases import MemoryDecoherence, PhaseLedger
+from .phases import MemoryDecoherence, PhaseLedger, free_evolution
 from .photonics import (
     HeraldEvent,
     LinkBudget,
@@ -49,17 +50,16 @@ __all__ = [
     "MeasureStep",
     "ProtocolScript",
     "ProtocolConfig",
-    "TrialRecord",
     "BranchState",
     "ParityCurve",
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
-    "sample_waiting",
+    "sample_counts",
     "exact_branches",
+    "branch_outcome_distribution",
     "run_protocol",
     "parity_scan",
-    "fit_rate",
     "coherent_entanglement_distance",
 ]
 
@@ -194,16 +194,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    herald: HeraldEvent | None
-    attempts_used: int
-    wall_time_s: float
-    outcome_bits: tuple[int, ...]
-    true_bits: tuple[int, ...]
-    analysis_phase: float
-
-
-@dataclass(frozen=True)
 class BranchState:
     """One deterministic herald branch of the protocol."""
 
@@ -231,21 +221,24 @@ class ParityCurve:
     exact_ideal: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolResult:
-    n_trials: int
-    seed: int
-    populations: dict[str, tuple[float, float]]
-    populations_true: dict[str, tuple[float, float]]
-    exact_populations: dict[str, float]
+    """Sampled trials of a script, one array entry per trial.
+
+    ``branch`` indexes ``branches``, the exact herald branches the trials
+    were drawn from. ``herald_time`` is the wall time from the first
+    attempt to the herald (0 when the script has no herald step).
+    ``true`` and ``reported`` are outcome indices over the script's
+    qubits (first qubit most significant), before and after the detector
+    model. ``exact_true`` is the exact distribution of ``true``.
+    """
+
     branches: list[BranchState]
-    records: list[TrialRecord]
-    analysis_phase: float
-    rate_fit: RateFit | None = None
-    coherence_fit: DecayFit | None = None
-    parity_curves: dict[str, ParityCurve] = field(default_factory=dict)
-    oscillation_fits: dict[str, CosineFit] = field(default_factory=dict)
-    extras: dict[str, float] = field(default_factory=dict)
+    branch: np.ndarray
+    herald_time: np.ndarray
+    true: np.ndarray
+    reported: np.ndarray
+    exact_true: np.ndarray
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -253,114 +246,61 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def sample_waiting(link: LinkBudget, rng: np.random.Generator) -> tuple[int, float]:
-    """Number of attempts until the first herald and the wall time spent.
-
-    Attempts are geometric with the budget coincidence probability; the
-    wall time is attempts over the repetition rate.
-    """
-    p = success_probability(link)
-    if p <= 0.0:
-        raise ValueError("success probability is zero; the protocol would never herald")
-    attempts = int(rng.geometric(p))
-    return attempts, attempts / link.rep_rate
-
-
-def _free_evolution(
-    state: st.QuantumState,
-    dt: float,
-    cfg: ProtocolConfig,
-    script: ProtocolScript,
-    live_pairs: list[tuple[str, str]],
-) -> st.QuantumState:
-    """Inter-module phase beat plus memory dephasing for ``dt`` seconds.
-
-    The Zeeman beat is a local Z phase on every module-B atom (each
-    module is tracked in its own rotating frame, so intra-module
-    coherences are static). Collective dephasing acts on each heralded
-    pair that is still in the register.
-    """
-    if dt <= 0:
-        return state
-    out = state
-    b_module_qubits = script.modules.get("B", ())
-    for q in b_module_qubits:
-        if q in out.labels:
-            out = st.apply_phase(out, q, -cfg.ledger.delta_omega_ab * dt)
-    if cfg.decoherence is not None:
-        gamma = math.exp(-dt / cfg.decoherence.tau_s)
-        for pair in live_pairs:
-            if all(q in out.labels for q in pair):
-                out = st.dephase_pair(out, pair, gamma)
-    return out
+def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts of each outcome in ``shots`` draws from ``probs``."""
+    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    return np.bincount(outcomes, minlength=len(probs))
 
 
 def exact_branches(script: ProtocolScript, cfg: ProtocolConfig) -> list[BranchState]:
-    """Propagate the script exactly, branching on herald outcomes."""
+    """Propagate the script exactly, branching on herald outcomes.
+
+    After each step the register evolves freely for the step's duration,
+    during which every pair heralded so far dephases.
+    """
     initial = st.basis_state([0] * len(script.qubits), script.qubits)
     branches = [BranchState(herald=None, weight=1.0, state=initial, elapsed_s=0.0)]
     live_pairs: list[tuple[str, str]] = []
+    b_atoms = script.modules.get("B", ())
+    tau_s = cfg.decoherence.tau_s if cfg.decoherence is not None else None
     for step in script.steps:
         if isinstance(step, MeasureStep):
             break
         if isinstance(step, HeraldStep):
             branches = _herald_branches(branches, script.links[step.link], cfg)
             live_pairs.append(script.links[step.link])
-        elif isinstance(step, ReinitStep):
-            branches = [
-                replace(
-                    b,
-                    state=_reinit(b.state, step.qubit, script, cfg),
-                    elapsed_s=b.elapsed_s + cfg.reinit_duration_s,
-                )
-                for b in branches
-            ]
-            if cfg.reinit_duration_s > 0:
-                branches = [
-                    replace(
-                        b,
-                        state=_free_evolution(
-                            b.state, cfg.reinit_duration_s, cfg, script, live_pairs
-                        ),
-                    )
-                    for b in branches
-                ]
-        elif isinstance(step, MSGateStep):
-            t_g = cfg.timing.gate_time_s
-            branches = [
-                replace(
-                    b,
-                    state=_free_evolution(
-                        ms_gate(b.state, list(step.pair), step.phi_a, cfg.gate_noise),
-                        t_g,
-                        cfg,
-                        script,
-                        live_pairs,
-                    ),
-                    elapsed_s=b.elapsed_s + t_g,
-                )
-                for b in branches
-            ]
-        elif isinstance(step, AnalysisStep):
-            branches = [
-                replace(
-                    b,
-                    state=analysis_rotation(b.state, list(step.targets), step.theta, step.phi),
-                )
-                for b in branches
-            ]
-        elif isinstance(step, WaitStep):
-            branches = [
-                replace(
-                    b,
-                    state=_free_evolution(b.state, step.duration_s, cfg, script, live_pairs),
-                    elapsed_s=b.elapsed_s + step.duration_s,
-                )
-                for b in branches
-            ]
-        else:  # pragma: no cover
-            raise ScriptError(f"unhandled step {step}")
+            continue
+        apply, dt = _step_action(step, script, cfg)
+        branches = [
+            replace(
+                b,
+                state=free_evolution(
+                    apply(b.state), dt, cfg.ledger.delta_omega_ab, b_atoms, live_pairs, tau_s
+                ),
+                elapsed_s=b.elapsed_s + dt,
+            )
+            for b in branches
+        ]
     return branches
+
+
+def _step_action(
+    step: Step, script: ProtocolScript, cfg: ProtocolConfig
+) -> tuple[Callable[[st.QuantumState], st.QuantumState], float]:
+    """State map of one non-herald step and the time it takes."""
+    if isinstance(step, ReinitStep):
+        return (lambda s: _reinit(s, step.qubit, script, cfg)), cfg.reinit_duration_s
+    if isinstance(step, MSGateStep):
+        return (
+            lambda s: ms_gate(s, list(step.pair), step.phi_a, cfg.gate_noise)
+        ), cfg.timing.gate_time_s
+    if isinstance(step, AnalysisStep):
+        return (
+            lambda s: analysis_rotation(s, list(step.targets), step.theta, step.phi)
+        ), 0.0
+    if isinstance(step, WaitStep):
+        return (lambda s: s), step.duration_s
+    raise ScriptError(f"unhandled step {step}")  # pragma: no cover
 
 
 def _reinit(state: st.QuantumState, qubit: str, script: ProtocolScript, cfg: ProtocolConfig):
@@ -405,15 +345,22 @@ def _herald_branches(
     return out
 
 
-def _analysis_phase(script: ProtocolScript) -> float:
-    for step in script.steps:
-        if isinstance(step, AnalysisStep):
-            return step.phi
-    return 0.0
-
-
-def _bits_of_index(idx: int, n: int) -> tuple[int, ...]:
-    return tuple((idx >> (n - 1 - k)) & 1 for k in range(n))
+def branch_outcome_distribution(
+    branches: Sequence[BranchState], qubits: Sequence[str], phi_d: float | None = None
+) -> np.ndarray:
+    """Exact outcome distribution over ``qubits``, averaged over the herald
+    branches by weight; with ``phi_d``, only over the branches heralded
+    with that detector phase."""
+    diag = np.zeros(2 ** len(qubits))
+    weight = 0.0
+    for b in branches:
+        if phi_d is not None and (b.herald is None or b.herald.phi_d != phi_d):
+            continue
+        diag += b.weight * st.outcome_probabilities(b.state, qubits)
+        weight += b.weight
+    if weight <= 0:
+        raise ValueError("no herald branch matches the requested detector phase")
+    return diag / weight
 
 
 def run_protocol(
@@ -422,75 +369,42 @@ def run_protocol(
     n_trials: int,
     seed: int,
 ) -> ProtocolResult:
-    """Execute ``n_trials`` end-to-end trials of the script.
+    """Sample ``n_trials`` end-to-end trials of the script.
 
-    Identical (script, cfg, n_trials, seed) produce identical results;
-    trials use independent generators so aggregation is insensitive to
-    execution order.
+    Each trial's herald branch, true outcome and reported outcome are
+    drawn together from their exact joint distribution; when the script
+    heralds, its number of attempts is geometric with the budget's
+    coincidence probability. All draws come from one generator, so
+    identical (script, cfg, n_trials, seed) give identical results.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    branches = exact_branches(script, cfg)
-    n_bits = len(script.qubits)
-    branch_probs = np.array([b.weight for b in branches])
-    branch_probs = branch_probs / branch_probs.sum()
-    branch_diagonals = [b.state.probabilities() if b.state.labels == script.qubits
-                        else st.outcome_probabilities(b.state, script.qubits)
-                        for b in branches]
-    layout = script.detector_layout()
     has_herald = any(isinstance(s, HeraldStep) for s in script.steps)
-    analysis_phase = _analysis_phase(script)
-
-    records: list[TrialRecord] = []
-    for i in range(n_trials):
-        rng = rng_stream(seed, TRIAL_STREAM, i)
-        b_idx = int(rng.choice(len(branches), p=branch_probs))
-        branch = branches[b_idx]
-        if has_herald:
-            attempts, wait = sample_waiting(cfg.budget, rng)
-            herald = replace(
-                branch.herald, attempt_index=attempts, time=wait
-            ) if branch.herald is not None else None
-        else:
-            attempts, wait, herald = 0, 0.0, None
-        probs = branch_diagonals[b_idx]
-        outcome_idx = int(rng.choice(len(probs), p=probs))
-        true_bits = _bits_of_index(outcome_idx, n_bits)
-        reported = apply_readout_array(
-            np.array([true_bits], dtype=np.int64), cfg.detectors, layout, rng
-        )[0]
-        records.append(
-            TrialRecord(
-                herald=herald,
-                attempts_used=attempts,
-                wall_time_s=wait + branch.elapsed_s,
-                outcome_bits=tuple(int(x) for x in reported),
-                true_bits=true_bits,
-                analysis_phase=analysis_phase,
-            )
-        )
-
-    populations = _population_estimates([r.outcome_bits for r in records])
-    populations_true = _population_estimates([r.true_bits for r in records])
-    exact_populations: dict[str, float] = {}
-    for w, diag in zip(branch_probs, branch_diagonals):
-        for idx, p in enumerate(diag):
-            key = "".join(str(x) for x in _bits_of_index(idx, n_bits))
-            exact_populations[key] = exact_populations.get(key, 0.0) + float(w * p)
-
-    rate = None
-    if has_herald and n_trials >= 100:
-        rate = fit_exponential_rate([r.wall_time_s for r in records])
+    p_herald = success_probability(cfg.budget)
+    if has_herald and p_herald <= 0.0:
+        raise ValueError("success probability is zero; the protocol would never herald")
+    branches = exact_branches(script, cfg)
+    weights = np.array([b.weight for b in branches])
+    true_given_branch = np.array(
+        [st.outcome_probabilities(b.state, script.qubits) for b in branches]
+    )
+    readout = confusion_matrix(len(script.qubits), cfg.detectors, script.detector_layout())
+    # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
+    joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
+    rng = rng_stream(seed, TRIAL_STREAM)
+    draws = rng.choice(joint.size, size=n_trials, p=joint.ravel() / joint.sum())
+    branch, reported, true = np.unravel_index(draws, joint.shape)
+    if has_herald:
+        herald_time = rng.geometric(p_herald, size=n_trials) / cfg.budget.rep_rate
+    else:
+        herald_time = np.zeros(n_trials)
     return ProtocolResult(
-        n_trials=n_trials,
-        seed=seed,
-        populations=populations,
-        populations_true=populations_true,
-        exact_populations=exact_populations,
         branches=branches,
-        records=records,
-        analysis_phase=analysis_phase,
-        rate_fit=rate,
+        branch=branch,
+        herald_time=herald_time,
+        true=true,
+        reported=reported,
+        exact_true=branch_outcome_distribution(branches, script.qubits),
     )
 
 
@@ -514,62 +428,35 @@ def parity_scan(
     two exact variants.
     """
     phases = [float(p) for p in phases]
-    first = script_builder(phases[0])
-    qubits = first.qubits
+    qubits = script_builder(phases[0]).qubits
     n_bits = len(qubits)
-    i1, i2 = qubits.index(pair[0]), qubits.index(pair[1])
-    cond_idx = qubits.index(condition_qubit) if condition_qubit is not None else None
-    conditions = ["all"]
+    # bits[idx, k] is bit k of outcome index idx
+    bits = (np.arange(2**n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
+    sign = np.where(bits[:, qubits.index(pair[0])] == bits[:, qubits.index(pair[1])], 1.0, -1.0)
+    masks = {"all": np.ones(2**n_bits, dtype=bool)}
     if condition_qubit is not None:
-        conditions += [f"{condition_qubit}=1", f"{condition_qubit}=0"]
+        cond_bits = bits[:, qubits.index(condition_qubit)]
+        masks[f"{condition_qubit}=1"] = cond_bits == 1
+        masks[f"{condition_qubit}=0"] = cond_bits == 0
 
-    acc = {
-        c: {"values": [], "errors": [], "reported": [], "ideal": []} for c in conditions
-    }
-    sign = np.array(
-        [1.0 if ((idx >> (n_bits - 1 - i1)) & 1) == ((idx >> (n_bits - 1 - i2)) & 1) else -1.0
-         for idx in range(2**n_bits)]
-    )
+    acc = {c: {"values": [], "errors": [], "reported": [], "ideal": []} for c in masks}
     for i, phi in enumerate(phases):
         script = script_builder(phi)
-        branches = exact_branches(script, cfg)
-        true_diag = np.zeros(2**n_bits)
-        for b in branches:
-            true_diag += b.weight * st.outcome_probabilities(b.state, qubits)
-        true_diag /= true_diag.sum()
+        true_diag = branch_outcome_distribution(exact_branches(script, cfg), qubits)
         m = confusion_matrix(n_bits, cfg.detectors, script.detector_layout())
         reported = m @ true_diag
-        rng = rng_stream(seed, stream, i)
-        outcomes = rng.choice(len(reported), size=shots, p=reported / reported.sum())
-        for cond in conditions:
-            if cond == "all":
-                mask_r = np.ones(2**n_bits, dtype=bool)
-                sel = outcomes
-            else:
-                bit = int(cond[-1])
-                mask_r = np.array(
-                    [((idx >> (n_bits - 1 - cond_idx)) & 1) == bit for idx in range(2**n_bits)]
-                )
-                sel = outcomes[((outcomes >> (n_bits - 1 - cond_idx)) & 1) == bit]
-            rep_c = reported[mask_r]
-            true_c = true_diag[mask_r]
-            sign_c = sign[mask_r]
-            exact_rep = float((rep_c * sign_c).sum() / rep_c.sum()) if rep_c.sum() > 0 else 0.0
-            exact_ideal = float((true_c * sign_c).sum() / true_c.sum()) if true_c.sum() > 0 else 0.0
-            if sel.size:
-                par = float(sign[sel].mean())
-                err = math.sqrt(max(1.0 - par * par, 1.0 / sel.size) / sel.size)
-            else:
-                par, err = 0.0, 1.0
+        counts = sample_counts(reported, shots, rng_stream(seed, stream, i))
+        for cond, mask in masks.items():
+            par, n = _parity(counts, sign, mask)
+            err = math.sqrt(max(1.0 - par * par, 1.0 / n) / n) if n else 1.0
             acc[cond]["values"].append(par)
             acc[cond]["errors"].append(err)
-            acc[cond]["reported"].append(exact_rep)
-            acc[cond]["ideal"].append(exact_ideal)
+            acc[cond]["reported"].append(_parity(reported, sign, mask)[0])
+            acc[cond]["ideal"].append(_parity(true_diag, sign, mask)[0])
 
     curves: dict[str, ParityCurve] = {}
     fits: dict[str, CosineFit] = {}
-    for cond in conditions:
-        data = acc[cond]
+    for cond, data in acc.items():
         curves[cond] = ParityCurve(
             condition=cond,
             phases=tuple(phases),
@@ -584,23 +471,12 @@ def parity_scan(
     return curves, fits
 
 
-def _population_estimates(bit_tuples: list[tuple[int, ...]]) -> dict[str, tuple[float, float]]:
-    n = len(bit_tuples)
-    counts: dict[str, int] = {}
-    for bits in bit_tuples:
-        key = "".join(str(b) for b in bits)
-        counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for key in sorted(counts):
-        p = counts[key] / n
-        err = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
-        out[key] = (p, err)
-    return out
-
-
-def fit_rate(records: Sequence[TrialRecord], min_n: int = 100) -> RateFit:
-    """Exponential-rate fit to the recorded wall times."""
-    return fit_exponential_rate([r.wall_time_s for r in records], min_n=min_n)
+def _parity(weights: np.ndarray, sign: np.ndarray, mask: np.ndarray):
+    """Mean of ``sign`` under a count or probability vector restricted to
+    ``mask`` (0 when the restriction is empty), and the restricted total."""
+    w = weights[mask]
+    total = w.sum()
+    return (float((w * sign[mask]).sum() / total) if total > 0 else 0.0), total
 
 
 def coherent_entanglement_distance(d_q: float, rate: float, tau: float) -> float:

@@ -21,7 +21,7 @@ __all__ = [
     "PhaseLedger",
     "MemoryDecoherence",
     "phi_ab",
-    "evolve_entangled_state",
+    "free_evolution",
 ]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
@@ -103,29 +103,33 @@ def phi_ab(ledger: PhaseLedger, t: float) -> float:
     return reduced
 
 
-def evolve_entangled_state(
+def free_evolution(
     s: QuantumState,
-    pair: Sequence[str],
-    ledger: PhaseLedger,
-    decoherence: MemoryDecoherence | None,
     t: float,
+    delta_omega_ab: float,
+    b_atoms: Sequence[str],
+    pairs: Sequence[Sequence[str]],
+    tau_s: float | None,
 ) -> QuantumState:
-    """Evolve a stored pair for ``t`` seconds.
+    """Evolve stored qubits for ``t`` seconds between operations.
 
-    ``pair`` is ordered (module-A atom, module-B atom). The Zeeman beat
-    adds the relative phase e^{i delta_omega_ab t} between the |01> and
-    |10> components, implemented as a local Z phase on the B atom so it
-    stays exact inside larger registers. Dephasing multiplies the pair
-    coherences by exp(-t/tau); populations are preserved exactly.
+    Each module is tracked in its own rotating frame, so the Zeeman beat
+    is a local Z phase e^{-i delta_omega_ab t} on every module-B atom in
+    ``b_atoms``; for a stored pair (module-A atom, module-B atom) it adds
+    the relative phase e^{i delta_omega_ab t} between |01> and |10>.
+    With a coherence time ``tau_s`` the coherences of every pair in
+    ``pairs`` are multiplied by exp(-t/tau_s); populations are preserved
+    exactly.
     """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    pair = list(pair)
-    if len(pair) != 2:
-        raise ValueError(f"pair must hold two labels, got {pair}")
     if t == 0:
         return s
-    out = apply_phase(s, pair[1], -ledger.delta_omega_ab * t)
-    if decoherence is not None:
-        out = dephase_pair(out, pair, math.exp(-t / decoherence.tau_s))
+    out = s
+    for q in b_atoms:
+        out = apply_phase(out, q, -delta_omega_ab * t)
+    if tau_s is not None:
+        gamma = math.exp(-t / tau_s)
+        for pair in pairs:
+            out = dephase_pair(out, pair, gamma)
     return out

@@ -61,9 +61,7 @@ __all__ = [
     "qwp_matrix",
     "module_emission",
     "bsm_outcome_distribution",
-    "bsm",
     "conditional_herald_states",
-    "herald_remote_pair",
     "heralded_bell_ket",
     "success_probability",
     "expected_rate",
@@ -128,20 +126,17 @@ class LinkErrorModel:
     atom-photon state to the ideal singlet; internally it maps to a
     Werner mixing weight so that the produced state has exactly this
     fidelity. ``mode_overlap`` is the wave-packet overlap v at the
-    beam-splitter. Dark counts are out of scope and pinned to zero.
+    beam-splitter. Detector dark counts are not modelled.
     """
 
     atom_photon_fidelity: float = 0.92
     mode_overlap: float = CALIBRATED_MODE_OVERLAP
-    dark_counts: float = 0.0
 
     def __post_init__(self):
         for name in ("atom_photon_fidelity", "mode_overlap"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"link_errors.{name} = {value} outside [0, 1]")
-        if self.dark_counts != 0.0:
-            raise ValueError("dark counts are not modelled; link_errors.dark_counts must be 0")
 
     def werner_weight(self) -> float:
         """Mixing weight w with rho = w |psi><psi| + (1 - w) I/4."""
@@ -154,8 +149,6 @@ class HeraldEvent:
 
     detector_pair: tuple[int, int]
     phi_d: float
-    attempt_index: int = 1
-    time: float = 0.0
 
     def __post_init__(self):
         if self.detector_pair not in DETECTOR_PAIRS:
@@ -164,8 +157,6 @@ class HeraldEvent:
             raise ValueError(
                 f"phi_d = {self.phi_d} inconsistent with detector pair {self.detector_pair}"
             )
-        if self.attempt_index < 1:
-            raise ValueError(f"attempt_index must be >= 1, got {self.attempt_index}")
 
 
 def ideal_emission_ket(atom_label: str, photon_label: str) -> QuantumState:
@@ -275,27 +266,6 @@ def _reorder_pair(s: QuantumState, order: Sequence[str]) -> np.ndarray:
     return t.reshape(4, 4)
 
 
-def bsm(
-    photons: QuantumState, v: float, rng: np.random.Generator
-) -> HeraldEvent | None:
-    """Sample one interference outcome for a two-photon state.
-
-    Returns ``None`` when the photons bunch or land on an invalid
-    detector combination (the attempt restarts in that case, so no
-    state is tracked).
-    """
-    if photons.n_subsystems != 2:
-        raise StateError("bsm expects a register of exactly two photon modes")
-    dist = bsm_outcome_distribution(photons, list(photons.labels), v)
-    outcomes = list(dist.keys())
-    weights = np.array([dist[o] for o in outcomes])
-    weights = weights / weights.sum()
-    pick = outcomes[int(rng.choice(len(outcomes), p=weights))]
-    if pick is None:
-        return None
-    return HeraldEvent(detector_pair=pick, phi_d=DETECTOR_PAIRS[pick])
-
-
 def conditional_herald_states(
     atom_a_photon: QuantumState,
     atom_b_photon: QuantumState,
@@ -357,32 +327,6 @@ def _embed_apply(rho: np.ndarray, op: np.ndarray, axes: list[int], n: int) -> np
     t = np.tensordot(op_t.conj(), t, axes=([2, 3], bra_axes))
     t = np.moveaxis(t, [0, 1], bra_axes)
     return t.reshape(rho.shape)
-
-
-def herald_remote_pair(
-    atom_a_photon: QuantumState,
-    atom_b_photon: QuantumState,
-    error: LinkErrorModel,
-    rng: np.random.Generator,
-    transfer_phase: float = 0.0,
-) -> tuple[HeraldEvent, QuantumState] | None:
-    """One coincidence attempt given both photons were collected.
-
-    Samples the interference outcome; on a valid coincidence returns
-    the herald event and the two-atom state, otherwise ``None``.
-    """
-    branches = conditional_herald_states(
-        atom_a_photon, atom_b_photon, error, transfer_phase
-    )
-    probs = np.array([p for _, p, _ in branches])
-    p_none = max(1.0 - probs.sum(), 0.0)
-    weights = np.append(probs, p_none)
-    weights = weights / weights.sum()
-    pick = int(rng.choice(len(weights), p=weights))
-    if pick == len(branches):
-        return None
-    event, _, state = branches[pick]
-    return event, state
 
 
 def heralded_bell_ket(pair: Sequence[str], phase: float) -> QuantumState:

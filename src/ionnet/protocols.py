@@ -25,11 +25,13 @@ from .montecarlo import (
     ProtocolScript,
     ReinitStep,
     WaitStep,
+    branch_outcome_distribution,
     coherent_entanglement_distance,
     exact_branches,
     parity_scan,
     rng_stream,
     run_protocol,
+    sample_counts,
 )
 from .photonics import expected_rate, heralded_bell_ket, success_probability
 from .scenario import Scenario
@@ -95,10 +97,6 @@ def _pair_script(scenario: Scenario, inner: tuple = ()) -> ProtocolScript:
     )
 
 
-def _sample_outcomes(probs: np.ndarray, shots: int, rng) -> np.ndarray:
-    return rng.choice(len(probs), size=shots, p=probs / probs.sum())
-
-
 def _binomial_err(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
@@ -107,32 +105,10 @@ def _parity_err(par: float, n: int) -> float:
     return math.sqrt(max(1.0 - par * par, 1.0 / n) / n)
 
 
-def _branch_reported_diagonal(branches, script, cfg, phi_d=None) -> np.ndarray:
+def _reported_distribution(branches, script, cfg, phi_d=None) -> np.ndarray:
     """Exact reported outcome distribution, optionally per herald phase."""
-    n_bits = len(script.qubits)
-    diag = np.zeros(2**n_bits)
-    weight = 0.0
-    for b in branches:
-        if phi_d is not None and (b.herald is None or b.herald.phi_d != phi_d):
-            continue
-        diag += b.weight * st.outcome_probabilities(b.state, script.qubits)
-        weight += b.weight
-    if weight <= 0:
-        raise ValueError("no herald branch matches the requested detector phase")
-    m = confusion_matrix(n_bits, cfg.detectors, script.detector_layout())
-    return (m @ diag) / weight
-
-
-def _branch_true_diagonal(branches, script, phi_d=None) -> np.ndarray:
-    n_bits = len(script.qubits)
-    diag = np.zeros(2**n_bits)
-    weight = 0.0
-    for b in branches:
-        if phi_d is not None and (b.herald is None or b.herald.phi_d != phi_d):
-            continue
-        diag += b.weight * st.outcome_probabilities(b.state, script.qubits)
-        weight += b.weight
-    return diag / weight
+    true = branch_outcome_distribution(branches, script.qubits, phi_d)
+    return confusion_matrix(len(script.qubits), cfg.detectors, script.detector_layout()) @ true
 
 
 def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> ExperimentOutput:
@@ -157,31 +133,27 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
     )
 
     result = run_protocol(script, cfg, n_trials, seed)
+    trial_phi_d = np.array([b.herald.phi_d for b in result.branches])[result.branch]
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
-        sub = [r for r in result.records if r.herald.phi_d == want]
-        exact_rep = _branch_reported_diagonal(branches, script, cfg, phi_d=want)
+        sub = result.reported[trial_phi_d == want]
+        exact_rep = _reported_distribution(branches, script, cfg, phi_d=want)
+        n_sub = max(sub.size, 1)
+        counts = np.bincount(sub, minlength=4)
         rows = []
         for idx, outcome in enumerate(("00", "01", "10", "11")):
-            n_match = sum(1 for r in sub if "".join(map(str, r.outcome_bits)) == outcome)
-            n_sub = max(len(sub), 1)
-            p = n_match / n_sub
+            p = counts[idx] / n_sub
             rows.append((outcome, p, _binomial_err(p, n_sub), float(exact_rep[idx])))
         out.tables[f"populations_{key}"] = (
             ("outcome", "estimate", "uncertainty", "exact"),
             rows,
         )
 
-    odd = result.exact_populations.get("01", 0.0) + result.exact_populations.get("10", 0.0)
-    out.summary["odd_parity_population_exact"] = odd
-    for name, pops in (
-        ("sampled", result.populations),
-        ("ideal_readout", result.populations_true),
-    ):
-        out.summary[f"odd_parity_population_{name}"] = sum(
-            pops.get(k, (0.0, 0.0))[0] for k in ("01", "10")
-        )
+    out.summary["odd_parity_population_exact"] = result.exact_true[1] + result.exact_true[2]
+    for name, outcomes in (("sampled", result.reported), ("ideal_readout", result.true)):
+        pops = np.bincount(outcomes, minlength=4) / n_trials
+        out.summary[f"odd_parity_population_{name}"] = pops[1] + pops[2]
 
-    rate = fit_exponential_rate([r.herald.time for r in result.records])
+    rate = fit_exponential_rate(result.herald_time)
     out.summary.update(
         {
             "rate_per_s": rate.rate,
@@ -215,12 +187,11 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
                 ),
             )
             branches = exact_branches(script, cfg)
-            reported = _branch_reported_diagonal(branches, script, cfg, phi_d=want)
+            reported = _reported_distribution(branches, script, cfg, phi_d=want)
             p_even_exact = float(reported[0] + reported[3])
             rng = rng_stream(seed, _SHOT_STREAM, branch_i, i)
-            outcomes = _sample_outcomes(reported, shots, rng)
-            n_even = int(np.sum((outcomes == 0) | (outcomes == 3)))
-            p_even = n_even / shots
+            counts = sample_counts(reported, shots, rng)
+            p_even = (counts[0] + counts[3]) / shots
             rows.append((float(delay), p_even, _binomial_err(p_even, shots), p_even_exact))
             exact_curve.append(p_even_exact)
         out.tables[f"phase_scan_{key}"] = (
@@ -287,9 +258,8 @@ def coherence_experiment(
         reported = m @ true_diag
         par_exact = float(reported[0] + reported[3] - reported[1] - reported[2])
         rng = rng_stream(seed, _SHOT_STREAM, 0, i)
-        outcomes = _sample_outcomes(reported, shots, rng)
-        evens = int(np.sum((outcomes == 0) | (outcomes == 3)))
-        par = (2.0 * evens - shots) / shots
+        counts = sample_counts(reported, shots, rng)
+        par = (2.0 * (counts[0] + counts[3]) - shots) / shots
         err = _parity_err(par, shots)
         rows.append((float(delay), par, err, par_exact))
         sampled_mags.append(abs(par))
@@ -311,11 +281,9 @@ def coherence_experiment(
         }
     )
 
-    # Waiting-time distribution and rate, from full protocol records.
-    result = run_protocol(script, cfg, n_trials, seed)
-    result.coherence_fit = decay
-    waits = np.array([r.herald.time for r in result.records])
-    rate = result.rate_fit
+    # Waiting-time distribution and rate, from sampled protocol trials.
+    waits = run_protocol(script, cfg, n_trials, seed).herald_time
+    rate = fit_exponential_rate(waits)
     grid = np.linspace(0.0, float(np.quantile(waits, 0.99)), 60)[1:]
     wait_rows = []
     for t in grid:
@@ -368,10 +336,10 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     m = confusion_matrix(2, cfg.detectors, script.detector_layout())
     reported = m @ true_diag
     rng = rng_stream(seed, _SHOT_STREAM, 0, 0)
-    outcomes = _sample_outcomes(reported, shots, rng)
+    counts = sample_counts(reported, shots, rng)
     rows = []
     for idx, outcome in enumerate(("00", "01", "10", "11")):
-        p = float(np.mean(outcomes == idx))
+        p = counts[idx] / shots
         rows.append((outcome, p, _binomial_err(p, shots), float(reported[idx])))
     out.tables["populations"] = (("outcome", "estimate", "uncertainty", "exact"), rows)
     out.summary["even_population_exact"] = float(true_diag[0] + true_diag[3])
@@ -451,19 +419,20 @@ def modular_3q_experiment(
     # Correlation run (Fig-4c style; no analysis pulse).
     script = script_3q()
     result = run_protocol(script, cfg, n_trials, seed)
-    corr = _conditional_correlations([r.outcome_bits for r in result.records])
-    corr_true = _conditional_correlations([r.true_bits for r in result.records])
-    branches = result.branches
-    rep_diag = _branch_reported_diagonal(branches, script, cfg)
-    true_diag = _branch_true_diagonal(branches, script)
-    corr_exact = _conditional_correlations_from_diag(rep_diag)
-    corr_exact_true = _conditional_correlations_from_diag(true_diag)
+    counts = np.bincount(result.reported, minlength=8)
+    corr = _conditional_correlations(counts)
+    corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
+    rep_diag = _reported_distribution(result.branches, script, cfg)
+    corr_exact = _conditional_correlations(rep_diag)
+    corr_exact_true = _conditional_correlations(result.exact_true)
     out.summary.update(
         {
             "corr_even_given_remote1": corr["even_given_1"],
-            "corr_even_given_remote1_err": corr["even_given_1_err"],
+            "corr_even_given_remote1_err": _binomial_err(
+                corr["even_given_1"], max(corr["n_1"], 1)
+            ),
             "corr_odd_given_remote0": corr["odd_given_0"],
-            "corr_odd_given_remote0_err": corr["odd_given_0_err"],
+            "corr_odd_given_remote0_err": _binomial_err(corr["odd_given_0"], max(corr["n_0"], 1)),
             "corr_even_given_remote1_exact": corr_exact["even_given_1"],
             "corr_odd_given_remote0_exact": corr_exact["odd_given_0"],
             "corr_even_given_remote1_ideal_readout": corr_true["even_given_1"],
@@ -474,15 +443,11 @@ def modular_3q_experiment(
     )
     rows = []
     for idx in range(8):
-        key = format(idx, "03b")
-        n_match = sum(
-            1 for r in result.records if "".join(map(str, r.outcome_bits)) == key
-        )
-        p = n_match / n_trials
-        rows.append((key, p, _binomial_err(p, n_trials), float(rep_diag[idx])))
+        p = counts[idx] / n_trials
+        rows.append((format(idx, "03b"), p, _binomial_err(p, n_trials), float(rep_diag[idx])))
     out.tables["populations"] = (("outcome", "estimate", "uncertainty", "exact"), rows)
 
-    rate = fit_exponential_rate([r.herald.time for r in result.records])
+    rate = fit_exponential_rate(result.herald_time)
     out.summary.update(
         {
             "rate_per_s": rate.rate,
@@ -497,8 +462,6 @@ def modular_3q_experiment(
         script_3q, phis, cfg, shots, seed,
         pair=(q1, q2), condition_qubit=q3, stream=_SHOT_STREAM + 2,
     )
-    result.parity_curves = curves
-    result.oscillation_fits = fits
     key1, key0 = f"{q3}=1", f"{q3}=0"
     out.tables["parity_remote1"] = _curve_table(curves[key1])
     out.tables["parity_remote0"] = _curve_table(curves[key0])
@@ -535,40 +498,20 @@ def modular_3q_experiment(
     return out
 
 
-def _conditional_correlations(bit_tuples) -> dict[str, float]:
-    n_e1 = n_1 = n_o0 = n_0 = 0
-    for bits in bit_tuples:
-        b1, b2, b3 = bits
-        even = b1 == b2
-        if b3 == 1:
-            n_1 += 1
-            n_e1 += int(even)
-        else:
-            n_0 += 1
-            n_o0 += int(not even)
-    even_1 = n_e1 / n_1 if n_1 else 0.0
-    odd_0 = n_o0 / n_0 if n_0 else 0.0
-    return {
-        "even_given_1": even_1,
-        "even_given_1_err": _binomial_err(even_1, max(n_1, 1)),
-        "odd_given_0": odd_0,
-        "odd_given_0_err": _binomial_err(odd_0, max(n_0, 1)),
-    }
+def _conditional_correlations(weights) -> dict[str, float]:
+    """Correlations of the local pair (q1, q2) with the remote bit q3.
 
-
-def _conditional_correlations_from_diag(diag: np.ndarray) -> dict[str, float]:
-    p_e1 = p_1 = p_o0 = p_0 = 0.0
-    for idx, p in enumerate(diag):
-        b1, b2, b3 = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        if b3 == 1:
-            p_1 += p
-            if b1 == b2:
-                p_e1 += p
-        else:
-            p_0 += p
-            if b1 != b2:
-                p_o0 += p
+    ``weights`` is a count or probability vector over the outcomes
+    (q1, q2, q3), q1 most significant. Returns P(q1 = q2 | q3 = 1) and
+    P(q1 != q2 | q3 = 0) with the total weight of each condition
+    (``n_1``, ``n_0``); a condition of zero weight gives 0.
+    """
+    w = np.asarray(weights, dtype=float).reshape(2, 2, 2)
+    even, odd = w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]  # indexed by q3
+    n_1, n_0 = even[1] + odd[1], even[0] + odd[0]
     return {
-        "even_given_1": float(p_e1 / p_1) if p_1 > 0 else 0.0,
-        "odd_given_0": float(p_o0 / p_0) if p_0 > 0 else 0.0,
+        "even_given_1": float(even[1] / n_1) if n_1 > 0 else 0.0,
+        "odd_given_0": float(odd[0] / n_0) if n_0 > 0 else 0.0,
+        "n_1": float(n_1),
+        "n_0": float(n_0),
     }

@@ -102,7 +102,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "link_errors": {
         "atom_photon_fidelity": ("float", 0.92),
         "mode_overlap": ("float", CALIBRATED_MODE_OVERLAP),
-        "dark_counts": ("float", 0.0),
     },
     "gate": {
         "phi_a": ("float", 0.0),
@@ -311,7 +310,6 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         link_errors = LinkErrorModel(
             atom_photon_fidelity=get("link_errors", "atom_photon_fidelity"),
             mode_overlap=get("link_errors", "mode_overlap"),
-            dark_counts=get("link_errors", "dark_counts"),
         )
         gate_noise = GateNoise(depolarizing_p=get("gate", "depolarizing_p"))
         timing = gate_timing(get("gate", "detuning_hz"))
@@ -391,7 +389,6 @@ def emit_scenario(s: Scenario) -> str:
         "link_errors": {
             "atom_photon_fidelity": s.link_errors.atom_photon_fidelity,
             "mode_overlap": s.link_errors.mode_overlap,
-            "dark_counts": s.link_errors.dark_counts,
         },
         "gate": {
             "phi_a": s.gate_phi_a,

@@ -9,7 +9,8 @@ capped (default 6 subsystems).
 
 States are immutable after construction; every operation returns a new
 ``QuantumState``. Instances are therefore safe to share across threads.
-Randomness only ever enters through an explicitly passed generator.
+Nothing here is random: outcomes are sampled from the exact
+distributions by the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "tensor",
     "apply_unitary",
     "apply_phase",
-    "measure",
     "outcome_probabilities",
     "fidelity",
     "parity_expectation",
@@ -187,10 +187,6 @@ def _bits_to_index(bits: Sequence[int]) -> int:
     return idx
 
 
-def _index_to_bits(idx: int, n: int) -> tuple[int, ...]:
-    return tuple((idx >> (n - 1 - k)) & 1 for k in range(n))
-
-
 def tensor(a: QuantumState, b: QuantumState, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS) -> QuantumState:
     """Tensor product of two registers with disjoint labels.
 
@@ -284,45 +280,6 @@ def outcome_probabilities(s: QuantumState, targets: Sequence[str]) -> np.ndarray
     remaining = [ax for ax in range(n) if ax in axes]
     perm = [remaining.index(ax) for ax in keep_order]
     return marg.transpose(perm).reshape(-1)
-
-
-def measure(
-    s: QuantumState, targets: Sequence[str], rng: np.random.Generator
-) -> tuple[tuple[int, ...], QuantumState, float]:
-    """Projective measurement of the targets in the computational basis.
-
-    Returns the sampled outcome bits (ordered like ``targets``), the
-    collapsed renormalized state and the Born probability of the drawn
-    outcome.
-    """
-    targets = list(targets)
-    probs = outcome_probabilities(s, targets)
-    idx = int(rng.choice(len(probs), p=probs))
-    bits = _index_to_bits(idx, len(targets))
-    prob = float(probs[idx])
-    axes = [s.axis(t) for t in targets]
-    n = s.n_subsystems
-
-    if s.is_mixed:
-        t = s.data.reshape((2,) * (2 * n))
-        sel: list = [slice(None)] * (2 * n)
-        for ax, b in zip(axes, bits):
-            sel[ax] = b
-            sel[n + ax] = b
-        proj = np.zeros_like(t)
-        proj[tuple(sel)] = t[tuple(sel)]
-        rho = proj.reshape(s.dim, s.dim)
-        collapsed = QuantumState(s.labels, rho / rho.trace(), max_subsystems=n)
-    else:
-        psi = s.data.reshape((2,) * n).copy()
-        sel = [slice(None)] * n
-        for ax, b in zip(axes, bits):
-            sel[ax] = 1 - b
-            psi[tuple(sel)] = 0.0
-            sel[ax] = slice(None)
-        vec = psi.reshape(-1)
-        collapsed = QuantumState(s.labels, vec / np.linalg.norm(vec), max_subsystems=n)
-    return bits, collapsed, prob
 
 
 def fidelity(s: QuantumState, target: QuantumState) -> float:

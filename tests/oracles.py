@@ -1,17 +1,34 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the package's measurement operators: the
-beam-splitter network is enumerated directly in the photon-number
+The beam-splitter oracle deliberately avoids the package's measurement
+operators: the network is enumerated directly in the photon-number
 picture, including a temporal mode label for partially distinguishable
 photons.
+
+The single-shot samplers at the end draw one outcome at a time from the
+package's exact channels. The package itself samples only in bulk, from
+exact distributions; sampled-versus-exact tests use these samplers as a
+second, shot-by-shot route to the same statistics.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
+
+from ionnet import states as st
+from ionnet.detection import DetectorGroup, DetectorModel, apply_readout_array
+from ionnet.gates import GateNoise, ms_gate
+from ionnet.photonics import (
+    DETECTOR_PAIRS,
+    HeraldEvent,
+    LinkErrorModel,
+    bsm_outcome_distribution,
+    conditional_herald_states,
+)
 
 # Detector numbering: PMT1 = (port c, H), PMT2 = (c, V), PMT3 = (d, V),
 # PMT4 = (d, H). With the beam-splitter convention a -> (c + d)/sqrt(2),
@@ -95,3 +112,129 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = z @ z.conj().T
     return rho / rho.trace()
+
+
+def bsm(photons: st.QuantumState, v: float, rng: np.random.Generator) -> HeraldEvent | None:
+    """Sample one interference outcome for a two-photon state.
+
+    Returns ``None`` when the photons bunch or land on an invalid
+    detector combination (the attempt restarts in that case, so no
+    state is tracked).
+    """
+    if photons.n_subsystems != 2:
+        raise st.StateError("bsm expects a register of exactly two photon modes")
+    dist = bsm_outcome_distribution(photons, list(photons.labels), v)
+    outcomes = list(dist.keys())
+    weights = np.array([dist[o] for o in outcomes])
+    weights = weights / weights.sum()
+    pick = outcomes[int(rng.choice(len(outcomes), p=weights))]
+    if pick is None:
+        return None
+    return HeraldEvent(detector_pair=pick, phi_d=DETECTOR_PAIRS[pick])
+
+
+def herald_remote_pair(
+    atom_a_photon: st.QuantumState,
+    atom_b_photon: st.QuantumState,
+    error: LinkErrorModel,
+    rng: np.random.Generator,
+    transfer_phase: float = 0.0,
+) -> tuple[HeraldEvent, st.QuantumState] | None:
+    """One coincidence attempt given both photons were collected.
+
+    Samples the interference outcome; on a valid coincidence returns
+    the herald event and the two-atom state, otherwise ``None``.
+    """
+    branches = conditional_herald_states(
+        atom_a_photon, atom_b_photon, error, transfer_phase
+    )
+    probs = np.array([p for _, p, _ in branches])
+    p_none = max(1.0 - probs.sum(), 0.0)
+    weights = np.append(probs, p_none)
+    weights = weights / weights.sum()
+    pick = int(rng.choice(len(weights), p=weights))
+    if pick == len(branches):
+        return None
+    event, _, state = branches[pick]
+    return event, state
+
+
+def measure(
+    s: st.QuantumState, targets: Sequence[str], rng: np.random.Generator
+) -> tuple[tuple[int, ...], st.QuantumState, float]:
+    """Projective measurement of the targets in the computational basis.
+
+    Returns the sampled outcome bits (ordered like ``targets``), the
+    collapsed renormalized state and the Born probability of the drawn
+    outcome.
+    """
+    targets = list(targets)
+    probs = st.outcome_probabilities(s, targets)
+    idx = int(rng.choice(len(probs), p=probs))
+    bits = tuple((idx >> (len(targets) - 1 - k)) & 1 for k in range(len(targets)))
+    prob = float(probs[idx])
+    axes = [s.axis(t) for t in targets]
+    n = s.n_subsystems
+
+    if s.is_mixed:
+        t = s.data.reshape((2,) * (2 * n))
+        sel: list = [slice(None)] * (2 * n)
+        for ax, b in zip(axes, bits):
+            sel[ax] = b
+            sel[n + ax] = b
+        proj = np.zeros_like(t)
+        proj[tuple(sel)] = t[tuple(sel)]
+        rho = proj.reshape(s.dim, s.dim)
+        collapsed = st.QuantumState(s.labels, rho / rho.trace(), max_subsystems=n)
+    else:
+        psi = s.data.reshape((2,) * n).copy()
+        sel = [slice(None)] * n
+        for ax, b in zip(axes, bits):
+            sel[ax] = 1 - b
+            psi[tuple(sel)] = 0.0
+            sel[ax] = slice(None)
+        vec = psi.reshape(-1)
+        collapsed = st.QuantumState(s.labels, vec / np.linalg.norm(vec), max_subsystems=n)
+    return bits, collapsed, prob
+
+
+def apply_readout(
+    true_bits: Sequence[int],
+    model: DetectorModel,
+    layout: Sequence[DetectorGroup],
+    rng: np.random.Generator,
+) -> tuple[int, ...]:
+    """Reported bits for one shot of state detection."""
+    arr = apply_readout_array(
+        np.asarray(true_bits, dtype=np.int64)[None, :], model, layout, rng
+    )
+    return tuple(int(b) for b in arr[0])
+
+
+_SINGLE_PAULIS = [
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+]
+_TWO_QUBIT_PAULIS = [np.kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS]
+
+
+def ms_gate_trajectory(
+    s: st.QuantumState,
+    pair: Sequence[str],
+    phi_a: float,
+    noise: GateNoise,
+    rng: np.random.Generator,
+) -> st.QuantumState:
+    """Entangling gate with its depolarizing noise unravelled as a trajectory.
+
+    With probability p a uniformly random two-qubit Pauli follows the
+    ideal gate, which keeps pure states pure and has the ensemble
+    statistics of the exact channel.
+    """
+    out = ms_gate(s, pair, phi_a)
+    if rng.random() < noise.depolarizing_p:
+        pauli = _TWO_QUBIT_PAULIS[rng.integers(16)]
+        out = st.apply_unitary(out, pauli, list(pair))
+    return out

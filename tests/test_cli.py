@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ionnet.cli import main
+from ionnet.cli import main, write_outputs
+from ionnet.protocols import ExperimentOutput
+from ionnet.scenario import loads_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_summary(path: Path) -> dict:
@@ -130,3 +138,39 @@ def test_coherence_subcommand_small(tmp_path):
     assert summary["d_ent_m"] > 0
     assert (out / "coherence.csv").exists()
     assert (out / "waiting.csv").exists()
+
+
+def test_dark_counts_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("[link_errors]\natom_photon_fidelity = 0.92\ndark_counts = 0.0\n")
+    assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"{cfg}:3: unknown key link_errors.dark_counts" in capsys.readouterr().err
+
+
+def test_numpy_floats_written_as_plain_numbers(tmp_path):
+    output = ExperimentOutput(
+        tables={"t": (("x", "y"), [(np.float64(0.05), np.float64(1e-12))])},
+        summary={"p": np.float64(0.05), "n": np.int64(7)},
+    )
+    write_outputs(tmp_path, "budget", loads_scenario(""), 1, output)
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "p = 0.05" in summary
+    assert "n = 7" in summary
+    assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.05,1e-12"
+
+
+def test_benchmark_trace_hooks_bind():
+    # perfbench/layertrace.py rebinds named ionnet entry points and fails
+    # when one of them is no longer bound in the package.
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); "
+        "import ionnet.cli, layertrace; layertrace.install()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

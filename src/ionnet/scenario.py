@@ -146,7 +146,15 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-_STEP_VERBS = {"herald", "reinit", "gate", "analyze", "wait", "measure"}
+# step verb -> (fewest, most) arguments
+_STEP_ARITY = {
+    "herald": (0, 0),
+    "reinit": (1, 1),
+    "gate": (2, 2),
+    "analyze": (1, math.inf),
+    "wait": (1, 1),
+    "measure": (0, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -186,9 +194,9 @@ class Scenario:
     def qubits(self) -> tuple[str, ...]:
         return self.protocol.qubits_a + self.protocol.qubits_b
 
-    def script(self, analysis_phi: float = 0.0) -> ProtocolScript:
-        """Build the typed protocol script; ``analysis_phi`` feeds every
-        analyze step (the scan variable)."""
+    def script(self) -> ProtocolScript:
+        """Build the typed protocol script. Analyze steps carry phase 0;
+        a parity scan sets the phase it scans."""
         steps = []
         for raw in self.protocol.steps:
             verb, args = raw[0], raw[1:]
@@ -199,7 +207,7 @@ class Scenario:
             elif verb == "gate":
                 steps.append(MSGateStep((args[0], args[1]), self.gate_phi_a))
             elif verb == "analyze":
-                steps.append(AnalysisStep(tuple(args), math.pi / 2.0, analysis_phi))
+                steps.append(AnalysisStep(tuple(args), math.pi / 2.0, 0.0))
             elif verb == "wait":
                 steps.append(WaitStep(float(args[0])))
             elif verb == "measure":
@@ -270,9 +278,14 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], l
             except ValueError:
                 raise ScenarioError(f"{source}:{lineno}: malformed step key {key!r}") from None
             parts = tuple(raw.split())
-            if not parts or parts[0] not in _STEP_VERBS:
+            if not parts or parts[0] not in _STEP_ARITY:
                 raise ScenarioError(
                     f"{source}:{lineno}: unknown step verb in {path}: {raw!r}"
+                )
+            fewest, most = _STEP_ARITY[parts[0]]
+            if not fewest <= len(parts) - 1 <= most:
+                raise ScenarioError(
+                    f"{source}:{lineno}: wrong number of arguments in {path}: {raw!r}"
                 )
             if index in steps:
                 raise ScenarioError(f"{source}:{lineno}: duplicate step index {index}")

@@ -2,16 +2,44 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from ionnet import montecarlo, protocols
 from ionnet.cli import main, write_outputs
 from ionnet.protocols import ExperimentOutput
 from ionnet.scenario import loads_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+CALIBRATED = ROOT / "configs" / "calibrated_3q.cfg"
+CALIBRATED_STEPS = (
+    "step.1 = herald\nstep.2 = reinit q1\nstep.3 = gate q1 q2\n"
+    "step.4 = analyze q1 q2\nstep.5 = measure\n"
+)
+
+
+def calibrated_with_steps(tmp_path: Path, steps: str) -> Path:
+    """The calibrated scenario with its step list replaced by ``steps``."""
+    text = CALIBRATED.read_text()
+    assert CALIBRATED_STEPS in text
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text(text.replace(CALIBRATED_STEPS, steps))
+    return cfg
+
+
+def assert_rejected(tmp_path, capsys, argv, reason):
+    """The run exits 2 at load time with an error line that names
+    ``reason``, and writes nothing."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert errors and reason in errors[0]
+    assert not out.exists()
 
 
 def read_summary(path: Path) -> dict:
@@ -174,3 +202,159 @@ def test_benchmark_trace_hooks_bind():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
+def test_rate_fit_trials_below_minimum_exit_2(tmp_path, capsys, sub):
+    assert_rejected(tmp_path, capsys, [sub, "--trials", "50"], "at least 100 trials")
+
+
+@pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
+def test_zero_herald_probability_exits_2(tmp_path, capsys, sub):
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("[link_budget]\nq_e = 0.0\n")
+    assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], "zero herald probability")
+
+
+@pytest.mark.parametrize(
+    "sub, grid",
+    [
+        ("phase-scan", "phase_scan_points"),
+        ("coherence", "delay_points"),
+        ("local-gate", "phi_points"),
+        ("modular-3q", "phi_points"),
+    ],
+)
+def test_scan_grid_too_small_for_fit_exits_2(tmp_path, capsys, sub, grid):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"[run]\n{grid} = 2\n")
+    assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], f"run.{grid} >= 3")
+
+
+@pytest.mark.parametrize(
+    "protocol, reason",
+    [
+        ("qubits_a = q1 q2 q4\n", "two qubits in module A"),
+        (
+            "step.1 = reinit q1\nstep.2 = gate q1 q2\nstep.3 = analyze q1 q2\nstep.4 = measure\n",
+            "needs a herald step",
+        ),
+        ("step.1 = herald\nstep.2 = gate q1 q2\nstep.3 = measure\n", "needs an analyze step"),
+        (
+            "step.1 = herald\nstep.2 = gate q1 q2\nstep.3 = analyze q1\nstep.4 = measure\n",
+            "exactly the module-A qubits",
+        ),
+        ("step.1 = herald\nstep.2 = analyze q2 q3\nstep.3 = measure\n", "exactly the module-A qubits"),
+    ],
+    ids=["qubit-count", "no-herald", "no-analyze", "analyze-one-qubit", "analyze-remote"],
+)
+def test_modular_3q_script_requirements_exit_2(tmp_path, capsys, protocol, reason):
+    cfg = tmp_path / "m3.cfg"
+    cfg.write_text(f"[protocol]\n{protocol}")
+    assert_rejected(tmp_path, capsys, ["modular-3q", "--config", str(cfg)], reason)
+
+
+@pytest.mark.parametrize("sub", ["remote-bell", "phase-scan", "coherence", "local-gate"])
+def test_fixed_script_subcommands_reject_changed_steps(tmp_path, capsys, sub):
+    cfg = calibrated_with_steps(tmp_path, "step.0 = wait 0.5\n" + CALIBRATED_STEPS)
+    assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], "fixed script")
+
+
+@pytest.mark.parametrize("sub", ["remote-bell", "phase-scan", "coherence", "local-gate"])
+def test_fixed_script_subcommands_accept_default_steps(tmp_path, sub):
+    # calibrated_3q.cfg lists the default steps explicitly
+    argv = [sub, "--config", str(CALIBRATED), "--trials", "100", "--shots", "100"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_wait_step_takes_effect_in_modular_3q(tmp_path):
+    def exact_summary(name, steps):
+        out = tmp_path / name
+        cfg = calibrated_with_steps(tmp_path, steps)
+        argv = ["modular-3q", "--config", str(cfg), "--trials", "200", "--shots", "100"]
+        assert main([*argv, "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        return {k: v for k, v in summary.items() if "exact" in k or "ideal_readout" in k}
+
+    base = exact_summary("base", CALIBRATED_STEPS)
+    before_analyze = exact_summary("gate", (
+        "step.1 = herald\nstep.2 = reinit q1\nstep.3 = gate q1 q2\n"
+        "step.4 = wait 0.5\nstep.5 = analyze q1 q2\nstep.6 = measure\n"
+    ))
+    after_herald = exact_summary("herald", (
+        "step.1 = herald\nstep.2 = wait 0.5\nstep.3 = reinit q1\n"
+        "step.4 = gate q1 q2\nstep.5 = analyze q1 q2\nstep.6 = measure\n"
+    ))
+    # The wait dephases the stored pair (q2, q3); the fringe of (q1, q2)
+    # given q3 = 1 carries one flip of that coherence, sqrt(gamma).
+    tau = loads_scenario(CALIBRATED.read_text()).memory.tau_s
+    key = "parity_amplitude_remote1_ideal_readout"
+    assert before_analyze[key] == pytest.approx(base[key] * math.exp(-0.5 / (2 * tau)), rel=1e-9)
+    for corr in ("corr_even_given_remote1_exact", "corr_odd_given_remote0_exact"):
+        assert before_analyze[corr] == pytest.approx(base[corr], rel=1e-12)
+    # Before the gate q3 is only ever read in Z, so the wait changes nothing.
+    assert after_herald == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("sub", ["modular-3q", "phase-scan", "local-gate"])
+def test_exact_propagation_once_per_run(tmp_path, monkeypatch, sub):
+    # Runs of the step loop from the initial register: a scan propagates
+    # its unscanned prefix once, whatever the grid size.
+    full_runs = []
+    original = montecarlo.propagate
+
+    def counting(script, cfg, steps, branches=None):
+        if branches is None:
+            full_runs.append(steps)
+        return original(script, cfg, steps, branches)
+
+    monkeypatch.setattr(montecarlo, "propagate", counting)
+    monkeypatch.setattr(protocols, "propagate", counting)
+    counts = []
+    for points in (4, 24):
+        cfg = tmp_path / f"grid{points}.cfg"
+        cfg.write_text(f"[run]\nphi_points = {points}\nphase_scan_points = {points}\n")
+        argv = [sub, "--config", str(cfg), "--trials", "100", "--shots", "50"]
+        full_runs.clear()
+        assert main([*argv, "--out", str(tmp_path / f"out{points}")]) == 0
+        counts.append(len(full_runs))
+    assert 1 <= counts[0] <= 2
+    assert counts[0] == counts[1]
+
+
+QUBIT = hs.sampled_from(["q1", "q2", "q3"])
+STEP = hs.one_of(
+    hs.just("herald"),
+    hs.just("analyze q1 q2"),
+    hs.builds("reinit {}".format, QUBIT),
+    hs.sampled_from(["gate q1 q2", "gate q2 q1"]),
+    hs.builds("wait {}".format, hs.sampled_from(["0.0", "1e-4", "0.5"])),
+)
+# Valid steps around one herald and one analyze step, in any order.
+SCRIPT = hs.lists(STEP, max_size=4).flatmap(
+    lambda extra: hs.permutations(["herald", "analyze q1 q2", *extra])
+)
+# Replaces one step, so that a fair share of the scripts is valid and
+# runs end to end; "" deletes the step.
+DEFECT = hs.one_of(
+    hs.builds("gate {} {}".format, QUBIT, QUBIT),
+    hs.builds(lambda qs: "analyze " + " ".join(qs), hs.lists(QUBIT, max_size=3)),
+    hs.sampled_from(["", "measure", "wait -1", "reinit", "herald ab", "gate q1"]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=SCRIPT, defect=hs.one_of(hs.none(), DEFECT), where=hs.integers(0, 5))
+def test_modular_3q_step_scripts_run_or_exit_2(steps, defect, where):
+    # Every step script either runs or is rejected at load time.
+    steps = list(steps)
+    if defect is not None:
+        steps[where % len(steps)] = defect
+    steps = [s for s in steps if s] + ["measure"]
+    text = "[protocol]\n" + "".join(f"step.{i} = {s}\n" for i, s in enumerate(steps, 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        argv = ["modular-3q", "--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                "--trials", "100", "--shots", "50"]
+        assert main(argv) in (0, 2), text

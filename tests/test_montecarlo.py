@@ -271,7 +271,7 @@ class TestParityScan:
         cfg = noiseless_config()
         phis = np.linspace(0, math.pi, 8, endpoint=False)
         curves, fits = mc.parity_scan(
-            three_qubit_script, phis, cfg, shots=4000, seed=5,
+            three_qubit_script(0.0), phis, cfg, shots=4000, seed=5,
             pair=("q1", "q2"), condition_qubit="q3",
         )
         assert set(curves) == {"all", "q3=1", "q3=0"}

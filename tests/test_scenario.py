@@ -79,6 +79,21 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             loads_scenario(text)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # the phonon bus only exists within a module
+            ("step.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure", "spans two modules"),
+            ("step.1 = gate q1 q1\nstep.2 = measure", "two distinct qubits"),
+            ("link = q1 q2\nstep.1 = measure", "must join qubits of two modules"),
+            ("step.1 = reinit\nstep.2 = measure", r":2: wrong number of arguments"),
+            ("step.1 = herald ab\nstep.2 = measure", r":2: wrong number of arguments"),
+        ],
+    )
+    def test_script_rules(self, text, match):
+        with pytest.raises(ScenarioError, match=match):
+            loads_scenario(f"[protocol]\n{text}\n")
+
     def test_probability_out_of_range(self):
         with pytest.raises(ScenarioError, match="atom_photon_fidelity"):
             loads_scenario("[link_errors]\natom_photon_fidelity = 1.2\n")
@@ -121,11 +136,11 @@ class TestConformanceFile:
     def test_parses_and_builds_script(self):
         s = load_scenario(DATA / "conformance.cfg")
         assert s.defaulted == ()
-        script = s.script(analysis_phi=0.25)
+        script = s.script()
         # steps execute in index order regardless of textual order
         assert isinstance(script.steps[0], HeraldStep)
         assert isinstance(script.steps[3], AnalysisStep)
-        assert script.steps[3].phi == 0.25
+        assert script.steps[3].phi == 0.0
         assert isinstance(script.steps[4], WaitStep)
         assert script.steps[4].duration_s == 0.001
         assert isinstance(script.steps[-1], MeasureStep)

@@ -1,4 +1,8 @@
-"""Estimators shared by the protocol engine and the CLI reports."""
+"""Estimators shared by the protocol engine and the CLI reports.
+
+numpy only: the KS p-value comes from ``kolmogorov.ks_sf`` and the
+decay fit is a Levenberg-Marquardt fit with its analytic Jacobian.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+
+from .kolmogorov import ks_sf
 
 __all__ = [
     "RateFit",
@@ -39,17 +44,22 @@ def fit_exponential_rate(times, min_n: int = MIN_RATE_SAMPLES, ks_alpha: float =
     The ML estimate for rate R is 1/mean with standard error R/sqrt(n).
     A Kolmogorov-Smirnov test against the fitted exponential flags
     degenerate input (``ok`` is False when the sample is incompatible
-    with an exponential at level ``ks_alpha``).
+    with an exponential at level ``ks_alpha``). The p-value is the exact
+    P(D_n >= D) of the two-sided statistic D.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < min_n:
         raise ValueError(f"need at least {min_n} waiting times, got {t.size}")
     if np.any(t <= 0):
         raise ValueError("waiting times must be positive")
+    n = t.size
     rate = 1.0 / t.mean()
-    stderr = rate / math.sqrt(t.size)
-    ks = stats.kstest(t, "expon", args=(0.0, 1.0 / rate))
-    return RateFit(rate=float(rate), stderr=float(stderr), ks_pvalue=float(ks.pvalue), n=t.size, ok=bool(ks.pvalue >= ks_alpha))
+    stderr = rate / math.sqrt(n)
+    cdf = -np.expm1(-(np.sort(t) / (1.0 / rate)))  # fitted CDF at the ordered times
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    pvalue = ks_sf(n, float(max(d_plus, d_minus)))
+    return RateFit(rate=float(rate), stderr=float(stderr), ks_pvalue=pvalue, n=n, ok=pvalue >= ks_alpha)
 
 
 @dataclass(frozen=True)
@@ -60,32 +70,92 @@ class DecayFit:
     amplitude_stderr: float
 
 
+# Levenberg-Marquardt stopping rules: the fit ends at a step below
+# _XTOL of each parameter or one that changes the SSR by at most _FTOL
+# of it (accepted if it lowers it); _MAX_EVALS model evaluations
+# without either fail it.
+_XTOL = 1e-12
+_FTOL = 1e-15
+_MAX_EVALS = 10000
+
+
 def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
-    """Least-squares fit of y = A exp(-t / tau)."""
+    """Least-squares fit of y = A exp(-t / tau).
+
+    Levenberg-Marquardt with the analytic Jacobian and Marquardt's
+    diagonal damping, from A = max(y), tau = span of t. It steps in
+    log(tau), so tau stays positive and no step overshoots to tau ~ 0.
+    With ``sigma`` the residuals are weighted by 1/sigma and the
+    covariance inv(J^T J) of (A, tau) is absolute; without it the
+    covariance is scaled by SSR / (n - 2). Raises RuntimeError when the
+    fit does not converge.
+    """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} (t, y) samples")
+    weight = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y)) and np.all(np.isfinite(weight))):
+        raise ValueError("decay fit inputs must be finite")
+    weighted_y = weight * y
 
-    def model(x, amp, tau):
-        return amp * np.exp(-x / tau)
+    def evaluate(amp, log_tau):
+        """Weighted exp(-t / tau), and the residuals, at (amp, log tau)."""
+        e = weight * np.exp(-t * np.exp(-log_tau))
+        return e, amp * e - weighted_y
 
+    # Beyond this tau, exp(-t / tau) is 1 at every t in double precision.
+    log_tau_max = math.log(float(np.abs(t).max()) / np.finfo(float).eps)
     span = t.max() - t.min()
-    guess_tau = span if span > 0 else 1.0
-    popt, pcov = optimize.curve_fit(
-        model,
-        t,
-        y,
-        p0=[max(y.max(), 1e-6), guess_tau],
-        sigma=sigma,
-        absolute_sigma=sigma is not None,
-        maxfev=10000,
-    )
-    perr = np.sqrt(np.diag(pcov))
+    amp, log_tau = max(y.max(), 1e-6), math.log(span if span > 0 else 1.0)
+    damping = 1e-3
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        e, r = evaluate(amp, log_tau)
+        ssr = float(r @ r)
+        stale = True
+        for _ in range(_MAX_EVALS):
+            if stale:
+                jac = np.column_stack([e, amp * e * t * np.exp(-log_tau)])
+                (a00, a01), (_, a11) = (jac.T @ jac).tolist()
+                g0, g1 = (jac.T @ r).tolist()
+                stale = False
+            b00, b11 = a00 * (1.0 + damping), a11 * (1.0 + damping)
+            det = b00 * b11 - a01 * a01
+            if not det > 0.0:  # tau no longer moves the model
+                break
+            d_amp = (a01 * g1 - b11 * g0) / det
+            d_log_tau = (a01 * g0 - b00 * g1) / det
+            if abs(d_amp) <= _XTOL * abs(amp) and abs(d_log_tau) <= _XTOL:
+                break
+            if log_tau + d_log_tau > log_tau_max:  # tau runs off to infinity
+                break
+            e_trial, r_trial = evaluate(amp + d_amp, log_tau + d_log_tau)
+            ssr_trial = float(r_trial @ r_trial)
+            converged = abs(ssr - ssr_trial) <= _FTOL * ssr
+            if ssr_trial < ssr:
+                amp, log_tau = amp + d_amp, log_tau + d_log_tau
+                e, r, ssr, stale = e_trial, r_trial, ssr_trial, True
+                damping = max(damping / 10.0, 1e-15)
+            else:
+                damping *= 10.0
+            if converged:
+                break
+        else:
+            raise RuntimeError(f"decay fit did not converge in {_MAX_EVALS} evaluations")
+        tau = float(np.exp(log_tau))
+        jac = np.column_stack([e, amp * e * t / tau**2])  # in (A, tau)
+        try:
+            r_inv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
+            cov = r_inv @ r_inv.T
+        except np.linalg.LinAlgError:
+            cov = np.full((2, 2), np.inf)
+        if sigma is None:
+            cov = cov * (ssr / (t.size - 2))
+        perr = np.sqrt(np.diag(cov))
     return DecayFit(
-        tau=float(popt[1]),
+        tau=tau,
         tau_stderr=float(perr[1]),
-        amplitude=float(popt[0]),
+        amplitude=float(amp),
         amplitude_stderr=float(perr[0]),
     )
 

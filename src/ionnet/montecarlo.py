@@ -28,6 +28,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng  # numpy loads it lazily otherwise
 
 from . import states as st
 from .detection import DetectorGroup, DetectorModel, confusion_matrix
@@ -60,6 +61,7 @@ __all__ = [
     "sample_counts",
     "exact_branches",
     "propagate",
+    "first_analysis",
     "branch_outcome_distribution",
     "run_protocol",
     "parity_scan",
@@ -255,12 +257,12 @@ class ProtocolResult:
     exact_true: np.ndarray
 
 
-def rng_stream(seed: int, *key: int) -> np.random.Generator:
+def rng_stream(seed: int, *key: int) -> Generator:
     """Generator for a (stream, index, ...) counter under the root seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    return default_rng(SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+def sample_counts(probs: np.ndarray, shots: int, rng: Generator) -> np.ndarray:
     """Counts of each outcome in ``shots`` draws from ``probs``."""
     outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
     return np.bincount(outcomes, minlength=len(probs))
@@ -393,6 +395,7 @@ def run_protocol(
     cfg: ProtocolConfig,
     n_trials: int,
     seed: int,
+    branches: list[BranchState] | None = None,
 ) -> ProtocolResult:
     """Sample ``n_trials`` end-to-end trials of the script.
 
@@ -401,6 +404,8 @@ def run_protocol(
     heralds, its number of attempts is geometric with the budget's
     coincidence probability. All draws come from one generator, so
     identical (script, cfg, n_trials, seed) give identical results.
+    ``branches`` are the script's exact branches when the caller has
+    propagated them already.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -408,7 +413,8 @@ def run_protocol(
     p_herald = success_probability(cfg.budget)
     if has_herald and p_herald <= 0.0:
         raise ValueError("success probability is zero; the protocol would never herald")
-    branches = exact_branches(script, cfg)
+    if branches is None:
+        branches = exact_branches(script, cfg)
     weights = np.array([b.weight for b in branches])
     true_given_branch = np.array(
         [st.outcome_probabilities(b.state, script.qubits) for b in branches]
@@ -433,6 +439,11 @@ def run_protocol(
     )
 
 
+def first_analysis(script: ProtocolScript) -> int:
+    """Index of the script's first analysis step (0 when it has none)."""
+    return next((k for k, s in enumerate(script.steps) if isinstance(s, AnalysisStep)), 0)
+
+
 def parity_scan(
     script: ProtocolScript,
     phases: Sequence[float],
@@ -442,12 +453,14 @@ def parity_scan(
     pair: tuple[str, str],
     condition_qubit: str | None = None,
     stream: int = 2,
+    prefix: list[BranchState] | None = None,
 ) -> tuple[dict[str, ParityCurve], dict[str, CosineFit]]:
     """Parity of ``pair`` versus the analysis phase, sampled and exact.
 
-    The steps before the first analysis step are propagated once; for
-    every phase the rest of the script runs from those branches with the
-    phase set on each analysis step. The reported-outcome distribution
+    The steps before the first analysis step are propagated once (or
+    taken as ``prefix``, when the caller has propagated them already);
+    for every phase the rest of the script runs from those branches with
+    the phase set on each analysis step. The reported-outcome distribution
     is sampled ``shots`` times through the detector model, and parities
     are accumulated unconditioned plus (optionally) conditioned on each
     reported value of ``condition_qubit``. Cosine fits at the second
@@ -465,8 +478,9 @@ def parity_scan(
         masks[f"{condition_qubit}=1"] = cond_bits == 1
         masks[f"{condition_qubit}=0"] = cond_bits == 0
 
-    scanned = next((k for k, s in enumerate(script.steps) if isinstance(s, AnalysisStep)), 0)
-    prefix = propagate(script, cfg, script.steps[:scanned])
+    scanned = first_analysis(script)
+    if prefix is None:
+        prefix = propagate(script, cfg, script.steps[:scanned])
     suffix = script.steps[scanned:]
     m = confusion_matrix(n_bits, cfg.detectors, script.detector_layout())
     acc = {c: {"values": [], "errors": [], "reported": [], "ideal": []} for c in masks}

@@ -27,6 +27,7 @@ from .montecarlo import (
     branch_outcome_distribution,
     coherent_entanglement_distance,
     exact_branches,
+    first_analysis,
     parity_scan,
     propagate,
     rng_stream,
@@ -159,6 +160,7 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
             "rate_per_s": rate.rate,
             "rate_stderr": rate.stderr,
             "rate_ks_pvalue": rate.ks_pvalue,
+            "rate_ks_ok": rate.ok,
             "n_trials": n_trials,
         }
     )
@@ -269,6 +271,7 @@ def coherence_experiment(
         {
             "tau_fit_s": decay.tau,
             "tau_fit_stderr": decay.tau_stderr,
+            "tau_fit_rel_stderr": decay.tau_stderr / decay.tau,
             "tau_fit_exact_s": decay_exact.tau,
             "tau_configured_s": scenario.memory.tau_s,
             "coherence_amplitude": decay.amplitude,
@@ -278,12 +281,13 @@ def coherence_experiment(
     # Waiting-time distribution and rate, from sampled protocol trials.
     waits = run_protocol(script, cfg, n_trials, seed).herald_time
     rate = fit_exponential_rate(waits)
-    grid = np.linspace(0.0, float(np.quantile(waits, 0.99)), 60)[1:]
+    # Up to the fitted distribution's 99th percentile.
+    grid = np.linspace(0.0, math.log(100.0) / rate.rate, 60)[1:]
+    ecdf = np.searchsorted(np.sort(waits), grid, side="right") / n_trials
     wait_rows = []
-    for t in grid:
-        emp = float(np.mean(waits <= t))
+    for t, emp in zip(grid.tolist(), ecdf.tolist()):
         model = 1.0 - math.exp(-rate.rate * t)
-        wait_rows.append((float(t), emp, _binomial_err(emp, n_trials), model))
+        wait_rows.append((t, emp, _binomial_err(emp, n_trials), model))
     out.tables["waiting"] = (
         ("time_s", "empirical_cdf", "uncertainty", "fitted_cdf"),
         wait_rows,
@@ -296,6 +300,7 @@ def coherence_experiment(
             "rate_per_s": rate.rate,
             "rate_stderr": rate.stderr,
             "rate_ks_pvalue": rate.ks_pvalue,
+            "rate_ks_ok": rate.ok,
             "n_trials": n_trials,
             "shots_per_point": shots,
             "d_ent_m": d_ent,
@@ -342,7 +347,7 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     # parity oscillation versus analysis phase
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves, fits = parity_scan(
-        script, phis, cfg, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1
+        script, phis, cfg, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1, prefix=[branch]
     )
     out.tables["parity"] = _curve_table(curves["all"])
     out.summary.update(
@@ -391,9 +396,16 @@ def modular_3q_experiment(
     (remote,) = (q for q in script.links["ab"] if q in script.modules["B"])
     out = ExperimentOutput()
 
+    # Both runs share the steps before the first analysis pulse.
+    scanned = first_analysis(script)
+    prefix = propagate(script, cfg, script.steps[:scanned])
+
     # Correlation run (Fig-4c style; the script without analysis pulses).
-    no_analysis = tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
-    result = run_protocol(replace(script, steps=no_analysis), cfg, n_trials, seed)
+    no_analysis = replace(
+        script, steps=tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
+    )
+    branches = propagate(no_analysis, cfg, no_analysis.steps[scanned:], prefix)
+    result = run_protocol(no_analysis, cfg, n_trials, seed, branches=branches)
     counts = np.bincount(result.reported, minlength=8)
     corr = _conditional_correlations(counts)
     corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
@@ -427,6 +439,8 @@ def modular_3q_experiment(
         {
             "rate_per_s": rate.rate,
             "rate_stderr": rate.stderr,
+            "rate_ks_pvalue": rate.ks_pvalue,
+            "rate_ks_ok": rate.ok,
             "n_trials": n_trials,
         }
     )
@@ -435,7 +449,7 @@ def modular_3q_experiment(
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves, fits = parity_scan(
         script, phis, cfg, shots, seed,
-        pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2,
+        pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2, prefix=prefix,
     )
     key1, key0 = f"{remote}=1", f"{remote}=0"
     out.tables["parity_remote1"] = _curve_table(curves[key1])

@@ -1,0 +1,146 @@
+"""The numpy-only fits against scipy as the oracle, and the decay fit's
+stopping rules."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from ionnet import fitting
+from ionnet.fitting import fit_exponential_decay, fit_exponential_rate
+from ionnet.kolmogorov import ks_sf
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+@pytest.fixture(scope="module")
+def scipy_optimize():
+    return pytest.importorskip("scipy.optimize")
+
+
+def assert_pvalue_matches(got, want):
+    assert abs(got - want) <= 1e-14 or abs(got - want) <= 1e-8 * abs(want), (got, want)
+
+
+# D for each method branch of ks_sf, as a function of n. Each applies
+# where its condition holds; the grid below keeps the ones that do. At
+# n = 100001 the "durbin" D falls to Pelz-Good, which replaces Durbin's
+# matrix above n = 1e5.
+KS_BRANCHES = {
+    "zero": (lambda n: 0.0, lambda n: True),
+    "one": (lambda n: 1.0, lambda n: True),
+    "below-support": (lambda n: 0.4 / n, lambda n: True),
+    "ruben-gambino-low": (lambda n: 0.8 / n, lambda n: True),
+    "ruben-gambino-low-edge": (lambda n: 1.0 / n, lambda n: True),
+    "ruben-gambino-high": (lambda n: 1.0 - 0.5 / n, lambda n: True),
+    "smirnov-exact": (lambda n: 0.6, lambda n: True),
+    "durbin-small-n": (lambda n: math.sqrt(0.5 / n), lambda n: n <= 140),
+    "pomeranz-band": (lambda n: math.sqrt(2.0 / n), lambda n: n <= 140),
+    "pomeranz-band-edge": (lambda n: math.sqrt(3.9 / n), lambda n: n <= 140),
+    "smirnov-small-n": (lambda n: math.sqrt(6.0 / n), lambda n: n <= 140),
+    "durbin": (lambda n: (1.0 / n) ** (2.0 / 3.0), lambda n: n > 140),
+    "pelz-good": (lambda n: math.sqrt(1.5 / n), lambda n: n > 140),
+    "smirnov": (lambda n: math.sqrt(10.0 / n), lambda n: n > 140),
+    "zero-tail": (lambda n: math.sqrt(400.0 / n), lambda n: n > 140 and 400.0 / n < 0.25),
+}
+KS_GRID = [
+    pytest.param(n, d_of(n), id=f"{name}-{n}")
+    for n in (100, 140, 141, 1000, 2000, 10000, 100000, 100001)
+    for name, (d_of, applies) in KS_BRANCHES.items()
+    if applies(n)
+]
+
+
+class TestKolmogorovSurvival:
+    @pytest.mark.parametrize("n, d", KS_GRID)
+    def test_matches_scipy_kstwo(self, scipy_stats, n, d):
+        assert_pvalue_matches(ks_sf(n, d), float(scipy_stats.kstwo.sf(d, n)))
+
+
+class TestRateFit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hs.integers(min_value=100, max_value=3000),
+        scale=hs.floats(min_value=1e-3, max_value=1e3),
+        seed=hs.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_pvalue_matches_kstest(self, scipy_stats, n, scale, seed):
+        times = np.random.default_rng(seed).exponential(scale, size=n)
+        fit = fit_exponential_rate(times)
+        want = scipy_stats.kstest(times, "expon", args=(0.0, 1.0 / fit.rate)).pvalue
+        assert_pvalue_matches(fit.ks_pvalue, float(want))
+        assert fit.ok == (fit.ks_pvalue >= 0.01)
+
+    def test_non_exponential_sample_matches_kstest(self, scipy_stats):
+        times = np.random.default_rng(3).uniform(0.5, 1.5, size=400)
+        fit = fit_exponential_rate(times)
+        want = scipy_stats.kstest(times, "expon", args=(0.0, 1.0 / fit.rate)).pvalue
+        assert_pvalue_matches(fit.ks_pvalue, float(want))
+        assert not fit.ok
+
+
+def decay_data(seed: int, weighted: bool):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    tau, amp = rng.uniform(0.2, 5.0), rng.uniform(0.2, 2.0)
+    t = np.linspace(0.0, tau * rng.uniform(0.5, 4.0), n)
+    noise = amp * rng.uniform(1e-3, 0.05)
+    y = amp * np.exp(-t / tau) + rng.normal(0.0, noise, n)
+    sigma = noise * rng.uniform(0.5, 1.5, n) if weighted else None
+    return t, y, sigma
+
+
+class TestDecayFit:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "sigma"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_curve_fit(self, scipy_optimize, seed, weighted):
+        t, y, sigma = decay_data(seed, weighted)
+        # curve_fit at its default tolerances stops up to a few 1e-6 short
+        # of the least-squares minimum, so the oracle runs to convergence.
+        popt, pcov = scipy_optimize.curve_fit(
+            lambda x, amp, tau: amp * np.exp(-x / tau),
+            t,
+            y,
+            p0=[max(y.max(), 1e-6), t.max() - t.min()],
+            sigma=sigma,
+            absolute_sigma=sigma is not None,
+            ftol=1e-15,
+            xtol=1e-15,
+            maxfev=10000,
+        )
+        perr = np.sqrt(np.diag(pcov))
+        fit = fit_exponential_decay(t, y, sigma=sigma)
+        assert fit.tau == pytest.approx(popt[1], rel=1e-6)
+        assert fit.amplitude == pytest.approx(popt[0], rel=1e-6)
+        assert fit.tau_stderr == pytest.approx(perr[1], rel=1e-5)
+        assert fit.amplitude_stderr == pytest.approx(perr[0], rel=1e-5)
+
+    def test_exact_decay_recovered(self):
+        t = np.linspace(0.0, 3.0, 40)
+        fit = fit_exponential_decay(t, 0.8 * np.exp(-t / 1.12))
+        assert fit.tau == pytest.approx(1.12, rel=1e-12)
+        assert fit.amplitude == pytest.approx(0.8, rel=1e-12)
+
+    def test_undetermined_tau_stays_positive_and_says_so(self):
+        # Rising data: the least-squares tau runs off to infinity.
+        t = np.linspace(0.0, 1.0, 20)
+        y = 0.5 + 0.01 * t + 0.002 * np.sin(9.0 * t)
+        fit = fit_exponential_decay(t, y)
+        assert math.isfinite(fit.tau) and fit.tau > 0
+        assert fit.tau_stderr / fit.tau > 1.0
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 2)
+        t, y, _ = decay_data(0, False)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fit_exponential_decay(t, y)
+
+    def test_non_finite_input_rejected(self):
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponential_decay(t, [1.0, 0.5, np.nan, 0.2, 0.1])

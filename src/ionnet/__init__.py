@@ -9,13 +9,7 @@ system.
 
 from .detection import DetectorGroup, DetectorModel, confusion_matrix
 from .gates import GateNoise, GateTiming, analysis_rotation, gate_timing, ms_gate, rotation, spin_echo_ramsey
-from .montecarlo import (
-    ProtocolConfig,
-    ProtocolResult,
-    ProtocolScript,
-    coherent_entanglement_distance,
-    run_protocol,
-)
+from .montecarlo import ProtocolResult, ProtocolScript, coherent_entanglement_distance, run_protocol
 from .phases import MemoryDecoherence, PhaseLedger, free_evolution, phi_ab
 from .photonics import (
     HeraldEvent,
@@ -39,7 +33,7 @@ __all__ = [
     "spin_echo_ramsey",
     "PhaseLedger", "MemoryDecoherence", "phi_ab", "free_evolution",
     "DetectorModel", "DetectorGroup", "confusion_matrix",
-    "ProtocolScript", "ProtocolConfig", "ProtocolResult",
+    "ProtocolScript", "ProtocolResult",
     "run_protocol", "coherent_entanglement_distance",
     "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",
     "__version__",

@@ -25,24 +25,26 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng  # numpy loads it lazily otherwise
 
 from . import states as st
-from .detection import DetectorGroup, DetectorModel, confusion_matrix
+from .detection import DetectorGroup, confusion_matrix
 from .fitting import CosineFit, fit_cosine
-from .gates import GateNoise, GateTiming, analysis_rotation, gate_timing, ms_gate
-from .phases import MemoryDecoherence, PhaseLedger, free_evolution
+from .gates import analysis_rotation, ms_gate
+from .phases import free_evolution
 from .photonics import (
     HeraldEvent,
-    LinkBudget,
-    LinkErrorModel,
     conditional_herald_states,
     module_emission,
     success_probability,
 )
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import Scenario
 
 __all__ = [
     "HeraldStep",
@@ -52,7 +54,6 @@ __all__ = [
     "WaitStep",
     "MeasureStep",
     "ProtocolScript",
-    "ProtocolConfig",
     "BranchState",
     "ParityCurve",
     "ProtocolResult",
@@ -185,29 +186,6 @@ class ProtocolScript:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """Physics knobs consumed by the engine (built from a Scenario)."""
-
-    budget: LinkBudget = field(default_factory=LinkBudget)
-    link_errors: LinkErrorModel = field(default_factory=LinkErrorModel)
-    gate_noise: GateNoise = field(default_factory=GateNoise)
-    timing: GateTiming = field(default_factory=lambda: gate_timing(20e3))
-    ledger: PhaseLedger = field(default_factory=PhaseLedger)
-    decoherence: MemoryDecoherence | None = field(default_factory=MemoryDecoherence)
-    detectors: DetectorModel = field(default_factory=DetectorModel)
-    crosstalk_depol: float = 0.0
-    reinit_duration_s: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.crosstalk_depol <= 1.0:
-            raise ValueError(
-                f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]"
-            )
-        if self.reinit_duration_s < 0:
-            raise ValueError("reinit duration must be non-negative")
-
-
-@dataclass(frozen=True)
 class BranchState:
     """One deterministic herald branch of the protocol; ``pairs`` are the
     links heralded so far, which dephase during free evolution."""
@@ -215,7 +193,6 @@ class BranchState:
     herald: HeraldEvent | None
     weight: float
     state: st.QuantumState
-    elapsed_s: float
     pairs: tuple[tuple[str, str], ...] = ()
 
 
@@ -268,14 +245,14 @@ def sample_counts(probs: np.ndarray, shots: int, rng: Generator) -> np.ndarray:
     return np.bincount(outcomes, minlength=len(probs))
 
 
-def exact_branches(script: ProtocolScript, cfg: ProtocolConfig) -> list[BranchState]:
+def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:
     """Propagate the whole script exactly from |0...0>."""
-    return propagate(script, cfg, script.steps)
+    return propagate(script, scenario, script.steps)
 
 
 def propagate(
     script: ProtocolScript,
-    cfg: ProtocolConfig,
+    scenario: Scenario,
     steps: Sequence[Step],
     branches: list[BranchState] | None = None,
 ) -> list[BranchState]:
@@ -287,23 +264,20 @@ def propagate(
     """
     if branches is None:
         initial = st.basis_state([0] * len(script.qubits), script.qubits)
-        branches = [BranchState(herald=None, weight=1.0, state=initial, elapsed_s=0.0)]
+        branches = [BranchState(herald=None, weight=1.0, state=initial)]
     b_atoms = script.modules.get("B", ())
-    tau_s = cfg.decoherence.tau_s if cfg.decoherence is not None else None
+    delta_omega, tau_s = scenario.ledger.delta_omega_ab, scenario.memory.tau_s
     for step in steps:
         if isinstance(step, MeasureStep):
             break
         if isinstance(step, HeraldStep):
-            branches = _herald_branches(branches, script.links[step.link], cfg)
+            branches = _herald_branches(branches, script.links[step.link], scenario)
             continue
-        apply, dt = _step_action(step, script, cfg)
+        apply, dt = _step_action(step, script, scenario)
         branches = [
             replace(
                 b,
-                state=free_evolution(
-                    apply(b.state), dt, cfg.ledger.delta_omega_ab, b_atoms, b.pairs, tau_s
-                ),
-                elapsed_s=b.elapsed_s + dt,
+                state=free_evolution(apply(b.state), dt, delta_omega, b_atoms, b.pairs, tau_s),
             )
             for b in branches
         ]
@@ -311,15 +285,16 @@ def propagate(
 
 
 def _step_action(
-    step: Step, script: ProtocolScript, cfg: ProtocolConfig
+    step: Step, script: ProtocolScript, scenario: Scenario
 ) -> tuple[Callable[[st.QuantumState], st.QuantumState], float]:
     """State map of one non-herald step and the time it takes."""
     if isinstance(step, ReinitStep):
-        return (lambda s: _reinit(s, step.qubit, script, cfg)), cfg.reinit_duration_s
+        duration = scenario.protocol.reinit_duration_s
+        return (lambda s: _reinit(s, step.qubit, script, scenario)), duration
     if isinstance(step, MSGateStep):
         return (
-            lambda s: ms_gate(s, list(step.pair), step.phi_a, cfg.gate_noise)
-        ), cfg.timing.gate_time_s
+            lambda s: ms_gate(s, list(step.pair), step.phi_a, scenario.gate_noise)
+        ), scenario.timing.gate_time_s
     if isinstance(step, AnalysisStep):
         return (
             lambda s: analysis_rotation(s, list(step.targets), step.theta, step.phi)
@@ -329,25 +304,25 @@ def _step_action(
     raise ScriptError(f"unhandled step {step}")  # pragma: no cover
 
 
-def _reinit(state: st.QuantumState, qubit: str, script: ProtocolScript, cfg: ProtocolConfig):
+def _reinit(state: st.QuantumState, qubit: str, script: ProtocolScript, scenario: Scenario):
     out = st.reset_subsystem(state, qubit, 0)
-    if cfg.crosstalk_depol > 0:
+    if scenario.protocol.crosstalk_depol > 0:
         module = script.module_of(qubit)
         for neighbour in script.modules[module]:
             if neighbour != qubit and neighbour in out.labels:
-                out = st.depolarize(out, [neighbour], cfg.crosstalk_depol)
+                out = st.depolarize(out, [neighbour], scenario.protocol.crosstalk_depol)
     return out
 
 
 def _herald_branches(
-    branches: list[BranchState], pair: tuple[str, str], cfg: ProtocolConfig
+    branches: list[BranchState], pair: tuple[str, str], scenario: Scenario
 ) -> list[BranchState]:
     qa, qb = pair
-    emission_a = module_emission(cfg.link_errors, qa, f"_ph_{qa}")
-    emission_b = module_emission(cfg.link_errors, qb, f"_ph_{qb}")
-    transfer_phase = cfg.ledger.geometric_phase() + cfg.ledger.delta_phi_t
+    emission_a = module_emission(scenario.link_errors, qa, f"_ph_{qa}")
+    emission_b = module_emission(scenario.link_errors, qb, f"_ph_{qb}")
+    transfer_phase = scenario.ledger.geometric_phase() + scenario.ledger.delta_phi_t
     conditional = conditional_herald_states(
-        emission_a, emission_b, cfg.link_errors, transfer_phase
+        emission_a, emission_b, scenario.link_errors, transfer_phase
     )
     total = sum(p for _, p, _ in conditional)
     out = []
@@ -365,7 +340,6 @@ def _herald_branches(
                     herald=event,
                     weight=b.weight * prob / total,
                     state=joined,
-                    elapsed_s=b.elapsed_s,
                     pairs=b.pairs + (pair,),
                 )
             )
@@ -392,7 +366,7 @@ def branch_outcome_distribution(
 
 def run_protocol(
     script: ProtocolScript,
-    cfg: ProtocolConfig,
+    scenario: Scenario,
     n_trials: int,
     seed: int,
     branches: list[BranchState] | None = None,
@@ -403,30 +377,30 @@ def run_protocol(
     drawn together from their exact joint distribution; when the script
     heralds, its number of attempts is geometric with the budget's
     coincidence probability. All draws come from one generator, so
-    identical (script, cfg, n_trials, seed) give identical results.
+    identical (script, scenario, n_trials, seed) give identical results.
     ``branches`` are the script's exact branches when the caller has
     propagated them already.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     has_herald = any(isinstance(s, HeraldStep) for s in script.steps)
-    p_herald = success_probability(cfg.budget)
+    p_herald = success_probability(scenario.budget)
     if has_herald and p_herald <= 0.0:
         raise ValueError("success probability is zero; the protocol would never herald")
     if branches is None:
-        branches = exact_branches(script, cfg)
+        branches = exact_branches(script, scenario)
     weights = np.array([b.weight for b in branches])
     true_given_branch = np.array(
         [st.outcome_probabilities(b.state, script.qubits) for b in branches]
     )
-    readout = confusion_matrix(len(script.qubits), cfg.detectors, script.detector_layout())
+    readout = confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = rng_stream(seed, TRIAL_STREAM)
     draws = rng.choice(joint.size, size=n_trials, p=joint.ravel() / joint.sum())
     branch, reported, true = np.unravel_index(draws, joint.shape)
     if has_herald:
-        herald_time = rng.geometric(p_herald, size=n_trials) / cfg.budget.rep_rate
+        herald_time = rng.geometric(p_herald, size=n_trials) / scenario.budget.rep_rate
     else:
         herald_time = np.zeros(n_trials)
     return ProtocolResult(
@@ -447,7 +421,7 @@ def first_analysis(script: ProtocolScript) -> int:
 def parity_scan(
     script: ProtocolScript,
     phases: Sequence[float],
-    cfg: ProtocolConfig,
+    scenario: Scenario,
     shots: int,
     seed: int,
     pair: tuple[str, str],
@@ -480,13 +454,14 @@ def parity_scan(
 
     scanned = first_analysis(script)
     if prefix is None:
-        prefix = propagate(script, cfg, script.steps[:scanned])
+        prefix = propagate(script, scenario, script.steps[:scanned])
     suffix = script.steps[scanned:]
-    m = confusion_matrix(n_bits, cfg.detectors, script.detector_layout())
+    m = confusion_matrix(n_bits, scenario.detectors, script.detector_layout())
     acc = {c: {"values": [], "errors": [], "reported": [], "ideal": []} for c in masks}
     for i, phi in enumerate(phases):
         steps = [replace(s, phi=phi) if isinstance(s, AnalysisStep) else s for s in suffix]
-        true_diag = branch_outcome_distribution(propagate(script, cfg, steps, prefix), qubits)
+        branches = propagate(script, scenario, steps, prefix)
+        true_diag = branch_outcome_distribution(branches, qubits)
         reported = m @ true_diag
         counts = sample_counts(reported, shots, rng_stream(seed, stream, i))
         for cond, mask in masks.items():

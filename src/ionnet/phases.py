@@ -1,11 +1,12 @@
 """Inter-module phase bookkeeping and stored-state evolution.
 
 The phase of the heralded two-atom state is the sum of five terms: the
-detector phase phi_d, the Zeeman-shift beat Delta_omega_AB * t, two
-static geometric terms k*c*Delta_tau and k*Delta_x from the excitation
-timing and path-length mismatch, and the transfer-pulse phase
-Delta_phi_T. All terms are tracked in full precision; only ``phi_ab``
-reduces to (-pi, pi] at the output.
+detector phase phi_d of the herald, the Zeeman-shift beat
+Delta_omega_AB * t, two static geometric terms k*c*Delta_tau and
+k*Delta_x from the excitation timing and path-length mismatch, and the
+transfer-pulse phase Delta_phi_T. The ledger holds the four terms set by
+the apparatus; phi_d comes with each herald. All terms are tracked in
+full precision; only ``phi_ab`` reduces to (-pi, pi] at the output.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ GEOMETRIC_PHASE_BOUND = 1e-2
 
 @dataclass(frozen=True)
 class PhaseLedger:
-    """The five phase terms, with SI units.
+    """The apparatus phase terms, with SI units.
 
-    phi_d: detector phase of the herald (0 or pi), radians.
     delta_omega_ab: difference of the qubit splittings, rad/s.
     k: wavenumber of the emission Zeeman splitting, 1/m.
     delta_tau: excitation-time mismatch, s.
@@ -43,7 +43,6 @@ class PhaseLedger:
     delta_phi_t: transfer-pulse phase difference, radians.
     """
 
-    phi_d: float = 0.0
     delta_omega_ab: float = 2.0 * math.pi * 2.5e3
     k: float = 0.33
     delta_tau: float = 1e-10
@@ -54,10 +53,6 @@ class PhaseLedger:
     def geometric_phase(self) -> float:
         """Static geometric contribution k*c*delta_tau + k*delta_x."""
         return self.k * self.c * self.delta_tau + self.k * self.delta_x
-
-    def static_phase(self) -> float:
-        """All time-independent terms (unreduced)."""
-        return self.phi_d + self.geometric_phase() + self.delta_phi_t
 
     def warnings(self) -> list[str]:
         """Soft invariant checks, reported at configuration load."""
@@ -92,11 +87,12 @@ class MemoryDecoherence:
             raise ValueError(f"coherence time must be positive, got {self.tau_s}")
 
 
-def phi_ab(ledger: PhaseLedger, t: float) -> float:
-    """Inter-module phase at time ``t``, reduced to (-pi, pi]."""
+def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:
+    """Inter-module phase at time ``t`` after a herald with detector
+    phase ``phi_d``, reduced to (-pi, pi]."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    total = ledger.static_phase() + ledger.delta_omega_ab * t
+    total = phi_d + ledger.geometric_phase() + ledger.delta_phi_t + ledger.delta_omega_ab * t
     reduced = math.remainder(total, 2.0 * math.pi)
     if reduced <= -math.pi:
         reduced += 2.0 * math.pi

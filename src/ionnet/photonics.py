@@ -41,6 +41,8 @@ import numpy as np
 from .states import (
     QuantumState,
     StateError,
+    _apply_matrix_density,
+    _permute_density,
     apply_phase,
     apply_unitary,
     mixed_state,
@@ -246,7 +248,7 @@ def bsm_outcome_distribution(
     rho = partial_trace(s, photon_labels)
     # partial_trace keeps register order; realign to the requested order.
     if rho.labels != tuple(photon_labels):
-        rho = mixed_state(_reorder_pair(rho, photon_labels), photon_labels)
+        rho = mixed_state(_permute_density(rho, photon_labels), photon_labels)
     probs: dict[tuple[int, int] | None, float] = {}
     total = 0.0
     for pair, kraus in bsm_kraus_operators(v).items():
@@ -257,13 +259,6 @@ def bsm_outcome_distribution(
         total += p
     probs[None] = max(1.0 - total, 0.0)
     return probs
-
-
-def _reorder_pair(s: QuantumState, order: Sequence[str]) -> np.ndarray:
-    perm = [s.axis(lbl) for lbl in order]
-    t = s.density().reshape((2, 2, 2, 2))
-    t = t.transpose(perm + [2 + ax for ax in perm])
-    return t.reshape(4, 4)
 
 
 def conditional_herald_states(
@@ -308,25 +303,11 @@ def _project_photons(
     rho = joint.density()
     out = np.zeros_like(rho)
     for k in kraus:
-        branch = _embed_apply(rho, k, axes, n)
-        out += branch
+        out += _apply_matrix_density(rho, k, axes, n)
     prob = float(out.trace().real)
     if prob <= 0.0:
         return 0.0, joint
     return prob, mixed_state(out / prob, joint.labels)
-
-
-def _embed_apply(rho: np.ndarray, op: np.ndarray, axes: list[int], n: int) -> np.ndarray:
-    """K rho K^dagger with K acting on two subsystems of the register."""
-    t = rho.reshape((2,) * (2 * n))
-    op_t = op.reshape(2, 2, 2, 2)
-    ket_axes = axes
-    bra_axes = [n + ax for ax in axes]
-    t = np.tensordot(op_t, t, axes=([2, 3], ket_axes))
-    t = np.moveaxis(t, [0, 1], ket_axes)
-    t = np.tensordot(op_t.conj(), t, axes=([2, 3], bra_axes))
-    t = np.moveaxis(t, [0, 1], bra_axes)
-    return t.reshape(rho.shape)
 
 
 def heralded_bell_ket(pair: Sequence[str], phase: float) -> QuantumState:

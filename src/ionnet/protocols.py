@@ -106,24 +106,24 @@ def _parity_err(par: float, n: int) -> float:
     return math.sqrt(max(1.0 - par * par, 1.0 / n) / n)
 
 
-def _reported_distribution(branches, script, cfg, phi_d=None) -> np.ndarray:
+def _reported_distribution(branches, script, scenario, phi_d=None) -> np.ndarray:
     """Exact reported outcome distribution, optionally per herald phase."""
     true = branch_outcome_distribution(branches, script.qubits, phi_d)
-    return confusion_matrix(len(script.qubits), cfg.detectors, script.detector_layout()) @ true
+    m = confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
+    return m @ true
 
 
 def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> ExperimentOutput:
     """Populations and fidelity of the heralded remote pair, plus the
     entanglement rate fitted from sampled waiting times."""
-    cfg = scenario.protocol_config()
     script = _pair_script(scenario)
     qa, qb = scenario.protocol.link
-    branches = exact_branches(script, cfg)
+    branches = exact_branches(script, scenario)
     out = ExperimentOutput()
 
     fidelities: dict[str, list[float]] = {"phid0": [], "phidpi": []}
     for b in branches:
-        phase = b.herald.phi_d + cfg.ledger.geometric_phase() + cfg.ledger.delta_phi_t
+        phase = b.herald.phi_d + scenario.ledger.geometric_phase() + scenario.ledger.delta_phi_t
         target = heralded_bell_ket((qa, qb), phase)
         key = "phid0" if b.herald.phi_d == 0.0 else "phidpi"
         fidelities[key].append(st.fidelity(b.state, target))
@@ -133,11 +133,11 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
         out.summary["fidelity_phid0"] + out.summary["fidelity_phidpi"]
     )
 
-    result = run_protocol(script, cfg, n_trials, seed)
+    result = run_protocol(script, scenario, n_trials, seed)
     trial_phi_d = np.array([b.herald.phi_d for b in result.branches])[result.branch]
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
         sub = result.reported[trial_phi_d == want]
-        exact_rep = _reported_distribution(branches, script, cfg, phi_d=want)
+        exact_rep = _reported_distribution(branches, script, scenario, phi_d=want)
         n_sub = max(sub.size, 1)
         counts = np.bincount(sub, minlength=4)
         rows = []
@@ -171,21 +171,22 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     """Even-parity population after an analysis pulse versus the delay
     between herald and analysis, for both detector phases. The two
     branches oscillate at the Zeeman beat and are out of phase by pi."""
-    cfg = scenario.protocol_config()
     qa, qb = scenario.protocol.link
     run = scenario.run
     delays = np.linspace(0.0, run.phase_scan_delay_s, run.phase_scan_points)
     script = _pair_script(scenario)
-    heralded = exact_branches(script, cfg)
+    heralded = exact_branches(script, scenario)
     analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
-    scanned = [propagate(script, cfg, (WaitStep(float(d)), analysis), heralded) for d in delays]
+    scanned = [
+        propagate(script, scenario, (WaitStep(float(d)), analysis), heralded) for d in delays
+    ]
     out = ExperimentOutput()
     fits = {}
     for branch_i, (key, want) in enumerate((("phid0", 0.0), ("phidpi", math.pi))):
         rows = []
         exact_curve = []
         for i, (delay, branches) in enumerate(zip(delays, scanned)):
-            reported = _reported_distribution(branches, script, cfg, phi_d=want)
+            reported = _reported_distribution(branches, script, scenario, phi_d=want)
             p_even_exact = float(reported[0] + reported[3])
             rng = rng_stream(seed, _SHOT_STREAM, branch_i, i)
             counts = sample_counts(reported, shots, rng)
@@ -197,7 +198,7 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
             rows,
         )
         # P_even = (1 + A cos(omega t - phase)) / 2
-        x = cfg.ledger.delta_omega_ab * delays
+        x = scenario.ledger.delta_omega_ab * delays
         y = 2.0 * np.array(exact_curve) - 1.0
         fits[key] = fit_cosine(x, y, harmonic=1)
         out.summary[f"fit_phase_{key}"] = fits[key].phase
@@ -221,13 +222,12 @@ def coherence_experiment(
     echo. The parity is sampled through the detector model and the decay
     is fitted on the sampled magnitudes.
     """
-    cfg = scenario.protocol_config()
     qa, qb = scenario.protocol.link
     run = scenario.run
     out = ExperimentOutput()
 
     script = _pair_script(scenario)
-    branches = [b for b in exact_branches(script, cfg) if b.herald.phi_d == 0.0]
+    branches = [b for b in exact_branches(script, scenario) if b.herald.phi_d == 0.0]
     weight = sum(b.weight for b in branches)
     rho0 = None
     for b in branches:
@@ -235,7 +235,7 @@ def coherence_experiment(
         rho0 = contrib if rho0 is None else rho0 + contrib
     heralded = st.mixed_state(rho0, branches[0].state.labels)
 
-    m = confusion_matrix(2, cfg.detectors, script.detector_layout())
+    m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     delays = np.linspace(0.0, run.delay_max_s, run.delay_points)
     rows = []
     sampled_mags = []
@@ -246,9 +246,9 @@ def coherence_experiment(
             heralded,
             (qa, qb),
             float(delay),
-            cfg.ledger.delta_omega_ab,
+            scenario.ledger.delta_omega_ab,
             0.0,
-            coherence_time_s=cfg.decoherence.tau_s if cfg.decoherence else None,
+            coherence_time_s=scenario.memory.tau_s,
         )
         true_diag = st.outcome_probabilities(final, (qa, qb))
         reported = m @ true_diag
@@ -279,7 +279,7 @@ def coherence_experiment(
     )
 
     # Waiting-time distribution and rate, from sampled protocol trials.
-    waits = run_protocol(script, cfg, n_trials, seed).herald_time
+    waits = run_protocol(script, scenario, n_trials, seed).herald_time
     rate = fit_exponential_rate(waits)
     # Up to the fitted distribution's 99th percentile.
     grid = np.linspace(0.0, math.log(100.0) / rate.rate, 60)[1:]
@@ -311,7 +311,6 @@ def coherence_experiment(
 
 def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> ExperimentOutput:
     """Populations and parity oscillation of the local entangling gate."""
-    cfg = scenario.protocol_config()
     gate = next(s for s in scenario.script().steps if isinstance(s, MSGateStep))
     qa, qb = gate.pair
     run = scenario.run
@@ -324,9 +323,9 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     )
 
     # populations without analysis pulse
-    (branch,) = propagate(script, cfg, (gate,))
+    (branch,) = propagate(script, scenario, (gate,))
     true_diag = st.outcome_probabilities(branch.state, (qa, qb))
-    m = confusion_matrix(2, cfg.detectors, script.detector_layout())
+    m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     reported = m @ true_diag
     rng = rng_stream(seed, _SHOT_STREAM, 0, 0)
     counts = sample_counts(reported, shots, rng)
@@ -347,7 +346,7 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     # parity oscillation versus analysis phase
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves, fits = parity_scan(
-        script, phis, cfg, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1, prefix=[branch]
+        script, phis, scenario, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1, prefix=[branch]
     )
     out.tables["parity"] = _curve_table(curves["all"])
     out.summary.update(
@@ -389,7 +388,6 @@ def modular_3q_experiment(
     analysis targets (the script as configured), conditioned on the
     reported state of the remote atom, the module-B end of the link.
     """
-    cfg = scenario.protocol_config()
     run = scenario.run
     script = scenario.script()
     pair = next(s.targets for s in script.steps if isinstance(s, AnalysisStep))
@@ -398,18 +396,18 @@ def modular_3q_experiment(
 
     # Both runs share the steps before the first analysis pulse.
     scanned = first_analysis(script)
-    prefix = propagate(script, cfg, script.steps[:scanned])
+    prefix = propagate(script, scenario, script.steps[:scanned])
 
     # Correlation run (Fig-4c style; the script without analysis pulses).
     no_analysis = replace(
         script, steps=tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
     )
-    branches = propagate(no_analysis, cfg, no_analysis.steps[scanned:], prefix)
-    result = run_protocol(no_analysis, cfg, n_trials, seed, branches=branches)
+    branches = propagate(no_analysis, scenario, no_analysis.steps[scanned:], prefix)
+    result = run_protocol(no_analysis, scenario, n_trials, seed, branches=branches)
     counts = np.bincount(result.reported, minlength=8)
     corr = _conditional_correlations(counts)
     corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
-    rep_diag = _reported_distribution(result.branches, script, cfg)
+    rep_diag = _reported_distribution(result.branches, script, scenario)
     corr_exact = _conditional_correlations(rep_diag)
     corr_exact_true = _conditional_correlations(result.exact_true)
     out.summary.update(
@@ -448,7 +446,7 @@ def modular_3q_experiment(
     # Conditional parity oscillation (Fig-4d style).
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves, fits = parity_scan(
-        script, phis, cfg, shots, seed,
+        script, phis, scenario, shots, seed,
         pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2, prefix=prefix,
     )
     key1, key0 = f"{remote}=1", f"{remote}=0"

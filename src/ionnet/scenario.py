@@ -13,7 +13,9 @@ The format is a minimal sectioned key-value text file:
 Unknown sections or keys are rejected with the offending line number;
 invariant violations report the dotted field path. Every field left out
 is filled from the built-in defaults and listed in the validation
-report. ``emit_scenario`` writes the fully resolved form, which parses
+report. The config dataclasses are the schema: a section that maps onto
+one dataclass takes its keys, their order and their defaults from the
+dataclass fields. ``emit_scenario`` writes the fully resolved form, which parses
 back to an identical scenario (floats are emitted with ``repr`` so the
 round trip is exact).
 """
@@ -22,23 +24,22 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .detection import DetectorModel
-from .gates import GateNoise, GateTiming, gate_timing
+from .gates import DEFAULT_GATE_DEPOLARIZING, GateNoise, GateTiming, gate_timing
 from .montecarlo import (
     AnalysisStep,
     HeraldStep,
     MeasureStep,
     MSGateStep,
-    ProtocolConfig,
     ProtocolScript,
     ReinitStep,
     WaitStep,
 )
 from .phases import MemoryDecoherence, PhaseLedger
-from .photonics import CALIBRATED_MODE_OVERLAP, LinkBudget, LinkErrorModel
+from .photonics import LinkBudget, LinkErrorModel
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario"]
 
@@ -85,66 +86,64 @@ class ProtocolLayout:
         ("measure",),
     )
 
+    def __post_init__(self):
+        if len(self.link) != 2:
+            raise ValueError("protocol.link must name exactly two qubits")
+        if not 0.0 <= self.crosstalk_depol <= 1.0:
+            raise ValueError(f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]")
+        if self.reinit_duration_s < 0:
+            raise ValueError(
+                f"protocol.reinit_duration_s = {self.reinit_duration_s} must be non-negative"
+            )
 
-# Section -> key -> (parser kind, default). Kind is one of
-# "float", "int", "word", "words".
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "link_budget": {
-        "p_bell": ("float", 0.5),
-        "p_pi": ("float", 0.95),
-        "p_s_half": ("float", 0.995),
-        "q_e": ("float", 0.35),
-        "t_fib": ("float", 0.14),
-        "t_opt": ("float", 0.95),
-        "solid_angle_fraction": ("float", 0.1),
-        "rep_rate": ("float", 4.7e5),
-    },
-    "link_errors": {
-        "atom_photon_fidelity": ("float", 0.92),
-        "mode_overlap": ("float", CALIBRATED_MODE_OVERLAP),
-    },
-    "gate": {
-        "phi_a": ("float", 0.0),
-        "depolarizing_p": ("float", 0.2),
-        "detuning_hz": ("float", 2.0e4),
-    },
-    "phase_ledger": {
-        "phi_d": ("float", 0.0),
-        "delta_omega_ab": ("float", 2.0 * math.pi * 2.5e3),
-        "k": ("float", 0.33),
-        "delta_tau": ("float", 1e-10),
-        "delta_x": ("float", 0.03),
-        "delta_phi_t": ("float", 0.0),
-    },
-    "memory": {
-        "tau_s": ("float", 1.12),
-    },
-    "detectors": {
-        "single_qubit_error": ("float", 0.01),
-        "two_qubit_overlap": ("float", 0.08),
-        "module_a": ("word", "shared"),
-        "module_b": ("word", "individual"),
-    },
-    "protocol": {
-        "qubits_a": ("words", ("q1", "q2")),
-        "qubits_b": ("words", ("q3",)),
-        "link": ("words", ("q2", "q3")),
-        "crosstalk_depol": ("float", 0.0),
-        "reinit_duration_s": ("float", 0.0),
-        # step.N keys are validated separately
-    },
-    "run": {
-        "n_trials": ("int", 2000),
-        "seed": ("int", 1),
-        "shots_per_point": ("int", 10000),
-        "phi_points": ("int", 12),
-        "delay_points": ("int", 16),
-        "delay_max_s": ("float", 3.0),
-        "phase_scan_points": ("int", 16),
-        "phase_scan_delay_s": ("float", 8e-4),
-        "qubit_separation_m": ("float", 1.0),
-    },
+
+# Sections that map one-to-one onto a dataclass: section -> (Scenario
+# attribute, dataclass). The dataclass fields are the section's keys, in
+# order, with their defaults; protocol steps use the step.N keys instead.
+_DATACLASS_SECTIONS: dict[str, tuple[str, type]] = {
+    "link_budget": ("budget", LinkBudget),
+    "link_errors": ("link_errors", LinkErrorModel),
+    "phase_ledger": ("ledger", PhaseLedger),
+    "memory": ("memory", MemoryDecoherence),
+    "protocol": ("protocol", ProtocolLayout),
+    "run": ("run", RunSettings),
 }
+
+
+def _field_defaults(cls: type) -> dict[str, object]:
+    return {f.name: f.default for f in fields(cls) if f.init and f.name != "steps"}
+
+
+def _detector_values(d: DetectorModel) -> dict[str, object]:
+    return {
+        "single_qubit_error": d.single_qubit_error,
+        "two_qubit_overlap": d.two_qubit_overlap,
+        "module_a": d.topology["A"],
+        "module_b": d.topology["B"],
+    }
+
+
+# Section -> key -> default, in emission order. A key's kind follows the
+# type of its default: float, int, word (str) or words (tuple). The gate
+# and detectors keys land on more than one object, so they are listed
+# by hand.
+_SCHEMA: dict[str, dict[str, object]] = {
+    "link_budget": _field_defaults(LinkBudget),
+    "link_errors": _field_defaults(LinkErrorModel),
+    "gate": {"phi_a": 0.0, "depolarizing_p": DEFAULT_GATE_DEPOLARIZING, "detuning_hz": 2.0e4},
+    "phase_ledger": _field_defaults(PhaseLedger),
+    "memory": _field_defaults(MemoryDecoherence),
+    "detectors": _detector_values(DetectorModel()),
+    "protocol": _field_defaults(ProtocolLayout),
+    "run": _field_defaults(RunSettings),
+}
+
+_KINDS = ((float, "float"), (int, "int"), (str, "word"), (tuple, "words"))
+
+
+def _kind(default: object) -> str:
+    return next(kind for cls, kind in _KINDS if isinstance(default, cls))
+
 
 # step verb -> (fewest, most) arguments
 _STEP_ARITY = {
@@ -177,19 +176,6 @@ class Scenario:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.resolved_text().encode("utf-8")).hexdigest()
-
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            budget=self.budget,
-            link_errors=self.link_errors,
-            gate_noise=self.gate_noise,
-            timing=self.timing,
-            ledger=self.ledger,
-            decoherence=self.memory,
-            detectors=self.detectors,
-            crosstalk_depol=self.protocol.crosstalk_depol,
-            reinit_duration_s=self.protocol.reinit_duration_s,
-        )
 
     def qubits(self) -> tuple[str, ...]:
         return self.protocol.qubits_a + self.protocol.qubits_b
@@ -296,8 +282,7 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], l
             raise ScenarioError(f"{source}:{lineno}: unknown key {path}")
         if path in seen:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {path}")
-        kind, _ = _SCHEMA[section][key]
-        values[section][key] = _parse_value(kind, raw, path, lineno)
+        values[section][key] = _parse_value(_kind(_SCHEMA[section][key]), raw, path, lineno)
         seen.add(path)
     ordered_steps = [steps[i] for i in sorted(steps)]
     return values, ordered_steps, seen
@@ -305,72 +290,36 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], l
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     values, steps, seen = _parse_text(text, source)
-
-    def get(section: str, key: str):
-        if key in values[section]:
-            return values[section][key]
-        return _SCHEMA[section][key][1]
-
+    resolved = {section: {**defaults, **values[section]} for section, defaults in _SCHEMA.items()}
     defaulted = tuple(
         f"{section}.{key}"
         for section in _SCHEMA
         for key in _SCHEMA[section]
         if f"{section}.{key}" not in seen
     ) + (() if "protocol.steps" in seen else ("protocol.steps",))
+    if steps:
+        resolved["protocol"]["steps"] = tuple(steps)
 
+    gate, detectors = resolved["gate"], resolved["detectors"]
     try:
-        budget = LinkBudget(**{k: get("link_budget", k) for k in _SCHEMA["link_budget"]})
-        link_errors = LinkErrorModel(
-            atom_photon_fidelity=get("link_errors", "atom_photon_fidelity"),
-            mode_overlap=get("link_errors", "mode_overlap"),
+        parts = {
+            attr: cls(**resolved[section]) for section, (attr, cls) in _DATACLASS_SECTIONS.items()
+        }
+        scenario = Scenario(
+            **parts,
+            gate_noise=GateNoise(depolarizing_p=gate["depolarizing_p"]),
+            gate_phi_a=gate["phi_a"],
+            timing=gate_timing(gate["detuning_hz"]),
+            detectors=DetectorModel(
+                single_qubit_error=detectors["single_qubit_error"],
+                two_qubit_overlap=detectors["two_qubit_overlap"],
+                topology={"A": detectors["module_a"], "B": detectors["module_b"]},
+            ),
+            defaulted=defaulted,
+            warnings=tuple(parts["ledger"].warnings()),
         )
-        gate_noise = GateNoise(depolarizing_p=get("gate", "depolarizing_p"))
-        timing = gate_timing(get("gate", "detuning_hz"))
-        ledger = PhaseLedger(
-            phi_d=get("phase_ledger", "phi_d"),
-            delta_omega_ab=get("phase_ledger", "delta_omega_ab"),
-            k=get("phase_ledger", "k"),
-            delta_tau=get("phase_ledger", "delta_tau"),
-            delta_x=get("phase_ledger", "delta_x"),
-            delta_phi_t=get("phase_ledger", "delta_phi_t"),
-        )
-        memory = MemoryDecoherence(tau_s=get("memory", "tau_s"))
-        detectors = DetectorModel(
-            single_qubit_error=get("detectors", "single_qubit_error"),
-            two_qubit_overlap=get("detectors", "two_qubit_overlap"),
-            topology={
-                "A": get("detectors", "module_a"),
-                "B": get("detectors", "module_b"),
-            },
-        )
-        protocol = ProtocolLayout(
-            qubits_a=tuple(get("protocol", "qubits_a")),
-            qubits_b=tuple(get("protocol", "qubits_b")),
-            link=tuple(get("protocol", "link")),
-            crosstalk_depol=get("protocol", "crosstalk_depol"),
-            reinit_duration_s=get("protocol", "reinit_duration_s"),
-            steps=tuple(steps) if steps else ProtocolLayout().steps,
-        )
-        run = RunSettings(**{k: get("run", k) for k in _SCHEMA["run"]})
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-
-    if len(protocol.link) != 2:
-        raise ScenarioError("protocol.link must name exactly two qubits")
-    scenario = Scenario(
-        budget=budget,
-        link_errors=link_errors,
-        gate_noise=gate_noise,
-        gate_phi_a=get("gate", "phi_a"),
-        timing=timing,
-        ledger=ledger,
-        memory=memory,
-        detectors=detectors,
-        protocol=protocol,
-        run=run,
-        defaulted=defaulted,
-        warnings=tuple(ledger.warnings()),
-    )
     # Validate the script eagerly so config errors surface at load time.
     try:
         scenario.script()
@@ -397,42 +346,18 @@ def _fmt(value) -> str:
 def emit_scenario(s: Scenario) -> str:
     """Fully resolved canonical text form (parses back identically)."""
     lines = ["# resolved scenario configuration"]
-    sections: dict[str, dict[str, object]] = {
-        "link_budget": {k: getattr(s.budget, k) for k in _SCHEMA["link_budget"]},
-        "link_errors": {
-            "atom_photon_fidelity": s.link_errors.atom_photon_fidelity,
-            "mode_overlap": s.link_errors.mode_overlap,
-        },
-        "gate": {
-            "phi_a": s.gate_phi_a,
-            "depolarizing_p": s.gate_noise.depolarizing_p,
-            "detuning_hz": s.timing.detuning_hz,
-        },
-        "phase_ledger": {
-            "phi_d": s.ledger.phi_d,
-            "delta_omega_ab": s.ledger.delta_omega_ab,
-            "k": s.ledger.k,
-            "delta_tau": s.ledger.delta_tau,
-            "delta_x": s.ledger.delta_x,
-            "delta_phi_t": s.ledger.delta_phi_t,
-        },
-        "memory": {"tau_s": s.memory.tau_s},
-        "detectors": {
-            "single_qubit_error": s.detectors.single_qubit_error,
-            "two_qubit_overlap": s.detectors.two_qubit_overlap,
-            "module_a": s.detectors.topology["A"],
-            "module_b": s.detectors.topology["B"],
-        },
-        "protocol": {
-            "qubits_a": s.protocol.qubits_a,
-            "qubits_b": s.protocol.qubits_b,
-            "link": s.protocol.link,
-            "crosstalk_depol": s.protocol.crosstalk_depol,
-            "reinit_duration_s": s.protocol.reinit_duration_s,
-        },
-        "run": {k: getattr(s.run, k) for k in _SCHEMA["run"]},
-    }
-    for section, kv in sections.items():
+    for section, keys in _SCHEMA.items():
+        if section == "gate":
+            kv = {
+                "phi_a": s.gate_phi_a,
+                "depolarizing_p": s.gate_noise.depolarizing_p,
+                "detuning_hz": s.timing.detuning_hz,
+            }
+        elif section == "detectors":
+            kv = _detector_values(s.detectors)
+        else:
+            part = getattr(s, _DATACLASS_SECTIONS[section][0])
+            kv = {key: getattr(part, key) for key in keys}
         lines.append("")
         lines.append(f"[{section}]")
         for key, value in kv.items():

@@ -222,6 +222,7 @@ def _apply_matrix_pure(amps: np.ndarray, u: np.ndarray, axes: Sequence[int], n: 
 
 
 def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
+    """u rho u^dagger with u acting on ``axes``; u need not be unitary."""
     k = len(axes)
     t = rho.reshape((2,) * (2 * n))
     u_t = u.reshape((2,) * (2 * k))

@@ -187,6 +187,30 @@ def test_dark_counts_key_rejected(tmp_path, capsys):
     assert f"{cfg}:3: unknown key link_errors.dark_counts" in capsys.readouterr().err
 
 
+def test_phi_d_key_rejected(tmp_path, capsys):
+    # The detector phase comes with each herald; no setting chooses it.
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("[phase_ledger]\nphi_d = 3.0\n")
+    reason = f"{cfg}:2: unknown key phase_ledger.phi_d"
+    assert_rejected(tmp_path, capsys, ["remote-bell", "--config", str(cfg)], reason)
+
+
+@pytest.mark.parametrize(
+    "sub, setting",
+    [
+        ("modular-3q", "crosstalk_depol = 1.5"),
+        ("remote-bell", "reinit_duration_s = -1"),
+        ("budget", "crosstalk_depol = 1.5"),
+        ("budget", "reinit_duration_s = -1"),
+    ],
+)
+def test_protocol_value_out_of_range_exits_2(tmp_path, capsys, sub, setting):
+    cfg = tmp_path / "protocol.cfg"
+    cfg.write_text(f"[protocol]\n{setting}\n")
+    key = setting.split(" = ")[0]
+    assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], f"protocol.{key} = ")
+
+
 def test_numpy_floats_written_as_plain_numbers(tmp_path):
     output = ExperimentOutput(
         tables={"t": (("x", "y"), [(np.float64(0.05), np.float64(1e-12))])},

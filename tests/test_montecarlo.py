@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,22 +9,26 @@ from ionnet import states as st
 from ionnet.detection import DetectorModel, confusion_matrix
 from ionnet.fitting import fit_exponential_rate
 from ionnet.gates import GateNoise
-from ionnet.phases import PhaseLedger
+from ionnet.phases import MemoryDecoherence, PhaseLedger
 from ionnet.photonics import LinkBudget, LinkErrorModel
+from ionnet.scenario import ProtocolLayout, Scenario, loads_scenario
 
 RNG = np.random.default_rng
 
+DEFAULTS = loads_scenario("")
 
-def noiseless_config(**overrides) -> mc.ProtocolConfig:
+
+def noiseless_config(**overrides) -> Scenario:
+    # An infinite coherence time makes exp(-t/tau) exactly 1: no dephasing.
     base = dict(
         link_errors=LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0),
         gate_noise=GateNoise(0.0),
         ledger=PhaseLedger(delta_omega_ab=0.0, delta_tau=0.0, delta_x=0.0),
-        decoherence=None,
+        memory=MemoryDecoherence(tau_s=math.inf),
         detectors=DetectorModel(0.0, 0.0),
     )
     base.update(overrides)
-    return mc.ProtocolConfig(**base)
+    return replace(DEFAULTS, **base)
 
 
 def three_qubit_script(phi=None) -> mc.ProtocolScript:
@@ -82,7 +87,7 @@ class TestSampleWaiting:
         assert abs(draws.mean() - 2.0) < 3 * sigma
 
     def test_default_budget_rate_and_ks(self):
-        res = mc.run_protocol(pair_script(), mc.ProtocolConfig(), 20_000, seed=99)
+        res = mc.run_protocol(pair_script(), DEFAULTS, 20_000, seed=99)
         fit = fit_exponential_rate(res.herald_time)
         # mean wall time 1/4.55 with 3 sigma of the standard error
         assert abs(fit.rate - 4.5499) < 3 * fit.stderr + 0.05
@@ -145,11 +150,10 @@ class TestExactBranches:
             target = tripartite_target(0.0, b.herald.phi_d)
             assert st.fidelity(b.state, target) == pytest.approx(1.0, abs=1e-12)
             assert b.weight == pytest.approx(0.25, abs=1e-12)
-            assert b.elapsed_s == pytest.approx(cfg.timing.gate_time_s)
 
     def test_remote_populations_odd_parity(self):
         # before the local gate the heralded pair is odd-parity
-        cfg = mc.ProtocolConfig()  # calibrated defaults
+        cfg = DEFAULTS  # calibrated defaults
         script = mc.ProtocolScript(
             qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
             links={"ab": ("q2", "q3")},
@@ -187,7 +191,7 @@ class TestExactBranches:
 
 class TestRunProtocol:
     def test_determinism(self):
-        cfg = mc.ProtocolConfig()
+        cfg = DEFAULTS
         r1 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=77)
         r2 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=77)
         for column in ("branch", "herald_time", "true", "reported"):
@@ -201,8 +205,6 @@ class TestRunProtocol:
         attempts = attempts_of(res, cfg.budget)
         assert attempts.min() >= 1
         np.testing.assert_allclose(attempts, np.round(attempts), rtol=1e-12)
-        for b in res.branches:
-            assert b.elapsed_s == pytest.approx(cfg.timing.gate_time_s, rel=1e-12)
         # a script without a herald step spends no time waiting
         local = mc.ProtocolScript(
             qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, links={},
@@ -223,7 +225,7 @@ class TestRunProtocol:
         # calibrated detectors: branches follow their weights, and the
         # reported outcomes follow the confusion matrix applied to the
         # true ones
-        cfg = mc.ProtocolConfig()
+        cfg = DEFAULTS
         script = three_qubit_script()
         n = 20_000
         res = mc.run_protocol(script, cfg, n, seed=12)
@@ -262,8 +264,10 @@ class TestRunProtocol:
         assert exact == pytest.approx(math.cos(-2 * phi), abs=1e-10)
 
     def test_crosstalk_config_validated(self):
-        with pytest.raises(ValueError):
-            mc.ProtocolConfig(crosstalk_depol=1.5)
+        with pytest.raises(ValueError, match="crosstalk_depol"):
+            ProtocolLayout(crosstalk_depol=1.5)
+        with pytest.raises(ValueError, match="reinit_duration_s"):
+            ProtocolLayout(reinit_duration_s=-1.0)
 
 
 class TestParityScan:
@@ -381,7 +385,7 @@ class TestRngScheme:
             return real(*key)
 
         monkeypatch.setattr(mc, "rng_stream", counting)
-        mc.run_protocol(three_qubit_script(), mc.ProtocolConfig(), 500, seed=4)
+        mc.run_protocol(three_qubit_script(), DEFAULTS, 500, seed=4)
         assert calls == [(4, mc.TRIAL_STREAM)]
 
     def test_streams_are_independent_and_reproducible(self):

@@ -21,15 +21,13 @@ def odd_pair(phase=0.0, labels=("a", "b")):
 
 class TestPhiAB:
     def test_all_zero(self):
-        ledger = ph.PhaseLedger(phi_d=0, delta_omega_ab=0, k=0, delta_tau=0, delta_x=0, delta_phi_t=0)
-        assert ph.phi_ab(ledger, 0.0) == 0.0
+        ledger = ph.PhaseLedger(delta_omega_ab=0, k=0, delta_tau=0, delta_x=0, delta_phi_t=0)
+        assert ph.phi_ab(ledger, 0.0, 0.0) == 0.0
 
     def test_beat_term(self):
-        ledger = ph.PhaseLedger(
-            phi_d=0, delta_omega_ab=2 * math.pi * 2.5e3, k=0, delta_tau=0, delta_x=0
-        )
+        ledger = ph.PhaseLedger(delta_omega_ab=2 * math.pi * 2.5e3, k=0, delta_tau=0, delta_x=0)
         # 2 pi x 2500 x 1e-4 = pi/2
-        assert ph.phi_ab(ledger, 1e-4) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert ph.phi_ab(ledger, 0.0, 1e-4) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_geometric_terms_are_small_at_defaults(self):
         ledger = ph.PhaseLedger()
@@ -43,16 +41,14 @@ class TestPhiAB:
         assert any("delta_tau" in w for w in ledger.warnings())
 
     def test_reduction_range(self):
-        ledger = ph.PhaseLedger(
-            phi_d=math.pi, delta_omega_ab=1.0, k=0, delta_tau=0, delta_x=0
-        )
+        ledger = ph.PhaseLedger(delta_omega_ab=1.0, k=0, delta_tau=0, delta_x=0)
         for t in np.linspace(0, 50, 400):
-            val = ph.phi_ab(ledger, float(t))
+            val = ph.phi_ab(ledger, math.pi, float(t))
             assert -math.pi < val <= math.pi + 1e-15
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ph.phi_ab(ph.PhaseLedger(), -0.1)
+            ph.phi_ab(ph.PhaseLedger(), 0.0, -0.1)
 
     @given(
         t1=hst.floats(min_value=0, max_value=10),
@@ -61,7 +57,7 @@ class TestPhiAB:
     @settings(max_examples=80, deadline=None)
     def test_affine_in_time(self, t1, t2):
         ledger = ph.PhaseLedger()
-        diff = ph.phi_ab(ledger, t1 + t2) - ph.phi_ab(ledger, t2)
+        diff = ph.phi_ab(ledger, 0.0, t1 + t2) - ph.phi_ab(ledger, 0.0, t2)
         expect = ledger.delta_omega_ab * t1
         assert math.remainder(diff - expect, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
 
@@ -74,7 +70,7 @@ def evolve(s, ledger, deco, t):
 
 class TestEvolve:
     def ledger(self, **kw):
-        base = dict(phi_d=0.0, delta_omega_ab=2 * math.pi * 2.5e3, k=0.0, delta_tau=0.0, delta_x=0.0)
+        base = dict(delta_omega_ab=2 * math.pi * 2.5e3, k=0.0, delta_tau=0.0, delta_x=0.0)
         base.update(kw)
         return ph.PhaseLedger(**base)
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -6,12 +7,15 @@ from ionnet.montecarlo import AnalysisStep, HeraldStep, MeasureStep, WaitStep
 from ionnet.photonics import expected_rate
 from ionnet.protocols import budget_report
 from ionnet.scenario import (
+    _SCHEMA,
     ScenarioError,
+    _kind,
     emit_scenario,
     load_scenario,
     loads_scenario,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 
@@ -155,12 +159,48 @@ class TestConformanceFile:
 
 class TestShippedConfigs:
     def test_default_config_round_trips(self):
-        root = Path(__file__).resolve().parents[1]
-        s = load_scenario(root / "configs" / "default.cfg")
+        path = ROOT / "configs" / "default.cfg"
+        s = load_scenario(path)
         assert s.defaulted == ()
         assert s.protocol.crosstalk_depol == 0.0
+        assert path.read_text(encoding="utf-8") == emit_scenario(loads_scenario(""))
 
     def test_calibrated_3q_config(self):
-        root = Path(__file__).resolve().parents[1]
-        s = load_scenario(root / "configs" / "calibrated_3q.cfg")
+        s = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
         assert s.protocol.crosstalk_depol == pytest.approx(0.13)
+
+
+def _doc_table_rows() -> list[tuple[str, str, str, str]]:
+    """(section, key, kind, default) rows of the field table in
+    docs/config-format.md; a blank section cell repeats the one above."""
+    rows, section = [], None
+    for line in (ROOT / "docs" / "config-format.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not re.fullmatch(r"`[^`]+`", cells[1]):
+            continue
+        section = cells[0].strip("`") or section
+        rows.append((section, cells[1].strip("`"), cells[2], cells[3].strip("`")))
+    return rows
+
+
+def test_docs_field_table_matches_schema():
+    rows = [row for row in _doc_table_rows() if row[1] != "step.N"]
+    documented = [(section, key, kind) for section, key, kind, _ in rows]
+    assert documented == [
+        (section, key, _kind(default))
+        for section, keys in _SCHEMA.items()
+        for key, default in keys.items()
+    ]
+    emitted, section = {}, None
+    for line in emit_scenario(loads_scenario("")).splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line:
+            key, value = line.split(" = ", 1)
+            emitted[section, key] = value
+    for section, key, _, default in rows:
+        value = emitted[section, key]
+        if default.endswith("..."):
+            assert value.startswith(default[:-3]), (section, key)
+        else:
+            assert value == default, (section, key)

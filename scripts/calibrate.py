@@ -62,8 +62,8 @@ def calibrate_mode_overlap() -> float:
     a = module_emission(err, "a", "pa")
     b = module_emission(err, "b", "pb")
     fids = []
-    for event, _, state in conditional_herald_states(a, b, err):
-        target = heralded_bell_ket(("a", "b"), event.phi_d)
+    for phi_d, _, state in conditional_herald_states(a, b, err):
+        target = heralded_bell_ket(("a", "b"), phi_d)
         fids.append(st.fidelity(state, target))
     print(f"pipeline herald fidelity = {np.mean(fids)!r} (target {TARGET_HERALD_FIDELITY})")
     return v

@@ -12,7 +12,6 @@ from .gates import GateNoise, GateTiming, analysis_rotation, gate_timing, ms_gat
 from .montecarlo import ProtocolResult, ProtocolScript, coherent_entanglement_distance, run_protocol
 from .phases import MemoryDecoherence, PhaseLedger, free_evolution, phi_ab
 from .photonics import (
-    HeraldEvent,
     LinkBudget,
     LinkErrorModel,
     emit_atom_photon,
@@ -21,13 +20,13 @@ from .photonics import (
     success_probability,
 )
 from .scenario import Scenario, ScenarioError, emit_scenario, load_scenario, loads_scenario
-from .states import QuantumState, fidelity, parity_expectation, partial_trace, tensor
+from .states import QuantumState, fidelity, partial_trace, tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuantumState", "tensor", "fidelity", "parity_expectation", "partial_trace",
-    "LinkBudget", "LinkErrorModel", "HeraldEvent", "emit_atom_photon", "qwp_map",
+    "QuantumState", "tensor", "fidelity", "partial_trace",
+    "LinkBudget", "LinkErrorModel", "emit_atom_photon", "qwp_map",
     "success_probability", "expected_rate",
     "GateTiming", "GateNoise", "gate_timing", "ms_gate", "rotation", "analysis_rotation",
     "spin_echo_ramsey",

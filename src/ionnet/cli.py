@@ -210,6 +210,8 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 
+    for warning in output.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     for key, value in output.summary.items():
         print(f"{key} = {_fmt_value(value)}")
     for path in written:

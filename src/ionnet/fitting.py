@@ -37,6 +37,11 @@ class RateFit:
 MIN_RATE_SAMPLES = 100
 MIN_FIT_POINTS = 3
 
+# Largest relative standard error of a decay-fit tau that still counts
+# as determined. A well-sampled decay fits to a few percent (0.016 at
+# the default scenario); a tau far above the delay grid gives ~1e2.
+MAX_TAU_REL_STDERR = 0.5
+
 
 def fit_exponential_rate(times, min_n: int = MIN_RATE_SAMPLES, ks_alpha: float = 0.01) -> RateFit:
     """Maximum-likelihood exponential rate from waiting times.

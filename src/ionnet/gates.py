@@ -179,7 +179,7 @@ def spin_echo_ramsey(
     total_delay_s: float,
     gradient_rad_per_s: float,
     final_phase: float,
-    coherence_time_s: float | None = None,
+    coherence_time_s: float = math.inf,
 ) -> QuantumState:
     """Ramsey sequence with a mid-delay echo on an entangled pair.
 

@@ -5,8 +5,8 @@ remote herald on a link, re-initialize a qubit, run the local entangling
 gate, apply analysis rotations, wait, and finally measure everything.
 
 Two statistics paths share all channel code. The exact path propagates
-density matrices conditioned on each herald branch (the four detector
-pairs), which is cheap because the stochastic waiting time never touches
+density matrices conditioned on each herald branch (the two detector
+phases), which is cheap because the stochastic waiting time never touches
 the state: the pair is born at the herald and only deterministic step
 durations evolve it afterwards. ``propagate`` runs steps from any set of
 branches, so a scan propagates the steps before its scanned step once.
@@ -36,12 +36,7 @@ from .detection import DetectorGroup, confusion_matrix
 from .fitting import CosineFit, fit_cosine
 from .gates import analysis_rotation, ms_gate
 from .phases import free_evolution
-from .photonics import (
-    HeraldEvent,
-    conditional_herald_states,
-    module_emission,
-    success_probability,
-)
+from .photonics import conditional_herald_states, module_emission, success_probability
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import Scenario
@@ -60,6 +55,7 @@ __all__ = [
     "ScriptError",
     "rng_stream",
     "sample_counts",
+    "parity_err",
     "exact_branches",
     "propagate",
     "first_analysis",
@@ -187,10 +183,12 @@ class ProtocolScript:
 
 @dataclass(frozen=True)
 class BranchState:
-    """One deterministic herald branch of the protocol; ``pairs`` are the
-    links heralded so far, which dephase during free evolution."""
+    """One deterministic herald branch of the protocol: ``phi_d`` is the
+    detector phase of its last herald (None before any herald), and
+    ``pairs`` are the links heralded so far, which dephase during free
+    evolution."""
 
-    herald: HeraldEvent | None
+    phi_d: float | None
     weight: float
     state: st.QuantumState
     pairs: tuple[tuple[str, str], ...] = ()
@@ -264,7 +262,7 @@ def propagate(
     """
     if branches is None:
         initial = st.basis_state([0] * len(script.qubits), script.qubits)
-        branches = [BranchState(herald=None, weight=1.0, state=initial)]
+        branches = [BranchState(phi_d=None, weight=1.0, state=initial)]
     b_atoms = script.modules.get("B", ())
     delta_omega, tau_s = scenario.ledger.delta_omega_ab, scenario.memory.tau_s
     for step in steps:
@@ -320,7 +318,7 @@ def _herald_branches(
     qa, qb = pair
     emission_a = module_emission(scenario.link_errors, qa, f"_ph_{qa}")
     emission_b = module_emission(scenario.link_errors, qb, f"_ph_{qb}")
-    transfer_phase = scenario.ledger.geometric_phase() + scenario.ledger.delta_phi_t
+    transfer_phase = scenario.ledger.herald_phase(0.0)
     conditional = conditional_herald_states(
         emission_a, emission_b, scenario.link_errors, transfer_phase
     )
@@ -329,7 +327,7 @@ def _herald_branches(
     for b in branches:
         # The heralded pair replaces whatever the two qubits held before.
         others = [q for q in b.state.labels if q not in pair]
-        for event, prob, pair_state in conditional:
+        for phi_d, prob, pair_state in conditional:
             if others:
                 rest = st.partial_trace(b.state, others)
                 joined = st.tensor(rest, pair_state)
@@ -337,7 +335,7 @@ def _herald_branches(
                 joined = pair_state
             out.append(
                 BranchState(
-                    herald=event,
+                    phi_d=phi_d,
                     weight=b.weight * prob / total,
                     state=joined,
                     pairs=b.pairs + (pair,),
@@ -355,7 +353,7 @@ def branch_outcome_distribution(
     diag = np.zeros(2 ** len(qubits))
     weight = 0.0
     for b in branches:
-        if phi_d is not None and (b.herald is None or b.herald.phi_d != phi_d):
+        if phi_d is not None and b.phi_d != phi_d:
             continue
         diag += b.weight * st.outcome_probabilities(b.state, qubits)
         weight += b.weight
@@ -466,7 +464,7 @@ def parity_scan(
         counts = sample_counts(reported, shots, rng_stream(seed, stream, i))
         for cond, mask in masks.items():
             par, n = _parity(counts, sign, mask)
-            err = math.sqrt(max(1.0 - par * par, 1.0 / n) / n) if n else 1.0
+            err = parity_err(par, n) if n else 1.0
             acc[cond]["values"].append(par)
             acc[cond]["errors"].append(err)
             acc[cond]["reported"].append(_parity(reported, sign, mask)[0])
@@ -487,6 +485,12 @@ def parity_scan(
         fits[f"{cond}_exact_reported"] = fit_cosine(phases, data["reported"], harmonic=2)
         fits[f"{cond}_ideal_readout"] = fit_cosine(phases, data["ideal"], harmonic=2)
     return curves, fits
+
+
+def parity_err(par: float, n: float) -> float:
+    """Standard error of a parity ``par`` estimated from ``n`` shots,
+    floored at one shot's worth so that |par| = 1 keeps an error bar."""
+    return math.sqrt(max(1.0 - par * par, 1.0 / n) / n)
 
 
 def _parity(weights: np.ndarray, sign: np.ndarray, mask: np.ndarray):

@@ -54,6 +54,10 @@ class PhaseLedger:
         """Static geometric contribution k*c*delta_tau + k*delta_x."""
         return self.k * self.c * self.delta_tau + self.k * self.delta_x
 
+    def herald_phase(self, phi_d: float) -> float:
+        """Phase of the pair at its herald: phi_d plus the static terms."""
+        return phi_d + self.geometric_phase() + self.delta_phi_t
+
     def warnings(self) -> list[str]:
         """Soft invariant checks, reported at configuration load."""
         notes = []
@@ -92,7 +96,7 @@ def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:
     phase ``phi_d``, reduced to (-pi, pi]."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    total = phi_d + ledger.geometric_phase() + ledger.delta_phi_t + ledger.delta_omega_ab * t
+    total = ledger.herald_phase(phi_d) + ledger.delta_omega_ab * t
     reduced = math.remainder(total, 2.0 * math.pi)
     if reduced <= -math.pi:
         reduced += 2.0 * math.pi
@@ -105,7 +109,7 @@ def free_evolution(
     delta_omega_ab: float,
     b_atoms: Sequence[str],
     pairs: Sequence[Sequence[str]],
-    tau_s: float | None,
+    tau_s: float,
 ) -> QuantumState:
     """Evolve stored qubits for ``t`` seconds between operations.
 
@@ -113,9 +117,9 @@ def free_evolution(
     is a local Z phase e^{-i delta_omega_ab t} on every module-B atom in
     ``b_atoms``; for a stored pair (module-A atom, module-B atom) it adds
     the relative phase e^{i delta_omega_ab t} between |01> and |10>.
-    With a coherence time ``tau_s`` the coherences of every pair in
-    ``pairs`` are multiplied by exp(-t/tau_s); populations are preserved
-    exactly.
+    The coherences of every pair in ``pairs`` are multiplied by
+    exp(-t/tau_s) (exactly 1 for an infinite ``tau_s``); populations are
+    preserved exactly.
     """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
@@ -124,8 +128,7 @@ def free_evolution(
     out = s
     for q in b_atoms:
         out = apply_phase(out, q, -delta_omega_ab * t)
-    if tau_s is not None:
-        gamma = math.exp(-t / tau_s)
-        for pair in pairs:
-            out = dephase_pair(out, pair, gamma)
+    gamma = math.exp(-t / tau_s)
+    for pair in pairs:
+        out = dephase_pair(out, pair, gamma)
     return out

@@ -42,7 +42,6 @@ from .states import (
     QuantumState,
     StateError,
     _apply_matrix_density,
-    _permute_density,
     apply_phase,
     apply_unitary,
     mixed_state,
@@ -54,7 +53,6 @@ from .states import (
 __all__ = [
     "LinkBudget",
     "LinkErrorModel",
-    "HeraldEvent",
     "CALIBRATED_MODE_OVERLAP",
     "DETECTOR_PAIRS",
     "emit_atom_photon",
@@ -62,7 +60,6 @@ __all__ = [
     "qwp_map",
     "qwp_matrix",
     "module_emission",
-    "bsm_outcome_distribution",
     "conditional_herald_states",
     "heralded_bell_ket",
     "success_probability",
@@ -145,22 +142,6 @@ class LinkErrorModel:
         return (4.0 * self.atom_photon_fidelity - 1.0) / 3.0
 
 
-@dataclass(frozen=True)
-class HeraldEvent:
-    """A successful two-photon coincidence."""
-
-    detector_pair: tuple[int, int]
-    phi_d: float
-
-    def __post_init__(self):
-        if self.detector_pair not in DETECTOR_PAIRS:
-            raise ValueError(f"invalid detector pair {self.detector_pair}")
-        if self.phi_d != DETECTOR_PAIRS[self.detector_pair]:
-            raise ValueError(
-                f"phi_d = {self.phi_d} inconsistent with detector pair {self.detector_pair}"
-            )
-
-
 def ideal_emission_ket(atom_label: str, photon_label: str) -> QuantumState:
     """(|0>|sigma-> - |1>|sigma+>)/sqrt(2) on (atom, photon)."""
     amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -238,37 +219,18 @@ def bsm_kraus_operators(v: float) -> dict[tuple[int, int], list[np.ndarray]]:
     return out
 
 
-def bsm_outcome_distribution(
-    s: QuantumState, photon_labels: Sequence[str], v: float
-) -> dict[tuple[int, int] | None, float]:
-    """Probability of each detector pair (and of no herald, key None)."""
-    photon_labels = list(photon_labels)
-    if len(photon_labels) != 2:
-        raise StateError(f"two photon modes required, got {photon_labels}")
-    rho = partial_trace(s, photon_labels)
-    # partial_trace keeps register order; realign to the requested order.
-    if rho.labels != tuple(photon_labels):
-        rho = mixed_state(_permute_density(rho, photon_labels), photon_labels)
-    probs: dict[tuple[int, int] | None, float] = {}
-    total = 0.0
-    for pair, kraus in bsm_kraus_operators(v).items():
-        p = 0.0
-        for k in kraus:
-            p += float(np.trace(k @ rho.density() @ k.conj().T).real)
-        probs[pair] = p
-        total += p
-    probs[None] = max(1.0 - total, 0.0)
-    return probs
-
-
 def conditional_herald_states(
     atom_a_photon: QuantumState,
     atom_b_photon: QuantumState,
     error: LinkErrorModel,
     transfer_phase: float = 0.0,
-) -> list[tuple[HeraldEvent, float, QuantumState]]:
-    """Exact post-herald atom states for every valid detector pair.
+) -> list[tuple[float, float, QuantumState]]:
+    """Exact post-herald atom states, one ``(phi_d, prob, state)`` per
+    detector phase.
 
+    The two detector pairs of one phase carry the same Kraus operators,
+    so the heralded state depends on the coincidence only through phi_d;
+    each phase's branch applies the operators of both its pairs.
     Inputs are the (atom, photon) states of the two modules after the
     wave plates. Probabilities are conditioned on both photons being
     present (they sum to the herald fraction, 1/2 for ideal inputs).
@@ -281,29 +243,36 @@ def conditional_herald_states(
     atom_a, photon_a = atom_a_photon.labels
     atom_b, photon_b = atom_b_photon.labels
     joint = tensor(atom_a_photon, atom_b_photon)
+    kraus = bsm_kraus_operators(error.mode_overlap)
     results = []
-    for pair, kraus in bsm_kraus_operators(error.mode_overlap).items():
-        prob, state = _project_photons(joint, (photon_a, photon_b), kraus)
+    for phi_d in sorted(set(DETECTOR_PAIRS.values())):
+        per_pair = [ks for pair, ks in kraus.items() if DETECTOR_PAIRS[pair] == phi_d]
+        prob, state = _project_photons(joint, (photon_a, photon_b), per_pair)
         if prob <= 0.0:
             continue
         atoms = partial_trace(state, [atom_a, atom_b])
         if transfer_phase != 0.0:
             atoms = apply_phase(atoms, atom_a, transfer_phase)
-        event = HeraldEvent(detector_pair=pair, phi_d=DETECTOR_PAIRS[pair])
-        results.append((event, prob, atoms))
+        results.append((phi_d, prob, atoms))
     return results
 
 
 def _project_photons(
-    joint: QuantumState, photon_labels: tuple[str, str], kraus: list[np.ndarray]
+    joint: QuantumState, photon_labels: tuple[str, str], per_pair: list[list[np.ndarray]]
 ) -> tuple[float, QuantumState]:
-    """Apply a photon-space Kraus set and renormalize."""
+    """Apply the photon-space Kraus sets of some detector pairs and
+    renormalize.
+
+    Each pair's set is summed on its own before the pairs are added, so
+    two pairs with equal operators give exactly twice one pair's result
+    and the same normalized state, to the last bit.
+    """
     n = joint.n_subsystems
     axes = [joint.axis(lbl) for lbl in photon_labels]
     rho = joint.density()
     out = np.zeros_like(rho)
-    for k in kraus:
-        out += _apply_matrix_density(rho, k, axes, n)
+    for kraus in per_pair:
+        out += sum(_apply_matrix_density(rho, k, axes, n) for k in kraus)
     prob = float(out.trace().real)
     if prob <= 0.0:
         return 0.0, joint

@@ -15,8 +15,13 @@ import numpy as np
 
 from . import states as st
 from .detection import confusion_matrix
-from .fitting import fit_cosine, fit_exponential_decay, fit_exponential_rate
-from .gates import spin_echo_ramsey
+from .fitting import (
+    MAX_TAU_REL_STDERR,
+    RateFit,
+    fit_cosine,
+    fit_exponential_decay,
+    fit_exponential_rate,
+)
 from .montecarlo import (
     AnalysisStep,
     HeraldStep,
@@ -28,6 +33,7 @@ from .montecarlo import (
     coherent_entanglement_distance,
     exact_branches,
     first_analysis,
+    parity_err,
     parity_scan,
     propagate,
     rng_stream,
@@ -54,8 +60,12 @@ _SHOT_STREAM = 20
 
 @dataclass
 class ExperimentOutput:
+    """Tables and summary record of one run; ``warnings`` say which
+    summary figures could not be trusted and were left out."""
+
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
     summary: dict[str, object] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
 
 
 def budget_report(scenario: Scenario) -> ExperimentOutput:
@@ -102,15 +112,37 @@ def _binomial_err(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
 
-def _parity_err(par: float, n: int) -> float:
-    return math.sqrt(max(1.0 - par * par, 1.0 / n) / n)
-
-
 def _reported_distribution(branches, script, scenario, phi_d=None) -> np.ndarray:
     """Exact reported outcome distribution, optionally per herald phase."""
     true = branch_outcome_distribution(branches, script.qubits, phi_d)
     m = confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
     return m @ true
+
+
+def _population_table(counts, n, exact) -> tuple[tuple[str, ...], list[tuple]]:
+    """Sampled outcome frequencies ``counts / n`` beside the exact
+    distribution, one row per outcome (first qubit most significant)."""
+    n_bits = len(counts).bit_length() - 1
+    rows = []
+    for idx, (count, p_exact) in enumerate(zip(counts, exact)):
+        p = count / n
+        rows.append((format(idx, f"0{n_bits}b"), p, _binomial_err(p, n), float(p_exact)))
+    return ("outcome", "estimate", "uncertainty", "exact"), rows
+
+
+def _fit_rate(out: ExperimentOutput, herald_time: np.ndarray) -> RateFit:
+    """Fit the herald rate to sampled waiting times and report it."""
+    rate = fit_exponential_rate(herald_time)
+    out.summary.update(
+        {
+            "rate_per_s": rate.rate,
+            "rate_stderr": rate.stderr,
+            "rate_ks_pvalue": rate.ks_pvalue,
+            "rate_ks_ok": rate.ok,
+            "n_trials": herald_time.size,
+        }
+    )
+    return rate
 
 
 def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> ExperimentOutput:
@@ -121,32 +153,21 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
     branches = exact_branches(script, scenario)
     out = ExperimentOutput()
 
-    fidelities: dict[str, list[float]] = {"phid0": [], "phidpi": []}
     for b in branches:
-        phase = b.herald.phi_d + scenario.ledger.geometric_phase() + scenario.ledger.delta_phi_t
-        target = heralded_bell_ket((qa, qb), phase)
-        key = "phid0" if b.herald.phi_d == 0.0 else "phidpi"
-        fidelities[key].append(st.fidelity(b.state, target))
-    for key, vals in fidelities.items():
-        out.summary[f"fidelity_{key}"] = sum(vals) / len(vals)
+        target = heralded_bell_ket((qa, qb), scenario.ledger.herald_phase(b.phi_d))
+        key = "phid0" if b.phi_d == 0.0 else "phidpi"
+        out.summary[f"fidelity_{key}"] = st.fidelity(b.state, target)
     out.summary["fidelity_mean"] = 0.5 * (
         out.summary["fidelity_phid0"] + out.summary["fidelity_phidpi"]
     )
 
-    result = run_protocol(script, scenario, n_trials, seed)
-    trial_phi_d = np.array([b.herald.phi_d for b in result.branches])[result.branch]
+    result = run_protocol(script, scenario, n_trials, seed, branches=branches)
+    trial_phi_d = np.array([b.phi_d for b in branches])[result.branch]
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
         sub = result.reported[trial_phi_d == want]
         exact_rep = _reported_distribution(branches, script, scenario, phi_d=want)
-        n_sub = max(sub.size, 1)
-        counts = np.bincount(sub, minlength=4)
-        rows = []
-        for idx, outcome in enumerate(("00", "01", "10", "11")):
-            p = counts[idx] / n_sub
-            rows.append((outcome, p, _binomial_err(p, n_sub), float(exact_rep[idx])))
-        out.tables[f"populations_{key}"] = (
-            ("outcome", "estimate", "uncertainty", "exact"),
-            rows,
+        out.tables[f"populations_{key}"] = _population_table(
+            np.bincount(sub, minlength=4), max(sub.size, 1), exact_rep
         )
 
     out.summary["odd_parity_population_exact"] = result.exact_true[1] + result.exact_true[2]
@@ -154,16 +175,7 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
         pops = np.bincount(outcomes, minlength=4) / n_trials
         out.summary[f"odd_parity_population_{name}"] = pops[1] + pops[2]
 
-    rate = fit_exponential_rate(result.herald_time)
-    out.summary.update(
-        {
-            "rate_per_s": rate.rate,
-            "rate_stderr": rate.stderr,
-            "rate_ks_pvalue": rate.ks_pvalue,
-            "rate_ks_ok": rate.ok,
-            "n_trials": n_trials,
-        }
-    )
+    _fit_rate(out, result.herald_time)
     return out
 
 
@@ -209,6 +221,20 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     return out
 
 
+def _echo_steps(pair: tuple[str, str], delay: float) -> tuple:
+    """Spin echo over ``delay`` on ``pair``, then the pi/2 analysis pulse.
+
+    Half the delay, simultaneous pi pulses, the other half; a static
+    gradient phase cancels across the echo. At zero delay only the
+    analysis pulse runs. Scan phase pi/4 puts both pulses on the x axis.
+    """
+    analysis = AnalysisStep(pair, math.pi / 2.0, math.pi / 4.0)
+    if delay == 0.0:
+        return (analysis,)
+    half = WaitStep(delay / 2.0)
+    return (half, AnalysisStep(pair, math.pi, math.pi / 4.0), half, analysis)
+
+
 def coherence_experiment(
     scenario: Scenario, seed: int, n_trials: int, shots: int
 ) -> ExperimentOutput:
@@ -216,24 +242,19 @@ def coherence_experiment(
     distribution of herald generation.
 
     Coherence: for each delay the heralded pair (detector phase 0
-    branch) evolves for delay/2, is echoed, evolves again and receives
-    the final analysis pulse; the surviving parity magnitude decays as
-    exp(-delay/tau) because the static gradient phase cancels across the
-    echo. The parity is sampled through the detector model and the decay
-    is fitted on the sampled magnitudes.
+    branch) runs the ``_echo_steps``; the surviving parity magnitude
+    decays as exp(-delay/tau) because the static gradient phase cancels
+    across the echo. The parity is sampled through the detector model
+    and the decay is fitted on the sampled magnitudes. When the fit
+    cannot determine tau, the distance figure built from it is left out.
     """
     qa, qb = scenario.protocol.link
     run = scenario.run
     out = ExperimentOutput()
 
     script = _pair_script(scenario)
-    branches = [b for b in exact_branches(script, scenario) if b.herald.phi_d == 0.0]
-    weight = sum(b.weight for b in branches)
-    rho0 = None
-    for b in branches:
-        contrib = (b.weight / weight) * b.state.density()
-        rho0 = contrib if rho0 is None else rho0 + contrib
-    heralded = st.mixed_state(rho0, branches[0].state.labels)
+    branches = exact_branches(script, scenario)
+    (heralded,) = (b for b in branches if b.phi_d == 0.0)
 
     m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     delays = np.linspace(0.0, run.delay_max_s, run.delay_points)
@@ -242,21 +263,13 @@ def coherence_experiment(
     sampled_errs = []
     exact_mags = []
     for i, delay in enumerate(delays):
-        final = spin_echo_ramsey(
-            heralded,
-            (qa, qb),
-            float(delay),
-            scenario.ledger.delta_omega_ab,
-            0.0,
-            coherence_time_s=scenario.memory.tau_s,
-        )
-        true_diag = st.outcome_probabilities(final, (qa, qb))
-        reported = m @ true_diag
+        (final,) = propagate(script, scenario, _echo_steps((qa, qb), float(delay)), [heralded])
+        reported = m @ st.outcome_probabilities(final.state, (qa, qb))
         par_exact = float(reported[0] + reported[3] - reported[1] - reported[2])
         rng = rng_stream(seed, _SHOT_STREAM, 0, i)
         counts = sample_counts(reported, shots, rng)
         par = (2.0 * (counts[0] + counts[3]) - shots) / shots
-        err = _parity_err(par, shots)
+        err = parity_err(par, shots)
         rows.append((float(delay), par, err, par_exact))
         sampled_mags.append(abs(par))
         sampled_errs.append(err)
@@ -267,11 +280,14 @@ def coherence_experiment(
     )
     decay = fit_exponential_decay(delays, sampled_mags, sigma=sampled_errs)
     decay_exact = fit_exponential_decay(delays, exact_mags)
+    rel_stderr = decay.tau_stderr / decay.tau
+    tau_ok = rel_stderr <= MAX_TAU_REL_STDERR
     out.summary.update(
         {
             "tau_fit_s": decay.tau,
             "tau_fit_stderr": decay.tau_stderr,
-            "tau_fit_rel_stderr": decay.tau_stderr / decay.tau,
+            "tau_fit_rel_stderr": rel_stderr,
+            "tau_fit_ok": tau_ok,
             "tau_fit_exact_s": decay_exact.tau,
             "tau_configured_s": scenario.memory.tau_s,
             "coherence_amplitude": decay.amplitude,
@@ -279,8 +295,8 @@ def coherence_experiment(
     )
 
     # Waiting-time distribution and rate, from sampled protocol trials.
-    waits = run_protocol(script, scenario, n_trials, seed).herald_time
-    rate = fit_exponential_rate(waits)
+    waits = run_protocol(script, scenario, n_trials, seed, branches=branches).herald_time
+    rate = _fit_rate(out, waits)
     # Up to the fitted distribution's 99th percentile.
     grid = np.linspace(0.0, math.log(100.0) / rate.rate, 60)[1:]
     ecdf = np.searchsorted(np.sort(waits), grid, side="right") / n_trials
@@ -292,20 +308,16 @@ def coherence_experiment(
         ("time_s", "empirical_cdf", "uncertainty", "fitted_cdf"),
         wait_rows,
     )
-    d_ent = coherent_entanglement_distance(
-        run.qubit_separation_m, rate.rate, decay.tau
-    )
-    out.summary.update(
-        {
-            "rate_per_s": rate.rate,
-            "rate_stderr": rate.stderr,
-            "rate_ks_pvalue": rate.ks_pvalue,
-            "rate_ks_ok": rate.ok,
-            "n_trials": n_trials,
-            "shots_per_point": shots,
-            "d_ent_m": d_ent,
-        }
-    )
+    out.summary["shots_per_point"] = shots
+    if tau_ok:
+        out.summary["d_ent_m"] = coherent_entanglement_distance(
+            run.qubit_separation_m, rate.rate, decay.tau
+        )
+    else:
+        out.warnings.append(
+            f"coherence decay fit leaves tau undetermined (tau_fit_rel_stderr = "
+            f"{rel_stderr:.3g} > {MAX_TAU_REL_STDERR}); d_ent_m is not reported"
+        )
     return out
 
 
@@ -327,13 +339,8 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     true_diag = st.outcome_probabilities(branch.state, (qa, qb))
     m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     reported = m @ true_diag
-    rng = rng_stream(seed, _SHOT_STREAM, 0, 0)
-    counts = sample_counts(reported, shots, rng)
-    rows = []
-    for idx, outcome in enumerate(("00", "01", "10", "11")):
-        p = counts[idx] / shots
-        rows.append((outcome, p, _binomial_err(p, shots), float(reported[idx])))
-    out.tables["populations"] = (("outcome", "estimate", "uncertainty", "exact"), rows)
+    counts = sample_counts(reported, shots, rng_stream(seed, _SHOT_STREAM, 0, 0))
+    out.tables["populations"] = _population_table(counts, shots, reported)
     out.summary["even_population_exact"] = float(true_diag[0] + true_diag[3])
     out.summary["even_population_reported"] = float(reported[0] + reported[3])
 
@@ -426,22 +433,8 @@ def modular_3q_experiment(
             "corr_odd_given_remote0_exact_ideal": corr_exact_true["odd_given_0"],
         }
     )
-    rows = []
-    for idx in range(8):
-        p = counts[idx] / n_trials
-        rows.append((format(idx, "03b"), p, _binomial_err(p, n_trials), float(rep_diag[idx])))
-    out.tables["populations"] = (("outcome", "estimate", "uncertainty", "exact"), rows)
-
-    rate = fit_exponential_rate(result.herald_time)
-    out.summary.update(
-        {
-            "rate_per_s": rate.rate,
-            "rate_stderr": rate.stderr,
-            "rate_ks_pvalue": rate.ks_pvalue,
-            "rate_ks_ok": rate.ok,
-            "n_trials": n_trials,
-        }
-    )
+    out.tables["populations"] = _population_table(counts, n_trials, rep_diag)
+    _fit_rate(out, result.herald_time)
 
     # Conditional parity oscillation (Fig-4d style).
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)

@@ -34,7 +34,6 @@ __all__ = [
     "apply_phase",
     "outcome_probabilities",
     "fidelity",
-    "parity_expectation",
     "partial_trace",
     "depolarize",
     "dephase_pair",
@@ -298,16 +297,6 @@ def fidelity(s: QuantumState, target: QuantumState) -> float:
     else:
         val = abs(np.vdot(psi, s.data)) ** 2
     return float(min(max(val, 0.0), 1.0))
-
-
-def parity_expectation(s: QuantumState, pair: Sequence[str]) -> float:
-    """Exact <Z x Z> of a qubit pair, computed from the state."""
-    pair = list(pair)
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise StateError(f"parity needs two distinct labels, got {pair}")
-    p = outcome_probabilities(s, pair)
-    # basis order 00, 01, 10, 11
-    return float(p[0] + p[3] - p[1] - p[2])
 
 
 def partial_trace(s: QuantumState, keep: Sequence[str]) -> QuantumState:

@@ -5,6 +5,10 @@ operators: the network is enumerated directly in the photon-number
 picture, including a temporal mode label for partially distinguishable
 photons.
 
+Test-only helpers the package does not run: the per-detector-pair BSM
+distribution, the herald event record and the pair parity
+expectation.
+
 The single-shot samplers at the end draw one outcome at a time from the
 package's exact channels. The package itself samples only in bulk, from
 exact distributions; sampled-versus-exact tests use these samplers as a
@@ -16,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +29,8 @@ from ionnet.detection import DetectorGroup, DetectorModel, apply_readout_array
 from ionnet.gates import GateNoise, ms_gate
 from ionnet.photonics import (
     DETECTOR_PAIRS,
-    HeraldEvent,
     LinkErrorModel,
-    bsm_outcome_distribution,
+    bsm_kraus_operators,
     conditional_herald_states,
 )
 
@@ -95,6 +99,56 @@ def fock_bsm_distribution(amp: np.ndarray, v: float) -> dict:
     return dist
 
 
+@dataclass(frozen=True)
+class HeraldEvent:
+    """A successful two-photon coincidence."""
+
+    detector_pair: tuple[int, int]
+    phi_d: float
+
+    def __post_init__(self):
+        if self.detector_pair not in DETECTOR_PAIRS:
+            raise ValueError(f"invalid detector pair {self.detector_pair}")
+        if self.phi_d != DETECTOR_PAIRS[self.detector_pair]:
+            raise ValueError(
+                f"phi_d = {self.phi_d} inconsistent with detector pair {self.detector_pair}"
+            )
+
+
+def bsm_outcome_distribution(
+    s: st.QuantumState, photon_labels: Sequence[str], v: float
+) -> dict[tuple[int, int] | None, float]:
+    """Probability of each detector pair (and of no herald, key None),
+    from the package's per-pair Kraus operators."""
+    photon_labels = list(photon_labels)
+    if len(photon_labels) != 2:
+        raise st.StateError(f"two photon modes required, got {photon_labels}")
+    rho = st.partial_trace(s, photon_labels)
+    # partial_trace keeps register order; realign to the requested order.
+    if rho.labels != tuple(photon_labels):
+        rho = st.mixed_state(st._permute_density(rho, photon_labels), photon_labels)
+    probs: dict[tuple[int, int] | None, float] = {}
+    total = 0.0
+    for pair, kraus in bsm_kraus_operators(v).items():
+        p = 0.0
+        for k in kraus:
+            p += float(np.trace(k @ rho.density() @ k.conj().T).real)
+        probs[pair] = p
+        total += p
+    probs[None] = max(1.0 - total, 0.0)
+    return probs
+
+
+def parity_expectation(s: st.QuantumState, pair: Sequence[str]) -> float:
+    """Exact <Z x Z> of a qubit pair, computed from the state."""
+    pair = list(pair)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise st.StateError(f"parity needs two distinct labels, got {pair}")
+    p = st.outcome_probabilities(s, pair)
+    # basis order 00, 01, 10, 11
+    return float(p[0] + p[3] - p[1] - p[2])
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian matrix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -139,11 +193,11 @@ def herald_remote_pair(
     error: LinkErrorModel,
     rng: np.random.Generator,
     transfer_phase: float = 0.0,
-) -> tuple[HeraldEvent, st.QuantumState] | None:
+) -> tuple[float, st.QuantumState] | None:
     """One coincidence attempt given both photons were collected.
 
     Samples the interference outcome; on a valid coincidence returns
-    the herald event and the two-atom state, otherwise ``None``.
+    the detector phase and the two-atom state, otherwise ``None``.
     """
     branches = conditional_herald_states(
         atom_a_photon, atom_b_photon, error, transfer_phase
@@ -155,8 +209,8 @@ def herald_remote_pair(
     pick = int(rng.choice(len(weights), p=weights))
     if pick == len(branches):
         return None
-    event, _, state = branches[pick]
-    return event, state
+    phi_d, _, state = branches[pick]
+    return phi_d, state
 
 
 def measure(

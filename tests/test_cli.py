@@ -12,6 +12,7 @@ from hypothesis import strategies as hs
 
 from ionnet import montecarlo, protocols
 from ionnet.cli import RATE_FIT, SUBCOMMANDS, main, write_outputs
+from ionnet.fitting import MAX_TAU_REL_STDERR
 from ionnet.protocols import ExperimentOutput
 from ionnet.scenario import loads_scenario
 
@@ -166,9 +167,27 @@ def test_coherence_subcommand_small(tmp_path):
     assert summary["tau_fit_rel_stderr"] == pytest.approx(
         summary["tau_fit_stderr"] / summary["tau_fit_s"], rel=1e-12
     )
+    assert summary["tau_fit_ok"] == "True"
     assert summary["d_ent_m"] > 0
     assert (out / "coherence.csv").exists()
     assert (out / "waiting.csv").exists()
+
+
+def test_coherence_undetermined_tau_withholds_distance(tmp_path, capsys):
+    # A coherence time far beyond the delay grid leaves tau undetermined:
+    # the run still succeeds, flags the fit and leaves out d_ent_m.
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("[memory]\ntau_s = 1e9\n")
+    out = tmp_path / "coh"
+    argv = ["coherence", "--config", str(cfg), "--seed", "1", "--trials", "500", "--shots", "2000"]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = read_summary(out / "summary.txt")
+    assert summary["tau_fit_ok"] == "False"
+    assert summary["tau_fit_rel_stderr"] > MAX_TAU_REL_STDERR
+    assert "d_ent_m" not in summary
+    err = capsys.readouterr().err.splitlines()
+    warnings = [line for line in err if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "d_ent_m" in warnings[0]
 
 
 @pytest.mark.parametrize("sub", RATE_FIT)
@@ -363,7 +382,9 @@ def test_wait_step_takes_effect_in_modular_3q(tmp_path):
     assert after_herald == pytest.approx(base, rel=1e-12)
 
 
-@pytest.mark.parametrize("sub", ["modular-3q", "phase-scan", "local-gate"])
+@pytest.mark.parametrize(
+    "sub", ["modular-3q", "phase-scan", "local-gate", "remote-bell", "coherence"]
+)
 def test_exact_propagation_once_per_run(tmp_path, monkeypatch, sub):
     # Runs of the step loop from the initial register: a run propagates
     # its unscanned prefix once, shared by its sampled and scanned parts,
@@ -381,7 +402,10 @@ def test_exact_propagation_once_per_run(tmp_path, monkeypatch, sub):
     counts = []
     for points in (4, 24):
         cfg = tmp_path / f"grid{points}.cfg"
-        cfg.write_text(f"[run]\nphi_points = {points}\nphase_scan_points = {points}\n")
+        cfg.write_text(
+            f"[run]\nphi_points = {points}\nphase_scan_points = {points}\n"
+            f"delay_points = {points}\n"
+        )
         argv = [sub, "--config", str(cfg), "--trials", "100", "--shots", "50"]
         full_runs.clear()
         assert main([*argv, "--out", str(tmp_path / f"out{points}")]) == 0

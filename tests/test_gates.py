@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 from ionnet import gates as g
 from ionnet import states as st
 
-from oracles import ms_gate_trajectory
+from oracles import ms_gate_trajectory, parity_expectation
 
 RNG = np.random.default_rng
 
@@ -93,7 +93,7 @@ class TestParityConvention:
             s0 = g.ms_gate(st.basis_state([0, 0], ["q1", "q2"]), ["q1", "q2"], phi_a)
             for phi in phis:
                 out = g.analysis_rotation(s0, ["q1", "q2"], math.pi / 2, phi)
-                par = st.parity_expectation(out, ["q1", "q2"])
+                par = parity_expectation(out, ["q1", "q2"])
                 assert abs(par - math.cos(phi_a - 2 * phi)) < 1e-10
 
     def test_even_bell_analysis(self):
@@ -101,7 +101,7 @@ class TestParityConvention:
         for phi_a in (0.0, 0.7, 2.1):
             for phi in (0.0, 0.4, 1.3):
                 out = g.analysis_rotation(even_bell(phi_a), ["q1", "q2"], math.pi / 2, phi)
-                par = st.parity_expectation(out, ["q1", "q2"])
+                par = parity_expectation(out, ["q1", "q2"])
                 assert par == pytest.approx(math.cos(phi_a - 2 * phi), abs=1e-10)
 
     def test_odd_fringe_is_axis_independent(self):
@@ -112,7 +112,7 @@ class TestParityConvention:
         pars = []
         for phi in (0.0, 0.3, 1.0, 2.2):
             out = g.analysis_rotation(s, ["a", "b"], math.pi / 2, phi)
-            pars.append(st.parity_expectation(out, ["a", "b"]))
+            pars.append(parity_expectation(out, ["a", "b"]))
         assert np.ptp(pars) < 1e-12
         assert pars[0] == pytest.approx(math.cos(0.9), abs=1e-12)
 
@@ -151,9 +151,9 @@ class TestSpinEcho:
     def test_static_gradient_cancels(self, delay):
         s = self.make_pair()
         base = g.spin_echo_ramsey(s, ["a", "b"], 0.0, 2 * math.pi * 2.5e3, 0.3)
-        p0 = st.parity_expectation(base, ["a", "b"])
+        p0 = parity_expectation(base, ["a", "b"])
         out = g.spin_echo_ramsey(s, ["a", "b"], delay, 2 * math.pi * 2.5e3, 0.3)
-        assert abs(st.parity_expectation(out, ["a", "b"]) - p0) < 1e-10
+        assert abs(parity_expectation(out, ["a", "b"]) - p0) < 1e-10
 
     def test_decay_recovers_tau(self):
         from ionnet.fitting import fit_exponential_decay
@@ -166,7 +166,7 @@ class TestSpinEcho:
             out = g.spin_echo_ramsey(
                 s, ["a", "b"], float(d), 2 * math.pi * 2.5e3, 0.0, coherence_time_s=tau
             )
-            mags.append(abs(st.parity_expectation(out, ["a", "b"])))
+            mags.append(abs(parity_expectation(out, ["a", "b"])))
         fit = fit_exponential_decay(delays, mags)
         assert abs(fit.tau - tau) / tau < 0.02
 

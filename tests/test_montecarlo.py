@@ -10,7 +10,13 @@ from ionnet.detection import DetectorModel, confusion_matrix
 from ionnet.fitting import fit_exponential_rate
 from ionnet.gates import GateNoise
 from ionnet.phases import MemoryDecoherence, PhaseLedger
-from ionnet.photonics import LinkBudget, LinkErrorModel
+from ionnet.photonics import (
+    DETECTOR_PAIRS,
+    LinkBudget,
+    LinkErrorModel,
+    bsm_kraus_operators,
+    module_emission,
+)
 from ionnet.scenario import ProtocolLayout, Scenario, loads_scenario
 
 RNG = np.random.default_rng
@@ -63,6 +69,32 @@ def pair_script() -> mc.ProtocolScript:
         links={"ab": ("q2", "q3")},
         steps=(mc.HeraldStep("ab"), mc.MeasureStep()),
     )
+
+
+def per_pair_heralds(cfg: Scenario) -> list[tuple[float, float, np.ndarray]]:
+    """(phi_d, probability, heralded (q2, q3) density matrix) for each
+    detector pair, built from that pair's Kraus operators alone."""
+    err = cfg.link_errors
+    joint = st.tensor(module_emission(err, "q2", "p2"), module_emission(err, "q3", "p3"))
+    rho = joint.density().reshape((2,) * 8)  # ket (q2, p2, q3, p3), then bra
+    transfer = cfg.ledger.geometric_phase() + cfg.ledger.delta_phi_t
+    out = []
+    for pair, kraus in bsm_kraus_operators(err.mode_overlap).items():
+        atoms = np.zeros((2, 2, 2, 2), dtype=complex)
+        for k in kraus:
+            k = k.reshape(2, 2, 2, 2)  # (p2 out, p3 out, p2 in, p3 in)
+            # K rho K^dagger on the photons, photons traced out
+            atoms += np.einsum("xyac,iajcIAJC,xyAC->ijIJ", k, rho, k.conj())
+        atoms = atoms.reshape(4, 4)
+        prob = atoms.trace().real
+        state = st.apply_phase(st.mixed_state(atoms / prob, ["q2", "q3"]), "q2", transfer)
+        out.append((DETECTOR_PAIRS[pair], prob, state.density()))
+    return out
+
+
+STRESSED = replace(
+    DEFAULTS, link_errors=LinkErrorModel(atom_photon_fidelity=0.8, mode_overlap=0.6)
+)
 
 
 def attempts_of(res: mc.ProtocolResult, budget: LinkBudget) -> np.ndarray:
@@ -147,9 +179,28 @@ class TestExactBranches:
     def test_tripartite_state_per_branch(self):
         cfg = noiseless_config()
         for b in mc.exact_branches(three_qubit_script(), cfg):
-            target = tripartite_target(0.0, b.herald.phi_d)
+            target = tripartite_target(0.0, b.phi_d)
             assert st.fidelity(b.state, target) == pytest.approx(1.0, abs=1e-12)
-            assert b.weight == pytest.approx(0.25, abs=1e-12)
+            assert b.weight == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [DEFAULTS, STRESSED], ids=["calibrated", "stressed"])
+    def test_one_branch_per_detector_phase(self, cfg):
+        # Each phase's branch is the probability-weighted average of the
+        # states its detector pairs herald, and those states agree.
+        branches = mc.exact_branches(pair_script(), cfg)
+        assert [b.phi_d for b in branches] == [0.0, math.pi]
+        assert sum(b.weight for b in branches) == pytest.approx(1.0, abs=1e-12)
+        pairs = per_pair_heralds(cfg)
+        total = sum(p for _, p, _ in pairs)
+        for b in branches:
+            mine = [(p, rho) for phi_d, p, rho in pairs if phi_d == b.phi_d]
+            assert len(mine) == 2
+            p_phase = sum(p for p, _ in mine)
+            average = sum(p * rho for p, rho in mine) / p_phase
+            assert b.weight == pytest.approx(p_phase / total, abs=1e-12)
+            np.testing.assert_allclose(b.state.density(), average, rtol=0, atol=1e-12)
+            for _, rho in mine:
+                np.testing.assert_allclose(rho, average, rtol=0, atol=1e-12)
 
     def test_remote_populations_odd_parity(self):
         # before the local gate the heralded pair is odd-parity
@@ -184,7 +235,7 @@ class TestExactBranches:
 
         for b in mc.exact_branches(script, cfg):
             expect = heralded_bell_ket(
-                ("q2", "q3"), b.herald.phi_d + 0.4 + ledger.delta_omega_ab * 1e-4
+                ("q2", "q3"), b.phi_d + 0.4 + ledger.delta_omega_ab * 1e-4
             )
             assert st.fidelity(b.state, expect) == pytest.approx(1.0, abs=1e-12)
 

@@ -64,7 +64,7 @@ class TestPhiAB:
 
 def evolve(s, ledger, deco, t):
     """Free evolution of the stored pair ("a", "b"), "b" in module B."""
-    tau_s = deco.tau_s if deco is not None else None
+    tau_s = deco.tau_s if deco is not None else math.inf
     return ph.free_evolution(s, t, ledger.delta_omega_ab, ["b"], [["a", "b"]], tau_s)
 
 

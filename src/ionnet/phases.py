@@ -15,6 +15,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .states import QuantumState, apply_phase, dephase_pair
 
 __all__ = [
@@ -105,13 +107,14 @@ def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:
 
 def free_evolution(
     s: QuantumState,
-    t: float,
+    t,
     delta_omega_ab: float,
     b_atoms: Sequence[str],
     pairs: Sequence[Sequence[str]],
     tau_s: float,
 ) -> QuantumState:
-    """Evolve stored qubits for ``t`` seconds between operations.
+    """Evolve stored qubits for ``t`` seconds between operations; an
+    array of durations evolves one per point into a stack.
 
     Each module is tracked in its own rotating frame, so the Zeeman beat
     is a local Z phase e^{-i delta_omega_ab t} on every module-B atom in
@@ -119,16 +122,17 @@ def free_evolution(
     the relative phase e^{i delta_omega_ab t} between |01> and |10>.
     The coherences of every pair in ``pairs`` are multiplied by
     exp(-t/tau_s) (exactly 1 for an infinite ``tau_s``); populations are
-    preserved exactly.
+    preserved exactly. A zero duration leaves its point unchanged.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError(f"time must be non-negative, got {t}")
-    if t == 0:
+    if not np.any(t):
         return s
     out = s
     for q in b_atoms:
         out = apply_phase(out, q, -delta_omega_ab * t)
-    gamma = math.exp(-t / tau_s)
+    gamma = np.exp(-t / tau_s)
     for pair in pairs:
         out = dephase_pair(out, pair, gamma)
     return out

@@ -39,6 +39,7 @@ from .montecarlo import (
     rng_stream,
     run_protocol,
     sample_counts,
+    sample_scan,
 )
 from .photonics import expected_rate, heralded_bell_ket, success_probability
 from .scenario import Scenario
@@ -108,15 +109,22 @@ def _pair_script(scenario: Scenario) -> ProtocolScript:
     )
 
 
-def _binomial_err(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+def _binomial_err(p, n):
+    """Standard error of a frequency ``p`` of ``n`` draws, floored at one
+    draw's worth; elementwise on arrays."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
-def _reported_distribution(branches, script, scenario, phi_d=None) -> np.ndarray:
-    """Exact reported outcome distribution, optionally per herald phase."""
-    true = branch_outcome_distribution(branches, script.qubits, phi_d)
-    m = confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
-    return m @ true
+def _confusion(script: ProtocolScript, scenario: Scenario) -> np.ndarray:
+    """The readout channel of the script's qubits, built once per run."""
+    return confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
+
+
+def _reported_distribution(branches, script, m, phi_d=None) -> np.ndarray:
+    """Exact reported outcome distribution through the readout channel
+    ``m``, optionally per herald phase; one row per scan point of
+    stacked branches."""
+    return branch_outcome_distribution(branches, script.qubits, phi_d) @ m.T
 
 
 def _population_table(counts, n, exact) -> tuple[tuple[str, ...], list[tuple]]:
@@ -163,9 +171,10 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
 
     result = run_protocol(script, scenario, n_trials, seed, branches=branches)
     trial_phi_d = np.array([b.phi_d for b in branches])[result.branch]
+    m = _confusion(script, scenario)
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
         sub = result.reported[trial_phi_d == want]
-        exact_rep = _reported_distribution(branches, script, scenario, phi_d=want)
+        exact_rep = _reported_distribution(branches, script, m, phi_d=want)
         out.tables[f"populations_{key}"] = _population_table(
             np.bincount(sub, minlength=4), max(sub.size, 1), exact_rep
         )
@@ -189,29 +198,30 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     script = _pair_script(scenario)
     heralded = exact_branches(script, scenario)
     analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
-    scanned = [
-        propagate(script, scenario, (WaitStep(float(d)), analysis), heralded) for d in delays
-    ]
+    scanned = propagate(script, scenario, (WaitStep(delays), analysis), heralded)
+    m = _confusion(script, scenario)
     out = ExperimentOutput()
     fits = {}
     for branch_i, (key, want) in enumerate((("phid0", 0.0), ("phidpi", math.pi))):
-        rows = []
-        exact_curve = []
-        for i, (delay, branches) in enumerate(zip(delays, scanned)):
-            reported = _reported_distribution(branches, script, scenario, phi_d=want)
-            p_even_exact = float(reported[0] + reported[3])
-            rng = rng_stream(seed, _SHOT_STREAM, branch_i, i)
-            counts = sample_counts(reported, shots, rng)
-            p_even = (counts[0] + counts[3]) / shots
-            rows.append((float(delay), p_even, _binomial_err(p_even, shots), p_even_exact))
-            exact_curve.append(p_even_exact)
+        reported = _reported_distribution(scanned, script, m, phi_d=want)
+        p_even_exact = reported[:, 0] + reported[:, 3]
+        counts = sample_scan(reported, shots, seed, _SHOT_STREAM, branch_i)
+        p_even = (counts[:, 0] + counts[:, 3]) / shots
+        rows = list(
+            zip(
+                delays.tolist(),
+                p_even.tolist(),
+                _binomial_err(p_even, shots).tolist(),
+                p_even_exact.tolist(),
+            )
+        )
         out.tables[f"phase_scan_{key}"] = (
             ("delay_s", "estimate", "uncertainty", "exact"),
             rows,
         )
         # P_even = (1 + A cos(omega t - phase)) / 2
         x = scenario.ledger.delta_omega_ab * delays
-        y = 2.0 * np.array(exact_curve) - 1.0
+        y = 2.0 * p_even_exact - 1.0
         fits[key] = fit_cosine(x, y, harmonic=1)
         out.summary[f"fit_phase_{key}"] = fits[key].phase
         out.summary[f"fit_amplitude_{key}"] = fits[key].amplitude
@@ -221,18 +231,20 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     return out
 
 
-def _echo_steps(pair: tuple[str, str], delay: float) -> tuple:
-    """Spin echo over ``delay`` on ``pair``, then the pi/2 analysis pulse.
+def _echo_steps(pair: tuple[str, str], delay) -> tuple:
+    """Spin echo over ``delay`` on ``pair``, then the pi/2 analysis pulse;
+    an array of delays gives the steps of the whole scan.
 
     Half the delay, simultaneous pi pulses, the other half; a static
     gradient phase cancels across the echo. At zero delay only the
-    analysis pulse runs. Scan phase pi/4 puts both pulses on the x axis.
+    analysis pulse runs: the echo pulse angle is masked to 0 there (a
+    rotation by 0 is the identity, as are the zero waits). Scan phase
+    pi/4 puts both pulses on the x axis.
     """
-    analysis = AnalysisStep(pair, math.pi / 2.0, math.pi / 4.0)
-    if delay == 0.0:
-        return (analysis,)
+    delay = np.asarray(delay, dtype=float)
     half = WaitStep(delay / 2.0)
-    return (half, AnalysisStep(pair, math.pi, math.pi / 4.0), half, analysis)
+    echo = AnalysisStep(pair, np.where(delay > 0.0, math.pi, 0.0), math.pi / 4.0)
+    return (half, echo, half, AnalysisStep(pair, math.pi / 2.0, math.pi / 4.0))
 
 
 def coherence_experiment(
@@ -241,8 +253,8 @@ def coherence_experiment(
     """Echo-based coherence decay of the stored pair and the waiting-time
     distribution of herald generation.
 
-    Coherence: for each delay the heralded pair (detector phase 0
-    branch) runs the ``_echo_steps``; the surviving parity magnitude
+    Coherence: the heralded pair (detector phase 0 branch) runs the
+    ``_echo_steps`` of all delays at once; the surviving parity magnitude
     decays as exp(-delay/tau) because the static gradient phase cancels
     across the echo. The parity is sampled through the detector model
     and the decay is fitted on the sampled magnitudes. When the fit
@@ -256,30 +268,21 @@ def coherence_experiment(
     branches = exact_branches(script, scenario)
     (heralded,) = (b for b in branches if b.phi_d == 0.0)
 
-    m = confusion_matrix(2, scenario.detectors, script.detector_layout())
+    m = _confusion(script, scenario)
     delays = np.linspace(0.0, run.delay_max_s, run.delay_points)
-    rows = []
-    sampled_mags = []
-    sampled_errs = []
-    exact_mags = []
-    for i, delay in enumerate(delays):
-        (final,) = propagate(script, scenario, _echo_steps((qa, qb), float(delay)), [heralded])
-        reported = m @ st.outcome_probabilities(final.state, (qa, qb))
-        par_exact = float(reported[0] + reported[3] - reported[1] - reported[2])
-        rng = rng_stream(seed, _SHOT_STREAM, 0, i)
-        counts = sample_counts(reported, shots, rng)
-        par = (2.0 * (counts[0] + counts[3]) - shots) / shots
-        err = parity_err(par, shots)
-        rows.append((float(delay), par, err, par_exact))
-        sampled_mags.append(abs(par))
-        sampled_errs.append(err)
-        exact_mags.append(abs(par_exact))
+    (final,) = propagate(script, scenario, _echo_steps((qa, qb), delays), [heralded])
+    reported = st.outcome_probabilities(final.state, (qa, qb)) @ m.T
+    par_exact = reported[:, 0] + reported[:, 3] - reported[:, 1] - reported[:, 2]
+    counts = sample_scan(reported, shots, seed, _SHOT_STREAM, 0)
+    par = (2.0 * (counts[:, 0] + counts[:, 3]) - shots) / shots
+    err = parity_err(par, shots)
+    rows = list(zip(delays.tolist(), par.tolist(), err.tolist(), par_exact.tolist()))
     out.tables["coherence"] = (
         ("delay_s", "parity", "uncertainty", "exact_parity"),
         rows,
     )
-    decay = fit_exponential_decay(delays, sampled_mags, sigma=sampled_errs)
-    decay_exact = fit_exponential_decay(delays, exact_mags)
+    decay = fit_exponential_decay(delays, np.abs(par), sigma=err)
+    decay_exact = fit_exponential_decay(delays, np.abs(par_exact))
     rel_stderr = decay.tau_stderr / decay.tau
     tau_ok = rel_stderr <= MAX_TAU_REL_STDERR
     out.summary.update(
@@ -337,7 +340,7 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     # populations without analysis pulse
     (branch,) = propagate(script, scenario, (gate,))
     true_diag = st.outcome_probabilities(branch.state, (qa, qb))
-    m = confusion_matrix(2, scenario.detectors, script.detector_layout())
+    m = _confusion(script, scenario)
     reported = m @ true_diag
     counts = sample_counts(reported, shots, rng_stream(seed, _SHOT_STREAM, 0, 0))
     out.tables["populations"] = _population_table(counts, shots, reported)
@@ -414,7 +417,7 @@ def modular_3q_experiment(
     counts = np.bincount(result.reported, minlength=8)
     corr = _conditional_correlations(counts)
     corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
-    rep_diag = _reported_distribution(result.branches, script, scenario)
+    rep_diag = _reported_distribution(result.branches, script, _confusion(script, scenario))
     corr_exact = _conditional_correlations(rep_diag)
     corr_exact_true = _conditional_correlations(result.exact_true)
     out.summary.update(

@@ -208,15 +208,25 @@ class Scenario:
         )
 
 
+# The one float setting with a meaning at infinity: no memory dephasing.
+_INFINITE_OK = {"memory.tau_s"}
+
+
 def _parse_value(kind: str, raw: str, path: str, lineno: int):
     try:
         if kind == "float":
-            return float(raw)
-        if kind == "int":
             value = float(raw)
-            if value != int(value):
-                raise ValueError
-            return int(value)
+            if not math.isfinite(value) and not (value == math.inf and path in _INFINITE_OK):
+                raise ScenarioError(f"line {lineno}: {path} = {raw} is not a finite number")
+            return value
+        if kind == "int":
+            try:
+                return int(raw)  # exact at any size
+            except ValueError:
+                value = float(raw)  # "1e4"
+                if not value.is_integer():
+                    raise ValueError from None
+                return int(value)
         if kind == "word":
             parts = raw.split()
             if len(parts) != 1:
@@ -227,6 +237,8 @@ def _parse_value(kind: str, raw: str, path: str, lineno: int):
             if not parts:
                 raise ValueError
             return parts
+    except ScenarioError:
+        raise
     except ValueError:
         raise ScenarioError(
             f"line {lineno}: cannot parse {path} value {raw!r} as {kind}"

@@ -7,8 +7,21 @@ density matrices. The first label is the most significant bit of the
 basis index. Everything is dense and exact, so the register size is
 capped (default 6 subsystems).
 
+A mixed state may carry leading batch axes: data of shape ``(P, d, d)``
+is a stack of P density matrices over one register, one per point of a
+scan. Every kernel acts on the trailing ``(d, d)`` axes and broadcasts
+over the leading ones, and so do its array-valued parameters (a unitary,
+phase or dephasing factor per point): a per-point parameter applied to
+a single state gives a stack. Pure states are never batched; a
+per-point parameter acts on their density matrix.
+
 States are immutable after construction; every operation returns a new
-``QuantumState``. Instances are therefore safe to share across threads.
+``QuantumState``. Construction from data checks the whole stack:
+Hermiticity, unit trace and eigenvalues above ``EIGENVALUE_FLOOR``. The
+kernels take checked states and checked parameters (unitaries to 1e-10,
+probabilities in [0, 1]) and do not repeat the state checks on their
+output; the exact engine checks every stack it returns
+(``montecarlo.propagate``). Instances are safe to share across threads.
 Nothing here is random: outcomes are sampled from the exact
 distributions by the Monte Carlo engine.
 """
@@ -47,9 +60,29 @@ NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
+# einsum subscripts, one letter per tensor axis of a register
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
 
 class StateError(ValueError):
     """Raised on invalid register operations or malformed state data."""
+
+
+def _check_labels(labels: Sequence[str], max_subsystems: int) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if not labels:
+        raise StateError("register needs at least one subsystem")
+    if len(set(labels)) != len(labels):
+        raise StateError(f"duplicate subsystem labels: {labels}")
+    if len(labels) > max_subsystems:
+        raise StateError(
+            f"register of {len(labels)} subsystems exceeds the cap of {max_subsystems}"
+        )
+    return labels
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 class QuantumState:
@@ -62,8 +95,9 @@ class QuantumState:
         basis convention: the first label is the most significant bit.
     data :
         Amplitude vector (length ``2**n``) or density matrix
-        (``2**n x 2**n``). Must be normalized; construction rejects
-        anything that is not a physical state.
+        (``2**n x 2**n``), or a stack of density matrices with leading
+        batch axes. Must be normalized; construction rejects anything
+        that is not a physical state, anywhere in the stack.
     max_subsystems :
         Register cap. Constructors reject larger registers.
     """
@@ -71,15 +105,7 @@ class QuantumState:
     __slots__ = ("_labels", "_data", "_is_mixed")
 
     def __init__(self, labels: Sequence[str], data, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS):
-        labels = tuple(labels)
-        if not labels:
-            raise StateError("register needs at least one subsystem")
-        if len(set(labels)) != len(labels):
-            raise StateError(f"duplicate subsystem labels: {labels}")
-        if len(labels) > max_subsystems:
-            raise StateError(
-                f"register of {len(labels)} subsystems exceeds the cap of {max_subsystems}"
-            )
+        labels = _check_labels(labels, max_subsystems)
         dim = 2 ** len(labels)
         arr = np.asarray(data, dtype=complex)
         if arr.shape == (dim,):
@@ -88,25 +114,37 @@ class QuantumState:
                 raise StateError(f"amplitude vector norm {norm} is not 1")
             # Renormalize residual float error; anything larger was rejected.
             arr = arr / norm
-            self._is_mixed = False
-        elif arr.shape == (dim, dim):
-            if np.abs(arr - arr.conj().T).max() > 1e-9:
+            is_mixed = False
+        elif arr.ndim >= 2 and arr.shape[-2:] == (dim, dim):
+            if np.abs(arr - _dagger(arr)).max() > 1e-9:
                 raise StateError("density matrix is not Hermitian")
-            tr = arr.trace().real
-            if abs(tr - 1.0) > 1e-9:
-                raise StateError(f"density matrix trace {tr} is not 1")
-            arr = 0.5 * (arr + arr.conj().T) / tr
+            tr = np.trace(arr, axis1=-2, axis2=-1).real
+            worst = tr.flat[np.abs(tr - 1.0).argmax()]
+            if abs(worst - 1.0) > 1e-9:
+                raise StateError(f"density matrix trace {worst} is not 1")
+            arr = 0.5 * (arr + _dagger(arr)) / tr[..., None, None]
             low = np.linalg.eigvalsh(arr).min()
             if low < EIGENVALUE_FLOOR:
                 raise StateError(f"density matrix has negative eigenvalue {low}")
-            self._is_mixed = True
+            is_mixed = True
         else:
             raise StateError(
                 f"data shape {arr.shape} does not match a register of {len(labels)} subsystems"
             )
+        self._set(labels, arr, is_mixed)
+
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], arr: np.ndarray, is_mixed: bool) -> QuantumState:
+        """A kernel's output: a checked map of checked states, not re-checked."""
+        s = object.__new__(cls)
+        s._set(labels, arr, is_mixed)
+        return s
+
+    def _set(self, labels: tuple[str, ...], arr: np.ndarray, is_mixed: bool):
         arr.setflags(write=False)
         self._labels = labels
         self._data = arr
+        self._is_mixed = is_mixed
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -123,6 +161,11 @@ class QuantumState:
     @property
     def is_mixed(self) -> bool:
         return self._is_mixed
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading batch axes of a stack; () for a single state."""
+        return self._data.shape[:-2] if self._is_mixed else ()
 
     @property
     def data(self) -> np.ndarray:
@@ -142,16 +185,17 @@ class QuantumState:
             raise StateError(f"unknown subsystem label {label!r}") from None
 
     def probabilities(self) -> np.ndarray:
-        """Born probabilities over the full computational basis."""
+        """Born probabilities over the full computational basis (last axis)."""
         if self._is_mixed:
-            p = np.clip(self._data.diagonal().real, 0.0, None)
+            p = np.clip(np.diagonal(self._data, axis1=-2, axis2=-1).real, 0.0, None)
         else:
             p = np.abs(self._data) ** 2
-        return p / p.sum()
+        return p / p.sum(axis=-1, keepdims=True)
 
     def __repr__(self) -> str:
         kind = "mixed" if self._is_mixed else "pure"
-        return f"QuantumState(labels={self._labels}, {kind}, dim={self.dim})"
+        batch = f", batch={self.batch_shape}" if self.batch_shape else ""
+        return f"QuantumState(labels={self._labels}, {kind}, dim={self.dim}{batch})"
 
 
 def basis_state(bits: Sequence[int], labels: Sequence[str]) -> QuantumState:
@@ -186,25 +230,43 @@ def _bits_to_index(bits: Sequence[int]) -> int:
     return idx
 
 
+def _bits(n: int) -> np.ndarray:
+    """bits[idx, k] is bit k (first label most significant) of basis index idx."""
+    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _tensor_form(rho: np.ndarray, n: int) -> np.ndarray:
+    """A (..., d, d) stack with one axis per ket and per bra subsystem."""
+    return rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
+
+
+def _matrix_form(t: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``_tensor_form`` for the trailing 2n axes."""
+    dim = 2**n
+    return t.reshape(t.shape[: t.ndim - 2 * n] + (dim, dim))
+
+
 def tensor(a: QuantumState, b: QuantumState, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS) -> QuantumState:
     """Tensor product of two registers with disjoint labels.
 
     Purity propagates: pure (x) pure stays pure, anything else is a
-    density matrix.
+    density matrix (a stack when either factor is one).
     """
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise StateError(f"label collision in tensor product: {sorted(overlap)}")
-    labels = a.labels + b.labels
+    labels = _check_labels(a.labels + b.labels, max_subsystems)
     if not a.is_mixed and not b.is_mixed:
-        return QuantumState(labels, np.kron(a.data, b.data), max_subsystems)
-    return QuantumState(labels, np.kron(a.density(), b.density()), max_subsystems)
+        return QuantumState._of(labels, np.kron(a.data, b.data), False)
+    out = np.einsum("...ij,...kl->...ikjl", a.density(), b.density())
+    dim = 2 ** len(labels)
+    return QuantumState._of(labels, out.reshape(out.shape[:-4] + (dim, dim)), True)
 
 
 def _check_unitary(u: np.ndarray, dim: int):
-    if u.shape != (dim, dim):
+    if u.shape[-2:] != (dim, dim):
         raise StateError(f"operator shape {u.shape} does not match target dimension {dim}")
-    err = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    err = np.abs(_dagger(u) @ u - np.eye(dim)).max()
     if err > UNITARY_ATOL:
         raise StateError(f"operator is not unitary (deviation {err:.2e})")
 
@@ -221,25 +283,35 @@ def _apply_matrix_pure(amps: np.ndarray, u: np.ndarray, axes: Sequence[int], n: 
 
 
 def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
-    """u rho u^dagger with u acting on ``axes``; u need not be unitary."""
+    """u rho u^dagger with u acting on ``axes``; u need not be unitary.
+
+    Both ``rho`` (..., d, d) and ``u`` (..., 2^k, 2^k) may be stacks;
+    their leading axes broadcast.
+    """
     k = len(axes)
-    t = rho.reshape((2,) * (2 * n))
-    u_t = u.reshape((2,) * (2 * k))
-    ket_axes = list(axes)
-    bra_axes = [n + ax for ax in axes]
-    t = np.tensordot(u_t, t, axes=(list(range(k, 2 * k)), ket_axes))
-    t = np.moveaxis(t, list(range(k)), ket_axes)
-    t = np.tensordot(u_t.conj(), t, axes=(list(range(k, 2 * k)), bra_axes))
-    t = np.moveaxis(t, list(range(k)), bra_axes)
-    return t.reshape(rho.shape)
+    ket, bra = _LETTERS[:n], _LETTERS[n : 2 * n]
+    new_ket, new_bra = _LETTERS[2 * n : 2 * n + k], _LETTERS[2 * n + k : 2 * n + 2 * k]
+    old_ket = "".join(ket[ax] for ax in axes)
+    old_bra = "".join(bra[ax] for ax in axes)
+    out_ket, out_bra = list(ket), list(bra)
+    for j, ax in enumerate(axes):
+        out_ket[ax], out_bra[ax] = new_ket[j], new_bra[j]
+    out_ket, out_bra = "".join(out_ket), "".join(out_bra)
+    u_t = u.reshape(u.shape[:-2] + (2,) * (2 * k))
+    t = np.einsum(
+        f"...{new_ket}{old_ket},...{ket}{bra}->...{out_ket}{bra}", u_t, _tensor_form(rho, n)
+    )
+    t = np.einsum(f"...{new_bra}{old_bra},...{out_ket}{bra}->...{out_ket}{out_bra}", u_t.conj(), t)
+    return _matrix_form(t, n)
 
 
 def apply_unitary(s: QuantumState, u, targets: Sequence[str]) -> QuantumState:
     """Apply a unitary on the listed target subsystems, identity elsewhere.
 
     ``u`` is given in the basis ordered by ``targets`` (first target is
-    the most significant bit of its index). Unitarity is checked to
-    1e-10; norm and trace are preserved to well below 1e-12.
+    the most significant bit of its index); a stack of unitaries applies
+    one per point. Unitarity is checked to 1e-10; norm and trace are
+    preserved to well below 1e-12.
     """
     targets = list(targets)
     if len(set(targets)) != len(targets):
@@ -247,39 +319,43 @@ def apply_unitary(s: QuantumState, u, targets: Sequence[str]) -> QuantumState:
     axes = [s.axis(t) for t in targets]
     u = np.asarray(u, dtype=complex)
     _check_unitary(u, 2 ** len(targets))
-    if s.is_mixed:
-        out = _apply_matrix_density(s.data, u, axes, s.n_subsystems)
-    else:
-        out = _apply_matrix_pure(s.data, u, axes, s.n_subsystems)
-    return QuantumState(s.labels, out, max_subsystems=s.n_subsystems)
+    n = s.n_subsystems
+    if not s.is_mixed and u.ndim == 2:
+        return QuantumState._of(s.labels, _apply_matrix_pure(s.data, u, axes, n), False)
+    return QuantumState._of(s.labels, _apply_matrix_density(s.density(), u, axes, n), True)
 
 
-def apply_phase(s: QuantumState, label: str, phase: float) -> QuantumState:
-    """Z-type phase gate diag(1, e^{i phase}) on a single subsystem."""
-    u = np.diag([1.0, np.exp(1j * phase)])
-    return apply_unitary(s, u, [label])
+def apply_phase(s: QuantumState, label: str, phase) -> QuantumState:
+    """Z-type phase gate diag(1, e^{i phase}) on a single subsystem;
+    an array of phases applies one per point.
+
+    Populations are untouched to the last bit: each matrix element is
+    multiplied by e^{i phase (x - y)} for ket bit x and bra bit y.
+    """
+    bit = _bits(s.n_subsystems)[:, s.axis(label)]
+    phase = np.asarray(phase, dtype=float)
+    if not s.is_mixed and phase.ndim == 0:
+        return QuantumState._of(s.labels, s.data * np.exp(1j * phase * bit), False)
+    factor = np.exp(1j * np.multiply.outer(phase, bit[:, None] - bit[None, :]))
+    return QuantumState._of(s.labels, s.density() * factor, True)
 
 
 def outcome_probabilities(s: QuantumState, targets: Sequence[str]) -> np.ndarray:
     """Marginal Born distribution over the target subsystems.
 
     Returned in the basis ordered by ``targets`` (first target most
-    significant).
+    significant), along the last axis of a stack's distributions.
     """
     targets = list(targets)
     if not targets:
         raise StateError("need at least one measurement target")
     axes = [s.axis(t) for t in targets]
     n = s.n_subsystems
-    full = s.probabilities().reshape((2,) * n)
-    keep_order = axes
-    other = [ax for ax in range(n) if ax not in axes]
-    marg = full.sum(axis=tuple(other)) if other else full
-    # sum() drops axes, so the kept axes must be permuted into the
-    # requested target order.
-    remaining = [ax for ax in range(n) if ax in axes]
-    perm = [remaining.index(ax) for ax in keep_order]
-    return marg.transpose(perm).reshape(-1)
+    p = s.probabilities()
+    full = p.reshape(p.shape[:-1] + (2,) * n)
+    kept = "".join(_LETTERS[ax] for ax in axes)
+    marg = np.einsum(f"...{_LETTERS[:n]}->...{kept}", full)
+    return marg.reshape(p.shape[:-1] + (2 ** len(axes),))
 
 
 def fidelity(s: QuantumState, target: QuantumState) -> float:
@@ -309,14 +385,13 @@ def partial_trace(s: QuantumState, keep: Sequence[str]) -> QuantumState:
     n = s.n_subsystems
     if len(kept_labels) == n:
         return s
-    rho = s.density().reshape((2,) * (2 * n))
-    drop = [ax for ax in range(n) if s.labels[ax] not in keep]
-    for off, ax in enumerate(drop):
-        a = ax - off  # axes shift as traces remove pairs
-        nn = n - off
-        rho = np.trace(rho, axis1=a, axis2=a + nn)
-    dim = 2 ** len(kept_labels)
-    return QuantumState(kept_labels, rho.reshape(dim, dim), max_subsystems=n)
+    ket = _LETTERS[:n]
+    # A traced subsystem carries the same letter on its ket and bra axis.
+    bra = "".join(_LETTERS[n + ax] if lbl in keep else ket[ax] for ax, lbl in enumerate(s.labels))
+    out = "".join(ket[ax] for ax, lbl in enumerate(s.labels) if lbl in keep)
+    out += "".join(bra[ax] for ax, lbl in enumerate(s.labels) if lbl in keep)
+    rho = np.einsum(f"...{ket}{bra}->...{out}", _tensor_form(s.density(), n))
+    return QuantumState._of(kept_labels, _matrix_form(rho, len(kept_labels)), True)
 
 
 def depolarize(s: QuantumState, targets: Sequence[str], p: float) -> QuantumState:
@@ -341,61 +416,53 @@ def depolarize(s: QuantumState, targets: Sequence[str], p: float) -> QuantumStat
             maximally_mixed(targets), reduced, max_subsystems=n
         )
         replaced = _permute_density(repl, s.labels)
-    out = (1.0 - p) * rho + p * replaced
-    return QuantumState(s.labels, out, max_subsystems=n)
+    return QuantumState._of(s.labels, (1.0 - p) * rho + p * replaced, True)
 
 
 def _permute_density(s: QuantumState, new_order: Sequence[str]) -> np.ndarray:
-    """Density matrix of ``s`` with subsystems reordered to ``new_order``."""
+    """Density matrix (stack) of ``s`` with subsystems reordered to ``new_order``."""
+    rho = s.density()
     if tuple(new_order) == s.labels:
-        return s.density()
+        return rho
     n = s.n_subsystems
+    lead = rho.ndim - 2
     perm = [s.axis(lbl) for lbl in new_order]
-    t = s.density().reshape((2,) * (2 * n))
-    t = t.transpose(perm + [n + ax for ax in perm])
-    return t.reshape(s.dim, s.dim)
+    t = _tensor_form(rho, n).transpose(
+        list(range(lead)) + [lead + ax for ax in perm] + [lead + n + ax for ax in perm]
+    )
+    return _matrix_form(t, n)
 
 
-def dephase_pair(s: QuantumState, pair: Sequence[str], gamma: float) -> QuantumState:
+def dephase_pair(s: QuantumState, pair: Sequence[str], gamma) -> QuantumState:
     """Collective random-phase dephasing of a qubit pair.
 
     The 01<->10 and 00<->11 coherences of the pair are scaled by
-    ``gamma``; populations are untouched. Complete positivity of the
-    underlying Gaussian random-phase model forces single-flip coherences
-    (e.g. 00<->01) to scale by sqrt(gamma). The map composes as a
-    semigroup: gamma(t1) * gamma(t2) = gamma(t1 + t2).
+    ``gamma`` (an array of factors dephases one per point); populations
+    are untouched. Complete positivity of the underlying Gaussian
+    random-phase model forces single-flip coherences (e.g. 00<->01) to
+    scale by sqrt(gamma). The map composes as a semigroup:
+    gamma(t1) * gamma(t2) = gamma(t1 + t2).
     """
-    if not 0.0 <= gamma <= 1.0:
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any((gamma < 0.0) | (gamma > 1.0)):
         raise StateError(f"dephasing factor {gamma} outside [0, 1]")
     pair = list(pair)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise StateError(f"dephasing needs two distinct labels, got {pair}")
-    if gamma == 1.0:
-        return s
     ax = [s.axis(q) for q in pair]
-    n = s.n_subsystems
-    rho = s.density().reshape((2,) * (2 * n)).copy()
+    if np.all(gamma == 1.0):
+        return s
+    bits = _bits(s.n_subsystems)
     # Common-mode charge u = b1 + b2, differential charge w = b2 - b1.
     # The Schur factor between ket bits x and bra bits y is
     # gamma ** ((du^2 + dw^2) / 4), a correlation matrix of the two
     # independent random phases (hence positive semidefinite).
-    factor = np.ones((2, 2, 2, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            for y1 in range(2):
-                for y2 in range(2):
-                    du = (x1 + x2) - (y1 + y2)
-                    dw = (x2 - x1) - (y2 - y1)
-                    factor[x1, x2, y1, y2] = gamma ** ((du * du + dw * dw) / 4.0)
-    positions = [ax[0], ax[1], n + ax[0], n + ax[1]]
-    shape = [1] * (2 * n)
-    for pos in positions:
-        shape[pos] = 2
-    # reshape maps factor axes onto the broadcast slots in ascending
-    # position order, so sort the factor axes accordingly first.
-    perm = sorted(range(4), key=lambda i: positions[i])
-    rho *= factor.transpose(perm).reshape(shape)
-    return QuantumState(s.labels, rho.reshape(s.dim, s.dim), max_subsystems=n)
+    u = bits[:, ax[0]] + bits[:, ax[1]]
+    w = bits[:, ax[1]] - bits[:, ax[0]]
+    du = u[:, None] - u[None, :]
+    dw = w[:, None] - w[None, :]
+    factor = gamma[..., None, None] ** ((du * du + dw * dw) / 4.0)
+    return QuantumState._of(s.labels, s.density() * factor, True)
 
 
 def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:
@@ -411,4 +478,4 @@ def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:
     fresh = basis_state([bit], [label])
     joined = tensor(rest, fresh, max_subsystems=s.n_subsystems)
     rho = _permute_density(joined, s.labels)
-    return QuantumState(s.labels, rho, max_subsystems=s.n_subsystems)
+    return QuantumState._of(s.labels, rho, True)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from ionnet import montecarlo, protocols
+from ionnet import detection, montecarlo, protocols
 from ionnet.cli import RATE_FIT, SUBCOMMANDS, main, write_outputs
 from ionnet.fitting import MAX_TAU_REL_STDERR
 from ionnet.protocols import ExperimentOutput
-from ionnet.scenario import loads_scenario
+from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, loads_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATED = ROOT / "configs" / "calibrated_3q.cfg"
@@ -413,6 +414,119 @@ def test_exact_propagation_once_per_run(tmp_path, monkeypatch, sub):
     assert counts == [1, 1]
 
 
+@pytest.mark.parametrize("sub", ["phase-scan", "coherence", "local-gate", "modular-3q"])
+def test_confusion_matrix_built_per_run_not_per_point(tmp_path, monkeypatch, sub):
+    # The readout channel does not depend on the scan point, so a run
+    # builds it the same number of times whatever the grid size.
+    calls = []
+    original = detection.confusion_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (detection, montecarlo, protocols):
+        monkeypatch.setattr(module, "confusion_matrix", counting)
+    counts = []
+    for points in (4, 24):
+        cfg = tmp_path / f"grid{points}.cfg"
+        cfg.write_text(
+            f"[run]\nphi_points = {points}\nphase_scan_points = {points}\n"
+            f"delay_points = {points}\n"
+        )
+        argv = [sub, "--config", str(cfg), "--trials", "100", "--shots", "50"]
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / f"out{points}")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+NOT_FINITE = hs.sampled_from(["nan", "inf", "-inf"])
+
+
+def below(bound, inclusive):
+    """Finite raw values under ``bound``, or equal to it when ``inclusive``."""
+    values = hs.floats(max_value=bound, exclude_max=not inclusive, allow_infinity=False)
+    return values.map(repr)
+
+
+# One strategy of out-of-range raw values per bounded field.
+_PROBABILITY = hs.one_of(
+    below(0.0, inclusive=False),
+    hs.floats(min_value=1.0, exclude_min=True, allow_infinity=False).map(repr),
+    NOT_FINITE,
+)
+_POSITIVE = hs.one_of(below(0.0, inclusive=True), hs.sampled_from(["nan", "-inf"]))
+_COUNT = hs.integers(max_value=0).map(str)
+OUT_OF_RANGE = {
+    **{
+        f"link_budget.{key}": _PROBABILITY
+        for key in ("p_bell", "p_pi", "p_s_half", "q_e", "t_fib", "t_opt", "solid_angle_fraction")
+    },
+    "link_budget.rep_rate": hs.one_of(_POSITIVE, hs.just("inf")),
+    "link_errors.atom_photon_fidelity": _PROBABILITY,
+    "link_errors.mode_overlap": _PROBABILITY,
+    "gate.phi_a": NOT_FINITE,
+    "gate.depolarizing_p": _PROBABILITY,
+    "gate.detuning_hz": hs.one_of(_POSITIVE, hs.just("inf")),
+    **{
+        f"phase_ledger.{key}": NOT_FINITE
+        for key in ("delta_omega_ab", "k", "delta_tau", "delta_x", "delta_phi_t")
+    },
+    "memory.tau_s": _POSITIVE,  # inf means no dephasing, which is in range
+    "detectors.single_qubit_error": _PROBABILITY,
+    "detectors.two_qubit_overlap": _PROBABILITY,
+    "detectors.module_a": hs.sampled_from(["both", "none", "Shared"]),
+    "detectors.module_b": hs.sampled_from(["both", "none", "Individual"]),
+    "protocol.link": hs.sampled_from(["q2", "q2 q3 q1", "q1 q2", "q2 q9"]),
+    "protocol.crosstalk_depol": _PROBABILITY,
+    "protocol.reinit_duration_s": hs.one_of(below(0.0, inclusive=False), NOT_FINITE),
+    **{
+        f"run.{key}": _COUNT
+        for key in (
+            "n_trials", "shots_per_point", "phi_points", "delay_points", "phase_scan_points"
+        )
+    },
+    "run.seed": hs.integers(max_value=-1).map(str),
+    **{
+        f"run.{key}": hs.one_of(_POSITIVE, hs.just("inf"))
+        for key in ("delay_max_s", "phase_scan_delay_s", "qubit_separation_m")
+    },
+}
+DEFAULT_TEXT = emit_scenario(loads_scenario(""))
+
+
+def test_out_of_range_table_covers_every_field():
+    # Every field has out-of-range values except the free qubit lists.
+    fields = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
+    assert set(OUT_OF_RANGE) == fields - {"protocol.qubits_a", "protocol.qubits_b"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=hs.data(),
+    path=hs.sampled_from(sorted(OUT_OF_RANGE)),
+    sub=hs.sampled_from(SUBCOMMANDS),
+)
+def test_out_of_range_field_exits_2_at_load(data, path, sub):
+    # The default scenario with one field set out of range is rejected
+    # while loading: exit 2, never 3, and no output directory.
+    section, key = path.split(".")
+    raw = data.draw(OUT_OF_RANGE[path], label="value")
+    text, n = re.subn(
+        rf"(?ms)^(\[{section}\].*?^{key} = ).*?$", lambda m: m.group(1) + raw, DEFAULT_TEXT, count=1
+    )
+    assert n == 1
+    with pytest.raises(ScenarioError):
+        loads_scenario(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 QUBIT = hs.sampled_from(["q1", "q2", "q3"])
 STEP = hs.one_of(
     hs.just("herald"),
@@ -430,7 +544,7 @@ SCRIPT = hs.lists(STEP, max_size=4).flatmap(
 DEFECT = hs.one_of(
     hs.builds("gate {} {}".format, QUBIT, QUBIT),
     hs.builds(lambda qs: "analyze " + " ".join(qs), hs.lists(QUBIT, max_size=3)),
-    hs.sampled_from(["", "measure", "wait -1", "reinit", "herald ab", "gate q1"]),
+    hs.sampled_from(["", "measure", "wait -1", "wait nan", "wait inf", "reinit", "herald ab", "gate q1"]),
 )
 
 

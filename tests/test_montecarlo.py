@@ -167,6 +167,14 @@ class TestScriptValidation:
                 steps=(mc.WaitStep(-1.0), mc.MeasureStep()),
             )
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, np.array([0.1, math.nan])])
+    def test_rejects_non_finite_wait(self, duration):
+        with pytest.raises(mc.ScriptError):
+            mc.ProtocolScript(
+                qubits=("q1",), modules={"A": ("q1",)}, links={},
+                steps=(mc.WaitStep(duration), mc.MeasureStep()),
+            )
+
     def test_modules_must_partition_qubits(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
@@ -438,6 +446,15 @@ class TestRngScheme:
         monkeypatch.setattr(mc, "rng_stream", counting)
         mc.run_protocol(three_qubit_script(), DEFAULTS, 500, seed=4)
         assert calls == [(4, mc.TRIAL_STREAM)]
+
+    @pytest.mark.parametrize("empty", [0, 3, 7])
+    def test_sample_counts_are_the_choice_counts(self, empty):
+        # A scan point's counts are those rng.choice draws from the same
+        # generator, zero-probability outcomes included.
+        probs = RNG(empty).random(8) ** 3
+        probs[empty] = 0.0
+        want = np.bincount(RNG(5).choice(8, size=5000, p=probs / probs.sum()), minlength=8)
+        np.testing.assert_array_equal(mc.sample_counts(probs, 5000, RNG(5)), want)
 
     def test_streams_are_independent_and_reproducible(self):
         a1 = mc.rng_stream(42, 0, 7).random(4)

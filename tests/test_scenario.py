@@ -1,13 +1,22 @@
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from ionnet.detection import DetectorModel
+from ionnet.gates import GateNoise, gate_timing
 from ionnet.montecarlo import AnalysisStep, HeraldStep, MeasureStep, WaitStep
-from ionnet.photonics import expected_rate
+from ionnet.phases import MemoryDecoherence, PhaseLedger
+from ionnet.photonics import LinkBudget, LinkErrorModel, expected_rate
 from ionnet.protocols import budget_report
 from ionnet.scenario import (
     _SCHEMA,
+    ProtocolLayout,
+    RunSettings,
+    Scenario,
     ScenarioError,
     _kind,
     emit_scenario,
@@ -134,6 +143,84 @@ class TestRoundTrip:
     def test_hash_is_stable(self):
         s = loads_scenario("")
         assert s.config_hash() == loads_scenario(emit_scenario(s)).config_hash()
+
+    def test_large_integer_is_exact(self):
+        s = loads_scenario(f"[run]\nseed = {2**60 + 1}\nn_trials = 1e3\n")
+        assert (s.run.seed, s.run.n_trials) == (2**60 + 1, 1000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=hs.deferred(lambda: scenarios()))
+    def test_random_scenario_round_trips(self, s):
+        text = emit_scenario(s)
+        back = loads_scenario(text)
+        assert back == s
+        assert emit_scenario(back) == text
+
+
+UNIT = hs.floats(0.0, 1.0)
+FINITE = hs.floats(allow_nan=False, allow_infinity=False)
+# Bounded away from 0 and overflow, so that derived timings stay finite.
+POSITIVE = hs.floats(1e-300, 1e300)
+LABEL = hs.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=4)
+
+
+@hs.composite
+def protocols(draw):
+    """A valid module layout, link and step list."""
+    labels = draw(hs.lists(LABEL, min_size=2, max_size=6, unique=True))
+    cut = draw(hs.integers(1, len(labels) - 1))
+    qa, qb = tuple(labels[:cut]), tuple(labels[cut:])
+    gates = [(x, y) for module in (qa, qb) for x in module for y in module if x != y]
+    step = hs.one_of(
+        hs.just(("herald",)),
+        hs.builds(lambda q: ("reinit", q), hs.sampled_from(labels)),
+        hs.lists(hs.sampled_from(labels), min_size=1, unique=True).map(lambda q: ("analyze", *q)),
+        hs.floats(0.0, 1e3).map(lambda t: ("wait", repr(t))),
+        *([hs.sampled_from(gates).map(lambda g: ("gate", *g))] if gates else []),
+    )
+    return ProtocolLayout(
+        qubits_a=qa,
+        qubits_b=qb,
+        link=(draw(hs.sampled_from(qa)), draw(hs.sampled_from(qb))),
+        crosstalk_depol=draw(UNIT),
+        reinit_duration_s=draw(hs.floats(0.0, 1e3)),
+        steps=(*draw(hs.lists(step, max_size=6)), ("measure",)),
+    )
+
+
+@hs.composite
+def scenarios(draw):
+    """A random valid scenario, as the config dataclasses build it."""
+    unit_fields = ("p_bell", "p_pi", "p_s_half", "q_e", "t_fib", "t_opt", "solid_angle_fraction")
+    ledger = PhaseLedger(*(draw(FINITE) for _ in range(5)))
+    counts = hs.integers(1, 10**9)
+    return Scenario(
+        budget=LinkBudget(**{f: draw(UNIT) for f in unit_fields}, rep_rate=draw(POSITIVE)),
+        link_errors=LinkErrorModel(draw(UNIT), draw(UNIT)),
+        gate_noise=GateNoise(draw(UNIT)),
+        gate_phi_a=draw(FINITE),
+        timing=gate_timing(draw(POSITIVE)),
+        ledger=ledger,
+        memory=MemoryDecoherence(draw(hs.one_of(POSITIVE, hs.just(math.inf)))),
+        detectors=DetectorModel(
+            draw(UNIT),
+            draw(UNIT),
+            {m: draw(hs.sampled_from(["shared", "individual"])) for m in ("A", "B")},
+        ),
+        protocol=draw(protocols()),
+        run=RunSettings(
+            n_trials=draw(counts),
+            seed=draw(hs.integers(0, 2**70)),
+            shots_per_point=draw(counts),
+            phi_points=draw(counts),
+            delay_points=draw(counts),
+            delay_max_s=draw(POSITIVE),
+            phase_scan_points=draw(counts),
+            phase_scan_delay_s=draw(POSITIVE),
+            qubit_separation_m=draw(POSITIVE),
+        ),
+        warnings=tuple(ledger.warnings()),
+    )
 
 
 class TestConformanceFile:

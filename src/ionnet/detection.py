@@ -12,9 +12,11 @@ Zero-bright is only affected through the per-ion flips.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
+
+from .records import Record
 
 __all__ = [
     "DetectorModel",
@@ -24,15 +26,10 @@ __all__ = [
 ]
 
 
-def _default_topology() -> dict[str, str]:
-    return {"A": "shared", "B": "individual"}
-
-
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Record):
     single_qubit_error: float = 0.01
     two_qubit_overlap: float = 0.08
-    topology: Mapping[str, str] = field(default_factory=_default_topology)
+    topology: Mapping[str, str] = MappingProxyType({"A": "shared", "B": "individual"})
 
     def __post_init__(self):
         for name in ("single_qubit_error", "two_qubit_overlap"):
@@ -42,8 +39,7 @@ class DetectorModel:
         for module, kind in self.topology.items():
             if kind not in ("shared", "individual"):
                 raise ValueError(
-                    f"detectors topology for module {module!r} must be "
-                    f"'shared' or 'individual', got {kind!r}"
+                    f"detectors.module_{module.lower()} = {kind} must be 'shared' or 'individual'"
                 )
 
     def is_shared(self, module: str) -> bool:
@@ -53,8 +49,7 @@ class DetectorModel:
             raise ValueError(f"no detector topology declared for module {module!r}") from None
 
 
-@dataclass(frozen=True)
-class DetectorGroup:
+class DetectorGroup(Record):
     """Ions of one module mapped to bit positions of the outcome string."""
 
     module: str

@@ -7,11 +7,11 @@ decay fit is a Levenberg-Marquardt fit with its analytic Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kolmogorov import ks_sf
+from .records import Record
 
 __all__ = [
     "RateFit",
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     rate: float
     stderr: float
     ks_pvalue: float
@@ -67,8 +66,7 @@ def fit_exponential_rate(times, min_n: int = MIN_RATE_SAMPLES, ks_alpha: float =
     return RateFit(rate=float(rate), stderr=float(stderr), ks_pvalue=pvalue, n=n, ok=pvalue >= ks_alpha)
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Record):
     tau: float
     tau_stderr: float
     amplitude: float
@@ -165,8 +163,7 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
     )
 
 
-@dataclass(frozen=True)
-class CosineFit:
+class CosineFit(Record):
     amplitude: float
     phase: float
     offset: float

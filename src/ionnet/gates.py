@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .phases import free_evolution
+from .records import Record
 from .states import QuantumState, StateError, apply_unitary, depolarize
 
 __all__ = [
@@ -53,8 +53,7 @@ DEFAULT_GATE_DEPOLARIZING = 0.2
 _SQRT8 = 2.0 ** 1.5
 
 
-@dataclass(frozen=True)
-class GateTiming:
+class GateTiming(Record):
     """Derived schedule of one entangling gate.
 
     The drive detuning fixes everything else: gate time 2/delta, a pi
@@ -68,8 +67,8 @@ class GateTiming:
     phase_flip_time_s: float
 
     def __post_init__(self):
-        if self.detuning_hz <= 0:
-            raise ValueError(f"detuning must be positive, got {self.detuning_hz}")
+        if not self.detuning_hz > 0:
+            raise ValueError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
         checks = (
             (self.gate_time_s, 2.0 / self.detuning_hz, "gate_time_s"),
             (self.phase_flip_time_s, self.gate_time_s / 2.0, "phase_flip_time_s"),
@@ -82,9 +81,7 @@ class GateTiming:
 
 def gate_timing(detuning_hz: float) -> GateTiming:
     """Gate schedule for a given detuning (cyclic frequency, Hz)."""
-    if detuning_hz <= 0:
-        raise ValueError(f"detuning must be positive, got {detuning_hz}")
-    t_g = 2.0 / detuning_hz
+    t_g = 2.0 / detuning_hz if detuning_hz else math.inf  # GateTiming rejects 0
     return GateTiming(
         detuning_hz=detuning_hz,
         sideband_rabi_hz=detuning_hz / _SQRT8,
@@ -93,15 +90,14 @@ def gate_timing(detuning_hz: float) -> GateTiming:
     )
 
 
-@dataclass(frozen=True)
-class GateNoise:
+class GateNoise(Record):
     """Two-qubit depolarizing probability applied after each gate."""
 
     depolarizing_p: float = DEFAULT_GATE_DEPOLARIZING
 
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ValueError(f"depolarizing_p {self.depolarizing_p} outside [0, 1]")
+            raise ValueError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
 
 
 def ms_unitary(phi: float) -> np.ndarray:

@@ -35,7 +35,6 @@ scan draws each point from its own (stream, ..., point) generator
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,6 +46,7 @@ from .fitting import CosineFit, fit_cosine
 from .gates import analysis_rotation, ms_gate
 from .phases import free_evolution
 from .photonics import conditional_herald_states, module_emission, success_probability
+from .records import Record, replace
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import Scenario
@@ -83,46 +83,39 @@ class ScriptError(ValueError):
     """Raised when a protocol script fails validation."""
 
 
-@dataclass(frozen=True)
-class HeraldStep:
+class HeraldStep(Record):
     link: str = "ab"
 
 
-@dataclass(frozen=True)
-class ReinitStep:
+class ReinitStep(Record):
     qubit: str
 
 
-@dataclass(frozen=True)
-class MSGateStep:
+class MSGateStep(Record):
     pair: tuple[str, str]
     phi_a: float
 
 
 # A scan sets ``theta``, ``phi`` or ``duration_s`` to a 1-D array, one
 # value per scan point (see ``propagate``).
-@dataclass(frozen=True)
-class AnalysisStep:
+class AnalysisStep(Record):
     targets: tuple[str, ...]
     theta: float | np.ndarray
     phi: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class WaitStep:
+class WaitStep(Record):
     duration_s: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class MeasureStep:
+class MeasureStep(Record):
     pass
 
 
 Step = HeraldStep | ReinitStep | MSGateStep | AnalysisStep | WaitStep | MeasureStep
 
 
-@dataclass(frozen=True)
-class ProtocolScript:
+class ProtocolScript(Record):
     """Declared register plus the ordered step list.
 
     ``modules`` maps module names to the qubits they host (used for
@@ -196,8 +189,7 @@ class ProtocolScript:
         return tuple(groups)
 
 
-@dataclass(frozen=True)
-class BranchState:
+class BranchState(Record):
     """One deterministic herald branch of the protocol: ``phi_d`` is the
     detector phase of its last herald (None before any herald), and
     ``pairs`` are the links heralded so far, which dephase during free
@@ -210,8 +202,7 @@ class BranchState:
     pairs: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class ParityCurve:
+class ParityCurve(Record):
     """Parity of a qubit pair versus the analysis phase.
 
     ``values`` are sampled through the detector model; the exact curves
@@ -228,8 +219,7 @@ class ParityCurve:
     exact_ideal: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(Record):
     """Sampled trials of a script, one array entry per trial.
 
     ``branch`` indexes ``branches``, the exact herald branches the trials

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import Record
 from .states import QuantumState, apply_phase, dephase_pair
 
 __all__ = [
@@ -34,8 +34,7 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 GEOMETRIC_PHASE_BOUND = 1e-2
 
 
-@dataclass(frozen=True)
-class PhaseLedger:
+class PhaseLedger(Record):
     """The apparatus phase terms, with SI units.
 
     delta_omega_ab: difference of the qubit splittings, rad/s.
@@ -50,7 +49,7 @@ class PhaseLedger:
     delta_tau: float = 1e-10
     delta_x: float = 0.03
     delta_phi_t: float = 0.0
-    c: float = field(default=SPEED_OF_LIGHT, init=False)
+    c = SPEED_OF_LIGHT  # a constant, not a setting
 
     def geometric_phase(self) -> float:
         """Static geometric contribution k*c*delta_tau + k*delta_x."""
@@ -76,8 +75,7 @@ class PhaseLedger:
         return notes
 
 
-@dataclass(frozen=True)
-class MemoryDecoherence:
+class MemoryDecoherence(Record):
     """Collective dephasing of a stored entangled pair.
 
     A single coherence time drives an exponential decay of the pair
@@ -90,7 +88,7 @@ class MemoryDecoherence:
 
     def __post_init__(self):
         if self.tau_s <= 0:
-            raise ValueError(f"coherence time must be positive, got {self.tau_s}")
+            raise ValueError(f"memory.tau_s = {self.tau_s} must be positive")
 
 
 def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from .records import Record
 from .states import (
     QuantumState,
     StateError,
@@ -81,8 +81,7 @@ DETECTOR_PAIRS: dict[tuple[int, int], float] = {
 }
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Record):
     """Multiplicative factors of the coincidence probability.
 
     The per-photon factors (excitation, decay branch, detector quantum
@@ -117,8 +116,7 @@ class LinkBudget:
             raise ValueError(f"link_budget.rep_rate = {self.rep_rate} must be positive")
 
 
-@dataclass(frozen=True)
-class LinkErrorModel:
+class LinkErrorModel(Record):
     """Imperfections of one heralding attempt.
 
     ``atom_photon_fidelity`` is the fidelity of each module's

@@ -9,7 +9,6 @@ two statistics paths stay comparable downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .montecarlo import (
     sample_scan,
 )
 from .photonics import expected_rate, heralded_bell_ket, success_probability
+from .records import replace
 from .scenario import Scenario
 
 __all__ = [
@@ -59,14 +59,19 @@ __all__ = [
 _SHOT_STREAM = 20
 
 
-@dataclass
 class ExperimentOutput:
     """Tables and summary record of one run; ``warnings`` say which
     summary figures could not be trusted and were left out."""
 
-    tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
-    summary: dict[str, object] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        tables: dict[str, tuple[tuple[str, ...], list[tuple]]] | None = None,
+        summary: dict[str, object] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.tables = {} if tables is None else tables
+        self.summary = {} if summary is None else summary
+        self.warnings = [] if warnings is None else warnings
 
 
 def budget_report(scenario: Scenario) -> ExperimentOutput:

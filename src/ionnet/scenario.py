@@ -13,18 +13,17 @@ The format is a minimal sectioned key-value text file:
 Unknown sections or keys are rejected with the offending line number;
 invariant violations report the dotted field path. Every field left out
 is filled from the built-in defaults and listed in the validation
-report. The config dataclasses are the schema: a section that maps onto
-one dataclass takes its keys, their order and their defaults from the
-dataclass fields. ``emit_scenario`` writes the fully resolved form, which parses
-back to an identical scenario (floats are emitted with ``repr`` so the
-round trip is exact).
+report. The config record classes are the schema: a section that maps
+onto one record class takes its keys, their order and their defaults
+from the class's fields. ``emit_scenario`` writes the fully resolved form,
+which parses back to an identical scenario (floats are emitted with
+``repr`` so the round trip is exact).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .detection import DetectorModel
@@ -40,6 +39,7 @@ from .montecarlo import (
 )
 from .phases import MemoryDecoherence, PhaseLedger
 from .photonics import LinkBudget, LinkErrorModel
+from .records import Record, fields
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario"]
 
@@ -48,8 +48,7 @@ class ScenarioError(ValueError):
     """Configuration rejected: parse error, unknown key or bad value."""
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(Record):
     n_trials: int = 2000
     seed: int = 1
     shots_per_point: int = 10000
@@ -71,8 +70,7 @@ class RunSettings:
                 raise ValueError(f"run.{name} must be positive")
 
 
-@dataclass(frozen=True)
-class ProtocolLayout:
+class ProtocolLayout(Record):
     qubits_a: tuple[str, ...] = ("q1", "q2")
     qubits_b: tuple[str, ...] = ("q3",)
     link: tuple[str, str] = ("q2", "q3")
@@ -89,6 +87,15 @@ class ProtocolLayout:
     def __post_init__(self):
         if len(self.link) != 2:
             raise ValueError("protocol.link must name exactly two qubits")
+        a, b = self.link
+        one_each = (a in self.qubits_a and b in self.qubits_b) or (
+            b in self.qubits_a and a in self.qubits_b
+        )
+        if not one_each:
+            raise ValueError(
+                f"protocol.link = {a} {b} must join qubits of two modules, "
+                "one of qubits_a and one of qubits_b"
+            )
         if not 0.0 <= self.crosstalk_depol <= 1.0:
             raise ValueError(f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]")
         if self.reinit_duration_s < 0:
@@ -97,10 +104,10 @@ class ProtocolLayout:
             )
 
 
-# Sections that map one-to-one onto a dataclass: section -> (Scenario
-# attribute, dataclass). The dataclass fields are the section's keys, in
-# order, with their defaults; protocol steps use the step.N keys instead.
-_DATACLASS_SECTIONS: dict[str, tuple[str, type]] = {
+# Sections that map one-to-one onto a record class: section -> (Scenario
+# attribute, class). The class's fields are the section's keys, in order,
+# with their defaults; protocol steps use the step.N keys instead.
+_RECORD_SECTIONS: dict[str, tuple[str, type[Record]]] = {
     "link_budget": ("budget", LinkBudget),
     "link_errors": ("link_errors", LinkErrorModel),
     "phase_ledger": ("ledger", PhaseLedger),
@@ -110,8 +117,8 @@ _DATACLASS_SECTIONS: dict[str, tuple[str, type]] = {
 }
 
 
-def _field_defaults(cls: type) -> dict[str, object]:
-    return {f.name: f.default for f in fields(cls) if f.init and f.name != "steps"}
+def _field_defaults(cls: type[Record]) -> dict[str, object]:
+    return {name: default for name, default in fields(cls).items() if name != "steps"}
 
 
 def _detector_values(d: DetectorModel) -> dict[str, object]:
@@ -156,8 +163,7 @@ _STEP_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     budget: LinkBudget
     link_errors: LinkErrorModel
     gate_noise: GateNoise
@@ -315,7 +321,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     gate, detectors = resolved["gate"], resolved["detectors"]
     try:
         parts = {
-            attr: cls(**resolved[section]) for section, (attr, cls) in _DATACLASS_SECTIONS.items()
+            attr: cls(**resolved[section]) for section, (attr, cls) in _RECORD_SECTIONS.items()
         }
         scenario = Scenario(
             **parts,
@@ -368,7 +374,7 @@ def emit_scenario(s: Scenario) -> str:
         elif section == "detectors":
             kv = _detector_values(s.detectors)
         else:
-            part = getattr(s, _DATACLASS_SECTIONS[section][0])
+            part = getattr(s, _RECORD_SECTIONS[section][0])
             kv = {key: getattr(part, key) for key in keys}
         lines.append("")
         lines.append(f"[{section}]")

@@ -7,7 +7,6 @@ registers up to the 6-subsystem cap and random step scripts.
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from ionnet.montecarlo import (
     branch_outcome_distribution,
     propagate,
 )
+from ionnet.records import replace
 from ionnet.scenario import load_scenario
 
 from oracles import haar_unitary, random_density

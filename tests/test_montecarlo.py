@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from ionnet.photonics import (
     bsm_kraus_operators,
     module_emission,
 )
+from ionnet.records import replace
 from ionnet.scenario import ProtocolLayout, Scenario, loads_scenario
 
 RNG = np.random.default_rng

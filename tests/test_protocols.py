@@ -1,6 +1,5 @@
 """Experiment drivers checked against independent exact routes."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ from ionnet.detection import confusion_matrix
 from ionnet.gates import spin_echo_ramsey
 from ionnet.montecarlo import BranchState, exact_branches, propagate
 from ionnet.protocols import _echo_steps, _pair_script, coherence_experiment
+from ionnet.records import replace
 from ionnet.scenario import load_scenario
 
 from oracles import random_density

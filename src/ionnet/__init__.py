@@ -8,7 +8,7 @@ system.
 """
 
 from .detection import DetectorGroup, DetectorModel, confusion_matrix
-from .gates import GateNoise, GateTiming, analysis_rotation, gate_timing, ms_gate, rotation, spin_echo_ramsey
+from .gates import GateSettings, analysis_rotation, ms_gate, rotation, spin_echo_ramsey
 from .montecarlo import ProtocolResult, ProtocolScript, coherent_entanglement_distance, run_protocol
 from .phases import MemoryDecoherence, PhaseLedger, free_evolution, phi_ab
 from .photonics import (
@@ -28,7 +28,7 @@ __all__ = [
     "QuantumState", "tensor", "fidelity", "partial_trace",
     "LinkBudget", "LinkErrorModel", "emit_atom_photon", "qwp_map",
     "success_probability", "expected_rate",
-    "GateTiming", "GateNoise", "gate_timing", "ms_gate", "rotation", "analysis_rotation",
+    "GateSettings", "ms_gate", "rotation", "analysis_rotation",
     "spin_echo_ramsey",
     "PhaseLedger", "MemoryDecoherence", "phi_ab", "free_evolution",
     "DetectorModel", "DetectorGroup", "confusion_matrix",

@@ -26,7 +26,14 @@ from .protocols import (
     remote_bell_experiment,
     timing_report,
 )
-from .scenario import ProtocolLayout, Scenario, ScenarioError, load_scenario, loads_scenario
+from .scenario import (
+    ProtocolLayout,
+    Scenario,
+    ScenarioError,
+    format_value,
+    load_scenario,
+    loads_scenario,
+)
 
 SUBCOMMANDS = (
     "remote-bell",
@@ -37,14 +44,6 @@ SUBCOMMANDS = (
     "budget",
     "timing",
 )
-
-
-def _fmt_value(value) -> str:
-    # float() first: numpy float scalars are floats too, but their repr
-    # carries the type name under numpy 2.
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def _header(subcommand: str, seed: int, config_hash: str) -> list[str]:
@@ -75,14 +74,14 @@ def write_outputs(
         lines = _header(subcommand, seed, config_hash)
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt_value(v) for v in row))
+            lines.append(",".join(format_value(v) for v in row))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 
     summary_path = out_dir / "summary.txt"
     lines = _header(subcommand, seed, config_hash)
     for key in output.summary:
-        lines.append(f"{key} = {_fmt_value(output.summary[key])}")
+        lines.append(f"{key} = {format_value(output.summary[key])}")
     if scenario.defaulted:
         lines.append(f"defaulted_fields = {len(scenario.defaulted)}")
     for warning in scenario.warnings:
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
     for warning in output.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for key, value in output.summary.items():
-        print(f"{key} = {_fmt_value(value)}")
+        print(f"{key} = {format_value(value)}")
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -11,8 +11,7 @@ Zero-bright is only affected through the per-ion flips.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from types import MappingProxyType
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,26 +26,28 @@ __all__ = [
 
 
 class DetectorModel(Record):
+    """The ``[detectors]`` section: readout errors and, per module,
+    whether its ions share one detector or each have their own."""
+
     single_qubit_error: float = 0.01
     two_qubit_overlap: float = 0.08
-    topology: Mapping[str, str] = MappingProxyType({"A": "shared", "B": "individual"})
+    module_a: str = "shared"
+    module_b: str = "individual"
 
     def __post_init__(self):
         for name in ("single_qubit_error", "two_qubit_overlap"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"detectors.{name} = {value} outside [0, 1]")
-        for module, kind in self.topology.items():
+        for name in ("module_a", "module_b"):
+            kind = getattr(self, name)
             if kind not in ("shared", "individual"):
-                raise ValueError(
-                    f"detectors.module_{module.lower()} = {kind} must be 'shared' or 'individual'"
-                )
+                raise ValueError(f"detectors.{name} = {kind} must be 'shared' or 'individual'")
 
     def is_shared(self, module: str) -> bool:
-        try:
-            return self.topology[module] == "shared"
-        except KeyError:
-            raise ValueError(f"no detector topology declared for module {module!r}") from None
+        if module not in ("A", "B"):
+            raise ValueError(f"no detector declared for module {module!r}")
+        return getattr(self, f"module_{module.lower()}") == "shared"
 
 
 class DetectorGroup(Record):

@@ -27,7 +27,6 @@ class RateFit(Record):
     rate: float
     stderr: float
     ks_pvalue: float
-    n: int
     ok: bool
 
 
@@ -36,24 +35,28 @@ class RateFit(Record):
 MIN_RATE_SAMPLES = 100
 MIN_FIT_POINTS = 3
 
+# Level of the rate fit's Kolmogorov-Smirnov check: ``ok`` is False
+# below it.
+KS_ALPHA = 0.01
+
 # Largest relative standard error of a decay-fit tau that still counts
 # as determined. A well-sampled decay fits to a few percent (0.016 at
 # the default scenario); a tau far above the delay grid gives ~1e2.
 MAX_TAU_REL_STDERR = 0.5
 
 
-def fit_exponential_rate(times, min_n: int = MIN_RATE_SAMPLES, ks_alpha: float = 0.01) -> RateFit:
+def fit_exponential_rate(times) -> RateFit:
     """Maximum-likelihood exponential rate from waiting times.
 
     The ML estimate for rate R is 1/mean with standard error R/sqrt(n).
     A Kolmogorov-Smirnov test against the fitted exponential flags
     degenerate input (``ok`` is False when the sample is incompatible
-    with an exponential at level ``ks_alpha``). The p-value is the exact
+    with an exponential at level ``KS_ALPHA``). The p-value is the exact
     P(D_n >= D) of the two-sided statistic D.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < min_n:
-        raise ValueError(f"need at least {min_n} waiting times, got {t.size}")
+    if t.ndim != 1 or t.size < MIN_RATE_SAMPLES:
+        raise ValueError(f"need at least {MIN_RATE_SAMPLES} waiting times, got {t.size}")
     if np.any(t <= 0):
         raise ValueError("waiting times must be positive")
     n = t.size
@@ -63,7 +66,7 @@ def fit_exponential_rate(times, min_n: int = MIN_RATE_SAMPLES, ks_alpha: float =
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     pvalue = ks_sf(n, float(max(d_plus, d_minus)))
-    return RateFit(rate=float(rate), stderr=float(stderr), ks_pvalue=pvalue, n=n, ok=pvalue >= ks_alpha)
+    return RateFit(rate=float(rate), stderr=float(stderr), ks_pvalue=pvalue, ok=pvalue >= KS_ALPHA)
 
 
 class DecayFit(Record):

@@ -1,4 +1,4 @@
-"""Entangling gate, microwave/Raman rotations and gate-timing relations.
+"""Entangling gate, its settings, and microwave/Raman rotations.
 
 The two-qubit entangling gate is the spin-dependent-force map
 
@@ -34,10 +34,7 @@ from .records import Record
 from .states import QuantumState, StateError, apply_unitary, depolarize
 
 __all__ = [
-    "GateTiming",
-    "GateNoise",
-    "DEFAULT_GATE_DEPOLARIZING",
-    "gate_timing",
+    "GateSettings",
     "ms_unitary",
     "ms_gate",
     "rotation_matrix",
@@ -46,58 +43,42 @@ __all__ = [
     "spin_echo_ramsey",
 ]
 
-# Two-qubit depolarizing probability reproducing the measured entangling
-# gate fidelity of 0.85: F = 1 - 3 p / 4.
-DEFAULT_GATE_DEPOLARIZING = 0.2
-
 _SQRT8 = 2.0 ** 1.5
 
 
-class GateTiming(Record):
-    """Derived schedule of one entangling gate.
+class GateSettings(Record):
+    """The ``[gate]`` section: intramodular gate phase, gate noise and
+    drive detuning (cyclic frequency, Hz).
 
-    The drive detuning fixes everything else: gate time 2/delta, a pi
-    phase advance of the sidebands at half the gate time, and sideband
-    Rabi rate delta / 2^(3/2).
+    The detuning fixes the gate schedule: gate time 2/delta, a pi phase
+    advance of the sidebands at half the gate time, and sideband Rabi
+    rate delta / 2^(3/2).
     """
 
-    detuning_hz: float
-    sideband_rabi_hz: float
-    gate_time_s: float
-    phase_flip_time_s: float
-
-    def __post_init__(self):
-        if not self.detuning_hz > 0:
-            raise ValueError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
-        checks = (
-            (self.gate_time_s, 2.0 / self.detuning_hz, "gate_time_s"),
-            (self.phase_flip_time_s, self.gate_time_s / 2.0, "phase_flip_time_s"),
-            (self.sideband_rabi_hz, self.detuning_hz / _SQRT8, "sideband_rabi_hz"),
-        )
-        for got, want, name in checks:
-            if not math.isclose(got, want, rel_tol=1e-12):
-                raise ValueError(f"{name} = {got} violates the timing relation (expected {want})")
-
-
-def gate_timing(detuning_hz: float) -> GateTiming:
-    """Gate schedule for a given detuning (cyclic frequency, Hz)."""
-    t_g = 2.0 / detuning_hz if detuning_hz else math.inf  # GateTiming rejects 0
-    return GateTiming(
-        detuning_hz=detuning_hz,
-        sideband_rabi_hz=detuning_hz / _SQRT8,
-        gate_time_s=t_g,
-        phase_flip_time_s=t_g / 2.0,
-    )
-
-
-class GateNoise(Record):
-    """Two-qubit depolarizing probability applied after each gate."""
-
-    depolarizing_p: float = DEFAULT_GATE_DEPOLARIZING
+    phi_a: float = 0.0
+    # Two-qubit depolarizing probability applied after each gate; 0.2
+    # reproduces the measured entangling gate fidelity of 0.85:
+    # F = 1 - 3 p / 4.
+    depolarizing_p: float = 0.2
+    detuning_hz: float = 2e4
 
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
             raise ValueError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
+        if not self.detuning_hz > 0:
+            raise ValueError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
+
+    @property
+    def gate_time_s(self) -> float:
+        return 2.0 / self.detuning_hz
+
+    @property
+    def phase_flip_time_s(self) -> float:
+        return self.gate_time_s / 2.0
+
+    @property
+    def sideband_rabi_hz(self) -> float:
+        return self.detuning_hz / _SQRT8
 
 
 def ms_unitary(phi: float) -> np.ndarray:
@@ -119,20 +100,21 @@ def ms_gate(
     s: QuantumState,
     pair: Sequence[str],
     phi_a: float,
-    noise: GateNoise | None = None,
+    depolarizing_p: float = 0.0,
 ) -> QuantumState:
     """Entangling gate on ``pair`` with intramodular phase ``phi_a``.
 
-    The noise is applied as the exact depolarizing channel, so a noisy
-    gate returns a density matrix.
+    The two-qubit depolarizing noise of probability ``depolarizing_p`` is
+    applied as the exact channel, so a noisy gate returns a density
+    matrix.
     """
     pair = list(pair)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise StateError(f"gate needs two distinct labels, got {pair}")
     out = apply_unitary(s, ms_unitary(phi_a), pair)
-    if noise is None or noise.depolarizing_p == 0.0:
+    if depolarizing_p == 0.0:
         return out
-    return depolarize(out, pair, noise.depolarizing_p)
+    return depolarize(out, pair, depolarizing_p)
 
 
 def rotation_matrix(theta, phi) -> np.ndarray:

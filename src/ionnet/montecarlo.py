@@ -323,8 +323,8 @@ def _step_action(
         return (lambda s: _reinit(s, step.qubit, script, scenario)), duration
     if isinstance(step, MSGateStep):
         return (
-            lambda s: ms_gate(s, list(step.pair), step.phi_a, scenario.gate_noise)
-        ), scenario.timing.gate_time_s
+            lambda s: ms_gate(s, list(step.pair), step.phi_a, scenario.gate.depolarizing_p)
+        ), scenario.gate.gate_time_s
     if isinstance(step, AnalysisStep):
         return (
             lambda s: analysis_rotation(s, list(step.targets), step.theta, step.phi)

@@ -35,9 +35,7 @@ from .montecarlo import (
     parity_err,
     parity_scan,
     propagate,
-    rng_stream,
     run_protocol,
-    sample_counts,
     sample_scan,
 )
 from .photonics import expected_rate, heralded_bell_ket, success_probability
@@ -92,13 +90,13 @@ def budget_report(scenario: Scenario) -> ExperimentOutput:
 
 
 def timing_report(scenario: Scenario) -> ExperimentOutput:
-    t = scenario.timing
+    gate = scenario.gate
     out = ExperimentOutput()
     out.summary = {
-        "detuning_hz": t.detuning_hz,
-        "gate_time_s": t.gate_time_s,
-        "phase_flip_time_s": t.phase_flip_time_s,
-        "sideband_rabi_hz": t.sideband_rabi_hz,
+        "detuning_hz": gate.detuning_hz,
+        "gate_time_s": gate.gate_time_s,
+        "phase_flip_time_s": gate.phase_flip_time_s,
+        "sideband_rabi_hz": gate.sideband_rabi_hz,
     }
     return out
 
@@ -347,13 +345,13 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     true_diag = st.outcome_probabilities(branch.state, (qa, qb))
     m = _confusion(script, scenario)
     reported = m @ true_diag
-    counts = sample_counts(reported, shots, rng_stream(seed, _SHOT_STREAM, 0, 0))
+    counts = sample_scan(reported[None], shots, seed, _SHOT_STREAM, 0)[0]
     out.tables["populations"] = _population_table(counts, shots, reported)
     out.summary["even_population_exact"] = float(true_diag[0] + true_diag[3])
     out.summary["even_population_reported"] = float(reported[0] + reported[3])
 
     target = st.pure_state(
-        np.array([1.0, 0.0, 0.0, -1j * np.exp(-1j * scenario.gate_phi_a)]) / math.sqrt(2.0),
+        np.array([1.0, 0.0, 0.0, -1j * np.exp(-1j * scenario.gate.phi_a)]) / math.sqrt(2.0),
         (qa, qb),
     )
     out.summary["gate_fidelity_exact"] = st.fidelity(branch.state, target)

@@ -13,11 +13,11 @@ The format is a minimal sectioned key-value text file:
 Unknown sections or keys are rejected with the offending line number;
 invariant violations report the dotted field path. Every field left out
 is filled from the built-in defaults and listed in the validation
-report. The config record classes are the schema: a section that maps
-onto one record class takes its keys, their order and their defaults
-from the class's fields. ``emit_scenario`` writes the fully resolved form,
-which parses back to an identical scenario (floats are emitted with
-``repr`` so the round trip is exact).
+report. The config record classes are the schema: each section maps
+onto one record class and takes its keys, their order and their
+defaults from the class's fields. ``emit_scenario`` writes the fully
+resolved form, which parses back to an identical scenario (floats are
+emitted with ``repr`` so the round trip is exact).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from pathlib import Path
 
 from .detection import DetectorModel
-from .gates import DEFAULT_GATE_DEPOLARIZING, GateNoise, GateTiming, gate_timing
+from .gates import GateSettings
 from .montecarlo import (
     AnalysisStep,
     HeraldStep,
@@ -104,45 +104,25 @@ class ProtocolLayout(Record):
             )
 
 
-# Sections that map one-to-one onto a record class: section -> (Scenario
-# attribute, class). The class's fields are the section's keys, in order,
-# with their defaults; protocol steps use the step.N keys instead.
-_RECORD_SECTIONS: dict[str, tuple[str, type[Record]]] = {
+# Section -> (Scenario attribute, record class), in emission order. The
+# class's fields are the section's keys, in order, with their defaults;
+# protocol steps use the step.N keys instead.
+_SECTIONS: dict[str, tuple[str, type[Record]]] = {
     "link_budget": ("budget", LinkBudget),
     "link_errors": ("link_errors", LinkErrorModel),
+    "gate": ("gate", GateSettings),
     "phase_ledger": ("ledger", PhaseLedger),
     "memory": ("memory", MemoryDecoherence),
+    "detectors": ("detectors", DetectorModel),
     "protocol": ("protocol", ProtocolLayout),
     "run": ("run", RunSettings),
 }
 
-
-def _field_defaults(cls: type[Record]) -> dict[str, object]:
-    return {name: default for name, default in fields(cls).items() if name != "steps"}
-
-
-def _detector_values(d: DetectorModel) -> dict[str, object]:
-    return {
-        "single_qubit_error": d.single_qubit_error,
-        "two_qubit_overlap": d.two_qubit_overlap,
-        "module_a": d.topology["A"],
-        "module_b": d.topology["B"],
-    }
-
-
-# Section -> key -> default, in emission order. A key's kind follows the
-# type of its default: float, int, word (str) or words (tuple). The gate
-# and detectors keys land on more than one object, so they are listed
-# by hand.
+# Section -> key -> default. A key's kind follows the type of its
+# default: float, int, word (str) or words (tuple).
 _SCHEMA: dict[str, dict[str, object]] = {
-    "link_budget": _field_defaults(LinkBudget),
-    "link_errors": _field_defaults(LinkErrorModel),
-    "gate": {"phi_a": 0.0, "depolarizing_p": DEFAULT_GATE_DEPOLARIZING, "detuning_hz": 2.0e4},
-    "phase_ledger": _field_defaults(PhaseLedger),
-    "memory": _field_defaults(MemoryDecoherence),
-    "detectors": _detector_values(DetectorModel()),
-    "protocol": _field_defaults(ProtocolLayout),
-    "run": _field_defaults(RunSettings),
+    section: {name: default for name, default in fields(cls).items() if name != "steps"}
+    for section, (_, cls) in _SECTIONS.items()
 }
 
 _KINDS = ((float, "float"), (int, "int"), (str, "word"), (tuple, "words"))
@@ -166,9 +146,7 @@ _STEP_ARITY = {
 class Scenario(Record):
     budget: LinkBudget
     link_errors: LinkErrorModel
-    gate_noise: GateNoise
-    gate_phi_a: float
-    timing: GateTiming
+    gate: GateSettings
     ledger: PhaseLedger
     memory: MemoryDecoherence
     detectors: DetectorModel
@@ -197,7 +175,7 @@ class Scenario(Record):
             elif verb == "reinit":
                 steps.append(ReinitStep(args[0]))
             elif verb == "gate":
-                steps.append(MSGateStep((args[0], args[1]), self.gate_phi_a))
+                steps.append(MSGateStep((args[0], args[1]), self.gate.phi_a))
             elif verb == "analyze":
                 steps.append(AnalysisStep(tuple(args), math.pi / 2.0, 0.0))
             elif verb == "wait":
@@ -252,8 +230,9 @@ def _parse_value(kind: str, raw: str, path: str, lineno: int):
     raise ScenarioError(f"internal schema error for {path}")  # pragma: no cover
 
 
-def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], list[tuple[str, ...]], set[str]]:
-    """Raw parse: values per section, ordered protocol steps, seen fields."""
+def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], set[str]]:
+    """Raw parse: the values set per section (protocol steps in order,
+    as ``steps``) and the dotted paths of the fields set."""
     values: dict[str, dict[str, object]] = {sec: {} for sec in _SCHEMA}
     steps: dict[int, tuple[str, ...]] = {}
     seen: set[str] = set()
@@ -302,40 +281,24 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], l
             raise ScenarioError(f"{source}:{lineno}: duplicate key {path}")
         values[section][key] = _parse_value(_kind(_SCHEMA[section][key]), raw, path, lineno)
         seen.add(path)
-    ordered_steps = [steps[i] for i in sorted(steps)]
-    return values, ordered_steps, seen
+    if steps:
+        values["protocol"]["steps"] = tuple(steps[i] for i in sorted(steps))
+    return values, seen
 
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
-    values, steps, seen = _parse_text(text, source)
-    resolved = {section: {**defaults, **values[section]} for section, defaults in _SCHEMA.items()}
+    values, seen = _parse_text(text, source)
     defaulted = tuple(
-        f"{section}.{key}"
-        for section in _SCHEMA
-        for key in _SCHEMA[section]
-        if f"{section}.{key}" not in seen
-    ) + (() if "protocol.steps" in seen else ("protocol.steps",))
-    if steps:
-        resolved["protocol"]["steps"] = tuple(steps)
-
-    gate, detectors = resolved["gate"], resolved["detectors"]
+        path
+        for section, (_, cls) in _SECTIONS.items()
+        for path in (f"{section}.{key}" for key in fields(cls))
+        if path not in seen
+    )
     try:
-        parts = {
-            attr: cls(**resolved[section]) for section, (attr, cls) in _RECORD_SECTIONS.items()
-        }
-        scenario = Scenario(
-            **parts,
-            gate_noise=GateNoise(depolarizing_p=gate["depolarizing_p"]),
-            gate_phi_a=gate["phi_a"],
-            timing=gate_timing(gate["detuning_hz"]),
-            detectors=DetectorModel(
-                single_qubit_error=detectors["single_qubit_error"],
-                two_qubit_overlap=detectors["two_qubit_overlap"],
-                topology={"A": detectors["module_a"], "B": detectors["module_b"]},
-            ),
-            defaulted=defaulted,
-            warnings=tuple(parts["ledger"].warnings()),
-        )
+        # Each record fills the keys its section leaves out with its defaults.
+        parts = {attr: cls(**values[section]) for section, (attr, cls) in _SECTIONS.items()}
+        warnings = tuple(parts["ledger"].warnings())
+        scenario = Scenario(**parts, defaulted=defaulted, warnings=warnings)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     # Validate the script eagerly so config errors surface at load time.
@@ -353,9 +316,14 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """A value as the config and result files write it: floats with
+    ``repr`` (exact round trip), tuples space-separated, the rest with
+    ``str``."""
+    # float() first: numpy float scalars are floats too, but their repr
+    # carries the type name under numpy 2.
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, tuple):
         return " ".join(str(v) for v in value)
     return str(value)
@@ -364,23 +332,10 @@ def _fmt(value) -> str:
 def emit_scenario(s: Scenario) -> str:
     """Fully resolved canonical text form (parses back identically)."""
     lines = ["# resolved scenario configuration"]
-    for section, keys in _SCHEMA.items():
-        if section == "gate":
-            kv = {
-                "phi_a": s.gate_phi_a,
-                "depolarizing_p": s.gate_noise.depolarizing_p,
-                "detuning_hz": s.timing.detuning_hz,
-            }
-        elif section == "detectors":
-            kv = _detector_values(s.detectors)
-        else:
-            part = getattr(s, _RECORD_SECTIONS[section][0])
-            kv = {key: getattr(part, key) for key in keys}
-        lines.append("")
-        lines.append(f"[{section}]")
-        for key, value in kv.items():
-            lines.append(f"{key} = {_fmt(value)}")
-        if section == "protocol":
-            for i, step in enumerate(s.protocol.steps, start=1):
-                lines.append(f"step.{i} = {' '.join(step)}")
+    for section, (attr, _) in _SECTIONS.items():
+        part = getattr(s, attr)
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {format_value(getattr(part, key))}" for key in _SCHEMA[section]]
+        steps = getattr(part, "steps", ())
+        lines += [f"step.{i} = {' '.join(step)}" for i, step in enumerate(steps, start=1)]
     return "\n".join(lines) + "\n"

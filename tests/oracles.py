@@ -26,7 +26,7 @@ import numpy as np
 
 from ionnet import states as st
 from ionnet.detection import DetectorGroup, DetectorModel, apply_readout_array
-from ionnet.gates import GateNoise, ms_gate
+from ionnet.gates import ms_gate
 from ionnet.photonics import (
     DETECTOR_PAIRS,
     LinkErrorModel,
@@ -278,7 +278,7 @@ def ms_gate_trajectory(
     s: st.QuantumState,
     pair: Sequence[str],
     phi_a: float,
-    noise: GateNoise,
+    depolarizing_p: float,
     rng: np.random.Generator,
 ) -> st.QuantumState:
     """Entangling gate with its depolarizing noise unravelled as a trajectory.
@@ -288,7 +288,7 @@ def ms_gate_trajectory(
     statistics of the exact channel.
     """
     out = ms_gate(s, pair, phi_a)
-    if rng.random() < noise.depolarizing_p:
+    if rng.random() < depolarizing_p:
         pauli = _TWO_QUBIT_PAULIS[rng.integers(16)]
         out = st.apply_unitary(out, pauli, list(pair))
     return out

@@ -18,7 +18,7 @@ from ionnet import photonics as ph
 from ionnet import states as st
 from ionnet.cli import main as cli_main
 from ionnet.fitting import fit_exponential_rate
-from ionnet.gates import GateNoise, analysis_rotation, ms_gate, spin_echo_ramsey
+from ionnet.gates import GateSettings, analysis_rotation, ms_gate, spin_echo_ramsey
 from ionnet.montecarlo import coherent_entanglement_distance, rng_stream
 from ionnet.protocols import (
     coherence_experiment,
@@ -96,7 +96,7 @@ def test_criterion_4_local_gate():
             worst = max(worst, abs(par - math.cos(phi_a - 2 * phi)))
     assert worst < 1e-10
     # calibrated noise: fidelity and even-parity population
-    noisy = ms_gate(st.basis_state([0, 0], ["q1", "q2"]), ["q1", "q2"], 0.0, GateNoise())
+    noisy = ms_gate(st.basis_state([0, 0], ["q1", "q2"]), ["q1", "q2"], 0.0, GateSettings().depolarizing_p)
     target = st.pure_state(np.array([1, 0, 0, -1j]) / math.sqrt(2), ["q1", "q2"])
     f = st.fidelity(noisy, target)
     probs = st.outcome_probabilities(noisy, ["q1", "q2"])

@@ -91,7 +91,7 @@ def test_empirical_confusion_matrix_matches_enumeration():
 def test_individual_topology_has_no_overlap():
     model = det.DetectorModel(
         single_qubit_error=0.0, two_qubit_overlap=0.5,
-        topology={"A": "individual", "B": "individual"},
+        module_a="individual", module_b="individual",
     )
     rng = RNG(6)
     bits = np.ones((1000, 2), dtype=np.int64)
@@ -107,14 +107,19 @@ def test_layout_validation():
     bad = (det.DetectorGroup(module="A", positions=(0, 1, 2)),)
     with pytest.raises(ValueError):
         apply_readout((0, 1, 1), model, bad, rng)  # 3 ions on shared PMT
-    with pytest.raises(ValueError):
-        det.DetectorModel(topology={"A": "both"})
+    with pytest.raises(ValueError, match=r"^detectors\.module_a = both "):
+        det.DetectorModel(module_a="both")
+    with pytest.raises(ValueError, match=r"^detectors\.module_b = "):
+        det.DetectorModel(module_b="")
     with pytest.raises(ValueError):
         det.DetectorModel(single_qubit_error=1.5)
 
 
 def test_unknown_module_rejected():
-    model = det.DetectorModel(topology={"A": "shared"})
+    model = det.DetectorModel()
+    assert model.is_shared("A") and not model.is_shared("B")
+    with pytest.raises(ValueError, match="'C'"):
+        model.is_shared("C")
     rng = RNG(0)
     layout = (det.DetectorGroup(module="C", positions=(0,)),)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from ionnet import montecarlo as mc
 from ionnet import states as st
 from ionnet.detection import DetectorModel, confusion_matrix
 from ionnet.fitting import fit_exponential_rate
-from ionnet.gates import GateNoise
+from ionnet.gates import GateSettings
 from ionnet.phases import MemoryDecoherence, PhaseLedger
 from ionnet.photonics import (
     DETECTOR_PAIRS,
@@ -28,7 +28,7 @@ def noiseless_config(**overrides) -> Scenario:
     # An infinite coherence time makes exp(-t/tau) exactly 1: no dephasing.
     base = dict(
         link_errors=LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0),
-        gate_noise=GateNoise(0.0),
+        gate=GateSettings(depolarizing_p=0.0),
         ledger=PhaseLedger(delta_omega_ab=0.0, delta_tau=0.0, delta_x=0.0),
         memory=MemoryDecoherence(tau_s=math.inf),
         detectors=DetectorModel(0.0, 0.0),

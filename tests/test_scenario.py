@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from ionnet.detection import DetectorModel
-from ionnet.gates import GateNoise, gate_timing
+from ionnet.gates import GateSettings
 from ionnet.montecarlo import AnalysisStep, HeraldStep, MeasureStep, WaitStep
 from ionnet.phases import MemoryDecoherence, PhaseLedger
 from ionnet.photonics import LinkBudget, LinkErrorModel, expected_rate
 from ionnet.protocols import budget_report
+from ionnet.records import fields
 from ionnet.scenario import (
     _SCHEMA,
     ProtocolLayout,
@@ -34,7 +35,7 @@ class TestDefaults:
         rate = expected_rate(s.budget)
         assert abs(rate - 4.5) / 4.5 < 0.05
         assert s.memory.tau_s == 1.12
-        assert s.detectors.topology == {"A": "shared", "B": "individual"}
+        assert (s.detectors.module_a, s.detectors.module_b) == ("shared", "individual")
         assert len(s.defaulted) >= 30
         assert "link_budget.rep_rate" in s.defaulted
         assert not s.warnings
@@ -129,13 +130,10 @@ class TestRoundTrip:
         assert emit_scenario(s2) == text
         assert s2.budget == s.budget
         assert s2.link_errors == s.link_errors
-        assert s2.gate_noise == s.gate_noise
-        assert s2.gate_phi_a == s.gate_phi_a
-        assert s2.timing == s.timing
+        assert s2.gate == s.gate
         assert s2.ledger == s.ledger
         assert s2.memory == s.memory
-        assert s2.detectors.single_qubit_error == s.detectors.single_qubit_error
-        assert dict(s2.detectors.topology) == dict(s.detectors.topology)
+        assert s2.detectors == s.detectors
         assert s2.protocol == s.protocol
         assert s2.run == s.run
         assert s2.defaulted == ()  # emitted form is fully explicit
@@ -197,15 +195,14 @@ def scenarios(draw):
     return Scenario(
         budget=LinkBudget(**{f: draw(UNIT) for f in unit_fields}, rep_rate=draw(POSITIVE)),
         link_errors=LinkErrorModel(draw(UNIT), draw(UNIT)),
-        gate_noise=GateNoise(draw(UNIT)),
-        gate_phi_a=draw(FINITE),
-        timing=gate_timing(draw(POSITIVE)),
+        gate=GateSettings(draw(FINITE), draw(UNIT), draw(POSITIVE)),
         ledger=ledger,
         memory=MemoryDecoherence(draw(hs.one_of(POSITIVE, hs.just(math.inf)))),
         detectors=DetectorModel(
             draw(UNIT),
             draw(UNIT),
-            {m: draw(hs.sampled_from(["shared", "individual"])) for m in ("A", "B")},
+            draw(hs.sampled_from(["shared", "individual"])),
+            draw(hs.sampled_from(["shared", "individual"])),
         ),
         protocol=draw(protocols()),
         run=RunSettings(
@@ -291,3 +288,23 @@ def test_docs_field_table_matches_schema():
             assert value.startswith(default[:-3]), (section, key)
         else:
             assert value == default, (section, key)
+
+
+def test_schema_sections_are_the_record_fields():
+    # Each section's keys, their order and their defaults are its record
+    # class's fields; the protocol steps are written as step.N keys.
+    classes = {
+        "link_budget": LinkBudget,
+        "link_errors": LinkErrorModel,
+        "gate": GateSettings,
+        "phase_ledger": PhaseLedger,
+        "memory": MemoryDecoherence,
+        "detectors": DetectorModel,
+        "protocol": ProtocolLayout,
+        "run": RunSettings,
+    }
+    assert list(_SCHEMA) == list(classes)
+    for section, cls in classes.items():
+        want = {name: default for name, default in fields(cls).items() if name != "steps"}
+        assert list(_SCHEMA[section].items()) == list(want.items()), section
+    assert "steps" in fields(ProtocolLayout)

@@ -139,6 +139,15 @@ def check_preconditions(subcommand: str, scenario: Scenario, trials: int) -> Non
             )
 
 
+def check_out_dir(out_dir: Path) -> None:
+    """Reject an output path that names a file or lies under one."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ScenarioError(f"--out {out_dir}: {path} exists and is not a directory")
+            return
+
+
 def run_subcommand(
     subcommand: str, scenario: Scenario, seed: int, trials: int, shots: int
 ) -> ExperimentOutput:
@@ -192,6 +201,7 @@ def main(argv=None) -> int:
         if trials < 1 or shots < 1:
             raise ScenarioError("trials and shots must be at least 1")
         check_preconditions(args.subcommand, scenario, trials)
+        check_out_dir(Path(args.out))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -105,8 +105,7 @@ def ms_gate(
     """Entangling gate on ``pair`` with intramodular phase ``phi_a``.
 
     The two-qubit depolarizing noise of probability ``depolarizing_p`` is
-    applied as the exact channel, so a noisy gate returns a density
-    matrix.
+    applied as the exact channel after the ideal gate.
     """
     pair = list(pair)
     if len(pair) != 2 or pair[0] == pair[1]:

@@ -42,7 +42,6 @@ from numpy.random import Generator, SeedSequence, default_rng  # numpy loads it 
 
 from . import states as st
 from .detection import DetectorGroup, confusion_matrix
-from .fitting import CosineFit, fit_cosine
 from .gates import analysis_rotation, ms_gate
 from .phases import free_evolution
 from .photonics import conditional_herald_states, module_emission, success_probability
@@ -309,7 +308,7 @@ def propagate(
     # The kernels do not re-check their output; a state leaving the
     # engine is checked here (QuantumState validates the whole stack).
     return [
-        replace(b, state=st.QuantumState(b.state.labels, b.state.data, b.state.n_subsystems))
+        replace(b, state=st.QuantumState(b.state.labels, b.state.data))
         for b in branches
     ]
 
@@ -459,7 +458,7 @@ def parity_scan(
     condition_qubit: str | None = None,
     stream: int = 2,
     prefix: list[BranchState] | None = None,
-) -> tuple[dict[str, ParityCurve], dict[str, CosineFit]]:
+) -> dict[str, ParityCurve]:
     """Parity of ``pair`` versus the analysis phase, sampled and exact.
 
     The steps before the first analysis step are propagated once (or
@@ -468,9 +467,8 @@ def parity_scan(
     array set on each analysis step. The reported-outcome distribution
     of each phase is sampled ``shots`` times through the detector model,
     and parities are accumulated unconditioned plus (optionally)
-    conditioned on each reported value of ``condition_qubit``. Cosine
-    fits at the second harmonic are returned for each curve and for the
-    two exact variants.
+    conditioned on each reported value of ``condition_qubit``. Returns
+    the curves by condition.
     """
     phases = np.array(phases, dtype=float)
     qubits = script.qubits
@@ -500,7 +498,6 @@ def parity_scan(
     counts = sample_scan(reported, shots, seed, stream)
 
     curves: dict[str, ParityCurve] = {}
-    fits: dict[str, CosineFit] = {}
     for cond, mask in masks.items():
         values, n = _parity(counts, sign, mask)
         # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
@@ -515,10 +512,7 @@ def parity_scan(
             exact_reported=tuple(exact_reported.tolist()),
             exact_ideal=tuple(exact_ideal.tolist()),
         )
-        fits[cond] = fit_cosine(phases, values, harmonic=2, sigma=errors)
-        fits[f"{cond}_exact_reported"] = fit_cosine(phases, exact_reported, harmonic=2)
-        fits[f"{cond}_ideal_readout"] = fit_cosine(phases, exact_ideal, harmonic=2)
-    return curves, fits
+    return curves
 
 
 def parity_err(par, n):

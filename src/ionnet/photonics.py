@@ -157,9 +157,7 @@ def emit_atom_photon(
     """
     ideal = ideal_emission_ket(atom_label, photon_label)
     w = error.werner_weight()
-    if w >= 1.0:
-        return ideal
-    rho = w * ideal.density() + (1.0 - w) * np.eye(4) / 4.0
+    rho = w * ideal.data + (1.0 - w) * np.eye(4) / 4.0
     return mixed_state(rho, [atom_label, photon_label])
 
 
@@ -267,7 +265,7 @@ def _project_photons(
     """
     n = joint.n_subsystems
     axes = [joint.axis(lbl) for lbl in photon_labels]
-    rho = joint.density()
+    rho = joint.data
     out = np.zeros_like(rho)
     for kraus in per_pair:
         out += sum(_apply_matrix_density(rho, k, axes, n) for k in kraus)

@@ -16,6 +16,7 @@ from . import states as st
 from .detection import confusion_matrix
 from .fitting import (
     MAX_TAU_REL_STDERR,
+    CosineFit,
     RateFit,
     fit_cosine,
     fit_exponential_decay,
@@ -26,6 +27,7 @@ from .montecarlo import (
     HeraldStep,
     MeasureStep,
     MSGateStep,
+    ParityCurve,
     ProtocolScript,
     WaitStep,
     branch_outcome_distribution,
@@ -358,25 +360,37 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
 
     # parity oscillation versus analysis phase
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
-    curves, fits = parity_scan(
+    curve = parity_scan(
         script, phis, scenario, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1, prefix=[branch]
-    )
-    out.tables["parity"] = _curve_table(curves["all"])
+    )["all"]
+    out.tables["parity"] = _curve_table(curve)
+    fit, fit_exact, fit_ideal = _fringe_fits(curve)
     out.summary.update(
         {
-            "parity_amplitude_sampled": fits["all"].amplitude,
-            "parity_amplitude_sampled_stderr": fits["all"].amplitude_stderr,
-            "parity_amplitude_exact_reported": fits["all_exact_reported"].amplitude,
-            "parity_amplitude_exact_ideal_readout": fits["all_ideal_readout"].amplitude,
-            "parity_phase": fits["all_ideal_readout"].phase,
+            "parity_amplitude_sampled": fit.amplitude,
+            "parity_amplitude_sampled_stderr": fit.amplitude_stderr,
+            "parity_amplitude_exact_reported": fit_exact.amplitude,
+            "parity_amplitude_exact_ideal_readout": fit_ideal.amplitude,
+            "parity_phase": fit_ideal.phase,
             "shots_per_point": shots,
         }
     )
     # fidelity from measured quantities: even populations and fringe amplitude
     out.summary["gate_fidelity_from_parity"] = 0.5 * (
-        out.summary["even_population_exact"] + fits["all_ideal_readout"].amplitude
+        out.summary["even_population_exact"] + fit_ideal.amplitude
     )
     return out
+
+
+def _fringe_fits(curve: ParityCurve) -> tuple[CosineFit, CosineFit, CosineFit]:
+    """Second-harmonic cosine fits of a parity curve: the sampled values
+    (weighted by their errors), then the exact values with and without
+    detection errors."""
+    return (
+        fit_cosine(curve.phases, curve.values, harmonic=2, sigma=curve.errors),
+        fit_cosine(curve.phases, curve.exact_reported, harmonic=2),
+        fit_cosine(curve.phases, curve.exact_ideal, harmonic=2),
+    )
 
 
 def _curve_table(curve) -> tuple[tuple[str, ...], list[tuple]]:
@@ -444,7 +458,7 @@ def modular_3q_experiment(
 
     # Conditional parity oscillation (Fig-4d style).
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
-    curves, fits = parity_scan(
+    curves = parity_scan(
         script, phis, scenario, shots, seed,
         pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2, prefix=prefix,
     )
@@ -452,9 +466,7 @@ def modular_3q_experiment(
     out.tables["parity_remote1"] = _curve_table(curves[key1])
     out.tables["parity_remote0"] = _curve_table(curves[key0])
     out.tables["parity_unconditioned"] = _curve_table(curves["all"])
-    fit1 = fits[key1]
-    fit1_exact = fits[f"{key1}_exact_reported"]
-    fit1_true = fits[f"{key1}_ideal_readout"]
+    fit1, fit1_exact, fit1_true = _fringe_fits(curves[key1])
     mean0 = float(np.mean(curves[key0].values))
     max_abs0 = max(abs(v) for v in curves[key0].values)
     out.summary.update(

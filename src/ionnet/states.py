@@ -1,29 +1,29 @@
 """Dense linear-algebra engine for small registers of two-level systems.
 
 A register holds atomic qubits and photon polarization modes, all of
-dimension 2, identified by string labels. Pure states are stored as
-amplitude vectors of length ``2**n`` and mixed states as ``2**n x 2**n``
-density matrices. The first label is the most significant bit of the
-basis index. Everything is dense and exact, so the register size is
-capped (default 6 subsystems).
+dimension 2, identified by string labels. Every state is stored as a
+``2**n x 2**n`` density matrix; an amplitude vector given to a
+constructor is checked for unit norm and stored as |psi><psi|. The
+first label is the most significant bit of the basis index. Everything
+is dense and exact, so the register size is capped (default 6
+subsystems).
 
-A mixed state may carry leading batch axes: data of shape ``(P, d, d)``
-is a stack of P density matrices over one register, one per point of a
+A state may carry leading batch axes: data of shape ``(P, d, d)`` is a
+stack of P density matrices over one register, one per point of a
 scan. Every kernel acts on the trailing ``(d, d)`` axes and broadcasts
 over the leading ones, and so do its array-valued parameters (a unitary,
 phase or dephasing factor per point): a per-point parameter applied to
-a single state gives a stack. Pure states are never batched; a
-per-point parameter acts on their density matrix.
+a single state gives a stack.
 
 States are immutable after construction; every operation returns a new
 ``QuantumState``. Construction from data checks the whole stack:
-Hermiticity, unit trace and eigenvalues above ``EIGENVALUE_FLOOR``. The
-kernels take checked states and checked parameters (unitaries to 1e-10,
-probabilities in [0, 1]) and do not repeat the state checks on their
-output; the exact engine checks every stack it returns
-(``montecarlo.propagate``). Instances are safe to share across threads.
-Nothing here is random: outcomes are sampled from the exact
-distributions by the Monte Carlo engine.
+Hermiticity and unit trace to ``STATE_ATOL`` and eigenvalues above
+``EIGENVALUE_FLOOR``. The kernels take checked states and checked
+parameters (unitaries to 1e-10, probabilities in [0, 1]) and do not
+repeat the state checks on their output; the exact engine checks every
+stack it returns (``montecarlo.propagate``). Instances are safe to
+share across threads. Nothing here is random: outcomes are sampled
+from the exact distributions by the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_SUBSYSTEMS",
-    "NORM_ATOL",
+    "STATE_ATOL",
     "UNITARY_ATOL",
     "StateError",
     "QuantumState",
@@ -56,7 +56,8 @@ __all__ = [
 DEFAULT_MAX_SUBSYSTEMS = 6
 
 # Double precision leaves ample headroom at these dimensions.
-NORM_ATOL = 1e-12
+# STATE_ATOL bounds the norm, Hermiticity and trace errors a constructor accepts.
+STATE_ATOL = 1e-9
 UNITARY_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
@@ -86,7 +87,7 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 class QuantumState:
-    """A pure or mixed state over a labelled register.
+    """A density matrix, or a stack of them, over a labelled register.
 
     Parameters
     ----------
@@ -94,15 +95,16 @@ class QuantumState:
         Subsystem identifiers, one per two-level system. Order fixes the
         basis convention: the first label is the most significant bit.
     data :
-        Amplitude vector (length ``2**n``) or density matrix
-        (``2**n x 2**n``), or a stack of density matrices with leading
-        batch axes. Must be normalized; construction rejects anything
-        that is not a physical state, anywhere in the stack.
+        Amplitude vector (length ``2**n``), stored as its density
+        matrix, or density matrix (``2**n x 2**n``), or a stack of
+        density matrices with leading batch axes. Must be normalized;
+        construction rejects anything that is not a physical state,
+        anywhere in the stack.
     max_subsystems :
         Register cap. Constructors reject larger registers.
     """
 
-    __slots__ = ("_labels", "_data", "_is_mixed")
+    __slots__ = ("_labels", "_data")
 
     def __init__(self, labels: Sequence[str], data, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS):
         labels = _check_labels(labels, max_subsystems)
@@ -110,41 +112,38 @@ class QuantumState:
         arr = np.asarray(data, dtype=complex)
         if arr.shape == (dim,):
             norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > 1e-9:
+            if abs(norm - 1.0) > STATE_ATOL:
                 raise StateError(f"amplitude vector norm {norm} is not 1")
             # Renormalize residual float error; anything larger was rejected.
             arr = arr / norm
-            is_mixed = False
-        elif arr.ndim >= 2 and arr.shape[-2:] == (dim, dim):
-            if np.abs(arr - _dagger(arr)).max() > 1e-9:
-                raise StateError("density matrix is not Hermitian")
-            tr = np.trace(arr, axis1=-2, axis2=-1).real
-            worst = tr.flat[np.abs(tr - 1.0).argmax()]
-            if abs(worst - 1.0) > 1e-9:
-                raise StateError(f"density matrix trace {worst} is not 1")
-            arr = 0.5 * (arr + _dagger(arr)) / tr[..., None, None]
-            low = np.linalg.eigvalsh(arr).min()
-            if low < EIGENVALUE_FLOOR:
-                raise StateError(f"density matrix has negative eigenvalue {low}")
-            is_mixed = True
-        else:
+            arr = np.outer(arr, arr.conj())
+        elif arr.ndim < 2 or arr.shape[-2:] != (dim, dim):
             raise StateError(
                 f"data shape {arr.shape} does not match a register of {len(labels)} subsystems"
             )
-        self._set(labels, arr, is_mixed)
+        if np.abs(arr - _dagger(arr)).max() > STATE_ATOL:
+            raise StateError("density matrix is not Hermitian")
+        tr = np.trace(arr, axis1=-2, axis2=-1).real
+        worst = tr.flat[np.abs(tr - 1.0).argmax()]
+        if abs(worst - 1.0) > STATE_ATOL:
+            raise StateError(f"density matrix trace {worst} is not 1")
+        arr = 0.5 * (arr + _dagger(arr)) / tr[..., None, None]
+        low = np.linalg.eigvalsh(arr).min()
+        if low < EIGENVALUE_FLOOR:
+            raise StateError(f"density matrix has negative eigenvalue {low}")
+        self._set(labels, arr)
 
     @classmethod
-    def _of(cls, labels: tuple[str, ...], arr: np.ndarray, is_mixed: bool) -> QuantumState:
+    def _of(cls, labels: tuple[str, ...], arr: np.ndarray) -> QuantumState:
         """A kernel's output: a checked map of checked states, not re-checked."""
         s = object.__new__(cls)
-        s._set(labels, arr, is_mixed)
+        s._set(labels, arr)
         return s
 
-    def _set(self, labels: tuple[str, ...], arr: np.ndarray, is_mixed: bool):
+    def _set(self, labels: tuple[str, ...], arr: np.ndarray):
         arr.setflags(write=False)
         self._labels = labels
         self._data = arr
-        self._is_mixed = is_mixed
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -159,24 +158,14 @@ class QuantumState:
         return 2 ** len(self._labels)
 
     @property
-    def is_mixed(self) -> bool:
-        return self._is_mixed
-
-    @property
     def batch_shape(self) -> tuple[int, ...]:
         """Leading batch axes of a stack; () for a single state."""
-        return self._data.shape[:-2] if self._is_mixed else ()
+        return self._data.shape[:-2]
 
     @property
     def data(self) -> np.ndarray:
-        """Raw amplitudes or density matrix (read-only view)."""
+        """Density matrix, or stack of them (read-only view)."""
         return self._data
-
-    def density(self) -> np.ndarray:
-        """Density-matrix form regardless of internal representation."""
-        if self._is_mixed:
-            return self._data
-        return np.outer(self._data, self._data.conj())
 
     def axis(self, label: str) -> int:
         try:
@@ -186,16 +175,12 @@ class QuantumState:
 
     def probabilities(self) -> np.ndarray:
         """Born probabilities over the full computational basis (last axis)."""
-        if self._is_mixed:
-            p = np.clip(np.diagonal(self._data, axis1=-2, axis2=-1).real, 0.0, None)
-        else:
-            p = np.abs(self._data) ** 2
+        p = np.clip(np.diagonal(self._data, axis1=-2, axis2=-1).real, 0.0, None)
         return p / p.sum(axis=-1, keepdims=True)
 
     def __repr__(self) -> str:
-        kind = "mixed" if self._is_mixed else "pure"
         batch = f", batch={self.batch_shape}" if self.batch_shape else ""
-        return f"QuantumState(labels={self._labels}, {kind}, dim={self.dim}{batch})"
+        return f"QuantumState(labels={self._labels}, dim={self.dim}{batch})"
 
 
 def basis_state(bits: Sequence[int], labels: Sequence[str]) -> QuantumState:
@@ -247,20 +232,15 @@ def _matrix_form(t: np.ndarray, n: int) -> np.ndarray:
 
 
 def tensor(a: QuantumState, b: QuantumState, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS) -> QuantumState:
-    """Tensor product of two registers with disjoint labels.
-
-    Purity propagates: pure (x) pure stays pure, anything else is a
-    density matrix (a stack when either factor is one).
-    """
+    """Tensor product of two registers with disjoint labels (a stack
+    when either factor is one)."""
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise StateError(f"label collision in tensor product: {sorted(overlap)}")
     labels = _check_labels(a.labels + b.labels, max_subsystems)
-    if not a.is_mixed and not b.is_mixed:
-        return QuantumState._of(labels, np.kron(a.data, b.data), False)
-    out = np.einsum("...ij,...kl->...ikjl", a.density(), b.density())
+    out = np.einsum("...ij,...kl->...ikjl", a.data, b.data)
     dim = 2 ** len(labels)
-    return QuantumState._of(labels, out.reshape(out.shape[:-4] + (dim, dim)), True)
+    return QuantumState._of(labels, out.reshape(out.shape[:-4] + (dim, dim)))
 
 
 def _check_unitary(u: np.ndarray, dim: int):
@@ -269,17 +249,6 @@ def _check_unitary(u: np.ndarray, dim: int):
     err = np.abs(_dagger(u) @ u - np.eye(dim)).max()
     if err > UNITARY_ATOL:
         raise StateError(f"operator is not unitary (deviation {err:.2e})")
-
-
-def _apply_matrix_pure(amps: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
-    k = len(axes)
-    psi = amps.reshape((2,) * n)
-    u_t = u.reshape((2,) * (2 * k))
-    # tensordot contracts the ket axes of u with the target axes of psi,
-    # then the fresh axes land in front and must be moved back in place.
-    psi = np.tensordot(u_t, psi, axes=(list(range(k, 2 * k)), list(axes)))
-    psi = np.moveaxis(psi, list(range(k)), list(axes))
-    return psi.reshape(-1)
 
 
 def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
@@ -319,10 +288,7 @@ def apply_unitary(s: QuantumState, u, targets: Sequence[str]) -> QuantumState:
     axes = [s.axis(t) for t in targets]
     u = np.asarray(u, dtype=complex)
     _check_unitary(u, 2 ** len(targets))
-    n = s.n_subsystems
-    if not s.is_mixed and u.ndim == 2:
-        return QuantumState._of(s.labels, _apply_matrix_pure(s.data, u, axes, n), False)
-    return QuantumState._of(s.labels, _apply_matrix_density(s.density(), u, axes, n), True)
+    return QuantumState._of(s.labels, _apply_matrix_density(s.data, u, axes, s.n_subsystems))
 
 
 def apply_phase(s: QuantumState, label: str, phase) -> QuantumState:
@@ -334,10 +300,8 @@ def apply_phase(s: QuantumState, label: str, phase) -> QuantumState:
     """
     bit = _bits(s.n_subsystems)[:, s.axis(label)]
     phase = np.asarray(phase, dtype=float)
-    if not s.is_mixed and phase.ndim == 0:
-        return QuantumState._of(s.labels, s.data * np.exp(1j * phase * bit), False)
     factor = np.exp(1j * np.multiply.outer(phase, bit[:, None] - bit[None, :]))
-    return QuantumState._of(s.labels, s.density() * factor, True)
+    return QuantumState._of(s.labels, s.data * factor)
 
 
 def outcome_probabilities(s: QuantumState, targets: Sequence[str]) -> np.ndarray:
@@ -359,19 +323,19 @@ def outcome_probabilities(s: QuantumState, targets: Sequence[str]) -> np.ndarray
 
 
 def fidelity(s: QuantumState, target: QuantumState) -> float:
-    """Fidelity against a pure target: F = <psi|rho|psi>.
+    """Fidelity against a pure target |psi><psi|: F = <psi|rho|psi> = tr(rho sigma).
 
-    States are compared up to global phase; a mixed target is rejected.
+    States are compared up to global phase; a target whose purity
+    tr(sigma^2) is not 1 is rejected.
     """
-    if target.is_mixed:
-        raise StateError("fidelity target must be a pure state")
+    sigma = target.data
+    purity = np.vdot(sigma, sigma).real
+    if abs(purity - 1.0) > STATE_ATOL:
+        raise StateError(f"fidelity target must be a pure state, purity {purity}")
     if s.labels != target.labels:
         raise StateError(f"label mismatch: {s.labels} vs {target.labels}")
-    psi = target.data
-    if s.is_mixed:
-        val = np.vdot(psi, s.data @ psi).real
-    else:
-        val = abs(np.vdot(psi, s.data)) ** 2
+    # vdot sums conj(sigma) * rho, and conj(sigma) = sigma^T for a Hermitian sigma.
+    val = np.vdot(sigma, s.data).real
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -390,8 +354,8 @@ def partial_trace(s: QuantumState, keep: Sequence[str]) -> QuantumState:
     bra = "".join(_LETTERS[n + ax] if lbl in keep else ket[ax] for ax, lbl in enumerate(s.labels))
     out = "".join(ket[ax] for ax, lbl in enumerate(s.labels) if lbl in keep)
     out += "".join(bra[ax] for ax, lbl in enumerate(s.labels) if lbl in keep)
-    rho = np.einsum(f"...{ket}{bra}->...{out}", _tensor_form(s.density(), n))
-    return QuantumState._of(kept_labels, _matrix_form(rho, len(kept_labels)), True)
+    rho = np.einsum(f"...{ket}{bra}->...{out}", _tensor_form(s.data, n))
+    return QuantumState._of(kept_labels, _matrix_form(rho, len(kept_labels)))
 
 
 def depolarize(s: QuantumState, targets: Sequence[str], p: float) -> QuantumState:
@@ -405,7 +369,6 @@ def depolarize(s: QuantumState, targets: Sequence[str], p: float) -> QuantumStat
     if p == 0.0:
         return s
     n = s.n_subsystems
-    rho = s.density()
     if len(targets) == n:
         replaced = np.eye(s.dim, dtype=complex) / s.dim
     else:
@@ -416,12 +379,12 @@ def depolarize(s: QuantumState, targets: Sequence[str], p: float) -> QuantumStat
             maximally_mixed(targets), reduced, max_subsystems=n
         )
         replaced = _permute_density(repl, s.labels)
-    return QuantumState._of(s.labels, (1.0 - p) * rho + p * replaced, True)
+    return QuantumState._of(s.labels, (1.0 - p) * s.data + p * replaced)
 
 
 def _permute_density(s: QuantumState, new_order: Sequence[str]) -> np.ndarray:
     """Density matrix (stack) of ``s`` with subsystems reordered to ``new_order``."""
-    rho = s.density()
+    rho = s.data
     if tuple(new_order) == s.labels:
         return rho
     n = s.n_subsystems
@@ -462,7 +425,7 @@ def dephase_pair(s: QuantumState, pair: Sequence[str], gamma) -> QuantumState:
     du = u[:, None] - u[None, :]
     dw = w[:, None] - w[None, :]
     factor = gamma[..., None, None] ** ((du * du + dw * dw) / 4.0)
-    return QuantumState._of(s.labels, s.density() * factor, True)
+    return QuantumState._of(s.labels, s.data * factor)
 
 
 def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:
@@ -477,5 +440,4 @@ def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:
     rest = partial_trace(s, others)
     fresh = basis_state([bit], [label])
     joined = tensor(rest, fresh, max_subsystems=s.n_subsystems)
-    rho = _permute_density(joined, s.labels)
-    return QuantumState._of(s.labels, rho, True)
+    return QuantumState._of(s.labels, _permute_density(joined, s.labels))

@@ -132,7 +132,7 @@ def bsm_outcome_distribution(
     for pair, kraus in bsm_kraus_operators(v).items():
         p = 0.0
         for k in kraus:
-            p += float(np.trace(k @ rho.density() @ k.conj().T).real)
+            p += float(np.trace(k @ rho.data @ k.conj().T).real)
         probs[pair] = p
         total += p
     probs[None] = max(1.0 - total, 0.0)
@@ -147,6 +147,11 @@ def parity_expectation(s: st.QuantumState, pair: Sequence[str]) -> float:
     p = st.outcome_probabilities(s, pair)
     # basis order 00, 01, 10, 11
     return float(p[0] + p[3] - p[1] - p[2])
+
+
+def purity(s: st.QuantumState) -> float:
+    """tr(rho^2) of a single state: 1 exactly when it is pure."""
+    return float(np.vdot(s.data, s.data).real)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,25 +235,15 @@ def measure(
     axes = [s.axis(t) for t in targets]
     n = s.n_subsystems
 
-    if s.is_mixed:
-        t = s.data.reshape((2,) * (2 * n))
-        sel: list = [slice(None)] * (2 * n)
-        for ax, b in zip(axes, bits):
-            sel[ax] = b
-            sel[n + ax] = b
-        proj = np.zeros_like(t)
-        proj[tuple(sel)] = t[tuple(sel)]
-        rho = proj.reshape(s.dim, s.dim)
-        collapsed = st.QuantumState(s.labels, rho / rho.trace(), max_subsystems=n)
-    else:
-        psi = s.data.reshape((2,) * n).copy()
-        sel = [slice(None)] * n
-        for ax, b in zip(axes, bits):
-            sel[ax] = 1 - b
-            psi[tuple(sel)] = 0.0
-            sel[ax] = slice(None)
-        vec = psi.reshape(-1)
-        collapsed = st.QuantumState(s.labels, vec / np.linalg.norm(vec), max_subsystems=n)
+    t = s.data.reshape((2,) * (2 * n))
+    sel: list = [slice(None)] * (2 * n)
+    for ax, b in zip(axes, bits):
+        sel[ax] = b
+        sel[n + ax] = b
+    proj = np.zeros_like(t)
+    proj[tuple(sel)] = t[tuple(sel)]
+    rho = proj.reshape(s.dim, s.dim)
+    collapsed = st.QuantumState(s.labels, rho / rho.trace(), max_subsystems=n)
     return bits, collapsed, prob
 
 

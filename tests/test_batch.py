@@ -54,7 +54,7 @@ def assert_physical(rho):
 def stack(state, points):
     """Density matrices of ``state`` at each of ``points`` scan points; a
     state the scan did not act on stands for every point."""
-    return np.broadcast_to(state.density(), (points, state.dim, state.dim))
+    return np.broadcast_to(state.data, (points, state.dim, state.dim))
 
 
 ANGLE = hs.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -146,7 +146,7 @@ def test_batched_propagation_equals_per_point(case):
             assert (one.phi_d, one.weight, one.pairs) == (many.phi_d, many.weight, many.pairs)
             assert one.state.labels == many.state.labels
             got = stack(many.state, values.size)[i]
-            np.testing.assert_allclose(got, one.state.density(), rtol=0, atol=ATOL)
+            np.testing.assert_allclose(got, one.state.data, rtol=0, atol=ATOL)
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,7 +222,7 @@ def test_kernels_broadcast_over_the_stack(case):
         assert batched.batch_shape == s.batch_shape, name
         for i, single in enumerate(per_point):
             np.testing.assert_allclose(
-                batched.data[i], single.density(), rtol=0, atol=ATOL, err_msg=name
+                batched.data[i], single.data, rtol=0, atol=ATOL, err_msg=name
             )
 
 
@@ -234,7 +234,7 @@ def test_unbatched_state_takes_a_per_point_parameter():
     assert out.batch_shape == (3,)
     for rho, phase in zip(out.data, phases):
         np.testing.assert_allclose(
-            rho, st.apply_phase(plus, "b", phase).density(), rtol=0, atol=ATOL
+            rho, st.apply_phase(plus, "b", phase).data, rtol=0, atol=ATOL
         )
 
 

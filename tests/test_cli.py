@@ -131,10 +131,22 @@ def test_bad_trials_exit_2(tmp_path):
 
 
 def test_runtime_failure_exits_3(tmp_path):
-    # output directory path collides with an existing file
+    # an output file path is taken by a directory; only writing finds it
+    out = tmp_path / "x"
+    (out / "summary.txt").mkdir(parents=True)
+    assert main(["budget", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, below):
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory")
-    assert main(["budget", "--out", str(blocker)]) == 3
+    out = blocker / below if below else blocker
+    assert main(["budget", "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert errors and str(out) in errors[0]
+    assert blocker.read_text() == "not a directory"
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 def test_local_gate_subcommand(tmp_path):

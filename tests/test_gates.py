@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 from ionnet import gates as g
 from ionnet import states as st
 
-from oracles import ms_gate_trajectory, parity_expectation
+from oracles import ms_gate_trajectory, parity_expectation, purity
 
 RNG = np.random.default_rng
 
@@ -77,7 +77,7 @@ class TestMSGate:
         acc = np.zeros(4)
         for _ in range(n):
             out = ms_gate_trajectory(s, ["q1", "q2"], 0.3, p, rng)
-            assert not out.is_mixed  # trajectories stay pure
+            assert purity(out) == pytest.approx(1.0, abs=1e-12)  # trajectories stay pure
             acc += st.outcome_probabilities(out, ["q1", "q2"])
         acc /= n
         assert np.abs(acc - p_exact).max() < 4.0 / math.sqrt(n)

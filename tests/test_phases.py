@@ -95,7 +95,7 @@ class TestEvolve:
         s = odd_pair(0.2)
         out = evolve(s, self.ledger(), deco, 0.5)
         np.testing.assert_allclose(
-            np.diag(out.density()), np.diag(s.density()), atol=1e-14
+            np.diag(out.data), np.diag(s.data), atol=1e-14
         )
 
     def test_semigroup_composition(self):
@@ -105,7 +105,7 @@ class TestEvolve:
         t1, t2 = 0.4, 0.9
         once = evolve(s, ledger, deco, t1 + t2)
         twice = evolve(evolve(s, ledger, deco, t1), ledger, deco, t2)
-        np.testing.assert_allclose(once.density(), twice.density(), atol=1e-12)
+        np.testing.assert_allclose(once.data, twice.data, atol=1e-12)
 
     def test_decay_oracle_at_one_tau(self):
         # fidelity against the phase-tracked ket after one coherence time

@@ -15,6 +15,7 @@ from oracles import (
     bsm_outcome_distribution,
     fock_bsm_distribution,
     herald_remote_pair,
+    purity,
 )
 
 RNG = np.random.default_rng
@@ -83,7 +84,7 @@ class TestEmission:
     def test_perfect_emission_is_pure(self):
         err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         s = ph.emit_atom_photon(err, "a", "p")
-        assert not s.is_mixed
+        assert purity(s) == pytest.approx(1.0, abs=1e-12)
         assert st.fidelity(s, ph.ideal_emission_ket("a", "p")) == pytest.approx(1.0, abs=1e-12)
 
     def test_configured_fidelity_is_exact(self):
@@ -94,7 +95,7 @@ class TestEmission:
     def test_fully_depolarizing_channel(self):
         err = ph.LinkErrorModel(atom_photon_fidelity=0.25, mode_overlap=1.0)
         s = ph.emit_atom_photon(err, "a", "p")
-        np.testing.assert_allclose(s.density(), np.eye(4) / 4, atol=1e-12)
+        np.testing.assert_allclose(s.data, np.eye(4) / 4, atol=1e-12)
         assert st.fidelity(s, ph.ideal_emission_ket("a", "p")) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -239,7 +240,7 @@ class TestHerald:
             a = ph.module_emission(err, "qa", "pa")
             b = ph.module_emission(err, "qb", "pb")
             for _, prob, state in ph.conditional_herald_states(a, b, err):
-                rho = state.density()
+                rho = state.data
                 assert prob > 0
                 assert abs(rho.trace().real - 1) < 1e-12
                 assert np.abs(rho - rho.conj().T).max() < 1e-12

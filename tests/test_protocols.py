@@ -60,4 +60,4 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
             coherence_time_s=CALIBRATED.memory.tau_s,
         )
         (final,) = propagate(script, CALIBRATED, _echo_steps(pair, delay), [stored])
-        np.testing.assert_allclose(final.state.density(), echoed.density(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.state.data, echoed.data, rtol=0, atol=1e-12)

@@ -42,6 +42,11 @@ class TestConstruction:
         with pytest.raises(st.StateError):
             st.basis_state([0, 0], ["a", "a"])
 
+    def test_amplitudes_stored_as_projector(self):
+        amps = np.array([0.6, 0.8j])
+        s = st.pure_state(amps, ["a"])
+        np.testing.assert_allclose(s.data, np.outer(amps, amps.conj()), atol=1e-15)
+
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(st.StateError):
             st.pure_state([1.0, 1.0], ["a"])
@@ -64,16 +69,14 @@ class TestConstruction:
 class TestTensor:
     def test_basis_product(self):
         out = st.tensor(st.basis_state([0], ["a"]), st.basis_state([0], ["b"]))
-        assert not out.is_mixed
-        np.testing.assert_allclose(out.data, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(out.data, np.diag([1, 0, 0, 0]), atol=1e-15)
 
     def test_superposition_distributes(self):
         plus = st.pure_state(np.array([1, 1]) / math.sqrt(2), ["a"])
         one = st.basis_state([1], ["b"])
         out = st.tensor(plus, one)
-        np.testing.assert_allclose(
-            out.data, [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)], atol=1e-15
-        )
+        psi = np.array([0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)])
+        np.testing.assert_allclose(out.data, np.outer(psi, psi), atol=1e-15)
 
     def test_mixed_kron_oracle(self):
         rng = RNG(0)
@@ -81,10 +84,9 @@ class TestTensor:
         a = st.mixed_state(rho, ["a"])
         b = st.basis_state([0], ["b"])
         out = st.tensor(a, b)
-        assert out.is_mixed
         expected = np.kron(rho, np.array([[1, 0], [0, 0]], dtype=complex))
-        np.testing.assert_allclose(out.density(), expected, atol=1e-12)
-        assert abs(out.density().trace() - 1) < 1e-12
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        assert abs(out.data.trace() - 1) < 1e-12
 
     def test_label_collision_rejected(self):
         with pytest.raises(st.StateError):
@@ -133,6 +135,7 @@ class TestApplyUnitary:
         s = st.pure_state(psi, labels)
         u = haar_unitary(2 ** len(targets), rng)
         out = st.apply_unitary(s, u, targets)
+        # Frobenius norm sqrt(tr rho^2): the state stays pure
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
 
     def test_trace_preserved_mixed(self):
@@ -140,10 +143,10 @@ class TestApplyUnitary:
         s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
         u = haar_unitary(4, rng)
         out = st.apply_unitary(s, u, ["c", "a"])
-        assert abs(out.density().trace().real - 1.0) < 1e-12
+        assert abs(out.data.trace().real - 1.0) < 1e-12
         # identity on the non-target: reduced state of b unchanged
-        rb_before = st.partial_trace(s, ["b"]).density()
-        rb_after = st.partial_trace(out, ["b"]).density()
+        rb_before = st.partial_trace(s, ["b"]).data
+        rb_after = st.partial_trace(out, ["b"]).data
         np.testing.assert_allclose(rb_before, rb_after, atol=1e-12)
 
 
@@ -164,7 +167,7 @@ class TestMeasure:
     def test_werner_distribution_matches_diagonal(self):
         # Werner state: p * Bell + (1 - p) * I/4
         p = 0.3
-        rho = p * bell(odd=False).density() + (1 - p) * np.eye(4) / 4
+        rho = p * bell(odd=False).data + (1 - p) * np.eye(4) / 4
         s = st.mixed_state(rho, ["a", "b"])
         expected = np.diag(rho).real
         rng = RNG(17)
@@ -216,13 +219,14 @@ class TestFidelity:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.6, 1.0])
     def test_depolarized_bell(self, p):
         b = bell(odd=False)
-        rho = (1 - p) * b.density() + p * np.eye(4) / 4
+        rho = (1 - p) * b.data + p * np.eye(4) / 4
         s = st.mixed_state(rho, ["a", "b"])
         assert st.fidelity(s, b) == pytest.approx((1 - p) + p / 4, abs=1e-12)
 
     def test_global_phase_invariance(self):
-        s = st.pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2), ["a", "b"])
-        t = st.pure_state(np.exp(0.7j) * s.data, ["a", "b"])
+        amps = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        s = st.pure_state(amps, ["a", "b"])
+        t = st.pure_state(np.exp(0.7j) * amps, ["a", "b"])
         assert st.fidelity(s, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_target_rejected(self):
@@ -257,19 +261,19 @@ class TestPartialTrace:
     def test_product_state(self):
         s = st.tensor(st.basis_state([0], ["a"]), st.basis_state([1], ["b"]))
         out = st.partial_trace(s, ["a"])
-        np.testing.assert_allclose(out.density(), [[1, 0], [0, 0]], atol=1e-14)
+        np.testing.assert_allclose(out.data, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_bell_reduces_to_mixed(self):
         out = st.partial_trace(bell(), ["a"])
-        np.testing.assert_allclose(out.density(), np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(out.data, np.eye(2) / 2, atol=1e-14)
 
     def test_nested_equals_direct(self):
         rng = RNG(21)
         s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
         direct = st.partial_trace(s, ["a"])
         nested = st.partial_trace(st.partial_trace(s, ["a", "b"]), ["a"])
-        np.testing.assert_allclose(direct.density(), nested.density(), atol=1e-12)
-        assert abs(direct.density().trace().real - 1.0) < 1e-12
+        np.testing.assert_allclose(direct.data, nested.data, atol=1e-12)
+        assert abs(direct.data.trace().real - 1.0) < 1e-12
 
     def test_empty_keep_rejected(self):
         with pytest.raises(st.StateError):
@@ -281,30 +285,30 @@ class TestPartialTrace:
         b = st.pure_state(random_pure(4, rng), ["b", "c"])
         joint = st.tensor(a, b)
         np.testing.assert_allclose(
-            st.partial_trace(joint, ["a"]).density(), a.density(), atol=1e-12
+            st.partial_trace(joint, ["a"]).data, a.data, atol=1e-12
         )
         np.testing.assert_allclose(
-            st.partial_trace(joint, ["b", "c"]).density(), b.density(), atol=1e-12
+            st.partial_trace(joint, ["b", "c"]).data, b.data, atol=1e-12
         )
 
 
 class TestChannels:
     def test_full_depolarize_gives_maximally_mixed(self):
         out = st.depolarize(bell(), ["a", "b"], 1.0)
-        np.testing.assert_allclose(out.density(), np.eye(4) / 4, atol=1e-12)
+        np.testing.assert_allclose(out.data, np.eye(4) / 4, atol=1e-12)
 
     def test_partial_depolarize_preserves_other_marginal(self):
         rng = RNG(4)
         s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
         out = st.depolarize(s, ["b"], 0.37)
         np.testing.assert_allclose(
-            st.partial_trace(s, ["a", "c"]).density(),
-            st.partial_trace(out, ["a", "c"]).density(),
+            st.partial_trace(s, ["a", "c"]).data,
+            st.partial_trace(out, ["a", "c"]).data,
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            st.partial_trace(out, ["b"]).density(),
-            (1 - 0.37) * st.partial_trace(s, ["b"]).density() + 0.37 * np.eye(2) / 2,
+            st.partial_trace(out, ["b"]).data,
+            (1 - 0.37) * st.partial_trace(s, ["b"]).data + 0.37 * np.eye(2) / 2,
             atol=1e-12,
         )
 
@@ -313,7 +317,7 @@ class TestChannels:
         s = st.mixed_state(random_density(4, rng), ["a", "b"])
         out = st.dephase_pair(s, ["a", "b"], 0.5)
         np.testing.assert_allclose(
-            np.diag(out.density()), np.diag(s.density()), atol=1e-14
+            np.diag(out.data), np.diag(s.data), atol=1e-14
         )
 
     def test_dephase_semigroup(self):
@@ -322,7 +326,7 @@ class TestChannels:
         g1, g2 = 0.8, 0.55
         once = st.dephase_pair(s, ["a", "b"], g1 * g2)
         twice = st.dephase_pair(st.dephase_pair(s, ["a", "b"], g1), ["a", "b"], g2)
-        np.testing.assert_allclose(once.density(), twice.density(), atol=1e-12)
+        np.testing.assert_allclose(once.data, twice.data, atol=1e-12)
 
     def test_dephase_is_completely_positive(self):
         # Choi matrix of the pair channel must be positive semidefinite.
@@ -347,13 +351,13 @@ class TestChannels:
         s = bell(phase=0.4)
         gamma = 0.25
         out = st.dephase_pair(s, ["a", "b"], gamma)
-        rho_in = s.density()
-        rho_out = out.density()
+        rho_in = s.data
+        rho_out = out.data
         assert rho_out[1, 2] == pytest.approx(gamma * rho_in[1, 2], abs=1e-14)
         even = bell(odd=False)
         out_even = st.dephase_pair(even, ["a", "b"], gamma)
-        assert out_even.density()[0, 3] == pytest.approx(
-            gamma * even.density()[0, 3], abs=1e-14
+        assert out_even.data[0, 3] == pytest.approx(
+            gamma * even.data[0, 3], abs=1e-14
         )
 
 
@@ -375,8 +379,8 @@ class TestEmbeddedChannels:
             for p2 in (i2, x, y, z):
                 pauli = np.kron(p1, p2)
                 twirled = st.apply_unitary(s, pauli, ["a", "c"])
-                acc += twirled.density() / 16.0
-        np.testing.assert_allclose(out.density(), acc, atol=1e-12)
+                acc += twirled.data / 16.0
+        np.testing.assert_allclose(out.data, acc, atol=1e-12)
 
     def test_depolarize_interpolates(self):
         rng = RNG(15)
@@ -384,15 +388,15 @@ class TestEmbeddedChannels:
         p = 0.37
         out = st.depolarize(s, ["b", "c"], p)
         full = st.depolarize(s, ["b", "c"], 1.0)
-        expect = (1 - p) * s.density() + p * full.density()
-        np.testing.assert_allclose(out.density(), expect, atol=1e-12)
+        expect = (1 - p) * s.data + p * full.data
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_dephase_pair_order_invariant(self):
         rng = RNG(16)
         s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
         fwd = st.dephase_pair(s, ["a", "c"], 0.4)
         rev = st.dephase_pair(s, ["c", "a"], 0.4)
-        np.testing.assert_allclose(fwd.density(), rev.density(), atol=1e-13)
+        np.testing.assert_allclose(fwd.data, rev.data, atol=1e-13)
 
     def test_unitary_on_reversed_targets_matches_permutation_oracle(self):
         rng = RNG(18)
@@ -402,7 +406,7 @@ class TestEmbeddedChannels:
         # oracle: swap the tensor factors of u, then act on (a, c) in order
         u_t = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         oracle = st.apply_unitary(s, u_t, ["a", "c"])
-        np.testing.assert_allclose(out.density(), oracle.density(), atol=1e-12)
+        np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
 
     def test_marginal_ordering(self):
         s = st.basis_state([0, 1, 1], ["a", "b", "c"])

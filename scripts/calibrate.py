@@ -65,7 +65,7 @@ def calibrate_mode_overlap() -> float:
     for phi_d, _, state in conditional_herald_states(a, b, err):
         target = heralded_bell_ket(("a", "b"), phi_d)
         fids.append(st.fidelity(state, target))
-    print(f"pipeline herald fidelity = {np.mean(fids)!r} (target {TARGET_HERALD_FIDELITY})")
+    print(f"pipeline herald fidelity = {float(np.mean(fids))!r} (target {TARGET_HERALD_FIDELITY})")
     return v
 
 

@@ -1,7 +1,8 @@
 """Estimators shared by the protocol engine and the CLI reports.
 
-numpy only: the KS p-value comes from ``kolmogorov.ks_sf`` and the
-decay fit is a Levenberg-Marquardt fit with its analytic Jacobian.
+numpy only: the rate fit's goodness-of-fit check is Stephens' modified
+Kolmogorov-Smirnov statistic for an exponential of estimated scale, and
+the decay fit is a Levenberg-Marquardt fit with its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import math
 
 import numpy as np
 
-from .kolmogorov import ks_sf
 from .records import Record
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
 class RateFit(Record):
     rate: float
     stderr: float
-    ks_pvalue: float
+    ks_stat: float
     ok: bool
 
 
@@ -35,9 +35,10 @@ class RateFit(Record):
 MIN_RATE_SAMPLES = 100
 MIN_FIT_POINTS = 3
 
-# Level of the rate fit's Kolmogorov-Smirnov check: ``ok`` is False
-# below it.
-KS_ALPHA = 0.01
+# 1 % point of Stephens' modified KS statistic D* for an exponential
+# with estimated scale (Stephens, JASA 69 (1974) 730, Table 1A); it does
+# not depend on n. The rate fit's ``ok`` is False above it.
+KS_STAT_CRITICAL = 1.308
 
 # Largest relative standard error of a decay-fit tau that still counts
 # as determined. A well-sampled decay fits to a few percent (0.016 at
@@ -49,10 +50,10 @@ def fit_exponential_rate(times) -> RateFit:
     """Maximum-likelihood exponential rate from waiting times.
 
     The ML estimate for rate R is 1/mean with standard error R/sqrt(n).
-    A Kolmogorov-Smirnov test against the fitted exponential flags
-    degenerate input (``ok`` is False when the sample is incompatible
-    with an exponential at level ``KS_ALPHA``). The p-value is the exact
-    P(D_n >= D) of the two-sided statistic D.
+    The two-sided KS distance D to the fitted exponential, modified to
+    D* = (D - 0.2/n)(sqrt(n) + 0.26 + 0.5/sqrt(n)) because the scale is
+    fitted to the same times, flags non-exponential input: ``ok`` is
+    False when D* exceeds its 1 % point ``KS_STAT_CRITICAL``.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < MIN_RATE_SAMPLES:
@@ -65,8 +66,9 @@ def fit_exponential_rate(times) -> RateFit:
     cdf = -np.expm1(-(np.sort(t) / (1.0 / rate)))  # fitted CDF at the ordered times
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
-    pvalue = ks_sf(n, float(max(d_plus, d_minus)))
-    return RateFit(rate=float(rate), stderr=float(stderr), ks_pvalue=pvalue, ok=pvalue >= KS_ALPHA)
+    d = float(max(d_plus, d_minus))
+    stat = (d - 0.2 / n) * (math.sqrt(n) + 0.26 + 0.5 / math.sqrt(n))
+    return RateFit(rate=float(rate), stderr=float(stderr), ks_stat=stat, ok=stat <= KS_STAT_CRITICAL)
 
 
 class DecayFit(Record):

@@ -150,7 +150,7 @@ def _fit_rate(out: ExperimentOutput, herald_time: np.ndarray) -> RateFit:
         {
             "rate_per_s": rate.rate,
             "rate_stderr": rate.stderr,
-            "rate_ks_pvalue": rate.ks_pvalue,
+            "rate_ks_stat": rate.ks_stat,
             "rate_ks_ok": rate.ok,
             "n_trials": herald_time.size,
         }

@@ -6,8 +6,8 @@ picture, including a temporal mode label for partially distinguishable
 photons.
 
 Test-only helpers the package does not run: the per-detector-pair BSM
-distribution, the herald event record and the pair parity
-expectation.
+distribution, the herald event record, the pair parity expectation and
+exact binomial bounds on a count of rare events.
 
 The single-shot samplers at the end draw one outcome at a time from the
 package's exact channels. The package itself samples only in bulk, from
@@ -147,6 +147,20 @@ def parity_expectation(s: st.QuantumState, pair: Sequence[str]) -> float:
     p = st.outcome_probabilities(s, pair)
     # basis order 00, 01, 10, 11
     return float(p[0] + p[3] - p[1] - p[2])
+
+
+def binomial_bounds(n: int, p: float, tail: float = 1e-4) -> tuple[int, int]:
+    """Counts (lo, hi) with P(X < lo) <= tail and P(X > hi) <= tail for
+    X ~ Binomial(n, p), from the exact pmf."""
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in range(n + 1)
+    ]
+    cdf = np.cumsum(np.exp(log_pmf))
+    lo = int(np.searchsorted(cdf, tail, side="right"))
+    hi = int(np.searchsorted(cdf, 1.0 - tail, side="left"))
+    return lo, hi
 
 
 def purity(s: st.QuantumState) -> float:

@@ -1,0 +1,28 @@
+"""The shipped calibrated constants are the ones scripts/calibrate.py
+derives."""
+
+import importlib.util
+from pathlib import Path
+
+from ionnet.photonics import LinkErrorModel
+from ionnet.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_calibrate():
+    spec = importlib.util.spec_from_file_location("calibrate", ROOT / "scripts" / "calibrate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_constants_match_calibration(capsys):
+    calibrate = load_calibrate()
+    overlap = calibrate.calibrate_mode_overlap()
+    crosstalk = calibrate.calibrate_crosstalk()
+    assert LinkErrorModel().mode_overlap == 0.9237467653169369 == overlap
+    shipped = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
+    assert shipped.link_errors.mode_overlap == overlap
+    assert shipped.protocol.crosstalk_depol == 0.13 == crosstalk
+    assert "np.float64" not in capsys.readouterr().out

@@ -15,7 +15,7 @@ from hypothesis import strategies as hs
 
 from ionnet import detection, montecarlo, protocols
 from ionnet.cli import RATE_FIT, SUBCOMMANDS, main, write_outputs
-from ionnet.fitting import MAX_TAU_REL_STDERR
+from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
 from ionnet.protocols import ExperimentOutput
 from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, loads_scenario
 
@@ -210,8 +210,7 @@ def test_rate_fit_diagnostics_in_summary(tmp_path, sub):
     out = tmp_path / sub
     assert main([sub, "--out", str(out), "--seed", "3", "--trials", "300", "--shots", "300"]) == 0
     summary = read_summary(out / "summary.txt")
-    assert 0.0 <= summary["rate_ks_pvalue"] <= 1.0
-    assert summary["rate_ks_ok"] == str(summary["rate_ks_pvalue"] >= 0.01)
+    assert summary["rate_ks_ok"] == str(summary["rate_ks_stat"] <= KS_STAT_CRITICAL)
 
 
 def test_dark_counts_key_rejected(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Experiment drivers checked against independent exact routes."""
+"""Experiment drivers checked against independent exact routes, and
+their standard errors against their exact values over many seeds."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +11,21 @@ from ionnet import states as st
 from ionnet.detection import confusion_matrix
 from ionnet.gates import spin_echo_ramsey
 from ionnet.montecarlo import BranchState, exact_branches, propagate
-from ionnet.protocols import _echo_steps, _pair_script, coherence_experiment
+from ionnet.protocols import (
+    _echo_steps,
+    _pair_script,
+    coherence_experiment,
+    local_gate_experiment,
+    modular_3q_experiment,
+)
 from ionnet.records import replace
-from ionnet.scenario import load_scenario
+from ionnet.scenario import load_scenario, loads_scenario
 
-from oracles import random_density
+from oracles import binomial_bounds, random_density
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATED = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
+DEFAULT = loads_scenario("")
 
 
 def test_coherence_echo_matches_spin_echo_ramsey():
@@ -61,3 +70,36 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
         )
         (final,) = propagate(script, CALIBRATED, _echo_steps(pair, delay), [stored])
         np.testing.assert_allclose(final.state.data, echoed.data, rtol=0, atol=1e-12)
+
+
+# Sampled estimates with a reported standard error and an exact
+# counterpart, each over its own seeds. The scan draws do not depend on
+# the trial count, so each run takes the fewest trials a rate fit accepts.
+COVERAGE_CASES = {
+    "coherence-tau": (
+        lambda seed: coherence_experiment(DEFAULT, seed, 100, DEFAULT.run.shots_per_point),
+        ("tau_fit_s", "tau_fit_stderr", "tau_fit_exact_s"),
+        range(201, 801),
+    ),
+    "local-gate-amplitude": (
+        lambda seed: local_gate_experiment(DEFAULT, seed, DEFAULT.run.shots_per_point),
+        ("parity_amplitude_sampled", "parity_amplitude_sampled_stderr", "parity_amplitude_exact_reported"),
+        range(1, 201),
+    ),
+    "modular-3q-amplitude": (
+        lambda seed: modular_3q_experiment(CALIBRATED, 100, seed, CALIBRATED.run.shots_per_point),
+        ("parity_amplitude_remote1", "parity_amplitude_remote1_stderr", "parity_amplitude_remote1_exact"),
+        range(1, 201),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COVERAGE_CASES)
+def test_standard_errors_cover_exact_values(case):
+    # An honest standard error puts |z| = |estimate - exact| / stderr above
+    # 2 for 4.55 % of seeds, as for a normal variable.
+    run, (estimate, stderr, exact), seeds = COVERAGE_CASES[case]
+    summaries = [run(seed).summary for seed in seeds]
+    z = np.array([(s[estimate] - s[exact]) / s[stderr] for s in summaries])
+    lo, hi = binomial_bounds(len(seeds), math.erfc(2.0 / math.sqrt(2.0)))
+    assert lo <= np.count_nonzero(np.abs(z) > 2.0) <= hi, z

@@ -1,5 +1,12 @@
 """Two-sided one-sample Kolmogorov-Smirnov distribution, P(D_n >= d).
 
+Nothing in the package calls ``ks_sf`` now: the herald-rate check
+(``fitting.fit_exponential_rate``) fits the rate to the same waiting
+times, so this known-parameter null is the wrong one for it, and it
+uses Stephens' estimated-scale statistic instead. The module stays,
+held against ``scipy.stats.kstwo`` by its tests, until its removal on
+the ROADMAP.
+
 ``ks_sf`` picks a method by n and n d^2 as Simard & L'Ecuyer (2011)
 do: the exact Ruben-Gambino limits near both ends of the support, the
 exact Birnbaum-Tingey sum for the one-sided statistic (twice it is

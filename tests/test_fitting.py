@@ -1,6 +1,7 @@
 """The numpy-only fits: the rate fit's goodness-of-fit statistic against
 its null and an alternative, the decay fit against scipy's curve_fit as
-the oracle, and the decay fit's stopping rules."""
+the oracle, and the decay fit's stopping rules; and the Kolmogorov
+survival function against scipy's kstwo."""
 
 import math
 
@@ -9,13 +10,58 @@ import pytest
 
 from ionnet import fitting
 from ionnet.fitting import KS_STAT_CRITICAL, fit_exponential_decay, fit_exponential_rate
+from ionnet.kolmogorov import ks_sf
 
 from oracles import binomial_bounds
 
 
 @pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+@pytest.fixture(scope="module")
 def scipy_optimize():
     return pytest.importorskip("scipy.optimize")
+
+
+def assert_pvalue_matches(got, want):
+    assert abs(got - want) <= 1e-14 or abs(got - want) <= 1e-8 * abs(want), (got, want)
+
+
+# D for each method branch of ks_sf, as a function of n. Each applies
+# where its condition holds; the grid below keeps the ones that do. At
+# n = 100001 the "durbin" D falls to Pelz-Good, which replaces Durbin's
+# matrix above n = 1e5.
+KS_BRANCHES = {
+    "zero": (lambda n: 0.0, lambda n: True),
+    "one": (lambda n: 1.0, lambda n: True),
+    "below-support": (lambda n: 0.4 / n, lambda n: True),
+    "ruben-gambino-low": (lambda n: 0.8 / n, lambda n: True),
+    "ruben-gambino-low-edge": (lambda n: 1.0 / n, lambda n: True),
+    "ruben-gambino-high": (lambda n: 1.0 - 0.5 / n, lambda n: True),
+    "smirnov-exact": (lambda n: 0.6, lambda n: True),
+    "durbin-small-n": (lambda n: math.sqrt(0.5 / n), lambda n: n <= 140),
+    "pomeranz-band": (lambda n: math.sqrt(2.0 / n), lambda n: n <= 140),
+    "pomeranz-band-edge": (lambda n: math.sqrt(3.9 / n), lambda n: n <= 140),
+    "smirnov-small-n": (lambda n: math.sqrt(6.0 / n), lambda n: n <= 140),
+    "durbin": (lambda n: (1.0 / n) ** (2.0 / 3.0), lambda n: n > 140),
+    "pelz-good": (lambda n: math.sqrt(1.5 / n), lambda n: n > 140),
+    "smirnov": (lambda n: math.sqrt(10.0 / n), lambda n: n > 140),
+    "zero-tail": (lambda n: math.sqrt(400.0 / n), lambda n: n > 140 and 400.0 / n < 0.25),
+}
+KS_GRID = [
+    pytest.param(n, d_of(n), id=f"{name}-{n}")
+    for n in (100, 140, 141, 1000, 2000, 10000, 100000, 100001)
+    for name, (d_of, applies) in KS_BRANCHES.items()
+    if applies(n)
+]
+
+
+class TestKolmogorovSurvival:
+    @pytest.mark.parametrize("n, d", KS_GRID)
+    def test_matches_scipy_kstwo(self, scipy_stats, n, d):
+        assert_pvalue_matches(ks_sf(n, d), float(scipy_stats.kstwo.sf(d, n)))
 
 
 # 5 % point of Stephens' modified statistic for an exponential with

@@ -3,14 +3,20 @@ deterministic result files.
 
 Every output file embeds the seed and the sha256 of the resolved
 configuration; re-running a subcommand with the same seed reproduces
-the files byte for byte. Exit codes: 0 success, 2 configuration or
-usage error, 3 runtime failure.
+the files byte for byte. An ``--out`` directory holds exactly one
+complete run: the files are written beside it and moved into place
+last, and only an empty directory or an earlier ionnet run is replaced.
+Exit codes: 0 success, 2 configuration or usage error, 3 runtime
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .fitting import MIN_FIT_POINTS, MIN_RATE_SAMPLES
@@ -46,6 +52,10 @@ SUBCOMMANDS = (
 )
 
 
+# How the first line of every summary.txt that ionnet writes starts.
+SUMMARY_MARK = b"# ionnet "
+
+
 def _header(subcommand: str, seed: int, config_hash: str) -> list[str]:
     return [
         f"# ionnet {subcommand}",
@@ -61,24 +71,51 @@ def write_outputs(
     seed: int,
     output: ExperimentOutput,
 ) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = scenario.config_hash()
-    written = []
+    """Write the run's files and return their paths under ``out_dir``.
 
-    config_path = out_dir / "resolved_config.cfg"
-    config_path.write_text(scenario.resolved_text(), encoding="utf-8")
-    written.append(config_path)
+    The files go into a fresh temporary sibling of ``out_dir``, which is
+    moved into place as the last step; an earlier ionnet run there is
+    replaced whole. On any error the temporary directory is removed and
+    ``out_dir`` is left as it was.
+    """
+    target = Path(os.path.abspath(out_dir))
+    target.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        staged = work / "out"
+        staged.mkdir()
+        names = _write_files(staged, subcommand, scenario, seed, output)
+        if target.exists():
+            check_out_dir(out_dir)
+            replaced = work / "replaced"
+            target.rename(replaced)
+            try:
+                staged.rename(target)
+            except BaseException:
+                replaced.rename(target)
+                raise
+        else:
+            staged.rename(target)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return [out_dir / name for name in names]
+
+
+def _write_files(
+    out_dir: Path, subcommand: str, scenario: Scenario, seed: int, output: ExperimentOutput
+) -> list[str]:
+    config_hash = scenario.config_hash()
+    names = ["resolved_config.cfg"]
+    (out_dir / names[0]).write_text(scenario.resolved_text(), encoding="utf-8")
 
     for name, (columns, rows) in output.tables.items():
-        path = out_dir / f"{name}.csv"
         lines = _header(subcommand, seed, config_hash)
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(format_value(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+        names.append(f"{name}.csv")
+        (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    summary_path = out_dir / "summary.txt"
     lines = _header(subcommand, seed, config_hash)
     for key in output.summary:
         lines.append(f"{key} = {format_value(output.summary[key])}")
@@ -86,9 +123,9 @@ def write_outputs(
         lines.append(f"defaulted_fields = {len(scenario.defaulted)}")
     for warning in scenario.warnings:
         lines.append(f"# warning: {warning}")
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(summary_path)
-    return written
+    names.append("summary.txt")
+    (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return names
 
 
 # Subcommands that run their own fixed script, built for the default
@@ -140,12 +177,34 @@ def check_preconditions(subcommand: str, scenario: Scenario, trials: int) -> Non
 
 
 def check_out_dir(out_dir: Path) -> None:
-    """Reject an output path that names a file or lies under one."""
+    """Reject an output path that names a file or lies under one, and an
+    existing directory that is neither empty nor an earlier ionnet run."""
     for path in (out_dir, *out_dir.parents):
         if path.exists():
             if not path.is_dir():
                 raise ScenarioError(f"--out {out_dir}: {path} exists and is not a directory")
+            if path == out_dir and any(out_dir.iterdir()) and not _earlier_run(out_dir):
+                raise ScenarioError(
+                    f"--out {out_dir}: the directory is not empty and holds more than "
+                    "an earlier ionnet run; name an empty or new directory"
+                )
             return
+
+
+def _earlier_run(out_dir: Path) -> bool:
+    """Whether ``out_dir`` holds only regular files named as an ionnet run
+    names them, with a ``summary.txt`` written by ionnet."""
+    for path in out_dir.iterdir():
+        name = path.name
+        if path.is_symlink() or not path.is_file():
+            return False
+        if name not in ("resolved_config.cfg", "summary.txt") and not name.endswith(".csv"):
+            return False
+    summary = out_dir / "summary.txt"
+    if not summary.is_file():
+        return False
+    with summary.open("rb") as fh:
+        return fh.read(len(SUMMARY_MARK)) == SUMMARY_MARK
 
 
 def run_subcommand(

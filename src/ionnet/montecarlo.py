@@ -23,13 +23,16 @@ The sampled path draws all trials at once from the exact joint
 distribution of herald branch, true outcome and reported outcome, and
 their herald attempt counts from the geometric distribution of the link
 budget. Each scan point draws its shots from the exact reported
-distribution of the point (``sample_counts``).
+distribution of the point (``sample_scan``): the cumulative cuts of all
+points are built in one array operation, and each point then costs its
+generator, its uniform numbers and one count per cut.
 
 Randomness is reproducible: generators derive from the root seed by the
-counter scheme ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
-A protocol run draws every trial from the one generator of stream 0; a
-scan draws each point from its own (stream, ..., point) generator
-(``sample_scan``).
+counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
+spawn_key=key)))``, the generator ``default_rng`` builds from that seed
+sequence. A protocol run draws every trial from the one generator of
+stream 0; a scan draws each point from its own (stream, ..., point)
+generator (``rng_stream``).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng  # numpy loads it lazily otherwise
+from numpy.random import PCG64, Generator, SeedSequence  # numpy loads it lazily otherwise
 
 from . import states as st
 from .detection import DetectorGroup, confusion_matrix
@@ -63,7 +66,6 @@ __all__ = [
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
-    "sample_counts",
     "sample_scan",
     "parity_err",
     "exact_branches",
@@ -239,30 +241,31 @@ class ProtocolResult(Record):
 
 def rng_stream(seed: int, *key: int) -> Generator:
     """Generator for a (stream, index, ...) counter under the root seed."""
-    return default_rng(SeedSequence(entropy=seed, spawn_key=tuple(key)))
-
-
-def sample_counts(probs: np.ndarray, shots: int, rng: Generator) -> np.ndarray:
-    """Counts of each outcome in ``shots`` draws from ``probs``.
-
-    Each draw inverts the cumulative distribution at one uniform number
-    of ``rng`` (as ``rng.choice`` does, so the counts equal those of
-    ``rng.choice``); counting the uniforms below each cut of the
-    distribution takes the place of an index per shot.
-    """
-    cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
-    u = rng.random(shots)
-    below = np.array([0, *(np.count_nonzero(u < cut) for cut in cdf[:-1]), shots])
-    return below[1:] - below[:-1]
+    return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def sample_scan(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarray:
     """Counts of ``shots`` draws at each scan point, one row of ``probs``
-    per point; point i draws from the generator of (``key``, i)."""
-    return np.array(
-        [sample_counts(p, shots, rng_stream(seed, *key, i)) for i, p in enumerate(probs)]
-    )
+    per point; point i draws from the generator of (``key``, i).
+
+    Each draw inverts the point's cumulative distribution at one uniform
+    number of its generator (as ``rng.choice`` does, so the counts equal
+    those of ``rng.choice``); counting the uniforms below each cut of the
+    distribution takes the place of an index per shot. The cuts of all
+    points are built at once, and every point draws into one buffer.
+    """
+    # A C-ordered copy sums each row exactly as a single row is summed.
+    probs = np.ascontiguousarray(probs, dtype=float)
+    cdf = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[:, -1:]
+    below = np.empty(cdf.shape, dtype=np.int64)  # uniforms below each cut
+    below[:, -1] = shots
+    u = np.empty(shots)
+    for i, cuts in enumerate(cdf[:, :-1]):
+        rng_stream(seed, *key, i).random(out=u)
+        for j, cut in enumerate(cuts):
+            below[i, j] = np.count_nonzero(u < cut)
+    return np.diff(below, prepend=0)
 
 
 def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:

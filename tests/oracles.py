@@ -9,10 +9,12 @@ Test-only helpers the package does not run: the per-detector-pair BSM
 distribution, the herald event record, the pair parity expectation and
 exact binomial bounds on a count of rare events.
 
-The single-shot samplers at the end draw one outcome at a time from the
-package's exact channels. The package itself samples only in bulk, from
-exact distributions; sampled-versus-exact tests use these samplers as a
-second, shot-by-shot route to the same statistics.
+The single-shot samplers near the end draw one outcome at a time from
+the package's exact channels. The package itself samples only in bulk,
+from exact distributions; sampled-versus-exact tests use these samplers
+as a second, shot-by-shot route to the same statistics. The last
+sampler is the scan sampler written one row at a time, the reference
+the batched ``montecarlo.sample_scan`` must equal count for count.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from ionnet import states as st
 from ionnet.detection import DetectorGroup, DetectorModel, apply_readout_array
@@ -301,3 +304,24 @@ def ms_gate_trajectory(
         pauli = _TWO_QUBIT_PAULIS[rng.integers(16)]
         out = st.apply_unitary(out, pauli, list(pair))
     return out
+
+
+def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts of each outcome in ``shots`` draws from one distribution:
+    the uniforms of ``rng`` below each cut of its cumulative distribution."""
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    below = np.array([0, *(np.count_nonzero(u < cut) for cut in cdf[:-1]), shots])
+    return below[1:] - below[:-1]
+
+
+def sample_scan_per_row(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarray:
+    """Reference for ``montecarlo.sample_scan``: one row at a time, each
+    normalised, summed and counted on its own, row i from the generator
+    ``default_rng`` builds for the counter (``key``, i)."""
+    rows = []
+    for i, p in enumerate(probs):
+        rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(*key, i)))
+        rows.append(sample_counts(p, shots, rng))
+    return np.array(rows)

@@ -130,11 +130,84 @@ def test_bad_trials_exit_2(tmp_path):
     assert main(["remote-bell", "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
 
 
-def test_runtime_failure_exits_3(tmp_path):
-    # an output file path is taken by a directory; only writing finds it
+def fail_second_write(monkeypatch):
+    """Make the second ``Path.write_text`` call raise, as a full disk would."""
+    real = Path.write_text
+    calls = []
+
+    def write_text(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    return calls
+
+
+def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # A write that fails part-way exits 3 and leaves neither the --out
+    # directory nor the temporary directory it was written in.
+    calls = fail_second_write(monkeypatch)
+    assert main(["remote-bell", "--trials", "300", "--out", str(tmp_path / "x")]) == 3
+    assert len(calls) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_earlier_run(tmp_path, monkeypatch):
     out = tmp_path / "x"
-    (out / "summary.txt").mkdir(parents=True)
+    assert main(["remote-bell", "--trials", "300", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    fail_second_write(monkeypatch)
     assert main(["budget", "--out", str(out)]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_rerun_into_one_directory_leaves_only_its_files(tmp_path):
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    assert main(["remote-bell", "--trials", "300", "--out", str(out)]) == 0
+    assert (out / "populations_phid0.csv").exists()
+    assert main(["budget", "--out", str(out)]) == 0
+    assert main(["budget", "--out", str(fresh)]) == 0
+    files = sorted(p.name for p in out.iterdir())
+    assert files == ["resolved_config.cfg", "summary.txt"]
+    assert [(out / f).read_bytes() for f in files] == [(fresh / f).read_bytes() for f in files]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "o"]
+
+
+def test_empty_out_directory_is_used(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["budget", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.cfg", "summary.txt"]
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    ["notes.txt", "summary-not-ionnet", "summary-dir", "earlier-run-plus-subdir"],
+)
+def test_foreign_out_directory_exits_2_untouched(tmp_path, capsys, foreign):
+    out = tmp_path / "o"
+    if foreign == "earlier-run-plus-subdir":
+        assert main(["budget", "--out", str(out)]) == 0
+        (out / "keep").mkdir()
+    else:
+        out.mkdir()
+    if foreign == "notes.txt":
+        (out / "notes.txt").write_text("mine\n")
+    elif foreign == "summary-not-ionnet":
+        (out / "summary.txt").write_text("# my own summary\n")
+    elif foreign == "summary-dir":
+        (out / "summary.txt").mkdir()
+    before = sorted((p.name, p.is_dir(), p.is_file() and p.read_bytes()) for p in out.iterdir())
+    capsys.readouterr()
+    assert main(["budget", "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert errors and str(out) in errors[0]
+    assert sorted((p.name, p.is_dir(), p.is_file() and p.read_bytes()) for p in out.iterdir()) == before
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

@@ -18,6 +18,7 @@ from ionnet.photonics import (
 )
 from ionnet.records import replace
 from ionnet.scenario import ProtocolLayout, Scenario, loads_scenario
+from oracles import sample_scan_per_row
 
 RNG = np.random.default_rng
 
@@ -450,12 +451,55 @@ class TestRngScheme:
 
     @pytest.mark.parametrize("empty", [0, 3, 7])
     def test_sample_counts_are_the_choice_counts(self, empty):
-        # A scan point's counts are those rng.choice draws from the same
+        # A scan point's counts are those rng.choice draws from the point's
         # generator, zero-probability outcomes included.
-        probs = RNG(empty).random(8) ** 3
-        probs[empty] = 0.0
-        want = np.bincount(RNG(5).choice(8, size=5000, p=probs / probs.sum()), minlength=8)
-        np.testing.assert_array_equal(mc.sample_counts(probs, 5000, RNG(5)), want)
+        probs = RNG(empty).random((3, 8)) ** 3
+        probs[:, empty] = 0.0
+        counts = mc.sample_scan(probs, 5000, 5, 22)
+        for i, p in enumerate(probs):
+            draws = mc.rng_stream(5, 22, i).choice(8, size=5000, p=p / p.sum())
+            np.testing.assert_array_equal(counts[i], np.bincount(draws, minlength=8))
+
+    @pytest.mark.parametrize("shots", [1, 7, 10_000])
+    @pytest.mark.parametrize("points", [1, 5])
+    @pytest.mark.parametrize("outcomes", [2, 4, 8, 64])
+    def test_sample_scan_equals_per_row_reference(self, outcomes, points, shots):
+        # Every row has a zero-probability outcome: the first one in even
+        # rows, the last one in odd rows, and a middle one when K > 2.
+        probs = RNG(outcomes * points).random((points, outcomes)) ** 3 + 0.01
+        probs[::2, 0] = 0.0
+        probs[1::2, -1] = 0.0
+        if outcomes > 2:
+            probs[:, outcomes // 2] = 0.0
+        want = sample_scan_per_row(probs, shots, 7, 21, 1)
+        got = mc.sample_scan(probs, shots, 7, 21, 1)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got.sum(axis=1), shots)
+
+    def test_sample_scan_rows_normalised_within_float_error(self):
+        # Rows that sum to 1 only to rounding are normalised as one row is.
+        probs = RNG(11).dirichlet(np.full(8, 0.3), size=40)
+        assert not np.all(probs.sum(axis=1) == 1.0)
+        np.testing.assert_array_equal(
+            mc.sample_scan(probs, 10_000, 3, 22), sample_scan_per_row(probs, 10_000, 3, 22)
+        )
+
+    @pytest.mark.parametrize("layout", ["broadcast", "fortran"])
+    def test_sample_scan_non_contiguous_input(self, layout):
+        # Summing a non-C-ordered (P, K) array along its rows can round
+        # differently from summing each row; the counts must not change.
+        rows = RNG(13).random((6, 64)) * 10.0 ** RNG(14).uniform(-3, 3, size=(6, 1))
+        probs = np.broadcast_to(rows[0], (6, 64)) if layout == "broadcast" else np.asfortranarray(rows)
+        assert not probs.flags.c_contiguous
+        np.testing.assert_array_equal(
+            mc.sample_scan(probs, 10_000, 9, 20, 0), sample_scan_per_row(probs, 10_000, 9, 20, 0)
+        )
+
+    def test_rng_stream_is_default_rng_of_the_seed_sequence(self):
+        for seed, key in ((0, (0,)), (42, (22, 5)), (2**63 + 1, (20, 1, 300))):
+            want = RNG(np.random.SeedSequence(entropy=seed, spawn_key=key)).random(8)
+            np.testing.assert_array_equal(mc.rng_stream(seed, *key).random(8), want)
 
     def test_streams_are_independent_and_reproducible(self):
         a1 = mc.rng_stream(42, 0, 7).random(4)

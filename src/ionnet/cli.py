@@ -16,7 +16,6 @@ import argparse
 import os
 import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 from .fitting import MIN_FIT_POINTS, MIN_RATE_SAMPLES
@@ -80,24 +79,26 @@ def write_outputs(
     """
     target = Path(os.path.abspath(out_dir))
     target.parent.mkdir(parents=True, exist_ok=True)
-    work = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    # Siblings of out_dir, so that moving them is a rename.
+    token = f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}"
+    staged, replaced = target.with_name(token + ".new"), target.with_name(token + ".old")
+    staged.mkdir()
     try:
-        staged = work / "out"
-        staged.mkdir()
         names = _write_files(staged, subcommand, scenario, seed, output)
         if target.exists():
             check_out_dir(out_dir)
-            replaced = work / "replaced"
             target.rename(replaced)
             try:
                 staged.rename(target)
             except BaseException:
                 replaced.rename(target)
                 raise
+            shutil.rmtree(replaced, ignore_errors=True)
         else:
             staged.rename(target)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        raise
     return [out_dir / name for name in names]
 
 
@@ -183,12 +184,12 @@ def check_out_dir(out_dir: Path) -> None:
         if path.exists():
             if not path.is_dir():
                 raise ScenarioError(f"--out {out_dir}: {path} exists and is not a directory")
-            if path == out_dir and any(out_dir.iterdir()) and not _earlier_run(out_dir):
-                raise ScenarioError(
-                    f"--out {out_dir}: the directory is not empty and holds more than "
-                    "an earlier ionnet run; name an empty or new directory"
-                )
-            return
+            break
+    if out_dir.is_dir() and any(out_dir.iterdir()) and not _earlier_run(out_dir):
+        raise ScenarioError(
+            f"--out {out_dir}: the directory is not empty and holds more than "
+            "an earlier ionnet run; name an empty or new directory"
+        )
 
 
 def _earlier_run(out_dir: Path) -> bool:

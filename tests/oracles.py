@@ -12,9 +12,9 @@ exact binomial bounds on a count of rare events.
 The single-shot samplers near the end draw one outcome at a time from
 the package's exact channels. The package itself samples only in bulk,
 from exact distributions; sampled-versus-exact tests use these samplers
-as a second, shot-by-shot route to the same statistics. The last
-sampler is the scan sampler written one row at a time, the reference
-the batched ``montecarlo.sample_scan`` must equal count for count.
+as a second, shot-by-shot route to the same statistics. The last two
+functions are the scan sampler written one row at a time, the reference
+that the batched ``montecarlo.sample_scan`` must equal count for count.
 """
 
 from __future__ import annotations

@@ -487,8 +487,8 @@ class TestRngScheme:
 
     @pytest.mark.parametrize("layout", ["broadcast", "fortran"])
     def test_sample_scan_non_contiguous_input(self, layout):
-        # Summing a non-C-ordered (P, K) array along its rows can round
-        # differently from summing each row; the counts must not change.
+        # A broadcast or Fortran-ordered (P, K) input gives the counts of
+        # the per-row reference.
         rows = RNG(13).random((6, 64)) * 10.0 ** RNG(14).uniform(-3, 3, size=(6, 1))
         probs = np.broadcast_to(rows[0], (6, 64)) if layout == "broadcast" else np.asfortranarray(rows)
         assert not probs.flags.c_contiguous

@@ -30,9 +30,9 @@ def assert_pvalue_matches(got, want):
 
 
 # D for each method branch of ks_sf, as a function of n. Each applies
-# where its condition holds; the grid below keeps the ones that do. The
-# grid stops at n = 1000, so the large-n branches (the zero tail, and
-# Pelz-Good in place of Durbin's matrix above n = 1e5) are not compared.
+# where its condition holds; the grid below keeps the ones that do. At
+# n = 100001 the "durbin" D falls to Pelz-Good, which replaces Durbin's
+# matrix above n = 1e5.
 KS_BRANCHES = {
     "zero": (lambda n: 0.0, lambda n: True),
     "one": (lambda n: 1.0, lambda n: True),
@@ -48,10 +48,11 @@ KS_BRANCHES = {
     "durbin": (lambda n: (1.0 / n) ** (2.0 / 3.0), lambda n: n > 140),
     "pelz-good": (lambda n: math.sqrt(1.5 / n), lambda n: n > 140),
     "smirnov": (lambda n: math.sqrt(10.0 / n), lambda n: n > 140),
+    "zero-tail": (lambda n: math.sqrt(400.0 / n), lambda n: n > 140 and 400.0 / n < 0.25),
 }
 KS_GRID = [
     pytest.param(n, d_of(n), id=f"{name}-{n}")
-    for n in (100, 140, 141, 1000)
+    for n in (100, 140, 141, 1000, 2000, 10000, 100000, 100001)
     for name, (d_of, applies) in KS_BRANCHES.items()
     if applies(n)
 ]

@@ -7,6 +7,10 @@ histogram overlap between the one-ion-bright and two-ion-bright count
 distributions, modelled as a symmetric confusion between the aggregated
 "one bright" outcome (01 or 10) and the "two bright" outcome (11).
 Zero-bright is only affected through the per-ion flips.
+
+The exact channel (``confusion_matrix``) is the product of these parts:
+one 2x2 flip matrix per ion, then one 4x4 overlap channel per shared
+pair. ``apply_readout_array`` draws the same channel shot by shot.
 """
 
 from __future__ import annotations
@@ -116,56 +120,33 @@ def confusion_matrix(
 ) -> np.ndarray:
     """Exact stochastic matrix M[reported, true] of the readout channel.
 
-    Columns sum to one. The exact reported statistics and the sampled
-    trials both use it; ``apply_readout_array`` draws the same channel
-    shot by shot.
+    Columns sum to one. The channel is built from its parts: the
+    Kronecker product of the per-ion 2x2 flip matrices, then the 4x4
+    overlap channel of each shared detector on its pair's two reported
+    bits (the tensored readout model of Bravyi et al., PRA 103, 042605
+    (2021), plus the pair term). The exact reported statistics and the
+    sampled trials both use it.
     """
     _validate_layout(n_bits, layout, model)
-    eps = model.single_qubit_error
-    dim = 2**n_bits
-    m = np.zeros((dim, dim))
-    shared_pairs = [
-        g.positions
-        for g in layout
-        if model.is_shared(g.module) and len(g.positions) == 2
-    ]
-    for true in range(dim):
-        true_bits = [(true >> (n_bits - 1 - k)) & 1 for k in range(n_bits)]
-        # enumerate per-ion flip patterns
-        dist = {tuple(true_bits): 1.0}
-        for k in range(n_bits):
-            nxt: dict[tuple[int, ...], float] = {}
-            for bits, p in dist.items():
-                stay = list(bits)
-                flip = list(bits)
-                flip[k] ^= 1
-                nxt[tuple(stay)] = nxt.get(tuple(stay), 0.0) + p * (1.0 - eps)
-                nxt[tuple(flip)] = nxt.get(tuple(flip), 0.0) + p * eps
-            dist = nxt
-        # shared-detector bright-count confusion
-        for i, j in shared_pairs:
-            nxt = {}
-            for bits, p in dist.items():
-                bright = bits[i] + bits[j]
-                if bright == 1 and model.two_qubit_overlap > 0:
-                    up = list(bits)
-                    up[i] = up[j] = 1
-                    nxt[tuple(up)] = nxt.get(tuple(up), 0.0) + p * model.two_qubit_overlap
-                    nxt[bits] = nxt.get(bits, 0.0) + p * (1.0 - model.two_qubit_overlap)
-                elif bright == 2 and model.two_qubit_overlap > 0:
-                    for drop in (i, j):
-                        down = list(bits)
-                        down[drop] = 0
-                        nxt[tuple(down)] = (
-                            nxt.get(tuple(down), 0.0) + p * model.two_qubit_overlap / 2.0
-                        )
-                    nxt[bits] = nxt.get(bits, 0.0) + p * (1.0 - model.two_qubit_overlap)
-                else:
-                    nxt[bits] = nxt.get(bits, 0.0) + p
-            dist = nxt
-        for bits, p in dist.items():
-            rep = 0
-            for b in bits:
-                rep = (rep << 1) | b
-            m[rep, true] += p
-    return m
+    eps, o = model.single_qubit_error, model.two_qubit_overlap
+    flip = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    m = np.ones((1, 1))
+    for _ in range(n_bits):
+        m = np.kron(m, flip)
+    # overlap[reported pair, true pair], pair bits (i, j) read as 2 i + j:
+    # one bright is reported as two with probability o, two bright as
+    # either one-bright outcome with o / 2 each; zero bright is untouched.
+    overlap = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0 - o, 0.0, o / 2.0],
+            [0.0, 0.0, 1.0 - o, o / 2.0],
+            [0.0, o, o, 1.0 - o],
+        ]
+    ).reshape(2, 2, 2, 2)
+    m = m.reshape((2,) * n_bits + (2**n_bits,))  # one axis per reported bit
+    for group in layout:
+        if model.is_shared(group.module) and len(group.positions) == 2:
+            i, j = group.positions
+            m = np.moveaxis(np.tensordot(overlap, m, axes=((2, 3), (i, j))), (0, 1), (i, j))
+    return m.reshape(2**n_bits, 2**n_bits)

@@ -22,10 +22,13 @@ unit trace and positivity on every stack it returns.
 The sampled path draws all trials at once from the exact joint
 distribution of herald branch, true outcome and reported outcome, and
 their herald attempt counts from the geometric distribution of the link
-budget. Each scan point draws its shots from the exact reported
-distribution of the point (``sample_scan``): the cumulative cuts of all
-points are built in one array operation, and each point then costs its
-generator, its uniform numbers and one count per cut.
+budget. Every scan samples through ``sample_outcomes``: the exact true
+distribution of each point, the reported one through the script's
+readout channel (``ProtocolScript.readout``, the one place it is
+built), and then each point's shots from that reported distribution
+(``sample_scan``). The cumulative cuts of all points are built in one
+array operation, and each point then costs its generator, its uniform
+numbers and one count per cut.
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence  # numpy loads it lazily otherwise
 
 from . import states as st
-from .detection import DetectorGroup, confusion_matrix
+from .detection import DetectorGroup, DetectorModel, confusion_matrix
 from .gates import analysis_rotation, ms_gate
 from .phases import free_evolution
 from .photonics import conditional_herald_states, module_emission, success_probability
@@ -67,6 +70,7 @@ __all__ = [
     "ScriptError",
     "rng_stream",
     "sample_scan",
+    "sample_outcomes",
     "parity_err",
     "exact_branches",
     "propagate",
@@ -189,6 +193,11 @@ class ProtocolScript(Record):
                 groups.append(DetectorGroup(module=module, positions=positions))
         return tuple(groups)
 
+    def readout(self, detectors: DetectorModel) -> np.ndarray:
+        """Readout channel M[reported, true] of ``detectors`` over the
+        script's qubits (first qubit most significant)."""
+        return confusion_matrix(len(self.qubits), detectors, self.detector_layout())
+
 
 class BranchState(Record):
     """One deterministic herald branch of the protocol: ``phi_d`` is the
@@ -266,6 +275,33 @@ def sample_scan(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarr
         for j, cut in enumerate(cuts):
             below[i, j] = np.count_nonzero(u < cut)
     return np.diff(below, prepend=0)
+
+
+def sample_outcomes(
+    script: ProtocolScript,
+    scenario: Scenario,
+    branches: Sequence[BranchState],
+    shots: int,
+    seed: int,
+    *key: int,
+    phi_d: float | None = None,
+    points: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcomes of ``branches`` (averaged as in
+    ``branch_outcome_distribution``, optionally over the herald phase
+    ``phi_d`` only) over the script's qubits: the exact distributions
+    before and after the script's detectors, and the counts of
+    ``shots`` reported outcomes.
+
+    Stacked branches give one row per scan point, unstacked ones a single
+    row, or ``points`` equal rows. Row i draws its shots from the
+    generator of (``key``, i) (``sample_scan``).
+    """
+    true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits, phi_d))
+    if points is not None:
+        true = np.broadcast_to(true, (points, true.shape[-1]))
+    reported = true @ script.readout(scenario.detectors).T
+    return true, reported, sample_scan(reported, shots, seed, *key)
 
 
 def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:
@@ -426,7 +462,7 @@ def run_protocol(
     true_given_branch = np.array(
         [st.outcome_probabilities(b.state, script.qubits) for b in branches]
     )
-    readout = confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
+    readout = script.readout(scenario.detectors)
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = rng_stream(seed, TRIAL_STREAM)
@@ -492,13 +528,10 @@ def parity_scan(
         for s in script.steps[scanned:]
     ]
     branches = propagate(script, scenario, steps, prefix)
-    # (P, 2^n); a script without analysis steps gives the same row at every phase
-    true_diag = np.broadcast_to(
-        branch_outcome_distribution(branches, qubits), (phases.size, 2**n_bits)
+    # a script without analysis steps gives the same row at every phase
+    true, reported, counts = sample_outcomes(
+        script, scenario, branches, shots, seed, stream, points=phases.size
     )
-    m = confusion_matrix(n_bits, scenario.detectors, script.detector_layout())
-    reported = true_diag @ m.T
-    counts = sample_scan(reported, shots, seed, stream)
 
     curves: dict[str, ParityCurve] = {}
     for cond, mask in masks.items():
@@ -506,7 +539,7 @@ def parity_scan(
         # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
         errors = parity_err(values, np.maximum(n, 1))
         exact_reported = _parity(reported, sign, mask)[0]
-        exact_ideal = _parity(true_diag, sign, mask)[0]
+        exact_ideal = _parity(true, sign, mask)[0]
         curves[cond] = ParityCurve(
             condition=cond,
             phases=tuple(phases.tolist()),

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from . import states as st
-from .detection import confusion_matrix
 from .fitting import (
     MAX_TAU_REL_STDERR,
     CosineFit,
@@ -38,7 +37,7 @@ from .montecarlo import (
     parity_scan,
     propagate,
     run_protocol,
-    sample_scan,
+    sample_outcomes,
 )
 from .photonics import expected_rate, heralded_bell_ket, success_probability
 from .records import replace
@@ -120,18 +119,6 @@ def _binomial_err(p, n):
     return np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
-def _confusion(script: ProtocolScript, scenario: Scenario) -> np.ndarray:
-    """The readout channel of the script's qubits, built once per run."""
-    return confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
-
-
-def _reported_distribution(branches, script, m, phi_d=None) -> np.ndarray:
-    """Exact reported outcome distribution through the readout channel
-    ``m``, optionally per herald phase; one row per scan point of
-    stacked branches."""
-    return branch_outcome_distribution(branches, script.qubits, phi_d) @ m.T
-
-
 def _population_table(counts, n, exact) -> tuple[tuple[str, ...], list[tuple]]:
     """Sampled outcome frequencies ``counts / n`` beside the exact
     distribution, one row per outcome (first qubit most significant)."""
@@ -176,10 +163,10 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
 
     result = run_protocol(script, scenario, n_trials, seed, branches=branches)
     trial_phi_d = np.array([b.phi_d for b in branches])[result.branch]
-    m = _confusion(script, scenario)
+    readout = script.readout(scenario.detectors)
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
         sub = result.reported[trial_phi_d == want]
-        exact_rep = _reported_distribution(branches, script, m, phi_d=want)
+        exact_rep = branch_outcome_distribution(branches, script.qubits, want) @ readout.T
         out.tables[f"populations_{key}"] = _population_table(
             np.bincount(sub, minlength=4), max(sub.size, 1), exact_rep
         )
@@ -204,13 +191,13 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     heralded = exact_branches(script, scenario)
     analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
     scanned = propagate(script, scenario, (WaitStep(delays), analysis), heralded)
-    m = _confusion(script, scenario)
     out = ExperimentOutput()
     fits = {}
     for branch_i, (key, want) in enumerate((("phid0", 0.0), ("phidpi", math.pi))):
-        reported = _reported_distribution(scanned, script, m, phi_d=want)
+        _, reported, counts = sample_outcomes(
+            script, scenario, scanned, shots, seed, _SHOT_STREAM, branch_i, phi_d=want
+        )
         p_even_exact = reported[:, 0] + reported[:, 3]
-        counts = sample_scan(reported, shots, seed, _SHOT_STREAM, branch_i)
         p_even = (counts[:, 0] + counts[:, 3]) / shots
         rows = list(
             zip(
@@ -273,12 +260,10 @@ def coherence_experiment(
     branches = exact_branches(script, scenario)
     (heralded,) = (b for b in branches if b.phi_d == 0.0)
 
-    m = _confusion(script, scenario)
     delays = np.linspace(0.0, run.delay_max_s, run.delay_points)
-    (final,) = propagate(script, scenario, _echo_steps((qa, qb), delays), [heralded])
-    reported = st.outcome_probabilities(final.state, (qa, qb)) @ m.T
+    final = propagate(script, scenario, _echo_steps((qa, qb), delays), [heralded])
+    _, reported, counts = sample_outcomes(script, scenario, final, shots, seed, _SHOT_STREAM, 0)
     par_exact = reported[:, 0] + reported[:, 3] - reported[:, 1] - reported[:, 2]
-    counts = sample_scan(reported, shots, seed, _SHOT_STREAM, 0)
     par = (2.0 * (counts[:, 0] + counts[:, 3]) - shots) / shots
     err = parity_err(par, shots)
     rows = list(zip(delays.tolist(), par.tolist(), err.tolist(), par_exact.tolist()))
@@ -344,10 +329,9 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
 
     # populations without analysis pulse
     (branch,) = propagate(script, scenario, (gate,))
-    true_diag = st.outcome_probabilities(branch.state, (qa, qb))
-    m = _confusion(script, scenario)
-    reported = m @ true_diag
-    counts = sample_scan(reported[None], shots, seed, _SHOT_STREAM, 0)[0]
+    (true_diag,), (reported,), (counts,) = sample_outcomes(
+        script, scenario, [branch], shots, seed, _SHOT_STREAM, 0
+    )
     out.tables["populations"] = _population_table(counts, shots, reported)
     out.summary["even_population_exact"] = float(true_diag[0] + true_diag[3])
     out.summary["even_population_reported"] = float(reported[0] + reported[3])
@@ -434,7 +418,7 @@ def modular_3q_experiment(
     counts = np.bincount(result.reported, minlength=8)
     corr = _conditional_correlations(counts)
     corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
-    rep_diag = _reported_distribution(result.branches, script, _confusion(script, scenario))
+    rep_diag = result.exact_true @ script.readout(scenario.detectors).T
     corr_exact = _conditional_correlations(rep_diag)
     corr_exact_true = _conditional_correlations(result.exact_true)
     out.summary.update(

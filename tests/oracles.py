@@ -6,8 +6,9 @@ picture, including a temporal mode label for partially distinguishable
 photons.
 
 Test-only helpers the package does not run: the per-detector-pair BSM
-distribution, the herald event record, the pair parity expectation and
-exact binomial bounds on a count of rare events.
+distribution, the herald event record, the pair parity expectation,
+exact binomial bounds on a count of rare events and the readout channel
+enumerated flip pattern by flip pattern.
 
 The single-shot samplers near the end draw one outcome at a time from
 the package's exact channels. The package itself samples only in bulk,
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from ionnet import states as st
-from ionnet.detection import DetectorGroup, DetectorModel, apply_readout_array
+from ionnet.detection import DetectorGroup, DetectorModel, _validate_layout, apply_readout_array
 from ionnet.gates import ms_gate
 from ionnet.photonics import (
     DETECTOR_PAIRS,
@@ -275,6 +276,63 @@ def apply_readout(
         np.asarray(true_bits, dtype=np.int64)[None, :], model, layout, rng
     )
     return tuple(int(b) for b in arr[0])
+
+
+def confusion_matrix_enumerated(
+    n_bits: int, model: DetectorModel, layout: Sequence[DetectorGroup]
+) -> np.ndarray:
+    """Reference for ``detection.confusion_matrix``: M[reported, true]
+    enumerated per true outcome, first every per-ion flip pattern, then
+    every shared-detector bright-count confusion, in Python dicts."""
+    _validate_layout(n_bits, layout, model)
+    eps = model.single_qubit_error
+    dim = 2**n_bits
+    m = np.zeros((dim, dim))
+    shared_pairs = [
+        g.positions
+        for g in layout
+        if model.is_shared(g.module) and len(g.positions) == 2
+    ]
+    for true in range(dim):
+        true_bits = [(true >> (n_bits - 1 - k)) & 1 for k in range(n_bits)]
+        # enumerate per-ion flip patterns
+        dist = {tuple(true_bits): 1.0}
+        for k in range(n_bits):
+            nxt: dict[tuple[int, ...], float] = {}
+            for bits, p in dist.items():
+                stay = list(bits)
+                flip = list(bits)
+                flip[k] ^= 1
+                nxt[tuple(stay)] = nxt.get(tuple(stay), 0.0) + p * (1.0 - eps)
+                nxt[tuple(flip)] = nxt.get(tuple(flip), 0.0) + p * eps
+            dist = nxt
+        # shared-detector bright-count confusion
+        for i, j in shared_pairs:
+            nxt = {}
+            for bits, p in dist.items():
+                bright = bits[i] + bits[j]
+                if bright == 1 and model.two_qubit_overlap > 0:
+                    up = list(bits)
+                    up[i] = up[j] = 1
+                    nxt[tuple(up)] = nxt.get(tuple(up), 0.0) + p * model.two_qubit_overlap
+                    nxt[bits] = nxt.get(bits, 0.0) + p * (1.0 - model.two_qubit_overlap)
+                elif bright == 2 and model.two_qubit_overlap > 0:
+                    for drop in (i, j):
+                        down = list(bits)
+                        down[drop] = 0
+                        nxt[tuple(down)] = (
+                            nxt.get(tuple(down), 0.0) + p * model.two_qubit_overlap / 2.0
+                        )
+                    nxt[bits] = nxt.get(bits, 0.0) + p * (1.0 - model.two_qubit_overlap)
+                else:
+                    nxt[bits] = nxt.get(bits, 0.0) + p
+            dist = nxt
+        for bits, p in dist.items():
+            rep = 0
+            for b in bits:
+                rep = (rep << 1) | b
+            m[rep, true] += p
+    return m
 
 
 _SINGLE_PAULIS = [

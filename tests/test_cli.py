@@ -511,7 +511,7 @@ def test_confusion_matrix_built_per_run_not_per_point(tmp_path, monkeypatch, sub
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (detection, montecarlo, protocols):
+    for module in (detection, montecarlo):
         monkeypatch.setattr(module, "confusion_matrix", counting)
     counts = []
     for points in (4, 24):

@@ -5,7 +5,7 @@ import pytest
 
 from ionnet import detection as det
 
-from oracles import apply_readout
+from oracles import apply_readout, confusion_matrix_enumerated
 
 RNG = np.random.default_rng
 
@@ -86,6 +86,51 @@ def test_empirical_confusion_matrix_matches_enumeration():
             p = oracle[rep, true]
             sigma = math.sqrt(max(n * p * (1 - p), 1.0))
             assert abs(counts[rep] - n * p) < 4 * sigma, (true, rep)
+
+
+def layout(*groups):
+    return tuple(det.DetectorGroup(module=m, positions=p) for m, p in groups)
+
+
+# Reversed positions and a 4-qubit layout with two shared pairs are
+# among them.
+LAYOUTS = [
+    (3, LAYOUT_3Q),
+    (3, layout(("A", (1, 0)), ("B", (2,)))),
+    (3, layout(("B", (1,)), ("A", (2, 0)))),
+    (4, layout(("A", (3, 1)), ("B", (0, 2)))),
+    (2, LAYOUT_2Q_SHARED),
+]
+TOPOLOGIES = [(a, b) for a in ("shared", "individual") for b in ("shared", "individual")]
+
+
+@pytest.mark.parametrize("module_a, module_b", TOPOLOGIES)
+@pytest.mark.parametrize("n_bits, groups", LAYOUTS)
+def test_confusion_matrix_matches_enumeration(n_bits, groups, module_a, module_b):
+    rng = RNG(7)
+    errors = [(0.0, 0.0), (0.01, 0.08), (1.0, 1.0), *rng.random((40, 2)).tolist()]
+    for eps, overlap in errors:
+        model = det.DetectorModel(eps, overlap, module_a, module_b)
+        got = det.confusion_matrix(n_bits, model, groups)
+        want = confusion_matrix_enumerated(n_bits, model, groups)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n_bits, groups, match",
+    [
+        (2, LAYOUT_3Q, r"positions \[0, 1, 2\] do not cover a 2-bit outcome"),
+        (3, layout(("A", (0, 1))), r"\[0, 1\] do not cover a 3-bit"),
+        (2, layout(("A", (0, 0))), r"\[0, 0\] do not cover a 2-bit"),
+        (3, layout(("A", (0, 1, 2))), "covers 3 ions"),
+        (1, layout(("C", (0,))), "module 'C'"),
+    ],
+)
+def test_confusion_matrix_layout_rejections(n_bits, groups, match):
+    model = det.DetectorModel()
+    for build in (det.confusion_matrix, confusion_matrix_enumerated):
+        with pytest.raises(ValueError, match=match):
+            build(n_bits, model, groups)
 
 
 def test_individual_topology_has_no_overlap():

@@ -10,8 +10,7 @@ import pytest
 
 from ionnet import fitting
 from ionnet.fitting import KS_STAT_CRITICAL, fit_exponential_decay, fit_exponential_rate
-from ionnet.kolmogorov import ks_sf
-
+from kolmogorov import ks_sf
 from oracles import binomial_bounds
 
 

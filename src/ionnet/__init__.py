@@ -7,6 +7,15 @@ entanglement rates and three-qubit conditional parities of such a
 system.
 """
 
+import os
+
+# ionnet's largest products are (P, 8, 8) stacks, too small for OpenBLAS
+# to thread, yet each of its idle workers busy-waits 2**28 cycles (~0.1 s
+# of CPU) after numpy loads. 2**4 cycles, OpenBLAS's minimum, lets them
+# sleep at once. This must run before numpy is first imported; a value
+# the user set wins, and other BLAS libraries ignore the variable.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .detection import DetectorGroup, DetectorModel, confusion_matrix
 from .gates import GateSettings, analysis_rotation, ms_gate, rotation, spin_echo_ramsey
 from .montecarlo import ProtocolResult, ProtocolScript, coherent_entanglement_distance, run_protocol

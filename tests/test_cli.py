@@ -3,9 +3,11 @@ import io
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -329,15 +331,66 @@ def test_numpy_floats_written_as_plain_numbers(tmp_path):
     assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.05,1e-12"
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def python_env(**overrides: str | None) -> dict:
+    """This process's environment with the package on the path and
+    ``overrides`` applied; an override of None unsets the variable."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **overrides}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def run_python(code: str, *args: str, **env: str | None) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter with the package on the path."""
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=python_env(**env),
         capture_output=True,
         text=True,
     )
+
+
+# Prints the OPENBLAS_THREAD_TIMEOUT in force when numpy is first looked
+# up, during an import of the package as the console script does it.
+NUMPY_LOOKUP_PROBE = """
+import os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Probe())
+import ionnet.cli
+print(seen[0] if seen else "numpy not looked up")
+"""
+
+
+@pytest.mark.parametrize("user_value, in_force", [(None, "4"), ("28", "28")])
+def test_blas_thread_timeout_set_before_numpy_loads(user_value, in_force):
+    # OpenBLAS reads the variable once, when numpy loads it; a value the
+    # user set is kept. (Importing ionnet here has set it in os.environ.)
+    proc = run_python(NUMPY_LOOKUP_PROBE, OPENBLAS_THREAD_TIMEOUT=user_value)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == in_force
+
+
+def test_import_spends_no_cpu_on_idle_blas_workers():
+    # OpenBLAS starts one worker per extra core when numpy loads; at its
+    # own default timeout each busy-waits ~0.1 s of CPU for work that
+    # never comes, so a fresh import used more CPU than wall time.
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        pytest.skip("one core: OpenBLAS starts no worker threads")
+    env = python_env(OPENBLAS_NUM_THREADS=str(cores), OPENBLAS_THREAD_TIMEOUT=None)
+    excess = []
+    for _ in range(5):
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, "-c", "import ionnet.cli"], cwd=ROOT, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        excess.append(usage.ru_utime + usage.ru_stime - wall)
+    assert statistics.median(excess) < 0.04, excess
 
 
 def test_benchmark_trace_hooks_bind():

@@ -18,6 +18,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .fitting import MIN_FIT_POINTS, MIN_RATE_SAMPLES
 from .montecarlo import AnalysisStep, HeraldStep
 from .photonics import success_probability
@@ -40,15 +42,16 @@ from .scenario import (
     loads_scenario,
 )
 
-SUBCOMMANDS = (
-    "remote-bell",
-    "phase-scan",
-    "coherence",
-    "local-gate",
-    "modular-3q",
-    "budget",
-    "timing",
-)
+# Subcommand name -> driver; every driver takes (scenario, seed, n_trials, shots).
+SUBCOMMANDS = {
+    "remote-bell": remote_bell_experiment,
+    "phase-scan": phase_scan_experiment,
+    "coherence": coherence_experiment,
+    "local-gate": local_gate_experiment,
+    "modular-3q": modular_3q_experiment,
+    "budget": budget_report,
+    "timing": timing_report,
+}
 
 
 # How the first line of every summary.txt that ionnet writes starts.
@@ -74,10 +77,11 @@ def write_outputs(
 
     The files go into a fresh temporary sibling of ``out_dir``, which is
     moved into place as the last step; an earlier ionnet run there is
-    replaced whole. On any error the temporary directory is removed and
-    ``out_dir`` is left as it was.
+    replaced whole. A symlinked ``out_dir`` is followed, so the run
+    replaces the directory it points at and the link stays. On any error
+    the temporary directory is removed and ``out_dir`` is left as it was.
     """
-    target = Path(os.path.abspath(out_dir))
+    target = Path(os.path.realpath(out_dir))
     target.parent.mkdir(parents=True, exist_ok=True)
     # Siblings of out_dir, so that moving them is a rename.
     token = f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}"
@@ -109,10 +113,14 @@ def _write_files(
     names = ["resolved_config.cfg"]
     (out_dir / names[0]).write_text(scenario.resolved_text(), encoding="utf-8")
 
-    for name, (columns, rows) in output.tables.items():
+    for name, table in output.tables.items():
+        # Python scalars, so that floats are written as in the summary.
+        columns = [np.asarray(col).tolist() for col in table.values()]
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError(f"table {name} has columns of unequal length")
         lines = _header(subcommand, seed, config_hash)
-        lines.append(",".join(columns))
-        for row in rows:
+        lines.append(",".join(table))
+        for row in zip(*columns):
             lines.append(",".join(format_value(v) for v in row))
         names.append(f"{name}.csv")
         (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -211,21 +219,7 @@ def _earlier_run(out_dir: Path) -> bool:
 def run_subcommand(
     subcommand: str, scenario: Scenario, seed: int, trials: int, shots: int
 ) -> ExperimentOutput:
-    if subcommand == "budget":
-        return budget_report(scenario)
-    if subcommand == "timing":
-        return timing_report(scenario)
-    if subcommand == "remote-bell":
-        return remote_bell_experiment(scenario, trials, seed)
-    if subcommand == "phase-scan":
-        return phase_scan_experiment(scenario, seed, shots)
-    if subcommand == "coherence":
-        return coherence_experiment(scenario, seed, trials, shots)
-    if subcommand == "local-gate":
-        return local_gate_experiment(scenario, seed, shots)
-    if subcommand == "modular-3q":
-        return modular_3q_experiment(scenario, trials, seed, shots)
-    raise ScenarioError(f"unknown subcommand {subcommand!r}")
+    return SUBCOMMANDS[subcommand](scenario, seed, trials, shots)
 
 
 def build_parser() -> argparse.ArgumentParser:

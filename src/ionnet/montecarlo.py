@@ -65,7 +65,6 @@ __all__ = [
     "MeasureStep",
     "ProtocolScript",
     "BranchState",
-    "ParityCurve",
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
@@ -210,23 +209,6 @@ class BranchState(Record):
     weight: float
     state: st.QuantumState
     pairs: tuple[tuple[str, str], ...] = ()
-
-
-class ParityCurve(Record):
-    """Parity of a qubit pair versus the analysis phase.
-
-    ``values`` are sampled through the detector model; the exact curves
-    carry the density-matrix expectations with (``exact_reported``) and
-    without (``exact_ideal``) detection errors. ``condition`` is "all"
-    or "<qubit>=<bit>" for curves conditioned on a reported bit.
-    """
-
-    condition: str
-    phases: tuple[float, ...]
-    values: tuple[float, ...]
-    errors: tuple[float, ...]
-    exact_reported: tuple[float, ...]
-    exact_ideal: tuple[float, ...]
 
 
 class ProtocolResult(Record):
@@ -497,7 +479,7 @@ def parity_scan(
     condition_qubit: str | None = None,
     stream: int = 2,
     prefix: list[BranchState] | None = None,
-) -> dict[str, ParityCurve]:
+) -> dict[str, dict[str, np.ndarray]]:
     """Parity of ``pair`` versus the analysis phase, sampled and exact.
 
     The steps before the first analysis step are propagated once (or
@@ -506,8 +488,13 @@ def parity_scan(
     array set on each analysis step. The reported-outcome distribution
     of each phase is sampled ``shots`` times through the detector model,
     and parities are accumulated unconditioned plus (optionally)
-    conditioned on each reported value of ``condition_qubit``. Returns
-    the curves by condition.
+    conditioned on each reported value of ``condition_qubit``.
+
+    Returns one table per condition, "all" or "<qubit>=<bit>": the
+    columns ``phi_rad``, the sampled ``estimate`` and its
+    ``uncertainty``, and the exact density-matrix parity with
+    (``exact_reported``) and without (``exact_ideal_readout``) detection
+    errors.
     """
     phases = np.array(phases, dtype=float)
     qubits = script.qubits
@@ -533,21 +520,17 @@ def parity_scan(
         script, scenario, branches, shots, seed, stream, points=phases.size
     )
 
-    curves: dict[str, ParityCurve] = {}
+    curves = {}
     for cond, mask in masks.items():
         values, n = _parity(counts, sign, mask)
-        # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
-        errors = parity_err(values, np.maximum(n, 1))
-        exact_reported = _parity(reported, sign, mask)[0]
-        exact_ideal = _parity(true, sign, mask)[0]
-        curves[cond] = ParityCurve(
-            condition=cond,
-            phases=tuple(phases.tolist()),
-            values=tuple(values.tolist()),
-            errors=tuple(errors.tolist()),
-            exact_reported=tuple(exact_reported.tolist()),
-            exact_ideal=tuple(exact_ideal.tolist()),
-        )
+        curves[cond] = {
+            "phi_rad": phases,
+            "estimate": values,
+            # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
+            "uncertainty": parity_err(values, np.maximum(n, 1)),
+            "exact_reported": _parity(reported, sign, mask)[0],
+            "exact_ideal_readout": _parity(true, sign, mask)[0],
+        }
     return curves
 
 

@@ -1,14 +1,16 @@
 """High-level experiment drivers behind the CLI subcommands.
 
-Each driver consumes a resolved scenario and returns tables (named
-column sets) plus a flat summary record. Tables pair sampled estimates
-and their uncertainties with the exact density-matrix values, so the
-two statistics paths stay comparable downstream.
+Every driver takes ``(scenario, seed, n_trials, shots)``, uses the
+settings its experiment needs, and returns tables plus a flat summary
+record. Tables pair sampled estimates and their uncertainties with the
+exact density-matrix values, so the two statistics paths stay
+comparable downstream.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .montecarlo import (
     HeraldStep,
     MeasureStep,
     MSGateStep,
-    ParityCurve,
     ProtocolScript,
     WaitStep,
     branch_outcome_distribution,
@@ -60,11 +61,16 @@ _SHOT_STREAM = 20
 
 class ExperimentOutput:
     """Tables and summary record of one run; ``warnings`` say which
-    summary figures could not be trusted and were left out."""
+    summary figures could not be trusted and were left out.
+
+    ``tables`` maps a file stem to a table. A table maps each CSV column
+    name, in file order, to its values, one per row; every column of a
+    table has the same length.
+    """
 
     def __init__(
         self,
-        tables: dict[str, tuple[tuple[str, ...], list[tuple]]] | None = None,
+        tables: dict[str, dict[str, Sequence]] | None = None,
         summary: dict[str, object] | None = None,
         warnings: list[str] | None = None,
     ):
@@ -73,7 +79,7 @@ class ExperimentOutput:
         self.warnings = [] if warnings is None else warnings
 
 
-def budget_report(scenario: Scenario) -> ExperimentOutput:
+def budget_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
     p = success_probability(scenario.budget)
     rate = expected_rate(scenario.budget)
     d_ent = scenario.run.qubit_separation_m * rate * scenario.memory.tau_s
@@ -90,7 +96,7 @@ def budget_report(scenario: Scenario) -> ExperimentOutput:
     return out
 
 
-def timing_report(scenario: Scenario) -> ExperimentOutput:
+def timing_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
     gate = scenario.gate
     out = ExperimentOutput()
     out.summary = {
@@ -119,15 +125,17 @@ def _binomial_err(p, n):
     return np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
-def _population_table(counts, n, exact) -> tuple[tuple[str, ...], list[tuple]]:
+def _population_table(counts, n, exact) -> dict[str, Sequence]:
     """Sampled outcome frequencies ``counts / n`` beside the exact
     distribution, one row per outcome (first qubit most significant)."""
     n_bits = len(counts).bit_length() - 1
-    rows = []
-    for idx, (count, p_exact) in enumerate(zip(counts, exact)):
-        p = count / n
-        rows.append((format(idx, f"0{n_bits}b"), p, _binomial_err(p, n), float(p_exact)))
-    return ("outcome", "estimate", "uncertainty", "exact"), rows
+    p = counts / n
+    return {
+        "outcome": [format(idx, f"0{n_bits}b") for idx in range(len(counts))],
+        "estimate": p,
+        "uncertainty": _binomial_err(p, n),
+        "exact": exact,
+    }
 
 
 def _fit_rate(out: ExperimentOutput, herald_time: np.ndarray) -> RateFit:
@@ -145,7 +153,9 @@ def _fit_rate(out: ExperimentOutput, herald_time: np.ndarray) -> RateFit:
     return rate
 
 
-def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> ExperimentOutput:
+def remote_bell_experiment(
+    scenario: Scenario, seed: int, n_trials: int, shots: int
+) -> ExperimentOutput:
     """Populations and fidelity of the heralded remote pair, plus the
     entanglement rate fitted from sampled waiting times."""
     script = _pair_script(scenario)
@@ -180,7 +190,9 @@ def remote_bell_experiment(scenario: Scenario, n_trials: int, seed: int) -> Expe
     return out
 
 
-def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> ExperimentOutput:
+def phase_scan_experiment(
+    scenario: Scenario, seed: int, n_trials: int, shots: int
+) -> ExperimentOutput:
     """Even-parity population after an analysis pulse versus the delay
     between herald and analysis, for both detector phases. The two
     branches oscillate at the Zeeman beat and are out of phase by pi."""
@@ -199,18 +211,12 @@ def phase_scan_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
         )
         p_even_exact = reported[:, 0] + reported[:, 3]
         p_even = (counts[:, 0] + counts[:, 3]) / shots
-        rows = list(
-            zip(
-                delays.tolist(),
-                p_even.tolist(),
-                _binomial_err(p_even, shots).tolist(),
-                p_even_exact.tolist(),
-            )
-        )
-        out.tables[f"phase_scan_{key}"] = (
-            ("delay_s", "estimate", "uncertainty", "exact"),
-            rows,
-        )
+        out.tables[f"phase_scan_{key}"] = {
+            "delay_s": delays,
+            "estimate": p_even,
+            "uncertainty": _binomial_err(p_even, shots),
+            "exact": p_even_exact,
+        }
         # P_even = (1 + A cos(omega t - phase)) / 2
         x = scenario.ledger.delta_omega_ab * delays
         y = 2.0 * p_even_exact - 1.0
@@ -266,11 +272,12 @@ def coherence_experiment(
     par_exact = reported[:, 0] + reported[:, 3] - reported[:, 1] - reported[:, 2]
     par = (2.0 * (counts[:, 0] + counts[:, 3]) - shots) / shots
     err = parity_err(par, shots)
-    rows = list(zip(delays.tolist(), par.tolist(), err.tolist(), par_exact.tolist()))
-    out.tables["coherence"] = (
-        ("delay_s", "parity", "uncertainty", "exact_parity"),
-        rows,
-    )
+    out.tables["coherence"] = {
+        "delay_s": delays,
+        "parity": par,
+        "uncertainty": err,
+        "exact_parity": par_exact,
+    }
     decay = fit_exponential_decay(delays, np.abs(par), sigma=err)
     decay_exact = fit_exponential_decay(delays, np.abs(par_exact))
     rel_stderr = decay.tau_stderr / decay.tau
@@ -293,14 +300,12 @@ def coherence_experiment(
     # Up to the fitted distribution's 99th percentile.
     grid = np.linspace(0.0, math.log(100.0) / rate.rate, 60)[1:]
     ecdf = np.searchsorted(np.sort(waits), grid, side="right") / n_trials
-    wait_rows = []
-    for t, emp in zip(grid.tolist(), ecdf.tolist()):
-        model = 1.0 - math.exp(-rate.rate * t)
-        wait_rows.append((t, emp, _binomial_err(emp, n_trials), model))
-    out.tables["waiting"] = (
-        ("time_s", "empirical_cdf", "uncertainty", "fitted_cdf"),
-        wait_rows,
-    )
+    out.tables["waiting"] = {
+        "time_s": grid,
+        "empirical_cdf": ecdf,
+        "uncertainty": _binomial_err(ecdf, n_trials),
+        "fitted_cdf": [1.0 - math.exp(-rate.rate * t) for t in grid.tolist()],
+    }
     out.summary["shots_per_point"] = shots
     if tau_ok:
         out.summary["d_ent_m"] = coherent_entanglement_distance(
@@ -314,7 +319,9 @@ def coherence_experiment(
     return out
 
 
-def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> ExperimentOutput:
+def local_gate_experiment(
+    scenario: Scenario, seed: int, n_trials: int, shots: int
+) -> ExperimentOutput:
     """Populations and parity oscillation of the local entangling gate."""
     gate = next(s for s in scenario.script().steps if isinstance(s, MSGateStep))
     qa, qb = gate.pair
@@ -347,7 +354,7 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     curve = parity_scan(
         script, phis, scenario, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1, prefix=[branch]
     )["all"]
-    out.tables["parity"] = _curve_table(curve)
+    out.tables["parity"] = curve
     fit, fit_exact, fit_ideal = _fringe_fits(curve)
     out.summary.update(
         {
@@ -366,30 +373,20 @@ def local_gate_experiment(scenario: Scenario, seed: int, shots: int) -> Experime
     return out
 
 
-def _fringe_fits(curve: ParityCurve) -> tuple[CosineFit, CosineFit, CosineFit]:
-    """Second-harmonic cosine fits of a parity curve: the sampled values
-    (weighted by their errors), then the exact values with and without
-    detection errors."""
+def _fringe_fits(curve: dict[str, np.ndarray]) -> tuple[CosineFit, CosineFit, CosineFit]:
+    """Second-harmonic cosine fits of a ``parity_scan`` table: the
+    sampled values (weighted by their errors), then the exact values
+    with and without detection errors."""
+    phi = curve["phi_rad"]
     return (
-        fit_cosine(curve.phases, curve.values, harmonic=2, sigma=curve.errors),
-        fit_cosine(curve.phases, curve.exact_reported, harmonic=2),
-        fit_cosine(curve.phases, curve.exact_ideal, harmonic=2),
+        fit_cosine(phi, curve["estimate"], harmonic=2, sigma=curve["uncertainty"]),
+        fit_cosine(phi, curve["exact_reported"], harmonic=2),
+        fit_cosine(phi, curve["exact_ideal_readout"], harmonic=2),
     )
 
 
-def _curve_table(curve) -> tuple[tuple[str, ...], list[tuple]]:
-    columns = ("phi_rad", "estimate", "uncertainty", "exact_reported", "exact_ideal_readout")
-    rows = [
-        (p, v, e, r, t)
-        for p, v, e, r, t in zip(
-            curve.phases, curve.values, curve.errors, curve.exact_reported, curve.exact_ideal
-        )
-    ]
-    return columns, rows
-
-
 def modular_3q_experiment(
-    scenario: Scenario, n_trials: int, seed: int, shots: int
+    scenario: Scenario, seed: int, n_trials: int, shots: int
 ) -> ExperimentOutput:
     """The scenario script, by default the full two-bus protocol:
     herald, re-initialize, local gate, analysis.
@@ -447,12 +444,12 @@ def modular_3q_experiment(
         pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2, prefix=prefix,
     )
     key1, key0 = f"{remote}=1", f"{remote}=0"
-    out.tables["parity_remote1"] = _curve_table(curves[key1])
-    out.tables["parity_remote0"] = _curve_table(curves[key0])
-    out.tables["parity_unconditioned"] = _curve_table(curves["all"])
+    out.tables["parity_remote1"] = curves[key1]
+    out.tables["parity_remote0"] = curves[key0]
+    out.tables["parity_unconditioned"] = curves["all"]
     fit1, fit1_exact, fit1_true = _fringe_fits(curves[key1])
-    mean0 = float(np.mean(curves[key0].values))
-    max_abs0 = max(abs(v) for v in curves[key0].values)
+    mean0 = float(np.mean(curves[key0]["estimate"]))
+    max_abs0 = float(np.max(np.abs(curves[key0]["estimate"])))
     out.summary.update(
         {
             "parity_amplitude_remote1": fit1.amplitude,

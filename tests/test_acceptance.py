@@ -138,9 +138,8 @@ def test_criterion_6_three_qubit_protocol():
     res = modular_3q_experiment(noiseless, n_trials=1000, seed=1, shots=10_000)
     amp = res.summary["parity_amplitude_remote1"]
     assert abs(amp - 1.0) <= 0.01
-    _, rows0 = res.tables["parity_remote0"]
-    for row in rows0:
-        phi, par, err = row[0], row[1], row[2]
+    t0 = res.tables["parity_remote0"]
+    for phi, par, err in zip(t0["phi_rad"], t0["estimate"], t0["uncertainty"]):
         assert abs(par) < 3 * err, f"remote-0 parity {par} exceeds 3 sigma at phi={phi}"
     # calibrated noise: conditional correlations and even-branch fidelity
     calibrated = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
@@ -194,14 +193,13 @@ def test_criterion_8_oracle_equivalence():
     scenario = loads_scenario("")
     res = modular_3q_experiment(scenario, n_trials=1000, seed=8, shots=10_000)
     for cond in ("remote1", "remote0"):
-        _, rows = res.tables[f"parity_{cond}"]
-        for row in rows:
-            sampled, err, exact = row[1], row[2], row[3]
+        t = res.tables[f"parity_{cond}"]
+        for sampled, err, exact in zip(t["estimate"], t["uncertainty"], t["exact_reported"]):
             assert abs(sampled - exact) < 3 * err
-    rb = remote_bell_experiment(scenario, n_trials=2000, seed=8)
+    rb = remote_bell_experiment(scenario, seed=8, n_trials=2000, shots=10_000)
     for key in ("phid0", "phidpi"):
-        _, rows = rb.tables[f"populations_{key}"]
-        for outcome, p, err, exact in rows:
+        t = rb.tables[f"populations_{key}"]
+        for p, err, exact in zip(t["estimate"], t["uncertainty"], t["exact"]):
             assert abs(p - exact) < 4 * max(err, 1e-3)
     report(8, f"BSM oracle max dev {worst:.1e} < 1e-10; sampled stats within 3 sigma of exact")
 

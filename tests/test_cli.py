@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import math
 import os
@@ -186,6 +187,38 @@ def test_empty_out_directory_is_used(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.cfg", "summary.txt"]
 
 
+def test_out_through_symlink_replaces_the_run_it_names(tmp_path):
+    # The run is staged beside the directory the link points at, so the
+    # rename replaces that run and the link stays a link.
+    run, link = tmp_path / "data" / "run", tmp_path / "link"
+    assert main(["budget", "--out", str(run)]) == 0
+    link.symlink_to(Path("data") / "run")
+    assert main(["budget", "--seed", "5", "--out", str(link)]) == 0
+    assert "# seed = 5" in (run / "summary.txt").read_text().splitlines()
+    assert link.is_symlink()
+    for directory in (tmp_path, run.parent):
+        assert not [p.name for p in directory.iterdir() if p.name.startswith(".")]
+
+
+def test_unequal_columns_rejected_and_earlier_run_kept(tmp_path):
+    # zip would cut such a table short without a word.
+    out = tmp_path / "x"
+    assert main(["budget", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    output = ExperimentOutput(tables={"t": {"x": [0.1, 0.2], "y": [0.3]}})
+    with pytest.raises(ValueError, match="unequal length"):
+        write_outputs(out, "budget", loads_scenario(""), 1, output)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_every_driver_takes_the_same_arguments():
+    # A positional call cannot swap the seed and the trial count.
+    for name, driver in SUBCOMMANDS.items():
+        params = tuple(inspect.signature(driver).parameters)
+        assert params == ("scenario", "seed", "n_trials", "shots"), name
+
+
 @pytest.mark.parametrize(
     "foreign",
     ["notes.txt", "summary-not-ionnet", "summary-dir", "earlier-run-plus-subdir"],
@@ -321,7 +354,7 @@ def test_protocol_value_out_of_range_exits_2(tmp_path, capsys, sub, setting):
 
 def test_numpy_floats_written_as_plain_numbers(tmp_path):
     output = ExperimentOutput(
-        tables={"t": (("x", "y"), [(np.float64(0.05), np.float64(1e-12))])},
+        tables={"t": {"x": [np.float64(0.05)], "y": [np.float64(1e-12)]}},
         summary={"p": np.float64(0.05), "n": np.int64(7)},
     )
     write_outputs(tmp_path, "budget", loads_scenario(""), 1, output)
@@ -642,7 +675,7 @@ def test_out_of_range_table_covers_every_field():
 
 
 @settings(max_examples=24, deadline=None)
-@given(data=hs.data(), sub=hs.sampled_from(SUBCOMMANDS))
+@given(data=hs.data(), sub=hs.sampled_from(tuple(SUBCOMMANDS)))
 def test_out_of_range_field_exits_2_at_load(data, sub):
     # The default scenario with one field set out of range is rejected
     # while loading: exit 2, never 3, no output directory, and an error

@@ -340,18 +340,19 @@ class TestParityScan:
         )
         assert set(curves) == {"all", "q3=1", "q3=0"}
         # conditioned on remote |1>: full-contrast fringe cos(-2 phi)
-        for phi, exact in zip(curves["q3=1"].phases, curves["q3=1"].exact_ideal):
+        for phi, exact in zip(curves["q3=1"]["phi_rad"], curves["q3=1"]["exact_ideal_readout"]):
             assert exact == pytest.approx(math.cos(2 * phi), abs=1e-10)
         # remote |0>: flat at zero
-        assert max(abs(v) for v in curves["q3=0"].exact_ideal) < 1e-10
+        assert max(abs(v) for v in curves["q3=0"]["exact_ideal_readout"]) < 1e-10
         # unconditioned: half contrast
-        for phi, exact in zip(curves["all"].phases, curves["all"].exact_ideal):
+        for phi, exact in zip(curves["all"]["phi_rad"], curves["all"]["exact_ideal_readout"]):
             assert exact == pytest.approx(0.5 * math.cos(2 * phi), abs=1e-10)
         for cond, amplitude in (("q3=1", 1.0), ("all", 0.5)):
-            fit = fit_cosine(curves[cond].phases, curves[cond].exact_ideal, harmonic=2)
+            fit = fit_cosine(curves[cond]["phi_rad"], curves[cond]["exact_ideal_readout"], harmonic=2)
             assert fit.amplitude == pytest.approx(amplitude, abs=1e-10)
         # sampled values carry uncertainties and track the exact curve
-        for v, e, r in zip(curves["q3=1"].values, curves["q3=1"].errors, curves["q3=1"].exact_reported):
+        q3_1 = curves["q3=1"]
+        for v, e, r in zip(q3_1["estimate"], q3_1["uncertainty"], q3_1["exact_reported"]):
             assert e > 0
             assert abs(v - r) < 4 * e
 
@@ -359,7 +360,7 @@ class TestParityScan:
         from ionnet.protocols import modular_3q_experiment
         from ionnet.scenario import loads_scenario
 
-        out = modular_3q_experiment(loads_scenario(""), n_trials=200, seed=4, shots=300)
+        out = modular_3q_experiment(loads_scenario(""), seed=4, n_trials=200, shots=300)
         assert "parity_remote1" in out.tables
         assert "parity_unconditioned" in out.tables
 

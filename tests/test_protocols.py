@@ -38,9 +38,9 @@ def test_coherence_echo_matches_spin_echo_ramsey():
     (heralded,) = (b for b in exact_branches(script, scenario) if b.phi_d == 0.0)
     m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     delays = np.linspace(0.0, scenario.run.delay_max_s, 64)
-    _, rows = coherence_experiment(scenario, seed=1, n_trials=100, shots=100).tables["coherence"]
-    assert len(rows) == len(delays) and delays[0] == 0.0
-    for delay, row in zip(delays.tolist(), rows):
+    table = coherence_experiment(scenario, seed=1, n_trials=100, shots=100).tables["coherence"]
+    assert len(table["delay_s"]) == len(delays) and delays[0] == 0.0
+    for delay, row_delay, row_exact in zip(delays.tolist(), table["delay_s"], table["exact_parity"]):
         echoed = spin_echo_ramsey(
             heralded.state, pair, delay, scenario.ledger.delta_omega_ab, 0.0,
             coherence_time_s=scenario.memory.tau_s,
@@ -49,8 +49,8 @@ def test_coherence_echo_matches_spin_echo_ramsey():
         (final,) = propagate(script, scenario, _echo_steps(pair, delay), [heralded])
         got = m @ st.outcome_probabilities(final.state, pair)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert row[0] == delay
-        assert row[3] == pytest.approx(want[0] + want[3] - want[1] - want[2], abs=1e-12)
+        assert row_delay == delay
+        assert row_exact == pytest.approx(want[0] + want[3] - want[1] - want[2], abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -82,12 +82,12 @@ COVERAGE_CASES = {
         range(201, 801),
     ),
     "local-gate-amplitude": (
-        lambda seed: local_gate_experiment(DEFAULT, seed, DEFAULT.run.shots_per_point),
+        lambda seed: local_gate_experiment(DEFAULT, seed, 100, DEFAULT.run.shots_per_point),
         ("parity_amplitude_sampled", "parity_amplitude_sampled_stderr", "parity_amplitude_exact_reported"),
         range(1, 201),
     ),
     "modular-3q-amplitude": (
-        lambda seed: modular_3q_experiment(CALIBRATED, 100, seed, CALIBRATED.run.shots_per_point),
+        lambda seed: modular_3q_experiment(CALIBRATED, seed, 100, CALIBRATED.run.shots_per_point),
         ("parity_amplitude_remote1", "parity_amplitude_remote1_stderr", "parity_amplitude_remote1_exact"),
         range(1, 201),
     ),

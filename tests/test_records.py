@@ -109,7 +109,7 @@ def test_defaults_are_not_shared_mutable_objects():
 
 
 def test_package_records_generate_no_code():
-    assert len(package_records()) == 23
+    assert len(package_records()) == 22
     # pytest itself loads dataclasses, so the import is checked in a
     # fresh interpreter.
     code = (

@@ -46,8 +46,10 @@ class TestDefaults:
         assert s.memory.tau_s == 2.24
 
     def test_tau_override_scales_d_ent(self):
-        base = budget_report(loads_scenario("")).summary["d_ent_m"]
-        doubled = budget_report(loads_scenario("[memory]\ntau_s = 2.24\n")).summary["d_ent_m"]
+        base = budget_report(loads_scenario(""), 1, 100, 100).summary["d_ent_m"]
+        doubled = budget_report(
+            loads_scenario("[memory]\ntau_s = 2.24\n"), 1, 100, 100
+        ).summary["d_ent_m"]
         assert doubled == pytest.approx(2 * base, rel=1e-12)
 
 

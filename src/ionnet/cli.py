@@ -7,12 +7,15 @@ the files byte for byte. An ``--out`` directory holds exactly one
 complete run: the files are written beside it and moved into place
 last, and only an empty directory or an earlier ionnet run is replaced.
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime
-failure.
+failure. ``main`` freezes the heap at interpreter exit, so the shutdown
+collections skip the objects created at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import shutil
 import sys
@@ -240,6 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exit handlers run before CPython's shutdown collections, which skip
+    # frozen objects. One handler per process, however often main runs;
+    # nothing is frozen before exit, so in-process callers keep a normal
+    # collector.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -463,6 +463,73 @@ def test_subcommand_runs_without_scipy_and_imports_no_numpy_module(tmp_path, sub
     assert proc.returncode == 0, proc.stderr
 
 
+# Runs main as the console script does and prints the number of frozen
+# objects at exit. The probe is registered before ionnet.cli is
+# imported, so it runs after main's handler: exit handlers run last in,
+# first out.
+FREEZE_AT_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+from ionnet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["budget"], 0),
+        (["modular-3q"], 0),
+        (["remote-bell", "--trials", "50"], 2),
+        (["budget", "--seed", "x"], 2),
+    ],
+    ids=["budget", "modular-3q", "load-error", "argparse-error"],
+)
+def test_console_run_freezes_the_import_heap_at_exit(tmp_path, args, code):
+    # CPython's shutdown collections then skip the objects made at
+    # import; none of them is garbage.
+    proc = run_python(FREEZE_AT_EXIT_PROBE, *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "frozen" and int(last[1]) > 10_000, proc.stdout
+
+
+# Counts the freezes of the interpreter's exit; the counter is
+# registered first, so it runs last.
+IN_PROCESS_PROBE = """
+import atexit, gc, sys
+freezes = []
+atexit.register(lambda: print("freezes", len(freezes), gc.get_freeze_count() > 10_000))
+freeze = gc.freeze
+gc.freeze = lambda: (freezes.append(1), freeze())
+from ionnet.cli import main
+for out in sys.argv[1:]:
+    assert main(["budget", "--out", out]) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+"""
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    # The freeze waits for the interpreter's exit and runs once there,
+    # however often main was called.
+    proc = run_python(IN_PROCESS_PROBE, str(tmp_path / "a"), str(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "freezes 1 True", proc.stdout
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_run_needs_no_exit_time_finalization(tmp_path, sub):
+    # With the heap frozen at exit, an unclosed file in a reference cycle
+    # would be neither flushed nor closed. Development mode (-X dev) warns
+    # of such a file, here as an error, once gc.collect() finalizes it.
+    code = "import gc, sys\nfrom ionnet.cli import main\ncode = main(sys.argv[1:])\ngc.collect()\nsys.exit(code)\n"
+    env = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error::ResourceWarning"}
+    proc = run_python(code, sub, "--out", str(tmp_path / "out"), **env)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
 def test_rate_fit_trials_below_minimum_exit_2(tmp_path, capsys, sub):
     assert_rejected(tmp_path, capsys, [sub, "--trials", "50"], "at least 100 trials")

@@ -140,9 +140,9 @@ def _write_files(
     return names
 
 
-# Subcommands that run their own fixed script, built for the default
-# protocol steps; those that fit the herald rate to sampled trials; and
-# the [run] grid each scanning subcommand fits a curve to.
+# Subcommands whose drivers are built for the default protocol steps;
+# those that fit the herald rate to sampled trials; and the [run] grid
+# each scanning subcommand fits a curve to.
 FIXED_SCRIPT = ("remote-bell", "phase-scan", "coherence", "local-gate")
 RATE_FIT = ("remote-bell", "coherence", "modular-3q")
 SCAN_GRID = {

@@ -1,7 +1,7 @@
 """Discrete-event Monte Carlo engine for the full modular protocol.
 
 A protocol is an ordered script of steps over declared qubits: attempt a
-remote herald on a link, re-initialize a qubit, run the local entangling
+remote herald on the link, re-initialize a qubit, run the local entangling
 gate, apply analysis rotations, wait, and finally measure everything.
 
 Two statistics paths share all channel code. The exact path propagates
@@ -88,7 +88,7 @@ class ScriptError(ValueError):
 
 
 class HeraldStep(Record):
-    link: str = "ab"
+    pass
 
 
 class ReinitStep(Record):
@@ -123,38 +123,31 @@ class ProtocolScript(Record):
     """Declared register plus the ordered step list.
 
     ``modules`` maps module names to the qubits they host (used for
-    crosstalk and detector grouping); ``links`` maps link names to the
-    (module-A atom, module-B atom) pair they entangle.
+    crosstalk and detector grouping); ``link`` is the (module-A atom,
+    module-B atom) pair every herald step entangles, None without one;
+    ``Scenario.script`` takes it from the checked ``protocol.link``.
     """
 
     qubits: tuple[str, ...]
     modules: dict[str, tuple[str, ...]]
-    links: dict[str, tuple[str, str]]
     steps: tuple[Step, ...]
+    link: tuple[str, str] | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         declared = set(self.qubits)
         if len(declared) != len(self.qubits):
             raise ScriptError(f"duplicate qubit declarations: {self.qubits}")
         hosted = [q for qs in self.modules.values() for q in qs]
         if sorted(hosted) != sorted(self.qubits):
             raise ScriptError("modules must partition the declared qubits")
-        for name, (qa, qb) in self.links.items():
-            if qa not in declared or qb not in declared:
-                raise ScriptError(f"link {name!r} references undeclared qubits")
-            if self.module_of(qa) == self.module_of(qb):
-                raise ScriptError(f"link {name!r} must join qubits of two modules")
         if not self.steps or not isinstance(self.steps[-1], MeasureStep):
             raise ScriptError("script must end with exactly one measure step")
         measures = [s for s in self.steps if isinstance(s, MeasureStep)]
         if len(measures) != 1:
             raise ScriptError("script must contain exactly one measure step")
         for step in self.steps:
-            if isinstance(step, HeraldStep) and step.link not in self.links:
-                raise ScriptError(f"herald step references unknown link {step.link!r}")
+            if isinstance(step, HeraldStep) and self.link is None:
+                raise ScriptError("herald step in a script without a link")
             if isinstance(step, ReinitStep) and step.qubit not in declared:
                 raise ScriptError(f"reinit step references unknown qubit {step.qubit!r}")
             if isinstance(step, MSGateStep):
@@ -187,7 +180,7 @@ class ProtocolScript(Record):
         """Detector groups over bit positions in ``qubits`` order."""
         groups = []
         for module, qs in self.modules.items():
-            positions = tuple(self.qubits.index(q) for q in qs if q in self.qubits)
+            positions = tuple(self.qubits.index(q) for q in qs)
             if positions:
                 groups.append(DetectorGroup(module=module, positions=positions))
         return tuple(groups)
@@ -316,7 +309,7 @@ def propagate(
         if isinstance(step, MeasureStep):
             break
         if isinstance(step, HeraldStep):
-            branches = _herald_branches(branches, script.links[step.link], scenario)
+            branches = _herald_branches(branches, script.link, scenario)
             continue
         apply, dt = _step_action(step, script, scenario)
         branches = [

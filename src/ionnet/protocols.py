@@ -25,10 +25,7 @@ from .fitting import (
 )
 from .montecarlo import (
     AnalysisStep,
-    HeraldStep,
-    MeasureStep,
     MSGateStep,
-    ProtocolScript,
     WaitStep,
     branch_outcome_distribution,
     coherent_entanglement_distance,
@@ -108,17 +105,6 @@ def timing_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> E
     return out
 
 
-def _pair_script(scenario: Scenario) -> ProtocolScript:
-    """Script over just the two link qubits: herald, then measure."""
-    qa, qb = scenario.protocol.link
-    return ProtocolScript(
-        qubits=(qa, qb),
-        modules={"A": (qa,), "B": (qb,)},
-        links={"ab": (qa, qb)},
-        steps=(HeraldStep("ab"), MeasureStep()),
-    )
-
-
 def _binomial_err(p, n):
     """Standard error of a frequency ``p`` of ``n`` draws, floored at one
     draw's worth; elementwise on arrays."""
@@ -158,7 +144,7 @@ def remote_bell_experiment(
 ) -> ExperimentOutput:
     """Populations and fidelity of the heralded remote pair, plus the
     entanglement rate fitted from sampled waiting times."""
-    script = _pair_script(scenario)
+    script = scenario.script(scenario.protocol.link)
     qa, qb = scenario.protocol.link
     branches = exact_branches(script, scenario)
     out = ExperimentOutput()
@@ -199,7 +185,7 @@ def phase_scan_experiment(
     qa, qb = scenario.protocol.link
     run = scenario.run
     delays = np.linspace(0.0, run.phase_scan_delay_s, run.phase_scan_points)
-    script = _pair_script(scenario)
+    script = scenario.script(scenario.protocol.link)
     heralded = exact_branches(script, scenario)
     analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
     scanned = propagate(script, scenario, (WaitStep(delays), analysis), heralded)
@@ -262,7 +248,7 @@ def coherence_experiment(
     run = scenario.run
     out = ExperimentOutput()
 
-    script = _pair_script(scenario)
+    script = scenario.script(scenario.protocol.link)
     branches = exact_branches(script, scenario)
     (heralded,) = (b for b in branches if b.phi_d == 0.0)
 
@@ -322,17 +308,18 @@ def coherence_experiment(
 def local_gate_experiment(
     scenario: Scenario, seed: int, n_trials: int, shots: int
 ) -> ExperimentOutput:
-    """Populations and parity oscillation of the local entangling gate."""
-    gate = next(s for s in scenario.script().steps if isinstance(s, MSGateStep))
-    qa, qb = gate.pair
+    """Populations and parity oscillation of the local entangling gate.
+
+    The script is the configured one over the gate's two qubits, so it
+    keeps the configured ``reinit`` of one of them. That step never
+    runs: the populations propagate the gate step alone, and the parity
+    scan starts from the gated state at the first analysis step.
+    """
+    qa, qb = next(args for verb, *args in scenario.protocol.steps if verb == "gate")
+    script = scenario.script((qa, qb))
+    gate = next(s for s in script.steps if isinstance(s, MSGateStep))
     run = scenario.run
     out = ExperimentOutput()
-    script = ProtocolScript(
-        qubits=(qa, qb),
-        modules={"A": (qa, qb)},
-        links={},
-        steps=(gate, AnalysisStep((qa, qb), math.pi / 2.0, 0.0), MeasureStep()),
-    )
 
     # populations without analysis pulse
     (branch,) = propagate(script, scenario, (gate,))
@@ -399,7 +386,7 @@ def modular_3q_experiment(
     run = scenario.run
     script = scenario.script()
     pair = next(s.targets for s in script.steps if isinstance(s, AnalysisStep))
-    (remote,) = (q for q in script.links["ab"] if q in script.modules["B"])
+    remote = script.link[1]
     out = ExperimentOutput()
 
     # Both runs share the steps before the first analysis pulse.

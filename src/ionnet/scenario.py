@@ -87,15 +87,22 @@ class ProtocolLayout(Record):
     def __post_init__(self):
         if len(self.link) != 2:
             raise ValueError("protocol.link must name exactly two qubits")
+        # The herald takes the first atom as the module-A emitter.
         a, b = self.link
-        one_each = (a in self.qubits_a and b in self.qubits_b) or (
-            b in self.qubits_a and a in self.qubits_b
-        )
-        if not one_each:
+        if a not in self.qubits_a or b not in self.qubits_b:
             raise ValueError(
                 f"protocol.link = {a} {b} must join qubits of two modules, "
-                "one of qubits_a and one of qubits_b"
+                "a qubit of qubits_a first and one of qubits_b second"
             )
+        # Re-initializing a heralded atom throws the remote pair away.
+        heralded = False
+        for verb, *args in self.steps:
+            heralded = heralded or verb == "herald"
+            if heralded and verb == "reinit" and set(args) & set(self.link):
+                raise ValueError(
+                    f"protocol.link = {a} {b}: step reinit {' '.join(args)} follows "
+                    "a herald and discards the pair it heralded"
+                )
         if not 0.0 <= self.crosstalk_depol <= 1.0:
             raise ValueError(f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]")
         if self.reinit_duration_s < 0:
@@ -164,14 +171,23 @@ class Scenario(Record):
     def qubits(self) -> tuple[str, ...]:
         return self.protocol.qubits_a + self.protocol.qubits_b
 
-    def script(self) -> ProtocolScript:
-        """Build the typed protocol script. Analyze steps carry phase 0;
-        a parity scan sets the phase it scans."""
+    def script(self, qubits: tuple[str, ...] | None = None) -> ProtocolScript:
+        """The configured protocol script over the register ``qubits``
+        (by default every declared qubit), in that order: each module and
+        the link keep what lies in the register, and a step is kept when
+        every declared qubit it names does (a herald names the link's
+        atoms). Analyze steps carry phase 0; a parity scan sets the
+        phase it scans."""
+        register = self.qubits() if qubits is None else tuple(qubits)
+        protocol, declared = self.protocol, set(self.qubits())
         steps = []
-        for raw in self.protocol.steps:
+        for raw in protocol.steps:
             verb, args = raw[0], raw[1:]
+            named = {"herald": protocol.link, "wait": ()}.get(verb, args)
+            if any(q in declared and q not in register for q in named):
+                continue
             if verb == "herald":
-                steps.append(HeraldStep("ab"))
+                steps.append(HeraldStep())
             elif verb == "reinit":
                 steps.append(ReinitStep(args[0]))
             elif verb == "gate":
@@ -184,11 +200,13 @@ class Scenario(Record):
                 steps.append(MeasureStep())
             else:  # pragma: no cover - rejected at parse time
                 raise ScenarioError(f"unknown protocol step verb {verb!r}")
+        modules = {"A": protocol.qubits_a, "B": protocol.qubits_b}
+        modules = {m: tuple(q for q in qs if q in register) for m, qs in modules.items()}
         return ProtocolScript(
-            qubits=self.qubits(),
-            modules={"A": self.protocol.qubits_a, "B": self.protocol.qubits_b},
-            links={"ab": self.protocol.link},
+            qubits=register,
+            modules={m: qs for m, qs in modules.items() if qs},
             steps=tuple(steps),
+            link=protocol.link if set(protocol.link) <= set(register) else None,
         )
 
 

@@ -75,7 +75,7 @@ def registers(draw):
 def step_strategy(qa, qb):
     qubits = qa + qb
     options = [
-        hs.just(HeraldStep("ab")),
+        hs.just(HeraldStep()),
         hs.builds(ReinitStep, hs.sampled_from(qubits)),
         hs.builds(WaitStep, DURATION),
         hs.builds(
@@ -116,7 +116,7 @@ def scanned_scripts(draw):
     script = ProtocolScript(
         qubits=qa + qb,
         modules={"A": qa, "B": qb},
-        links={"ab": link},
+        link=link,
         steps=(*before, scanned, *after, MeasureStep()),
     )
     return script, len(before), np.array(values)

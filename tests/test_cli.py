@@ -343,6 +343,10 @@ def test_phi_d_key_rejected(tmp_path, capsys):
         ("remote-bell", "reinit_duration_s = -1"),
         ("budget", "crosstalk_depol = 1.5"),
         ("budget", "reinit_duration_s = -1"),
+        # the herald takes the first atom as the module-A emitter
+        ("remote-bell", "link = q3 q2"),
+        # the default steps re-initialize q1 right after the herald
+        ("remote-bell", "link = q1 q3"),
     ],
 )
 def test_protocol_value_out_of_range_exits_2(tmp_path, capsys, sub, setting):

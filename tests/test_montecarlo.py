@@ -40,7 +40,7 @@ def noiseless_config(**overrides) -> Scenario:
 
 def three_qubit_script(phi=None) -> mc.ProtocolScript:
     steps = [
-        mc.HeraldStep("ab"),
+        mc.HeraldStep(),
         mc.ReinitStep("q1"),
         mc.MSGateStep(("q1", "q2"), 0.0),
     ]
@@ -50,7 +50,7 @@ def three_qubit_script(phi=None) -> mc.ProtocolScript:
     return mc.ProtocolScript(
         qubits=("q1", "q2", "q3"),
         modules={"A": ("q1", "q2"), "B": ("q3",)},
-        links={"ab": ("q2", "q3")},
+        link=("q2", "q3"),
         steps=tuple(steps),
     )
 
@@ -67,8 +67,8 @@ def tripartite_target(phi_a: float, phi_ab: float) -> st.QuantumState:
 def pair_script() -> mc.ProtocolScript:
     return mc.ProtocolScript(
         qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
-        links={"ab": ("q2", "q3")},
-        steps=(mc.HeraldStep("ab"), mc.MeasureStep()),
+        link=("q2", "q3"),
+        steps=(mc.HeraldStep(), mc.MeasureStep()),
     )
 
 
@@ -136,35 +136,35 @@ class TestScriptValidation:
     def test_requires_measure_last(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)}, links={},
+                qubits=("q1",), modules={"A": ("q1",)},
                 steps=(mc.MeasureStep(), mc.ReinitStep("q1")),
             )
 
     def test_requires_single_measure(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)}, links={},
+                qubits=("q1",), modules={"A": ("q1",)},
                 steps=(mc.MeasureStep(), mc.MeasureStep()),
             )
 
     def test_rejects_unknown_qubits(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)}, links={},
+                qubits=("q1",), modules={"A": ("q1",)},
                 steps=(mc.ReinitStep("qX"), mc.MeasureStep()),
             )
 
     def test_rejects_unknown_link(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, links={},
-                steps=(mc.HeraldStep("ab"), mc.MeasureStep()),
+                qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
+                steps=(mc.HeraldStep(), mc.MeasureStep()),
             )
 
     def test_rejects_negative_wait(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)}, links={},
+                qubits=("q1",), modules={"A": ("q1",)},
                 steps=(mc.WaitStep(-1.0), mc.MeasureStep()),
             )
 
@@ -172,14 +172,14 @@ class TestScriptValidation:
     def test_rejects_non_finite_wait(self, duration):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)}, links={},
+                qubits=("q1",), modules={"A": ("q1",)},
                 steps=(mc.WaitStep(duration), mc.MeasureStep()),
             )
 
     def test_modules_must_partition_qubits(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(
-                qubits=("q1", "q2"), modules={"A": ("q1",)}, links={},
+                qubits=("q1", "q2"), modules={"A": ("q1",)},
                 steps=(mc.MeasureStep(),),
             )
 
@@ -216,8 +216,8 @@ class TestExactBranches:
         cfg = DEFAULTS  # calibrated defaults
         script = mc.ProtocolScript(
             qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
-            links={"ab": ("q2", "q3")},
-            steps=(mc.HeraldStep("ab"), mc.MeasureStep()),
+            link=("q2", "q3"),
+            steps=(mc.HeraldStep(), mc.MeasureStep()),
         )
         diag = mc.branch_outcome_distribution(mc.exact_branches(script, cfg), ("q2", "q3"))
         assert diag[1] + diag[2] >= 0.78
@@ -237,8 +237,8 @@ class TestExactBranches:
         cfg = noiseless_config(ledger=ledger)
         script = mc.ProtocolScript(
             qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
-            links={"ab": ("q2", "q3")},
-            steps=(mc.HeraldStep("ab"), mc.WaitStep(1e-4), mc.MeasureStep()),
+            link=("q2", "q3"),
+            steps=(mc.HeraldStep(), mc.WaitStep(1e-4), mc.MeasureStep()),
         )
         from ionnet.photonics import heralded_bell_ket
 
@@ -267,7 +267,7 @@ class TestRunProtocol:
         np.testing.assert_allclose(attempts, np.round(attempts), rtol=1e-12)
         # a script without a herald step spends no time waiting
         local = mc.ProtocolScript(
-            qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, links={},
+            qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
             steps=(mc.MSGateStep(("q1", "q2"), 0.0), mc.MeasureStep()),
         )
         np.testing.assert_array_equal(mc.run_protocol(local, cfg, 20, seed=5).herald_time, 0.0)

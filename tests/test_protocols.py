@@ -13,7 +13,6 @@ from ionnet.gates import spin_echo_ramsey
 from ionnet.montecarlo import BranchState, exact_branches, propagate
 from ionnet.protocols import (
     _echo_steps,
-    _pair_script,
     coherence_experiment,
     local_gate_experiment,
     modular_3q_experiment,
@@ -34,7 +33,7 @@ def test_coherence_echo_matches_spin_echo_ramsey():
     # delay, the zero delay (analysis pulse only) included.
     scenario = replace(CALIBRATED, run=replace(CALIBRATED.run, delay_points=64))
     pair = scenario.protocol.link
-    script = _pair_script(scenario)
+    script = scenario.script(scenario.protocol.link)
     (heralded,) = (b for b in exact_branches(script, scenario) if b.phi_d == 0.0)
     m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     delays = np.linspace(0.0, scenario.run.delay_max_s, 64)
@@ -59,7 +58,7 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
     # do not show; on a generic stored pair state they do.
     rng = np.random.default_rng(seed)
     pair = CALIBRATED.protocol.link
-    script = _pair_script(CALIBRATED)
+    script = CALIBRATED.script(CALIBRATED.protocol.link)
     stored = BranchState(
         phi_d=0.0, weight=1.0, state=st.mixed_state(random_density(4, rng), pair), pairs=(pair,)
     )

@@ -98,7 +98,7 @@ def test_replace_validates_the_copy_and_rejects_unknown_fields():
 
 
 def test_defaults_are_not_shared_mutable_objects():
-    immutable = (bool, int, float, str, tuple)
+    immutable = (type(None), bool, int, float, str, tuple)
     for cls in package_records():
         for name, default in fields(cls).items():
             assert default is MISSING or isinstance(default, immutable), (cls, name)

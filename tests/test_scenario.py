@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from pathlib import Path
@@ -8,7 +9,15 @@ from hypothesis import strategies as hs
 
 from ionnet.detection import DetectorModel
 from ionnet.gates import GateSettings
-from ionnet.montecarlo import AnalysisStep, HeraldStep, MeasureStep, WaitStep
+from ionnet.montecarlo import (
+    AnalysisStep,
+    HeraldStep,
+    MeasureStep,
+    MSGateStep,
+    ProtocolScript,
+    ReinitStep,
+    WaitStep,
+)
 from ionnet.phases import MemoryDecoherence, PhaseLedger
 from ionnet.photonics import LinkBudget, LinkErrorModel, expected_rate
 from ionnet.protocols import budget_report
@@ -102,6 +111,12 @@ class TestValidation:
             ("step.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure", "spans two modules"),
             ("step.1 = gate q1 q1\nstep.2 = measure", "two distinct qubits"),
             ("link = q1 q2\nstep.1 = measure", "must join qubits of two modules"),
+            ("link = q1 q9\nstep.1 = measure", "must join qubits of two modules"),
+            # the herald takes the first atom as the module-A emitter
+            ("link = q3 q2", "qubits_a first"),
+            # re-initializing a heralded atom discards the remote pair
+            ("link = q1 q3", "reinit q1 follows a herald"),
+            ("step.1 = herald\nstep.2 = reinit q3\nstep.3 = measure", "discards the pair"),
             ("step.1 = reinit\nstep.2 = measure", r":2: wrong number of arguments"),
             ("step.1 = herald ab\nstep.2 = measure", r":2: wrong number of arguments"),
         ],
@@ -171,9 +186,12 @@ def protocols(draw):
     cut = draw(hs.integers(1, len(labels) - 1))
     qa, qb = tuple(labels[:cut]), tuple(labels[cut:])
     gates = [(x, y) for module in (qa, qb) for x in module for y in module if x != y]
+    link = (draw(hs.sampled_from(qa)), draw(hs.sampled_from(qb)))
+    # a reinit of a link atom may not follow a herald
+    spare = [q for q in labels if q not in link]
     step = hs.one_of(
         hs.just(("herald",)),
-        hs.builds(lambda q: ("reinit", q), hs.sampled_from(labels)),
+        *([hs.builds(lambda q: ("reinit", q), hs.sampled_from(spare))] if spare else []),
         hs.lists(hs.sampled_from(labels), min_size=1, unique=True).map(lambda q: ("analyze", *q)),
         hs.floats(0.0, 1e3).map(lambda t: ("wait", repr(t))),
         *([hs.sampled_from(gates).map(lambda g: ("gate", *g))] if gates else []),
@@ -181,7 +199,7 @@ def protocols(draw):
     return ProtocolLayout(
         qubits_a=qa,
         qubits_b=qb,
-        link=(draw(hs.sampled_from(qa)), draw(hs.sampled_from(qb))),
+        link=link,
         crosstalk_depol=draw(UNIT),
         reinit_duration_s=draw(hs.floats(0.0, 1e3)),
         steps=(*draw(hs.lists(step, max_size=6)), ("measure",)),
@@ -241,6 +259,35 @@ class TestConformanceFile:
         assert s.budget == d.budget
         assert s.ledger == d.ledger
         assert s.run == d.run
+
+
+class TestScriptRestriction:
+    @pytest.mark.parametrize("config", ["default.cfg", "calibrated_3q.cfg"])
+    def test_link_register_gives_the_pair_script(self, config):
+        s = load_scenario(ROOT / "configs" / config)
+        assert s.script(s.protocol.link) == ProtocolScript(
+            qubits=("q2", "q3"),
+            modules={"A": ("q2",), "B": ("q3",)},
+            link=("q2", "q3"),
+            steps=(HeraldStep(), MeasureStep()),
+        )
+
+    def test_gate_register_drops_the_link_and_keeps_its_steps(self):
+        script = loads_scenario("").script(("q1", "q2"))
+        assert script.link is None
+        assert script.modules == {"A": ("q1", "q2")}
+        assert [type(step) for step in script.steps] == [
+            ReinitStep, MSGateStep, AnalysisStep, MeasureStep,
+        ]
+
+    @pytest.mark.parametrize(
+        "register", [r for n in range(4) for r in itertools.permutations(("q1", "q2", "q3"), n)]
+    )
+    def test_wait_step_survives_every_restriction(self, register):
+        s = loads_scenario("[protocol]\nstep.1 = herald\nstep.2 = wait 0.5\nstep.3 = measure\n")
+        script = s.script(register)
+        assert script.qubits == register
+        assert WaitStep(0.5) in script.steps
 
 
 class TestShippedConfigs:

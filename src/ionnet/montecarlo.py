@@ -19,16 +19,15 @@ therefore one ``propagate`` call, not one per point; a scalar step is
 the same code with no batch axis. ``propagate`` checks Hermiticity,
 unit trace and positivity on every stack it returns.
 
-The sampled path draws all trials at once from the exact joint
-distribution of herald branch, true outcome and reported outcome, and
-their herald attempt counts from the geometric distribution of the link
-budget. Every scan samples through ``sample_outcomes``: the exact true
-distribution of each point, the reported one through the script's
-readout channel (``ProtocolScript.readout``, the one place it is
-built), and then each point's shots from that reported distribution
-(``sample_scan``). The cumulative cuts of all points are built in one
-array operation, and each point then costs its generator, its uniform
-numbers and one count per cut.
+The sampled path has one sampler, ``sample_counts``: it counts each
+row's uniform numbers below the cuts of its cumulative distribution,
+which gives the counts of ``rng.choice``. The trials are one row, the
+exact joint distribution of herald branch, reported and true outcome;
+their herald attempt counts are geometric with the link budget. Every
+scan samples through ``sample_outcomes``: the exact true distribution
+of each point, the reported one through the script's readout channel
+(``ProtocolScript.readout``, the one place it is built), and then each
+point's shots from that reported distribution, one row per point.
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
@@ -68,7 +67,7 @@ __all__ = [
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
-    "sample_scan",
+    "sample_counts",
     "sample_outcomes",
     "parity_err",
     "exact_branches",
@@ -205,21 +204,17 @@ class BranchState(Record):
 
 
 class ProtocolResult(Record):
-    """Sampled trials of a script, one array entry per trial.
-
-    ``branch`` indexes ``branches``, the exact herald branches the trials
-    were drawn from. ``herald_time`` is the wall time from the first
-    attempt to the herald (0 when the script has no herald step).
-    ``true`` and ``reported`` are outcome indices over the script's
-    qubits (first qubit most significant), before and after the detector
-    model. ``exact_true`` is the exact distribution of ``true``.
-    """
+    """Sampled trials of a script. ``counts[b, r, t]`` is the number of
+    trials in branch b of ``branches`` (the exact herald branches they
+    were drawn from) with reported outcome r and true outcome t, over the
+    script's qubits (first most significant), after and before the
+    detector model. ``herald_time`` is each trial's wall time from the
+    first attempt to the herald (0 when the script has no herald step).
+    ``exact_true`` is the exact distribution of the true outcome."""
 
     branches: list[BranchState]
-    branch: np.ndarray
+    counts: np.ndarray
     herald_time: np.ndarray
-    true: np.ndarray
-    reported: np.ndarray
     exact_true: np.ndarray
 
 
@@ -228,15 +223,15 @@ def rng_stream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def sample_scan(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarray:
-    """Counts of ``shots`` draws at each scan point, one row of ``probs``
-    per point; point i draws from the generator of (``key``, i).
+def sample_counts(probs: np.ndarray, shots: int, rngs: Sequence[Generator]) -> np.ndarray:
+    """Counts of ``shots`` draws from each row i of ``probs`` by ``rngs[i]``.
 
-    Each draw inverts the point's cumulative distribution at one uniform
-    number of its generator (as ``rng.choice`` does, so the counts equal
-    those of ``rng.choice``); counting the uniforms below each cut of the
-    distribution takes the place of an index per shot. The cuts of all
-    points are built at once, and every point draws into one buffer.
+    Each draw inverts the row's cumulative distribution at one uniform
+    number of its generator, as ``rng.choice`` does, so the counts and
+    the generator's final state equal those of ``rng.choice``; counting
+    the uniforms below each cut takes the place of an index per shot.
+    The cuts of all rows are built at once, and every row draws into one
+    buffer.
     """
     # A C-ordered copy sums each row exactly as a single row is summed.
     probs = np.ascontiguousarray(probs, dtype=float)
@@ -246,7 +241,7 @@ def sample_scan(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarr
     below[:, -1] = shots
     u = np.empty(shots)
     for i, cuts in enumerate(cdf[:, :-1]):
-        rng_stream(seed, *key, i).random(out=u)
+        rngs[i].random(out=u)
         for j, cut in enumerate(cuts):
             below[i, j] = np.count_nonzero(u < cut)
     return np.diff(below, prepend=0)
@@ -270,13 +265,14 @@ def sample_outcomes(
 
     Stacked branches give one row per scan point, unstacked ones a single
     row, or ``points`` equal rows. Row i draws its shots from the
-    generator of (``key``, i) (``sample_scan``).
+    generator of (``key``, i).
     """
     true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits, phi_d))
     if points is not None:
         true = np.broadcast_to(true, (points, true.shape[-1]))
     reported = true @ script.readout(scenario.detectors).T
-    return true, reported, sample_scan(reported, shots, seed, *key)
+    rngs = [rng_stream(seed, *key, i) for i in range(len(reported))]
+    return true, reported, sample_counts(reported, shots, rngs)
 
 
 def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:
@@ -417,13 +413,13 @@ def run_protocol(
 ) -> ProtocolResult:
     """Sample ``n_trials`` end-to-end trials of the script.
 
-    Each trial's herald branch, true outcome and reported outcome are
-    drawn together from their exact joint distribution; when the script
-    heralds, its number of attempts is geometric with the budget's
-    coincidence probability. All draws come from one generator, so
-    identical (script, scenario, n_trials, seed) give identical results.
-    ``branches`` are the script's exact branches when the caller has
-    propagated them already.
+    The trials' herald branches, reported and true outcomes are counted
+    together from their exact joint distribution (``sample_counts``);
+    when the script heralds, each trial's number of attempts is then
+    geometric with the budget's coincidence probability. All draws come
+    from one generator, so identical (script, scenario, n_trials, seed)
+    give identical results. ``branches`` are the script's exact branches
+    when the caller has propagated them already.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -441,18 +437,15 @@ def run_protocol(
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = rng_stream(seed, TRIAL_STREAM)
-    draws = rng.choice(joint.size, size=n_trials, p=joint.ravel() / joint.sum())
-    branch, reported, true = np.unravel_index(draws, joint.shape)
+    counts = sample_counts(joint.reshape(1, -1), n_trials, [rng]).reshape(joint.shape)
     if has_herald:
         herald_time = rng.geometric(p_herald, size=n_trials) / scenario.budget.rep_rate
     else:
         herald_time = np.zeros(n_trials)
     return ProtocolResult(
         branches=branches,
-        branch=branch,
+        counts=counts,
         herald_time=herald_time,
-        true=true,
-        reported=reported,
         exact_true=branch_outcome_distribution(branches, script.qubits),
     )
 

@@ -158,18 +158,16 @@ def remote_bell_experiment(
     )
 
     result = run_protocol(script, scenario, n_trials, seed, branches=branches)
-    trial_phi_d = np.array([b.phi_d for b in branches])[result.branch]
+    phi_d = np.array([b.phi_d for b in branches])
     readout = script.readout(scenario.detectors)
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
-        sub = result.reported[trial_phi_d == want]
-        exact_rep = branch_outcome_distribution(branches, script.qubits, want) @ readout.T
-        out.tables[f"populations_{key}"] = _population_table(
-            np.bincount(sub, minlength=4), max(sub.size, 1), exact_rep
-        )
+        counts = result.counts[phi_d == want].sum(axis=(0, 2))
+        exact = branch_outcome_distribution(branches, script.qubits, want) @ readout.T
+        out.tables[f"populations_{key}"] = _population_table(counts, max(counts.sum(), 1), exact)
 
     out.summary["odd_parity_population_exact"] = result.exact_true[1] + result.exact_true[2]
-    for name, outcomes in (("sampled", result.reported), ("ideal_readout", result.true)):
-        pops = np.bincount(outcomes, minlength=4) / n_trials
+    for name, axes in (("sampled", (0, 2)), ("ideal_readout", (0, 1))):
+        pops = result.counts.sum(axis=axes) / n_trials
         out.summary[f"odd_parity_population_{name}"] = pops[1] + pops[2]
 
     _fit_rate(out, result.herald_time)
@@ -310,19 +308,20 @@ def local_gate_experiment(
 ) -> ExperimentOutput:
     """Populations and parity oscillation of the local entangling gate.
 
-    The script is the configured one over the gate's two qubits, so it
-    keeps the configured ``reinit`` of one of them. That step never
-    runs: the populations propagate the gate step alone, and the parity
-    scan starts from the gated state at the first analysis step.
+    The script is the configured one over the gate's two qubits, from
+    its gate step on: the populations propagate the gate step alone,
+    and the parity scan starts from the gated state at the first
+    analysis step.
     """
     qa, qb = next(args for verb, *args in scenario.protocol.steps if verb == "gate")
     script = scenario.script((qa, qb))
-    gate = next(s for s in script.steps if isinstance(s, MSGateStep))
+    start = next(k for k, s in enumerate(script.steps) if isinstance(s, MSGateStep))
+    script = replace(script, steps=script.steps[start:])
     run = scenario.run
     out = ExperimentOutput()
 
     # populations without analysis pulse
-    (branch,) = propagate(script, scenario, (gate,))
+    (branch,) = propagate(script, scenario, script.steps[:1])
     (true_diag,), (reported,), (counts,) = sample_outcomes(
         script, scenario, [branch], shots, seed, _SHOT_STREAM, 0
     )
@@ -399,9 +398,9 @@ def modular_3q_experiment(
     )
     branches = propagate(no_analysis, scenario, no_analysis.steps[scanned:], prefix)
     result = run_protocol(no_analysis, scenario, n_trials, seed, branches=branches)
-    counts = np.bincount(result.reported, minlength=8)
+    counts = result.counts.sum(axis=(0, 2))
     corr = _conditional_correlations(counts)
-    corr_true = _conditional_correlations(np.bincount(result.true, minlength=8))
+    corr_true = _conditional_correlations(result.counts.sum(axis=(0, 1)))
     rep_diag = result.exact_true @ script.readout(scenario.detectors).T
     corr_exact = _conditional_correlations(rep_diag)
     corr_exact_true = _conditional_correlations(result.exact_true)

@@ -13,9 +13,10 @@ enumerated flip pattern by flip pattern.
 The single-shot samplers near the end draw one outcome at a time from
 the package's exact channels. The package itself samples only in bulk,
 from exact distributions; sampled-versus-exact tests use these samplers
-as a second, shot-by-shot route to the same statistics. The last two
-functions are the scan sampler written one row at a time, the reference
-that the batched ``montecarlo.sample_scan`` must equal count for count.
+as a second, shot-by-shot route to the same statistics. The last three
+functions are the count sampler written one row at a time, the reference
+that the batched ``montecarlo.sample_counts`` must equal count for count
+in a scan, and the per-trial draw that its trial counts must equal.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from ionnet.photonics import (
     LinkErrorModel,
     bsm_kraus_operators,
     conditional_herald_states,
+    success_probability,
 )
 
 # Detector numbering: PMT1 = (port c, H), PMT2 = (c, V), PMT3 = (d, V),
@@ -375,7 +377,7 @@ def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np
 
 
 def sample_scan_per_row(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarray:
-    """Reference for ``montecarlo.sample_scan``: one row at a time, each
+    """Reference for ``montecarlo.sample_counts`` in a scan: one row at a time, each
     normalised, summed and counted on its own, row i from the generator
     ``default_rng`` builds for the counter (``key``, i)."""
     rows = []
@@ -383,3 +385,27 @@ def sample_scan_per_row(probs: np.ndarray, shots: int, seed: int, *key: int) -> 
         rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(*key, i)))
         rows.append(sample_counts(p, shots, rng))
     return np.array(rows)
+
+
+def protocol_trials_per_trial(
+    script, scenario, branches, n_trials: int, seed: int, *key: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for the trials of ``montecarlo.run_protocol`` on a script
+    that heralds: one ``rng.choice`` index per trial into the joint
+    distribution ``joint[b, r, t]`` of herald branch, reported and true
+    outcome, then each trial's attempts from the geometric distribution,
+    all from the generator ``default_rng`` builds for the counter ``key``.
+    Returns the trial counts of each (b, r, t) cell and the herald times."""
+    weights = np.array([b.weight for b in branches])
+    true_given_branch = np.array(
+        [st.outcome_probabilities(b.state, script.qubits) for b in branches]
+    )
+    readout = script.readout(scenario.detectors)
+    joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
+    rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=key))
+    draws = rng.choice(joint.size, size=n_trials, p=joint.ravel() / joint.sum())
+    branch, reported, true = np.unravel_index(draws, joint.shape)
+    counts = np.zeros(joint.shape, dtype=np.int64)
+    np.add.at(counts, (branch, reported, true), 1)
+    p_herald = success_probability(scenario.budget)
+    return counts, rng.geometric(p_herald, size=n_trials) / scenario.budget.rep_rate

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from ionnet.photonics import (
     module_emission,
 )
 from ionnet.records import replace
-from ionnet.scenario import ProtocolLayout, Scenario, loads_scenario
-from oracles import sample_scan_per_row
+from ionnet.scenario import ProtocolLayout, Scenario, load_scenario, loads_scenario
+from oracles import protocol_trials_per_trial, sample_scan_per_row
 
 RNG = np.random.default_rng
 
+ROOT = Path(__file__).resolve().parents[1]
 DEFAULTS = loads_scenario("")
+CALIBRATED = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
 
 
 def noiseless_config(**overrides) -> Scenario:
@@ -254,10 +257,10 @@ class TestRunProtocol:
         cfg = DEFAULTS
         r1 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=77)
         r2 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=77)
-        for column in ("branch", "herald_time", "true", "reported"):
+        for column in ("counts", "herald_time"):
             np.testing.assert_array_equal(getattr(r1, column), getattr(r2, column))
         r3 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=78)
-        assert not np.array_equal(r1.reported, r3.reported)
+        assert not np.array_equal(r1.counts, r3.counts)
 
     def test_wall_time_accounting(self):
         cfg = noiseless_config()
@@ -276,7 +279,7 @@ class TestRunProtocol:
         cfg = noiseless_config()
         n = 8000
         res = mc.run_protocol(three_qubit_script(), cfg, n, seed=3)
-        sampled = np.bincount(res.true, minlength=8) / n
+        sampled = res.counts.sum(axis=(0, 1)) / n
         for p, exact_p in zip(sampled, res.exact_true):
             err = math.sqrt(max(p * (1 - p), 1 / n) / n)
             assert abs(p - exact_p) < 4 * max(err, 1e-3)
@@ -290,15 +293,15 @@ class TestRunProtocol:
         n = 20_000
         res = mc.run_protocol(script, cfg, n, seed=12)
         weights = np.array([b.weight for b in res.branches])
-        freq = np.bincount(res.branch, minlength=len(weights)) / n
+        freq = res.counts.sum(axis=(1, 2)) / n
         sigma = np.sqrt(weights * (1 - weights) / n)
         assert np.all(np.abs(freq - weights) < 4 * sigma)
         m = confusion_matrix(3, cfg.detectors, script.detector_layout())
         expect = m @ res.exact_true
-        rep = np.bincount(res.reported, minlength=8) / n
+        rep = res.counts.sum(axis=(0, 2)) / n
         sigma = np.sqrt(np.maximum(expect * (1 - expect), 1 / n) / n)
         assert np.all(np.abs(rep - expect) < 4 * sigma)
-        assert np.any(res.reported != res.true)
+        assert np.any(res.counts.sum(axis=0)[~np.eye(8, dtype=bool)] > 0)  # some r != t
 
     def test_conditional_parity_matches_expectation(self):
         # sampled conditional parity converges to the exact expectation
@@ -306,9 +309,9 @@ class TestRunProtocol:
         phi = 0.45
         script = three_qubit_script(phi)
         res = mc.run_protocol(script, cfg, 10_000, seed=11)
-        b1, b2, b3 = (res.true >> 2) & 1, (res.true >> 1) & 1, res.true & 1
-        total = int(np.sum(b3 == 1))
-        even = int(np.sum((b3 == 1) & (b1 == b2)))
+        true = res.counts.sum(axis=(0, 1)).reshape(2, 2, 2)  # [q1, q2, q3]
+        total = int(true[:, :, 1].sum())
+        even = int(true[0, 0, 1] + true[1, 1, 1])
         par = (2 * even - total) / total
         # exact: parity of the analyzed state conditioned on q3 = 1
         num = den = 0.0
@@ -322,6 +325,29 @@ class TestRunProtocol:
         sigma = math.sqrt((1 - exact**2) / total)
         assert abs(par - exact) < 3 * sigma
         assert exact == pytest.approx(math.cos(-2 * phi), abs=1e-10)
+
+    @pytest.mark.parametrize("n_trials", [1, 100, 10_000])
+    @pytest.mark.parametrize("seed", [1, 17, 29])
+    @pytest.mark.parametrize("link_only", [True, False], ids=["link", "full"])
+    @pytest.mark.parametrize("config", ["default", "calibrated", "noiseless-readout"])
+    def test_counts_equal_per_trial_reference(self, config, link_only, seed, n_trials):
+        # The trial counts and herald times are bit-equal to one rng.choice
+        # index per trial from the same generator; a noiseless readout
+        # leaves zero cells in the joint distribution.
+        cfg = {
+            "default": DEFAULTS,
+            "calibrated": CALIBRATED,
+            "noiseless-readout": replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0)),
+        }[config]
+        script = cfg.script(cfg.protocol.link if link_only else None)
+        branches = mc.exact_branches(script, cfg)
+        res = mc.run_protocol(script, cfg, n_trials, seed, branches=branches)
+        counts, herald_time = protocol_trials_per_trial(
+            script, cfg, branches, n_trials, seed, mc.TRIAL_STREAM
+        )
+        assert res.counts.dtype == counts.dtype
+        np.testing.assert_array_equal(res.counts, counts)
+        np.testing.assert_array_equal(res.herald_time, herald_time)
 
     def test_crosstalk_config_validated(self):
         with pytest.raises(ValueError, match="crosstalk_depol"):
@@ -456,7 +482,7 @@ class TestRngScheme:
         # generator, zero-probability outcomes included.
         probs = RNG(empty).random((3, 8)) ** 3
         probs[:, empty] = 0.0
-        counts = mc.sample_scan(probs, 5000, 5, 22)
+        counts = mc.sample_counts(probs, 5000, [mc.rng_stream(5, 22, i) for i in range(3)])
         for i, p in enumerate(probs):
             draws = mc.rng_stream(5, 22, i).choice(8, size=5000, p=p / p.sum())
             np.testing.assert_array_equal(counts[i], np.bincount(draws, minlength=8))
@@ -473,7 +499,7 @@ class TestRngScheme:
         if outcomes > 2:
             probs[:, outcomes // 2] = 0.0
         want = sample_scan_per_row(probs, shots, 7, 21, 1)
-        got = mc.sample_scan(probs, shots, 7, 21, 1)
+        got = mc.sample_counts(probs, shots, [mc.rng_stream(7, 21, 1, i) for i in range(points)])
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got.sum(axis=1), shots)
@@ -482,8 +508,9 @@ class TestRngScheme:
         # Rows that sum to 1 only to rounding are normalised as one row is.
         probs = RNG(11).dirichlet(np.full(8, 0.3), size=40)
         assert not np.all(probs.sum(axis=1) == 1.0)
+        rngs = [mc.rng_stream(3, 22, i) for i in range(40)]
         np.testing.assert_array_equal(
-            mc.sample_scan(probs, 10_000, 3, 22), sample_scan_per_row(probs, 10_000, 3, 22)
+            mc.sample_counts(probs, 10_000, rngs), sample_scan_per_row(probs, 10_000, 3, 22)
         )
 
     @pytest.mark.parametrize("layout", ["broadcast", "fortran"])
@@ -493,8 +520,9 @@ class TestRngScheme:
         rows = RNG(13).random((6, 64)) * 10.0 ** RNG(14).uniform(-3, 3, size=(6, 1))
         probs = np.broadcast_to(rows[0], (6, 64)) if layout == "broadcast" else np.asfortranarray(rows)
         assert not probs.flags.c_contiguous
+        rngs = [mc.rng_stream(9, 20, 0, i) for i in range(6)]
         np.testing.assert_array_equal(
-            mc.sample_scan(probs, 10_000, 9, 20, 0), sample_scan_per_row(probs, 10_000, 9, 20, 0)
+            mc.sample_counts(probs, 10_000, rngs), sample_scan_per_row(probs, 10_000, 9, 20, 0)
         )
 
     def test_rng_stream_is_default_rng_of_the_seed_sequence(self):

@@ -192,30 +192,29 @@ class ProtocolScript(Record):
 
 class BranchState(Record):
     """One deterministic herald branch of the protocol: ``phi_d`` is the
-    detector phase of its last herald (None before any herald), and
-    ``pairs`` are the links heralded so far, which dephase during free
-    evolution. After a scanned step ``state`` is a stack, one state per
-    scan point; the branch weight is the same at every point."""
+    detector phase of its last herald (None before any herald); once it
+    has heralded, the script's link dephases during free evolution.
+    After a scanned step ``state`` is a stack, one state per scan point;
+    the branch weight is the same at every point."""
 
     phi_d: float | None
     weight: float
     state: st.QuantumState
-    pairs: tuple[tuple[str, str], ...] = ()
 
 
 class ProtocolResult(Record):
-    """Sampled trials of a script. ``counts[b, r, t]`` is the number of
-    trials in branch b of ``branches`` (the exact herald branches they
-    were drawn from) with reported outcome r and true outcome t, over the
-    script's qubits (first most significant), after and before the
-    detector model. ``herald_time`` is each trial's wall time from the
-    first attempt to the herald (0 when the script has no herald step).
-    ``exact_true`` is the exact distribution of the true outcome."""
+    """Sampled trials of a script and the distribution they were drawn
+    from. ``probs[b, r, t]`` is the exact probability of herald branch b
+    (of the exact branches, in order) with reported outcome r and true
+    outcome t, over the script's qubits (first most significant), after
+    and before the detector model; ``counts[b, r, t]`` is the number of
+    trials in that cell. ``herald_time`` is each trial's wall time from
+    the first attempt to the herald (0 when the script has no herald
+    step)."""
 
-    branches: list[BranchState]
+    probs: np.ndarray
     counts: np.ndarray
     herald_time: np.ndarray
-    exact_true: np.ndarray
 
 
 def rng_stream(seed: int, *key: int) -> Generator:
@@ -290,7 +289,7 @@ def propagate(
     the register in |0...0>), branching on herald outcomes.
 
     After each non-herald step the register evolves freely for the
-    step's duration, during which every pair heralded so far dephases.
+    step's duration, during which the link of a heralded branch dephases.
     Steps with array parameters (``WaitStep.duration_s``,
     ``AnalysisStep.theta`` and ``phi``, all of one length P) turn each
     branch state into a stack of P states. Every returned state is
@@ -301,6 +300,7 @@ def propagate(
         branches = [BranchState(phi_d=None, weight=1.0, state=initial)]
     b_atoms = script.modules.get("B", ())
     delta_omega, tau_s = scenario.ledger.delta_omega_ab, scenario.memory.tau_s
+    link = (script.link,)
     for step in steps:
         if isinstance(step, MeasureStep):
             break
@@ -311,7 +311,10 @@ def propagate(
         branches = [
             replace(
                 b,
-                state=free_evolution(apply(b.state), dt, delta_omega, b_atoms, b.pairs, tau_s),
+                state=free_evolution(
+                    apply(b.state), dt, delta_omega, b_atoms,
+                    link if b.phi_d is not None else (), tau_s,
+                ),
             )
             for b in branches
         ]
@@ -364,25 +367,16 @@ def _herald_branches(
         emission_a, emission_b, scenario.link_errors, transfer_phase
     )
     total = sum(p for _, p, _ in conditional)
-    out = []
-    for b in branches:
-        # The heralded pair replaces whatever the two qubits held before.
-        others = [q for q in b.state.labels if q not in pair]
-        for phi_d, prob, pair_state in conditional:
-            if others:
-                rest = st.partial_trace(b.state, others)
-                joined = st.tensor(rest, pair_state)
-            else:
-                joined = pair_state
-            out.append(
-                BranchState(
-                    phi_d=phi_d,
-                    weight=b.weight * prob / total,
-                    state=joined,
-                    pairs=b.pairs + (pair,),
-                )
-            )
-    return out
+    # The heralded pair replaces whatever the two qubits held before.
+    return [
+        BranchState(
+            phi_d=phi_d,
+            weight=b.weight * prob / total,
+            state=st.replace_subsystems(b.state, pair_state),
+        )
+        for b in branches
+        for phi_d, prob, pair_state in conditional
+    ]
 
 
 def branch_outcome_distribution(
@@ -442,12 +436,7 @@ def run_protocol(
         herald_time = rng.geometric(p_herald, size=n_trials) / scenario.budget.rep_rate
     else:
         herald_time = np.zeros(n_trials)
-    return ProtocolResult(
-        branches=branches,
-        counts=counts,
-        herald_time=herald_time,
-        exact_true=branch_outcome_distribution(branches, script.qubits),
-    )
+    return ProtocolResult(probs=joint, counts=counts, herald_time=herald_time)
 
 
 def first_analysis(script: ProtocolScript) -> int:

@@ -27,7 +27,6 @@ from .montecarlo import (
     AnalysisStep,
     MSGateStep,
     WaitStep,
-    branch_outcome_distribution,
     coherent_entanglement_distance,
     exact_branches,
     first_analysis,
@@ -159,13 +158,15 @@ def remote_bell_experiment(
 
     result = run_protocol(script, scenario, n_trials, seed, branches=branches)
     phi_d = np.array([b.phi_d for b in branches])
-    readout = script.readout(scenario.detectors)
     for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
         counts = result.counts[phi_d == want].sum(axis=(0, 2))
-        exact = branch_outcome_distribution(branches, script.qubits, want) @ readout.T
-        out.tables[f"populations_{key}"] = _population_table(counts, max(counts.sum(), 1), exact)
+        exact = result.probs[phi_d == want].sum(axis=(0, 2))
+        out.tables[f"populations_{key}"] = _population_table(
+            counts, max(counts.sum(), 1), exact / exact.sum()
+        )
 
-    out.summary["odd_parity_population_exact"] = result.exact_true[1] + result.exact_true[2]
+    exact_true = result.probs.sum(axis=(0, 1))
+    out.summary["odd_parity_population_exact"] = exact_true[1] + exact_true[2]
     for name, axes in (("sampled", (0, 2)), ("ideal_readout", (0, 1))):
         pops = result.counts.sum(axis=axes) / n_trials
         out.summary[f"odd_parity_population_{name}"] = pops[1] + pops[2]
@@ -401,9 +402,9 @@ def modular_3q_experiment(
     counts = result.counts.sum(axis=(0, 2))
     corr = _conditional_correlations(counts)
     corr_true = _conditional_correlations(result.counts.sum(axis=(0, 1)))
-    rep_diag = result.exact_true @ script.readout(scenario.detectors).T
+    rep_diag = result.probs.sum(axis=(0, 2))
     corr_exact = _conditional_correlations(rep_diag)
-    corr_exact_true = _conditional_correlations(result.exact_true)
+    corr_exact_true = _conditional_correlations(result.probs.sum(axis=(0, 1)))
     out.summary.update(
         {
             "corr_even_given_remote1": corr["even_given_1"],

@@ -15,6 +15,12 @@ over the leading ones, and so do its array-valued parameters (a unitary,
 phase or dephasing factor per point): a per-point parameter applied to
 a single state gives a stack.
 
+Replacing some subsystems by a fixed state is one kernel,
+``replace_subsystems``: it traces them out and tensors the fresh state
+back in, in the register's label order. Re-preparing a subsystem
+(``reset_subsystem``), the depolarizing channel and the herald of a
+remote pair all go through it.
+
 States are immutable after construction; every operation returns a new
 ``QuantumState``. Construction from data checks the whole stack:
 Hermiticity and unit trace to ``STATE_ATOL`` and eigenvalues above
@@ -51,6 +57,7 @@ __all__ = [
     "depolarize",
     "dephase_pair",
     "reset_subsystem",
+    "replace_subsystems",
 ]
 
 DEFAULT_MAX_SUBSYSTEMS = 6
@@ -368,18 +375,22 @@ def depolarize(s: QuantumState, targets: Sequence[str], p: float) -> QuantumStat
     axes = [s.axis(t) for t in targets]
     if p == 0.0:
         return s
-    n = s.n_subsystems
-    if len(targets) == n:
-        replaced = np.eye(s.dim, dtype=complex) / s.dim
-    else:
-        others = [lbl for lbl in s.labels if lbl not in targets]
-        reduced = partial_trace(s, others)
-        # Rebuild I/2^k (x) tr_T(rho) with the original label ordering.
-        repl = tensor(
-            maximally_mixed(targets), reduced, max_subsystems=n
-        )
-        replaced = _permute_density(repl, s.labels)
+    replaced = replace_subsystems(s, maximally_mixed(targets)).data
     return QuantumState._of(s.labels, (1.0 - p) * s.data + p * replaced)
+
+
+def replace_subsystems(s: QuantumState, fresh: QuantumState) -> QuantumState:
+    """Discard the subsystems ``fresh`` is labelled by and prepare them in
+    ``fresh``: tr_F(rho) (x) fresh in the register order of ``s``, so
+    their correlations with the rest are erased. Either may be a stack,
+    also when ``fresh`` replaces the whole register."""
+    axes = [s.axis(lbl) for lbl in fresh.labels]  # validates labels
+    others = [lbl for lbl in s.labels if lbl not in fresh.labels]
+    if others:
+        fresh = tensor(partial_trace(s, others), fresh, max_subsystems=s.n_subsystems)
+    rho = _permute_density(fresh, s.labels)
+    batch = np.broadcast_shapes(s.batch_shape, fresh.batch_shape)
+    return QuantumState._of(s.labels, np.broadcast_to(rho, batch + rho.shape[-2:]))
 
 
 def _permute_density(s: QuantumState, new_order: Sequence[str]) -> np.ndarray:
@@ -433,11 +444,4 @@ def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:
 
     Label order of the register is preserved.
     """
-    axis = s.axis(label)
-    others = [lbl for lbl in s.labels if lbl != label]
-    if not others:
-        return basis_state([bit], [label])
-    rest = partial_trace(s, others)
-    fresh = basis_state([bit], [label])
-    joined = tensor(rest, fresh, max_subsystems=s.n_subsystems)
-    return QuantumState._of(s.labels, _permute_density(joined, s.labels))
+    return replace_subsystems(s, basis_state([bit], [label]))

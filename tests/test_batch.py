@@ -143,7 +143,7 @@ def test_batched_propagation_equals_per_point(case):
         single = propagate(script, SCENARIO, at_point(script, index, value))
         assert len(single) == len(batched)
         for one, many in zip(single, batched):
-            assert (one.phi_d, one.weight, one.pairs) == (many.phi_d, many.weight, many.pairs)
+            assert (one.phi_d, one.weight) == (many.phi_d, many.weight)
             assert one.state.labels == many.state.labels
             got = stack(many.state, values.size)[i]
             np.testing.assert_allclose(got, one.state.data, rtol=0, atol=ATOL)
@@ -206,6 +206,10 @@ def kernel_cases(s, rng):
         ]
         keep = [lbl for lbl in labels if lbl != target]
         yield "partial trace", st.partial_trace(s, keep), [st.partial_trace(x, keep) for x in one]
+        fresh_pair = st.mixed_state(random_density(4, rng), pair)
+        yield "replace", st.replace_subsystems(s, fresh_pair), [
+            st.replace_subsystems(x, fresh_pair) for x in one
+        ]
     fresh = st.basis_state([1], ["extra"])
     yield "tensor", st.tensor(s, fresh, max_subsystems=7), [
         st.tensor(x, fresh, max_subsystems=7) for x in one

@@ -234,6 +234,20 @@ class TestExactBranches:
         with pytest.raises(ValueError, match="no herald branch"):
             mc.branch_outcome_distribution(branches, ("q2", "q3"), 1.0)
 
+    def test_second_herald_replaces_the_pair(self):
+        # The last herald's pair is all that remains, and it dephases from
+        # that herald on: each branch of two heralds is the branch of one
+        # with the same detector phase (tau_s = 1.12 s dephases the link).
+        def run(*steps):
+            script = replace(pair_script(), steps=(*steps, mc.WaitStep(0.5), mc.MeasureStep()))
+            return mc.exact_branches(script, DEFAULTS)
+
+        one = {b.phi_d: b.state.data for b in run(mc.HeraldStep())}
+        two = run(mc.HeraldStep(), mc.HeraldStep())
+        assert [b.phi_d for b in two] == [0.0, math.pi, 0.0, math.pi]
+        for b in two:
+            np.testing.assert_allclose(b.state.data, one[b.phi_d], rtol=0, atol=1e-12)
+
     def test_branch_phase_follows_ledger(self):
         ledger = PhaseLedger(delta_omega_ab=2 * math.pi * 2.5e3, delta_tau=0.0,
                              delta_x=0.0, delta_phi_t=0.4)
@@ -278,9 +292,11 @@ class TestRunProtocol:
     def test_sampled_matches_exact_populations(self):
         cfg = noiseless_config()
         n = 8000
-        res = mc.run_protocol(three_qubit_script(), cfg, n, seed=3)
+        script = three_qubit_script()
+        res = mc.run_protocol(script, cfg, n, seed=3)
         sampled = res.counts.sum(axis=(0, 1)) / n
-        for p, exact_p in zip(sampled, res.exact_true):
+        exact_true = mc.branch_outcome_distribution(mc.exact_branches(script, cfg), script.qubits)
+        for p, exact_p in zip(sampled, exact_true):
             err = math.sqrt(max(p * (1 - p), 1 / n) / n)
             assert abs(p - exact_p) < 4 * max(err, 1e-3)
 
@@ -292,12 +308,13 @@ class TestRunProtocol:
         script = three_qubit_script()
         n = 20_000
         res = mc.run_protocol(script, cfg, n, seed=12)
-        weights = np.array([b.weight for b in res.branches])
+        branches = mc.exact_branches(script, cfg)
+        weights = np.array([b.weight for b in branches])
         freq = res.counts.sum(axis=(1, 2)) / n
         sigma = np.sqrt(weights * (1 - weights) / n)
         assert np.all(np.abs(freq - weights) < 4 * sigma)
         m = confusion_matrix(3, cfg.detectors, script.detector_layout())
-        expect = m @ res.exact_true
+        expect = m @ mc.branch_outcome_distribution(branches, script.qubits)
         rep = res.counts.sum(axis=(0, 2)) / n
         sigma = np.sqrt(np.maximum(expect * (1 - expect), 1 / n) / n)
         assert np.all(np.abs(rep - expect) < 4 * sigma)
@@ -315,7 +332,7 @@ class TestRunProtocol:
         par = (2 * even - total) / total
         # exact: parity of the analyzed state conditioned on q3 = 1
         num = den = 0.0
-        for b in res.branches:
+        for b in mc.exact_branches(script, cfg):
             p = st.outcome_probabilities(b.state, ("q1", "q2", "q3"))
             for idx in range(8):
                 if idx & 1:

@@ -59,9 +59,7 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
     rng = np.random.default_rng(seed)
     pair = CALIBRATED.protocol.link
     script = CALIBRATED.script(CALIBRATED.protocol.link)
-    stored = BranchState(
-        phi_d=0.0, weight=1.0, state=st.mixed_state(random_density(4, rng), pair), pairs=(pair,)
-    )
+    stored = BranchState(phi_d=0.0, weight=1.0, state=st.mixed_state(random_density(4, rng), pair))
     for delay in (0.0, 0.3, 2.9):
         echoed = spin_echo_ramsey(
             stored.state, pair, delay, CALIBRATED.ledger.delta_omega_ab, 0.0,
@@ -69,6 +67,29 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
         )
         (final,) = propagate(script, CALIBRATED, _echo_steps(pair, delay), [stored])
         np.testing.assert_allclose(final.state.data, echoed.data, rtol=0, atol=1e-12)
+
+
+def test_second_herald_gives_the_exact_results_of_one():
+    # A later herald replaces the pair, and its dephasing starts afresh.
+    # The sampled values differ, because the trials are drawn over the
+    # four branches of two heralds instead of two.
+    steps = ("wait 0.5", "reinit q1", "gate q1 q2", "analyze q1 q2", "measure")
+    runs = []
+    for heralds in (1, 2):
+        lines = [f"step.{i + 1} = {s}" for i, s in enumerate(("herald",) * heralds + steps)]
+        scenario = loads_scenario("[protocol]\n" + "\n".join(lines) + "\n")
+        runs.append(modular_3q_experiment(scenario, 3, 100, 200))
+    one, two = runs
+    exact = [k for k in one.summary if "exact" in k]
+    assert len(exact) == 6
+    for key in exact:
+        assert two.summary[key] == pytest.approx(one.summary[key], rel=0, abs=1e-12), key
+    for name, table in one.tables.items():
+        for column in ("exact", "exact_reported", "exact_ideal_readout"):
+            if column in table:
+                np.testing.assert_allclose(
+                    two.tables[name][column], table[column], rtol=0, atol=1e-12
+                )
 
 
 # Sampled estimates with a reported standard error and an exact

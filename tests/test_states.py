@@ -361,6 +361,78 @@ class TestChannels:
         )
 
 
+def _index(bits: dict, order) -> int:
+    """Basis index of the bits ``bits[label]`` with ``order``'s first label
+    most significant."""
+    return sum(bits[lbl] << (len(order) - 1 - k) for k, lbl in enumerate(order))
+
+
+def _reduced(rho: np.ndarray, labels, keep) -> np.ndarray:
+    """Reduced density matrix of ``keep``, in ``keep``'s order, summed
+    element by element over the other labels' bits."""
+    rest = [lbl for lbl in labels if lbl not in keep]
+    out = np.zeros((2 ** len(keep),) * 2, dtype=complex)
+    for x in range(2 ** len(keep)):
+        for y in range(2 ** len(keep)):
+            for z in range(2 ** len(rest)):
+                zb = {lbl: (z >> (len(rest) - 1 - k)) & 1 for k, lbl in enumerate(rest)}
+                xb = {lbl: (x >> (len(keep) - 1 - k)) & 1 for k, lbl in enumerate(keep)}
+                yb = {lbl: (y >> (len(keep) - 1 - k)) & 1 for k, lbl in enumerate(keep)}
+                out[x, y] += rho[_index({**xb, **zb}, labels), _index({**yb, **zb}, labels)]
+    return out
+
+
+class TestReplaceSubsystems:
+    LABELS = ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize(
+        "targets",
+        [("b",), ("d",), ("a", "c"), ("d", "a"), ("c", "b"), ("a", "b", "c", "d"), ("d", "b", "a", "c")],
+        ids=lambda t: "".join(t),
+    )
+    def test_product_of_marginals_in_register_order(self, targets):
+        rng = RNG(len(targets) + 10 * ord(targets[0]))
+        s = st.mixed_state(random_density(16, rng), self.LABELS)
+        fresh = st.mixed_state(random_density(2 ** len(targets), rng), targets)
+        out = st.replace_subsystems(s, fresh)
+        assert out.labels == self.LABELS
+        others = [lbl for lbl in self.LABELS if lbl not in targets]
+        np.testing.assert_allclose(_reduced(out.data, self.LABELS, targets), fresh.data, atol=1e-12)
+        rest = _reduced(s.data, self.LABELS, others) if others else np.ones((1, 1))
+        if others:
+            np.testing.assert_allclose(_reduced(out.data, self.LABELS, others), rest, atol=1e-12)
+        # out[i, j] = rest[i_others, j_others] * fresh[i_targets, j_targets]
+        expect = np.zeros((16, 16), dtype=complex)
+        for i in range(16):
+            for j in range(16):
+                ib = dict(zip(self.LABELS, st._bits(4)[i].tolist()))
+                jb = dict(zip(self.LABELS, st._bits(4)[j].tolist()))
+                expect[i, j] = (
+                    rest[_index(ib, others), _index(jb, others)]
+                    * fresh.data[_index(ib, targets), _index(jb, targets)]
+                )
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def test_reset_and_depolarize_are_replacements(self):
+        rng = RNG(23)
+        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        np.testing.assert_array_equal(
+            st.reset_subsystem(s, "b", 1).data,
+            st.replace_subsystems(s, st.basis_state([1], ["b"])).data,
+        )
+        mixed = st.replace_subsystems(s, st.maximally_mixed(["c", "a"])).data
+        np.testing.assert_allclose(
+            st.depolarize(s, ["c", "a"], 0.4).data, 0.6 * s.data + 0.4 * mixed, atol=1e-15
+        )
+
+    def test_unknown_label_rejected(self):
+        s = bell()
+        with pytest.raises(st.StateError, match="unknown subsystem"):
+            st.replace_subsystems(s, st.basis_state([0], ["z"]))
+        with pytest.raises(st.StateError, match="unknown subsystem"):
+            st.replace_subsystems(s, st.basis_state([0, 1], ["a", "z"]))
+
+
 class TestEmbeddedChannels:
     """Cross-checks of the channels on registers larger than their targets."""
 

@@ -19,22 +19,22 @@ therefore one ``propagate`` call, not one per point; a scalar step is
 the same code with no batch axis. ``propagate`` checks Hermiticity,
 unit trace and positivity on every stack it returns.
 
-The sampled path has one sampler, ``sample_counts``: it counts each
-row's uniform numbers below the cuts of its cumulative distribution,
-which gives the counts of ``rng.choice``. The trials are one row, the
-exact joint distribution of herald branch, reported and true outcome;
-their herald attempt counts are geometric with the link budget. Every
-scan samples through ``sample_outcomes``: the exact true distribution
-of each point, the reported one through the script's readout channel
-(``ProtocolScript.readout``, the one place it is built), and then each
-point's shots from that reported distribution, one row per point.
+The sampled path draws from exact distributions only. The trials are
+one draw of ``n_trials`` from the exact joint distribution of herald
+branch, reported and true outcome (``sample_counts``, the counts of
+``rng.choice``); each herald step of a trial then takes a geometric
+number of attempts with the link budget. Every scan samples through
+``sample_outcomes``: the exact true distribution of each point, the
+reported one through the script's readout channel
+(``ProtocolScript.readout``, the one place it is built), and then the
+shots of all points with one ``multinomial`` call, one row per point.
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
 spawn_key=key)))``, the generator ``default_rng`` builds from that seed
-sequence. A protocol run draws every trial from the one generator of
-stream 0; a scan draws each point from its own (stream, ..., point)
-generator (``rng_stream``).
+sequence (``rng_stream``). A protocol run draws every trial from the
+one generator of stream 0; a scan draws all of its points from the one
+generator of its shot stream, row after row.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ class ProtocolResult(Record):
     (of the exact branches, in order) with reported outcome r and true
     outcome t, over the script's qubits (first most significant), after
     and before the detector model; ``counts[b, r, t]`` is the number of
-    trials in that cell. ``herald_time`` is each trial's wall time from
-    the first attempt to the herald (0 when the script has no herald
-    step)."""
+    trials in that cell. ``herald_time`` is each trial's wall time spent
+    attempting heralds, summed over the script's herald steps (0 when it
+    has none)."""
 
     probs: np.ndarray
     counts: np.ndarray
@@ -222,28 +222,19 @@ def rng_stream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def sample_counts(probs: np.ndarray, shots: int, rngs: Sequence[Generator]) -> np.ndarray:
-    """Counts of ``shots`` draws from each row i of ``probs`` by ``rngs[i]``.
+def sample_counts(probs: np.ndarray, shots: int, rng: Generator) -> np.ndarray:
+    """Counts of ``shots`` draws by ``rng`` from the distribution ``probs``.
 
-    Each draw inverts the row's cumulative distribution at one uniform
-    number of its generator, as ``rng.choice`` does, so the counts and
-    the generator's final state equal those of ``rng.choice``; counting
-    the uniforms below each cut takes the place of an index per shot.
-    The cuts of all rows are built at once, and every row draws into one
-    buffer.
+    Each draw inverts the cumulative distribution at one uniform number,
+    as ``rng.choice`` does, so the counts and the generator's final state
+    equal those of ``rng.choice``; counting the uniforms below each cut
+    takes the place of an index per draw.
     """
-    # A C-ordered copy sums each row exactly as a single row is summed.
-    probs = np.ascontiguousarray(probs, dtype=float)
-    cdf = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
-    cdf /= cdf[:, -1:]
-    below = np.empty(cdf.shape, dtype=np.int64)  # uniforms below each cut
-    below[:, -1] = shots
-    u = np.empty(shots)
-    for i, cuts in enumerate(cdf[:, :-1]):
-        rngs[i].random(out=u)
-        for j, cut in enumerate(cuts):
-            below[i, j] = np.count_nonzero(u < cut)
-    return np.diff(below, prepend=0)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    below = [np.count_nonzero(u < cut) for cut in cdf[:-1]]
+    return np.diff(below, prepend=0, append=shots)
 
 
 def sample_outcomes(
@@ -263,15 +254,16 @@ def sample_outcomes(
     ``shots`` reported outcomes.
 
     Stacked branches give one row per scan point, unstacked ones a single
-    row, or ``points`` equal rows. Row i draws its shots from the
-    generator of (``key``, i).
+    row, or ``points`` equal rows. Every row draws its shots from its
+    reported distribution, normalised on its own, with one
+    ``multinomial`` call on the generator of ``key``, row after row.
     """
     true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits, phi_d))
     if points is not None:
         true = np.broadcast_to(true, (points, true.shape[-1]))
     reported = true @ script.readout(scenario.detectors).T
-    rngs = [rng_stream(seed, *key, i) for i in range(len(reported))]
-    return true, reported, sample_counts(reported, shots, rngs)
+    rows = reported / reported.sum(axis=-1, keepdims=True)
+    return true, reported, rng_stream(seed, *key).multinomial(shots, rows)
 
 
 def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:
@@ -409,17 +401,17 @@ def run_protocol(
 
     The trials' herald branches, reported and true outcomes are counted
     together from their exact joint distribution (``sample_counts``);
-    when the script heralds, each trial's number of attempts is then
-    geometric with the budget's coincidence probability. All draws come
+    then each herald step of each trial takes a geometric number of
+    attempts with the budget's coincidence probability. All draws come
     from one generator, so identical (script, scenario, n_trials, seed)
     give identical results. ``branches`` are the script's exact branches
     when the caller has propagated them already.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    has_herald = any(isinstance(s, HeraldStep) for s in script.steps)
+    n_heralds = sum(isinstance(s, HeraldStep) for s in script.steps)
     p_herald = success_probability(scenario.budget)
-    if has_herald and p_herald <= 0.0:
+    if n_heralds and p_herald <= 0.0:
         raise ValueError("success probability is zero; the protocol would never herald")
     if branches is None:
         branches = exact_branches(script, scenario)
@@ -431,9 +423,10 @@ def run_protocol(
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = rng_stream(seed, TRIAL_STREAM)
-    counts = sample_counts(joint.reshape(1, -1), n_trials, [rng]).reshape(joint.shape)
-    if has_herald:
-        herald_time = rng.geometric(p_herald, size=n_trials) / scenario.budget.rep_rate
+    counts = sample_counts(joint.ravel(), n_trials, rng).reshape(joint.shape)
+    if n_heralds:
+        attempts = rng.geometric(p_herald, size=(n_heralds, n_trials)).sum(axis=0)
+        herald_time = attempts / scenario.budget.rep_rate
     else:
         herald_time = np.zeros(n_trials)
     return ProtocolResult(probs=joint, counts=counts, herald_time=herald_time)

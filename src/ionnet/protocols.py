@@ -51,7 +51,7 @@ __all__ = [
     "modular_3q_experiment",
 ]
 
-# rng spawn-key stream id for scan-point sampling
+# rng spawn-key stream id of the scans' shot sampling
 _SHOT_STREAM = 20
 
 

@@ -13,10 +13,10 @@ enumerated flip pattern by flip pattern.
 The single-shot samplers near the end draw one outcome at a time from
 the package's exact channels. The package itself samples only in bulk,
 from exact distributions; sampled-versus-exact tests use these samplers
-as a second, shot-by-shot route to the same statistics. The last three
-functions are the count sampler written one row at a time, the reference
-that the batched ``montecarlo.sample_counts`` must equal count for count
-in a scan, and the per-trial draw that its trial counts must equal.
+as a second, shot-by-shot route to the same statistics. The last two
+functions are the references that the package's bulk draws must equal
+count for count: a scan's shots drawn one row at a time, and the trials
+of a protocol run drawn one index per trial.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from numpy.random import SeedSequence
 from ionnet import states as st
 from ionnet.detection import DetectorGroup, DetectorModel, _validate_layout, apply_readout_array
 from ionnet.gates import ms_gate
+from ionnet.montecarlo import HeraldStep
 from ionnet.photonics import (
     DETECTOR_PAIRS,
     LinkErrorModel,
@@ -366,25 +367,13 @@ def ms_gate_trajectory(
     return out
 
 
-def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Counts of each outcome in ``shots`` draws from one distribution:
-    the uniforms of ``rng`` below each cut of its cumulative distribution."""
-    cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
-    u = rng.random(shots)
-    below = np.array([0, *(np.count_nonzero(u < cut) for cut in cdf[:-1]), shots])
-    return below[1:] - below[:-1]
-
-
 def sample_scan_per_row(probs: np.ndarray, shots: int, seed: int, *key: int) -> np.ndarray:
-    """Reference for ``montecarlo.sample_counts`` in a scan: one row at a time, each
-    normalised, summed and counted on its own, row i from the generator
-    ``default_rng`` builds for the counter (``key``, i)."""
-    rows = []
-    for i, p in enumerate(probs):
-        rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(*key, i)))
-        rows.append(sample_counts(p, shots, rng))
-    return np.array(rows)
+    """Reference for the shots of a scan (``montecarlo.sample_outcomes``):
+    one ``multinomial`` call per row, each row normalised on its own, all
+    rows in turn from the generator ``default_rng`` builds for the
+    counter ``key``."""
+    rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=key))
+    return np.array([rng.multinomial(shots, p / p.sum()) for p in probs])
 
 
 def protocol_trials_per_trial(
@@ -393,9 +382,10 @@ def protocol_trials_per_trial(
     """Reference for the trials of ``montecarlo.run_protocol`` on a script
     that heralds: one ``rng.choice`` index per trial into the joint
     distribution ``joint[b, r, t]`` of herald branch, reported and true
-    outcome, then each trial's attempts from the geometric distribution,
-    all from the generator ``default_rng`` builds for the counter ``key``.
-    Returns the trial counts of each (b, r, t) cell and the herald times."""
+    outcome, then the geometric number of attempts of every trial at the
+    first herald step, then at the next one, all from the
+    generator ``default_rng`` builds for the counter ``key``. Returns the
+    trial counts of each (b, r, t) cell and the herald times."""
     weights = np.array([b.weight for b in branches])
     true_given_branch = np.array(
         [st.outcome_probabilities(b.state, script.qubits) for b in branches]
@@ -408,4 +398,8 @@ def protocol_trials_per_trial(
     counts = np.zeros(joint.shape, dtype=np.int64)
     np.add.at(counts, (branch, reported, true), 1)
     p_herald = success_probability(scenario.budget)
-    return counts, rng.geometric(p_herald, size=n_trials) / scenario.budget.rep_rate
+    n_heralds = sum(isinstance(s, HeraldStep) for s in script.steps)
+    attempts = np.zeros(n_trials, dtype=np.int64)
+    for _ in range(n_heralds):
+        attempts += rng.geometric(p_herald, size=n_trials)
+    return counts, attempts / scenario.budget.rep_rate

@@ -2,9 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Criteria are asserted at their stated tolerances against the exact
-(density-matrix) statistics path where the number is a model property,
-with sampled-path consistency checked at 3 sigma where sampling is part
-of the criterion.
+(density-matrix) statistics path where the number is a model property.
+Where sampling is part of the criterion, each sampled check has a stated
+rate of failing by chance: the scan-drawn parity tables are one
+chi-square over their points at ``FALSE_FAILURE``, and
+``scripts/seed_sweep.py`` measures every sampled check's miss rate over
+many seeds.
 """
 
 import itertools
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from ionnet import photonics as ph
 from ionnet import states as st
@@ -31,6 +35,9 @@ from oracles import bsm_outcome_distribution, fock_bsm_distribution, parity_expe
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Rate at which a chi-square check of a sampled table fails by chance.
+FALSE_FAILURE = 1e-3
+
 NOISELESS = """
 [link_errors]
 atom_photon_fidelity = 1.0
@@ -48,6 +55,13 @@ two_qubit_overlap = 0.0
 
 def report(n: int, text: str):
     print(f"ACCEPTANCE {n}: {text} PASS")
+
+
+def chi_square(z: np.ndarray) -> tuple[float, float]:
+    """Sum of the squared z-scores of a table's points, and the chi-square
+    quantile that an unbiased table exceeds with probability
+    ``FALSE_FAILURE``."""
+    return float(np.sum(z**2)), float(chi2.ppf(1.0 - FALSE_FAILURE, z.size))
 
 
 def test_criterion_1_budget_reproduction():
@@ -118,9 +132,10 @@ def test_criterion_5_coherence():
     for delay in (0.05, 0.8, 1.7, 3.0):
         out = spin_echo_ramsey(pair, ["a", "b"], delay, 2 * math.pi * 2.5e3, 0.2)
         assert abs(parity_expectation(out, ["a", "b"]) - p0) < 1e-10
-    # tau recovery within 2 percent over a 0..3 s scan
+    # tau recovery within 2 percent over a 0..3 s scan; at 10^5 shots per
+    # point the bound is ~4 of the sampled tau's standard errors
     scenario = loads_scenario("")
-    res = coherence_experiment(scenario, seed=1, n_trials=2000, shots=10_000)
+    res = coherence_experiment(scenario, seed=1, n_trials=2000, shots=100_000)
     tau_exact = res.summary["tau_fit_exact_s"]
     tau_sampled = res.summary["tau_fit_s"]
     assert abs(tau_exact - 1.12) / 1.12 < 0.02
@@ -139,8 +154,8 @@ def test_criterion_6_three_qubit_protocol():
     amp = res.summary["parity_amplitude_remote1"]
     assert abs(amp - 1.0) <= 0.01
     t0 = res.tables["parity_remote0"]
-    for phi, par, err in zip(t0["phi_rad"], t0["estimate"], t0["uncertainty"]):
-        assert abs(par) < 3 * err, f"remote-0 parity {par} exceeds 3 sigma at phi={phi}"
+    flat, flat_bound = chi_square(t0["estimate"] / t0["uncertainty"])
+    assert flat < flat_bound, f"remote-0 parity not flat: chi-square {flat} >= {flat_bound}"
     # calibrated noise: conditional correlations and even-branch fidelity
     calibrated = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
     cal = modular_3q_experiment(calibrated, n_trials=4000, seed=1, shots=10_000)
@@ -159,7 +174,8 @@ def test_criterion_6_three_qubit_protocol():
     ]
     report(
         6,
-        f"noiseless amplitude {amp:.4f} (1.00 +- 0.01), remote-0 flat at 3 sigma; "
+        f"noiseless amplitude {amp:.4f} (1.00 +- 0.01), remote-0 flat "
+        f"(chi-square {flat:.1f} < {flat_bound:.1f}); "
         f"calibrated correlations {c_even:.3f}/{c_odd:.3f} (0.71/0.75 +- 0.05), "
         f"conditional fidelity {f_cond:.3f} (0.63 +- 0.05)",
     )
@@ -192,16 +208,21 @@ def test_criterion_8_oracle_equivalence():
     # sampled protocol statistics vs exact expectations at 1e4 shots
     scenario = loads_scenario("")
     res = modular_3q_experiment(scenario, n_trials=1000, seed=8, shots=10_000)
-    for cond in ("remote1", "remote0"):
-        t = res.tables[f"parity_{cond}"]
-        for sampled, err, exact in zip(t["estimate"], t["uncertainty"], t["exact_reported"]):
-            assert abs(sampled - exact) < 3 * err
+    tables = [res.tables[f"parity_{cond}"] for cond in ("remote1", "remote0")]
+    stat, bound = chi_square(
+        np.concatenate([(t["estimate"] - t["exact_reported"]) / t["uncertainty"] for t in tables])
+    )
+    assert stat < bound, f"conditional parities: chi-square {stat} >= {bound}"
     rb = remote_bell_experiment(scenario, seed=8, n_trials=2000, shots=10_000)
     for key in ("phid0", "phidpi"):
         t = rb.tables[f"populations_{key}"]
         for p, err, exact in zip(t["estimate"], t["uncertainty"], t["exact"]):
             assert abs(p - exact) < 4 * max(err, 1e-3)
-    report(8, f"BSM oracle max dev {worst:.1e} < 1e-10; sampled stats within 3 sigma of exact")
+    report(
+        8,
+        f"BSM oracle max dev {worst:.1e} < 1e-10; sampled parities chi-square {stat:.1f} "
+        f"< {bound:.1f}, populations within 4 sigma of exact",
+    )
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -366,6 +366,20 @@ class TestRunProtocol:
         np.testing.assert_array_equal(res.counts, counts)
         np.testing.assert_array_equal(res.herald_time, herald_time)
 
+    def test_two_heralds_equal_per_trial_reference(self):
+        # Each herald step adds its own geometric attempts to every trial.
+        script = three_qubit_script(0.3)
+        script = replace(script, steps=(mc.HeraldStep(), *script.steps))
+        branches = mc.exact_branches(script, DEFAULTS)
+        res = mc.run_protocol(script, DEFAULTS, 1000, 17, branches=branches)
+        counts, herald_time = protocol_trials_per_trial(
+            script, DEFAULTS, branches, 1000, 17, mc.TRIAL_STREAM
+        )
+        np.testing.assert_array_equal(res.counts, counts)
+        np.testing.assert_array_equal(res.herald_time, herald_time)
+        one = mc.run_protocol(three_qubit_script(0.3), DEFAULTS, 1000, 17)
+        assert np.all(res.herald_time > one.herald_time)
+
     def test_crosstalk_config_validated(self):
         with pytest.raises(ValueError, match="crosstalk_depol"):
             ProtocolLayout(crosstalk_depol=1.5)
@@ -495,19 +509,30 @@ class TestRngScheme:
 
     @pytest.mark.parametrize("empty", [0, 3, 7])
     def test_sample_counts_are_the_choice_counts(self, empty):
-        # A scan point's counts are those rng.choice draws from the point's
+        # A trial draw's counts are those rng.choice draws from the same
         # generator, zero-probability outcomes included.
         probs = RNG(empty).random((3, 8)) ** 3
         probs[:, empty] = 0.0
-        counts = mc.sample_counts(probs, 5000, [mc.rng_stream(5, 22, i) for i in range(3)])
         for i, p in enumerate(probs):
+            counts = mc.sample_counts(p, 5000, mc.rng_stream(5, 22, i))
             draws = mc.rng_stream(5, 22, i).choice(8, size=5000, p=p / p.sum())
-            np.testing.assert_array_equal(counts[i], np.bincount(draws, minlength=8))
+            np.testing.assert_array_equal(counts, np.bincount(draws, minlength=8))
+
+    @staticmethod
+    def scan_counts(monkeypatch, probs, shots, seed, *key, points=None):
+        # The shots sample_outcomes draws for a scan whose true outcome
+        # distributions are the rows of ``probs``, read out by noiseless
+        # individual detectors (the identity channel).
+        qubits = tuple(f"q{i}" for i in range(int(math.log2(probs.shape[-1]))))
+        script = mc.ProtocolScript(qubits=qubits, modules={"B": qubits}, steps=(mc.MeasureStep(),))
+        scenario = replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0))
+        monkeypatch.setattr(mc, "branch_outcome_distribution", lambda *args: probs)
+        return mc.sample_outcomes(script, scenario, [], shots, seed, *key, points=points)[2]
 
     @pytest.mark.parametrize("shots", [1, 7, 10_000])
     @pytest.mark.parametrize("points", [1, 5])
     @pytest.mark.parametrize("outcomes", [2, 4, 8, 64])
-    def test_sample_scan_equals_per_row_reference(self, outcomes, points, shots):
+    def test_sample_scan_equals_per_row_reference(self, monkeypatch, outcomes, points, shots):
         # Every row has a zero-probability outcome: the first one in even
         # rows, the last one in odd rows, and a middle one when K > 2.
         probs = RNG(outcomes * points).random((points, outcomes)) ** 3 + 0.01
@@ -516,31 +541,35 @@ class TestRngScheme:
         if outcomes > 2:
             probs[:, outcomes // 2] = 0.0
         want = sample_scan_per_row(probs, shots, 7, 21, 1)
-        got = mc.sample_counts(probs, shots, [mc.rng_stream(7, 21, 1, i) for i in range(points)])
+        got = self.scan_counts(monkeypatch, probs, shots, 7, 21, 1)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got.sum(axis=1), shots)
 
-    def test_sample_scan_rows_normalised_within_float_error(self):
-        # Rows that sum to 1 only to rounding are normalised as one row is.
+    def test_sample_scan_rows_normalised_within_float_error(self, monkeypatch):
+        # Rows that sum to 1 only to rounding are normalised as one row is,
+        # so that none of them sums above 1 before its last outcome.
         probs = RNG(11).dirichlet(np.full(8, 0.3), size=40)
         assert not np.all(probs.sum(axis=1) == 1.0)
-        rngs = [mc.rng_stream(3, 22, i) for i in range(40)]
         np.testing.assert_array_equal(
-            mc.sample_counts(probs, 10_000, rngs), sample_scan_per_row(probs, 10_000, 3, 22)
+            self.scan_counts(monkeypatch, probs, 10_000, 3, 22),
+            sample_scan_per_row(probs, 10_000, 3, 22),
         )
 
     @pytest.mark.parametrize("layout", ["broadcast", "fortran"])
-    def test_sample_scan_non_contiguous_input(self, layout):
-        # A broadcast or Fortran-ordered (P, K) input gives the counts of
-        # the per-row reference.
+    def test_sample_scan_non_contiguous_input(self, monkeypatch, layout):
+        # Equal rows broadcast over the scan points, or a Fortran-ordered
+        # (P, K) input, give the counts of the per-row reference.
         rows = RNG(13).random((6, 64)) * 10.0 ** RNG(14).uniform(-3, 3, size=(6, 1))
-        probs = np.broadcast_to(rows[0], (6, 64)) if layout == "broadcast" else np.asfortranarray(rows)
-        assert not probs.flags.c_contiguous
-        rngs = [mc.rng_stream(9, 20, 0, i) for i in range(6)]
-        np.testing.assert_array_equal(
-            mc.sample_counts(probs, 10_000, rngs), sample_scan_per_row(probs, 10_000, 9, 20, 0)
-        )
+        if layout == "broadcast":
+            got = self.scan_counts(monkeypatch, rows[0], 10_000, 9, 20, 0, points=6)
+            want = sample_scan_per_row(np.broadcast_to(rows[0], (6, 64)), 10_000, 9, 20, 0)
+        else:
+            probs = np.asfortranarray(rows)
+            assert not probs.flags.c_contiguous
+            got = self.scan_counts(monkeypatch, probs, 10_000, 9, 20, 0)
+            want = sample_scan_per_row(probs, 10_000, 9, 20, 0)
+        np.testing.assert_array_equal(got, want)
 
     def test_rng_stream_is_default_rng_of_the_seed_sequence(self):
         for seed, key in ((0, (0,)), (42, (22, 5)), (2**63 + 1, (20, 1, 300))):

@@ -69,17 +69,19 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
         np.testing.assert_allclose(final.state.data, echoed.data, rtol=0, atol=1e-12)
 
 
+def heralds_scenario(heralds: int):
+    """The default scenario with ``heralds`` herald steps, then a 0.5 s
+    wait and the default's other steps."""
+    steps = ("herald",) * heralds + ("wait 0.5", "reinit q1", "gate q1 q2", "analyze q1 q2", "measure")
+    lines = [f"step.{i + 1} = {s}" for i, s in enumerate(steps)]
+    return loads_scenario("[protocol]\n" + "\n".join(lines) + "\n")
+
+
 def test_second_herald_gives_the_exact_results_of_one():
     # A later herald replaces the pair, and its dephasing starts afresh.
     # The sampled values differ, because the trials are drawn over the
     # four branches of two heralds instead of two.
-    steps = ("wait 0.5", "reinit q1", "gate q1 q2", "analyze q1 q2", "measure")
-    runs = []
-    for heralds in (1, 2):
-        lines = [f"step.{i + 1} = {s}" for i, s in enumerate(("herald",) * heralds + steps)]
-        scenario = loads_scenario("[protocol]\n" + "\n".join(lines) + "\n")
-        runs.append(modular_3q_experiment(scenario, 3, 100, 200))
-    one, two = runs
+    one, two = (modular_3q_experiment(heralds_scenario(h), 3, 100, 200) for h in (1, 2))
     exact = [k for k in one.summary if "exact" in k]
     assert len(exact) == 6
     for key in exact:
@@ -90,6 +92,20 @@ def test_second_herald_gives_the_exact_results_of_one():
                 np.testing.assert_allclose(
                     two.tables[name][column], table[column], rtol=0, atol=1e-12
                 )
+
+
+def test_second_herald_halves_the_rate():
+    # Each herald step waits for its own geometric number of attempts, so
+    # two heralds take twice as long. The first step's waits are those of
+    # the one-herald run (same stream), so the rate ratio is m1 / (m1 + m2)
+    # for the mean waits m1, m2 of 2000 trials each: 0.5 with a relative
+    # standard deviation of 1 / sqrt(2 * 2000) = 1.6 %, and the 6 % bound
+    # is 3.8 sigma (false failure ~1.5e-4).
+    one, two = (
+        modular_3q_experiment(heralds_scenario(h), 3, 2000, 200).summary["rate_per_s"]
+        for h in (1, 2)
+    )
+    assert two == pytest.approx(one / 2.0, rel=0.06)
 
 
 # Sampled estimates with a reported standard error and an exact

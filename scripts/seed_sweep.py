@@ -20,7 +20,11 @@ same draws:
   of both tables at 1e-3 (before: 3 sigma at each point).
 
 The two checks drawn from protocol trials (criterion 6 calibrated
-correlations, criterion 8 remote-bell populations) keep their form.
+correlations, criterion 8 remote-bell populations) keep their form and
+bounds. Their draws are re-rolled by the trials' one multinomial draw
+over the joint distribution (formerly one uniform number per trial,
+counted as ``rng.choice`` counts), so the seeds they miss are not the
+ones they missed before; the counts stay near the stated rates.
 
 Run:  python3 scripts/seed_sweep.py [--seeds 200] [--first 1]
 (scipy provides the chi-square quantile.)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import MIN_FIT_POINTS, MIN_RATE_SAMPLES
+from .fitting import MIN_FIT_POINTS, MIN_RATE_SAMPLES, fit_cosine
 from .montecarlo import AnalysisStep, HeraldStep
 from .photonics import success_probability
 from .protocols import (
@@ -33,6 +33,7 @@ from .protocols import (
     local_gate_experiment,
     modular_3q_experiment,
     phase_scan_experiment,
+    phase_scan_grid,
     remote_bell_experiment,
     timing_report,
 )
@@ -171,6 +172,17 @@ def check_preconditions(subcommand: str, scenario: Scenario, trials: int) -> Non
     grid = SCAN_GRID.get(subcommand)
     if grid and getattr(scenario.run, grid) < MIN_FIT_POINTS:
         raise ScenarioError(f"{subcommand} fits a curve and needs run.{grid} >= {MIN_FIT_POINTS}")
+    if subcommand == "phase-scan":
+        beat = phase_scan_grid(scenario)[1]
+        try:  # the fit's own rank rule, on the phases it will be given
+            fit_cosine(beat, np.zeros_like(beat), harmonic=1)
+        except ValueError as exc:
+            raise ScenarioError(
+                "phase-scan fits a cosine to the beat phases delta_omega_ab * delay of "
+                f"phase_ledger.delta_omega_ab = {scenario.ledger.delta_omega_ab!r}, "
+                f"run.phase_scan_points = {scenario.run.phase_scan_points} and "
+                f"run.phase_scan_delay_s = {scenario.run.phase_scan_delay_s!r}: {exc}"
+            ) from None
     if subcommand == "modular-3q":
         protocol = scenario.protocol
         if len(protocol.qubits_a) != 2 or len(protocol.qubits_b) != 1:

@@ -182,7 +182,9 @@ def fit_cosine(phi, y, harmonic: int = 2, sigma=None) -> CosineFit:
 
     Linear in (a, b, c) with y = a cos + b sin + c, then A = hypot(a, b)
     and phase = atan2(b, a). Errors propagate through the linear
-    covariance.
+    covariance. Raises ValueError when the phases do not determine the
+    three coefficients: the least-squares basis has rank below 3 when
+    harmonic * phi takes fewer than three distinct angles modulo 2 pi.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -191,21 +193,14 @@ def fit_cosine(phi, y, harmonic: int = 2, sigma=None) -> CosineFit:
     basis = np.column_stack(
         [np.cos(harmonic * phi), np.sin(harmonic * phi), np.ones_like(phi)]
     )
-    if sigma is not None:
-        w = 1.0 / np.asarray(sigma, dtype=float)
-        basis_w = basis * w[:, None]
-        y_w = y * w
-    else:
-        basis_w = basis
-        y_w = y
-    coef, *_ = np.linalg.lstsq(basis_w, y_w, rcond=None)
+    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    basis_w, y_w = basis * w[:, None], y * w
+    coef, _, rank, _ = np.linalg.lstsq(basis_w, y_w, rcond=None)
+    if rank < 3:
+        raise ValueError(f"the {phi.size} phases do not determine a cosine (rank {rank} of 3)")
     a, b, c = coef
     resid = y_w - basis_w @ coef
-    dof = max(phi.size - 3, 1)
-    if sigma is not None:
-        scale = 1.0
-    else:
-        scale = float(resid @ resid) / dof
+    scale = 1.0 if sigma is not None else float(resid @ resid) / max(phi.size - 3, 1)
     cov = scale * np.linalg.inv(basis_w.T @ basis_w)
     amp = math.hypot(a, b)
     phase = math.atan2(b, a)

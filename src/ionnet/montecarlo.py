@@ -19,15 +19,15 @@ therefore one ``propagate`` call, not one per point; a scalar step is
 the same code with no batch axis. ``propagate`` checks Hermiticity,
 unit trace and positivity on every stack it returns.
 
-The sampled path draws from exact distributions only. The trials are
-one draw of ``n_trials`` from the exact joint distribution of herald
-branch, reported and true outcome (``sample_counts``, the counts of
-``rng.choice``); each herald step of a trial then takes a geometric
-number of attempts with the link budget. Every scan samples through
+The sampled path draws from exact distributions only, and every count
+is one ``multinomial`` call. The trials are one draw of ``n_trials``
+from the exact joint distribution of herald branch, reported and true
+outcome; each herald step of a trial then takes a geometric number of
+attempts with the link budget. Every scan samples through
 ``sample_outcomes``: the exact true distribution of each point, the
 reported one through the script's readout channel
 (``ProtocolScript.readout``, the one place it is built), and then the
-shots of all points with one ``multinomial`` call, one row per point.
+shots of all points, one row per point.
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
@@ -67,7 +67,6 @@ __all__ = [
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
-    "sample_counts",
     "sample_outcomes",
     "parity_err",
     "exact_branches",
@@ -222,21 +221,6 @@ def rng_stream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def sample_counts(probs: np.ndarray, shots: int, rng: Generator) -> np.ndarray:
-    """Counts of ``shots`` draws by ``rng`` from the distribution ``probs``.
-
-    Each draw inverts the cumulative distribution at one uniform number,
-    as ``rng.choice`` does, so the counts and the generator's final state
-    equal those of ``rng.choice``; counting the uniforms below each cut
-    takes the place of an index per draw.
-    """
-    cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
-    u = rng.random(shots)
-    below = [np.count_nonzero(u < cut) for cut in cdf[:-1]]
-    return np.diff(below, prepend=0, append=shots)
-
-
 def sample_outcomes(
     script: ProtocolScript,
     scenario: Scenario,
@@ -245,7 +229,6 @@ def sample_outcomes(
     seed: int,
     *key: int,
     phi_d: float | None = None,
-    points: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes of ``branches`` (averaged as in
     ``branch_outcome_distribution``, optionally over the herald phase
@@ -254,13 +237,11 @@ def sample_outcomes(
     ``shots`` reported outcomes.
 
     Stacked branches give one row per scan point, unstacked ones a single
-    row, or ``points`` equal rows. Every row draws its shots from its
-    reported distribution, normalised on its own, with one
-    ``multinomial`` call on the generator of ``key``, row after row.
+    row. Every row draws its shots from its reported distribution,
+    normalised on its own, with one ``multinomial`` call on the
+    generator of ``key``, row after row.
     """
     true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits, phi_d))
-    if points is not None:
-        true = np.broadcast_to(true, (points, true.shape[-1]))
     reported = true @ script.readout(scenario.detectors).T
     rows = reported / reported.sum(axis=-1, keepdims=True)
     return true, reported, rng_stream(seed, *key).multinomial(shots, rows)
@@ -400,9 +381,9 @@ def run_protocol(
     """Sample ``n_trials`` end-to-end trials of the script.
 
     The trials' herald branches, reported and true outcomes are counted
-    together from their exact joint distribution (``sample_counts``);
-    then each herald step of each trial takes a geometric number of
-    attempts with the budget's coincidence probability. All draws come
+    together with one ``multinomial`` draw from their exact joint
+    distribution; then each herald step of each trial takes a geometric
+    number of attempts with the budget's coincidence probability. All draws come
     from one generator, so identical (script, scenario, n_trials, seed)
     give identical results. ``branches`` are the script's exact branches
     when the caller has propagated them already.
@@ -423,7 +404,7 @@ def run_protocol(
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = rng_stream(seed, TRIAL_STREAM)
-    counts = sample_counts(joint.ravel(), n_trials, rng).reshape(joint.shape)
+    counts = rng.multinomial(n_trials, joint.ravel() / joint.sum()).reshape(joint.shape)
     if n_heralds:
         attempts = rng.geometric(p_herald, size=(n_heralds, n_trials)).sum(axis=0)
         herald_time = attempts / scenario.budget.rep_rate
@@ -433,8 +414,12 @@ def run_protocol(
 
 
 def first_analysis(script: ProtocolScript) -> int:
-    """Index of the script's first analysis step (0 when it has none)."""
-    return next((k for k, s in enumerate(script.steps) if isinstance(s, AnalysisStep)), 0)
+    """Index of the script's first analysis step, the step a parity scan
+    sets its phase on; raises ScriptError when the script has none."""
+    for k, step in enumerate(script.steps):
+        if isinstance(step, AnalysisStep):
+            return k
+    raise ScriptError("script has no analysis step to scan the phase of")
 
 
 def parity_scan(
@@ -445,7 +430,8 @@ def parity_scan(
     seed: int,
     pair: tuple[str, str],
     condition_qubit: str | None = None,
-    stream: int = 2,
+    *,
+    stream: int,
     prefix: list[BranchState] | None = None,
 ) -> dict[str, dict[str, np.ndarray]]:
     """Parity of ``pair`` versus the analysis phase, sampled and exact.
@@ -453,10 +439,11 @@ def parity_scan(
     The steps before the first analysis step are propagated once (or
     taken as ``prefix``, when the caller has propagated them already);
     the rest of the script then runs once for all phases, with the phase
-    array set on each analysis step. The reported-outcome distribution
-    of each phase is sampled ``shots`` times through the detector model,
-    and parities are accumulated unconditioned plus (optionally)
-    conditioned on each reported value of ``condition_qubit``.
+    array set on each analysis step (a script without one raises
+    ScriptError). The reported-outcome distribution of each phase is
+    sampled ``shots`` times through the detector model on shot stream
+    ``stream``, and parities are accumulated unconditioned plus
+    (optionally) conditioned on each reported value of ``condition_qubit``.
 
     Returns one table per condition, "all" or "<qubit>=<bit>": the
     columns ``phi_rad``, the sampled ``estimate`` and its
@@ -483,10 +470,7 @@ def parity_scan(
         for s in script.steps[scanned:]
     ]
     branches = propagate(script, scenario, steps, prefix)
-    # a script without analysis steps gives the same row at every phase
-    true, reported, counts = sample_outcomes(
-        script, scenario, branches, shots, seed, stream, points=phases.size
-    )
+    true, reported, counts = sample_outcomes(script, scenario, branches, shots, seed, stream)
 
     curves = {}
     for cond, mask in masks.items():

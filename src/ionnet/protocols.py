@@ -46,6 +46,7 @@ __all__ = [
     "timing_report",
     "remote_bell_experiment",
     "phase_scan_experiment",
+    "phase_scan_grid",
     "coherence_experiment",
     "local_gate_experiment",
     "modular_3q_experiment",
@@ -175,6 +176,13 @@ def remote_bell_experiment(
     return out
 
 
+def phase_scan_grid(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The phase scan's delays and the beat phases delta_omega_ab * delay
+    its cosine is fitted to."""
+    delays = np.linspace(0.0, scenario.run.phase_scan_delay_s, scenario.run.phase_scan_points)
+    return delays, scenario.ledger.delta_omega_ab * delays
+
+
 def phase_scan_experiment(
     scenario: Scenario, seed: int, n_trials: int, shots: int
 ) -> ExperimentOutput:
@@ -182,8 +190,7 @@ def phase_scan_experiment(
     between herald and analysis, for both detector phases. The two
     branches oscillate at the Zeeman beat and are out of phase by pi."""
     qa, qb = scenario.protocol.link
-    run = scenario.run
-    delays = np.linspace(0.0, run.phase_scan_delay_s, run.phase_scan_points)
+    delays, beat = phase_scan_grid(scenario)
     script = scenario.script(scenario.protocol.link)
     heralded = exact_branches(script, scenario)
     analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
@@ -203,9 +210,7 @@ def phase_scan_experiment(
             "exact": p_even_exact,
         }
         # P_even = (1 + A cos(omega t - phase)) / 2
-        x = scenario.ledger.delta_omega_ab * delays
-        y = 2.0 * p_even_exact - 1.0
-        fits[key] = fit_cosine(x, y, harmonic=1)
+        fits[key] = fit_cosine(beat, 2.0 * p_even_exact - 1.0, harmonic=1)
         out.summary[f"fit_phase_{key}"] = fits[key].phase
         out.summary[f"fit_amplitude_{key}"] = fits[key].amplitude
     offset = abs(math.remainder(fits["phidpi"].phase - fits["phid0"].phase, 2.0 * math.pi))

@@ -16,7 +16,8 @@ from exact distributions; sampled-versus-exact tests use these samplers
 as a second, shot-by-shot route to the same statistics. The last two
 functions are the references that the package's bulk draws must equal
 count for count: a scan's shots drawn one row at a time, and the trials
-of a protocol run drawn one index per trial.
+of a protocol run drawn in one multinomial, then one geometric row per
+herald step.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ def protocol_trials_per_trial(
     script, scenario, branches, n_trials: int, seed: int, *key: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference for the trials of ``montecarlo.run_protocol`` on a script
-    that heralds: one ``rng.choice`` index per trial into the joint
+    that heralds: one ``multinomial`` draw of ``n_trials`` over the joint
     distribution ``joint[b, r, t]`` of herald branch, reported and true
     outcome, then the geometric number of attempts of every trial at the
     first herald step, then at the next one, all from the
@@ -393,10 +394,7 @@ def protocol_trials_per_trial(
     readout = script.readout(scenario.detectors)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=key))
-    draws = rng.choice(joint.size, size=n_trials, p=joint.ravel() / joint.sum())
-    branch, reported, true = np.unravel_index(draws, joint.shape)
-    counts = np.zeros(joint.shape, dtype=np.int64)
-    np.add.at(counts, (branch, reported, true), 1)
+    counts = rng.multinomial(n_trials, joint.ravel() / joint.sum()).reshape(joint.shape)
     p_herald = success_probability(scenario.budget)
     n_heralds = sum(isinstance(s, HeraldStep) for s in script.steps)
     attempts = np.zeros(n_trials, dtype=np.int64)

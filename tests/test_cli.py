@@ -562,6 +562,29 @@ def test_scan_grid_too_small_for_fit_exits_2(tmp_path, capsys, sub, grid):
 
 
 @pytest.mark.parametrize(
+    "settings",
+    [
+        "[phase_ledger]\ndelta_omega_ab = 0.0\n",
+        "[phase_ledger]\ndelta_omega_ab = 6.283185307179586e3\n"
+        "[run]\nphase_scan_points = 3\nphase_scan_delay_s = 2e-3\n",
+    ],
+    ids=["no-beat", "whole-beat-steps"],
+)
+def test_phase_scan_degenerate_beat_grid_exits_2(tmp_path, capsys, settings):
+    # Every delay of the grid gives the same beat phase modulo 2 pi, so
+    # the phase-scan cosine fit has nothing to determine its phase from.
+    cfg = tmp_path / "beat.cfg"
+    cfg.write_text(settings)
+    out = tmp_path / "out"
+    assert main(["phase-scan", "--config", str(cfg), "--out", str(out)]) == 2
+    (error,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert "do not determine a cosine" in error
+    for name in ("phase_ledger.delta_omega_ab", "run.phase_scan_points", "run.phase_scan_delay_s"):
+        assert name in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "protocol, reason",
     [
         ("qubits_a = q1 q2 q4\n", "two qubits in module A"),

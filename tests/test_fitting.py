@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from ionnet import fitting
-from ionnet.fitting import KS_STAT_CRITICAL, fit_exponential_decay, fit_exponential_rate
+from ionnet.fitting import (
+    KS_STAT_CRITICAL,
+    fit_cosine,
+    fit_exponential_decay,
+    fit_exponential_rate,
+)
 from kolmogorov import ks_sf
 from oracles import binomial_bounds
 
@@ -172,3 +177,28 @@ class TestDecayFit:
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="finite"):
             fit_exponential_decay(t, [1.0, 0.5, np.nan, 0.2, 0.1])
+
+
+class TestCosineFit:
+    @pytest.mark.parametrize(
+        "phi, harmonic",
+        [
+            (np.zeros(16), 1),
+            (2.0 * np.pi * np.arange(3), 1),
+            (np.pi * np.arange(5), 2),
+            (np.array([0.0, np.pi, 0.0, np.pi]), 1),
+        ],
+        ids=["one-phase", "whole-periods", "whole-periods-h2", "two-phases"],
+    )
+    def test_phases_that_do_not_determine_a_cosine_rejected(self, phi, harmonic):
+        # Fewer than three distinct angles modulo 2 pi leave the basis
+        # cos, sin, 1 singular; the fit says so instead of inverting it.
+        y = np.linspace(0.1, 0.2, phi.size)
+        for sigma in (None, np.full(phi.size, 0.05)):
+            with pytest.raises(ValueError, match="do not determine a cosine"):
+                fit_cosine(phi, y, harmonic=harmonic, sigma=sigma)
+
+    def test_three_distinct_phases_recover_the_cosine(self):
+        phi = np.array([0.0, 2.0, 4.0])
+        fit = fit_cosine(phi, 0.7 * np.cos(phi - 0.4) + 0.1, harmonic=1)
+        assert (fit.amplitude, fit.phase, fit.offset) == pytest.approx((0.7, 0.4, 0.1), abs=1e-12)

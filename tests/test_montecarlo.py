@@ -16,6 +16,7 @@ from ionnet.photonics import (
     LinkErrorModel,
     bsm_kraus_operators,
     module_emission,
+    success_probability,
 )
 from ionnet.records import replace
 from ionnet.scenario import ProtocolLayout, Scenario, load_scenario, loads_scenario
@@ -348,9 +349,10 @@ class TestRunProtocol:
     @pytest.mark.parametrize("link_only", [True, False], ids=["link", "full"])
     @pytest.mark.parametrize("config", ["default", "calibrated", "noiseless-readout"])
     def test_counts_equal_per_trial_reference(self, config, link_only, seed, n_trials):
-        # The trial counts and herald times are bit-equal to one rng.choice
-        # index per trial from the same generator; a noiseless readout
-        # leaves zero cells in the joint distribution.
+        # The trial counts and herald times are bit-equal to one multinomial
+        # draw over the joint distribution, then one geometric row per
+        # herald step, from the same generator; a noiseless readout leaves
+        # zero cells in the joint distribution.
         cfg = {
             "default": DEFAULTS,
             "calibrated": CALIBRATED,
@@ -377,8 +379,14 @@ class TestRunProtocol:
         )
         np.testing.assert_array_equal(res.counts, counts)
         np.testing.assert_array_equal(res.herald_time, herald_time)
+        # Two heralds take twice the attempts of one on average: a sum of
+        # k geometric counts has mean k / p, within 5 standard errors.
         one = mc.run_protocol(three_qubit_script(0.3), DEFAULTS, 1000, 17)
-        assert np.all(res.herald_time > one.herald_time)
+        p = success_probability(DEFAULTS.budget)
+        for k, run in ((2, res), (1, one)):
+            attempts = run.herald_time * DEFAULTS.budget.rep_rate
+            stderr = math.sqrt(k * (1.0 - p) / 1000) / p
+            assert abs(attempts.mean() - k / p) < 5 * stderr
 
     def test_crosstalk_config_validated(self):
         with pytest.raises(ValueError, match="crosstalk_depol"):
@@ -393,7 +401,7 @@ class TestParityScan:
         phis = np.linspace(0, math.pi, 8, endpoint=False)
         curves = mc.parity_scan(
             three_qubit_script(0.0), phis, cfg, shots=4000, seed=5,
-            pair=("q1", "q2"), condition_qubit="q3",
+            pair=("q1", "q2"), condition_qubit="q3", stream=2,
         )
         assert set(curves) == {"all", "q3=1", "q3=0"}
         # conditioned on remote |1>: full-contrast fringe cos(-2 phi)
@@ -412,6 +420,16 @@ class TestParityScan:
         for v, e, r in zip(q3_1["estimate"], q3_1["uncertainty"], q3_1["exact_reported"]):
             assert e > 0
             assert abs(v - r) < 4 * e
+
+    @pytest.mark.parametrize("prefix", [False, True], ids=["propagated", "given"])
+    def test_script_without_analysis_step_rejected(self, prefix):
+        # No step takes the scanned phase, so there is nothing to scan.
+        script = three_qubit_script()
+        given = mc.exact_branches(script, DEFAULTS) if prefix else None
+        with pytest.raises(mc.ScriptError, match="no analysis step"):
+            mc.parity_scan(
+                script, [0.0, 1.0, 2.0], DEFAULTS, 100, 5, ("q1", "q2"), stream=2, prefix=given
+            )
 
     def test_attached_to_protocol_result(self):
         from ionnet.protocols import modular_3q_experiment
@@ -507,19 +525,8 @@ class TestRngScheme:
         mc.run_protocol(three_qubit_script(), DEFAULTS, 500, seed=4)
         assert calls == [(4, mc.TRIAL_STREAM)]
 
-    @pytest.mark.parametrize("empty", [0, 3, 7])
-    def test_sample_counts_are_the_choice_counts(self, empty):
-        # A trial draw's counts are those rng.choice draws from the same
-        # generator, zero-probability outcomes included.
-        probs = RNG(empty).random((3, 8)) ** 3
-        probs[:, empty] = 0.0
-        for i, p in enumerate(probs):
-            counts = mc.sample_counts(p, 5000, mc.rng_stream(5, 22, i))
-            draws = mc.rng_stream(5, 22, i).choice(8, size=5000, p=p / p.sum())
-            np.testing.assert_array_equal(counts, np.bincount(draws, minlength=8))
-
     @staticmethod
-    def scan_counts(monkeypatch, probs, shots, seed, *key, points=None):
+    def scan_counts(monkeypatch, probs, shots, seed, *key):
         # The shots sample_outcomes draws for a scan whose true outcome
         # distributions are the rows of ``probs``, read out by noiseless
         # individual detectors (the identity channel).
@@ -527,7 +534,7 @@ class TestRngScheme:
         script = mc.ProtocolScript(qubits=qubits, modules={"B": qubits}, steps=(mc.MeasureStep(),))
         scenario = replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0))
         monkeypatch.setattr(mc, "branch_outcome_distribution", lambda *args: probs)
-        return mc.sample_outcomes(script, scenario, [], shots, seed, *key, points=points)[2]
+        return mc.sample_outcomes(script, scenario, [], shots, seed, *key)[2]
 
     @pytest.mark.parametrize("shots", [1, 7, 10_000])
     @pytest.mark.parametrize("points", [1, 5])
@@ -558,18 +565,16 @@ class TestRngScheme:
 
     @pytest.mark.parametrize("layout", ["broadcast", "fortran"])
     def test_sample_scan_non_contiguous_input(self, monkeypatch, layout):
-        # Equal rows broadcast over the scan points, or a Fortran-ordered
-        # (P, K) input, give the counts of the per-row reference.
+        # A (P, K) input of one row broadcast over the scan points, or a
+        # Fortran-ordered one, gives the counts of the per-row reference.
         rows = RNG(13).random((6, 64)) * 10.0 ** RNG(14).uniform(-3, 3, size=(6, 1))
         if layout == "broadcast":
-            got = self.scan_counts(monkeypatch, rows[0], 10_000, 9, 20, 0, points=6)
-            want = sample_scan_per_row(np.broadcast_to(rows[0], (6, 64)), 10_000, 9, 20, 0)
+            probs = np.broadcast_to(rows[0], (6, 64))
         else:
             probs = np.asfortranarray(rows)
-            assert not probs.flags.c_contiguous
-            got = self.scan_counts(monkeypatch, probs, 10_000, 9, 20, 0)
-            want = sample_scan_per_row(probs, 10_000, 9, 20, 0)
-        np.testing.assert_array_equal(got, want)
+        assert not probs.flags.c_contiguous
+        got = self.scan_counts(monkeypatch, probs, 10_000, 9, 20, 0)
+        np.testing.assert_array_equal(got, sample_scan_per_row(probs, 10_000, 9, 20, 0))
 
     def test_rng_stream_is_default_rng_of_the_seed_sequence(self):
         for seed, key in ((0, (0,)), (42, (22, 5)), (2**63 + 1, (20, 1, 300))):

@@ -6,25 +6,19 @@ ones at one fixed seed, so each passes or fails by the draw of that seed.
 This script reruns each check at its own settings (scenario, trials,
 shots, bound) at every seed of a range and prints how many seeds miss it.
 
-Three checks draw their values from scan shots and were restated with a
-stated false-failure rate; the sweep runs them in their current form and
-in the form they had before ("before"), so the two can be compared on the
-same draws:
+Three checks draw their values from scan shots:
 
-- criterion 5, sampled tau within 2 %: 10^5 shots per point (before: 10^4);
+- criterion 5, sampled tau within 2 % at 10^5 shots per point;
 - criterion 6, noiseless remote-0 parity flat: one chi-square of
-  sum (parity / uncertainty)^2 over the points at false-failure rate 1e-3
-  (before: |parity| < 3 sigma at each point);
+  sum (parity / uncertainty)^2 over the points at false-failure rate 1e-3;
 - criterion 8, conditional parities agree with the exact ones: one
   chi-square of sum ((estimate - exact) / uncertainty)^2 over the points
-  of both tables at 1e-3 (before: 3 sigma at each point).
+  of both tables at 1e-3.
 
-The two checks drawn from protocol trials (criterion 6 calibrated
-correlations, criterion 8 remote-bell populations) keep their form and
-bounds. Their draws are re-rolled by the trials' one multinomial draw
-over the joint distribution (formerly one uniform number per trial,
-counted as ``rng.choice`` counts), so the seeds they miss are not the
-ones they missed before; the counts stay near the stated rates.
+Two checks draw their values from protocol trials, the one multinomial
+draw over the trials' joint distribution: criterion 6, calibrated
+correlations within 3 sigma, and criterion 8, remote-bell populations
+within 4 sigma.
 
 Run:  python3 scripts/seed_sweep.py [--seeds 200] [--first 1]
 (scipy provides the chi-square quantile.)
@@ -72,7 +66,6 @@ SCENARIOS = {
 
 # Experiment runs the checks read: driver, scenario, trials, shots.
 RUNS = {
-    "coherence-1e4": (coherence_experiment, "default", 2000, 10_000),
     "coherence-1e5": (coherence_experiment, "default", 2000, 100_000),
     "3q-noiseless": (modular_3q_experiment, "noiseless", 1000, 10_000),
     "3q-calibrated": (modular_3q_experiment, "calibrated", 4000, 10_000),
@@ -119,18 +112,12 @@ def populations_within_4_sigma(res) -> bool:
 
 # (check, run it reads, pass predicate on that run's output)
 CHECKS = (
-    ("criterion 5: sampled tau within 2 % at 10^4 shots (before)",
-     "coherence-1e4", tau_within_2_percent),
     ("criterion 5: sampled tau within 2 % at 10^5 shots",
      "coherence-1e5", tau_within_2_percent),
-    ("criterion 6: noiseless remote-0 parity, 3 sigma at each point (before)",
-     "3q-noiseless", lambda res: bool(np.all(np.abs(remote0_z(res)) < 3))),
     (f"criterion 6: noiseless remote-0 parity, chi-square at {FALSE_FAILURE:g}",
      "3q-noiseless", lambda res: chi_square_ok(remote0_z(res))),
     ("criterion 6: calibrated correlations within 3 sigma",
      "3q-calibrated", correlations_within_3_sigma),
-    ("criterion 8: conditional parities, 3 sigma at each point (before)",
-     "3q-default", lambda res: bool(np.all(np.abs(conditional_parity_z(res)) < 3))),
     (f"criterion 8: conditional parities, chi-square at {FALSE_FAILURE:g}",
      "3q-default", lambda res: chi_square_ok(conditional_parity_z(res))),
     ("criterion 8: remote-bell populations within 4 sigma",

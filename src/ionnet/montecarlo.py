@@ -23,11 +23,13 @@ The sampled path draws from exact distributions only, and every count
 is one ``multinomial`` call. The trials are one draw of ``n_trials``
 from the exact joint distribution of herald branch, reported and true
 outcome; each herald step of a trial then takes a geometric number of
-attempts with the link budget. Every scan samples through
-``sample_outcomes``: the exact true distribution of each point, the
-reported one through the script's readout channel
+attempts with the link budget. Every scan is one ``parity_scan`` call:
+its steps run from the given branches for all points at once, and
+``sample_outcomes`` gives the exact true distribution of each point,
+the reported one through the script's readout channel
 (``ProtocolScript.readout``, the one place it is built), and then the
-shots of all points, one row per point.
+shots of all points, one row per point; the parity of a pair follows
+from those, unconditioned and conditioned on a third qubit.
 
 Randomness is reproducible: generators derive from the root seed by the
 counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
@@ -228,20 +230,18 @@ def sample_outcomes(
     shots: int,
     seed: int,
     *key: int,
-    phi_d: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes of ``branches`` (averaged as in
-    ``branch_outcome_distribution``, optionally over the herald phase
-    ``phi_d`` only) over the script's qubits: the exact distributions
-    before and after the script's detectors, and the counts of
-    ``shots`` reported outcomes.
+    ``branch_outcome_distribution``) over the script's qubits: the exact
+    distributions before and after the script's detectors, and the
+    counts of ``shots`` reported outcomes.
 
     Stacked branches give one row per scan point, unstacked ones a single
     row. Every row draws its shots from its reported distribution,
     normalised on its own, with one ``multinomial`` call on the
     generator of ``key``, row after row.
     """
-    true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits, phi_d))
+    true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits))
     reported = true @ script.readout(scenario.detectors).T
     rows = reported / reported.sum(axis=-1, keepdims=True)
     return true, reported, rng_stream(seed, *key).multinomial(shots, rows)
@@ -256,7 +256,7 @@ def propagate(
     script: ProtocolScript,
     scenario: Scenario,
     steps: Sequence[Step],
-    branches: list[BranchState] | None = None,
+    branches: Sequence[BranchState] | None = None,
 ) -> list[BranchState]:
     """Run ``steps`` of ``script`` exactly from ``branches`` (by default
     the register in |0...0>), branching on herald outcomes.
@@ -353,21 +353,18 @@ def _herald_branches(
 
 
 def branch_outcome_distribution(
-    branches: Sequence[BranchState], qubits: Sequence[str], phi_d: float | None = None
+    branches: Sequence[BranchState], qubits: Sequence[str]
 ) -> np.ndarray:
     """Exact outcome distribution over ``qubits``, averaged over the herald
-    branches by weight; with ``phi_d``, only over the branches heralded
-    with that detector phase. Stacked branches give one distribution
-    per scan point (P, 2^k)."""
+    branches by weight. Stacked branches give one distribution per scan
+    point (P, 2^k)."""
     diag = np.zeros(2 ** len(qubits))
     weight = 0.0
     for b in branches:
-        if phi_d is not None and b.phi_d != phi_d:
-            continue
         diag = diag + b.weight * st.outcome_probabilities(b.state, qubits)
         weight += b.weight
     if weight <= 0:
-        raise ValueError("no herald branch matches the requested detector phase")
+        raise ValueError("no branch to average the outcome distribution over")
     return diag / weight
 
 
@@ -414,8 +411,8 @@ def run_protocol(
 
 
 def first_analysis(script: ProtocolScript) -> int:
-    """Index of the script's first analysis step, the step a parity scan
-    sets its phase on; raises ScriptError when the script has none."""
+    """Index of the script's first analysis step, where a phase scan
+    starts; raises ScriptError when the script has none."""
     for k, step in enumerate(script.steps):
         if isinstance(step, AnalysisStep):
             return k
@@ -424,34 +421,29 @@ def first_analysis(script: ProtocolScript) -> int:
 
 def parity_scan(
     script: ProtocolScript,
-    phases: Sequence[float],
     scenario: Scenario,
+    steps: Sequence[Step],
+    branches: Sequence[BranchState],
     shots: int,
     seed: int,
+    *key: int,
     pair: tuple[str, str],
     condition_qubit: str | None = None,
-    *,
-    stream: int,
-    prefix: list[BranchState] | None = None,
 ) -> dict[str, dict[str, np.ndarray]]:
-    """Parity of ``pair`` versus the analysis phase, sampled and exact.
+    """Parity of ``pair`` over a scan, sampled and exact.
 
-    The steps before the first analysis step are propagated once (or
-    taken as ``prefix``, when the caller has propagated them already);
-    the rest of the script then runs once for all phases, with the phase
-    array set on each analysis step (a script without one raises
-    ScriptError). The reported-outcome distribution of each phase is
-    sampled ``shots`` times through the detector model on shot stream
-    ``stream``, and parities are accumulated unconditioned plus
-    (optionally) conditioned on each reported value of ``condition_qubit``.
+    The scan ``steps`` (array-valued, one value per scan point) run once
+    from ``branches`` for all points. The reported-outcome distribution
+    of each point is sampled ``shots`` times through the detector model
+    with ``sample_outcomes`` on the generator of ``key``, and parities
+    are accumulated unconditioned plus (optionally) conditioned on each
+    reported value of ``condition_qubit``.
 
     Returns one table per condition, "all" or "<qubit>=<bit>": the
-    columns ``phi_rad``, the sampled ``estimate`` and its
-    ``uncertainty``, and the exact density-matrix parity with
-    (``exact_reported``) and without (``exact_ideal_readout``) detection
-    errors.
+    columns of the sampled ``estimate`` and its ``uncertainty``, and the
+    exact density-matrix parity with (``exact_reported``) and without
+    (``exact_ideal_readout``) detection errors, one row per scan point.
     """
-    phases = np.array(phases, dtype=float)
     qubits = script.qubits
     n_bits = len(qubits)
     bits = st._bits(n_bits)
@@ -462,21 +454,13 @@ def parity_scan(
         masks[f"{condition_qubit}=1"] = cond_bits == 1
         masks[f"{condition_qubit}=0"] = cond_bits == 0
 
-    scanned = first_analysis(script)
-    if prefix is None:
-        prefix = propagate(script, scenario, script.steps[:scanned])
-    steps = [
-        replace(s, phi=phases) if isinstance(s, AnalysisStep) else s
-        for s in script.steps[scanned:]
-    ]
-    branches = propagate(script, scenario, steps, prefix)
-    true, reported, counts = sample_outcomes(script, scenario, branches, shots, seed, stream)
+    scanned = propagate(script, scenario, steps, branches)
+    true, reported, counts = sample_outcomes(script, scenario, scanned, shots, seed, *key)
 
     curves = {}
     for cond, mask in masks.items():
         values, n = _parity(counts, sign, mask)
         curves[cond] = {
-            "phi_rad": phases,
             "estimate": values,
             # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
             "uncertainty": parity_err(values, np.maximum(n, 1)),

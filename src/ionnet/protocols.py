@@ -30,7 +30,6 @@ from .montecarlo import (
     coherent_entanglement_distance,
     exact_branches,
     first_analysis,
-    parity_err,
     parity_scan,
     propagate,
     run_protocol,
@@ -193,24 +192,23 @@ def phase_scan_experiment(
     delays, beat = phase_scan_grid(scenario)
     script = scenario.script(scenario.protocol.link)
     heralded = exact_branches(script, scenario)
-    analysis = AnalysisStep((qa, qb), math.pi / 2.0, 0.0)
-    scanned = propagate(script, scenario, (WaitStep(delays), analysis), heralded)
+    steps = (WaitStep(delays), AnalysisStep((qa, qb), math.pi / 2.0, 0.0))
     out = ExperimentOutput()
     fits = {}
     for branch_i, (key, want) in enumerate((("phid0", 0.0), ("phidpi", math.pi))):
-        _, reported, counts = sample_outcomes(
-            script, scenario, scanned, shots, seed, _SHOT_STREAM, branch_i, phi_d=want
-        )
-        p_even_exact = reported[:, 0] + reported[:, 3]
-        p_even = (counts[:, 0] + counts[:, 3]) / shots
+        curve = parity_scan(
+            script, scenario, steps, [b for b in heralded if b.phi_d == want],
+            shots, seed, _SHOT_STREAM, branch_i, pair=(qa, qb),
+        )["all"]
+        p_even = (1.0 + curve["estimate"]) / 2.0
         out.tables[f"phase_scan_{key}"] = {
             "delay_s": delays,
             "estimate": p_even,
             "uncertainty": _binomial_err(p_even, shots),
-            "exact": p_even_exact,
+            "exact": (1.0 + curve["exact_reported"]) / 2.0,
         }
-        # P_even = (1 + A cos(omega t - phase)) / 2
-        fits[key] = fit_cosine(beat, 2.0 * p_even_exact - 1.0, harmonic=1)
+        # parity = 2 P_even - 1 = A cos(omega t - phase)
+        fits[key] = fit_cosine(beat, curve["exact_reported"], harmonic=1)
         out.summary[f"fit_phase_{key}"] = fits[key].phase
         out.summary[f"fit_amplitude_{key}"] = fits[key].amplitude
     offset = abs(math.remainder(fits["phidpi"].phase - fits["phid0"].phase, 2.0 * math.pi))
@@ -254,14 +252,13 @@ def coherence_experiment(
 
     script = scenario.script(scenario.protocol.link)
     branches = exact_branches(script, scenario)
-    (heralded,) = (b for b in branches if b.phi_d == 0.0)
 
     delays = np.linspace(0.0, run.delay_max_s, run.delay_points)
-    final = propagate(script, scenario, _echo_steps((qa, qb), delays), [heralded])
-    _, reported, counts = sample_outcomes(script, scenario, final, shots, seed, _SHOT_STREAM, 0)
-    par_exact = reported[:, 0] + reported[:, 3] - reported[:, 1] - reported[:, 2]
-    par = (2.0 * (counts[:, 0] + counts[:, 3]) - shots) / shots
-    err = parity_err(par, shots)
+    curve = parity_scan(
+        script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == 0.0],
+        shots, seed, _SHOT_STREAM, 0, pair=(qa, qb),
+    )["all"]
+    par, err, par_exact = curve["estimate"], curve["uncertainty"], curve["exact_reported"]
     out.tables["coherence"] = {
         "delay_s": delays,
         "parity": par,
@@ -316,8 +313,7 @@ def local_gate_experiment(
 
     The script is the configured one over the gate's two qubits, from
     its gate step on: the populations propagate the gate step alone,
-    and the parity scan starts from the gated state at the first
-    analysis step.
+    and the parity scan runs the steps after it from the gated state.
     """
     qa, qb = next(args for verb, *args in scenario.protocol.steps if verb == "gate")
     script = scenario.script((qa, qb))
@@ -343,9 +339,11 @@ def local_gate_experiment(
 
     # parity oscillation versus analysis phase
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
-    curve = parity_scan(
-        script, phis, scenario, shots, seed, pair=(qa, qb), stream=_SHOT_STREAM + 1, prefix=[branch]
+    scan = parity_scan(
+        script, scenario, _phase_scanned(script.steps[1:], phis), [branch],
+        shots, seed, _SHOT_STREAM + 1, pair=(qa, qb),
     )["all"]
+    curve = {"phi_rad": phis, **scan}
     out.tables["parity"] = curve
     fit, fit_exact, fit_ideal = _fringe_fits(curve)
     out.summary.update(
@@ -365,8 +363,14 @@ def local_gate_experiment(
     return out
 
 
+def _phase_scanned(steps: Sequence, phis: np.ndarray) -> list:
+    """``steps`` with the phase of every analysis step set to the scanned
+    phases ``phis``."""
+    return [replace(s, phi=phis) if isinstance(s, AnalysisStep) else s for s in steps]
+
+
 def _fringe_fits(curve: dict[str, np.ndarray]) -> tuple[CosineFit, CosineFit, CosineFit]:
-    """Second-harmonic cosine fits of a ``parity_scan`` table: the
+    """Second-harmonic cosine fits of a phase-scanned parity table: the
     sampled values (weighted by their errors), then the exact values
     with and without detection errors."""
     phi = curve["phi_rad"]
@@ -432,9 +436,10 @@ def modular_3q_experiment(
     # Conditional parity oscillation (Fig-4d style).
     phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves = parity_scan(
-        script, phis, scenario, shots, seed,
-        pair=pair, condition_qubit=remote, stream=_SHOT_STREAM + 2, prefix=prefix,
+        script, scenario, _phase_scanned(script.steps[scanned:], phis), prefix,
+        shots, seed, _SHOT_STREAM + 2, pair=pair, condition_qubit=remote,
     )
+    curves = {cond: {"phi_rad": phis, **curve} for cond, curve in curves.items()}
     key1, key0 = f"{remote}=1", f"{remote}=0"
     out.tables["parity_remote1"] = curves[key1]
     out.tables["parity_remote0"] = curves[key0]

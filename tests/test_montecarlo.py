@@ -20,7 +20,7 @@ from ionnet.photonics import (
 )
 from ionnet.records import replace
 from ionnet.scenario import ProtocolLayout, Scenario, load_scenario, loads_scenario
-from oracles import protocol_trials_per_trial, sample_scan_per_row
+from oracles import parity_expectation, protocol_trials_per_trial, sample_scan_per_row
 
 RNG = np.random.default_rng
 
@@ -230,10 +230,9 @@ class TestExactBranches:
         cfg = noiseless_config()
         branches = mc.exact_branches(pair_script(), cfg)
         for phi_d in (0.0, math.pi):
-            diag = mc.branch_outcome_distribution(branches, ("q2", "q3"), phi_d)
+            mine = [b for b in branches if b.phi_d == phi_d]
+            diag = mc.branch_outcome_distribution(mine, ("q2", "q3"))
             np.testing.assert_allclose(diag, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
-        with pytest.raises(ValueError, match="no herald branch"):
-            mc.branch_outcome_distribution(branches, ("q2", "q3"), 1.0)
 
     def test_second_herald_replaces_the_pair(self):
         # The last herald's pair is all that remains, and it dephases from
@@ -399,21 +398,24 @@ class TestParityScan:
     def test_conditioned_and_unconditioned_curves(self):
         cfg = noiseless_config()
         phis = np.linspace(0, math.pi, 8, endpoint=False)
+        script = three_qubit_script(0.0)
+        prefix = mc.propagate(script, cfg, script.steps[:3])
+        analysis = mc.AnalysisStep(("q1", "q2"), math.pi / 2, phis)
         curves = mc.parity_scan(
-            three_qubit_script(0.0), phis, cfg, shots=4000, seed=5,
-            pair=("q1", "q2"), condition_qubit="q3", stream=2,
+            script, cfg, (analysis,), prefix, 4000, 5, 2,
+            pair=("q1", "q2"), condition_qubit="q3",
         )
         assert set(curves) == {"all", "q3=1", "q3=0"}
         # conditioned on remote |1>: full-contrast fringe cos(-2 phi)
-        for phi, exact in zip(curves["q3=1"]["phi_rad"], curves["q3=1"]["exact_ideal_readout"]):
+        for phi, exact in zip(phis, curves["q3=1"]["exact_ideal_readout"]):
             assert exact == pytest.approx(math.cos(2 * phi), abs=1e-10)
         # remote |0>: flat at zero
         assert max(abs(v) for v in curves["q3=0"]["exact_ideal_readout"]) < 1e-10
         # unconditioned: half contrast
-        for phi, exact in zip(curves["all"]["phi_rad"], curves["all"]["exact_ideal_readout"]):
+        for phi, exact in zip(phis, curves["all"]["exact_ideal_readout"]):
             assert exact == pytest.approx(0.5 * math.cos(2 * phi), abs=1e-10)
         for cond, amplitude in (("q3=1", 1.0), ("all", 0.5)):
-            fit = fit_cosine(curves[cond]["phi_rad"], curves[cond]["exact_ideal_readout"], harmonic=2)
+            fit = fit_cosine(phis, curves[cond]["exact_ideal_readout"], harmonic=2)
             assert fit.amplitude == pytest.approx(amplitude, abs=1e-10)
         # sampled values carry uncertainties and track the exact curve
         q3_1 = curves["q3=1"]
@@ -421,15 +423,33 @@ class TestParityScan:
             assert e > 0
             assert abs(v - r) < 4 * e
 
-    @pytest.mark.parametrize("prefix", [False, True], ids=["propagated", "given"])
-    def test_script_without_analysis_step_rejected(self, prefix):
+    def test_script_without_analysis_step_rejected(self):
         # No step takes the scanned phase, so there is nothing to scan.
-        script = three_qubit_script()
-        given = mc.exact_branches(script, DEFAULTS) if prefix else None
         with pytest.raises(mc.ScriptError, match="no analysis step"):
-            mc.parity_scan(
-                script, [0.0, 1.0, 2.0], DEFAULTS, 100, 5, ("q1", "q2"), stream=2, prefix=given
-            )
+            mc.first_analysis(three_qubit_script())
+
+    @pytest.mark.parametrize("phi_d", [0.0, math.pi], ids=["phid0", "phidpi"])
+    def test_delay_scan_from_one_detector_phase(self, phi_d):
+        # A delay scan from the branch of one detector phase: each exact
+        # point is the parity of that branch propagated alone with a scalar
+        # wait, and the sampled parity is that of the sample_outcomes
+        # counts drawn on the same key.
+        script = pair_script()
+        pair = ("q2", "q3")
+        delays = np.linspace(0.0, 3e-4, 7)
+        mine = [b for b in mc.exact_branches(script, DEFAULTS) if b.phi_d == phi_d]
+        analysis = mc.AnalysisStep(pair, math.pi / 2, 0.0)
+        steps = (mc.WaitStep(delays), analysis)
+        curve = mc.parity_scan(script, DEFAULTS, steps, mine, 500, 3, 20, 1, pair=pair)["all"]
+        for delay, got in zip(delays, curve["exact_ideal_readout"]):
+            (point,) = mc.propagate(script, DEFAULTS, (mc.WaitStep(float(delay)), analysis), mine)
+            assert abs(got - parity_expectation(point.state, pair)) <= 1e-12
+        scanned = mc.propagate(script, DEFAULTS, steps, mine)
+        counts = mc.sample_outcomes(script, DEFAULTS, scanned, 500, 3, 20, 1)[2]
+        parity = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / 500
+        np.testing.assert_array_equal(curve["estimate"], parity)
+        with pytest.raises(ValueError, match="no branch"):
+            mc.parity_scan(script, DEFAULTS, steps, [], 500, 3, 20, 1, pair=pair)
 
     def test_attached_to_protocol_result(self):
         from ionnet.protocols import modular_3q_experiment

@@ -69,14 +69,16 @@ __all__ = [
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
+    "outcome_table",
     "sample_outcomes",
-    "parity_err",
+    "binomial_err",
     "exact_branches",
     "propagate",
     "first_analysis",
-    "branch_outcome_distribution",
     "run_protocol",
     "parity_scan",
+    "parity_weights",
+    "share",
     "coherent_entanglement_distance",
 ]
 
@@ -223,6 +225,17 @@ def rng_stream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
+def outcome_table(
+    branches: Sequence[BranchState], qubits: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact outcomes of ``branches`` over ``qubits`` (first most
+    significant): the branch weights (B,) and each branch's true outcome
+    distribution, (B, 2^k), or (B, P, 2^k) for stacked branches."""
+    weights = np.array([b.weight for b in branches])
+    true = np.array([st.outcome_probabilities(b.state, qubits) for b in branches])
+    return weights, true
+
+
 def sample_outcomes(
     script: ProtocolScript,
     scenario: Scenario,
@@ -231,17 +244,22 @@ def sample_outcomes(
     seed: int,
     *key: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcomes of ``branches`` (averaged as in
-    ``branch_outcome_distribution``) over the script's qubits: the exact
-    distributions before and after the script's detectors, and the
-    counts of ``shots`` reported outcomes.
+    """Outcomes of ``branches`` over the script's qubits, averaged over
+    the branches by weight: the exact distributions before and after the
+    script's detectors, and the counts of ``shots`` reported outcomes.
 
     Stacked branches give one row per scan point, unstacked ones a single
     row. Every row draws its shots from its reported distribution,
     normalised on its own, with one ``multinomial`` call on the
     generator of ``key``, row after row.
     """
-    true = np.atleast_2d(branch_outcome_distribution(branches, script.qubits))
+    weights, true_given_branch = outcome_table(branches, script.qubits)
+    true, total = 0.0, 0.0
+    for w, t in zip(weights, true_given_branch):  # in branch order
+        true, total = true + w * t, total + w
+    if total <= 0:
+        raise ValueError("no branch to average the outcome distribution over")
+    true = np.atleast_2d(true / total)
     reported = true @ script.readout(scenario.detectors).T
     rows = reported / reported.sum(axis=-1, keepdims=True)
     return true, reported, rng_stream(seed, *key).multinomial(shots, rows)
@@ -352,22 +370,6 @@ def _herald_branches(
     ]
 
 
-def branch_outcome_distribution(
-    branches: Sequence[BranchState], qubits: Sequence[str]
-) -> np.ndarray:
-    """Exact outcome distribution over ``qubits``, averaged over the herald
-    branches by weight. Stacked branches give one distribution per scan
-    point (P, 2^k)."""
-    diag = np.zeros(2 ** len(qubits))
-    weight = 0.0
-    for b in branches:
-        diag = diag + b.weight * st.outcome_probabilities(b.state, qubits)
-        weight += b.weight
-    if weight <= 0:
-        raise ValueError("no branch to average the outcome distribution over")
-    return diag / weight
-
-
 def run_protocol(
     script: ProtocolScript,
     scenario: Scenario,
@@ -393,10 +395,7 @@ def run_protocol(
         raise ValueError("success probability is zero; the protocol would never herald")
     if branches is None:
         branches = exact_branches(script, scenario)
-    weights = np.array([b.weight for b in branches])
-    true_given_branch = np.array(
-        [st.outcome_probabilities(b.state, script.qubits) for b in branches]
-    )
+    weights, true_given_branch = outcome_table(branches, script.qubits)
     readout = script.readout(scenario.detectors)
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
@@ -444,47 +443,60 @@ def parity_scan(
     exact density-matrix parity with (``exact_reported``) and without
     (``exact_ideal_readout``) detection errors, one row per scan point.
     """
-    qubits = script.qubits
-    n_bits = len(qubits)
-    bits = st._bits(n_bits)
-    sign = np.where(bits[:, qubits.index(pair[0])] == bits[:, qubits.index(pair[1])], 1.0, -1.0)
-    masks = {"all": np.ones(2**n_bits, dtype=bool)}
+    conditions = {"all": None}
     if condition_qubit is not None:
-        cond_bits = bits[:, qubits.index(condition_qubit)]
-        masks[f"{condition_qubit}=1"] = cond_bits == 1
-        masks[f"{condition_qubit}=0"] = cond_bits == 0
+        conditions.update({f"{condition_qubit}={bit}": (condition_qubit, bit) for bit in (1, 0)})
 
     scanned = propagate(script, scenario, steps, branches)
-    true, reported, counts = sample_outcomes(script, scenario, scanned, shots, seed, *key)
-
+    # Rows: the sampled counts, the exact reported and true distributions.
+    weights = np.stack(sample_outcomes(script, scenario, scanned, shots, seed, *key)[::-1])
     curves = {}
-    for cond, mask in masks.items():
-        values, n = _parity(counts, sign, mask)
-        curves[cond] = {
-            "estimate": values,
-            # An empty condition has parity 0, so its error is parity_err(0, 1) = 1.
-            "uncertainty": parity_err(values, np.maximum(n, 1)),
-            "exact_reported": _parity(reported, sign, mask)[0],
-            "exact_ideal_readout": _parity(true, sign, mask)[0],
+    for name, condition in conditions.items():
+        even, odd, n = parity_weights(weights, script.qubits, pair, condition)
+        parity = share(even - odd, n)
+        curves[name] = {
+            "estimate": parity[0],
+            # An empty condition has parity 0 and counts as one shot.
+            "uncertainty": 2.0 * binomial_err((1.0 + parity[0]) / 2.0, np.maximum(n[0], 1)),
+            "exact_reported": parity[1],
+            "exact_ideal_readout": parity[2],
         }
     return curves
 
 
-def parity_err(par, n):
-    """Standard error of a parity ``par`` estimated from ``n`` shots,
-    floored at one shot's worth so that |par| = 1 keeps an error bar;
-    elementwise on arrays."""
-    return np.sqrt(np.maximum(1.0 - par * par, 1.0 / n) / n)
+def binomial_err(p, n):
+    """Standard error of a frequency ``p`` of ``n`` draws, floored at one
+    draw's worth (1/n) so that p = 0 or 1 keeps an error bar; elementwise
+    on arrays. A parity ``par`` = 2 p - 1 has twice the error of p."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
-def _parity(weights: np.ndarray, sign: np.ndarray, mask: np.ndarray):
-    """Mean of ``sign`` under count or probability vectors (last axis)
-    restricted to ``mask`` (0 when the restriction is empty), and the
-    restricted totals."""
-    w = weights[..., mask]
-    total = w.sum(axis=-1)
-    signed = (w * sign[mask]).sum(axis=-1)
-    return np.divide(signed, total, out=np.zeros(total.shape), where=total > 0), total
+def parity_weights(
+    weights: np.ndarray,
+    qubits: Sequence[str],
+    pair: tuple[str, str],
+    condition: tuple[str, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Even weight, odd weight and total of the outcomes of ``pair``.
+
+    ``weights`` holds counts or probabilities over the outcomes of
+    ``qubits`` (last axis, first qubit most significant). Only outcomes
+    where qubit ``condition[0]`` reads ``condition[1]`` count.
+    """
+    bits = st._bits(len(qubits))
+    a, b = (bits[:, qubits.index(q)] for q in pair)
+    kept = np.ones(len(bits), dtype=bool)
+    if condition is not None:
+        kept = bits[:, qubits.index(condition[0])] == condition[1]
+    even = weights[..., kept & (a == b)].sum(axis=-1)
+    odd = weights[..., kept & (a != b)].sum(axis=-1)
+    return even, odd, even + odd
+
+
+def share(part, total):
+    """``part / total``, and 0 where the total is 0 (a condition that no
+    outcome meets); elementwise on arrays."""
+    return np.divide(part, total, out=np.zeros(np.shape(total)), where=total > 0)
 
 
 def coherent_entanglement_distance(d_q: float, rate: float, tau: float) -> float:

@@ -27,13 +27,16 @@ from .montecarlo import (
     AnalysisStep,
     MSGateStep,
     WaitStep,
+    binomial_err,
     coherent_entanglement_distance,
     exact_branches,
     first_analysis,
     parity_scan,
+    parity_weights,
     propagate,
     run_protocol,
     sample_outcomes,
+    share,
 )
 from .photonics import expected_rate, heralded_bell_ket, success_probability
 from .records import replace
@@ -53,6 +56,9 @@ __all__ = [
 
 # rng spawn-key stream id of the scans' shot sampling
 _SHOT_STREAM = 20
+
+# The detector phase of each herald branch, and the key of its outputs.
+DETECTOR_PHASES = (("phid0", 0.0), ("phidpi", math.pi))
 
 
 class ExperimentOutput:
@@ -104,12 +110,6 @@ def timing_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> E
     return out
 
 
-def _binomial_err(p, n):
-    """Standard error of a frequency ``p`` of ``n`` draws, floored at one
-    draw's worth; elementwise on arrays."""
-    return np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
-
-
 def _population_table(counts, n, exact) -> dict[str, Sequence]:
     """Sampled outcome frequencies ``counts / n`` beside the exact
     distribution, one row per outcome (first qubit most significant)."""
@@ -118,7 +118,7 @@ def _population_table(counts, n, exact) -> dict[str, Sequence]:
     return {
         "outcome": [format(idx, f"0{n_bits}b") for idx in range(len(counts))],
         "estimate": p,
-        "uncertainty": _binomial_err(p, n),
+        "uncertainty": binomial_err(p, n),
         "exact": exact,
     }
 
@@ -142,34 +142,38 @@ def remote_bell_experiment(
     scenario: Scenario, seed: int, n_trials: int, shots: int
 ) -> ExperimentOutput:
     """Populations and fidelity of the heralded remote pair, plus the
-    entanglement rate fitted from sampled waiting times."""
+    entanglement rate fitted from sampled waiting times.
+
+    The populations of each detector phase keep the trials of its branch:
+    the sampled counts are conditioned on the branch a trial heralded.
+    That is not how a scan picks a detector phase, which propagates only
+    that phase's branches (``phase-scan``, ``coherence``).
+    """
     script = scenario.script(scenario.protocol.link)
-    qa, qb = scenario.protocol.link
+    pair = scenario.protocol.link
     branches = exact_branches(script, scenario)
     out = ExperimentOutput()
 
-    for b in branches:
-        target = heralded_bell_ket((qa, qb), scenario.ledger.herald_phase(b.phi_d))
-        key = "phid0" if b.phi_d == 0.0 else "phidpi"
-        out.summary[f"fidelity_{key}"] = st.fidelity(b.state, target)
-    out.summary["fidelity_mean"] = 0.5 * (
-        out.summary["fidelity_phid0"] + out.summary["fidelity_phidpi"]
-    )
-
     result = run_protocol(script, scenario, n_trials, seed, branches=branches)
     phi_d = np.array([b.phi_d for b in branches])
-    for key, want in (("phid0", 0.0), ("phidpi", math.pi)):
+    for key, want in DETECTOR_PHASES:
+        (branch,) = (b for b in branches if b.phi_d == want)
+        target = heralded_bell_ket(pair, scenario.ledger.herald_phase(want))
+        out.summary[f"fidelity_{key}"] = st.fidelity(branch.state, target)
         counts = result.counts[phi_d == want].sum(axis=(0, 2))
         exact = result.probs[phi_d == want].sum(axis=(0, 2))
         out.tables[f"populations_{key}"] = _population_table(
             counts, max(counts.sum(), 1), exact / exact.sum()
         )
+    out.summary["fidelity_mean"] = 0.5 * (
+        out.summary["fidelity_phid0"] + out.summary["fidelity_phidpi"]
+    )
 
     exact_true = result.probs.sum(axis=(0, 1))
-    out.summary["odd_parity_population_exact"] = exact_true[1] + exact_true[2]
+    out.summary["odd_parity_population_exact"] = parity_weights(exact_true, pair, pair)[1]
     for name, axes in (("sampled", (0, 2)), ("ideal_readout", (0, 1))):
         pops = result.counts.sum(axis=axes) / n_trials
-        out.summary[f"odd_parity_population_{name}"] = pops[1] + pops[2]
+        out.summary[f"odd_parity_population_{name}"] = parity_weights(pops, pair, pair)[1]
 
     _fit_rate(out, result.herald_time)
     return out
@@ -195,16 +199,16 @@ def phase_scan_experiment(
     steps = (WaitStep(delays), AnalysisStep((qa, qb), math.pi / 2.0, 0.0))
     out = ExperimentOutput()
     fits = {}
-    for branch_i, (key, want) in enumerate((("phid0", 0.0), ("phidpi", math.pi))):
+    for branch_i, (key, want) in enumerate(DETECTOR_PHASES):
         curve = parity_scan(
             script, scenario, steps, [b for b in heralded if b.phi_d == want],
             shots, seed, _SHOT_STREAM, branch_i, pair=(qa, qb),
         )["all"]
-        p_even = (1.0 + curve["estimate"]) / 2.0
         out.tables[f"phase_scan_{key}"] = {
             "delay_s": delays,
-            "estimate": p_even,
-            "uncertainty": _binomial_err(p_even, shots),
+            "estimate": (1.0 + curve["estimate"]) / 2.0,
+            # P_even = (1 + parity) / 2 has half the parity's error.
+            "uncertainty": curve["uncertainty"] / 2.0,
             "exact": (1.0 + curve["exact_reported"]) / 2.0,
         }
         # parity = 2 P_even - 1 = A cos(omega t - phase)
@@ -290,7 +294,7 @@ def coherence_experiment(
     out.tables["waiting"] = {
         "time_s": grid,
         "empirical_cdf": ecdf,
-        "uncertainty": _binomial_err(ecdf, n_trials),
+        "uncertainty": binomial_err(ecdf, n_trials),
         "fitted_cdf": [1.0 - math.exp(-rate.rate * t) for t in grid.tolist()],
     }
     out.summary["shots_per_point"] = shots
@@ -328,8 +332,8 @@ def local_gate_experiment(
         script, scenario, [branch], shots, seed, _SHOT_STREAM, 0
     )
     out.tables["populations"] = _population_table(counts, shots, reported)
-    out.summary["even_population_exact"] = float(true_diag[0] + true_diag[3])
-    out.summary["even_population_reported"] = float(reported[0] + reported[3])
+    out.summary["even_population_exact"] = float(parity_weights(true_diag, (qa, qb), (qa, qb))[0])
+    out.summary["even_population_reported"] = float(parity_weights(reported, (qa, qb), (qa, qb))[0])
 
     target = st.pure_state(
         np.array([1.0, 0.0, 0.0, -1j * np.exp(-1j * scenario.gate.phi_a)]) / math.sqrt(2.0),
@@ -409,25 +413,27 @@ def modular_3q_experiment(
     branches = propagate(no_analysis, scenario, no_analysis.steps[scanned:], prefix)
     result = run_protocol(no_analysis, scenario, n_trials, seed, branches=branches)
     counts = result.counts.sum(axis=(0, 2))
-    corr = _conditional_correlations(counts)
-    corr_true = _conditional_correlations(result.counts.sum(axis=(0, 1)))
     rep_diag = result.probs.sum(axis=(0, 2))
-    corr_exact = _conditional_correlations(rep_diag)
-    corr_exact_true = _conditional_correlations(result.probs.sum(axis=(0, 1)))
+    # Even share given remote 1 and odd share given remote 0, of the
+    # sampled reported and true outcomes and of their exact distributions.
+    weights = np.stack(
+        [counts, result.counts.sum(axis=(0, 1)), rep_diag, result.probs.sum(axis=(0, 1))]
+    )
+    even_1, _, n_1 = parity_weights(weights, script.qubits, pair, (remote, 1))
+    _, odd_0, n_0 = parity_weights(weights, script.qubits, pair, (remote, 0))
+    even_1, odd_0 = share(even_1, n_1).tolist(), share(odd_0, n_0).tolist()
     out.summary.update(
         {
-            "corr_even_given_remote1": corr["even_given_1"],
-            "corr_even_given_remote1_err": _binomial_err(
-                corr["even_given_1"], max(corr["n_1"], 1)
-            ),
-            "corr_odd_given_remote0": corr["odd_given_0"],
-            "corr_odd_given_remote0_err": _binomial_err(corr["odd_given_0"], max(corr["n_0"], 1)),
-            "corr_even_given_remote1_exact": corr_exact["even_given_1"],
-            "corr_odd_given_remote0_exact": corr_exact["odd_given_0"],
-            "corr_even_given_remote1_ideal_readout": corr_true["even_given_1"],
-            "corr_odd_given_remote0_ideal_readout": corr_true["odd_given_0"],
-            "corr_even_given_remote1_exact_ideal": corr_exact_true["even_given_1"],
-            "corr_odd_given_remote0_exact_ideal": corr_exact_true["odd_given_0"],
+            "corr_even_given_remote1": even_1[0],
+            "corr_even_given_remote1_err": binomial_err(even_1[0], max(n_1[0], 1)),
+            "corr_odd_given_remote0": odd_0[0],
+            "corr_odd_given_remote0_err": binomial_err(odd_0[0], max(n_0[0], 1)),
+            "corr_even_given_remote1_exact": even_1[2],
+            "corr_odd_given_remote0_exact": odd_0[2],
+            "corr_even_given_remote1_ideal_readout": even_1[1],
+            "corr_odd_given_remote0_ideal_readout": odd_0[1],
+            "corr_even_given_remote1_exact_ideal": even_1[3],
+            "corr_odd_given_remote0_exact_ideal": odd_0[3],
         }
     )
     out.tables["populations"] = _population_table(counts, n_trials, rep_diag)
@@ -472,22 +478,3 @@ def modular_3q_experiment(
         0.5 * out.summary["corr_even_given_remote1"] + 0.5 * fit1.amplitude
     )
     return out
-
-
-def _conditional_correlations(weights) -> dict[str, float]:
-    """Correlations of the local pair (q1, q2) with the remote bit q3.
-
-    ``weights`` is a count or probability vector over the outcomes
-    (q1, q2, q3), q1 most significant. Returns P(q1 = q2 | q3 = 1) and
-    P(q1 != q2 | q3 = 0) with the total weight of each condition
-    (``n_1``, ``n_0``); a condition of zero weight gives 0.
-    """
-    w = np.asarray(weights, dtype=float).reshape(2, 2, 2)
-    even, odd = w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]  # indexed by q3
-    n_1, n_0 = even[1] + odd[1], even[0] + odd[0]
-    return {
-        "even_given_1": float(even[1] / n_1) if n_1 > 0 else 0.0,
-        "odd_given_0": float(odd[0] / n_0) if n_0 > 0 else 0.0,
-        "n_1": float(n_1),
-        "n_0": float(n_0),
-    }

@@ -23,7 +23,7 @@ from ionnet.montecarlo import (
     ProtocolScript,
     ReinitStep,
     WaitStep,
-    branch_outcome_distribution,
+    outcome_table,
     propagate,
 )
 from ionnet.records import replace
@@ -286,7 +286,8 @@ def test_analysis_scan_is_a_trigonometric_polynomial(case, extra):
         """Outcome distribution and branch density matrices, one row per phase."""
         steps = [replace(s, phi=phis) if isinstance(s, AnalysisStep) else s for s in fixed]
         branches = propagate(script, SCENARIO, steps)
-        dist = branch_outcome_distribution(branches, script.qubits)
+        weights, true = outcome_table(branches, script.qubits)
+        dist = np.tensordot(weights, true, axes=1) / weights.sum()
         parts = [np.broadcast_to(dist, (phis.size, dist.shape[-1]))]
         parts += [stack(b.state, phis.size).reshape(phis.size, -1) for b in branches]
         return np.concatenate(parts, axis=1)

@@ -25,4 +25,11 @@ def test_shipped_constants_match_calibration(capsys):
     shipped = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
     assert shipped.link_errors.mode_overlap == overlap
     assert shipped.protocol.crosstalk_depol == 0.13 == crosstalk
-    assert "np.float64" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "np.float64" not in out
+    # Every row prints the signed residuals, the readout-free pair and its gap.
+    rows = [line for line in out.splitlines() if line.startswith("  q=")]
+    assert len(rows) == 21
+    for row in rows:
+        assert row.count(" [") == 3
+        assert "C_even_ideal=" in row and "C_odd_ideal=" in row and "gap=+0.0400" in row

@@ -42,6 +42,12 @@ def noiseless_config(**overrides) -> Scenario:
     return replace(DEFAULTS, **base)
 
 
+def mean_outcomes(branches, qubits) -> np.ndarray:
+    # The exact outcome distribution of the branches, averaged by weight.
+    weights, true = mc.outcome_table(branches, qubits)
+    return np.tensordot(weights, true, axes=1) / weights.sum()
+
+
 def three_qubit_script(phi=None) -> mc.ProtocolScript:
     steps = [
         mc.HeraldStep(),
@@ -223,7 +229,7 @@ class TestExactBranches:
             link=("q2", "q3"),
             steps=(mc.HeraldStep(), mc.MeasureStep()),
         )
-        diag = mc.branch_outcome_distribution(mc.exact_branches(script, cfg), ("q2", "q3"))
+        diag = mean_outcomes(mc.exact_branches(script, cfg), ("q2", "q3"))
         assert diag[1] + diag[2] >= 0.78
 
     def test_branch_distribution_by_detector_phase(self):
@@ -231,7 +237,7 @@ class TestExactBranches:
         branches = mc.exact_branches(pair_script(), cfg)
         for phi_d in (0.0, math.pi):
             mine = [b for b in branches if b.phi_d == phi_d]
-            diag = mc.branch_outcome_distribution(mine, ("q2", "q3"))
+            diag = mean_outcomes(mine, ("q2", "q3"))
             np.testing.assert_allclose(diag, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
     def test_second_herald_replaces_the_pair(self):
@@ -295,7 +301,7 @@ class TestRunProtocol:
         script = three_qubit_script()
         res = mc.run_protocol(script, cfg, n, seed=3)
         sampled = res.counts.sum(axis=(0, 1)) / n
-        exact_true = mc.branch_outcome_distribution(mc.exact_branches(script, cfg), script.qubits)
+        exact_true = mean_outcomes(mc.exact_branches(script, cfg), script.qubits)
         for p, exact_p in zip(sampled, exact_true):
             err = math.sqrt(max(p * (1 - p), 1 / n) / n)
             assert abs(p - exact_p) < 4 * max(err, 1e-3)
@@ -314,7 +320,7 @@ class TestRunProtocol:
         sigma = np.sqrt(weights * (1 - weights) / n)
         assert np.all(np.abs(freq - weights) < 4 * sigma)
         m = confusion_matrix(3, cfg.detectors, script.detector_layout())
-        expect = m @ mc.branch_outcome_distribution(branches, script.qubits)
+        expect = m @ mean_outcomes(branches, script.qubits)
         rep = res.counts.sum(axis=(0, 2)) / n
         sigma = np.sqrt(np.maximum(expect * (1 - expect), 1 / n) / n)
         assert np.all(np.abs(rep - expect) < 4 * sigma)
@@ -461,11 +467,18 @@ class TestParityScan:
 
 
 class TestConditionalCorrelations:
-    def test_counts_match_per_trial_loop(self):
-        # reference: count the trials one by one, as outcome bit triples
-        from ionnet.protocols import _conditional_correlations
+    @staticmethod
+    def correlations(weights, qubits=("q1", "q2", "q3")):
+        # P(q1 = q2 | q3 = 1) and P(q1 != q2 | q3 = 0) with the total weight
+        # of each condition, read from the parity weights by qubit name.
+        even_1, _, n_1 = mc.parity_weights(weights, qubits, ("q1", "q2"), ("q3", 1))
+        _, odd_0, n_0 = mc.parity_weights(weights, qubits, ("q1", "q2"), ("q3", 0))
+        return {"even_given_1": float(mc.share(even_1, n_1)),
+                "odd_given_0": float(mc.share(odd_0, n_0)), "n_1": n_1, "n_0": n_0}
 
-        outcomes = RNG(6).integers(8, size=500)
+    @staticmethod
+    def per_trial_loop(outcomes):
+        # reference: count the trials one by one, as outcome bit triples
         n_e1 = n_1 = n_o0 = n_0 = 0
         for idx in outcomes:
             b1, b2, b3 = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
@@ -475,21 +488,52 @@ class TestConditionalCorrelations:
             else:
                 n_0 += 1
                 n_o0 += int(b1 != b2)
-        got = _conditional_correlations(np.bincount(outcomes, minlength=8))
-        assert got == {"even_given_1": n_e1 / n_1, "odd_given_0": n_o0 / n_0,
-                       "n_1": n_1, "n_0": n_0}
+        return {"even_given_1": n_e1 / n_1, "odd_given_0": n_o0 / n_0, "n_1": n_1, "n_0": n_0}
+
+    def test_counts_match_per_trial_loop(self):
+        outcomes = RNG(6).integers(8, size=500)
+        got = self.correlations(np.bincount(outcomes, minlength=8))
+        assert got == self.per_trial_loop(outcomes)
+
+    def test_remote_qubit_first_in_the_register(self):
+        # The same trials over the register (q3, q1, q2): the bits are
+        # found by name, not by position.
+        outcomes = RNG(6).integers(8, size=500)
+        reordered = ((outcomes & 1) << 2) | (outcomes >> 1)
+        got = self.correlations(np.bincount(reordered, minlength=8), ("q3", "q1", "q2"))
+        assert got == self.per_trial_loop(outcomes)
 
     def test_probabilities_and_empty_conditions(self):
-        from ionnet.protocols import _conditional_correlations
-
         probs = np.zeros(8)
         probs[0b001] = probs[0b111] = 0.25  # q3 = 1, even
         probs[0b010] = probs[0b100] = 0.25  # q3 = 0, odd
-        got = _conditional_correlations(probs)
+        got = self.correlations(probs)
         assert got["even_given_1"] == pytest.approx(1.0, abs=1e-15)
         assert got["odd_given_0"] == pytest.approx(1.0, abs=1e-15)
-        empty = _conditional_correlations(np.zeros(8))
+        empty = self.correlations(np.zeros(8))
         assert empty["even_given_1"] == 0.0 and empty["odd_given_0"] == 0.0
+
+    def test_parity_error_is_twice_the_even_frequency_error(self, monkeypatch):
+        # Counts of parity 1, -1, 0 and 0.5 over 400 shots: each parity's
+        # error is twice that of its even frequency (1 + parity) / 2, and
+        # at |parity| = 1 it is the floor 2 / n.
+        n = 400
+        counts = np.array([[n, 0, 0, 0], [0, n, 0, 0], [100, 100, 100, 100], [250, 50, 50, 50]])
+        probs = counts / n
+        monkeypatch.setattr(mc, "sample_outcomes", lambda *args: (probs, probs, counts))
+        script = mc.ProtocolScript(
+            qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, steps=(mc.MeasureStep(),)
+        )
+        branch = mc.BranchState(phi_d=None, weight=1.0, state=st.basis_state([0, 0], ("q1", "q2")))
+        curve = mc.parity_scan(script, DEFAULTS, (), [branch], n, 1, pair=("q1", "q2"))["all"]
+        np.testing.assert_array_equal(curve["estimate"], [1.0, -1.0, 0.0, 0.5])
+        np.testing.assert_array_equal(
+            curve["uncertainty"], 2 * mc.binomial_err((1 + curve["estimate"]) / 2, n)
+        )
+        np.testing.assert_allclose(
+            curve["uncertainty"], [2 / n, 2 / n, 1 / math.sqrt(n), math.sqrt(0.75 / n)],
+            rtol=1e-15, atol=0,
+        )
 
 
 class TestFitRate:
@@ -548,12 +592,12 @@ class TestRngScheme:
     @staticmethod
     def scan_counts(monkeypatch, probs, shots, seed, *key):
         # The shots sample_outcomes draws for a scan whose true outcome
-        # distributions are the rows of ``probs``, read out by noiseless
-        # individual detectors (the identity channel).
+        # distributions are the rows of ``probs`` (one branch of weight 1),
+        # read out by noiseless individual detectors (the identity channel).
         qubits = tuple(f"q{i}" for i in range(int(math.log2(probs.shape[-1]))))
         script = mc.ProtocolScript(qubits=qubits, modules={"B": qubits}, steps=(mc.MeasureStep(),))
         scenario = replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0))
-        monkeypatch.setattr(mc, "branch_outcome_distribution", lambda *args: probs)
+        monkeypatch.setattr(mc, "outcome_table", lambda *args: (np.ones(1), probs[None]))
         return mc.sample_outcomes(script, scenario, [], shots, seed, *key)[2]
 
     @pytest.mark.parametrize("shots", [1, 7, 10_000])

@@ -16,14 +16,17 @@ second run of itself: every file must then come out byte for byte the
 same.
 
 Each invocation's ``--out`` directory is read with
-``perfbench/gate.read_outputs``. For each CSV column and summary field,
-one line says ``identical``, or how many cells changed with the largest
-relative change |new - old| / max(|new|, |old|) and the largest absolute
-change |new - old| (both ``inf`` for a changed value that is not a
-number). A value that rounds an exact zero, such as 1e-17, shows a
-relative change near 1 and a tiny absolute one. Files that differ in bytes with every
-field the same (a comment line, ``resolved_config.cfg``) are named too.
-The exit code is 1 when anything differs or an invocation fails.
+``perfbench/gate.read_outputs``. Each CSV column and summary field is
+an item. One line names each item that changed, with how many cells
+changed, the largest relative change |new - old| / max(|new|, |old|)
+and the largest absolute change |new - old| (both ``inf`` for a changed
+value that is not a number). A value that rounds an exact zero, such as
+1e-17, shows a relative change near 1 and a tiny absolute one. A file
+that differs in bytes with every field the same (a comment line,
+``resolved_config.cfg``) is named too, and counts as one more item that
+changed. The last line counts the items identical out of the items
+compared, and the invocations that failed. The exit code is 1 when
+anything differs or an invocation fails.
 """
 
 import argparse
@@ -147,19 +150,20 @@ def byte_changes(old_dir, new_dir):
 
 
 def report(label, old_dir, new_dir):
-    """Print one line per item of an invocation; True when all are the same."""
+    """Print one line per changed item of an invocation; return (items
+    identical, items compared)."""
+    items = compare(old_dir, new_dir)
     changed_files = set()
-    for name, key, changed, cells, relative, absolute in compare(old_dir, new_dir):
+    for name, key, changed, cells, relative, absolute in items:
         if changed:
             changed_files.add(name)
             print(f"{label} {name} {key}: {changed} of {cells} changed, "
                   f"largest relative {relative:.2g}, absolute {absolute:.2g}")
-        else:
-            print(f"{label} {name} {key}: identical")
     bytes_only = [n for n in byte_changes(old_dir, new_dir) if n not in changed_files]
     for name in bytes_only:
         print(f"{label} {name}: bytes differ")
-    return not changed_files and not bytes_only
+    identical = sum(1 for item in items if not item[2])
+    return identical, len(items) + len(bytes_only)
 
 
 def export(rev, dest):
@@ -182,15 +186,19 @@ def main(argv=None):
         old_tree = export(args.against, tmp / "against") if args.against else ROOT
         old = run_matrix(old_tree, tmp / "old", args.seed)
         new = run_matrix(ROOT, tmp / "new", args.seed)
-        same = True
-        for label in dict.fromkeys([*old, *new]):
+        labels = list(dict.fromkeys([*old, *new]))
+        identical = compared = failed = 0
+        for label in labels:
             if old.get(label) is None or new.get(label) is None:
                 print(f"{label}: not compared, a run is missing or failed")
-                same = False
+                failed += 1
             else:
-                same = report(label, old[label], new[label]) and same
-    print("all identical" if same else "differences found")
-    return 0 if same else 1
+                n_same, n_items = report(label, old[label], new[label])
+                identical += n_same
+                compared += n_items
+    print(f"{identical} of {compared} items identical, "
+          f"{failed} of {len(labels)} invocations failed")
+    return 0 if identical == compared and not failed else 1
 
 
 if __name__ == "__main__":

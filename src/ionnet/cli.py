@@ -118,14 +118,12 @@ def _write_files(
     (out_dir / names[0]).write_text(scenario.resolved_text(), encoding="utf-8")
 
     for name, table in output.tables.items():
-        # Python scalars, so that floats are written as in the summary.
-        columns = [np.asarray(col).tolist() for col in table.values()]
-        if len({len(col) for col in columns}) > 1:
+        cells = [_format_column(col) for col in table.values()]
+        if len({len(col) for col in cells}) > 1:
             raise ValueError(f"table {name} has columns of unequal length")
         lines = _header(subcommand, seed, config_hash)
         lines.append(",".join(table))
-        for row in zip(*columns):
-            lines.append(",".join(format_value(v) for v in row))
+        lines.extend(map(",".join, zip(*cells)))
         names.append(f"{name}.csv")
         (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -139,6 +137,17 @@ def _write_files(
     names.append("summary.txt")
     (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return names
+
+
+def _format_column(col) -> list[str]:
+    """One CSV column's cells, each as ``format_value`` writes it: a
+    float column as Python floats, so that they are written as in the
+    summary, with ``float.__repr__`` over the whole column."""
+    arr = np.asarray(col)
+    values = arr.tolist()
+    if arr.dtype.kind == "f":
+        return list(map(float.__repr__, values))
+    return list(map(format_value, values))
 
 
 # Subcommands whose drivers are built for the default protocol steps;

@@ -31,7 +31,7 @@ import numpy as np
 
 from .phases import free_evolution
 from .records import Record
-from .states import QuantumState, StateError, apply_unitary, depolarize
+from .states import QuantumState, StateError, apply_to_each, apply_unitary, depolarize
 
 __all__ = [
     "GateSettings",
@@ -143,11 +143,7 @@ def analysis_rotation(
     angle pi/4 - phi), so parity fringes of the gate output follow
     cos(phi_gate - 2 phi).
     """
-    u = rotation_matrix(theta, math.pi / 4.0 - phi)
-    out = s
-    for t in targets:
-        out = apply_unitary(out, u, [t])
-    return out
+    return apply_to_each(s, rotation_matrix(theta, math.pi / 4.0 - phi), targets)
 
 
 def spin_echo_ramsey(

@@ -167,6 +167,8 @@ class ProtocolScript(Record):
                     raise ScriptError(
                         f"analysis step references unknown qubits {step.targets}"
                     )
+                if len(set(step.targets)) != len(step.targets):
+                    raise ScriptError(f"analysis step names a qubit twice: {step.targets}")
             if isinstance(step, WaitStep):
                 duration = np.asarray(step.duration_s)
                 if not np.all(np.isfinite(duration) & (duration >= 0)):

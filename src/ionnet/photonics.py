@@ -225,8 +225,9 @@ def conditional_herald_states(
     detector phase.
 
     The two detector pairs of one phase carry the same Kraus operators,
-    so the heralded state depends on the coincidence only through phi_d;
-    each phase's branch applies the operators of both its pairs.
+    so the heralded state depends on the coincidence only through phi_d.
+    Each phase's branch applies one pair's operators and counts them
+    once per pair of that phase: exactly what adding the pairs gives.
     Inputs are the (atom, photon) states of the two modules after the
     wave plates. Probabilities are conditioned on both photons being
     present (they sum to the herald fraction, 1/2 for ideal inputs).
@@ -242,8 +243,8 @@ def conditional_herald_states(
     kraus = bsm_kraus_operators(error.mode_overlap)
     results = []
     for phi_d in sorted(set(DETECTOR_PAIRS.values())):
-        per_pair = [ks for pair, ks in kraus.items() if DETECTOR_PAIRS[pair] == phi_d]
-        prob, state = _project_photons(joint, (photon_a, photon_b), per_pair)
+        pairs = [pair for pair, phase in DETECTOR_PAIRS.items() if phase == phi_d]
+        prob, state = _project_photons(joint, (photon_a, photon_b), kraus[pairs[0]], len(pairs))
         if prob <= 0.0:
             continue
         atoms = partial_trace(state, [atom_a, atom_b])
@@ -254,21 +255,21 @@ def conditional_herald_states(
 
 
 def _project_photons(
-    joint: QuantumState, photon_labels: tuple[str, str], per_pair: list[list[np.ndarray]]
+    joint: QuantumState,
+    photon_labels: tuple[str, str],
+    kraus: list[np.ndarray],
+    n_pairs: int,
 ) -> tuple[float, QuantumState]:
-    """Apply the photon-space Kraus sets of some detector pairs and
-    renormalize.
+    """Apply one detector pair's photon-space Kraus set, counted for
+    ``n_pairs`` pairs with the same operators, and renormalize.
 
-    Each pair's set is summed on its own before the pairs are added, so
-    two pairs with equal operators give exactly twice one pair's result
-    and the same normalized state, to the last bit.
+    The set is applied as one stack and summed over it. Twice a sum is
+    exactly the sum of two equal terms, so for the two pairs of a phase
+    the result is the one that adding the pairs gives, to the last bit.
     """
     n = joint.n_subsystems
     axes = [joint.axis(lbl) for lbl in photon_labels]
-    rho = joint.data
-    out = np.zeros_like(rho)
-    for kraus in per_pair:
-        out += sum(_apply_matrix_density(rho, k, axes, n) for k in kraus)
+    out = n_pairs * _apply_matrix_density(joint.data, np.stack(kraus), axes, n).sum(axis=0)
     prob = float(out.trace().real)
     if prob <= 0.0:
         return 0.0, joint

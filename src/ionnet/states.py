@@ -24,7 +24,11 @@ remote pair all go through it.
 States are immutable after construction; every operation returns a new
 ``QuantumState``. Construction from data checks the whole stack:
 Hermiticity and unit trace to ``STATE_ATOL`` and eigenvalues above
-``EIGENVALUE_FLOOR``. The kernels take checked states and checked
+``EIGENVALUE_FLOOR``. The eigenvalue rule is tested by one Cholesky
+factorization of rho - EIGENVALUE_FLOOR * I over the stack, which exists
+exactly when no eigenvalue lies below the floor (up to rounding of about
+1e-15); the eigenvalues are computed only when it fails, and the lowest
+one decides and is named. The kernels take checked states and checked
 parameters (unitaries to 1e-10, probabilities in [0, 1]) and do not
 repeat the state checks on their output; the exact engine checks every
 stack it returns (``montecarlo.propagate``). Instances are safe to
@@ -34,6 +38,7 @@ from the exact distributions by the Monte Carlo engine.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -50,6 +55,7 @@ __all__ = [
     "maximally_mixed",
     "tensor",
     "apply_unitary",
+    "apply_to_each",
     "apply_phase",
     "outcome_probabilities",
     "fidelity",
@@ -93,6 +99,22 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _check_positive(arr: np.ndarray):
+    """Reject a Hermitian stack with an eigenvalue below ``EIGENVALUE_FLOOR``.
+
+    One Cholesky factorization of ``arr - EIGENVALUE_FLOOR * I`` tests
+    the whole stack. When it fails, the eigenvalues decide and the
+    lowest is named, so a matrix within rounding of the floor is not
+    rejected on the factorization alone.
+    """
+    try:
+        np.linalg.cholesky(arr - EIGENVALUE_FLOOR * np.eye(arr.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(arr).min()
+        if low < EIGENVALUE_FLOOR:
+            raise StateError(f"density matrix has negative eigenvalue {low}") from None
+
+
 class QuantumState:
     """A density matrix, or a stack of them, over a labelled register.
 
@@ -106,7 +128,11 @@ class QuantumState:
         matrix, or density matrix (``2**n x 2**n``), or a stack of
         density matrices with leading batch axes. Must be normalized;
         construction rejects anything that is not a physical state,
-        anywhere in the stack.
+        anywhere in the stack: a non-Hermitian matrix, a trace off 1,
+        or an eigenvalue below ``EIGENVALUE_FLOOR``. Positivity is one
+        Cholesky factorization of the shifted stack; only a stack that
+        fails it has its eigenvalues computed, and the error names the
+        lowest.
     max_subsystems :
         Register cap. Constructors reject larger registers.
     """
@@ -128,16 +154,15 @@ class QuantumState:
             raise StateError(
                 f"data shape {arr.shape} does not match a register of {len(labels)} subsystems"
             )
-        if np.abs(arr - _dagger(arr)).max() > STATE_ATOL:
+        conj = _dagger(arr)
+        if np.abs(arr - conj).max() > STATE_ATOL:
             raise StateError("density matrix is not Hermitian")
         tr = np.trace(arr, axis1=-2, axis2=-1).real
         worst = tr.flat[np.abs(tr - 1.0).argmax()]
         if abs(worst - 1.0) > STATE_ATOL:
             raise StateError(f"density matrix trace {worst} is not 1")
-        arr = 0.5 * (arr + _dagger(arr)) / tr[..., None, None]
-        low = np.linalg.eigvalsh(arr).min()
-        if low < EIGENVALUE_FLOOR:
-            raise StateError(f"density matrix has negative eigenvalue {low}")
+        arr = 0.5 * (arr + conj) / tr[..., None, None]
+        _check_positive(arr)
         self._set(labels, arr)
 
     @classmethod
@@ -258,12 +283,10 @@ def _check_unitary(u: np.ndarray, dim: int):
         raise StateError(f"operator is not unitary (deviation {err:.2e})")
 
 
-def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
-    """u rho u^dagger with u acting on ``axes``; u need not be unitary.
-
-    Both ``rho`` (..., d, d) and ``u`` (..., 2^k, 2^k) may be stacks;
-    their leading axes broadcast.
-    """
+@functools.cache
+def _density_subscripts(axes: tuple[int, ...], n: int) -> tuple[str, str]:
+    """The two einsum subscripts of ``_apply_matrix_density``: u on the
+    ket axes, then u* on the bra axes."""
     k = len(axes)
     ket, bra = _LETTERS[:n], _LETTERS[n : 2 * n]
     new_ket, new_bra = _LETTERS[2 * n : 2 * n + k], _LETTERS[2 * n + k : 2 * n + 2 * k]
@@ -273,11 +296,22 @@ def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n
     for j, ax in enumerate(axes):
         out_ket[ax], out_bra[ax] = new_ket[j], new_bra[j]
     out_ket, out_bra = "".join(out_ket), "".join(out_bra)
-    u_t = u.reshape(u.shape[:-2] + (2,) * (2 * k))
-    t = np.einsum(
-        f"...{new_ket}{old_ket},...{ket}{bra}->...{out_ket}{bra}", u_t, _tensor_form(rho, n)
+    return (
+        f"...{new_ket}{old_ket},...{ket}{bra}->...{out_ket}{bra}",
+        f"...{new_bra}{old_bra},...{out_ket}{bra}->...{out_ket}{out_bra}",
     )
-    t = np.einsum(f"...{new_bra}{old_bra},...{out_ket}{bra}->...{out_ket}{out_bra}", u_t.conj(), t)
+
+
+def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
+    """u rho u^dagger with u acting on ``axes``; u need not be unitary.
+
+    Both ``rho`` (..., d, d) and ``u`` (..., 2^k, 2^k) may be stacks;
+    their leading axes broadcast.
+    """
+    on_ket, on_bra = _density_subscripts(tuple(axes), n)
+    u_t = u.reshape(u.shape[:-2] + (2,) * (2 * len(axes)))
+    t = np.einsum(on_ket, u_t, _tensor_form(rho, n))
+    t = np.einsum(on_bra, u_t.conj(), t)
     return _matrix_form(t, n)
 
 
@@ -296,6 +330,24 @@ def apply_unitary(s: QuantumState, u, targets: Sequence[str]) -> QuantumState:
     u = np.asarray(u, dtype=complex)
     _check_unitary(u, 2 ** len(targets))
     return QuantumState._of(s.labels, _apply_matrix_density(s.data, u, axes, s.n_subsystems))
+
+
+def apply_to_each(s: QuantumState, u, targets: Sequence[str]) -> QuantumState:
+    """Apply one single-qubit unitary on each listed subsystem in turn.
+
+    The same as one ``apply_unitary`` per target, to the last bit, with
+    unitarity checked once; a stack of unitaries applies one per point.
+    """
+    targets = list(targets)
+    if len(set(targets)) != len(targets):
+        raise StateError(f"duplicate targets: {targets}")
+    axes = [s.axis(t) for t in targets]
+    u = np.asarray(u, dtype=complex)
+    _check_unitary(u, 2)
+    rho = s.data
+    for ax in axes:
+        rho = _apply_matrix_density(rho, u, (ax,), s.n_subsystems)
+    return QuantumState._of(s.labels, rho)
 
 
 def apply_phase(s: QuantumState, label: str, phase) -> QuantumState:

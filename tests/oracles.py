@@ -6,7 +6,7 @@ picture, including a temporal mode label for partially distinguishable
 photons.
 
 Test-only helpers the package does not run: the per-detector-pair BSM
-distribution, the herald event record, the pair parity expectation,
+distribution and heralded states, the herald event record, the pair parity expectation,
 exact binomial bounds on a count of rare events and the readout channel
 enumerated flip pattern by flip pattern.
 
@@ -145,6 +145,37 @@ def bsm_outcome_distribution(
         total += p
     probs[None] = max(1.0 - total, 0.0)
     return probs
+
+
+def herald_states_per_pair(
+    atom_a_photon: st.QuantumState,
+    atom_b_photon: st.QuantumState,
+    error: LinkErrorModel,
+    transfer_phase: float = 0.0,
+) -> list[tuple[float, float, st.QuantumState]]:
+    """``conditional_herald_states`` computed detector pair by detector
+    pair: each Kraus operator of each pair applied on its own, the
+    operators of a pair summed, and the pairs of a phase added."""
+    atom_a, photon_a = atom_a_photon.labels
+    atom_b, photon_b = atom_b_photon.labels
+    joint = st.tensor(atom_a_photon, atom_b_photon)
+    axes = [joint.axis(photon_a), joint.axis(photon_b)]
+    n = joint.n_subsystems
+    kraus = bsm_kraus_operators(error.mode_overlap)
+    results = []
+    for phi_d in sorted(set(DETECTOR_PAIRS.values())):
+        out = np.zeros_like(joint.data)
+        for pair, ops in kraus.items():
+            if DETECTOR_PAIRS[pair] == phi_d:
+                out += sum(st._apply_matrix_density(joint.data, k, axes, n) for k in ops)
+        prob = float(out.trace().real)
+        if prob <= 0.0:
+            continue
+        atoms = st.partial_trace(st.mixed_state(out / prob, joint.labels), [atom_a, atom_b])
+        if transfer_phase != 0.0:
+            atoms = st.apply_phase(atoms, atom_a, transfer_phase)
+        results.append((phi_d, prob, atoms))
+    return results
 
 
 def parity_expectation(s: st.QuantumState, pair: Sequence[str]) -> float:

@@ -20,7 +20,7 @@ from ionnet import detection, montecarlo, protocols
 from ionnet.cli import RATE_FIT, SUBCOMMANDS, main, write_outputs
 from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
 from ionnet.protocols import ExperimentOutput
-from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, loads_scenario
+from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, format_value, loads_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATED = ROOT / "configs" / "calibrated_3q.cfg"
@@ -366,6 +366,28 @@ def test_numpy_floats_written_as_plain_numbers(tmp_path):
     assert "p = 0.05" in summary
     assert "n = 7" in summary
     assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.05,1e-12"
+
+
+def test_columns_written_as_format_value_writes_each_cell(tmp_path):
+    table = {
+        "f": np.array([-0.0, 1e-17, 5e-324, math.inf, 0.1]),
+        "i": np.array([0, -3, 7, 2**40, 1]),
+        "p": [0.05, -0.0, 1e-17, 5e-324, -math.inf],
+        "s": ["a", "b c", "-0.0", "", "x"],
+    }
+    scenario = loads_scenario("")
+    write_outputs(tmp_path, "budget", scenario, 3, ExperimentOutput(tables={"t": table}, summary={}))
+    rows = zip(*(np.asarray(col).tolist() for col in table.values()))
+    lines = [
+        "# ionnet budget",
+        "# seed = 3",
+        f"# config_sha256 = {scenario.config_hash()}",
+        "f,i,p,s",
+        *(",".join(format_value(v) for v in row) for row in rows),
+    ]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert lines[4] == "-0.0,0,0.05,a"
+    assert lines[7] == "inf,1099511627776,5e-324,"
 
 
 def python_env(**overrides: str | None) -> dict:

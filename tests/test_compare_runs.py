@@ -1,5 +1,6 @@
 """scripts/compare_runs.py names every changed column and field of two
---out directories with the size of its change, and nothing else."""
+--out directories with the size of its change, and nothing else, then
+counts the items identical and the invocations failed."""
 
 import importlib.util
 import shutil
@@ -60,15 +61,47 @@ def test_names_the_planted_change_and_nothing_else(compare_runs, outputs, capsys
     assert len(items) > 10  # every column and summary field is compared
     assert compare_runs.byte_changes(old, new) == ["parity.csv"]
 
-    assert not compare_runs.report("run", old, new)
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(items)
-    (line,) = [line for line in lines if not line.endswith(": identical")]
+    assert compare_runs.report("run", old, new) == (len(items) - 1, len(items))
+    (line,) = capsys.readouterr().out.splitlines()  # only the changed item is printed
     assert line.startswith("run parity.csv exact_reported: 1 of 6 changed, largest relative 1e-09")
 
 
 def test_identical_directories(compare_runs, outputs, capsys):
     old = outputs[0]
-    assert all(item[2] == 0 for item in compare_runs.compare(old, old))
-    assert compare_runs.report("run", old, old)
-    assert all(line.endswith(": identical") for line in capsys.readouterr().out.splitlines())
+    items = compare_runs.compare(old, old)
+    assert all(item[2] == 0 for item in items)
+    assert compare_runs.report("run", old, old) == (len(items), len(items))
+    assert capsys.readouterr().out == ""
+
+
+def test_bytes_only_change_counts_as_one_changed_item(compare_runs, outputs, capsys):
+    old, new, _ = outputs
+    shutil.copy(old / "parity.csv", new / "parity.csv")
+    config = new / "resolved_config.cfg"
+    config.write_text(config.read_text(encoding="utf-8") + "# note\n", encoding="utf-8")
+    n_items = len(compare_runs.compare(old, new))
+    assert compare_runs.report("run", old, new) == (n_items, n_items + 1)
+    assert capsys.readouterr().out == "run resolved_config.cfg: bytes differ\n"
+
+
+def test_main_prints_changed_items_then_one_summary_line(compare_runs, outputs, monkeypatch,
+                                                          capsys):
+    old, new, _ = outputs
+    outs = {"old": {"a": old, "b": old, "c": old}, "new": {"a": old, "b": new, "c": None}}
+    monkeypatch.setattr(compare_runs, "run_matrix", lambda tree, work, seed: outs[work.name])
+    assert compare_runs.main([]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    n_items = len(compare_runs.compare(old, old))
+    assert lines[0].startswith("b parity.csv exact_reported: 1 of 6 changed")
+    assert lines[1] == "c: not compared, a run is missing or failed"
+    assert lines[2] == (
+        f"{2 * n_items - 1} of {2 * n_items} items identical, 1 of 3 invocations failed"
+    )
+    assert len(lines) == 3
+
+    outs["new"] = {"a": old}
+    outs["old"] = {"a": old}
+    assert compare_runs.main([]) == 0
+    assert capsys.readouterr().out == (
+        f"{n_items} of {n_items} items identical, 0 of 1 invocations failed\n"
+    )

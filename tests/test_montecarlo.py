@@ -186,6 +186,14 @@ class TestScriptValidation:
                 steps=(mc.WaitStep(duration), mc.MeasureStep()),
             )
 
+    def test_rejects_analysis_naming_a_qubit_twice(self):
+        # Rotating q1 twice by pi/2 would act as a pi pulse.
+        with pytest.raises(mc.ScriptError, match="names a qubit twice"):
+            mc.ProtocolScript(
+                qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
+                steps=(mc.AnalysisStep(("q1", "q1"), math.pi / 2, 0.0), mc.MeasureStep()),
+            )
+
     def test_modules_must_partition_qubits(self):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(

@@ -15,6 +15,7 @@ from oracles import (
     bsm_outcome_distribution,
     fock_bsm_distribution,
     herald_remote_pair,
+    herald_states_per_pair,
     purity,
 )
 
@@ -233,6 +234,22 @@ class TestHerald:
         for phi_d, _, state in ph.conditional_herald_states(a, b, err, transfer_phase=dphi):
             target = ph.heralded_bell_ket(("qa", "qb"), phi_d + dphi)
             assert st.fidelity(state, target) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fidelity", [0.25, 0.5, 0.92, 1.0])
+    @pytest.mark.parametrize("overlap", [0.0, 0.3, ph.CALIBRATED_MODE_OVERLAP, 1.0])
+    @pytest.mark.parametrize("transfer_phase", [0.0, 0.7])
+    def test_equals_per_pair_oracle_bit_for_bit(self, fidelity, overlap, transfer_phase):
+        err = ph.LinkErrorModel(atom_photon_fidelity=fidelity, mode_overlap=overlap)
+        a = ph.module_emission(err, "qa", "pa")
+        b = ph.module_emission(err, "qb", "pb")
+        got = ph.conditional_herald_states(a, b, err, transfer_phase)
+        want = herald_states_per_pair(a, b, err, transfer_phase)
+        assert [(phi_d, prob) for phi_d, prob, _ in got] == [
+            (phi_d, prob) for phi_d, prob, _ in want
+        ]
+        for (_, _, state), (_, _, expected) in zip(got, want):
+            assert np.array_equal(state.data, expected.data)
+            assert state.data.tobytes() == expected.data.tobytes()  # signed zeros too
 
     def test_states_physical_for_noisy_configs(self):
         for f, v in ((0.9, 0.8), (0.75, 0.5), (0.92, 1.0), (1.0, 0.6)):

@@ -110,6 +110,7 @@ class TestValidation:
             # the phonon bus only exists within a module
             ("step.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure", "spans two modules"),
             ("step.1 = gate q1 q1\nstep.2 = measure", "two distinct qubits"),
+            ("step.1 = analyze q1 q1\nstep.2 = measure", "names a qubit twice"),
             ("link = q1 q2\nstep.1 = measure", "must join qubits of two modules"),
             ("link = q1 q9\nstep.1 = measure", "must join qubits of two modules"),
             # the herald takes the first atom as the module-A emitter

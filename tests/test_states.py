@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,77 @@ class TestConstruction:
     def test_rejects_wrong_trace(self):
         with pytest.raises(st.StateError):
             st.mixed_state(np.eye(2, dtype=complex), ["a"])
+
+
+def with_spectrum(eigenvalues, rng) -> np.ndarray:
+    """A Hermitian matrix with the given eigenvalues in a Haar-random basis."""
+    u = haar_unitary(len(eigenvalues), rng)
+    return u @ np.diag(eigenvalues) @ u.conj().T
+
+
+def lowest_named(message: str) -> float:
+    return float(re.search(r"negative eigenvalue (\S+)", message).group(1))
+
+
+class TestPositivity:
+    """The constructor rejects exactly the stacks with an eigenvalue
+    below EIGENVALUE_FLOOR (-1e-10), and names the lowest one."""
+
+    def test_stack_with_one_matrix_below_floor_rejected(self):
+        rng = RNG(3)
+        stack = np.stack([random_density(4, rng) for _ in range(16)])
+        stack[9] = with_spectrum([0.5, 0.3, 0.2 + 2e-10, -2e-10], rng)
+        with pytest.raises(st.StateError, match="negative eigenvalue") as info:
+            st.mixed_state(stack, ["a", "b"])
+        assert lowest_named(str(info.value)) == pytest.approx(-2e-10, abs=1e-15)
+
+    def test_eigenvalue_above_floor_accepted(self):
+        rng = RNG(4)
+        stack = np.stack(
+            [random_density(4, rng), with_spectrum([0.6, 0.3, 0.1 + 5e-11, -5e-11], rng)]
+        )
+        s = st.mixed_state(stack, ["a", "b"])
+        assert s.batch_shape == (2,)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_pure_states_accepted(self, dim):
+        rng = RNG(dim)
+        labels = ["a", "b", "c"][: dim.bit_length() - 1]
+        stack = np.stack([np.outer(psi, psi.conj()) for psi in
+                          (random_pure(dim, rng) for _ in range(32))])
+        assert st.mixed_state(stack, labels).batch_shape == (32,)
+
+    def test_scan_stack_accepted(self):
+        rng = RNG(96)
+        stack = np.stack([random_density(8, rng, rank=1 + i % 8) for i in range(96)])
+        assert st.mixed_state(stack, ["a", "b", "c"]).batch_shape == (96,)
+
+
+@given(
+    seed=hst.integers(min_value=0, max_value=2**31),
+    n=hst.integers(min_value=1, max_value=3),
+    points=hst.integers(min_value=1, max_value=8),
+    exponent=hst.floats(min_value=-13.0, max_value=-1.0),
+    below=hst.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_positivity_rule_matches_eigenvalues(seed, n, points, exponent, below):
+    # The lowest eigenvalue of one matrix of the stack sits at least
+    # 1e-13 from the floor, on either side; the rest are states.
+    rng = RNG(seed)
+    dim = 2**n
+    lowest = st.EIGENVALUE_FLOOR + (-1.0 if below else 1.0) * 10.0**exponent
+    rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - lowest)
+    stack = np.stack([random_density(dim, rng) for _ in range(points)])
+    stack[int(rng.integers(points))] = with_spectrum([lowest, *rest], rng)
+    labels = [f"q{i}" for i in range(n)]
+    expected = np.linalg.eigvalsh(stack).min() >= st.EIGENVALUE_FLOOR
+    try:
+        st.mixed_state(stack, labels)
+        accepted = True
+    except st.StateError:
+        accepted = False
+    assert accepted == expected
 
 
 class TestTensor:
@@ -137,6 +209,21 @@ class TestApplyUnitary:
         out = st.apply_unitary(s, u, targets)
         # Frobenius norm sqrt(tr rho^2): the state stays pure
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
+
+    def test_apply_to_each_is_one_apply_unitary_per_target(self):
+        rng = RNG(6)
+        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        u = np.stack([haar_unitary(2, rng) for _ in range(5)])
+        expected = st.apply_unitary(st.apply_unitary(s, u, ["c"]), u, ["a"])
+        out = st.apply_to_each(s, u, ["c", "a"])
+        assert out.data.tobytes() == expected.data.tobytes()
+
+    def test_apply_to_each_rejects_duplicates_and_non_unitary(self):
+        s = st.basis_state([0, 0], ["a", "b"])
+        with pytest.raises(st.StateError, match="duplicate targets"):
+            st.apply_to_each(s, np.eye(2), ["a", "a"])
+        with pytest.raises(st.StateError, match="not unitary"):
+            st.apply_to_each(s, np.array([[1, 0], [0, 2.0]]), ["a", "b"])
 
     def test_trace_preserved_mixed(self):
         rng = RNG(5)

@@ -5,6 +5,11 @@ interference; entanglement within a module uses the shared motional bus.
 The package reproduces the phase bookkeeping, fidelity budget,
 entanglement rates and three-qubit conditional parities of such a
 system.
+
+Importing the package loads no numpy. The engine modules, which import
+it, are registered in ``sys.modules`` as lazy modules and run on their
+first attribute access; the public names below resolve on first use
+(PEP 562). So the scenario, ``budget`` and ``timing`` run without numpy.
 """
 
 import os
@@ -16,33 +21,53 @@ import os
 # the user set wins, and other BLAS libraries ignore the variable.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .detection import DetectorGroup, DetectorModel, confusion_matrix
-from .gates import GateSettings, analysis_rotation, ms_gate, rotation, spin_echo_ramsey
-from .montecarlo import ProtocolResult, ProtocolScript, coherent_entanglement_distance, run_protocol
-from .phases import MemoryDecoherence, PhaseLedger, free_evolution, phi_ab
-from .photonics import (
-    LinkBudget,
-    LinkErrorModel,
-    emit_atom_photon,
-    expected_rate,
-    qwp_map,
-    success_probability,
-)
-from .scenario import Scenario, ScenarioError, emit_scenario, load_scenario, loads_scenario
-from .states import QuantumState, fidelity, partial_trace, tensor
+import importlib.machinery
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QuantumState", "tensor", "fidelity", "partial_trace",
-    "LinkBudget", "LinkErrorModel", "emit_atom_photon", "qwp_map",
-    "success_probability", "expected_rate",
-    "GateSettings", "ms_gate", "rotation", "analysis_rotation",
-    "spin_echo_ramsey",
-    "PhaseLedger", "MemoryDecoherence", "phi_ab", "free_evolution",
-    "DetectorModel", "DetectorGroup", "confusion_matrix",
-    "ProtocolScript", "ProtocolResult",
-    "run_protocol", "coherent_entanglement_distance",
-    "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",
-    "__version__",
-]
+# Defining module -> its public names, re-exported here.
+_EXPORTS = {
+    "states": ("QuantumState", "tensor", "fidelity", "partial_trace"),
+    "photonics": ("emit_atom_photon", "qwp_map"),
+    "gates": ("ms_gate", "rotation", "analysis_rotation", "spin_echo_ramsey"),
+    "phases": ("phi_ab", "free_evolution"),
+    "detection": ("confusion_matrix",),
+    "montecarlo": ("ProtocolResult", "run_protocol", "coherent_entanglement_distance"),
+    "scenario": (
+        "LinkBudget", "LinkErrorModel", "success_probability", "expected_rate",
+        "GateSettings", "PhaseLedger", "MemoryDecoherence", "DetectorModel", "DetectorGroup",
+        "ProtocolScript",
+        "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+# The modules that import numpy.
+_ENGINE = (
+    "states", "phases", "photonics", "gates", "detection", "fitting", "montecarlo", "protocols",
+)
+
+
+def _register_lazily(name: str):
+    fullname = f"{__name__}.{name}"
+    spec = importlib.machinery.PathFinder.find_spec(fullname, __path__)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _ENGINE:
+    globals()[_name] = _register_lazily(_name)
+del _name
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

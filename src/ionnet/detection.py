@@ -10,7 +10,9 @@ Zero-bright is only affected through the per-ion flips.
 
 The exact channel (``confusion_matrix``) is the product of these parts:
 one 2x2 flip matrix per ion, then one 4x4 overlap channel per shared
-pair. ``apply_readout_array`` draws the same channel shot by shot.
+pair. ``apply_readout_array`` draws the same channel shot by shot. The
+detector records (``DetectorModel``, ``DetectorGroup``) live in
+``scenario``, which needs no numpy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .records import Record
+from .scenario import DetectorGroup, DetectorModel
 
 __all__ = [
     "DetectorModel",
@@ -27,38 +29,6 @@ __all__ = [
     "apply_readout_array",
     "confusion_matrix",
 ]
-
-
-class DetectorModel(Record):
-    """The ``[detectors]`` section: readout errors and, per module,
-    whether its ions share one detector or each have their own."""
-
-    single_qubit_error: float = 0.01
-    two_qubit_overlap: float = 0.08
-    module_a: str = "shared"
-    module_b: str = "individual"
-
-    def __post_init__(self):
-        for name in ("single_qubit_error", "two_qubit_overlap"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"detectors.{name} = {value} outside [0, 1]")
-        for name in ("module_a", "module_b"):
-            kind = getattr(self, name)
-            if kind not in ("shared", "individual"):
-                raise ValueError(f"detectors.{name} = {kind} must be 'shared' or 'individual'")
-
-    def is_shared(self, module: str) -> bool:
-        if module not in ("A", "B"):
-            raise ValueError(f"no detector declared for module {module!r}")
-        return getattr(self, f"module_{module.lower()}") == "shared"
-
-
-class DetectorGroup(Record):
-    """Ions of one module mapped to bit positions of the outcome string."""
-
-    module: str
-    positions: tuple[int, ...]
 
 
 def _validate_layout(n_bits: int, layout: Sequence[DetectorGroup], model: DetectorModel):

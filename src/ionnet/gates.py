@@ -1,4 +1,4 @@
-"""Entangling gate, its settings, and microwave/Raman rotations.
+"""Entangling gate and microwave/Raman rotations.
 
 The two-qubit entangling gate is the spin-dependent-force map
 
@@ -10,7 +10,9 @@ The two-qubit entangling gate is the spin-dependent-force map
 where ``phi`` is set by the relative optical phase of the two Raman
 beams and is constant within one run. Gate noise is a single two-qubit
 depolarizing channel calibrated against the measured gate fidelity; the
-motional mode itself is not simulated.
+motional mode itself is not simulated. The gate's settings and schedule
+(``GateSettings``) live in ``scenario``, which needs no numpy; they are
+re-exported here.
 
 Phase conventions
 -----------------
@@ -30,7 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .phases import free_evolution
-from .records import Record
+from .scenario import GateSettings
 from .states import QuantumState, StateError, apply_to_each, apply_unitary, depolarize
 
 __all__ = [
@@ -42,44 +44,6 @@ __all__ = [
     "analysis_rotation",
     "spin_echo_ramsey",
 ]
-
-_SQRT8 = 2.0 ** 1.5
-
-
-class GateSettings(Record):
-    """The ``[gate]`` section: intramodular gate phase, gate noise and
-    drive detuning (cyclic frequency, Hz).
-
-    The detuning fixes the gate schedule: gate time 2/delta, a pi phase
-    advance of the sidebands at half the gate time, and sideband Rabi
-    rate delta / 2^(3/2).
-    """
-
-    phi_a: float = 0.0
-    # Two-qubit depolarizing probability applied after each gate; 0.2
-    # reproduces the measured entangling gate fidelity of 0.85:
-    # F = 1 - 3 p / 4.
-    depolarizing_p: float = 0.2
-    detuning_hz: float = 2e4
-
-    def __post_init__(self):
-        if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ValueError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
-        if not self.detuning_hz > 0:
-            raise ValueError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
-
-    @property
-    def gate_time_s(self) -> float:
-        return 2.0 / self.detuning_hz
-
-    @property
-    def phase_flip_time_s(self) -> float:
-        return self.gate_time_s / 2.0
-
-    @property
-    def sideband_rabi_hz(self) -> float:
-        return self.detuning_hz / _SQRT8
-
 
 def ms_unitary(phi: float) -> np.ndarray:
     """4x4 entangling-gate matrix in the (00, 01, 10, 11) basis."""

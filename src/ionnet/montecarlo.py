@@ -3,6 +3,8 @@
 A protocol is an ordered script of steps over declared qubits: attempt a
 remote herald on the link, re-initialize a qubit, run the local entangling
 gate, apply analysis rotations, wait, and finally measure everything.
+The step records and ``ProtocolScript`` with its checks live in
+``scenario``, which needs no numpy; they are re-exported here.
 
 Two statistics paths share all channel code. The exact path propagates
 density matrices conditioned on each herald branch (the two detector
@@ -27,7 +29,7 @@ attempts with the link budget. Every scan is one ``parity_scan`` call:
 its steps run from the given branches for all points at once, and
 ``sample_outcomes`` gives the exact true distribution of each point,
 the reported one through the script's readout channel
-(``ProtocolScript.readout``, the one place it is built), and then the
+(``readout_channel``, the one place it is built), and then the
 shots of all points, one row per point; the parity of a pair follows
 from those, unconditioned and conditioned on a third qubit.
 
@@ -42,20 +44,30 @@ generator of its shot stream, row after row.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence  # numpy loads it lazily otherwise
 
 from . import states as st
-from .detection import DetectorGroup, DetectorModel, confusion_matrix
+from .detection import confusion_matrix
 from .gates import analysis_rotation, ms_gate
 from .phases import free_evolution
-from .photonics import conditional_herald_states, module_emission, success_probability
+from .photonics import conditional_herald_states, module_emission
 from .records import Record, replace
-
-if TYPE_CHECKING:  # scenario imports this module
-    from .scenario import Scenario
+from .scenario import (
+    AnalysisStep,
+    DetectorModel,
+    HeraldStep,
+    MeasureStep,
+    MSGateStep,
+    ProtocolScript,
+    ReinitStep,
+    Scenario,
+    ScriptError,
+    Step,
+    WaitStep,
+    success_probability,
+)
 
 __all__ = [
     "HeraldStep",
@@ -69,6 +81,7 @@ __all__ = [
     "ProtocolResult",
     "ScriptError",
     "rng_stream",
+    "readout_channel",
     "outcome_table",
     "sample_outcomes",
     "binomial_err",
@@ -83,116 +96,6 @@ __all__ = [
 ]
 
 TRIAL_STREAM = 0
-
-
-class ScriptError(ValueError):
-    """Raised when a protocol script fails validation."""
-
-
-class HeraldStep(Record):
-    pass
-
-
-class ReinitStep(Record):
-    qubit: str
-
-
-class MSGateStep(Record):
-    pair: tuple[str, str]
-    phi_a: float
-
-
-# A scan sets ``theta``, ``phi`` or ``duration_s`` to a 1-D array, one
-# value per scan point (see ``propagate``).
-class AnalysisStep(Record):
-    targets: tuple[str, ...]
-    theta: float | np.ndarray
-    phi: float | np.ndarray
-
-
-class WaitStep(Record):
-    duration_s: float | np.ndarray
-
-
-class MeasureStep(Record):
-    pass
-
-
-Step = HeraldStep | ReinitStep | MSGateStep | AnalysisStep | WaitStep | MeasureStep
-
-
-class ProtocolScript(Record):
-    """Declared register plus the ordered step list.
-
-    ``modules`` maps module names to the qubits they host (used for
-    crosstalk and detector grouping); ``link`` is the (module-A atom,
-    module-B atom) pair every herald step entangles, None without one;
-    ``Scenario.script`` takes it from the checked ``protocol.link``.
-    """
-
-    qubits: tuple[str, ...]
-    modules: dict[str, tuple[str, ...]]
-    steps: tuple[Step, ...]
-    link: tuple[str, str] | None = None
-
-    def __post_init__(self):
-        declared = set(self.qubits)
-        if len(declared) != len(self.qubits):
-            raise ScriptError(f"duplicate qubit declarations: {self.qubits}")
-        hosted = [q for qs in self.modules.values() for q in qs]
-        if sorted(hosted) != sorted(self.qubits):
-            raise ScriptError("modules must partition the declared qubits")
-        if not self.steps or not isinstance(self.steps[-1], MeasureStep):
-            raise ScriptError("script must end with exactly one measure step")
-        measures = [s for s in self.steps if isinstance(s, MeasureStep)]
-        if len(measures) != 1:
-            raise ScriptError("script must contain exactly one measure step")
-        for step in self.steps:
-            if isinstance(step, HeraldStep) and self.link is None:
-                raise ScriptError("herald step in a script without a link")
-            if isinstance(step, ReinitStep) and step.qubit not in declared:
-                raise ScriptError(f"reinit step references unknown qubit {step.qubit!r}")
-            if isinstance(step, MSGateStep):
-                if any(q not in declared for q in step.pair):
-                    raise ScriptError(f"gate step references unknown qubits {step.pair}")
-                if step.pair[0] == step.pair[1]:
-                    raise ScriptError(f"gate step needs two distinct qubits, got {step.pair}")
-                if self.module_of(step.pair[0]) != self.module_of(step.pair[1]):
-                    raise ScriptError(
-                        f"gate step on {step.pair} spans two modules; "
-                        "the phonon bus acts within one module"
-                    )
-            if isinstance(step, AnalysisStep):
-                if any(q not in declared for q in step.targets):
-                    raise ScriptError(
-                        f"analysis step references unknown qubits {step.targets}"
-                    )
-                if len(set(step.targets)) != len(step.targets):
-                    raise ScriptError(f"analysis step names a qubit twice: {step.targets}")
-            if isinstance(step, WaitStep):
-                duration = np.asarray(step.duration_s)
-                if not np.all(np.isfinite(duration) & (duration >= 0)):
-                    raise ScriptError(f"wait duration {duration} is not a finite time >= 0")
-
-    def module_of(self, qubit: str) -> str:
-        for module, qs in self.modules.items():
-            if qubit in qs:
-                return module
-        raise ScriptError(f"qubit {qubit!r} not hosted by any module")
-
-    def detector_layout(self) -> tuple[DetectorGroup, ...]:
-        """Detector groups over bit positions in ``qubits`` order."""
-        groups = []
-        for module, qs in self.modules.items():
-            positions = tuple(self.qubits.index(q) for q in qs)
-            if positions:
-                groups.append(DetectorGroup(module=module, positions=positions))
-        return tuple(groups)
-
-    def readout(self, detectors: DetectorModel) -> np.ndarray:
-        """Readout channel M[reported, true] of ``detectors`` over the
-        script's qubits (first qubit most significant)."""
-        return confusion_matrix(len(self.qubits), detectors, self.detector_layout())
 
 
 class BranchState(Record):
@@ -225,6 +128,12 @@ class ProtocolResult(Record):
 def rng_stream(seed: int, *key: int) -> Generator:
     """Generator for a (stream, index, ...) counter under the root seed."""
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def readout_channel(script: ProtocolScript, detectors: DetectorModel) -> np.ndarray:
+    """Readout channel M[reported, true] of ``detectors`` over the
+    script's qubits (first qubit most significant)."""
+    return confusion_matrix(len(script.qubits), detectors, script.detector_layout())
 
 
 def outcome_table(
@@ -262,7 +171,7 @@ def sample_outcomes(
     if total <= 0:
         raise ValueError("no branch to average the outcome distribution over")
     true = np.atleast_2d(true / total)
-    reported = true @ script.readout(scenario.detectors).T
+    reported = true @ readout_channel(script, scenario.detectors).T
     rows = reported / reported.sum(axis=-1, keepdims=True)
     return true, reported, rng_stream(seed, *key).multinomial(shots, rows)
 
@@ -398,7 +307,7 @@ def run_protocol(
     if branches is None:
         branches = exact_branches(script, scenario)
     weights, true_given_branch = outcome_table(branches, script.qubits)
-    readout = script.readout(scenario.detectors)
+    readout = readout_channel(script, scenario.detectors)
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = rng_stream(seed, TRIAL_STREAM)

@@ -6,7 +6,9 @@ Delta_omega_AB * t, two static geometric terms k*c*Delta_tau and
 k*Delta_x from the excitation timing and path-length mismatch, and the
 transfer-pulse phase Delta_phi_T. The ledger holds the four terms set by
 the apparatus; phi_d comes with each herald. All terms are tracked in
-full precision; only ``phi_ab`` reduces to (-pi, pi] at the output.
+full precision; only ``phi_ab`` reduces to (-pi, pi] at the output. The
+ledger and memory records live in ``scenario``, which needs no numpy;
+they are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .records import Record
+from .scenario import SPEED_OF_LIGHT, MemoryDecoherence, PhaseLedger
 from .states import QuantumState, apply_phase, dephase_pair
 
 __all__ = [
@@ -26,70 +28,6 @@ __all__ = [
     "phi_ab",
     "free_evolution",
 ]
-
-SPEED_OF_LIGHT = 2.99792458e8  # m/s
-
-# The geometric terms are supposed to stay below 1e-2 rad; larger values
-# are allowed but flagged at configuration load.
-GEOMETRIC_PHASE_BOUND = 1e-2
-
-
-class PhaseLedger(Record):
-    """The apparatus phase terms, with SI units.
-
-    delta_omega_ab: difference of the qubit splittings, rad/s.
-    k: wavenumber of the emission Zeeman splitting, 1/m.
-    delta_tau: excitation-time mismatch, s.
-    delta_x: path-length mismatch to the beam-splitter, m.
-    delta_phi_t: transfer-pulse phase difference, radians.
-    """
-
-    delta_omega_ab: float = 2.0 * math.pi * 2.5e3
-    k: float = 0.33
-    delta_tau: float = 1e-10
-    delta_x: float = 0.03
-    delta_phi_t: float = 0.0
-    c = SPEED_OF_LIGHT  # a constant, not a setting
-
-    def geometric_phase(self) -> float:
-        """Static geometric contribution k*c*delta_tau + k*delta_x."""
-        return self.k * self.c * self.delta_tau + self.k * self.delta_x
-
-    def herald_phase(self, phi_d: float) -> float:
-        """Phase of the pair at its herald: phi_d plus the static terms."""
-        return phi_d + self.geometric_phase() + self.delta_phi_t
-
-    def warnings(self) -> list[str]:
-        """Soft invariant checks, reported at configuration load."""
-        notes = []
-        if abs(self.k * self.c * self.delta_tau) >= GEOMETRIC_PHASE_BOUND:
-            notes.append(
-                f"excitation-time phase k*c*delta_tau = {self.k * self.c * self.delta_tau:.3g} "
-                f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
-            )
-        if abs(self.k * self.delta_x) >= GEOMETRIC_PHASE_BOUND:
-            notes.append(
-                f"path-length phase k*delta_x = {self.k * self.delta_x:.3g} "
-                f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
-            )
-        return notes
-
-
-class MemoryDecoherence(Record):
-    """Collective dephasing of a stored entangled pair.
-
-    A single coherence time drives an exponential decay of the pair
-    coherences; the mechanism is the residual magnetic-field-gradient
-    noise between the modules, so the odd-parity coherence is the
-    primary casualty. Even-parity coherences use the same constant.
-    """
-
-    tau_s: float = 1.12
-
-    def __post_init__(self):
-        if self.tau_s <= 0:
-            raise ValueError(f"memory.tau_s = {self.tau_s} must be positive")
-
 
 def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:
     """Inter-module phase at time ``t`` after a herald with detector

@@ -1,5 +1,8 @@
-"""Photon emission, wave-plate mapping, two-photon interference and the
-herald budget.
+"""Photon emission, wave-plate mapping and two-photon interference.
+
+The link's records (``LinkBudget``, ``LinkErrorModel``) and the herald
+budget's arithmetic live in ``scenario``, which needs no numpy; they
+are re-exported here.
 
 Basis conventions
 -----------------
@@ -37,7 +40,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .records import Record
+from .scenario import (
+    CALIBRATED_MODE_OVERLAP,
+    LinkBudget,
+    LinkErrorModel,
+    expected_rate,
+    success_probability,
+)
 from .states import (
     QuantumState,
     StateError,
@@ -66,12 +75,6 @@ __all__ = [
     "expected_rate",
 ]
 
-# Mode overlap that combines with the 0.92 atom-photon fidelity per
-# module to give a heralded fidelity of 0.79. Derived in
-# scripts/calibrate.py from F = w^2 (1 + v^2)/2 + (1 - w^2)/4 with
-# w = (4*0.92 - 1)/3 the per-module Werner weight.
-CALIBRATED_MODE_OVERLAP = 0.9237467653169369
-
 # Valid coincidence pairs and their detector phases.
 DETECTOR_PAIRS: dict[tuple[int, int], float] = {
     (1, 2): 0.0,
@@ -79,65 +82,6 @@ DETECTOR_PAIRS: dict[tuple[int, int], float] = {
     (1, 3): math.pi,
     (2, 4): math.pi,
 }
-
-
-class LinkBudget(Record):
-    """Multiplicative factors of the coincidence probability.
-
-    The per-photon factors (excitation, decay branch, detector quantum
-    efficiency, fiber and optics transmission, collection solid angle)
-    enter squared; selecting two of the four photonic Bell states gives
-    the remaining factor of one half.
-    """
-
-    p_bell: float = 0.5
-    p_pi: float = 0.95
-    p_s_half: float = 0.995
-    q_e: float = 0.35
-    t_fib: float = 0.14
-    t_opt: float = 0.95
-    solid_angle_fraction: float = 0.1
-    rep_rate: float = 4.7e5
-
-    def __post_init__(self):
-        for name in (
-            "p_bell",
-            "p_pi",
-            "p_s_half",
-            "q_e",
-            "t_fib",
-            "t_opt",
-            "solid_angle_fraction",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"link_budget.{name} = {value} outside [0, 1]")
-        if self.rep_rate <= 0:
-            raise ValueError(f"link_budget.rep_rate = {self.rep_rate} must be positive")
-
-
-class LinkErrorModel(Record):
-    """Imperfections of one heralding attempt.
-
-    ``atom_photon_fidelity`` is the fidelity of each module's
-    atom-photon state to the ideal singlet; internally it maps to a
-    Werner mixing weight so that the produced state has exactly this
-    fidelity. ``mode_overlap`` is the wave-packet overlap v at the
-    beam-splitter. Detector dark counts are not modelled.
-    """
-
-    atom_photon_fidelity: float = 0.92
-    mode_overlap: float = CALIBRATED_MODE_OVERLAP
-
-    def __post_init__(self):
-        for name in ("atom_photon_fidelity", "mode_overlap"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"link_errors.{name} = {value} outside [0, 1]")
-
-    def werner_weight(self) -> float:
-        """Mixing weight w with rho = w |psi><psi| + (1 - w) I/4."""
-        return (4.0 * self.atom_photon_fidelity - 1.0) / 3.0
 
 
 def ideal_emission_ket(atom_label: str, photon_label: str) -> QuantumState:
@@ -283,15 +227,3 @@ def heralded_bell_ket(pair: Sequence[str], phase: float) -> QuantumState:
     amps[2] = np.exp(1j * phase) / math.sqrt(2.0)
     return pure_state(amps, list(pair))
 
-
-def success_probability(b: LinkBudget) -> float:
-    """Coincidence probability of a single excitation attempt."""
-    per_photon = (
-        b.p_pi * b.p_s_half * b.q_e * b.t_fib * b.t_opt * b.solid_angle_fraction
-    )
-    return b.p_bell * per_photon**2
-
-
-def expected_rate(b: LinkBudget) -> float:
-    """Heralded entanglement rate in events per second."""
-    return success_probability(b) * b.rep_rate

@@ -38,9 +38,9 @@ from .montecarlo import (
     sample_outcomes,
     share,
 )
-from .photonics import expected_rate, heralded_bell_ket, success_probability
+from .photonics import heralded_bell_ket
 from .records import replace
-from .scenario import Scenario
+from .scenario import ExperimentOutput, Scenario, budget_report, timing_report
 
 __all__ = [
     "ExperimentOutput",
@@ -59,55 +59,6 @@ _SHOT_STREAM = 20
 
 # The detector phase of each herald branch, and the key of its outputs.
 DETECTOR_PHASES = (("phid0", 0.0), ("phidpi", math.pi))
-
-
-class ExperimentOutput:
-    """Tables and summary record of one run; ``warnings`` say which
-    summary figures could not be trusted and were left out.
-
-    ``tables`` maps a file stem to a table. A table maps each CSV column
-    name, in file order, to its values, one per row; every column of a
-    table has the same length.
-    """
-
-    def __init__(
-        self,
-        tables: dict[str, dict[str, Sequence]] | None = None,
-        summary: dict[str, object] | None = None,
-        warnings: list[str] | None = None,
-    ):
-        self.tables = {} if tables is None else tables
-        self.summary = {} if summary is None else summary
-        self.warnings = [] if warnings is None else warnings
-
-
-def budget_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
-    p = success_probability(scenario.budget)
-    rate = expected_rate(scenario.budget)
-    d_ent = scenario.run.qubit_separation_m * rate * scenario.memory.tau_s
-    out = ExperimentOutput()
-    out.summary = {
-        "success_probability": p,
-        "success_probability_2sf": float(f"{p:.2g}"),
-        "expected_rate_per_s": rate,
-        "rep_rate_hz": scenario.budget.rep_rate,
-        "coherence_time_s": scenario.memory.tau_s,
-        "qubit_separation_m": scenario.run.qubit_separation_m,
-        "d_ent_m": d_ent,
-    }
-    return out
-
-
-def timing_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
-    gate = scenario.gate
-    out = ExperimentOutput()
-    out.summary = {
-        "detuning_hz": gate.detuning_hz,
-        "gate_time_s": gate.gate_time_s,
-        "phase_flip_time_s": gate.phase_flip_time_s,
-        "sideband_rabi_hz": gate.sideband_rabi_hz,
-    }
-    return out
 
 
 def _population_table(counts, n, exact) -> dict[str, Sequence]:

@@ -18,34 +18,386 @@ onto one record class and takes its keys, their order and their
 defaults from the class's fields. ``emit_scenario`` writes the fully
 resolved form, which parses back to an identical scenario (floats are
 emitted with ``repr`` so the round trip is exact).
+
+This module needs no numpy, and holds everything that loading a
+scenario or running ``budget`` and ``timing`` needs: the record class
+of every section, the protocol step records and ``ProtocolScript`` with
+its checks, the link budget's arithmetic (``success_probability``,
+``expected_rate``), the fits' smallest sample sizes, ``ExperimentOutput``
+and the two reports. The engine modules that use them re-export them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .detection import DetectorModel
-from .gates import GateSettings
-from .montecarlo import (
-    AnalysisStep,
-    HeraldStep,
-    MeasureStep,
-    MSGateStep,
-    ProtocolScript,
-    ReinitStep,
-    WaitStep,
-)
-from .phases import MemoryDecoherence, PhaseLedger
-from .photonics import LinkBudget, LinkErrorModel
 from .records import Record, fields
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario"]
+if TYPE_CHECKING:  # annotations only: this module runs without numpy
+    import numpy as np
+
+__all__ = [
+    "Scenario",
+    "ScenarioError",
+    "load_scenario",
+    "loads_scenario",
+    "emit_scenario",
+    "LinkBudget",
+    "LinkErrorModel",
+    "GateSettings",
+    "PhaseLedger",
+    "MemoryDecoherence",
+    "DetectorModel",
+    "DetectorGroup",
+    "success_probability",
+    "expected_rate",
+    "ScriptError",
+    "HeraldStep",
+    "ReinitStep",
+    "MSGateStep",
+    "AnalysisStep",
+    "WaitStep",
+    "MeasureStep",
+    "ProtocolScript",
+    "ExperimentOutput",
+    "budget_report",
+    "timing_report",
+]
 
 
 class ScenarioError(ValueError):
     """Configuration rejected: parse error, unknown key or bad value."""
+
+
+# Mode overlap that combines with the 0.92 atom-photon fidelity per
+# module to give a heralded fidelity of 0.79. Derived in
+# scripts/calibrate.py from F = w^2 (1 + v^2)/2 + (1 - w^2)/4 with
+# w = (4*0.92 - 1)/3 the per-module Werner weight.
+CALIBRATED_MODE_OVERLAP = 0.9237467653169369
+
+
+class LinkBudget(Record):
+    """Multiplicative factors of the coincidence probability.
+
+    The per-photon factors (excitation, decay branch, detector quantum
+    efficiency, fiber and optics transmission, collection solid angle)
+    enter squared; selecting two of the four photonic Bell states gives
+    the remaining factor of one half.
+    """
+
+    p_bell: float = 0.5
+    p_pi: float = 0.95
+    p_s_half: float = 0.995
+    q_e: float = 0.35
+    t_fib: float = 0.14
+    t_opt: float = 0.95
+    solid_angle_fraction: float = 0.1
+    rep_rate: float = 4.7e5
+
+    def __post_init__(self):
+        for name in (
+            "p_bell",
+            "p_pi",
+            "p_s_half",
+            "q_e",
+            "t_fib",
+            "t_opt",
+            "solid_angle_fraction",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"link_budget.{name} = {value} outside [0, 1]")
+        if self.rep_rate <= 0:
+            raise ValueError(f"link_budget.rep_rate = {self.rep_rate} must be positive")
+
+
+def success_probability(b: LinkBudget) -> float:
+    """Coincidence probability of a single excitation attempt."""
+    per_photon = (
+        b.p_pi * b.p_s_half * b.q_e * b.t_fib * b.t_opt * b.solid_angle_fraction
+    )
+    return b.p_bell * per_photon**2
+
+
+def expected_rate(b: LinkBudget) -> float:
+    """Heralded entanglement rate in events per second."""
+    return success_probability(b) * b.rep_rate
+
+
+class LinkErrorModel(Record):
+    """Imperfections of one heralding attempt.
+
+    ``atom_photon_fidelity`` is the fidelity of each module's
+    atom-photon state to the ideal singlet; internally it maps to a
+    Werner mixing weight so that the produced state has exactly this
+    fidelity. ``mode_overlap`` is the wave-packet overlap v at the
+    beam-splitter. Detector dark counts are not modelled.
+    """
+
+    atom_photon_fidelity: float = 0.92
+    mode_overlap: float = CALIBRATED_MODE_OVERLAP
+
+    def __post_init__(self):
+        for name in ("atom_photon_fidelity", "mode_overlap"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"link_errors.{name} = {value} outside [0, 1]")
+
+    def werner_weight(self) -> float:
+        """Mixing weight w with rho = w |psi><psi| + (1 - w) I/4."""
+        return (4.0 * self.atom_photon_fidelity - 1.0) / 3.0
+
+
+_SQRT8 = 2.0 ** 1.5
+
+
+class GateSettings(Record):
+    """The ``[gate]`` section: intramodular gate phase, gate noise and
+    drive detuning (cyclic frequency, Hz).
+
+    The detuning fixes the gate schedule: gate time 2/delta, a pi phase
+    advance of the sidebands at half the gate time, and sideband Rabi
+    rate delta / 2^(3/2).
+    """
+
+    phi_a: float = 0.0
+    # Two-qubit depolarizing probability applied after each gate; 0.2
+    # reproduces the measured entangling gate fidelity of 0.85:
+    # F = 1 - 3 p / 4.
+    depolarizing_p: float = 0.2
+    detuning_hz: float = 2e4
+
+    def __post_init__(self):
+        if not 0.0 <= self.depolarizing_p <= 1.0:
+            raise ValueError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
+        if not self.detuning_hz > 0:
+            raise ValueError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
+
+    @property
+    def gate_time_s(self) -> float:
+        return 2.0 / self.detuning_hz
+
+    @property
+    def phase_flip_time_s(self) -> float:
+        return self.gate_time_s / 2.0
+
+    @property
+    def sideband_rabi_hz(self) -> float:
+        return self.detuning_hz / _SQRT8
+
+
+SPEED_OF_LIGHT = 2.99792458e8  # m/s
+
+# The geometric terms are supposed to stay below 1e-2 rad; larger values
+# are allowed but flagged at configuration load.
+GEOMETRIC_PHASE_BOUND = 1e-2
+
+
+class PhaseLedger(Record):
+    """The apparatus phase terms, with SI units.
+
+    delta_omega_ab: difference of the qubit splittings, rad/s.
+    k: wavenumber of the emission Zeeman splitting, 1/m.
+    delta_tau: excitation-time mismatch, s.
+    delta_x: path-length mismatch to the beam-splitter, m.
+    delta_phi_t: transfer-pulse phase difference, radians.
+    """
+
+    delta_omega_ab: float = 2.0 * math.pi * 2.5e3
+    k: float = 0.33
+    delta_tau: float = 1e-10
+    delta_x: float = 0.03
+    delta_phi_t: float = 0.0
+    c = SPEED_OF_LIGHT  # a constant, not a setting
+
+    def geometric_phase(self) -> float:
+        """Static geometric contribution k*c*delta_tau + k*delta_x."""
+        return self.k * self.c * self.delta_tau + self.k * self.delta_x
+
+    def herald_phase(self, phi_d: float) -> float:
+        """Phase of the pair at its herald: phi_d plus the static terms."""
+        return phi_d + self.geometric_phase() + self.delta_phi_t
+
+    def warnings(self) -> list[str]:
+        """Soft invariant checks, reported at configuration load."""
+        notes = []
+        if abs(self.k * self.c * self.delta_tau) >= GEOMETRIC_PHASE_BOUND:
+            notes.append(
+                f"excitation-time phase k*c*delta_tau = {self.k * self.c * self.delta_tau:.3g} "
+                f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
+            )
+        if abs(self.k * self.delta_x) >= GEOMETRIC_PHASE_BOUND:
+            notes.append(
+                f"path-length phase k*delta_x = {self.k * self.delta_x:.3g} "
+                f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
+            )
+        return notes
+
+
+class MemoryDecoherence(Record):
+    """Collective dephasing of a stored entangled pair.
+
+    A single coherence time drives an exponential decay of the pair
+    coherences; the mechanism is the residual magnetic-field-gradient
+    noise between the modules, so the odd-parity coherence is the
+    primary casualty. Even-parity coherences use the same constant.
+    """
+
+    tau_s: float = 1.12
+
+    def __post_init__(self):
+        if self.tau_s <= 0:
+            raise ValueError(f"memory.tau_s = {self.tau_s} must be positive")
+
+
+class DetectorModel(Record):
+    """The ``[detectors]`` section: readout errors and, per module,
+    whether its ions share one detector or each have their own."""
+
+    single_qubit_error: float = 0.01
+    two_qubit_overlap: float = 0.08
+    module_a: str = "shared"
+    module_b: str = "individual"
+
+    def __post_init__(self):
+        for name in ("single_qubit_error", "two_qubit_overlap"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"detectors.{name} = {value} outside [0, 1]")
+        for name in ("module_a", "module_b"):
+            kind = getattr(self, name)
+            if kind not in ("shared", "individual"):
+                raise ValueError(f"detectors.{name} = {kind} must be 'shared' or 'individual'")
+
+    def is_shared(self, module: str) -> bool:
+        if module not in ("A", "B"):
+            raise ValueError(f"no detector declared for module {module!r}")
+        return getattr(self, f"module_{module.lower()}") == "shared"
+
+
+class DetectorGroup(Record):
+    """Ions of one module mapped to bit positions of the outcome string."""
+
+    module: str
+    positions: tuple[int, ...]
+
+
+# Fewest waiting times the rate fit accepts, and fewest points the
+# decay and cosine fits accept.
+MIN_RATE_SAMPLES = 100
+MIN_FIT_POINTS = 3
+
+
+class ScriptError(ValueError):
+    """Raised when a protocol script fails validation."""
+
+
+class HeraldStep(Record):
+    pass
+
+
+class ReinitStep(Record):
+    qubit: str
+
+
+class MSGateStep(Record):
+    pair: tuple[str, str]
+    phi_a: float
+
+
+# A scan sets ``theta``, ``phi`` or ``duration_s`` to a 1-D array, one
+# value per scan point (see ``montecarlo.propagate``).
+class AnalysisStep(Record):
+    targets: tuple[str, ...]
+    theta: float | np.ndarray
+    phi: float | np.ndarray
+
+
+class WaitStep(Record):
+    duration_s: float | np.ndarray
+
+
+class MeasureStep(Record):
+    pass
+
+
+Step = HeraldStep | ReinitStep | MSGateStep | AnalysisStep | WaitStep | MeasureStep
+
+
+class ProtocolScript(Record):
+    """Declared register plus the ordered step list.
+
+    ``modules`` maps module names to the qubits they host (used for
+    crosstalk and detector grouping); ``link`` is the (module-A atom,
+    module-B atom) pair every herald step entangles, None without one;
+    ``Scenario.script`` takes it from the checked ``protocol.link``.
+    """
+
+    qubits: tuple[str, ...]
+    modules: dict[str, tuple[str, ...]]
+    steps: tuple[Step, ...]
+    link: tuple[str, str] | None = None
+
+    def __post_init__(self):
+        declared = set(self.qubits)
+        if len(declared) != len(self.qubits):
+            raise ScriptError(f"duplicate qubit declarations: {self.qubits}")
+        hosted = [q for qs in self.modules.values() for q in qs]
+        if sorted(hosted) != sorted(self.qubits):
+            raise ScriptError("modules must partition the declared qubits")
+        if not self.steps or not isinstance(self.steps[-1], MeasureStep):
+            raise ScriptError("script must end with exactly one measure step")
+        measures = [s for s in self.steps if isinstance(s, MeasureStep)]
+        if len(measures) != 1:
+            raise ScriptError("script must contain exactly one measure step")
+        for step in self.steps:
+            if isinstance(step, HeraldStep) and self.link is None:
+                raise ScriptError("herald step in a script without a link")
+            if isinstance(step, ReinitStep) and step.qubit not in declared:
+                raise ScriptError(f"reinit step references unknown qubit {step.qubit!r}")
+            if isinstance(step, MSGateStep):
+                if any(q not in declared for q in step.pair):
+                    raise ScriptError(f"gate step references unknown qubits {step.pair}")
+                if step.pair[0] == step.pair[1]:
+                    raise ScriptError(f"gate step needs two distinct qubits, got {step.pair}")
+                if self.module_of(step.pair[0]) != self.module_of(step.pair[1]):
+                    raise ScriptError(
+                        f"gate step on {step.pair} spans two modules; "
+                        "the phonon bus acts within one module"
+                    )
+            if isinstance(step, AnalysisStep):
+                if any(q not in declared for q in step.targets):
+                    raise ScriptError(
+                        f"analysis step references unknown qubits {step.targets}"
+                    )
+                if len(set(step.targets)) != len(step.targets):
+                    raise ScriptError(f"analysis step names a qubit twice: {step.targets}")
+            if isinstance(step, WaitStep):
+                # A scan's array of durations has a NaN min and max when it
+                # holds a NaN, and every comparison with NaN is false.
+                d = step.duration_s
+                low, high = (d.min(), d.max()) if hasattr(d, "min") else (d, d)
+                if not 0.0 <= low <= high < math.inf:
+                    raise ScriptError(f"wait duration {d} is not a finite time >= 0")
+
+    def module_of(self, qubit: str) -> str:
+        for module, qs in self.modules.items():
+            if qubit in qs:
+                return module
+        raise ScriptError(f"qubit {qubit!r} not hosted by any module")
+
+    def detector_layout(self) -> tuple[DetectorGroup, ...]:
+        """Detector groups over bit positions in ``qubits`` order."""
+        groups = []
+        for module, qs in self.modules.items():
+            positions = tuple(self.qubits.index(q) for q in qs)
+            if positions:
+                groups.append(DetectorGroup(module=module, positions=positions))
+        return tuple(groups)
 
 
 class RunSettings(Record):
@@ -357,3 +709,52 @@ def emit_scenario(s: Scenario) -> str:
         steps = getattr(part, "steps", ())
         lines += [f"step.{i} = {' '.join(step)}" for i, step in enumerate(steps, start=1)]
     return "\n".join(lines) + "\n"
+
+
+class ExperimentOutput:
+    """Tables and summary record of one run; ``warnings`` say which
+    summary figures could not be trusted and were left out.
+
+    ``tables`` maps a file stem to a table. A table maps each CSV column
+    name, in file order, to its values, one per row; every column of a
+    table has the same length.
+    """
+
+    def __init__(
+        self,
+        tables: dict[str, dict[str, Sequence]] | None = None,
+        summary: dict[str, object] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.tables = {} if tables is None else tables
+        self.summary = {} if summary is None else summary
+        self.warnings = [] if warnings is None else warnings
+
+
+def budget_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
+    p = success_probability(scenario.budget)
+    rate = expected_rate(scenario.budget)
+    d_ent = scenario.run.qubit_separation_m * rate * scenario.memory.tau_s
+    out = ExperimentOutput()
+    out.summary = {
+        "success_probability": p,
+        "success_probability_2sf": float(f"{p:.2g}"),
+        "expected_rate_per_s": rate,
+        "rep_rate_hz": scenario.budget.rep_rate,
+        "coherence_time_s": scenario.memory.tau_s,
+        "qubit_separation_m": scenario.run.qubit_separation_m,
+        "d_ent_m": d_ent,
+    }
+    return out
+
+
+def timing_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
+    gate = scenario.gate
+    out = ExperimentOutput()
+    out.summary = {
+        "detuning_hz": gate.detuning_hz,
+        "gate_time_s": gate.gate_time_s,
+        "phase_flip_time_s": gate.phase_flip_time_s,
+        "sideband_rabi_hz": gate.sideband_rabi_hz,
+    }
+    return out

@@ -143,9 +143,10 @@ class QuantumState:
         labels = _check_labels(labels, max_subsystems)
         dim = 2 ** len(labels)
         arr = np.asarray(data, dtype=complex)
+        # Each tolerance test is written so that NaN fails it.
         if arr.shape == (dim,):
             norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > STATE_ATOL:
+            if not abs(norm - 1.0) <= STATE_ATOL:
                 raise StateError(f"amplitude vector norm {norm} is not 1")
             # Renormalize residual float error; anything larger was rejected.
             arr = arr / norm
@@ -155,11 +156,11 @@ class QuantumState:
                 f"data shape {arr.shape} does not match a register of {len(labels)} subsystems"
             )
         conj = _dagger(arr)
-        if np.abs(arr - conj).max() > STATE_ATOL:
+        if not np.abs(arr - conj).max() <= STATE_ATOL:
             raise StateError("density matrix is not Hermitian")
         tr = np.trace(arr, axis1=-2, axis2=-1).real
         worst = tr.flat[np.abs(tr - 1.0).argmax()]
-        if abs(worst - 1.0) > STATE_ATOL:
+        if not abs(worst - 1.0) <= STATE_ATOL:
             raise StateError(f"density matrix trace {worst} is not 1")
         arr = 0.5 * (arr + conj) / tr[..., None, None]
         _check_positive(arr)

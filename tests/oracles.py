@@ -33,7 +33,7 @@ from numpy.random import SeedSequence
 from ionnet import states as st
 from ionnet.detection import DetectorGroup, DetectorModel, _validate_layout, apply_readout_array
 from ionnet.gates import ms_gate
-from ionnet.montecarlo import HeraldStep
+from ionnet.montecarlo import HeraldStep, readout_channel
 from ionnet.photonics import (
     DETECTOR_PAIRS,
     LinkErrorModel,
@@ -422,7 +422,7 @@ def protocol_trials_per_trial(
     true_given_branch = np.array(
         [st.outcome_probabilities(b.state, script.qubits) for b in branches]
     )
-    readout = script.readout(scenario.detectors)
+    readout = readout_channel(script, scenario.detectors)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=key))
     counts = rng.multinomial(n_trials, joint.ravel() / joint.sum()).reshape(joint.shape)

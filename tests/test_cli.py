@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import json
 import math
 import os
 import re
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from ionnet import detection, montecarlo, protocols
-from ionnet.cli import RATE_FIT, SUBCOMMANDS, main, write_outputs
+from ionnet.cli import RATE_FIT, SUBCOMMANDS, driver, main, write_outputs
 from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
 from ionnet.protocols import ExperimentOutput
 from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, format_value, loads_scenario
@@ -214,8 +215,9 @@ def test_unequal_columns_rejected_and_earlier_run_kept(tmp_path):
 
 def test_every_driver_takes_the_same_arguments():
     # A positional call cannot swap the seed and the trial count.
-    for name, driver in SUBCOMMANDS.items():
-        params = tuple(inspect.signature(driver).parameters)
+    assert len(SUBCOMMANDS) == 7
+    for name in SUBCOMMANDS:
+        params = tuple(inspect.signature(driver(name)).parameters)
         assert params == ("scenario", "seed", "n_trials", "shots"), name
 
 
@@ -409,7 +411,7 @@ def run_python(code: str, *args: str, **env: str | None) -> subprocess.Completed
 
 
 # Prints the OPENBLAS_THREAD_TIMEOUT in force when numpy is first looked
-# up, during an import of the package as the console script does it.
+# up, while the console script looks up an engine subcommand's driver.
 NUMPY_LOOKUP_PROBE = """
 import os, sys
 seen = []
@@ -419,6 +421,7 @@ class Probe:
             seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 sys.meta_path.insert(0, Probe())
 import ionnet.cli
+ionnet.cli.driver("remote-bell")
 print(seen[0] if seen else "numpy not looked up")
 """
 
@@ -440,10 +443,15 @@ def test_import_spends_no_cpu_on_idle_blas_workers():
     if cores < 2:
         pytest.skip("one core: OpenBLAS starts no worker threads")
     env = python_env(OPENBLAS_NUM_THREADS=str(cores), OPENBLAS_THREAD_TIMEOUT=None)
+    # An engine module's first use loads numpy; ionnet.cli loads none.
+    code = (
+        "import sys; from ionnet.montecarlo import run_protocol; "
+        "sys.exit('numpy' not in sys.modules)"
+    )
     excess = []
     for _ in range(5):
         start = time.monotonic()
-        proc = subprocess.Popen([sys.executable, "-c", "import ionnet.cli"], cwd=ROOT, env=env)
+        proc = subprocess.Popen([sys.executable, "-c", code], cwd=ROOT, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.monotonic() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -462,30 +470,92 @@ def test_benchmark_trace_hooks_bind():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_loads_numpy_random_not_scipy():
-    # numpy.random is loaded at import, so no run pays for it later.
-    code = (
-        "import sys, ionnet.cli; "
-        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules); "
-        "assert 'numpy.random' in sys.modules"
+# Runs main as perfbench/child.py does, with the scenario loaders wrapped,
+# and prints the exit code, the ionnet, numpy and scipy modules loaded
+# when the first load returned, and those loaded at the end. The
+# benchmark's set-up time ends at that return, and its compute time
+# begins. An engine module registered lazily counts once it has run;
+# type() reads the class without running it.
+LOAD_BOUNDARY_PROBE = """
+import json, sys
+from ionnet import cli
+def loaded():
+    return sorted(
+        n for n, m in sys.modules.items()
+        if n.split(".")[0] in ("ionnet", "numpy", "scipy") and type(m).__name__ != "_LazyModule"
     )
-    proc = run_python(code)
+marks = {}
+def mark_on_return(fn):
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        marks.setdefault("loaded", loaded())
+        return result
+    return wrapper
+cli.load_scenario = mark_on_return(cli.load_scenario)
+cli.loads_scenario = mark_on_return(cli.loads_scenario)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, marks["loaded"], loaded()]))
+"""
+
+
+def run_load_boundary_probe(*args: str, block_scipy: bool = False) -> tuple[int, list, list]:
+    # sys.modules["scipy"] = None makes any import of scipy fail.
+    prefix = "import sys; sys.modules['scipy'] = None\n" if block_scipy else ""
+    proc = run_python(prefix + LOAD_BOUNDARY_PROBE, *args)
     assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_engine_subcommand_loads_numpy_random_before_its_scenario_not_scipy(tmp_path):
+    # numpy.random is loaded before the scenario, so no run pays for it
+    # in its compute time; scipy is never loaded.
+    code, loaded, end = run_load_boundary_probe("remote-bell", "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "numpy.random" in loaded
+    assert not [m for m in end if m.split(".")[0] == "scipy"], end
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_subcommand_runs_without_scipy_and_imports_no_numpy_module(tmp_path, sub):
-    # sys.modules["scipy"] = None makes any import of scipy fail.
-    code = (
-        "import sys; sys.modules['scipy'] = None\n"
-        "from ionnet.cli import main\n"
-        "before = {m for m in sys.modules if m.startswith('numpy.')}\n"
-        "code = main(sys.argv[1:])\n"
-        "late = sorted({m for m in sys.modules if m.startswith('numpy.')} - before)\n"
-        "assert code == 0, code\n"
-        "assert not late, late\n"
+    # No numpy or ionnet module is imported, or run, after the scenario
+    # is loaded.
+    code, loaded, end = run_load_boundary_probe(
+        sub, "--out", str(tmp_path / "out"), block_scipy=True
     )
-    proc = run_python(code, sub, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert end == loaded, sorted(set(end) - set(loaded))
+
+
+# Runs main as the console script does and exits 1 if numpy was loaded.
+NUMPY_FREE_PROBE = """
+import atexit, os, sys
+atexit.register(lambda: "numpy" in sys.modules and os._exit(1))
+from ionnet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["budget"], 0), (["timing"], 0), (["budget", "--seed", "x"], 2)],
+    ids=["budget", "timing", "argparse-error"],
+)
+def test_budget_timing_and_usage_errors_load_no_numpy(tmp_path, args, code):
+    proc = run_python(NUMPY_FREE_PROBE, *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+
+
+def test_package_import_loads_no_numpy_and_every_public_name_resolves():
+    code = (
+        "import sys, ionnet\n"
+        "assert 'numpy' not in sys.modules\n"
+        "missing = [n for n in ionnet.__all__ if not hasattr(ionnet, n)]\n"
+        "assert not missing, missing\n"
+        "names = {}\n"
+        "exec('from ionnet import *', names)\n"
+        "assert set(ionnet.__all__) <= set(names)\n"
+    )
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -178,7 +178,16 @@ class TestScriptValidation:
                 steps=(mc.WaitStep(-1.0), mc.MeasureStep()),
             )
 
-    @pytest.mark.parametrize("duration", [math.nan, math.inf, np.array([0.1, math.nan])])
+    @pytest.mark.parametrize(
+        "duration",
+        [
+            math.nan,
+            math.inf,
+            np.array([0.1, math.nan]),
+            np.array([0.1, -1.0]),
+            np.array([[0.1, 0.2], [math.nan, 0.3]]),
+        ],
+    )
     def test_rejects_non_finite_wait(self, duration):
         with pytest.raises(mc.ScriptError):
             mc.ProtocolScript(

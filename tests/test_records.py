@@ -111,12 +111,12 @@ def test_defaults_are_not_shared_mutable_objects():
 def test_package_records_generate_no_code():
     assert len(package_records()) == 22
     # pytest itself loads dataclasses, so the import is checked in a
-    # fresh interpreter.
+    # fresh interpreter. vars() runs each lazily registered engine module.
     code = (
         "import sys, ionnet.cli\n"
-        "assert 'dataclasses' not in sys.modules\n"
         "classes = [v for n, m in list(sys.modules.items()) if n.startswith('ionnet')\n"
         "           for v in vars(m).values() if isinstance(v, type)]\n"
+        "assert 'numpy' in sys.modules and 'dataclasses' not in sys.modules\n"
         "assert classes\n"
         "assert not [c for c in classes if hasattr(c, '__dataclass_fields__')]\n"
     )

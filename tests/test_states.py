@@ -66,6 +66,22 @@ class TestConstruction:
         with pytest.raises(st.StateError):
             st.mixed_state(np.eye(2, dtype=complex), ["a"])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: st.mixed_state(np.full((2, 2), np.nan), ["a"]),
+            lambda: st.pure_state([math.nan, 1.0], ["a"]),
+            lambda: st.mixed_state(np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)]), ["a"]),
+            lambda: st.mixed_state(np.diag([math.inf, 0.0]), ["a"]),
+        ],
+        ids=["nan-matrix", "nan-amplitude", "nan-in-stack", "inf-diagonal"],
+    )
+    def test_rejects_non_finite_data(self, make):
+        # Every comparison with NaN is false, so each tolerance test is
+        # written to fail on it.
+        with pytest.raises(st.StateError):
+            make()
+
 
 def with_spectrum(eigenvalues, rng) -> np.ndarray:
     """A Hermitian matrix with the given eigenvalues in a Haar-random basis."""

@@ -21,7 +21,9 @@ correlations within 3 sigma, and criterion 8, remote-bell populations
 within 4 sigma.
 
 Run:  python3 scripts/seed_sweep.py [--seeds 200] [--first 1]
-(scipy provides the chi-square quantile.)
+(scipy provides the chi-square quantile.) The noiseless scenario, the
+false-failure rate and the chi-square rule are the acceptance suite's
+own, from tests/acceptance_checks.py.
 """
 
 import argparse
@@ -29,34 +31,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from acceptance_checks import FALSE_FAILURE, NOISELESS, chi_square  # noqa: E402
 from ionnet.protocols import (  # noqa: E402
     coherence_experiment,
     modular_3q_experiment,
     remote_bell_experiment,
 )
 from ionnet.scenario import load_scenario, loads_scenario  # noqa: E402
-
-# False-failure rate of each restated chi-square check.
-FALSE_FAILURE = 1e-3
-
-NOISELESS = """
-[link_errors]
-atom_photon_fidelity = 1.0
-mode_overlap = 1.0
-[gate]
-depolarizing_p = 0.0
-[phase_ledger]
-delta_tau = 0.0
-delta_x = 0.0
-[detectors]
-single_qubit_error = 0.0
-two_qubit_overlap = 0.0
-"""
 
 SCENARIOS = {
     "default": lambda: loads_scenario(""),
@@ -80,7 +66,8 @@ def tau_within_2_percent(res) -> bool:
 
 def chi_square_ok(z: np.ndarray) -> bool:
     """Sum of z^2 below the chi-square quantile of ``FALSE_FAILURE``."""
-    return float(np.sum(z**2)) < chi2.ppf(1.0 - FALSE_FAILURE, z.size)
+    stat, bound = chi_square(z)
+    return stat < bound
 
 
 def remote0_z(res) -> np.ndarray:

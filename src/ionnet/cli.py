@@ -12,7 +12,9 @@ collections skip the objects created at import.
 
 ``budget``, ``timing`` and usage errors run without numpy. An engine
 subcommand's driver is looked up, and numpy imported with it, before
-its scenario is loaded.
+its scenario is loaded. Each driver checks the settings it reads: a
+``ScenarioError`` it raises before any work exits 2, with nothing
+written.
 """
 
 from __future__ import annotations
@@ -28,18 +30,13 @@ from collections.abc import Callable
 from pathlib import Path
 
 from .scenario import (
-    MIN_FIT_POINTS,
-    MIN_RATE_SAMPLES,
-    AnalysisStep,
+    MAX_COUNT,
     ExperimentOutput,
-    HeraldStep,
-    ProtocolLayout,
     Scenario,
     ScenarioError,
     format_value,
     load_scenario,
     loads_scenario,
-    success_probability,
 )
 
 # Subcommand name -> (module, driver); every driver takes (scenario,
@@ -156,70 +153,6 @@ def _format_column(col) -> list[str]:
     return list(map(format_value, values))
 
 
-# Subcommands whose drivers are built for the default protocol steps;
-# those that fit the herald rate to sampled trials; and the [run] grid
-# each scanning subcommand fits a curve to.
-FIXED_SCRIPT = ("remote-bell", "phase-scan", "coherence", "local-gate")
-RATE_FIT = ("remote-bell", "coherence", "modular-3q")
-SCAN_GRID = {
-    "phase-scan": "phase_scan_points",
-    "coherence": "delay_points",
-    "local-gate": "phi_points",
-    "modular-3q": "phi_points",
-}
-
-
-def check_preconditions(subcommand: str, scenario: Scenario, trials: int) -> None:
-    """Reject, before any work, a run that would fail or ignore a setting."""
-    if subcommand in FIXED_SCRIPT and scenario.protocol.steps != ProtocolLayout().steps:
-        raise ScenarioError(
-            f"{subcommand} runs a fixed script and accepts only the default "
-            "protocol steps; use modular-3q to run other protocol.step.N lists"
-        )
-    if subcommand in RATE_FIT:
-        if trials < MIN_RATE_SAMPLES:
-            raise ScenarioError(
-                f"{subcommand} fits the herald rate and needs at least "
-                f"{MIN_RATE_SAMPLES} trials, got {trials}"
-            )
-        if success_probability(scenario.budget) == 0.0:
-            raise ScenarioError("link_budget gives zero herald probability; nothing would herald")
-    grid = SCAN_GRID.get(subcommand)
-    if grid and getattr(scenario.run, grid) < MIN_FIT_POINTS:
-        raise ScenarioError(f"{subcommand} fits a curve and needs run.{grid} >= {MIN_FIT_POINTS}")
-    if subcommand == "phase-scan":
-        import numpy as np
-
-        from .fitting import fit_cosine
-        from .protocols import phase_scan_grid
-
-        beat = phase_scan_grid(scenario)[1]
-        try:  # the fit's own rank rule, on the phases it will be given
-            fit_cosine(beat, np.zeros_like(beat), harmonic=1)
-        except ValueError as exc:
-            raise ScenarioError(
-                "phase-scan fits a cosine to the beat phases delta_omega_ab * delay of "
-                f"phase_ledger.delta_omega_ab = {scenario.ledger.delta_omega_ab!r}, "
-                f"run.phase_scan_points = {scenario.run.phase_scan_points} and "
-                f"run.phase_scan_delay_s = {scenario.run.phase_scan_delay_s!r}: {exc}"
-            ) from None
-    if subcommand == "modular-3q":
-        protocol = scenario.protocol
-        if len(protocol.qubits_a) != 2 or len(protocol.qubits_b) != 1:
-            raise ScenarioError("modular-3q needs two qubits in module A and one in module B")
-        steps = scenario.script().steps
-        if not any(isinstance(s, HeraldStep) for s in steps):
-            raise ScenarioError("modular-3q needs a herald step (the rate fit needs waiting times)")
-        analyses = [s for s in steps if isinstance(s, AnalysisStep)]
-        if not analyses:
-            raise ScenarioError("modular-3q needs an analyze step (the parity scan sets its phase)")
-        if any(sorted(s.targets) != sorted(protocol.qubits_a) for s in analyses):
-            raise ScenarioError(
-                "modular-3q analyze steps must target exactly the module-A qubits "
-                f"{' '.join(protocol.qubits_a)}"
-            )
-
-
 def check_out_dir(out_dir: Path) -> None:
     """Reject an output path that names a file or lies under one, and an
     existing directory that is neither empty nor an earlier ionnet run."""
@@ -296,9 +229,8 @@ def main(argv=None) -> int:
             raise ScenarioError("seed must be non-negative")
         trials = args.trials if args.trials is not None else scenario.run.n_trials
         shots = args.shots if args.shots is not None else scenario.run.shots_per_point
-        if trials < 1 or shots < 1:
-            raise ScenarioError("trials and shots must be at least 1")
-        check_preconditions(args.subcommand, scenario, trials)
+        if not (1 <= trials <= MAX_COUNT and 1 <= shots <= MAX_COUNT):
+            raise ScenarioError("trials and shots must be from 1 to 2**63 - 1")
         check_out_dir(Path(args.out))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

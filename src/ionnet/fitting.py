@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .records import Record
-from .scenario import MIN_FIT_POINTS, MIN_RATE_SAMPLES
 
 __all__ = [
     "RateFit",
@@ -30,6 +29,11 @@ class RateFit(Record):
     ks_stat: float
     ok: bool
 
+
+# Fewest waiting times the rate fit accepts, and fewest points the
+# decay and cosine fits accept.
+MIN_RATE_SAMPLES = 100
+MIN_FIT_POINTS = 3
 
 # 1 % point of Stephens' modified KS statistic D* for an exponential
 # with estimated scale (Stephens, JASA 69 (1974) 730, Table 1A); it does

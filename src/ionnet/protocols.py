@@ -4,7 +4,9 @@ Every driver takes ``(scenario, seed, n_trials, shots)``, uses the
 settings its experiment needs, and returns tables plus a flat summary
 record. Tables pair sampled estimates and their uncertainties with the
 exact density-matrix values, so the two statistics paths stay
-comparable downstream.
+comparable downstream. A driver first checks the settings it reads and
+raises ``ScenarioError``, before any work, for a configuration it
+would fail on or ignore.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 from . import states as st
 from .fitting import (
     MAX_TAU_REL_STDERR,
+    MIN_FIT_POINTS,
+    MIN_RATE_SAMPLES,
     CosineFit,
     RateFit,
     fit_cosine,
@@ -25,7 +29,9 @@ from .fitting import (
 )
 from .montecarlo import (
     AnalysisStep,
+    HeraldStep,
     MSGateStep,
+    ProtocolScript,
     WaitStep,
     binomial_err,
     coherent_entanglement_distance,
@@ -40,7 +46,15 @@ from .montecarlo import (
 )
 from .photonics import heralded_bell_ket
 from .records import replace
-from .scenario import ExperimentOutput, Scenario, budget_report, timing_report
+from .scenario import (
+    ExperimentOutput,
+    ProtocolLayout,
+    Scenario,
+    ScenarioError,
+    budget_report,
+    success_probability,
+    timing_report,
+)
 
 __all__ = [
     "ExperimentOutput",
@@ -48,7 +62,6 @@ __all__ = [
     "timing_report",
     "remote_bell_experiment",
     "phase_scan_experiment",
-    "phase_scan_grid",
     "coherence_experiment",
     "local_gate_experiment",
     "modular_3q_experiment",
@@ -59,6 +72,35 @@ _SHOT_STREAM = 20
 
 # The detector phase of each herald branch, and the key of its outputs.
 DETECTOR_PHASES = (("phid0", 0.0), ("phidpi", math.pi))
+
+
+def _fixed_script(scenario: Scenario, qubits: tuple[str, ...] | None = None) -> ProtocolScript:
+    """``scenario.script(qubits)`` for a driver built for the default
+    protocol steps; other steps are rejected."""
+    if scenario.protocol.steps != ProtocolLayout().steps:
+        raise ScenarioError(
+            "this experiment runs a fixed script and accepts only the default "
+            "protocol steps; use modular-3q to run other protocol.step.N lists"
+        )
+    return scenario.script(qubits)
+
+
+def _check_rate_fit(scenario: Scenario, n_trials: int) -> None:
+    """Reject a run whose herald rate fit would get too few waiting times."""
+    if n_trials < MIN_RATE_SAMPLES:
+        raise ScenarioError(
+            f"the herald rate fit needs at least {MIN_RATE_SAMPLES} trials, got {n_trials}"
+        )
+    if success_probability(scenario.budget) == 0.0:
+        raise ScenarioError("link_budget gives zero herald probability; nothing would herald")
+
+
+def _fit_points(scenario: Scenario, grid: str) -> int:
+    """``run.<grid>``, the points of a scan that a curve is fitted to."""
+    points = getattr(scenario.run, grid)
+    if points < MIN_FIT_POINTS:
+        raise ScenarioError(f"a curve fit needs run.{grid} >= {MIN_FIT_POINTS}, got {points}")
+    return points
 
 
 def _population_table(counts, n, exact) -> dict[str, Sequence]:
@@ -100,8 +142,9 @@ def remote_bell_experiment(
     That is not how a scan picks a detector phase, which propagates only
     that phase's branches (``phase-scan``, ``coherence``).
     """
-    script = scenario.script(scenario.protocol.link)
     pair = scenario.protocol.link
+    script = _fixed_script(scenario, pair)
+    _check_rate_fit(scenario, n_trials)
     branches = exact_branches(script, scenario)
     out = ExperimentOutput()
 
@@ -130,22 +173,27 @@ def remote_bell_experiment(
     return out
 
 
-def phase_scan_grid(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The phase scan's delays and the beat phases delta_omega_ab * delay
-    its cosine is fitted to."""
-    delays = np.linspace(0.0, scenario.run.phase_scan_delay_s, scenario.run.phase_scan_points)
-    return delays, scenario.ledger.delta_omega_ab * delays
-
-
 def phase_scan_experiment(
     scenario: Scenario, seed: int, n_trials: int, shots: int
 ) -> ExperimentOutput:
     """Even-parity population after an analysis pulse versus the delay
     between herald and analysis, for both detector phases. The two
-    branches oscillate at the Zeeman beat and are out of phase by pi."""
+    branches oscillate at the Zeeman beat and are out of phase by pi.
+    The cosine is fitted to the beat phases delta_omega_ab * delay; a
+    grid of them that cannot determine it is rejected."""
     qa, qb = scenario.protocol.link
-    delays, beat = phase_scan_grid(scenario)
-    script = scenario.script(scenario.protocol.link)
+    script = _fixed_script(scenario, (qa, qb))
+    run, omega = scenario.run, scenario.ledger.delta_omega_ab
+    delays = np.linspace(0.0, run.phase_scan_delay_s, _fit_points(scenario, "phase_scan_points"))
+    beat = omega * delays
+    try:  # the fit's own rank rule, on the phases it will be given
+        fit_cosine(beat, np.zeros_like(beat), harmonic=1)
+    except ValueError as exc:
+        raise ScenarioError(
+            "phase-scan fits a cosine to the beat phases delta_omega_ab * delay of "
+            f"phase_ledger.delta_omega_ab = {omega!r}, run.phase_scan_points = "
+            f"{run.phase_scan_points} and run.phase_scan_delay_s = {run.phase_scan_delay_s!r}: {exc}"
+        ) from None
     heralded = exact_branches(script, scenario)
     steps = (WaitStep(delays), AnalysisStep((qa, qb), math.pi / 2.0, 0.0))
     out = ExperimentOutput()
@@ -203,12 +251,12 @@ def coherence_experiment(
     """
     qa, qb = scenario.protocol.link
     run = scenario.run
+    script = _fixed_script(scenario, (qa, qb))
+    _check_rate_fit(scenario, n_trials)
+    delays = np.linspace(0.0, run.delay_max_s, _fit_points(scenario, "delay_points"))
     out = ExperimentOutput()
 
-    script = scenario.script(scenario.protocol.link)
     branches = exact_branches(script, scenario)
-
-    delays = np.linspace(0.0, run.delay_max_s, run.delay_points)
     curve = parity_scan(
         script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == 0.0],
         shots, seed, _SHOT_STREAM, 0, pair=(qa, qb),
@@ -270,11 +318,11 @@ def local_gate_experiment(
     its gate step on: the populations propagate the gate step alone,
     and the parity scan runs the steps after it from the gated state.
     """
-    qa, qb = next(args for verb, *args in scenario.protocol.steps if verb == "gate")
+    qa, qb = next(s.pair for s in _fixed_script(scenario).steps if isinstance(s, MSGateStep))
+    phis = np.linspace(0.0, math.pi, _fit_points(scenario, "phi_points"), endpoint=False)
     script = scenario.script((qa, qb))
     start = next(k for k, s in enumerate(script.steps) if isinstance(s, MSGateStep))
     script = replace(script, steps=script.steps[start:])
-    run = scenario.run
     out = ExperimentOutput()
 
     # populations without analysis pulse
@@ -293,7 +341,6 @@ def local_gate_experiment(
     out.summary["gate_fidelity_exact"] = st.fidelity(branch.state, target)
 
     # parity oscillation versus analysis phase
-    phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     scan = parity_scan(
         script, scenario, _phase_scanned(script.steps[1:], phis), [branch],
         shots, seed, _SHOT_STREAM + 1, pair=(qa, qb),
@@ -347,9 +394,23 @@ def modular_3q_experiment(
     analysis targets (the script as configured), conditioned on the
     reported state of the remote atom, the module-B end of the link.
     """
-    run = scenario.run
+    _check_rate_fit(scenario, n_trials)
+    phis = np.linspace(0.0, math.pi, _fit_points(scenario, "phi_points"), endpoint=False)
+    protocol = scenario.protocol
+    if len(protocol.qubits_a) != 2 or len(protocol.qubits_b) != 1:
+        raise ScenarioError("modular-3q needs two qubits in module A and one in module B")
     script = scenario.script()
-    pair = next(s.targets for s in script.steps if isinstance(s, AnalysisStep))
+    if not any(isinstance(s, HeraldStep) for s in script.steps):
+        raise ScenarioError("modular-3q needs a herald step (the rate fit needs waiting times)")
+    analyses = [s for s in script.steps if isinstance(s, AnalysisStep)]
+    if not analyses:
+        raise ScenarioError("modular-3q needs an analyze step (the parity scan sets its phase)")
+    if any(sorted(s.targets) != sorted(protocol.qubits_a) for s in analyses):
+        raise ScenarioError(
+            "modular-3q analyze steps must target exactly the module-A qubits "
+            f"{' '.join(protocol.qubits_a)}"
+        )
+    pair = analyses[0].targets
     remote = script.link[1]
     out = ExperimentOutput()
 
@@ -391,7 +452,6 @@ def modular_3q_experiment(
     _fit_rate(out, result.herald_time)
 
     # Conditional parity oscillation (Fig-4d style).
-    phis = np.linspace(0.0, math.pi, run.phi_points, endpoint=False)
     curves = parity_scan(
         script, scenario, _phase_scanned(script.steps[scanned:], phis), prefix,
         shots, seed, _SHOT_STREAM + 2, pair=pair, condition_qubit=remote,

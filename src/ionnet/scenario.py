@@ -23,8 +23,9 @@ This module needs no numpy, and holds everything that loading a
 scenario or running ``budget`` and ``timing`` needs: the record class
 of every section, the protocol step records and ``ProtocolScript`` with
 its checks, the link budget's arithmetic (``success_probability``,
-``expected_rate``), the fits' smallest sample sizes, ``ExperimentOutput``
-and the two reports. The engine modules that use them re-export them.
+``expected_rate``), ``ExperimentOutput`` and the two reports. The engine
+modules that use them re-export them. A setting that only one
+experiment reads is checked by that experiment's driver.
 """
 
 from __future__ import annotations
@@ -286,12 +287,6 @@ class DetectorGroup(Record):
     positions: tuple[int, ...]
 
 
-# Fewest waiting times the rate fit accepts, and fewest points the
-# decay and cosine fits accept.
-MIN_RATE_SAMPLES = 100
-MIN_FIT_POINTS = 3
-
-
 class ScriptError(ValueError):
     """Raised when a protocol script fails validation."""
 
@@ -400,6 +395,11 @@ class ProtocolScript(Record):
         return tuple(groups)
 
 
+# Largest trial or shot count that numpy draws: its samplers take a
+# signed 64-bit count.
+MAX_COUNT = 2**63 - 1
+
+
 class RunSettings(Record):
     n_trials: int = 2000
     seed: int = 1
@@ -415,6 +415,9 @@ class RunSettings(Record):
         for name in ("n_trials", "shots_per_point", "phi_points", "delay_points", "phase_scan_points"):
             if getattr(self, name) < 1:
                 raise ValueError(f"run.{name} must be at least 1")
+        for name in ("n_trials", "shots_per_point"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ValueError(f"run.{name} must be at most 2**63 - 1")
         if self.seed < 0:
             raise ValueError("run.seed must be non-negative")
         for name in ("delay_max_s", "phase_scan_delay_s", "qubit_separation_m"):

@@ -5,7 +5,7 @@ Criteria are asserted at their stated tolerances against the exact
 (density-matrix) statistics path where the number is a model property.
 Where sampling is part of the criterion, each sampled check has a stated
 rate of failing by chance: the scan-drawn parity tables are one
-chi-square over their points at ``FALSE_FAILURE``, and
+chi-square over their points at ``acceptance_checks.FALSE_FAILURE``, and
 ``scripts/seed_sweep.py`` measures every sampled check's miss rate over
 many seeds.
 """
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from ionnet import photonics as ph
 from ionnet import states as st
@@ -31,37 +30,14 @@ from ionnet.protocols import (
 )
 from ionnet.scenario import load_scenario, loads_scenario
 
+from acceptance_checks import NOISELESS, chi_square
 from oracles import bsm_outcome_distribution, fock_bsm_distribution, parity_expectation
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Rate at which a chi-square check of a sampled table fails by chance.
-FALSE_FAILURE = 1e-3
-
-NOISELESS = """
-[link_errors]
-atom_photon_fidelity = 1.0
-mode_overlap = 1.0
-[gate]
-depolarizing_p = 0.0
-[phase_ledger]
-delta_tau = 0.0
-delta_x = 0.0
-[detectors]
-single_qubit_error = 0.0
-two_qubit_overlap = 0.0
-"""
-
 
 def report(n: int, text: str):
     print(f"ACCEPTANCE {n}: {text} PASS")
-
-
-def chi_square(z: np.ndarray) -> tuple[float, float]:
-    """Sum of the squared z-scores of a table's points, and the chi-square
-    quantile that an unbiased table exceeds with probability
-    ``FALSE_FAILURE``."""
-    return float(np.sum(z**2)), float(chi2.ppf(1.0 - FALSE_FAILURE, z.size))
 
 
 def test_criterion_1_budget_reproduction():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from ionnet import detection, montecarlo, protocols
-from ionnet.cli import RATE_FIT, SUBCOMMANDS, driver, main, write_outputs
+from ionnet.cli import SUBCOMMANDS, driver, main, write_outputs
 from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
 from ionnet.protocols import ExperimentOutput
 from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, format_value, loads_scenario
@@ -41,7 +41,7 @@ def calibrated_with_steps(tmp_path: Path, steps: str) -> Path:
 
 
 def assert_rejected(tmp_path, capsys, argv, reason):
-    """The run exits 2 at load time with an error line that names
+    """The run exits 2 before any work with an error line that names
     ``reason``, and writes nothing."""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
@@ -132,6 +132,26 @@ def test_missing_config_exits_2(tmp_path):
 
 def test_bad_trials_exit_2(tmp_path):
     assert main(["remote-bell", "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
+
+
+# Counts above 2**63 - 1, the largest that numpy draws; each is rejected
+# before anything is allocated.
+BEYOND_INT64 = (2**63, 10**20)
+
+
+@pytest.mark.parametrize("count", BEYOND_INT64)
+@pytest.mark.parametrize("sub, flag", [("phase-scan", "--shots"), ("remote-bell", "--trials")])
+def test_count_beyond_int64_flag_exits_2(tmp_path, capsys, sub, flag, count):
+    assert_rejected(tmp_path, capsys, [sub, flag, str(count)], "to 2**63 - 1")
+
+
+@pytest.mark.parametrize("count", BEYOND_INT64)
+@pytest.mark.parametrize("sub, key", [("phase-scan", "shots_per_point"), ("remote-bell", "n_trials")])
+def test_count_beyond_int64_in_run_section_exits_2(tmp_path, capsys, sub, key, count):
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(f"[run]\n{key} = {count}\n")
+    reason = f"run.{key} must be at most 2**63 - 1"
+    assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], reason)
 
 
 def fail_second_write(monkeypatch):
@@ -315,7 +335,7 @@ def test_coherence_undetermined_tau_withholds_distance(tmp_path, capsys):
     assert len(warnings) == 1 and "d_ent_m" in warnings[0]
 
 
-@pytest.mark.parametrize("sub", RATE_FIT)
+@pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
 def test_rate_fit_diagnostics_in_summary(tmp_path, sub):
     out = tmp_path / sub
     assert main([sub, "--out", str(out), "--seed", "3", "--trials", "300", "--shots", "300"]) == 0

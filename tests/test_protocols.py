@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ionnet import montecarlo, protocols
 from ionnet import states as st
 from ionnet.detection import confusion_matrix
 from ionnet.gates import spin_echo_ramsey
@@ -16,15 +17,59 @@ from ionnet.protocols import (
     coherence_experiment,
     local_gate_experiment,
     modular_3q_experiment,
+    phase_scan_experiment,
+    remote_bell_experiment,
 )
 from ionnet.records import replace
-from ionnet.scenario import load_scenario, loads_scenario
+from ionnet.scenario import ScenarioError, load_scenario, loads_scenario
 
 from oracles import binomial_bounds, random_density
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATED = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
 DEFAULT = loads_scenario("")
+
+
+WAIT_STEPS = (
+    "[protocol]\nstep.1 = herald\nstep.2 = wait 0.5\nstep.3 = reinit q1\n"
+    "step.4 = gate q1 q2\nstep.5 = analyze q1 q2\nstep.6 = measure\n"
+)
+
+
+def _rejections():
+    """(driver, config text, n_trials, reason) of every setting a driver
+    checks before it runs, with an id that names the driver and setting."""
+    fixed = (remote_bell_experiment, phase_scan_experiment, coherence_experiment,
+             local_gate_experiment)
+    rate_fit = (remote_bell_experiment, coherence_experiment, modular_3q_experiment)
+    grids = ((phase_scan_experiment, "phase_scan_points"), (coherence_experiment, "delay_points"),
+             (local_gate_experiment, "phi_points"), (modular_3q_experiment, "phi_points"))
+    cases = [(d, "wait-step", WAIT_STEPS, 2000, "fixed script") for d in fixed]
+    cases += [(d, "50-trials", "", 50, "at least 100 trials") for d in rate_fit]
+    cases += [(d, "q_e-0", "[link_budget]\nq_e = 0.0\n", 2000, "zero herald probability")
+              for d in rate_fit]
+    cases += [(d, f"{grid}-2", f"[run]\n{grid} = 2\n", 2000, f"run.{grid} >= 3")
+              for d, grid in grids]
+    cases.append((phase_scan_experiment, "no-beat", "[phase_ledger]\ndelta_omega_ab = 0.0\n",
+                  2000, "do not determine a cosine"))
+    cases.append((modular_3q_experiment, "three-in-A", "[protocol]\nqubits_a = q1 q2 q4\n",
+                  2000, "two qubits in module A"))
+    return [pytest.param(d, *rest, id=f"{d.__name__}-{label}") for d, label, *rest in cases]
+
+
+@pytest.mark.parametrize("driver, text, n_trials, reason", _rejections())
+def test_driver_rejects_settings_before_exact_work(monkeypatch, driver, text, n_trials, reason):
+    # Called from Python, a driver rejects what the CLI rejects, with a
+    # ScenarioError raised before any branch is propagated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact work before the driver checked its settings")
+
+    for module in (montecarlo, protocols):
+        monkeypatch.setattr(module, "exact_branches", refuse)
+        monkeypatch.setattr(module, "propagate", refuse)
+    scenario = loads_scenario(text)
+    with pytest.raises(ScenarioError, match=reason):
+        driver(scenario, seed=1, n_trials=n_trials, shots=100)
 
 
 def test_coherence_echo_matches_spin_echo_ramsey():

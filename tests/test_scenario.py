@@ -130,6 +130,12 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="atom_photon_fidelity"):
             loads_scenario("[link_errors]\natom_photon_fidelity = 1.2\n")
 
+    @pytest.mark.parametrize("key", ["n_trials", "shots_per_point"])
+    def test_count_numpy_cannot_draw(self, key):
+        assert getattr(loads_scenario(f"[run]\n{key} = {2**63 - 1}\n").run, key) == 2**63 - 1
+        with pytest.raises(ScenarioError, match=rf"run\.{key} must be at most 2\*\*63 - 1"):
+            loads_scenario(f"[run]\n{key} = {2**63}\n")
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("/nonexistent/path.cfg")

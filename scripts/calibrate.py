@@ -38,14 +38,9 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from ionnet import states as st
-from ionnet.photonics import (
-    LinkErrorModel,
-    conditional_herald_states,
-    heralded_bell_ket,
-    module_emission,
-)
+from ionnet.photonics import conditional_herald_states, heralded_bell_ket, module_emission
 from ionnet.protocols import modular_3q_experiment
-from ionnet.scenario import loads_scenario
+from ionnet.scenario import LinkErrorModel, loads_scenario
 
 TARGET_HERALD_FIDELITY = 0.79
 ATOM_PHOTON_FIDELITY = 0.92

@@ -10,9 +10,7 @@ Zero-bright is only affected through the per-ion flips.
 
 The exact channel (``confusion_matrix``) is the product of these parts:
 one 2x2 flip matrix per ion, then one 4x4 overlap channel per shared
-pair. ``apply_readout_array`` draws the same channel shot by shot. The
-detector records (``DetectorModel``, ``DetectorGroup``) live in
-``scenario``, which needs no numpy; they are re-exported here.
+pair. ``apply_readout_array`` draws the same channel shot by shot.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ import numpy as np
 from .scenario import DetectorGroup, DetectorModel
 
 __all__ = [
-    "DetectorModel",
-    "DetectorGroup",
     "apply_readout_array",
     "confusion_matrix",
 ]

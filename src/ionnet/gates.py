@@ -10,9 +10,7 @@ The two-qubit entangling gate is the spin-dependent-force map
 where ``phi`` is set by the relative optical phase of the two Raman
 beams and is constant within one run. Gate noise is a single two-qubit
 depolarizing channel calibrated against the measured gate fidelity; the
-motional mode itself is not simulated. The gate's settings and schedule
-(``GateSettings``) live in ``scenario``, which needs no numpy; they are
-re-exported here.
+motional mode itself is not simulated.
 
 Phase conventions
 -----------------
@@ -32,11 +30,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .phases import free_evolution
-from .scenario import GateSettings
 from .states import QuantumState, StateError, apply_to_each, apply_unitary, depolarize
 
 __all__ = [
-    "GateSettings",
     "ms_unitary",
     "ms_gate",
     "rotation_matrix",

@@ -3,8 +3,6 @@
 A protocol is an ordered script of steps over declared qubits: attempt a
 remote herald on the link, re-initialize a qubit, run the local entangling
 gate, apply analysis rotations, wait, and finally measure everything.
-The step records and ``ProtocolScript`` with its checks live in
-``scenario``, which needs no numpy; they are re-exported here.
 
 Two statistics paths share all channel code. The exact path propagates
 density matrices conditioned on each herald branch (the two detector
@@ -70,16 +68,8 @@ from .scenario import (
 )
 
 __all__ = [
-    "HeraldStep",
-    "ReinitStep",
-    "MSGateStep",
-    "AnalysisStep",
-    "WaitStep",
-    "MeasureStep",
-    "ProtocolScript",
     "BranchState",
     "ProtocolResult",
-    "ScriptError",
     "rng_stream",
     "readout_channel",
     "outcome_table",

@@ -6,9 +6,7 @@ Delta_omega_AB * t, two static geometric terms k*c*Delta_tau and
 k*Delta_x from the excitation timing and path-length mismatch, and the
 transfer-pulse phase Delta_phi_T. The ledger holds the four terms set by
 the apparatus; phi_d comes with each herald. All terms are tracked in
-full precision; only ``phi_ab`` reduces to (-pi, pi] at the output. The
-ledger and memory records live in ``scenario``, which needs no numpy;
-they are re-exported here.
+full precision; only ``phi_ab`` reduces to (-pi, pi] at the output.
 """
 
 from __future__ import annotations
@@ -18,13 +16,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, MemoryDecoherence, PhaseLedger
+from .scenario import PhaseLedger
 from .states import QuantumState, apply_phase, dephase_pair
 
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "PhaseLedger",
-    "MemoryDecoherence",
     "phi_ab",
     "free_evolution",
 ]

@@ -1,9 +1,5 @@
 """Photon emission, wave-plate mapping and two-photon interference.
 
-The link's records (``LinkBudget``, ``LinkErrorModel``) and the herald
-budget's arithmetic live in ``scenario``, which needs no numpy; they
-are re-exported here.
-
 Basis conventions
 -----------------
 Atom: index 0 is the Zeeman state that the transfer pulses map to clock
@@ -40,13 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .scenario import (
-    CALIBRATED_MODE_OVERLAP,
-    LinkBudget,
-    LinkErrorModel,
-    expected_rate,
-    success_probability,
-)
+from .scenario import LinkErrorModel
 from .states import (
     QuantumState,
     StateError,
@@ -60,19 +50,15 @@ from .states import (
 )
 
 __all__ = [
-    "LinkBudget",
-    "LinkErrorModel",
-    "CALIBRATED_MODE_OVERLAP",
     "DETECTOR_PAIRS",
     "emit_atom_photon",
     "ideal_emission_ket",
     "qwp_map",
     "qwp_matrix",
     "module_emission",
+    "bsm_kraus_operators",
     "conditional_herald_states",
     "heralded_bell_ket",
-    "success_probability",
-    "expected_rate",
 ]
 
 # Valid coincidence pairs and their detector phases.

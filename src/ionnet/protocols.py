@@ -28,11 +28,6 @@ from .fitting import (
     fit_exponential_rate,
 )
 from .montecarlo import (
-    AnalysisStep,
-    HeraldStep,
-    MSGateStep,
-    ProtocolScript,
-    WaitStep,
     binomial_err,
     coherent_entanglement_distance,
     exact_branches,
@@ -47,19 +42,19 @@ from .montecarlo import (
 from .photonics import heralded_bell_ket
 from .records import replace
 from .scenario import (
+    AnalysisStep,
     ExperimentOutput,
+    HeraldStep,
+    MSGateStep,
     ProtocolLayout,
+    ProtocolScript,
     Scenario,
     ScenarioError,
-    budget_report,
+    WaitStep,
     success_probability,
-    timing_report,
 )
 
 __all__ = [
-    "ExperimentOutput",
-    "budget_report",
-    "timing_report",
     "remote_bell_experiment",
     "phase_scan_experiment",
     "coherence_experiment",

@@ -23,9 +23,8 @@ This module needs no numpy, and holds everything that loading a
 scenario or running ``budget`` and ``timing`` needs: the record class
 of every section, the protocol step records and ``ProtocolScript`` with
 its checks, the link budget's arithmetic (``success_probability``,
-``expected_rate``), ``ExperimentOutput`` and the two reports. The engine
-modules that use them re-export them. A setting that only one
-experiment reads is checked by that experiment's driver.
+``expected_rate``), ``ExperimentOutput`` and the two reports. A setting
+that only one experiment reads is checked by that experiment's driver.
 """
 
 from __future__ import annotations
@@ -47,9 +46,14 @@ __all__ = [
     "load_scenario",
     "loads_scenario",
     "emit_scenario",
+    "format_value",
+    "RunSettings",
+    "ProtocolLayout",
+    "CALIBRATED_MODE_OVERLAP",
     "LinkBudget",
     "LinkErrorModel",
     "GateSettings",
+    "SPEED_OF_LIGHT",
     "PhaseLedger",
     "MemoryDecoherence",
     "DetectorModel",
@@ -684,9 +688,15 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"config file not found: {path}")
-    return loads_scenario(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ScenarioError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ScenarioError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
+    return loads_scenario(text, source=str(path))
 
 
 def format_value(value) -> str:

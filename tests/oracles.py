@@ -31,14 +31,15 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from ionnet import states as st
-from ionnet.detection import DetectorGroup, DetectorModel, _validate_layout, apply_readout_array
+from ionnet.detection import _validate_layout, apply_readout_array
 from ionnet.gates import ms_gate
-from ionnet.montecarlo import HeraldStep, readout_channel
-from ionnet.photonics import (
-    DETECTOR_PAIRS,
+from ionnet.montecarlo import readout_channel
+from ionnet.photonics import DETECTOR_PAIRS, bsm_kraus_operators, conditional_herald_states
+from ionnet.scenario import (
+    DetectorGroup,
+    DetectorModel,
+    HeraldStep,
     LinkErrorModel,
-    bsm_kraus_operators,
-    conditional_herald_states,
     success_probability,
 )
 

@@ -21,14 +21,22 @@ from ionnet import photonics as ph
 from ionnet import states as st
 from ionnet.cli import main as cli_main
 from ionnet.fitting import KS_STAT_CRITICAL, fit_exponential_rate
-from ionnet.gates import GateSettings, analysis_rotation, ms_gate, spin_echo_ramsey
+from ionnet.gates import analysis_rotation, ms_gate, spin_echo_ramsey
 from ionnet.montecarlo import coherent_entanglement_distance, rng_stream
 from ionnet.protocols import (
     coherence_experiment,
     modular_3q_experiment,
     remote_bell_experiment,
 )
-from ionnet.scenario import load_scenario, loads_scenario
+from ionnet.scenario import (
+    GateSettings,
+    LinkBudget,
+    LinkErrorModel,
+    expected_rate,
+    load_scenario,
+    loads_scenario,
+    success_probability,
+)
 
 from acceptance_checks import NOISELESS, chi_square
 from oracles import bsm_outcome_distribution, fock_bsm_distribution, parity_expectation
@@ -41,17 +49,17 @@ def report(n: int, text: str):
 
 
 def test_criterion_1_budget_reproduction():
-    budget = ph.LinkBudget()
-    p = ph.success_probability(budget)
+    budget = LinkBudget()
+    p = success_probability(budget)
     assert f"{p:.2g}" == "9.7e-06"
-    rate = ph.expected_rate(budget)
+    rate = expected_rate(budget)
     assert abs(rate - 4.5) / 4.5 < 0.05
     report(1, f"budget P = {p:.3g} (9.7e-06 at 2 s.f.), rate = {rate:.3f}/s (4.5 within 5%)")
 
 
 def test_criterion_2_monte_carlo_rate():
-    budget = ph.LinkBudget()
-    p = ph.success_probability(budget)
+    budget = LinkBudget()
+    p = success_probability(budget)
     rng = rng_stream(20_2020, 2)
     waits = rng.geometric(p, size=100_000) / budget.rep_rate
     fit = fit_exponential_rate(waits)
@@ -63,7 +71,7 @@ def test_criterion_2_monte_carlo_rate():
 
 
 def test_criterion_3_remote_fidelity_composition():
-    err = ph.LinkErrorModel()  # 0.92 per module, calibrated overlap
+    err = LinkErrorModel()  # 0.92 per module, calibrated overlap
     a = ph.module_emission(err, "qa", "pa")
     b = ph.module_emission(err, "qb", "pb")
     fids = []

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from ionnet import states as st
-from ionnet.montecarlo import (
+from ionnet.montecarlo import outcome_table, propagate
+from ionnet.records import replace
+from ionnet.scenario import (
     AnalysisStep,
     HeraldStep,
     MeasureStep,
@@ -23,11 +25,8 @@ from ionnet.montecarlo import (
     ProtocolScript,
     ReinitStep,
     WaitStep,
-    outcome_table,
-    propagate,
+    load_scenario,
 )
-from ionnet.records import replace
-from ionnet.scenario import load_scenario
 
 from oracles import haar_unitary, random_density
 

@@ -4,8 +4,7 @@ derives."""
 import importlib.util
 from pathlib import Path
 
-from ionnet.photonics import LinkErrorModel
-from ionnet.scenario import load_scenario
+from ionnet.scenario import LinkErrorModel, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -20,8 +20,14 @@ from hypothesis import strategies as hs
 from ionnet import detection, montecarlo, protocols
 from ionnet.cli import SUBCOMMANDS, driver, main, write_outputs
 from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
-from ionnet.protocols import ExperimentOutput
-from ionnet.scenario import _SCHEMA, ScenarioError, emit_scenario, format_value, loads_scenario
+from ionnet.scenario import (
+    _SCHEMA,
+    ExperimentOutput,
+    ScenarioError,
+    emit_scenario,
+    format_value,
+    loads_scenario,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATED = ROOT / "configs" / "calibrated_3q.cfg"
@@ -126,8 +132,16 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
-def test_missing_config_exits_2(tmp_path):
-    assert main(["budget", "--config", "/no/such.cfg", "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_missing_config_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "in.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"[run]\nseed = 3 \xff\n")
+    # main returns 2 instead of raising, so the console script prints no
+    # traceback.
+    assert_rejected(tmp_path, capsys, ["budget", "--config", str(cfg)], str(cfg))
 
 
 def test_bad_trials_exit_2(tmp_path):

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from ionnet import detection as det
+from ionnet.scenario import DetectorGroup, DetectorModel
 
 from oracles import apply_readout, confusion_matrix_enumerated
 
 RNG = np.random.default_rng
 
 LAYOUT_3Q = (
-    det.DetectorGroup(module="A", positions=(0, 1)),
-    det.DetectorGroup(module="B", positions=(2,)),
+    DetectorGroup(module="A", positions=(0, 1)),
+    DetectorGroup(module="B", positions=(2,)),
 )
-LAYOUT_1Q = (det.DetectorGroup(module="B", positions=(0,)),)
-LAYOUT_2Q_SHARED = (det.DetectorGroup(module="A", positions=(0, 1)),)
+LAYOUT_1Q = (DetectorGroup(module="B", positions=(0,)),)
+LAYOUT_2Q_SHARED = (DetectorGroup(module="A", positions=(0, 1)),)
 
 
 def test_zero_error_is_identity():
-    model = det.DetectorModel(0.0, 0.0)
+    model = DetectorModel(0.0, 0.0)
     rng = RNG(0)
     bits = rng.integers(0, 2, size=(500, 3))
     out = det.apply_readout_array(bits, model, LAYOUT_3Q, rng)
@@ -26,7 +27,7 @@ def test_zero_error_is_identity():
 
 
 def test_single_qubit_flip_rate():
-    model = det.DetectorModel(single_qubit_error=0.01, two_qubit_overlap=0.0)
+    model = DetectorModel(single_qubit_error=0.01, two_qubit_overlap=0.0)
     rng = RNG(1)
     n = 100_000
     bits = np.ones((n, 1), dtype=np.int64)
@@ -37,7 +38,7 @@ def test_single_qubit_flip_rate():
 
 
 def test_shared_detector_overlap_rate():
-    model = det.DetectorModel(single_qubit_error=0.0, two_qubit_overlap=0.08)
+    model = DetectorModel(single_qubit_error=0.0, two_qubit_overlap=0.08)
     rng = RNG(2)
     n = 100_000
     bits = np.ones((n, 2), dtype=np.int64)
@@ -51,7 +52,7 @@ def test_shared_detector_overlap_rate():
 
 
 def test_one_bright_confused_up():
-    model = det.DetectorModel(single_qubit_error=0.0, two_qubit_overlap=0.08)
+    model = DetectorModel(single_qubit_error=0.0, two_qubit_overlap=0.08)
     rng = RNG(3)
     n = 100_000
     bits = np.tile(np.array([[0, 1]]), (n, 1))
@@ -62,7 +63,7 @@ def test_one_bright_confused_up():
 
 
 def test_zero_bright_untouched_by_overlap():
-    model = det.DetectorModel(single_qubit_error=0.0, two_qubit_overlap=0.5)
+    model = DetectorModel(single_qubit_error=0.0, two_qubit_overlap=0.5)
     rng = RNG(4)
     bits = np.zeros((2000, 2), dtype=np.int64)
     out = det.apply_readout_array(bits, model, LAYOUT_2Q_SHARED, rng)
@@ -70,7 +71,7 @@ def test_zero_bright_untouched_by_overlap():
 
 
 def test_empirical_confusion_matrix_matches_enumeration():
-    model = det.DetectorModel()  # defaults 0.01 / 0.08, A shared
+    model = DetectorModel()  # defaults 0.01 / 0.08, A shared
     oracle = det.confusion_matrix(3, model, LAYOUT_3Q)
     # columns are probability distributions
     np.testing.assert_allclose(oracle.sum(axis=0), np.ones(8), atol=1e-12)
@@ -89,7 +90,7 @@ def test_empirical_confusion_matrix_matches_enumeration():
 
 
 def layout(*groups):
-    return tuple(det.DetectorGroup(module=m, positions=p) for m, p in groups)
+    return tuple(DetectorGroup(module=m, positions=p) for m, p in groups)
 
 
 # Reversed positions and a 4-qubit layout with two shared pairs are
@@ -110,7 +111,7 @@ def test_confusion_matrix_matches_enumeration(n_bits, groups, module_a, module_b
     rng = RNG(7)
     errors = [(0.0, 0.0), (0.01, 0.08), (1.0, 1.0), *rng.random((40, 2)).tolist()]
     for eps, overlap in errors:
-        model = det.DetectorModel(eps, overlap, module_a, module_b)
+        model = DetectorModel(eps, overlap, module_a, module_b)
         got = det.confusion_matrix(n_bits, model, groups)
         want = confusion_matrix_enumerated(n_bits, model, groups)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -127,14 +128,14 @@ def test_confusion_matrix_matches_enumeration(n_bits, groups, module_a, module_b
     ],
 )
 def test_confusion_matrix_layout_rejections(n_bits, groups, match):
-    model = det.DetectorModel()
+    model = DetectorModel()
     for build in (det.confusion_matrix, confusion_matrix_enumerated):
         with pytest.raises(ValueError, match=match):
             build(n_bits, model, groups)
 
 
 def test_individual_topology_has_no_overlap():
-    model = det.DetectorModel(
+    model = DetectorModel(
         single_qubit_error=0.0, two_qubit_overlap=0.5,
         module_a="individual", module_b="individual",
     )
@@ -145,34 +146,34 @@ def test_individual_topology_has_no_overlap():
 
 
 def test_layout_validation():
-    model = det.DetectorModel()
+    model = DetectorModel()
     rng = RNG(0)
     with pytest.raises(ValueError):
         apply_readout((0, 1), model, LAYOUT_3Q, rng)  # 2 bits vs 3 positions
-    bad = (det.DetectorGroup(module="A", positions=(0, 1, 2)),)
+    bad = (DetectorGroup(module="A", positions=(0, 1, 2)),)
     with pytest.raises(ValueError):
         apply_readout((0, 1, 1), model, bad, rng)  # 3 ions on shared PMT
     with pytest.raises(ValueError, match=r"^detectors\.module_a = both "):
-        det.DetectorModel(module_a="both")
+        DetectorModel(module_a="both")
     with pytest.raises(ValueError, match=r"^detectors\.module_b = "):
-        det.DetectorModel(module_b="")
+        DetectorModel(module_b="")
     with pytest.raises(ValueError):
-        det.DetectorModel(single_qubit_error=1.5)
+        DetectorModel(single_qubit_error=1.5)
 
 
 def test_unknown_module_rejected():
-    model = det.DetectorModel()
+    model = DetectorModel()
     assert model.is_shared("A") and not model.is_shared("B")
     with pytest.raises(ValueError, match="'C'"):
         model.is_shared("C")
     rng = RNG(0)
-    layout = (det.DetectorGroup(module="C", positions=(0,)),)
+    layout = (DetectorGroup(module="C", positions=(0,)),)
     with pytest.raises(ValueError):
         apply_readout((1,), model, layout, rng)
 
 
 def test_scalar_roundtrip():
-    model = det.DetectorModel(0.0, 0.0)
+    model = DetectorModel(0.0, 0.0)
     out = apply_readout((1, 0, 1), model, LAYOUT_3Q, RNG(0))
     assert out == (1, 0, 1)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from ionnet import gates as g
 from ionnet import states as st
+from ionnet.scenario import GateSettings
 
 from oracles import ms_gate_trajectory, parity_expectation, purity
 
@@ -45,13 +46,13 @@ class TestMSGate:
 
     def test_calibrated_noise_fidelity(self):
         s = st.basis_state([0, 0], ["q1", "q2"])
-        out = g.ms_gate(s, ["q1", "q2"], 0.0, g.GateSettings().depolarizing_p)
+        out = g.ms_gate(s, ["q1", "q2"], 0.0, GateSettings().depolarizing_p)
         f = st.fidelity(out, even_bell(0.0))
         assert abs(f - 0.85) < 0.01
 
     def test_even_population_with_noise(self):
         s = st.basis_state([0, 0], ["q1", "q2"])
-        out = g.ms_gate(s, ["q1", "q2"], 0.0, g.GateSettings().depolarizing_p)
+        out = g.ms_gate(s, ["q1", "q2"], 0.0, GateSettings().depolarizing_p)
         p = st.outcome_probabilities(out, ["q1", "q2"])
         assert p[0] + p[3] >= 0.90 - 1e-12
 
@@ -179,29 +180,29 @@ class TestGateTiming:
     """The gate schedule derived from the detuning of ``GateSettings``."""
 
     def test_reference_detuning(self):
-        t = g.GateSettings()
+        t = GateSettings()
         assert t.detuning_hz == 20e3
         assert t.gate_time_s == pytest.approx(1e-4, rel=1e-12)
         assert t.phase_flip_time_s == pytest.approx(5e-5, rel=1e-12)
         assert t.sideband_rabi_hz == pytest.approx(7071.0678, rel=1e-7)
 
     def test_slow_detuning(self):
-        assert g.GateSettings(detuning_hz=2.0).gate_time_s == pytest.approx(1.0, rel=1e-12)
+        assert GateSettings(detuning_hz=2.0).gate_time_s == pytest.approx(1.0, rel=1e-12)
 
     def test_roundtrip_relation(self):
-        t = g.GateSettings(detuning_hz=13321.7)
+        t = GateSettings(detuning_hz=13321.7)
         assert t.sideband_rabi_hz * 2**1.5 == pytest.approx(13321.7, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match=r"gate\.detuning_hz"):
-            g.GateSettings(detuning_hz=0.0)
+            GateSettings(detuning_hz=0.0)
         with pytest.raises(ValueError, match=r"gate\.detuning_hz"):
-            g.GateSettings(detuning_hz=-5.0)
+            GateSettings(detuning_hz=-5.0)
 
     @given(hst.floats(min_value=1e-3, max_value=1e9, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_invariants_hold_for_random_detunings(self, detuning):
-        t = g.GateSettings(detuning_hz=detuning)
+        t = GateSettings(detuning_hz=detuning)
         assert t.gate_time_s == pytest.approx(2.0 / detuning, rel=1e-12)
         assert t.phase_flip_time_s == pytest.approx(t.gate_time_s / 2, rel=1e-12)
         assert t.sideband_rabi_hz == pytest.approx(detuning / 2**1.5, rel=1e-12)

@@ -6,20 +6,31 @@ import pytest
 
 from ionnet import montecarlo as mc
 from ionnet import states as st
-from ionnet.detection import DetectorModel, confusion_matrix
+from ionnet.detection import confusion_matrix
 from ionnet.fitting import KS_STAT_CRITICAL, fit_cosine, fit_exponential_rate
-from ionnet.gates import GateSettings
-from ionnet.phases import MemoryDecoherence, PhaseLedger
-from ionnet.photonics import (
-    DETECTOR_PAIRS,
+from ionnet.photonics import DETECTOR_PAIRS, bsm_kraus_operators, module_emission
+from ionnet.records import replace
+from ionnet.scenario import (
+    AnalysisStep,
+    DetectorModel,
+    GateSettings,
+    HeraldStep,
     LinkBudget,
     LinkErrorModel,
-    bsm_kraus_operators,
-    module_emission,
+    MeasureStep,
+    MemoryDecoherence,
+    MSGateStep,
+    PhaseLedger,
+    ProtocolLayout,
+    ProtocolScript,
+    ReinitStep,
+    Scenario,
+    ScriptError,
+    WaitStep,
+    load_scenario,
+    loads_scenario,
     success_probability,
 )
-from ionnet.records import replace
-from ionnet.scenario import ProtocolLayout, Scenario, load_scenario, loads_scenario
 from oracles import parity_expectation, protocol_trials_per_trial, sample_scan_per_row
 
 RNG = np.random.default_rng
@@ -48,16 +59,16 @@ def mean_outcomes(branches, qubits) -> np.ndarray:
     return np.tensordot(weights, true, axes=1) / weights.sum()
 
 
-def three_qubit_script(phi=None) -> mc.ProtocolScript:
+def three_qubit_script(phi=None) -> ProtocolScript:
     steps = [
-        mc.HeraldStep(),
-        mc.ReinitStep("q1"),
-        mc.MSGateStep(("q1", "q2"), 0.0),
+        HeraldStep(),
+        ReinitStep("q1"),
+        MSGateStep(("q1", "q2"), 0.0),
     ]
     if phi is not None:
-        steps.append(mc.AnalysisStep(("q1", "q2"), math.pi / 2, phi))
-    steps.append(mc.MeasureStep())
-    return mc.ProtocolScript(
+        steps.append(AnalysisStep(("q1", "q2"), math.pi / 2, phi))
+    steps.append(MeasureStep())
+    return ProtocolScript(
         qubits=("q1", "q2", "q3"),
         modules={"A": ("q1", "q2"), "B": ("q3",)},
         link=("q2", "q3"),
@@ -74,11 +85,11 @@ def tripartite_target(phi_a: float, phi_ab: float) -> st.QuantumState:
     return st.pure_state(amps, ["q1", "q2", "q3"])
 
 
-def pair_script() -> mc.ProtocolScript:
-    return mc.ProtocolScript(
+def pair_script() -> ProtocolScript:
+    return ProtocolScript(
         qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
         link=("q2", "q3"),
-        steps=(mc.HeraldStep(), mc.MeasureStep()),
+        steps=(HeraldStep(), MeasureStep()),
     )
 
 
@@ -144,38 +155,38 @@ class TestSampleWaiting:
 
 class TestScriptValidation:
     def test_requires_measure_last(self):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1",), modules={"A": ("q1",)},
-                steps=(mc.MeasureStep(), mc.ReinitStep("q1")),
+                steps=(MeasureStep(), ReinitStep("q1")),
             )
 
     def test_requires_single_measure(self):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1",), modules={"A": ("q1",)},
-                steps=(mc.MeasureStep(), mc.MeasureStep()),
+                steps=(MeasureStep(), MeasureStep()),
             )
 
     def test_rejects_unknown_qubits(self):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1",), modules={"A": ("q1",)},
-                steps=(mc.ReinitStep("qX"), mc.MeasureStep()),
+                steps=(ReinitStep("qX"), MeasureStep()),
             )
 
     def test_rejects_unknown_link(self):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
-                steps=(mc.HeraldStep(), mc.MeasureStep()),
+                steps=(HeraldStep(), MeasureStep()),
             )
 
     def test_rejects_negative_wait(self):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1",), modules={"A": ("q1",)},
-                steps=(mc.WaitStep(-1.0), mc.MeasureStep()),
+                steps=(WaitStep(-1.0), MeasureStep()),
             )
 
     @pytest.mark.parametrize(
@@ -189,25 +200,25 @@ class TestScriptValidation:
         ],
     )
     def test_rejects_non_finite_wait(self, duration):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1",), modules={"A": ("q1",)},
-                steps=(mc.WaitStep(duration), mc.MeasureStep()),
+                steps=(WaitStep(duration), MeasureStep()),
             )
 
     def test_rejects_analysis_naming_a_qubit_twice(self):
         # Rotating q1 twice by pi/2 would act as a pi pulse.
-        with pytest.raises(mc.ScriptError, match="names a qubit twice"):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError, match="names a qubit twice"):
+            ProtocolScript(
                 qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
-                steps=(mc.AnalysisStep(("q1", "q1"), math.pi / 2, 0.0), mc.MeasureStep()),
+                steps=(AnalysisStep(("q1", "q1"), math.pi / 2, 0.0), MeasureStep()),
             )
 
     def test_modules_must_partition_qubits(self):
-        with pytest.raises(mc.ScriptError):
-            mc.ProtocolScript(
+        with pytest.raises(ScriptError):
+            ProtocolScript(
                 qubits=("q1", "q2"), modules={"A": ("q1",)},
-                steps=(mc.MeasureStep(),),
+                steps=(MeasureStep(),),
             )
 
 
@@ -241,10 +252,10 @@ class TestExactBranches:
     def test_remote_populations_odd_parity(self):
         # before the local gate the heralded pair is odd-parity
         cfg = DEFAULTS  # calibrated defaults
-        script = mc.ProtocolScript(
+        script = ProtocolScript(
             qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
             link=("q2", "q3"),
-            steps=(mc.HeraldStep(), mc.MeasureStep()),
+            steps=(HeraldStep(), MeasureStep()),
         )
         diag = mean_outcomes(mc.exact_branches(script, cfg), ("q2", "q3"))
         assert diag[1] + diag[2] >= 0.78
@@ -262,11 +273,11 @@ class TestExactBranches:
         # that herald on: each branch of two heralds is the branch of one
         # with the same detector phase (tau_s = 1.12 s dephases the link).
         def run(*steps):
-            script = replace(pair_script(), steps=(*steps, mc.WaitStep(0.5), mc.MeasureStep()))
+            script = replace(pair_script(), steps=(*steps, WaitStep(0.5), MeasureStep()))
             return mc.exact_branches(script, DEFAULTS)
 
-        one = {b.phi_d: b.state.data for b in run(mc.HeraldStep())}
-        two = run(mc.HeraldStep(), mc.HeraldStep())
+        one = {b.phi_d: b.state.data for b in run(HeraldStep())}
+        two = run(HeraldStep(), HeraldStep())
         assert [b.phi_d for b in two] == [0.0, math.pi, 0.0, math.pi]
         for b in two:
             np.testing.assert_allclose(b.state.data, one[b.phi_d], rtol=0, atol=1e-12)
@@ -275,10 +286,10 @@ class TestExactBranches:
         ledger = PhaseLedger(delta_omega_ab=2 * math.pi * 2.5e3, delta_tau=0.0,
                              delta_x=0.0, delta_phi_t=0.4)
         cfg = noiseless_config(ledger=ledger)
-        script = mc.ProtocolScript(
+        script = ProtocolScript(
             qubits=("q2", "q3"), modules={"A": ("q2",), "B": ("q3",)},
             link=("q2", "q3"),
-            steps=(mc.HeraldStep(), mc.WaitStep(1e-4), mc.MeasureStep()),
+            steps=(HeraldStep(), WaitStep(1e-4), MeasureStep()),
         )
         from ionnet.photonics import heralded_bell_ket
 
@@ -306,9 +317,9 @@ class TestRunProtocol:
         assert attempts.min() >= 1
         np.testing.assert_allclose(attempts, np.round(attempts), rtol=1e-12)
         # a script without a herald step spends no time waiting
-        local = mc.ProtocolScript(
+        local = ProtocolScript(
             qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
-            steps=(mc.MSGateStep(("q1", "q2"), 0.0), mc.MeasureStep()),
+            steps=(MSGateStep(("q1", "q2"), 0.0), MeasureStep()),
         )
         np.testing.assert_array_equal(mc.run_protocol(local, cfg, 20, seed=5).herald_time, 0.0)
 
@@ -393,7 +404,7 @@ class TestRunProtocol:
     def test_two_heralds_equal_per_trial_reference(self):
         # Each herald step adds its own geometric attempts to every trial.
         script = three_qubit_script(0.3)
-        script = replace(script, steps=(mc.HeraldStep(), *script.steps))
+        script = replace(script, steps=(HeraldStep(), *script.steps))
         branches = mc.exact_branches(script, DEFAULTS)
         res = mc.run_protocol(script, DEFAULTS, 1000, 17, branches=branches)
         counts, herald_time = protocol_trials_per_trial(
@@ -423,7 +434,7 @@ class TestParityScan:
         phis = np.linspace(0, math.pi, 8, endpoint=False)
         script = three_qubit_script(0.0)
         prefix = mc.propagate(script, cfg, script.steps[:3])
-        analysis = mc.AnalysisStep(("q1", "q2"), math.pi / 2, phis)
+        analysis = AnalysisStep(("q1", "q2"), math.pi / 2, phis)
         curves = mc.parity_scan(
             script, cfg, (analysis,), prefix, 4000, 5, 2,
             pair=("q1", "q2"), condition_qubit="q3",
@@ -448,7 +459,7 @@ class TestParityScan:
 
     def test_script_without_analysis_step_rejected(self):
         # No step takes the scanned phase, so there is nothing to scan.
-        with pytest.raises(mc.ScriptError, match="no analysis step"):
+        with pytest.raises(ScriptError, match="no analysis step"):
             mc.first_analysis(three_qubit_script())
 
     @pytest.mark.parametrize("phi_d", [0.0, math.pi], ids=["phid0", "phidpi"])
@@ -461,11 +472,11 @@ class TestParityScan:
         pair = ("q2", "q3")
         delays = np.linspace(0.0, 3e-4, 7)
         mine = [b for b in mc.exact_branches(script, DEFAULTS) if b.phi_d == phi_d]
-        analysis = mc.AnalysisStep(pair, math.pi / 2, 0.0)
-        steps = (mc.WaitStep(delays), analysis)
+        analysis = AnalysisStep(pair, math.pi / 2, 0.0)
+        steps = (WaitStep(delays), analysis)
         curve = mc.parity_scan(script, DEFAULTS, steps, mine, 500, 3, 20, 1, pair=pair)["all"]
         for delay, got in zip(delays, curve["exact_ideal_readout"]):
-            (point,) = mc.propagate(script, DEFAULTS, (mc.WaitStep(float(delay)), analysis), mine)
+            (point,) = mc.propagate(script, DEFAULTS, (WaitStep(float(delay)), analysis), mine)
             assert abs(got - parity_expectation(point.state, pair)) <= 1e-12
         scanned = mc.propagate(script, DEFAULTS, steps, mine)
         counts = mc.sample_outcomes(script, DEFAULTS, scanned, 500, 3, 20, 1)[2]
@@ -538,8 +549,8 @@ class TestConditionalCorrelations:
         counts = np.array([[n, 0, 0, 0], [0, n, 0, 0], [100, 100, 100, 100], [250, 50, 50, 50]])
         probs = counts / n
         monkeypatch.setattr(mc, "sample_outcomes", lambda *args: (probs, probs, counts))
-        script = mc.ProtocolScript(
-            qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, steps=(mc.MeasureStep(),)
+        script = ProtocolScript(
+            qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, steps=(MeasureStep(),)
         )
         branch = mc.BranchState(phi_d=None, weight=1.0, state=st.basis_state([0, 0], ("q1", "q2")))
         curve = mc.parity_scan(script, DEFAULTS, (), [branch], n, 1, pair=("q1", "q2"))["all"]
@@ -612,7 +623,7 @@ class TestRngScheme:
         # distributions are the rows of ``probs`` (one branch of weight 1),
         # read out by noiseless individual detectors (the identity channel).
         qubits = tuple(f"q{i}" for i in range(int(math.log2(probs.shape[-1]))))
-        script = mc.ProtocolScript(qubits=qubits, modules={"B": qubits}, steps=(mc.MeasureStep(),))
+        script = ProtocolScript(qubits=qubits, modules={"B": qubits}, steps=(MeasureStep(),))
         scenario = replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0))
         monkeypatch.setattr(mc, "outcome_table", lambda *args: (np.ones(1), probs[None]))
         return mc.sample_outcomes(script, scenario, [], shots, seed, *key)[2]

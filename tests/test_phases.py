@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from ionnet import phases as ph
 from ionnet import states as st
 from ionnet.gates import rotation
+from ionnet.scenario import MemoryDecoherence, PhaseLedger
 
 RNG = np.random.default_rng
 
@@ -21,34 +22,34 @@ def odd_pair(phase=0.0, labels=("a", "b")):
 
 class TestPhiAB:
     def test_all_zero(self):
-        ledger = ph.PhaseLedger(delta_omega_ab=0, k=0, delta_tau=0, delta_x=0, delta_phi_t=0)
+        ledger = PhaseLedger(delta_omega_ab=0, k=0, delta_tau=0, delta_x=0, delta_phi_t=0)
         assert ph.phi_ab(ledger, 0.0, 0.0) == 0.0
 
     def test_beat_term(self):
-        ledger = ph.PhaseLedger(delta_omega_ab=2 * math.pi * 2.5e3, k=0, delta_tau=0, delta_x=0)
+        ledger = PhaseLedger(delta_omega_ab=2 * math.pi * 2.5e3, k=0, delta_tau=0, delta_x=0)
         # 2 pi x 2500 x 1e-4 = pi/2
         assert ph.phi_ab(ledger, 0.0, 1e-4) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_geometric_terms_are_small_at_defaults(self):
-        ledger = ph.PhaseLedger()
+        ledger = PhaseLedger()
         assert abs(ledger.k * ledger.c * ledger.delta_tau) < 1e-2
         assert abs(ledger.k * ledger.delta_x) < 1e-2
         assert ledger.k * ledger.c * ledger.delta_tau == pytest.approx(9.893e-3, rel=1e-3)
         assert not ledger.warnings()
 
     def test_warning_on_large_geometry(self):
-        ledger = ph.PhaseLedger(delta_tau=1e-8)
+        ledger = PhaseLedger(delta_tau=1e-8)
         assert any("delta_tau" in w for w in ledger.warnings())
 
     def test_reduction_range(self):
-        ledger = ph.PhaseLedger(delta_omega_ab=1.0, k=0, delta_tau=0, delta_x=0)
+        ledger = PhaseLedger(delta_omega_ab=1.0, k=0, delta_tau=0, delta_x=0)
         for t in np.linspace(0, 50, 400):
             val = ph.phi_ab(ledger, math.pi, float(t))
             assert -math.pi < val <= math.pi + 1e-15
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ph.phi_ab(ph.PhaseLedger(), 0.0, -0.1)
+            ph.phi_ab(PhaseLedger(), 0.0, -0.1)
 
     @given(
         t1=hst.floats(min_value=0, max_value=10),
@@ -56,7 +57,7 @@ class TestPhiAB:
     )
     @settings(max_examples=80, deadline=None)
     def test_affine_in_time(self, t1, t2):
-        ledger = ph.PhaseLedger()
+        ledger = PhaseLedger()
         diff = ph.phi_ab(ledger, 0.0, t1 + t2) - ph.phi_ab(ledger, 0.0, t2)
         expect = ledger.delta_omega_ab * t1
         assert math.remainder(diff - expect, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
@@ -72,7 +73,7 @@ class TestEvolve:
     def ledger(self, **kw):
         base = dict(delta_omega_ab=2 * math.pi * 2.5e3, k=0.0, delta_tau=0.0, delta_x=0.0)
         base.update(kw)
-        return ph.PhaseLedger(**base)
+        return PhaseLedger(**base)
 
     def test_zero_time_identity(self):
         s = odd_pair(0.3)
@@ -91,7 +92,7 @@ class TestEvolve:
         assert st.fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_populations_preserved_exactly(self):
-        deco = ph.MemoryDecoherence(tau_s=0.7)
+        deco = MemoryDecoherence(tau_s=0.7)
         s = odd_pair(0.2)
         out = evolve(s, self.ledger(), deco, 0.5)
         np.testing.assert_allclose(
@@ -99,7 +100,7 @@ class TestEvolve:
         )
 
     def test_semigroup_composition(self):
-        deco = ph.MemoryDecoherence(tau_s=1.12)
+        deco = MemoryDecoherence(tau_s=1.12)
         ledger = self.ledger()
         s = odd_pair(0.1)
         t1, t2 = 0.4, 0.9
@@ -110,7 +111,7 @@ class TestEvolve:
     def test_decay_oracle_at_one_tau(self):
         # fidelity against the phase-tracked ket after one coherence time
         tau = 1.12
-        deco = ph.MemoryDecoherence(tau_s=tau)
+        deco = MemoryDecoherence(tau_s=tau)
         ledger = self.ledger()
         out = evolve(odd_pair(0.0), ledger, deco, tau)
         tracked = odd_pair(ledger.delta_omega_ab * tau)
@@ -141,7 +142,7 @@ class TestEvolve:
         from ionnet.fitting import fit_exponential_decay
 
         tau = 1.12
-        deco = ph.MemoryDecoherence(tau_s=tau)
+        deco = MemoryDecoherence(tau_s=tau)
         ledger = self.ledger()
         delays = np.linspace(0.0, 3.0, 16)
         cohs = []
@@ -154,4 +155,4 @@ class TestEvolve:
 
     def test_invalid_decoherence(self):
         with pytest.raises(ValueError):
-            ph.MemoryDecoherence(tau_s=0.0)
+            MemoryDecoherence(tau_s=0.0)

@@ -8,6 +8,13 @@ from hypothesis import strategies as hst
 
 from ionnet import photonics as ph
 from ionnet import states as st
+from ionnet.scenario import (
+    CALIBRATED_MODE_OVERLAP,
+    LinkBudget,
+    LinkErrorModel,
+    expected_rate,
+    success_probability,
+)
 
 from oracles import (
     HeraldEvent,
@@ -32,43 +39,43 @@ SINGLE_POL = {
 
 class TestBudget:
     def test_success_probability_two_sig_figs(self):
-        p = ph.success_probability(ph.LinkBudget())
+        p = success_probability(LinkBudget())
         assert f"{p:.2g}" == "9.7e-06"
 
     def test_lossless_limit(self):
-        b = ph.LinkBudget(
+        b = LinkBudget(
             p_bell=1.0, p_pi=1.0, p_s_half=1.0, q_e=1.0, t_fib=1.0, t_opt=1.0,
             solid_angle_fraction=1.0,
         )
-        assert ph.success_probability(b) == pytest.approx(1.0, abs=1e-15)
+        assert success_probability(b) == pytest.approx(1.0, abs=1e-15)
 
     def test_quadratic_in_per_photon_factors(self):
-        base = ph.LinkBudget()
-        halved = ph.LinkBudget(q_e=base.q_e / 2)
-        assert ph.success_probability(halved) == pytest.approx(
-            ph.success_probability(base) / 4, rel=1e-12
+        base = LinkBudget()
+        halved = LinkBudget(q_e=base.q_e / 2)
+        assert success_probability(halved) == pytest.approx(
+            success_probability(base) / 4, rel=1e-12
         )
 
     def test_expected_rate_near_measured(self):
-        r = ph.expected_rate(ph.LinkBudget())
+        r = expected_rate(LinkBudget())
         assert abs(r - 4.5) / 4.5 < 0.05
 
     def test_rate_linear_in_rep_rate(self):
-        base = ph.LinkBudget()
-        doubled = ph.LinkBudget(rep_rate=base.rep_rate * 2)
-        assert ph.expected_rate(doubled) == pytest.approx(
-            2 * ph.expected_rate(base), rel=1e-12
+        base = LinkBudget()
+        doubled = LinkBudget(rep_rate=base.rep_rate * 2)
+        assert expected_rate(doubled) == pytest.approx(
+            2 * expected_rate(base), rel=1e-12
         )
 
     def test_rate_vanishes_with_probability(self):
-        dark = ph.LinkBudget(p_pi=0.0)
-        assert ph.expected_rate(dark) == 0.0
+        dark = LinkBudget(p_pi=0.0)
+        assert expected_rate(dark) == 0.0
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError, match="link_budget.rep_rate"):
-            ph.LinkBudget(rep_rate=-1.0)
+            LinkBudget(rep_rate=-1.0)
         with pytest.raises(ValueError, match="q_e"):
-            ph.LinkBudget(q_e=1.4)
+            LinkBudget(q_e=1.4)
 
     @given(
         factor=hst.sampled_from(["p_pi", "p_s_half", "q_e", "t_fib", "t_opt", "solid_angle_fraction", "p_bell"]),
@@ -76,25 +83,25 @@ class TestBudget:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_every_factor(self, factor, scale):
-        base = ph.LinkBudget()
-        reduced = ph.LinkBudget(**{factor: getattr(base, factor) * scale})
-        assert ph.success_probability(reduced) <= ph.success_probability(base) + 1e-18
+        base = LinkBudget()
+        reduced = LinkBudget(**{factor: getattr(base, factor) * scale})
+        assert success_probability(reduced) <= success_probability(base) + 1e-18
 
 
 class TestEmission:
     def test_perfect_emission_is_pure(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         s = ph.emit_atom_photon(err, "a", "p")
         assert purity(s) == pytest.approx(1.0, abs=1e-12)
         assert st.fidelity(s, ph.ideal_emission_ket("a", "p")) == pytest.approx(1.0, abs=1e-12)
 
     def test_configured_fidelity_is_exact(self):
-        s = ph.emit_atom_photon(ph.LinkErrorModel(), "a", "p")
+        s = ph.emit_atom_photon(LinkErrorModel(), "a", "p")
         f = st.fidelity(s, ph.ideal_emission_ket("a", "p"))
         assert abs(f - 0.92) < 1e-10
 
     def test_fully_depolarizing_channel(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=0.25, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=0.25, mode_overlap=1.0)
         s = ph.emit_atom_photon(err, "a", "p")
         np.testing.assert_allclose(s.data, np.eye(4) / 4, atol=1e-12)
         assert st.fidelity(s, ph.ideal_emission_ket("a", "p")) == pytest.approx(0.25, abs=1e-12)
@@ -116,7 +123,7 @@ class TestWavePlate:
         assert st.fidelity(roundtrip, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_post_waveplate_state(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         s = ph.module_emission(err, "a", "p")
         target = st.pure_state(np.array([0, 1, -1j, 0]) / math.sqrt(2), ["a", "p"])
         assert st.fidelity(s, target) == pytest.approx(1.0, abs=1e-12)
@@ -169,7 +176,7 @@ class TestBSMOracle:
         assert dist[(3, 4)] == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_emissions_herald_half_the_time(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         joint = st.tensor(
             ph.module_emission(err, "a", "p1"), ph.module_emission(err, "b", "p2")
         )
@@ -178,7 +185,7 @@ class TestBSMOracle:
         assert herald == pytest.approx(0.5, abs=1e-12)
 
     def test_sampled_bsm_follows_distribution(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         joint = st.tensor(
             ph.module_emission(err, "a", "p1"), ph.module_emission(err, "b", "p2")
         )
@@ -201,7 +208,7 @@ class TestBSMOracle:
 
 class TestHerald:
     def test_ideal_limit(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         a = ph.module_emission(err, "qa", "pa")
         b = ph.module_emission(err, "qb", "pb")
         for phi_d, prob, state in ph.conditional_herald_states(a, b, err):
@@ -210,7 +217,7 @@ class TestHerald:
             assert st.fidelity(state, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_calibrated_fidelity(self):
-        err = ph.LinkErrorModel()
+        err = LinkErrorModel()
         a = ph.module_emission(err, "qa", "pa")
         b = ph.module_emission(err, "qb", "pb")
         for phi_d, _, state in ph.conditional_herald_states(a, b, err):
@@ -218,7 +225,7 @@ class TestHerald:
             assert abs(st.fidelity(state, target) - 0.79) < 0.02
 
     def test_branches_related_by_z(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         a = ph.module_emission(err, "qa", "pa")
         b = ph.module_emission(err, "qb", "pb")
         branches = {phi_d: state for phi_d, _, state in ph.conditional_herald_states(a, b, err)}
@@ -227,7 +234,7 @@ class TestHerald:
         assert st.fidelity(z_flipped, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_transfer_phase_applied(self):
-        err = ph.LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
+        err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         a = ph.module_emission(err, "qa", "pa")
         b = ph.module_emission(err, "qb", "pb")
         dphi = 0.37
@@ -236,10 +243,10 @@ class TestHerald:
             assert st.fidelity(state, target) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("fidelity", [0.25, 0.5, 0.92, 1.0])
-    @pytest.mark.parametrize("overlap", [0.0, 0.3, ph.CALIBRATED_MODE_OVERLAP, 1.0])
+    @pytest.mark.parametrize("overlap", [0.0, 0.3, CALIBRATED_MODE_OVERLAP, 1.0])
     @pytest.mark.parametrize("transfer_phase", [0.0, 0.7])
     def test_equals_per_pair_oracle_bit_for_bit(self, fidelity, overlap, transfer_phase):
-        err = ph.LinkErrorModel(atom_photon_fidelity=fidelity, mode_overlap=overlap)
+        err = LinkErrorModel(atom_photon_fidelity=fidelity, mode_overlap=overlap)
         a = ph.module_emission(err, "qa", "pa")
         b = ph.module_emission(err, "qb", "pb")
         got = ph.conditional_herald_states(a, b, err, transfer_phase)
@@ -253,7 +260,7 @@ class TestHerald:
 
     def test_states_physical_for_noisy_configs(self):
         for f, v in ((0.9, 0.8), (0.75, 0.5), (0.92, 1.0), (1.0, 0.6)):
-            err = ph.LinkErrorModel(atom_photon_fidelity=f, mode_overlap=v)
+            err = LinkErrorModel(atom_photon_fidelity=f, mode_overlap=v)
             a = ph.module_emission(err, "qa", "pa")
             b = ph.module_emission(err, "qb", "pb")
             for _, prob, state in ph.conditional_herald_states(a, b, err):
@@ -264,7 +271,7 @@ class TestHerald:
                 assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_sampled_herald_event_consistency(self):
-        err = ph.LinkErrorModel()
+        err = LinkErrorModel()
         a = ph.module_emission(err, "qa", "pa")
         b = ph.module_emission(err, "qb", "pb")
         rng = RNG(5)

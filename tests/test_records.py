@@ -9,10 +9,8 @@ from pathlib import Path
 import pytest
 
 import ionnet.cli  # noqa: F401  (defines every record class of the package)
-from ionnet.phases import SPEED_OF_LIGHT, PhaseLedger
-from ionnet.protocols import ExperimentOutput
 from ionnet.records import MISSING, Record, fields, replace
-from ionnet.scenario import RunSettings
+from ionnet.scenario import SPEED_OF_LIGHT, ExperimentOutput, PhaseLedger, RunSettings
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -7,29 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from ionnet.detection import DetectorModel
-from ionnet.gates import GateSettings
-from ionnet.montecarlo import (
-    AnalysisStep,
-    HeraldStep,
-    MeasureStep,
-    MSGateStep,
-    ProtocolScript,
-    ReinitStep,
-    WaitStep,
-)
-from ionnet.phases import MemoryDecoherence, PhaseLedger
-from ionnet.photonics import LinkBudget, LinkErrorModel, expected_rate
-from ionnet.protocols import budget_report
 from ionnet.records import fields
 from ionnet.scenario import (
     _SCHEMA,
+    AnalysisStep,
+    DetectorModel,
+    GateSettings,
+    HeraldStep,
+    LinkBudget,
+    LinkErrorModel,
+    MeasureStep,
+    MemoryDecoherence,
+    MSGateStep,
+    PhaseLedger,
     ProtocolLayout,
+    ProtocolScript,
+    ReinitStep,
     RunSettings,
     Scenario,
     ScenarioError,
+    WaitStep,
     _kind,
+    budget_report,
     emit_scenario,
+    expected_rate,
     load_scenario,
     loads_scenario,
 )

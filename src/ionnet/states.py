@@ -155,6 +155,9 @@ class QuantumState:
             raise StateError(
                 f"data shape {arr.shape} does not match a register of {len(labels)} subsystems"
             )
+        # inf - inf in the Hermiticity test would be NaN: reject first.
+        if not np.isfinite(arr).all():
+            raise StateError("density matrix has non-finite entries")
         conj = _dagger(arr)
         if not np.abs(arr - conj).max() <= STATE_ATOL:
             raise StateError("density matrix is not Hermitian")

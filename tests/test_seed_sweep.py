@@ -1,9 +1,11 @@
 """scripts/seed_sweep.py runs every sampled acceptance check and reports
-its miss count."""
+its miss count; the README's miss-rate table lists the same checks."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+from acceptance_checks import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,6 +22,30 @@ def test_one_line_per_check(capsys):
     assert seed_sweep.main(["--seeds", "2", "--first", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "seeds 8-9:"
-    assert len(lines) == 1 + len(seed_sweep.CHECKS)
-    for line, (check, _, _) in zip(lines[1:], seed_sweep.CHECKS):
-        assert re.fullmatch(rf"{re.escape(check)}: [0-2] of 2 missed \(\d+\.\d %\).*", line), line
+    assert len(lines) == 1 + len(CHECKS)
+    for line, (name, check) in zip(lines[1:], CHECKS.items()):
+        match = re.fullmatch(
+            rf"{re.escape(name)} \(stated rate (\S+)\): [0-2] of 2 missed \(\d+\.\d %\).*", line
+        )
+        assert match and float(match[1]) == check.rate, line
+
+
+def _readme_miss_rate_rows() -> list[tuple[str, str]]:
+    """(check, stated rate) of each row of the README's miss-rate table."""
+    rows, in_table = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells == ["Check", "Form", "Stated rate", "Seeds missed"]:
+            in_table = True
+        elif in_table and not line.startswith("|"):
+            break
+        elif in_table and not set(cells[0]) <= set("-"):
+            rows.append((cells[0], cells[2]))
+    return rows
+
+
+def test_readme_table_lists_the_checks():
+    rows = _readme_miss_rate_rows()
+    assert [name for name, _ in rows] == list(CHECKS)
+    # A stated rate may be marked approximate (~) or an upper figure (<).
+    assert [float(rate.lstrip("~<")) for _, rate in rows] == [c.rate for c in CHECKS.values()]

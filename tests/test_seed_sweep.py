@@ -4,8 +4,12 @@ its miss count; the README's miss-rate table lists the same checks."""
 import importlib.util
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
-from acceptance_checks import CHECKS
+import numpy as np
+import pytest
+
+from acceptance_checks import CHECKS, populations_rule
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +53,15 @@ def test_readme_table_lists_the_checks():
     assert [name for name, _ in rows] == list(CHECKS)
     # A stated rate may be marked approximate (~) or an upper figure (<).
     assert [float(rate.lstrip("~<")) for _, rate in rows] == [c.rate for c in CHECKS.values()]
+
+
+@pytest.mark.parametrize("table", ["populations_phid0", "populations_phidpi"])
+@pytest.mark.parametrize("column", ["estimate", "uncertainty"])
+def test_populations_rule_fails_on_nan(table, column):
+    tables = {
+        key: {"estimate": np.full(4, 0.25), "exact": np.full(4, 0.25), "uncertainty": np.full(4, 0.01)}
+        for key in ("populations_phid0", "populations_phidpi")
+    }
+    assert populations_rule(SimpleNamespace(tables=tables))[0]
+    tables[table][column][1] = np.nan
+    assert not populations_rule(SimpleNamespace(tables=tables))[0]

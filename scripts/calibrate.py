@@ -78,9 +78,10 @@ def calibrate_crosstalk() -> float:
     best_q, best_margin = None, -1.0
     for q in np.arange(0.0, 0.2001, 0.01):
         q = float(q)
-        text = f"[protocol]\ncrosstalk_depol = {q!r}\n"
-        scenario = loads_scenario(text)
-        res = modular_3q_experiment(scenario, n_trials=100, seed=1, shots=100)
+        scenario = loads_scenario(
+            f"[protocol]\ncrosstalk_depol = {q!r}\n", seed=1, n_trials=100, shots_per_point=100
+        )
+        res = modular_3q_experiment(scenario)
         ce = res.summary["corr_even_given_remote1_exact"]
         co = res.summary["corr_odd_given_remote0_exact"]
         fc = res.summary["conditional_fidelity_exact"]

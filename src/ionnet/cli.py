@@ -1,14 +1,17 @@
 """Command-line interface: scenario loading, experiment orchestration,
 deterministic result files.
 
-Every output file embeds the seed and the sha256 of the resolved
-configuration; re-running a subcommand with the same seed reproduces
-the files byte for byte. An ``--out`` directory holds exactly one
-complete run: the files are written beside it and moved into place
-last, and only an empty directory or an earlier ionnet run is replaced.
-Exit codes: 0 success, 2 configuration or usage error, 3 runtime
-failure. ``main`` freezes the heap at interpreter exit, so the shutdown
-collections skip the objects created at import.
+``--seed``, ``--trials`` and ``--shots`` set the loaded scenario's
+``[run]`` fields, which ``RunSettings`` checks, and every driver takes
+the scenario alone. So ``resolved_config.cfg`` records the run that
+happened: every output file embeds the seed and the sha256 of that
+configuration, and re-running a subcommand on it reproduces the files
+byte for byte. An ``--out`` directory holds exactly one complete run:
+the files are written beside it and moved into place last, and only an
+empty directory or an earlier ionnet run is replaced. Exit codes: 0
+success, 2 configuration or usage error, 3 runtime failure. ``main``
+freezes the heap at interpreter exit, so the shutdown collections skip
+the objects created at import.
 
 ``budget``, ``timing`` and usage errors run without numpy. An engine
 subcommand's driver is looked up, and numpy imported with it, before
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import hashlib
 import importlib
 import os
 import shutil
@@ -30,19 +34,18 @@ from collections.abc import Callable
 from pathlib import Path
 
 from .scenario import (
-    MAX_COUNT,
     ExperimentOutput,
     Scenario,
     ScenarioError,
+    emit_scenario,
     format_value,
     load_scenario,
     loads_scenario,
 )
 
-# Subcommand name -> (module, driver); every driver takes (scenario,
-# seed, n_trials, shots). budget and timing are arithmetic on the
-# scenario's records; the other drivers run the engine, and looking one
-# up imports numpy.
+# Subcommand name -> (module, driver); every driver takes the scenario
+# alone. budget and timing are arithmetic on the scenario's records; the
+# other drivers run the engine, and looking one up imports numpy.
 SUBCOMMANDS = {
     "remote-bell": ("protocols", "remote_bell_experiment"),
     "phase-scan": ("protocols", "phase_scan_experiment"),
@@ -54,7 +57,7 @@ SUBCOMMANDS = {
 }
 
 
-def driver(subcommand: str) -> Callable[[Scenario, int, int, int], ExperimentOutput]:
+def driver(subcommand: str) -> Callable[[Scenario], ExperimentOutput]:
     module, name = SUBCOMMANDS[subcommand]
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
@@ -72,11 +75,7 @@ def _header(subcommand: str, seed: int, config_hash: str) -> list[str]:
 
 
 def write_outputs(
-    out_dir: Path,
-    subcommand: str,
-    scenario: Scenario,
-    seed: int,
-    output: ExperimentOutput,
+    out_dir: Path, subcommand: str, scenario: Scenario, output: ExperimentOutput
 ) -> list[Path]:
     """Write the run's files and return their paths under ``out_dir``.
 
@@ -93,7 +92,7 @@ def write_outputs(
     staged, replaced = target.with_name(token + ".new"), target.with_name(token + ".old")
     staged.mkdir()
     try:
-        names = _write_files(staged, subcommand, scenario, seed, output)
+        names = _write_files(staged, subcommand, scenario, output)
         if target.exists():
             check_out_dir(out_dir)
             target.rename(replaced)
@@ -112,11 +111,12 @@ def write_outputs(
 
 
 def _write_files(
-    out_dir: Path, subcommand: str, scenario: Scenario, seed: int, output: ExperimentOutput
+    out_dir: Path, subcommand: str, scenario: Scenario, output: ExperimentOutput
 ) -> list[str]:
-    config_hash = scenario.config_hash()
+    text, seed = emit_scenario(scenario), scenario.run.seed
+    config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     names = ["resolved_config.cfg"]
-    (out_dir / names[0]).write_text(scenario.resolved_text(), encoding="utf-8")
+    (out_dir / names[0]).write_text(text, encoding="utf-8")
 
     for name, table in output.tables.items():
         cells = [_format_column(col) for col in table.values()]
@@ -184,10 +184,12 @@ def _earlier_run(out_dir: Path) -> bool:
         return fh.read(len(SUMMARY_MARK)) == SUMMARY_MARK
 
 
-def run_subcommand(
-    subcommand: str, scenario: Scenario, seed: int, trials: int, shots: int
-) -> ExperimentOutput:
-    return driver(subcommand)(scenario, seed, trials, shots)
+def run_subcommand(subcommand: str, scenario: Scenario) -> ExperimentOutput:
+    return driver(subcommand)(scenario)
+
+
+# Flag -> the [run] field it sets.
+RUN_FLAGS = {"--seed": "seed", "--trials": "n_trials", "--shots": "shots_per_point"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=str, default=None, help="scenario file (defaults apply when omitted)")
         p.add_argument("--out", type=str, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="root seed (overrides [run] seed)")
-        p.add_argument("--trials", type=int, default=None, help="override [run] n_trials")
-        p.add_argument("--shots", type=int, default=None, help="override [run] shots_per_point")
+        for flag, field in RUN_FLAGS.items():
+            p.add_argument(flag, type=int, dest=field, metavar="N", help=f"set [run] {field}")
     return parser
 
 
@@ -220,17 +221,11 @@ def main(argv=None) -> int:
     # import counts as start-up and not as the run.
     driver(args.subcommand)
     try:
+        flags = {f: getattr(args, f) for f in RUN_FLAGS.values() if getattr(args, f) is not None}
         if args.config is None:
-            scenario = loads_scenario("", source="<defaults>")
+            scenario = loads_scenario("", source="<defaults>", **flags)
         else:
-            scenario = load_scenario(args.config)
-        seed = args.seed if args.seed is not None else scenario.run.seed
-        if seed < 0:
-            raise ScenarioError("seed must be non-negative")
-        trials = args.trials if args.trials is not None else scenario.run.n_trials
-        shots = args.shots if args.shots is not None else scenario.run.shots_per_point
-        if not (1 <= trials <= MAX_COUNT and 1 <= shots <= MAX_COUNT):
-            raise ScenarioError("trials and shots must be from 1 to 2**63 - 1")
+            scenario = load_scenario(args.config, **flags)
         check_out_dir(Path(args.out))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -240,8 +235,8 @@ def main(argv=None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     try:
-        output = run_subcommand(args.subcommand, scenario, seed, trials, shots)
-        written = write_outputs(Path(args.out), args.subcommand, scenario, seed, output)
+        output = run_subcommand(args.subcommand, scenario)
+        written = write_outputs(Path(args.out), args.subcommand, scenario, output)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

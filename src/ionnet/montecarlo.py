@@ -226,9 +226,10 @@ def _step_action(
         duration = scenario.protocol.reinit_duration_s
         return (lambda s: _reinit(s, step.qubit, script, scenario)), duration
     if isinstance(step, MSGateStep):
+        gate = scenario.gate
         return (
-            lambda s: ms_gate(s, list(step.pair), step.phi_a, scenario.gate.depolarizing_p)
-        ), scenario.gate.gate_time_s
+            lambda s: ms_gate(s, list(step.pair), gate.phi_a, gate.depolarizing_p)
+        ), gate.gate_time_s
     if isinstance(step, AnalysisStep):
         return (
             lambda s: analysis_rotation(s, list(step.targets), step.theta, step.phi)

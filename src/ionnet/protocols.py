@@ -1,10 +1,11 @@
 """High-level experiment drivers behind the CLI subcommands.
 
-Every driver takes ``(scenario, seed, n_trials, shots)``, uses the
-settings its experiment needs, and returns tables plus a flat summary
-record. Tables pair sampled estimates and their uncertainties with the
-exact density-matrix values, so the two statistics paths stay
-comparable downstream. A driver first checks the settings it reads and
+Every driver takes the scenario alone, reads the settings its
+experiment needs (the seed and the trial and shot counts from
+``scenario.run``), and returns tables plus a flat summary record.
+Tables pair sampled estimates and their uncertainties with the exact
+density-matrix values, so the two statistics paths stay comparable
+downstream. A driver first checks the settings it reads and
 raises ``ScenarioError``, before any work, for a configuration it
 would fail on or ignore.
 """
@@ -80,8 +81,9 @@ def _fixed_script(scenario: Scenario, qubits: tuple[str, ...] | None = None) -> 
     return scenario.script(qubits)
 
 
-def _check_rate_fit(scenario: Scenario, n_trials: int) -> None:
+def _check_rate_fit(scenario: Scenario) -> None:
     """Reject a run whose herald rate fit would get too few waiting times."""
+    n_trials = scenario.run.n_trials
     if n_trials < MIN_RATE_SAMPLES:
         raise ScenarioError(
             f"the herald rate fit needs at least {MIN_RATE_SAMPLES} trials, got {n_trials}"
@@ -126,9 +128,7 @@ def _fit_rate(out: ExperimentOutput, herald_time: np.ndarray) -> RateFit:
     return rate
 
 
-def remote_bell_experiment(
-    scenario: Scenario, seed: int, n_trials: int, shots: int
-) -> ExperimentOutput:
+def remote_bell_experiment(scenario: Scenario) -> ExperimentOutput:
     """Populations and fidelity of the heralded remote pair, plus the
     entanglement rate fitted from sampled waiting times.
 
@@ -137,13 +137,13 @@ def remote_bell_experiment(
     That is not how a scan picks a detector phase, which propagates only
     that phase's branches (``phase-scan``, ``coherence``).
     """
-    pair = scenario.protocol.link
+    pair, run = scenario.protocol.link, scenario.run
     script = _fixed_script(scenario, pair)
-    _check_rate_fit(scenario, n_trials)
+    _check_rate_fit(scenario)
     branches = exact_branches(script, scenario)
     out = ExperimentOutput()
 
-    result = run_protocol(script, scenario, n_trials, seed, branches=branches)
+    result = run_protocol(script, scenario, run.n_trials, run.seed, branches=branches)
     phi_d = np.array([b.phi_d for b in branches])
     for key, want in DETECTOR_PHASES:
         (branch,) = (b for b in branches if b.phi_d == want)
@@ -161,16 +161,14 @@ def remote_bell_experiment(
     exact_true = result.probs.sum(axis=(0, 1))
     out.summary["odd_parity_population_exact"] = parity_weights(exact_true, pair, pair)[1]
     for name, axes in (("sampled", (0, 2)), ("ideal_readout", (0, 1))):
-        pops = result.counts.sum(axis=axes) / n_trials
+        pops = result.counts.sum(axis=axes) / run.n_trials
         out.summary[f"odd_parity_population_{name}"] = parity_weights(pops, pair, pair)[1]
 
     _fit_rate(out, result.herald_time)
     return out
 
 
-def phase_scan_experiment(
-    scenario: Scenario, seed: int, n_trials: int, shots: int
-) -> ExperimentOutput:
+def phase_scan_experiment(scenario: Scenario) -> ExperimentOutput:
     """Even-parity population after an analysis pulse versus the delay
     between herald and analysis, for both detector phases. The two
     branches oscillate at the Zeeman beat and are out of phase by pi.
@@ -196,7 +194,7 @@ def phase_scan_experiment(
     for branch_i, (key, want) in enumerate(DETECTOR_PHASES):
         curve = parity_scan(
             script, scenario, steps, [b for b in heralded if b.phi_d == want],
-            shots, seed, _SHOT_STREAM, branch_i, pair=(qa, qb),
+            run.shots_per_point, run.seed, _SHOT_STREAM, branch_i, pair=(qa, qb),
         )["all"]
         out.tables[f"phase_scan_{key}"] = {
             "delay_s": delays,
@@ -211,7 +209,7 @@ def phase_scan_experiment(
         out.summary[f"fit_amplitude_{key}"] = fits[key].amplitude
     offset = abs(math.remainder(fits["phidpi"].phase - fits["phid0"].phase, 2.0 * math.pi))
     out.summary["branch_phase_offset"] = offset
-    out.summary["shots_per_point"] = shots
+    out.summary["shots_per_point"] = run.shots_per_point
     return out
 
 
@@ -231,9 +229,7 @@ def _echo_steps(pair: tuple[str, str], delay) -> tuple:
     return (half, echo, half, AnalysisStep(pair, math.pi / 2.0, math.pi / 4.0))
 
 
-def coherence_experiment(
-    scenario: Scenario, seed: int, n_trials: int, shots: int
-) -> ExperimentOutput:
+def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
     """Echo-based coherence decay of the stored pair and the waiting-time
     distribution of herald generation.
 
@@ -247,14 +243,14 @@ def coherence_experiment(
     qa, qb = scenario.protocol.link
     run = scenario.run
     script = _fixed_script(scenario, (qa, qb))
-    _check_rate_fit(scenario, n_trials)
+    _check_rate_fit(scenario)
     delays = np.linspace(0.0, run.delay_max_s, _fit_points(scenario, "delay_points"))
     out = ExperimentOutput()
 
     branches = exact_branches(script, scenario)
     curve = parity_scan(
         script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == 0.0],
-        shots, seed, _SHOT_STREAM, 0, pair=(qa, qb),
+        run.shots_per_point, run.seed, _SHOT_STREAM, 0, pair=(qa, qb),
     )["all"]
     par, err, par_exact = curve["estimate"], curve["uncertainty"], curve["exact_reported"]
     out.tables["coherence"] = {
@@ -280,18 +276,18 @@ def coherence_experiment(
     )
 
     # Waiting-time distribution and rate, from sampled protocol trials.
-    waits = run_protocol(script, scenario, n_trials, seed, branches=branches).herald_time
+    waits = run_protocol(script, scenario, run.n_trials, run.seed, branches=branches).herald_time
     rate = _fit_rate(out, waits)
     # Up to the fitted distribution's 99th percentile.
     grid = np.linspace(0.0, math.log(100.0) / rate.rate, 60)[1:]
-    ecdf = np.searchsorted(np.sort(waits), grid, side="right") / n_trials
+    ecdf = np.searchsorted(np.sort(waits), grid, side="right") / run.n_trials
     out.tables["waiting"] = {
         "time_s": grid,
         "empirical_cdf": ecdf,
-        "uncertainty": binomial_err(ecdf, n_trials),
+        "uncertainty": binomial_err(ecdf, run.n_trials),
         "fitted_cdf": [1.0 - math.exp(-rate.rate * t) for t in grid.tolist()],
     }
-    out.summary["shots_per_point"] = shots
+    out.summary["shots_per_point"] = run.shots_per_point
     if tau_ok:
         out.summary["d_ent_m"] = coherent_entanglement_distance(
             run.qubit_separation_m, rate.rate, decay.tau
@@ -304,9 +300,7 @@ def coherence_experiment(
     return out
 
 
-def local_gate_experiment(
-    scenario: Scenario, seed: int, n_trials: int, shots: int
-) -> ExperimentOutput:
+def local_gate_experiment(scenario: Scenario) -> ExperimentOutput:
     """Populations and parity oscillation of the local entangling gate.
 
     The script is the configured one over the gate's two qubits, from
@@ -314,6 +308,7 @@ def local_gate_experiment(
     and the parity scan runs the steps after it from the gated state.
     """
     qa, qb = next(s.pair for s in _fixed_script(scenario).steps if isinstance(s, MSGateStep))
+    run = scenario.run
     phis = np.linspace(0.0, math.pi, _fit_points(scenario, "phi_points"), endpoint=False)
     script = scenario.script((qa, qb))
     start = next(k for k, s in enumerate(script.steps) if isinstance(s, MSGateStep))
@@ -323,9 +318,9 @@ def local_gate_experiment(
     # populations without analysis pulse
     (branch,) = propagate(script, scenario, script.steps[:1])
     (true_diag,), (reported,), (counts,) = sample_outcomes(
-        script, scenario, [branch], shots, seed, _SHOT_STREAM, 0
+        script, scenario, [branch], run.shots_per_point, run.seed, _SHOT_STREAM, 0
     )
-    out.tables["populations"] = _population_table(counts, shots, reported)
+    out.tables["populations"] = _population_table(counts, run.shots_per_point, reported)
     out.summary["even_population_exact"] = float(parity_weights(true_diag, (qa, qb), (qa, qb))[0])
     out.summary["even_population_reported"] = float(parity_weights(reported, (qa, qb), (qa, qb))[0])
 
@@ -338,7 +333,7 @@ def local_gate_experiment(
     # parity oscillation versus analysis phase
     scan = parity_scan(
         script, scenario, _phase_scanned(script.steps[1:], phis), [branch],
-        shots, seed, _SHOT_STREAM + 1, pair=(qa, qb),
+        run.shots_per_point, run.seed, _SHOT_STREAM + 1, pair=(qa, qb),
     )["all"]
     curve = {"phi_rad": phis, **scan}
     out.tables["parity"] = curve
@@ -350,7 +345,7 @@ def local_gate_experiment(
             "parity_amplitude_exact_reported": fit_exact.amplitude,
             "parity_amplitude_exact_ideal_readout": fit_ideal.amplitude,
             "parity_phase": fit_ideal.phase,
-            "shots_per_point": shots,
+            "shots_per_point": run.shots_per_point,
         }
     )
     # fidelity from measured quantities: even populations and fringe amplitude
@@ -378,9 +373,7 @@ def _fringe_fits(curve: dict[str, np.ndarray]) -> tuple[CosineFit, CosineFit, Co
     )
 
 
-def modular_3q_experiment(
-    scenario: Scenario, seed: int, n_trials: int, shots: int
-) -> ExperimentOutput:
+def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
     """The scenario script, by default the full two-bus protocol:
     herald, re-initialize, local gate, analysis.
 
@@ -389,9 +382,9 @@ def modular_3q_experiment(
     analysis targets (the script as configured), conditioned on the
     reported state of the remote atom, the module-B end of the link.
     """
-    _check_rate_fit(scenario, n_trials)
+    _check_rate_fit(scenario)
     phis = np.linspace(0.0, math.pi, _fit_points(scenario, "phi_points"), endpoint=False)
-    protocol = scenario.protocol
+    protocol, run = scenario.protocol, scenario.run
     if len(protocol.qubits_a) != 2 or len(protocol.qubits_b) != 1:
         raise ScenarioError("modular-3q needs two qubits in module A and one in module B")
     script = scenario.script()
@@ -418,7 +411,7 @@ def modular_3q_experiment(
         script, steps=tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
     )
     branches = propagate(no_analysis, scenario, no_analysis.steps[scanned:], prefix)
-    result = run_protocol(no_analysis, scenario, n_trials, seed, branches=branches)
+    result = run_protocol(no_analysis, scenario, run.n_trials, run.seed, branches=branches)
     counts = result.counts.sum(axis=(0, 2))
     rep_diag = result.probs.sum(axis=(0, 2))
     # Even share given remote 1 and odd share given remote 0, of the
@@ -443,13 +436,13 @@ def modular_3q_experiment(
             "corr_odd_given_remote0_exact_ideal": odd_0[3],
         }
     )
-    out.tables["populations"] = _population_table(counts, n_trials, rep_diag)
+    out.tables["populations"] = _population_table(counts, run.n_trials, rep_diag)
     _fit_rate(out, result.herald_time)
 
     # Conditional parity oscillation (Fig-4d style).
     curves = parity_scan(
         script, scenario, _phase_scanned(script.steps[scanned:], phis), prefix,
-        shots, seed, _SHOT_STREAM + 2, pair=pair, condition_qubit=remote,
+        run.shots_per_point, run.seed, _SHOT_STREAM + 2, pair=pair, condition_qubit=remote,
     )
     curves = {cond: {"phi_rad": phis, **curve} for cond, curve in curves.items()}
     key1, key0 = f"{remote}=1", f"{remote}=0"
@@ -468,7 +461,7 @@ def modular_3q_experiment(
             "parity_offset_remote1": fit1.offset,
             "parity_mean_remote0": mean0,
             "parity_max_abs_remote0": max_abs0,
-            "shots_per_point": shots,
+            "shots_per_point": run.shots_per_point,
         }
     )
 

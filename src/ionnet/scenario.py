@@ -305,7 +305,6 @@ class ReinitStep(Record):
 
 class MSGateStep(Record):
     pair: tuple[str, str]
-    phi_a: float
 
 
 # A scan sets ``theta``, ``phi`` or ``duration_s`` to a 1-D array, one
@@ -521,11 +520,8 @@ class Scenario(Record):
     defaulted: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    def resolved_text(self) -> str:
-        return emit_scenario(self)
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode("utf-8")).hexdigest()
+        return hashlib.sha256(emit_scenario(self).encode("utf-8")).hexdigest()
 
     def qubits(self) -> tuple[str, ...]:
         return self.protocol.qubits_a + self.protocol.qubits_b
@@ -550,7 +546,7 @@ class Scenario(Record):
             elif verb == "reinit":
                 steps.append(ReinitStep(args[0]))
             elif verb == "gate":
-                steps.append(MSGateStep((args[0], args[1]), self.gate.phi_a))
+                steps.append(MSGateStep((args[0], args[1])))
             elif verb == "analyze":
                 steps.append(AnalysisStep(tuple(args), math.pi / 2.0, 0.0))
             elif verb == "wait":
@@ -649,6 +645,13 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], s
                 )
             if index in steps:
                 raise ScenarioError(f"{source}:{lineno}: duplicate step index {index}")
+            if parts[0] == "wait":  # kept as float's repr, so one duration emits one way
+                try:
+                    parts = ("wait", repr(float(parts[1])))
+                except ValueError:
+                    raise ScenarioError(
+                        f"{source}:{lineno}: cannot parse {path} duration {parts[1]!r} as float"
+                    ) from None
             steps[index] = parts
             seen.add("protocol.steps")
             continue
@@ -663,8 +666,11 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], s
     return values, seen
 
 
-def loads_scenario(text: str, source: str = "<string>") -> Scenario:
+def loads_scenario(text: str, source: str = "<string>", **run) -> Scenario:
+    """The scenario of ``text``; ``run`` sets ``[run]`` fields over the
+    text's (the CLI's flags), checked as the text's are."""
     values, seen = _parse_text(text, source)
+    values["run"].update(run)
     defaulted = tuple(
         path
         for section, (_, cls) in _SECTIONS.items()
@@ -686,7 +692,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, **run) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -696,7 +702,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"config file {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
-    return loads_scenario(text, source=str(path))
+    return loads_scenario(text, source=str(path), **run)
 
 
 def format_value(value) -> str:
@@ -744,7 +750,7 @@ class ExperimentOutput:
         self.warnings = [] if warnings is None else warnings
 
 
-def budget_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
+def budget_report(scenario: Scenario) -> ExperimentOutput:
     p = success_probability(scenario.budget)
     rate = expected_rate(scenario.budget)
     d_ent = scenario.run.qubit_separation_m * rate * scenario.memory.tau_s
@@ -761,7 +767,7 @@ def budget_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> E
     return out
 
 
-def timing_report(scenario: Scenario, seed: int, n_trials: int, shots: int) -> ExperimentOutput:
+def timing_report(scenario: Scenario) -> ExperimentOutput:
     gate = scenario.gate
     out = ExperimentOutput()
     out.summary = {

@@ -21,6 +21,7 @@ from scipy.stats import chi2
 from ionnet.fitting import KS_STAT_CRITICAL, fit_exponential_rate
 from ionnet.montecarlo import rng_stream
 from ionnet.protocols import coherence_experiment, modular_3q_experiment, remote_bell_experiment
+from ionnet.records import replace
 from ionnet.scenario import load_scenario, loads_scenario, success_probability
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,28 +57,34 @@ def chi_square(z: np.ndarray) -> tuple[float, float]:
     return float(np.sum(z**2)), float(chi2.ppf(1.0 - FALSE_FAILURE, z.size))
 
 
-def waiting_time_fit(scenario, seed: int, n_trials: int, shots: int):
-    """Rate fit of ``n_trials`` waiting times drawn on stream 2 of ``seed``:
-    the repetitions up to each herald are geometric in the scenario's
-    success probability."""
-    budget = scenario.budget
-    waits = rng_stream(seed, 2).geometric(success_probability(budget), size=n_trials)
+def waiting_time_fit(scenario):
+    """Rate fit of ``run.n_trials`` waiting times drawn on stream 2 of
+    ``run.seed``: the repetitions up to each herald are geometric in the
+    scenario's success probability."""
+    budget, run = scenario.budget, scenario.run
+    waits = rng_stream(run.seed, 2).geometric(success_probability(budget), size=run.n_trials)
     return fit_exponential_rate(waits / budget.rep_rate)
 
 
 class Run(NamedTuple):
-    """What a check draws: ``driver(scenario, seed, n_trials, shots)``."""
+    """What a check draws: ``driver(scenario)``, with the scenario's
+    ``[run]`` set to the seed, ``n_trials`` and ``shots`` per point (the
+    scenario's own shot count when ``shots`` is None)."""
 
     driver: Callable
     scenario: str
     n_trials: int
-    shots: int = 0
+    shots: int | None = None
 
     # Checks that read one run share its output at each seed; a caller
     # that walks many seeds clears the cache after each.
     @functools.cache
     def output(self, seed: int):
-        return self.driver(SCENARIOS[self.scenario], seed, self.n_trials, self.shots)
+        scenario = SCENARIOS[self.scenario]
+        counts = {"seed": seed, "n_trials": self.n_trials}
+        if self.shots is not None:
+            counts["shots_per_point"] = self.shots
+        return self.driver(replace(scenario, run=replace(scenario.run, **counts)))
 
 
 class Check(NamedTuple):

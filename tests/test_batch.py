@@ -86,7 +86,7 @@ def step_strategy(qa, qb):
     ]
     pairs = [(x, y) for module in (qa, qb) for x in module for y in module if x != y]
     if pairs:
-        options.append(hs.builds(MSGateStep, hs.sampled_from(pairs), ANGLE))
+        options.append(hs.builds(MSGateStep, hs.sampled_from(pairs)))
     return hs.one_of(options)
 
 
@@ -94,7 +94,8 @@ def step_strategy(qa, qb):
 def scanned_scripts(draw):
     """A script with one scanned step (array parameter) among random steps.
 
-    Returns the script, the scanned step's index and the P values."""
+    Returns the script, the scenario it runs on (``SCENARIO`` with a drawn
+    gate phase), the scanned step's index and the P values."""
     qa, qb, link = draw(registers())
     before = draw(hs.lists(step_strategy(qa, qb), max_size=3))
     after = draw(hs.lists(step_strategy(qa, qb), max_size=3))
@@ -118,7 +119,8 @@ def scanned_scripts(draw):
         link=link,
         steps=(*before, scanned, *after, MeasureStep()),
     )
-    return script, len(before), np.array(values)
+    scenario = replace(SCENARIO, gate=replace(SCENARIO.gate, phi_a=draw(ANGLE)))
+    return script, scenario, len(before), np.array(values)
 
 
 def at_point(script, index, value):
@@ -136,10 +138,10 @@ def at_point(script, index, value):
 @settings(max_examples=40, deadline=None)
 @given(case=scanned_scripts())
 def test_batched_propagation_equals_per_point(case):
-    script, index, values = case
-    batched = propagate(script, SCENARIO, script.steps)
+    script, scenario, index, values = case
+    batched = propagate(script, scenario, script.steps)
     for i, value in enumerate(values.tolist()):
-        single = propagate(script, SCENARIO, at_point(script, index, value))
+        single = propagate(script, scenario, at_point(script, index, value))
         assert len(single) == len(batched)
         for one, many in zip(single, batched):
             assert (one.phi_d, one.weight) == (many.phi_d, many.weight)
@@ -152,10 +154,10 @@ def test_batched_propagation_equals_per_point(case):
 @given(case=scanned_scripts())
 def test_stack_stays_physical_after_every_step(case):
     # One step at a time, so every step type acts on a stack.
-    script, _, values = case
+    script, scenario, _, values = case
     branches = None
     for step in script.steps[:-1]:
-        branches = propagate(script, SCENARIO, (step,), branches)
+        branches = propagate(script, scenario, (step,), branches)
         for b in branches:
             assert_physical(stack(b.state, values.size))
 
@@ -275,7 +277,7 @@ def test_analysis_scan_is_a_trigonometric_polynomial(case, extra):
     # so with k targets over all scanned analysis steps every branch
     # state, and so the outcome distribution, has degree <= 2k in phi:
     # 4k + 1 points fix the whole curve.
-    script, index, values = case
+    script, scenario, index, values = case
     fixed = at_point(script, index, values[0])
     k = sum(len(s.targets) for s in fixed if isinstance(s, AnalysisStep))
     if k == 0:
@@ -284,7 +286,7 @@ def test_analysis_scan_is_a_trigonometric_polynomial(case, extra):
     def curves(phis):
         """Outcome distribution and branch density matrices, one row per phase."""
         steps = [replace(s, phi=phis) if isinstance(s, AnalysisStep) else s for s in fixed]
-        branches = propagate(script, SCENARIO, steps)
+        branches = propagate(script, scenario, steps)
         weights, true = outcome_table(branches, script.qubits)
         dist = np.tensordot(weights, true, axes=1) / weights.sum()
         parts = [np.broadcast_to(dist, (phis.size, dist.shape[-1]))]

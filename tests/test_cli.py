@@ -117,6 +117,24 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_resolved_config_reproduces_a_flagged_run(tmp_path):
+    # The flags set [run], so the written config records them, and a run
+    # of that config alone writes the same files. The first run reads a
+    # config that sets every field, as the written one does, so both
+    # summaries report the same defaulted_fields (none).
+    first, again = tmp_path / "a", tmp_path / "b"
+    flags = ["--seed", "3", "--trials", "500", "--shots", "7"]
+    given = ["--config", str(ROOT / "configs" / "default.cfg")]
+    assert main(["remote-bell", *given, *flags, "--out", str(first)]) == 0
+    config = first / "resolved_config.cfg"
+    assert main(["remote-bell", "--config", str(config), "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    assert "n_trials = 500\nseed = 3\nshots_per_point = 7\n" in config.read_text()
+
+
 def test_outputs_embed_seed_and_hash(tmp_path):
     out = tmp_path / "rb"
     assert main(["remote-bell", "--out", str(out), "--seed", "9", "--trials", "300"]) == 0
@@ -144,8 +162,17 @@ def test_missing_config_exits_2(tmp_path, capsys, kind):
     assert_rejected(tmp_path, capsys, ["budget", "--config", str(cfg)], str(cfg))
 
 
-def test_bad_trials_exit_2(tmp_path):
-    assert main(["remote-bell", "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--trials", "0", "run.n_trials must be at least 1"),
+        ("--shots", "0", "run.shots_per_point must be at least 1"),
+        ("--seed", "-1", "run.seed must be non-negative"),
+    ],
+)
+def test_bad_run_flag_exits_2(tmp_path, capsys, flag, value, reason):
+    # A flag sets [run], so the [run] rule rejects it and names the field.
+    assert_rejected(tmp_path, capsys, ["remote-bell", flag, value], reason)
 
 
 # Counts above 2**63 - 1, the largest that numpy draws; each is rejected
@@ -154,9 +181,14 @@ BEYOND_INT64 = (2**63, 10**20)
 
 
 @pytest.mark.parametrize("count", BEYOND_INT64)
-@pytest.mark.parametrize("sub, flag", [("phase-scan", "--shots"), ("remote-bell", "--trials")])
-def test_count_beyond_int64_flag_exits_2(tmp_path, capsys, sub, flag, count):
-    assert_rejected(tmp_path, capsys, [sub, flag, str(count)], "to 2**63 - 1")
+@pytest.mark.parametrize(
+    "sub, flag, key",
+    [("phase-scan", "--shots", "shots_per_point"), ("remote-bell", "--trials", "n_trials")],
+)
+def test_count_beyond_int64_flag_exits_2(tmp_path, capsys, sub, flag, key, count):
+    # A flag sets [run], so RunSettings rejects it as it rejects the key.
+    reason = f"run.{key} must be at most 2**63 - 1"
+    assert_rejected(tmp_path, capsys, [sub, flag, str(count)], reason)
 
 
 @pytest.mark.parametrize("count", BEYOND_INT64)
@@ -242,17 +274,18 @@ def test_unequal_columns_rejected_and_earlier_run_kept(tmp_path):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     output = ExperimentOutput(tables={"t": {"x": [0.1, 0.2], "y": [0.3]}})
     with pytest.raises(ValueError, match="unequal length"):
-        write_outputs(out, "budget", loads_scenario(""), 1, output)
+        write_outputs(out, "budget", loads_scenario(""), output)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert list(tmp_path.iterdir()) == [out]
 
 
 def test_every_driver_takes_the_same_arguments():
-    # A positional call cannot swap the seed and the trial count.
+    # The seed and the counts are read from scenario.run, so a driver
+    # runs what resolved_config.cfg records.
     assert len(SUBCOMMANDS) == 7
     for name in SUBCOMMANDS:
         params = tuple(inspect.signature(driver(name)).parameters)
-        assert params == ("scenario", "seed", "n_trials", "shots"), name
+        assert params == ("scenario",), name
 
 
 @pytest.mark.parametrize(
@@ -397,7 +430,7 @@ def test_numpy_floats_written_as_plain_numbers(tmp_path):
         tables={"t": {"x": [np.float64(0.05)], "y": [np.float64(1e-12)]}},
         summary={"p": np.float64(0.05), "n": np.int64(7)},
     )
-    write_outputs(tmp_path, "budget", loads_scenario(""), 1, output)
+    write_outputs(tmp_path, "budget", loads_scenario(""), output)
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert "p = 0.05" in summary
     assert "n = 7" in summary
@@ -411,8 +444,8 @@ def test_columns_written_as_format_value_writes_each_cell(tmp_path):
         "p": [0.05, -0.0, 1e-17, 5e-324, -math.inf],
         "s": ["a", "b c", "-0.0", "", "x"],
     }
-    scenario = loads_scenario("")
-    write_outputs(tmp_path, "budget", scenario, 3, ExperimentOutput(tables={"t": table}, summary={}))
+    scenario = loads_scenario("", seed=3)
+    write_outputs(tmp_path, "budget", scenario, ExperimentOutput(tables={"t": table}, summary={}))
     rows = zip(*(np.asarray(col).tolist() for col in table.values()))
     lines = [
         "# ionnet budget",

@@ -33,9 +33,9 @@ def compare_runs():
 def outputs(tmp_path):
     # One small local-gate run, written twice; in the second, one exact
     # cell of parity.csv is planted 1e-9 (relative) off.
-    scenario = loads_scenario("[run]\nphi_points = 6\n")
+    scenario = loads_scenario("", phi_points=6, seed=17, n_trials=100, shots_per_point=200)
     old, new = tmp_path / "old", tmp_path / "new"
-    write_outputs(old, "local-gate", scenario, 17, local_gate_experiment(scenario, 17, 100, 200))
+    write_outputs(old, "local-gate", scenario, local_gate_experiment(scenario))
     shutil.copytree(old, new)
     path = new / "parity.csv"
     lines = path.read_text(encoding="utf-8").splitlines()

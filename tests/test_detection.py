@@ -184,7 +184,7 @@ def test_reported_fidelity_never_exceeds_ideal_readout():
     from ionnet.protocols import local_gate_experiment
     from ionnet.scenario import loads_scenario
 
-    res = local_gate_experiment(loads_scenario(""), seed=13, n_trials=100, shots=4000)
+    res = local_gate_experiment(loads_scenario("", seed=13, n_trials=100, shots_per_point=4000))
     assert (
         res.summary["parity_amplitude_exact_reported"]
         <= res.summary["parity_amplitude_exact_ideal_readout"] + 1e-12

@@ -63,7 +63,7 @@ def three_qubit_script(phi=None) -> ProtocolScript:
     steps = [
         HeraldStep(),
         ReinitStep("q1"),
-        MSGateStep(("q1", "q2"), 0.0),
+        MSGateStep(("q1", "q2")),
     ]
     if phi is not None:
         steps.append(AnalysisStep(("q1", "q2"), math.pi / 2, phi))
@@ -319,7 +319,7 @@ class TestRunProtocol:
         # a script without a herald step spends no time waiting
         local = ProtocolScript(
             qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
-            steps=(MSGateStep(("q1", "q2"), 0.0), MeasureStep()),
+            steps=(MSGateStep(("q1", "q2")), MeasureStep()),
         )
         np.testing.assert_array_equal(mc.run_protocol(local, cfg, 20, seed=5).herald_time, 0.0)
 
@@ -489,7 +489,7 @@ class TestParityScan:
         from ionnet.protocols import modular_3q_experiment
         from ionnet.scenario import loads_scenario
 
-        out = modular_3q_experiment(loads_scenario(""), seed=4, n_trials=200, shots=300)
+        out = modular_3q_experiment(loads_scenario("", seed=4, n_trials=200, shots_per_point=300))
         assert "parity_remote1" in out.tables
         assert "parity_unconditioned" in out.tables
 

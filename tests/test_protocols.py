@@ -30,6 +30,11 @@ CALIBRATED = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
 DEFAULT = loads_scenario("")
 
 
+def at(scenario, **run):
+    """``scenario`` with the ``[run]`` settings ``run``."""
+    return replace(scenario, run=replace(scenario.run, **run))
+
+
 WAIT_STEPS = (
     "[protocol]\nstep.1 = herald\nstep.2 = wait 0.5\nstep.3 = reinit q1\n"
     "step.4 = gate q1 q2\nstep.5 = analyze q1 q2\nstep.6 = measure\n"
@@ -67,22 +72,22 @@ def test_driver_rejects_settings_before_exact_work(monkeypatch, driver, text, n_
     for module in (montecarlo, protocols):
         monkeypatch.setattr(module, "exact_branches", refuse)
         monkeypatch.setattr(module, "propagate", refuse)
-    scenario = loads_scenario(text)
+    scenario = loads_scenario(text, n_trials=n_trials, shots_per_point=100)
     with pytest.raises(ScenarioError, match=reason):
-        driver(scenario, seed=1, n_trials=n_trials, shots=100)
+        driver(scenario)
 
 
 def test_coherence_echo_matches_spin_echo_ramsey():
     # The echo runs as script steps from the phi_d = 0 herald branch; its
     # reported distribution equals the closed-form echo sequence at every
     # delay, the zero delay (analysis pulse only) included.
-    scenario = replace(CALIBRATED, run=replace(CALIBRATED.run, delay_points=64))
+    scenario = at(CALIBRATED, delay_points=64, seed=1, n_trials=100, shots_per_point=100)
     pair = scenario.protocol.link
     script = scenario.script(scenario.protocol.link)
     (heralded,) = (b for b in exact_branches(script, scenario) if b.phi_d == 0.0)
     m = confusion_matrix(2, scenario.detectors, script.detector_layout())
     delays = np.linspace(0.0, scenario.run.delay_max_s, 64)
-    table = coherence_experiment(scenario, seed=1, n_trials=100, shots=100).tables["coherence"]
+    table = coherence_experiment(scenario).tables["coherence"]
     assert len(table["delay_s"]) == len(delays) and delays[0] == 0.0
     for delay, row_delay, row_exact in zip(delays.tolist(), table["delay_s"], table["exact_parity"]):
         echoed = spin_echo_ramsey(
@@ -114,19 +119,22 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
         np.testing.assert_allclose(final.state.data, echoed.data, rtol=0, atol=1e-12)
 
 
-def heralds_scenario(heralds: int):
+def heralds_scenario(heralds: int, **run):
     """The default scenario with ``heralds`` herald steps, then a 0.5 s
-    wait and the default's other steps."""
+    wait and the default's other steps, with the ``[run]`` settings ``run``."""
     steps = ("herald",) * heralds + ("wait 0.5", "reinit q1", "gate q1 q2", "analyze q1 q2", "measure")
     lines = [f"step.{i + 1} = {s}" for i, s in enumerate(steps)]
-    return loads_scenario("[protocol]\n" + "\n".join(lines) + "\n")
+    return loads_scenario("[protocol]\n" + "\n".join(lines) + "\n", **run)
 
 
 def test_second_herald_gives_the_exact_results_of_one():
     # A later herald replaces the pair, and its dephasing starts afresh.
     # The sampled values differ, because the trials are drawn over the
     # four branches of two heralds instead of two.
-    one, two = (modular_3q_experiment(heralds_scenario(h), 3, 100, 200) for h in (1, 2))
+    one, two = (
+        modular_3q_experiment(heralds_scenario(h, seed=3, n_trials=100, shots_per_point=200))
+        for h in (1, 2)
+    )
     exact = [k for k in one.summary if "exact" in k]
     assert len(exact) == 6
     for key in exact:
@@ -147,7 +155,8 @@ def test_second_herald_halves_the_rate():
     # standard deviation of 1 / sqrt(2 * 2000) = 1.6 %, and the 6 % bound
     # is 3.8 sigma (false failure ~1.5e-4).
     one, two = (
-        modular_3q_experiment(heralds_scenario(h), 3, 2000, 200).summary["rate_per_s"]
+        modular_3q_experiment(heralds_scenario(h, seed=3, n_trials=2000, shots_per_point=200))
+        .summary["rate_per_s"]
         for h in (1, 2)
     )
     assert two == pytest.approx(one / 2.0, rel=0.06)
@@ -158,17 +167,17 @@ def test_second_herald_halves_the_rate():
 # the trial count, so each run takes the fewest trials a rate fit accepts.
 COVERAGE_CASES = {
     "coherence-tau": (
-        lambda seed: coherence_experiment(DEFAULT, seed, 100, DEFAULT.run.shots_per_point),
+        lambda seed: coherence_experiment(at(DEFAULT, seed=seed, n_trials=100)),
         ("tau_fit_s", "tau_fit_stderr", "tau_fit_exact_s"),
         range(201, 801),
     ),
     "local-gate-amplitude": (
-        lambda seed: local_gate_experiment(DEFAULT, seed, 100, DEFAULT.run.shots_per_point),
+        lambda seed: local_gate_experiment(at(DEFAULT, seed=seed, n_trials=100)),
         ("parity_amplitude_sampled", "parity_amplitude_sampled_stderr", "parity_amplitude_exact_reported"),
         range(1, 201),
     ),
     "modular-3q-amplitude": (
-        lambda seed: modular_3q_experiment(CALIBRATED, seed, 100, CALIBRATED.run.shots_per_point),
+        lambda seed: modular_3q_experiment(at(CALIBRATED, seed=seed, n_trials=100)),
         ("parity_amplitude_remote1", "parity_amplitude_remote1_stderr", "parity_amplitude_remote1_exact"),
         range(1, 201),
     ),

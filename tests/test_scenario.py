@@ -56,10 +56,8 @@ class TestDefaults:
         assert s.memory.tau_s == 2.24
 
     def test_tau_override_scales_d_ent(self):
-        base = budget_report(loads_scenario(""), 1, 100, 100).summary["d_ent_m"]
-        doubled = budget_report(
-            loads_scenario("[memory]\ntau_s = 2.24\n"), 1, 100, 100
-        ).summary["d_ent_m"]
+        base = budget_report(loads_scenario("")).summary["d_ent_m"]
+        doubled = budget_report(loads_scenario("[memory]\ntau_s = 2.24\n")).summary["d_ent_m"]
         assert doubled == pytest.approx(2 * base, rel=1e-12)
 
 
@@ -95,6 +93,10 @@ class TestValidation:
     def test_bad_step_verb(self):
         with pytest.raises(ScenarioError, match="unknown step verb"):
             loads_scenario("[protocol]\nstep.1 = teleport q1\n")
+
+    def test_bad_wait_duration_names_its_line(self):
+        with pytest.raises(ScenarioError, match=r"<string>:3: cannot parse protocol\.step\.2"):
+            loads_scenario("[protocol]\nstep.1 = herald\nstep.2 = wait abc\nstep.3 = measure\n")
 
     def test_script_missing_measure(self):
         with pytest.raises(ScenarioError, match="measure"):
@@ -166,6 +168,14 @@ class TestRoundTrip:
     def test_hash_is_stable(self):
         s = loads_scenario("")
         assert s.config_hash() == loads_scenario(emit_scenario(s)).config_hash()
+
+    def test_wait_spellings_hash_alike(self):
+        # A wait duration is kept in one canonical spelling, so two
+        # spellings of one script resolve to the same config.
+        base = "[protocol]\nstep.1 = herald\nstep.2 = wait {}\nstep.3 = measure\n"
+        one, other = (loads_scenario(base.format(d)) for d in ("1e-3", "0.001"))
+        assert one.protocol.steps[1] == ("wait", "0.001")
+        assert one.config_hash() == other.config_hash()
 
     def test_large_integer_is_exact(self):
         s = loads_scenario(f"[run]\nseed = {2**60 + 1}\nn_trials = 1e3\n")

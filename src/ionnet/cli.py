@@ -131,9 +131,7 @@ def _write_files(
     lines = _header(subcommand, seed, config_hash)
     for key in output.summary:
         lines.append(f"{key} = {format_value(output.summary[key])}")
-    if scenario.defaulted:
-        lines.append(f"defaulted_fields = {len(scenario.defaulted)}")
-    for warning in scenario.warnings:
+    for warning in scenario.ledger.warnings():
         lines.append(f"# warning: {warning}")
     names.append("summary.txt")
     (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -231,7 +229,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for warning in scenario.warnings:
+    for warning in scenario.ledger.warnings():
         print(f"warning: {warning}", file=sys.stderr)
 
     try:
@@ -250,6 +248,8 @@ def main(argv=None) -> int:
         print(f"{key} = {format_value(value)}")
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
+    if scenario.defaulted:
+        print(f"{len(scenario.defaulted)} fields left out of the config", file=sys.stderr)
     return 0
 
 

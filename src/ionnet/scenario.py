@@ -8,16 +8,18 @@ The format is a minimal sectioned key-value text file:
 * ``[section]`` opens a section;
 * ``key = value`` assigns a field; values are SI numbers, bare words, or
   space-separated word lists depending on the field;
-* protocol steps use numbered keys ``step.1``, ``step.2`` and so on.
+* protocol steps use numbered keys ``step.1``, ``step.2`` and so on;
+  each such line becomes its step record where it is read.
 
-Unknown sections or keys are rejected with the offending line number;
-invariant violations report the dotted field path. Every field left out
-is filled from the built-in defaults and listed in the validation
-report. The config record classes are the schema: each section maps
-onto one record class and takes its keys, their order and their
-defaults from the class's fields. ``emit_scenario`` writes the fully
-resolved form, which parses back to an identical scenario (floats are
-emitted with ``repr`` so the round trip is exact).
+Unknown sections or keys and malformed steps are rejected with the
+offending line number; invariant violations report the dotted field
+path, and a scenario checks its protocol script whenever it is built.
+Each field left out takes its built-in default and is listed in
+``Scenario.defaulted``. The config record classes are the schema: each
+section maps onto one record class and takes its keys, their order and
+their defaults from the class's fields. ``emit_scenario`` writes the
+fully resolved form, which parses back to an identical scenario (floats
+are emitted with ``repr`` so the round trip is exact).
 
 This module needs no numpy, and holds everything that loading a
 scenario or running ``budget`` and ``timing`` needs: the record class
@@ -295,35 +297,51 @@ class ScriptError(ValueError):
     """Raised when a protocol script fails validation."""
 
 
+# A step record's ``verb`` is the word that names it in a step.N line.
 class HeraldStep(Record):
-    pass
+    verb = "herald"
 
 
 class ReinitStep(Record):
+    verb = "reinit"
     qubit: str
 
 
 class MSGateStep(Record):
+    verb = "gate"
     pair: tuple[str, str]
 
 
 # A scan sets ``theta``, ``phi`` or ``duration_s`` to a 1-D array, one
 # value per scan point (see ``montecarlo.propagate``).
 class AnalysisStep(Record):
+    verb = "analyze"
     targets: tuple[str, ...]
     theta: float | np.ndarray
     phi: float | np.ndarray
 
 
 class WaitStep(Record):
+    verb = "wait"
     duration_s: float | np.ndarray
 
 
 class MeasureStep(Record):
-    pass
+    verb = "measure"
 
 
 Step = HeraldStep | ReinitStep | MSGateStep | AnalysisStep | WaitStep | MeasureStep
+
+
+def _named(step: Step, link: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """The qubits ``step`` names; a herald names the ``link`` atoms."""
+    if isinstance(step, ReinitStep):
+        return (step.qubit,)
+    if isinstance(step, MSGateStep):
+        return step.pair
+    if isinstance(step, AnalysisStep):
+        return step.targets
+    return link if isinstance(step, HeraldStep) else ()
 
 
 class ProtocolScript(Record):
@@ -347,6 +365,8 @@ class ProtocolScript(Record):
         hosted = [q for qs in self.modules.values() for q in qs]
         if sorted(hosted) != sorted(self.qubits):
             raise ScriptError("modules must partition the declared qubits")
+        if not all(isinstance(step, Step) for step in self.steps):
+            raise ScriptError(f"every protocol step must be a step record: {self.steps}")
         if not self.steps or not isinstance(self.steps[-1], MeasureStep):
             raise ScriptError("script must end with exactly one measure step")
         measures = [s for s in self.steps if isinstance(s, MeasureStep)]
@@ -355,11 +375,10 @@ class ProtocolScript(Record):
         for step in self.steps:
             if isinstance(step, HeraldStep) and self.link is None:
                 raise ScriptError("herald step in a script without a link")
-            if isinstance(step, ReinitStep) and step.qubit not in declared:
-                raise ScriptError(f"reinit step references unknown qubit {step.qubit!r}")
+            unknown = [q for q in _named(step, self.link) if q not in declared]
+            if unknown:
+                raise ScriptError(f"{step.verb} step references unknown qubits {unknown}")
             if isinstance(step, MSGateStep):
-                if any(q not in declared for q in step.pair):
-                    raise ScriptError(f"gate step references unknown qubits {step.pair}")
                 if step.pair[0] == step.pair[1]:
                     raise ScriptError(f"gate step needs two distinct qubits, got {step.pair}")
                 if self.module_of(step.pair[0]) != self.module_of(step.pair[1]):
@@ -367,13 +386,8 @@ class ProtocolScript(Record):
                         f"gate step on {step.pair} spans two modules; "
                         "the phonon bus acts within one module"
                     )
-            if isinstance(step, AnalysisStep):
-                if any(q not in declared for q in step.targets):
-                    raise ScriptError(
-                        f"analysis step references unknown qubits {step.targets}"
-                    )
-                if len(set(step.targets)) != len(step.targets):
-                    raise ScriptError(f"analysis step names a qubit twice: {step.targets}")
+            if isinstance(step, AnalysisStep) and len(set(step.targets)) != len(step.targets):
+                raise ScriptError(f"analysis step names a qubit twice: {step.targets}")
             if isinstance(step, WaitStep):
                 # A scan's array of durations has a NaN min and max when it
                 # holds a NaN, and every comparison with NaN is false.
@@ -434,12 +448,12 @@ class ProtocolLayout(Record):
     link: tuple[str, str] = ("q2", "q3")
     crosstalk_depol: float = 0.0
     reinit_duration_s: float = 0.0
-    steps: tuple[tuple[str, ...], ...] = (
-        ("herald",),
-        ("reinit", "q1"),
-        ("gate", "q1", "q2"),
-        ("analyze", "q1", "q2"),
-        ("measure",),
+    steps: tuple[Step, ...] = (
+        HeraldStep(),
+        ReinitStep("q1"),
+        MSGateStep(("q1", "q2")),
+        AnalysisStep(("q1", "q2"), math.pi / 2.0, 0.0),
+        MeasureStep(),
     )
 
     def __post_init__(self):
@@ -454,11 +468,11 @@ class ProtocolLayout(Record):
             )
         # Re-initializing a heralded atom throws the remote pair away.
         heralded = False
-        for verb, *args in self.steps:
-            heralded = heralded or verb == "herald"
-            if heralded and verb == "reinit" and set(args) & set(self.link):
+        for step in self.steps:
+            heralded = heralded or isinstance(step, HeraldStep)
+            if heralded and isinstance(step, ReinitStep) and step.qubit in self.link:
                 raise ValueError(
-                    f"protocol.link = {a} {b}: step reinit {' '.join(args)} follows "
+                    f"protocol.link = {a} {b}: step reinit {step.qubit} follows "
                     "a herald and discards the pair it heralded"
                 )
         if not 0.0 <= self.crosstalk_depol <= 1.0:
@@ -497,14 +511,16 @@ def _kind(default: object) -> str:
     return next(kind for cls, kind in _KINDS if isinstance(default, cls))
 
 
-# step verb -> (fewest, most) arguments
-_STEP_ARITY = {
-    "herald": (0, 0),
-    "reinit": (1, 1),
-    "gate": (2, 2),
-    "analyze": (1, math.inf),
-    "wait": (1, 1),
-    "measure": (0, 0),
+# step verb -> the record of a step.N line's arguments. A wrong argument
+# count raises TypeError and a duration that is no float ValueError.
+# Analyze steps carry phase 0; a parity scan sets the phase it scans.
+_STEPS = {
+    "herald": HeraldStep,
+    "reinit": ReinitStep,
+    "gate": lambda a, b: MSGateStep((a, b)),
+    "analyze": lambda first, *rest: AnalysisStep((first, *rest), math.pi / 2.0, 0.0),
+    "wait": lambda duration: WaitStep(float(duration)),
+    "measure": MeasureStep,
 }
 
 
@@ -518,7 +534,13 @@ class Scenario(Record):
     protocol: ProtocolLayout
     run: RunSettings
     defaulted: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # Loaded, built or replaced, a scenario's script is checked here.
+        try:
+            self.script()
+        except ValueError as exc:
+            raise ScenarioError(f"protocol script invalid: {exc}") from None
 
     def config_hash(self) -> str:
         return hashlib.sha256(emit_scenario(self).encode("utf-8")).hexdigest()
@@ -531,36 +553,19 @@ class Scenario(Record):
         (by default every declared qubit), in that order: each module and
         the link keep what lies in the register, and a step is kept when
         every declared qubit it names does (a herald names the link's
-        atoms). Analyze steps carry phase 0; a parity scan sets the
-        phase it scans."""
+        atoms)."""
         register = self.qubits() if qubits is None else tuple(qubits)
         protocol, declared = self.protocol, set(self.qubits())
-        steps = []
-        for raw in protocol.steps:
-            verb, args = raw[0], raw[1:]
-            named = {"herald": protocol.link, "wait": ()}.get(verb, args)
-            if any(q in declared and q not in register for q in named):
-                continue
-            if verb == "herald":
-                steps.append(HeraldStep())
-            elif verb == "reinit":
-                steps.append(ReinitStep(args[0]))
-            elif verb == "gate":
-                steps.append(MSGateStep((args[0], args[1])))
-            elif verb == "analyze":
-                steps.append(AnalysisStep(tuple(args), math.pi / 2.0, 0.0))
-            elif verb == "wait":
-                steps.append(WaitStep(float(args[0])))
-            elif verb == "measure":
-                steps.append(MeasureStep())
-            else:  # pragma: no cover - rejected at parse time
-                raise ScenarioError(f"unknown protocol step verb {verb!r}")
         modules = {"A": protocol.qubits_a, "B": protocol.qubits_b}
         modules = {m: tuple(q for q in qs if q in register) for m, qs in modules.items()}
         return ProtocolScript(
             qubits=register,
             modules={m: qs for m, qs in modules.items() if qs},
-            steps=tuple(steps),
+            steps=tuple(
+                step
+                for step in protocol.steps
+                if all(q in register or q not in declared for q in _named(step, protocol.link))
+            ),
             link=protocol.link if set(protocol.link) <= set(register) else None,
         )
 
@@ -604,10 +609,11 @@ def _parse_value(kind: str, raw: str, path: str, lineno: int):
 
 
 def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], set[str]]:
-    """Raw parse: the values set per section (protocol steps in order,
-    as ``steps``) and the dotted paths of the fields set."""
+    """Raw parse: the values set per section (the protocol's step
+    records in order, as ``steps``) and the dotted paths of the fields
+    set."""
     values: dict[str, dict[str, object]] = {sec: {} for sec in _SCHEMA}
-    steps: dict[int, tuple[str, ...]] = {}
+    steps: dict[int, Step] = {}
     seen: set[str] = set()
     section: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -633,26 +639,23 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], s
                 index = int(key.split(".", 1)[1])
             except ValueError:
                 raise ScenarioError(f"{source}:{lineno}: malformed step key {key!r}") from None
-            parts = tuple(raw.split())
-            if not parts or parts[0] not in _STEP_ARITY:
+            verb, *args = raw.split() or [""]
+            if verb not in _STEPS:
                 raise ScenarioError(
                     f"{source}:{lineno}: unknown step verb in {path}: {raw!r}"
                 )
-            fewest, most = _STEP_ARITY[parts[0]]
-            if not fewest <= len(parts) - 1 <= most:
-                raise ScenarioError(
-                    f"{source}:{lineno}: wrong number of arguments in {path}: {raw!r}"
-                )
             if index in steps:
                 raise ScenarioError(f"{source}:{lineno}: duplicate step index {index}")
-            if parts[0] == "wait":  # kept as float's repr, so one duration emits one way
-                try:
-                    parts = ("wait", repr(float(parts[1])))
-                except ValueError:
-                    raise ScenarioError(
-                        f"{source}:{lineno}: cannot parse {path} duration {parts[1]!r} as float"
-                    ) from None
-            steps[index] = parts
+            try:
+                steps[index] = _STEPS[verb](*args)
+            except TypeError:
+                raise ScenarioError(
+                    f"{source}:{lineno}: wrong number of arguments in {path}: {raw!r}"
+                ) from None
+            except ValueError:
+                raise ScenarioError(
+                    f"{source}:{lineno}: cannot parse {path} duration {args[0]!r} as float"
+                ) from None
             seen.add("protocol.steps")
             continue
         if key not in _SCHEMA[section]:
@@ -680,16 +683,9 @@ def loads_scenario(text: str, source: str = "<string>", **run) -> Scenario:
     try:
         # Each record fills the keys its section leaves out with its defaults.
         parts = {attr: cls(**values[section]) for section, (attr, cls) in _SECTIONS.items()}
-        warnings = tuple(parts["ledger"].warnings())
-        scenario = Scenario(**parts, defaulted=defaulted, warnings=warnings)
+        return Scenario(**parts, defaulted=defaulted)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    # Validate the script eagerly so config errors surface at load time.
-    try:
-        scenario.script()
-    except ValueError as exc:
-        raise ScenarioError(f"protocol script invalid: {exc}") from None
-    return scenario
 
 
 def load_scenario(path: str | Path, **run) -> Scenario:
@@ -726,7 +722,9 @@ def emit_scenario(s: Scenario) -> str:
         lines += ["", f"[{section}]"]
         lines += [f"{key} = {format_value(getattr(part, key))}" for key in _SCHEMA[section]]
         steps = getattr(part, "steps", ())
-        lines += [f"step.{i} = {' '.join(step)}" for i, step in enumerate(steps, start=1)]
+        for i, step in enumerate(steps, start=1):
+            words = (format_value(step.duration_s),) if isinstance(step, WaitStep) else _named(step)
+            lines.append(f"step.{i} = {' '.join((step.verb, *words))}")
     return "\n".join(lines) + "\n"
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as hs
 from ionnet import detection, montecarlo, protocols
 from ionnet.cli import SUBCOMMANDS, driver, main, write_outputs
 from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
+from ionnet.records import replace
 from ionnet.scenario import (
     _SCHEMA,
     ExperimentOutput,
@@ -117,15 +118,15 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_resolved_config_reproduces_a_flagged_run(tmp_path):
+def test_resolved_config_reproduces_a_flagged_run(tmp_path, capsys):
     # The flags set [run], so the written config records them, and a run
-    # of that config alone writes the same files. The first run reads a
-    # config that sets every field, as the written one does, so both
-    # summaries report the same defaulted_fields (none).
+    # of that config alone writes the same files. The count of defaulted
+    # fields goes to stderr, not into the files.
     first, again = tmp_path / "a", tmp_path / "b"
     flags = ["--seed", "3", "--trials", "500", "--shots", "7"]
-    given = ["--config", str(ROOT / "configs" / "default.cfg")]
-    assert main(["remote-bell", *given, *flags, "--out", str(first)]) == 0
+    assert main(["remote-bell", *flags, "--out", str(first)]) == 0
+    defaulted = len(loads_scenario("").defaulted)
+    assert capsys.readouterr().err.endswith(f"\n{defaulted} fields left out of the config\n")
     config = first / "resolved_config.cfg"
     assert main(["remote-bell", "--config", str(config), "--out", str(again)]) == 0
     names = sorted(p.name for p in first.iterdir())
@@ -435,6 +436,17 @@ def test_numpy_floats_written_as_plain_numbers(tmp_path):
     assert "p = 0.05" in summary
     assert "n = 7" in summary
     assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.05,1e-12"
+
+
+def test_replaced_ledger_writes_its_warning(tmp_path):
+    scenario = loads_scenario("")
+    scenario = replace(scenario, ledger=replace(scenario.ledger, delta_tau=1e-6))
+    write_outputs(tmp_path, "budget", scenario, ExperimentOutput(summary={}))
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert [line for line in summary if line.startswith("# warning: ")] == [
+        f"# warning: {warning}" for warning in scenario.ledger.warnings()
+    ]
+    assert "k*c*delta_tau" in summary[-1]
 
 
 def test_columns_written_as_format_value_writes_each_cell(tmp_path):

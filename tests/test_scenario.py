@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from ionnet.records import fields
+from ionnet.records import fields, replace
 from ionnet.scenario import (
     _SCHEMA,
     AnalysisStep,
@@ -48,7 +48,7 @@ class TestDefaults:
         assert (s.detectors.module_a, s.detectors.module_b) == ("shared", "individual")
         assert len(s.defaulted) >= 30
         assert "link_budget.rep_rate" in s.defaulted
-        assert not s.warnings
+        assert not s.ledger.warnings()
 
     def test_defaulted_fields_shrink_on_override(self):
         s = loads_scenario("[memory]\ntau_s = 2.24\n")
@@ -123,11 +123,31 @@ class TestValidation:
             ("step.1 = herald\nstep.2 = reinit q3\nstep.3 = measure", "discards the pair"),
             ("step.1 = reinit\nstep.2 = measure", r":2: wrong number of arguments"),
             ("step.1 = herald ab\nstep.2 = measure", r":2: wrong number of arguments"),
+            ("step.1 = gate q1\nstep.2 = measure", r":2: wrong number of arguments"),
+            ("step.1 = analyze\nstep.2 = measure", r":2: wrong number of arguments"),
+            ("step.1 = wait\nstep.2 = measure", r":2: wrong number of arguments"),
+            ("step.1 = measure now", r":2: wrong number of arguments"),
         ],
     )
     def test_script_rules(self, text, match):
         with pytest.raises(ScenarioError, match=match):
             loads_scenario(f"[protocol]\n{text}\n")
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            (("gate", "q1"), ("measure",)),
+            (("herald", "x", "y"), ("measure",)),
+            (HeraldStep(), MSGateStep(("q1", "q3")), MeasureStep()),
+            (HeraldStep(), AnalysisStep(("q9",), math.pi / 2.0, 0.0), MeasureStep()),
+            (HeraldStep(),),
+        ],
+    )
+    def test_built_scenario_checks_its_script(self, steps):
+        # A scenario built in Python is checked as a loaded one is.
+        s = loads_scenario("")
+        with pytest.raises(ScenarioError, match="protocol script invalid"):
+            replace(s, protocol=replace(s.protocol, steps=steps))
 
     def test_probability_out_of_range(self):
         with pytest.raises(ScenarioError, match="atom_photon_fidelity"):
@@ -145,8 +165,7 @@ class TestValidation:
 
     def test_geometry_warning_not_error(self):
         s = loads_scenario("[phase_ledger]\ndelta_tau = 1e-8\n")
-        assert s.warnings
-        assert any("delta_tau" in w for w in s.warnings)
+        assert any("delta_tau" in w for w in s.ledger.warnings())
 
 
 class TestRoundTrip:
@@ -174,7 +193,7 @@ class TestRoundTrip:
         # spellings of one script resolve to the same config.
         base = "[protocol]\nstep.1 = herald\nstep.2 = wait {}\nstep.3 = measure\n"
         one, other = (loads_scenario(base.format(d)) for d in ("1e-3", "0.001"))
-        assert one.protocol.steps[1] == ("wait", "0.001")
+        assert one.protocol.steps[1] == WaitStep(0.001)
         assert one.config_hash() == other.config_hash()
 
     def test_large_integer_is_exact(self):
@@ -208,11 +227,13 @@ def protocols(draw):
     # a reinit of a link atom may not follow a herald
     spare = [q for q in labels if q not in link]
     step = hs.one_of(
-        hs.just(("herald",)),
-        *([hs.builds(lambda q: ("reinit", q), hs.sampled_from(spare))] if spare else []),
-        hs.lists(hs.sampled_from(labels), min_size=1, unique=True).map(lambda q: ("analyze", *q)),
-        hs.floats(0.0, 1e3).map(lambda t: ("wait", repr(t))),
-        *([hs.sampled_from(gates).map(lambda g: ("gate", *g))] if gates else []),
+        hs.just(HeraldStep()),
+        *([hs.builds(ReinitStep, hs.sampled_from(spare))] if spare else []),
+        hs.lists(hs.sampled_from(labels), min_size=1, unique=True).map(
+            lambda q: AnalysisStep(tuple(q), math.pi / 2.0, 0.0)
+        ),
+        hs.builds(WaitStep, hs.floats(0.0, 1e3)),
+        *([hs.builds(MSGateStep, hs.sampled_from(gates))] if gates else []),
     )
     return ProtocolLayout(
         qubits_a=qa,
@@ -220,7 +241,7 @@ def protocols(draw):
         link=link,
         crosstalk_depol=draw(UNIT),
         reinit_duration_s=draw(hs.floats(0.0, 1e3)),
-        steps=(*draw(hs.lists(step, max_size=6)), ("measure",)),
+        steps=(*draw(hs.lists(step, max_size=6)), MeasureStep()),
     )
 
 
@@ -228,13 +249,12 @@ def protocols(draw):
 def scenarios(draw):
     """A random valid scenario, as the config dataclasses build it."""
     unit_fields = ("p_bell", "p_pi", "p_s_half", "q_e", "t_fib", "t_opt", "solid_angle_fraction")
-    ledger = PhaseLedger(*(draw(FINITE) for _ in range(5)))
     counts = hs.integers(1, 10**9)
     return Scenario(
         budget=LinkBudget(**{f: draw(UNIT) for f in unit_fields}, rep_rate=draw(POSITIVE)),
         link_errors=LinkErrorModel(draw(UNIT), draw(UNIT)),
         gate=GateSettings(draw(FINITE), draw(UNIT), draw(POSITIVE)),
-        ledger=ledger,
+        ledger=PhaseLedger(*(draw(FINITE) for _ in range(5))),
         memory=MemoryDecoherence(draw(hs.one_of(POSITIVE, hs.just(math.inf)))),
         detectors=DetectorModel(
             draw(UNIT),
@@ -254,7 +274,6 @@ def scenarios(draw):
             phase_scan_delay_s=draw(POSITIVE),
             qubit_separation_m=draw(POSITIVE),
         ),
-        warnings=tuple(ledger.warnings()),
     )
 
 

@@ -15,6 +15,7 @@ pair. ``apply_readout_array`` draws the same channel shot by shot.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -91,14 +92,22 @@ def confusion_matrix(
     overlap channel of each shared detector on its pair's two reported
     bits (the tensored readout model of Bravyi et al., PRA 103, 042605
     (2021), plus the pair term). The exact reported statistics and the
-    sampled trials both use it.
+    sampled trials both use it. Each channel is built once per process
+    (a bounded cache) and returned read-only.
     """
+    return _confusion_matrix(n_bits, model, tuple(layout))
+
+
+@functools.lru_cache(maxsize=32)
+def _confusion_matrix(
+    n_bits: int, model: DetectorModel, layout: tuple[DetectorGroup, ...]
+) -> np.ndarray:
     _validate_layout(n_bits, layout, model)
     eps, o = model.single_qubit_error, model.two_qubit_overlap
     flip = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
     m = np.ones((1, 1))
-    for _ in range(n_bits):
-        m = np.kron(m, flip)
+    for _ in range(n_bits):  # m = kron(m, flip)
+        m = (m[:, None, :, None] * flip[:, None, :]).reshape(2 * len(m), -1)
     # overlap[reported pair, true pair], pair bits (i, j) read as 2 i + j:
     # one bright is reported as two with probability o, two bright as
     # either one-bright outcome with o / 2 each; zero bright is untouched.
@@ -115,4 +124,6 @@ def confusion_matrix(
         if model.is_shared(group.module) and len(group.positions) == 2:
             i, j = group.positions
             m = np.moveaxis(np.tensordot(overlap, m, axes=((2, 3), (i, j))), (0, 1), (i, j))
-    return m.reshape(2**n_bits, 2**n_bits)
+    m = m.reshape(2**n_bits, 2**n_bits)
+    m.setflags(write=False)
+    return m

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .scenario import PhaseLedger
-from .states import QuantumState, apply_phase, dephase_pair
+from .states import QuantumState, _dephasing_factor, _phase_factor
 
 __all__ = [
     "phi_ab",
@@ -51,19 +51,25 @@ def free_evolution(
     is a local Z phase e^{-i delta_omega_ab t} on every module-B atom in
     ``b_atoms``; for a stored pair (module-A atom, module-B atom) it adds
     the relative phase e^{i delta_omega_ab t} between |01> and |10>.
-    The coherences of every pair in ``pairs`` are multiplied by
-    exp(-t/tau_s) (exactly 1 for an infinite ``tau_s``); populations are
-    preserved exactly. A zero duration leaves its point unchanged.
+    The coherences of every pair in ``pairs`` are dephased as by
+    ``dephase_pair`` with factor exp(-t/tau_s) (exactly 1 for an infinite
+    ``tau_s``); populations are preserved exactly. A zero duration
+    leaves its point unchanged.
+
+    The state is multiplied once, elementwise, by the product of the
+    ``apply_phase`` factor of each B atom and the ``dephase_pair`` factor
+    of each pair: the same map as applying them one after the other, up
+    to rounding.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"time must be non-negative, got {t}")
     if not np.any(t):
         return s
-    out = s
-    for q in b_atoms:
-        out = apply_phase(out, q, -delta_omega_ab * t)
+    factors = [_phase_factor(s, q, -delta_omega_ab * t) for q in b_atoms]
     gamma = np.exp(-t / tau_s)
-    for pair in pairs:
-        out = dephase_pair(out, pair, gamma)
-    return out
+    factors += [_dephasing_factor(s, pair, gamma) for pair in pairs]
+    factors = [f for f in factors if f is not None]
+    if not factors:
+        return s
+    return QuantumState._of(s.labels, s.data * math.prod(factors))

@@ -128,8 +128,8 @@ def bsm_kraus_operators(v: float) -> dict[tuple[int, int], list[np.ndarray]]:
     if not 0.0 <= v <= 1.0:
         raise StateError(f"mode overlap {v} outside [0, 1]")
     kets = _pol_kets()
-    hv = np.kron(kets["H"], kets["V"])
-    vh = np.kron(kets["V"], kets["H"])
+    hv = np.outer(kets["H"], kets["V"]).ravel()
+    vh = np.outer(kets["V"], kets["H"]).ravel()
     psi_plus = (hv + vh) / math.sqrt(2.0)
     psi_minus = (hv - vh) / math.sqrt(2.0)
     coherent = math.sqrt(0.5) * v

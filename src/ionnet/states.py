@@ -15,6 +15,20 @@ over the leading ones, and so do its array-valued parameters (a unitary,
 phase or dephasing factor per point): a per-point parameter applied to
 a single state gives a stack.
 
+Each kernel step is one batched matrix product or one elementwise
+product. An operator on some subsystems is lifted to the whole register
+(its Kronecker product with the identity on the others, permuted into
+register order) and applied as ``U @ rho @ U^dagger``, by
+``apply_unitary``, ``apply_to_each`` (once per target) and the herald's
+stacked Kraus set alike. A phase gate and the pair dephasing multiply
+the state by a Schur factor (``_phase_factor``, ``_dephasing_factor``),
+and so does a whole free evolution, once, with the product of its
+factors (``phases.free_evolution``).
+
+Constants are built and checked once per process, in bounded caches,
+and shared read-only: the bit table ``_bits(n)``, the identities
+``_identity(d)``, ``basis_state`` and ``maximally_mixed``.
+
 Replacing some subsystems by a fixed state is one kernel,
 ``replace_subsystems``: it traces them out and tensors the fresh state
 back in, in the register's label order. Re-preparing a subsystem
@@ -74,7 +88,8 @@ STATE_ATOL = 1e-9
 UNITARY_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
-# einsum subscripts, one letter per tensor axis of a register
+# einsum subscripts of partial_trace and outcome_probabilities, one
+# letter per tensor axis of a register
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -108,7 +123,7 @@ def _check_positive(arr: np.ndarray):
     rejected on the factorization alone.
     """
     try:
-        np.linalg.cholesky(arr - EIGENVALUE_FLOOR * np.eye(arr.shape[-1]))
+        np.linalg.cholesky(arr - EIGENVALUE_FLOOR * _identity(arr.shape[-1]))
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(arr).min()
         if low < EIGENVALUE_FLOOR:
@@ -221,7 +236,11 @@ class QuantumState:
 
 def basis_state(bits: Sequence[int], labels: Sequence[str]) -> QuantumState:
     """Computational basis ket, e.g. ``basis_state([0, 1], ["a", "b"])`` is |01>."""
-    bits = tuple(int(b) for b in bits)
+    return _basis_state(tuple(int(b) for b in bits), tuple(labels))
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_state(bits: tuple[int, ...], labels: tuple[str, ...]) -> QuantumState:
     if len(bits) != len(labels):
         raise StateError("bits and labels must have equal length")
     if any(b not in (0, 1) for b in bits):
@@ -240,6 +259,11 @@ def mixed_state(rho, labels: Sequence[str]) -> QuantumState:
 
 
 def maximally_mixed(labels: Sequence[str]) -> QuantumState:
+    return _maximally_mixed(tuple(labels))
+
+
+@functools.lru_cache(maxsize=64)
+def _maximally_mixed(labels: tuple[str, ...]) -> QuantumState:
     dim = 2 ** len(labels)
     return QuantumState(labels, np.eye(dim, dtype=complex) / dim)
 
@@ -251,9 +275,19 @@ def _bits_to_index(bits: Sequence[int]) -> int:
     return idx
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    identity = np.eye(dim)
+    identity.setflags(write=False)
+    return identity
+
+
+@functools.lru_cache(maxsize=16)
 def _bits(n: int) -> np.ndarray:
     """bits[idx, k] is bit k (first label most significant) of basis index idx."""
-    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
 
 
 def _tensor_form(rho: np.ndarray, n: int) -> np.ndarray:
@@ -282,41 +316,51 @@ def tensor(a: QuantumState, b: QuantumState, max_subsystems: int = DEFAULT_MAX_S
 def _check_unitary(u: np.ndarray, dim: int):
     if u.shape[-2:] != (dim, dim):
         raise StateError(f"operator shape {u.shape} does not match target dimension {dim}")
-    err = np.abs(_dagger(u) @ u - np.eye(dim)).max()
+    err = np.abs(_dagger(u) @ u - _identity(dim)).max()
     if err > UNITARY_ATOL:
         raise StateError(f"operator is not unitary (deviation {err:.2e})")
 
 
-@functools.cache
-def _density_subscripts(axes: tuple[int, ...], n: int) -> tuple[str, str]:
-    """The two einsum subscripts of ``_apply_matrix_density``: u on the
-    ket axes, then u* on the bra axes."""
-    k = len(axes)
-    ket, bra = _LETTERS[:n], _LETTERS[n : 2 * n]
-    new_ket, new_bra = _LETTERS[2 * n : 2 * n + k], _LETTERS[2 * n + k : 2 * n + 2 * k]
-    old_ket = "".join(ket[ax] for ax in axes)
-    old_bra = "".join(bra[ax] for ax in axes)
-    out_ket, out_bra = list(ket), list(bra)
-    for j, ax in enumerate(axes):
-        out_ket[ax], out_bra[ax] = new_ket[j], new_bra[j]
-    out_ket, out_bra = "".join(out_ket), "".join(out_bra)
-    return (
-        f"...{new_ket}{old_ket},...{ket}{bra}->...{out_ket}{bra}",
-        f"...{new_bra}{old_bra},...{out_ket}{bra}->...{out_ket}{out_bra}",
-    )
+@functools.lru_cache(maxsize=128)
+def _lift_axes(axes: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Axis permutation from the tensor form of u (x) I to register order.
+
+    u (x) I orders its subsystems as the targets (in ``axes`` order),
+    then the others (in register order); the permutation puts each ket
+    and each bra axis at its subsystem's register position.
+    """
+    order = list(axes) + [ax for ax in range(n) if ax not in axes]
+    ket = tuple(order.index(ax) for ax in range(n))
+    return ket + tuple(n + ax for ax in ket)
 
 
 def _apply_matrix_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
     """u rho u^dagger with u acting on ``axes``; u need not be unitary.
 
-    Both ``rho`` (..., d, d) and ``u`` (..., 2^k, 2^k) may be stacks;
-    their leading axes broadcast.
+    u is lifted to the whole register, as the Kronecker product u (x) I
+    with the identity on the other subsystems and one permutation of its
+    axes into register order (``_lift_axes``), and applied as one
+    batched ``U @ rho @ U^dagger``. Both ``rho`` (..., d, d) and ``u``
+    (..., 2^k, 2^k) may be stacks; their leading axes broadcast. One
+    operator on a stack of states is applied as two matrix products over
+    the whole stack instead of two per state. A stack of operators takes
+    one product per operator, each the same as the product of that
+    operator alone, so a stacked Kraus set gives each operator's term to
+    the last bit.
     """
-    on_ket, on_bra = _density_subscripts(tuple(axes), n)
-    u_t = u.reshape(u.shape[:-2] + (2,) * (2 * len(axes)))
-    t = np.einsum(on_ket, u_t, _tensor_form(rho, n))
-    t = np.einsum(on_bra, u_t.conj(), t)
-    return _matrix_form(t, n)
+    k, dim = 2 ** len(axes), 2**n
+    batch = u.shape[:-2]
+    kron = u[..., :, None, :, None] * _identity(dim // k)[:, None, :]
+    lead = tuple(range(len(batch)))
+    perm = lead + tuple(len(lead) + ax for ax in _lift_axes(tuple(axes), n))
+    full = kron.reshape(batch + (2,) * (2 * n)).transpose(perm).reshape(batch + (dim, dim))
+    if not batch and rho.ndim > 2:
+        # rho U^dagger on the stacked rows, then U on the stack's columns
+        # laid side by side.
+        right = rho.reshape(-1, dim) @ _dagger(full)
+        cols = right.reshape(-1, dim, dim).swapaxes(0, 1).reshape(dim, -1)
+        return (full @ cols).reshape(dim, -1, dim).swapaxes(0, 1).reshape(rho.shape)
+    return full @ rho @ _dagger(full)
 
 
 def apply_unitary(s: QuantumState, u, targets: Sequence[str]) -> QuantumState:
@@ -361,10 +405,15 @@ def apply_phase(s: QuantumState, label: str, phase) -> QuantumState:
     Populations are untouched to the last bit: each matrix element is
     multiplied by e^{i phase (x - y)} for ket bit x and bra bit y.
     """
+    return QuantumState._of(s.labels, s.data * _phase_factor(s, label, phase))
+
+
+def _phase_factor(s: QuantumState, label: str, phase) -> np.ndarray:
+    """Schur factor of ``apply_phase``: e^{i phase (x - y)} for ket bit x
+    and bra bit y of ``label``, one (d, d) matrix per phase."""
     bit = _bits(s.n_subsystems)[:, s.axis(label)]
     phase = np.asarray(phase, dtype=float)
-    factor = np.exp(1j * np.multiply.outer(phase, bit[:, None] - bit[None, :]))
-    return QuantumState._of(s.labels, s.data * factor)
+    return np.exp(1j * np.multiply.outer(phase, bit[:, None] - bit[None, :]))
 
 
 def outcome_probabilities(s: QuantumState, targets: Sequence[str]) -> np.ndarray:
@@ -473,6 +522,15 @@ def dephase_pair(s: QuantumState, pair: Sequence[str], gamma) -> QuantumState:
     scale by sqrt(gamma). The map composes as a semigroup:
     gamma(t1) * gamma(t2) = gamma(t1 + t2).
     """
+    factor = _dephasing_factor(s, pair, gamma)
+    if factor is None:
+        return s
+    return QuantumState._of(s.labels, s.data * factor)
+
+
+def _dephasing_factor(s: QuantumState, pair: Sequence[str], gamma) -> np.ndarray | None:
+    """Schur factor of ``dephase_pair``, one (d, d) matrix per factor
+    ``gamma``; None when every gamma is 1, which leaves the state as it is."""
     gamma = np.asarray(gamma, dtype=float)
     if np.any((gamma < 0.0) | (gamma > 1.0)):
         raise StateError(f"dephasing factor {gamma} outside [0, 1]")
@@ -481,7 +539,7 @@ def dephase_pair(s: QuantumState, pair: Sequence[str], gamma) -> QuantumState:
         raise StateError(f"dephasing needs two distinct labels, got {pair}")
     ax = [s.axis(q) for q in pair]
     if np.all(gamma == 1.0):
-        return s
+        return None
     bits = _bits(s.n_subsystems)
     # Common-mode charge u = b1 + b2, differential charge w = b2 - b1.
     # The Schur factor between ket bits x and bra bits y is
@@ -491,8 +549,7 @@ def dephase_pair(s: QuantumState, pair: Sequence[str], gamma) -> QuantumState:
     w = bits[:, ax[1]] - bits[:, ax[0]]
     du = u[:, None] - u[None, :]
     dw = w[:, None] - w[None, :]
-    factor = gamma[..., None, None] ** ((du * du + dw * dw) / 4.0)
-    return QuantumState._of(s.labels, s.data * factor)
+    return gamma[..., None, None] ** ((du * du + dw * dw) / 4.0)
 
 
 def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:

@@ -198,3 +198,17 @@ def test_reported_fidelity_never_exceeds_ideal_readout():
         abs(res.summary["parity_amplitude_sampled"] - res.summary["parity_amplitude_exact_reported"])
         < 3 * res.summary["parity_amplitude_sampled_stderr"]
     )
+
+
+def test_confusion_matrix_is_cached_read_only_and_bounded():
+    model = DetectorModel()
+    first = det.confusion_matrix(3, model, LAYOUT_3Q)
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.5
+    assert np.array_equal(det.confusion_matrix(3, model, list(LAYOUT_3Q)), first)
+    # A calibration sweep builds one channel per model; the cache stays bounded.
+    bound = det._confusion_matrix.cache_info().maxsize
+    for eps in np.linspace(0.0, 0.5, 1000):
+        det.confusion_matrix(3, DetectorModel(single_qubit_error=float(eps)), LAYOUT_3Q)
+    assert det._confusion_matrix.cache_info().currsize <= bound
+    assert np.array_equal(det.confusion_matrix(3, model, LAYOUT_3Q), first)

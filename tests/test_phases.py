@@ -10,6 +10,8 @@ from ionnet import states as st
 from ionnet.gates import rotation
 from ionnet.scenario import MemoryDecoherence, PhaseLedger
 
+from oracles import random_density
+
 RNG = np.random.default_rng
 
 
@@ -67,6 +69,30 @@ def evolve(s, ledger, deco, t):
     """Free evolution of the stored pair ("a", "b"), "b" in module B."""
     tau_s = deco.tau_s if deco is not None else math.inf
     return ph.free_evolution(s, t, ledger.delta_omega_ab, ["b"], [["a", "b"]], tau_s)
+
+
+PAIR_CASES = {
+    "one pair": (["a1", "b1"], ["b1"], [["a1", "b1"]]),
+    "two pairs": (["a1", "b1", "a2", "b2"], ["b1", "b2"], [["a1", "b1"], ["a2", "b2"]]),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+@pytest.mark.parametrize("t", [3.3e-4, np.array([0.0, 1.2e-4, 0.7, 2.5])], ids=["scalar", "array"])
+@pytest.mark.parametrize("tau_s", [0.9, math.inf])
+def test_free_evolution_is_phases_then_pair_dephasing(case, t, tau_s):
+    labels, b_atoms, pairs = PAIR_CASES[case]
+    rng = RNG(len(labels))
+    s = st.mixed_state(random_density(2 ** len(labels), rng), labels)
+    omega = 2 * math.pi * 2.5e3
+    want = s
+    for q in b_atoms:
+        want = st.apply_phase(want, q, -omega * np.asarray(t))
+    for pair in pairs:
+        want = st.dephase_pair(want, pair, np.exp(-np.asarray(t) / tau_s))
+    got = ph.free_evolution(s, t, omega, b_atoms, pairs, tau_s)
+    assert got.data.shape == want.data.shape
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
 
 
 class TestEvolve:

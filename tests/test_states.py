@@ -253,6 +253,94 @@ class TestApplyUnitary:
         np.testing.assert_allclose(rb_before, rb_after, atol=1e-12)
 
 
+def lifted_oracle(u: np.ndarray, axes: tuple[int, ...], n: int) -> np.ndarray:
+    """``u`` on ``axes`` of an n-subsystem register as a full matrix:
+    u (x) I with the targets first, then an explicit basis permutation
+    into register order (first subsystem most significant)."""
+    others = [ax for ax in range(n) if ax not in axes]
+    full = np.kron(u, np.eye(2 ** len(others)))
+    order = list(axes) + others
+    dim = 2**n
+    perm = np.zeros((dim, dim))
+    for idx in range(dim):
+        bits = [(idx >> (n - 1 - ax)) & 1 for ax in range(n)]
+        lifted = 0
+        for ax in order:
+            lifted = (lifted << 1) | bits[ax]
+        perm[lifted, idx] = 1.0
+    return perm.T @ full @ perm
+
+
+# Registers of 1 to 4 subsystems, with each target set that fits.
+KERNEL_TARGETS = [
+    (n, axes)
+    for n in (1, 2, 3, 4)
+    for axes in [(0,), (2, 0), (3, 1), (0, 2, 3)]
+    if max(axes) < n
+]
+# (u batch shape, rho batch shape): one of each, stacked u on one rho,
+# one u on a stack (of one and of two batch axes), and both stacked with
+# broadcasting.
+KERNEL_STACKS = [((), ()), ((5,), ()), ((), (4,)), ((), (2, 3)), ((3, 1), (4,))]
+
+
+@pytest.mark.parametrize("n, axes", KERNEL_TARGETS)
+@pytest.mark.parametrize("u_batch, rho_batch", KERNEL_STACKS)
+def test_kernel_matches_kron_permutation_oracle(n, axes, u_batch, rho_batch):
+    rng = RNG(n * 100 + len(axes))
+    k, dim = 2 ** len(axes), 2**n
+    u = rng.normal(size=u_batch + (k, k)) + 1j * rng.normal(size=u_batch + (k, k))
+    rho = rng.normal(size=rho_batch + (dim, dim)) + 1j * rng.normal(size=rho_batch + (dim, dim))
+    got = st._apply_matrix_density(rho, u, axes, n)
+    batch = np.broadcast_shapes(u_batch, rho_batch)
+    assert got.shape == batch + (dim, dim)
+    u_b = np.broadcast_to(u, batch + (k, k))
+    rho_b = np.broadcast_to(rho, batch + (dim, dim))
+    for idx in np.ndindex(*batch):
+        full = lifted_oracle(u_b[idx], axes, n)
+        want = full @ rho_b[idx] @ full.conj().T
+        np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-13)
+
+
+def test_kernel_applies_a_kraus_stack_per_operator():
+    # A non-unitary Kraus set on two photon modes of a four-subsystem
+    # register, as the herald applies it: one output per operator.
+    rng = RNG(21)
+    rho = random_density(16, rng)
+    kraus = np.stack([0.5 * np.outer(v, v.conj()) for v in np.eye(4)[[1, 2]]] + [
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ])
+    got = st._apply_matrix_density(rho, kraus, (1, 3), 4)
+    for op, out in zip(kraus, got):
+        full = lifted_oracle(op, (1, 3), 4)
+        np.testing.assert_allclose(out, full @ rho @ full.conj().T, rtol=0, atol=1e-13)
+
+
+class TestConstantCaches:
+    """Constants built once per process are shared read-only."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: st._bits(3),
+            lambda: st.basis_state([0, 1], ["a", "b"]).data,
+            lambda: st.maximally_mixed(["a", "b"]).data,
+        ],
+        ids=["bits", "basis_state", "maximally_mixed"],
+    )
+    def test_read_only_and_repeatable(self, make):
+        first = make()
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+        assert np.array_equal(make(), first)
+
+    def test_basis_state_cache_keys_on_values(self):
+        a = st.basis_state([1, 0], ["a", "b"])
+        b = st.basis_state((True, 0), ("a", "b"))
+        assert a is b
+        assert st.basis_state([0, 1], ["a", "b"]).data[1, 1] == 1.0
+
+
 class TestMeasure:
     def test_eigenstate(self):
         bits, collapsed, prob = measure(st.basis_state([1], ["a"]), ["a"], RNG(0))

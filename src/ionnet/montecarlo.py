@@ -20,18 +20,20 @@ the same code with no batch axis. ``propagate`` checks Hermiticity,
 unit trace and positivity on every stack it returns.
 
 The sampled path draws from exact distributions only, and every count
-is one ``multinomial`` call. The trials are one draw of ``n_trials``
-from the exact joint distribution of herald branch, reported and true
-outcome; each herald step of a trial then takes a geometric number of
+is one ``multinomial`` call. Its settings come from the scenario: the
+seed, the trial count and the shots per point from ``scenario.run`` and
+the detector model from ``scenario.detectors``. The trials are one draw
+of ``run.n_trials`` from the exact joint distribution of herald branch,
+reported and true outcome; each herald step of a trial then takes a geometric number of
 attempts with the link budget. Every scan is one ``parity_scan`` call:
 its steps run from the given branches for all points at once, and
 ``sample_outcomes`` gives the exact true distribution of each point,
 the reported one through the script's readout channel
 (``readout_channel``, the one place it is built), and then the
-shots of all points, one row per point; the parity of a pair follows
+``run.shots_per_point`` shots of all points, one row per point; the parity of a pair follows
 from those, unconditioned and conditioned on a third qubit.
 
-Randomness is reproducible: generators derive from the root seed by the
+Randomness is reproducible: generators derive from ``run.seed`` by the
 counter scheme ``Generator(PCG64(SeedSequence(entropy=seed,
 spawn_key=key)))``, the generator ``default_rng`` builds from that seed
 sequence (``rng_stream``). A protocol run draws every trial from the
@@ -54,7 +56,6 @@ from .photonics import conditional_herald_states, module_emission
 from .records import Record, replace
 from .scenario import (
     AnalysisStep,
-    DetectorModel,
     HeraldStep,
     MeasureStep,
     MSGateStep,
@@ -77,7 +78,6 @@ __all__ = [
     "binomial_err",
     "exact_branches",
     "propagate",
-    "first_analysis",
     "run_protocol",
     "parity_scan",
     "parity_weights",
@@ -120,10 +120,10 @@ def rng_stream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def readout_channel(script: ProtocolScript, detectors: DetectorModel) -> np.ndarray:
-    """Readout channel M[reported, true] of ``detectors`` over the
-    script's qubits (first qubit most significant)."""
-    return confusion_matrix(len(script.qubits), detectors, script.detector_layout())
+def readout_channel(script: ProtocolScript, scenario: Scenario) -> np.ndarray:
+    """Readout channel M[reported, true] of the scenario's detectors over
+    the script's qubits (first qubit most significant)."""
+    return confusion_matrix(len(script.qubits), scenario.detectors, script.detector_layout())
 
 
 def outcome_table(
@@ -141,13 +141,12 @@ def sample_outcomes(
     script: ProtocolScript,
     scenario: Scenario,
     branches: Sequence[BranchState],
-    shots: int,
-    seed: int,
     *key: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes of ``branches`` over the script's qubits, averaged over
     the branches by weight: the exact distributions before and after the
-    script's detectors, and the counts of ``shots`` reported outcomes.
+    script's detectors, and the counts of ``run.shots_per_point``
+    reported outcomes.
 
     Stacked branches give one row per scan point, unstacked ones a single
     row. Every row draws its shots from its reported distribution,
@@ -161,9 +160,10 @@ def sample_outcomes(
     if total <= 0:
         raise ValueError("no branch to average the outcome distribution over")
     true = np.atleast_2d(true / total)
-    reported = true @ readout_channel(script, scenario.detectors).T
+    reported = true @ readout_channel(script, scenario).T
     rows = reported / reported.sum(axis=-1, keepdims=True)
-    return true, reported, rng_stream(seed, *key).multinomial(shots, rows)
+    run = scenario.run
+    return true, reported, rng_stream(run.seed, *key).multinomial(run.shots_per_point, rows)
 
 
 def exact_branches(script: ProtocolScript, scenario: Scenario) -> list[BranchState]:
@@ -275,22 +275,18 @@ def _herald_branches(
 def run_protocol(
     script: ProtocolScript,
     scenario: Scenario,
-    n_trials: int,
-    seed: int,
     branches: list[BranchState] | None = None,
 ) -> ProtocolResult:
-    """Sample ``n_trials`` end-to-end trials of the script.
+    """Sample ``run.n_trials`` end-to-end trials of the script.
 
     The trials' herald branches, reported and true outcomes are counted
     together with one ``multinomial`` draw from their exact joint
     distribution; then each herald step of each trial takes a geometric
     number of attempts with the budget's coincidence probability. All draws come
-    from one generator, so identical (script, scenario, n_trials, seed)
+    from one generator of ``run.seed``, so identical (script, scenario)
     give identical results. ``branches`` are the script's exact branches
     when the caller has propagated them already.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
     n_heralds = sum(isinstance(s, HeraldStep) for s in script.steps)
     p_herald = success_probability(scenario.budget)
     if n_heralds and p_herald <= 0.0:
@@ -298,10 +294,11 @@ def run_protocol(
     if branches is None:
         branches = exact_branches(script, scenario)
     weights, true_given_branch = outcome_table(branches, script.qubits)
-    readout = readout_channel(script, scenario.detectors)
+    readout = readout_channel(script, scenario)
     # joint[b, r, t] = P(branch b) P(true t | branch b) P(reported r | true t)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
-    rng = rng_stream(seed, TRIAL_STREAM)
+    n_trials = scenario.run.n_trials
+    rng = rng_stream(scenario.run.seed, TRIAL_STREAM)
     counts = rng.multinomial(n_trials, joint.ravel() / joint.sum()).reshape(joint.shape)
     if n_heralds:
         attempts = rng.geometric(p_herald, size=(n_heralds, n_trials)).sum(axis=0)
@@ -311,22 +308,11 @@ def run_protocol(
     return ProtocolResult(probs=joint, counts=counts, herald_time=herald_time)
 
 
-def first_analysis(script: ProtocolScript) -> int:
-    """Index of the script's first analysis step, where a phase scan
-    starts; raises ScriptError when the script has none."""
-    for k, step in enumerate(script.steps):
-        if isinstance(step, AnalysisStep):
-            return k
-    raise ScriptError("script has no analysis step to scan the phase of")
-
-
 def parity_scan(
     script: ProtocolScript,
     scenario: Scenario,
     steps: Sequence[Step],
     branches: Sequence[BranchState],
-    shots: int,
-    seed: int,
     *key: int,
     pair: tuple[str, str],
     condition_qubit: str | None = None,
@@ -335,10 +321,11 @@ def parity_scan(
 
     The scan ``steps`` (array-valued, one value per scan point) run once
     from ``branches`` for all points. The reported-outcome distribution
-    of each point is sampled ``shots`` times through the detector model
-    with ``sample_outcomes`` on the generator of ``key``, and parities
-    are accumulated unconditioned plus (optionally) conditioned on each
-    reported value of ``condition_qubit``.
+    of each point is sampled ``run.shots_per_point`` times through the
+    scenario's detectors with ``sample_outcomes`` on the generator of
+    ``key``, and parities are accumulated unconditioned plus
+    (optionally) conditioned on each reported value of
+    ``condition_qubit``.
 
     Returns one table per condition, "all" or "<qubit>=<bit>": the
     columns of the sampled ``estimate`` and its ``uncertainty``, and the
@@ -351,7 +338,7 @@ def parity_scan(
 
     scanned = propagate(script, scenario, steps, branches)
     # Rows: the sampled counts, the exact reported and true distributions.
-    weights = np.stack(sample_outcomes(script, scenario, scanned, shots, seed, *key)[::-1])
+    weights = np.stack(sample_outcomes(script, scenario, scanned, *key)[::-1])
     curves = {}
     for name, condition in conditions.items():
         even, odd, n = parity_weights(weights, script.qubits, pair, condition)

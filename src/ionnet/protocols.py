@@ -1,8 +1,9 @@
 """High-level experiment drivers behind the CLI subcommands.
 
 Every driver takes the scenario alone, reads the settings its
-experiment needs (the seed and the trial and shot counts from
-``scenario.run``), and returns tables plus a flat summary record.
+experiment needs from it, and returns tables plus a flat summary
+record; the engine calls take the scenario too, and draw with its seed
+and its trial and shot counts.
 Tables pair sampled estimates and their uncertainties with the exact
 density-matrix values, so the two statistics paths stay comparable
 downstream. A driver first checks the settings it reads and
@@ -28,11 +29,11 @@ from .fitting import (
     fit_exponential_decay,
     fit_exponential_rate,
 )
+from .gates import ms_unitary
 from .montecarlo import (
     binomial_err,
     coherent_entanglement_distance,
     exact_branches,
-    first_analysis,
     parity_scan,
     parity_weights,
     propagate,
@@ -143,7 +144,7 @@ def remote_bell_experiment(scenario: Scenario) -> ExperimentOutput:
     branches = exact_branches(script, scenario)
     out = ExperimentOutput()
 
-    result = run_protocol(script, scenario, run.n_trials, run.seed, branches=branches)
+    result = run_protocol(script, scenario, branches=branches)
     phi_d = np.array([b.phi_d for b in branches])
     for key, want in DETECTOR_PHASES:
         (branch,) = (b for b in branches if b.phi_d == want)
@@ -194,7 +195,7 @@ def phase_scan_experiment(scenario: Scenario) -> ExperimentOutput:
     for branch_i, (key, want) in enumerate(DETECTOR_PHASES):
         curve = parity_scan(
             script, scenario, steps, [b for b in heralded if b.phi_d == want],
-            run.shots_per_point, run.seed, _SHOT_STREAM, branch_i, pair=(qa, qb),
+            _SHOT_STREAM, branch_i, pair=(qa, qb),
         )["all"]
         out.tables[f"phase_scan_{key}"] = {
             "delay_s": delays,
@@ -248,9 +249,10 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
     out = ExperimentOutput()
 
     branches = exact_branches(script, scenario)
+    phi_d = DETECTOR_PHASES[0][1]
     curve = parity_scan(
-        script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == 0.0],
-        run.shots_per_point, run.seed, _SHOT_STREAM, 0, pair=(qa, qb),
+        script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == phi_d],
+        _SHOT_STREAM, 0, pair=(qa, qb),
     )["all"]
     par, err, par_exact = curve["estimate"], curve["uncertainty"], curve["exact_reported"]
     out.tables["coherence"] = {
@@ -276,7 +278,7 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
     )
 
     # Waiting-time distribution and rate, from sampled protocol trials.
-    waits = run_protocol(script, scenario, run.n_trials, run.seed, branches=branches).herald_time
+    waits = run_protocol(script, scenario, branches=branches).herald_time
     rate = _fit_rate(out, waits)
     # Up to the fitted distribution's 99th percentile.
     grid = np.linspace(0.0, math.log(100.0) / rate.rate, 60)[1:]
@@ -318,22 +320,20 @@ def local_gate_experiment(scenario: Scenario) -> ExperimentOutput:
     # populations without analysis pulse
     (branch,) = propagate(script, scenario, script.steps[:1])
     (true_diag,), (reported,), (counts,) = sample_outcomes(
-        script, scenario, [branch], run.shots_per_point, run.seed, _SHOT_STREAM, 0
+        script, scenario, [branch], _SHOT_STREAM, 0
     )
     out.tables["populations"] = _population_table(counts, run.shots_per_point, reported)
     out.summary["even_population_exact"] = float(parity_weights(true_diag, (qa, qb), (qa, qb))[0])
     out.summary["even_population_reported"] = float(parity_weights(reported, (qa, qb), (qa, qb))[0])
 
-    target = st.pure_state(
-        np.array([1.0, 0.0, 0.0, -1j * np.exp(-1j * scenario.gate.phi_a)]) / math.sqrt(2.0),
-        (qa, qb),
-    )
+    # the gate applied to |00>
+    target = st.pure_state(ms_unitary(scenario.gate.phi_a)[:, 0], (qa, qb))
     out.summary["gate_fidelity_exact"] = st.fidelity(branch.state, target)
 
     # parity oscillation versus analysis phase
     scan = parity_scan(
         script, scenario, _phase_scanned(script.steps[1:], phis), [branch],
-        run.shots_per_point, run.seed, _SHOT_STREAM + 1, pair=(qa, qb),
+        _SHOT_STREAM + 1, pair=(qa, qb),
     )["all"]
     curve = {"phi_rad": phis, **scan}
     out.tables["parity"] = curve
@@ -403,7 +403,7 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
     out = ExperimentOutput()
 
     # Both runs share the steps before the first analysis pulse.
-    scanned = first_analysis(script)
+    scanned = script.steps.index(analyses[0])
     prefix = propagate(script, scenario, script.steps[:scanned])
 
     # Correlation run (Fig-4c style; the script without analysis pulses).
@@ -411,7 +411,7 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
         script, steps=tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
     )
     branches = propagate(no_analysis, scenario, no_analysis.steps[scanned:], prefix)
-    result = run_protocol(no_analysis, scenario, run.n_trials, run.seed, branches=branches)
+    result = run_protocol(no_analysis, scenario, branches=branches)
     counts = result.counts.sum(axis=(0, 2))
     rep_diag = result.probs.sum(axis=(0, 2))
     # Even share given remote 1 and odd share given remote 0, of the
@@ -442,7 +442,7 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
     # Conditional parity oscillation (Fig-4d style).
     curves = parity_scan(
         script, scenario, _phase_scanned(script.steps[scanned:], phis), prefix,
-        run.shots_per_point, run.seed, _SHOT_STREAM + 2, pair=pair, condition_qubit=remote,
+        _SHOT_STREAM + 2, pair=pair, condition_qubit=remote,
     )
     curves = {cond: {"phi_rad": phis, **curve} for cond, curve in curves.items()}
     key1, key0 = f"{remote}=1", f"{remote}=0"

@@ -12,8 +12,10 @@ The format is a minimal sectioned key-value text file:
   each such line becomes its step record where it is read.
 
 Unknown sections or keys and malformed steps are rejected with the
-offending line number; invariant violations report the dotted field
-path, and a scenario checks its protocol script whenever it is built.
+offending line number. Whenever a scenario is built, loaded or not, its
+float settings are checked to be finite and its protocol script is
+checked; these and the range checks of each section raise
+``ScenarioError`` with the dotted field path.
 Each field left out takes its built-in default and is listed in
 ``Scenario.defaulted``. The config record classes are the schema: each
 section maps onto one record class and takes its keys, their order and
@@ -117,9 +119,9 @@ class LinkBudget(Record):
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"link_budget.{name} = {value} outside [0, 1]")
+                raise ScenarioError(f"link_budget.{name} = {value} outside [0, 1]")
         if self.rep_rate <= 0:
-            raise ValueError(f"link_budget.rep_rate = {self.rep_rate} must be positive")
+            raise ScenarioError(f"link_budget.rep_rate = {self.rep_rate} must be positive")
 
 
 def success_probability(b: LinkBudget) -> float:
@@ -152,7 +154,7 @@ class LinkErrorModel(Record):
         for name in ("atom_photon_fidelity", "mode_overlap"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"link_errors.{name} = {value} outside [0, 1]")
+                raise ScenarioError(f"link_errors.{name} = {value} outside [0, 1]")
 
     def werner_weight(self) -> float:
         """Mixing weight w with rho = w |psi><psi| + (1 - w) I/4."""
@@ -180,9 +182,9 @@ class GateSettings(Record):
 
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ValueError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
+            raise ScenarioError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
         if not self.detuning_hz > 0:
-            raise ValueError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
+            raise ScenarioError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
 
     @property
     def gate_time_s(self) -> float:
@@ -258,7 +260,7 @@ class MemoryDecoherence(Record):
 
     def __post_init__(self):
         if self.tau_s <= 0:
-            raise ValueError(f"memory.tau_s = {self.tau_s} must be positive")
+            raise ScenarioError(f"memory.tau_s = {self.tau_s} must be positive")
 
 
 class DetectorModel(Record):
@@ -274,11 +276,11 @@ class DetectorModel(Record):
         for name in ("single_qubit_error", "two_qubit_overlap"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"detectors.{name} = {value} outside [0, 1]")
+                raise ScenarioError(f"detectors.{name} = {value} outside [0, 1]")
         for name in ("module_a", "module_b"):
             kind = getattr(self, name)
             if kind not in ("shared", "individual"):
-                raise ValueError(f"detectors.{name} = {kind} must be 'shared' or 'individual'")
+                raise ScenarioError(f"detectors.{name} = {kind} must be 'shared' or 'individual'")
 
     def is_shared(self, module: str) -> bool:
         if module not in ("A", "B"):
@@ -431,15 +433,15 @@ class RunSettings(Record):
     def __post_init__(self):
         for name in ("n_trials", "shots_per_point", "phi_points", "delay_points", "phase_scan_points"):
             if getattr(self, name) < 1:
-                raise ValueError(f"run.{name} must be at least 1")
+                raise ScenarioError(f"run.{name} must be at least 1")
         for name in ("n_trials", "shots_per_point"):
             if getattr(self, name) > MAX_COUNT:
-                raise ValueError(f"run.{name} must be at most 2**63 - 1")
+                raise ScenarioError(f"run.{name} must be at most 2**63 - 1")
         if self.seed < 0:
-            raise ValueError("run.seed must be non-negative")
+            raise ScenarioError("run.seed must be non-negative")
         for name in ("delay_max_s", "phase_scan_delay_s", "qubit_separation_m"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"run.{name} must be positive")
+                raise ScenarioError(f"run.{name} must be positive")
 
 
 class ProtocolLayout(Record):
@@ -458,11 +460,11 @@ class ProtocolLayout(Record):
 
     def __post_init__(self):
         if len(self.link) != 2:
-            raise ValueError("protocol.link must name exactly two qubits")
+            raise ScenarioError("protocol.link must name exactly two qubits")
         # The herald takes the first atom as the module-A emitter.
         a, b = self.link
         if a not in self.qubits_a or b not in self.qubits_b:
-            raise ValueError(
+            raise ScenarioError(
                 f"protocol.link = {a} {b} must join qubits of two modules, "
                 "a qubit of qubits_a first and one of qubits_b second"
             )
@@ -471,14 +473,14 @@ class ProtocolLayout(Record):
         for step in self.steps:
             heralded = heralded or isinstance(step, HeraldStep)
             if heralded and isinstance(step, ReinitStep) and step.qubit in self.link:
-                raise ValueError(
+                raise ScenarioError(
                     f"protocol.link = {a} {b}: step reinit {step.qubit} follows "
                     "a herald and discards the pair it heralded"
                 )
         if not 0.0 <= self.crosstalk_depol <= 1.0:
-            raise ValueError(f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]")
+            raise ScenarioError(f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]")
         if self.reinit_duration_s < 0:
-            raise ValueError(
+            raise ScenarioError(
                 f"protocol.reinit_duration_s = {self.reinit_duration_s} must be non-negative"
             )
 
@@ -536,7 +538,15 @@ class Scenario(Record):
     defaulted: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Loaded, built or replaced, a scenario's script is checked here.
+        # Loaded, built or replaced, a scenario's settings and script are
+        # checked here; memory.tau_s = inf means no memory dephasing.
+        for section, (attr, _) in _SECTIONS.items():
+            for key, default in _SCHEMA[section].items():
+                value = getattr(getattr(self, attr), key)
+                if isinstance(default, float) and not (
+                    math.isfinite(value) or (key, value) == ("tau_s", math.inf)
+                ):
+                    raise ScenarioError(f"{section}.{key} = {value} is not a finite number")
         try:
             self.script()
         except ValueError as exc:
@@ -570,17 +580,10 @@ class Scenario(Record):
         )
 
 
-# The one float setting with a meaning at infinity: no memory dephasing.
-_INFINITE_OK = {"memory.tau_s"}
-
-
 def _parse_value(kind: str, raw: str, path: str, lineno: int):
     try:
         if kind == "float":
-            value = float(raw)
-            if not math.isfinite(value) and not (value == math.inf and path in _INFINITE_OK):
-                raise ScenarioError(f"line {lineno}: {path} = {raw} is not a finite number")
-            return value
+            return float(raw)
         if kind == "int":
             try:
                 return int(raw)  # exact at any size
@@ -599,8 +602,6 @@ def _parse_value(kind: str, raw: str, path: str, lineno: int):
             if not parts:
                 raise ValueError
             return parts
-    except ScenarioError:
-        raise
     except ValueError:
         raise ScenarioError(
             f"line {lineno}: cannot parse {path} value {raw!r} as {kind}"
@@ -680,12 +681,9 @@ def loads_scenario(text: str, source: str = "<string>", **run) -> Scenario:
         for path in (f"{section}.{key}" for key in fields(cls))
         if path not in seen
     )
-    try:
-        # Each record fills the keys its section leaves out with its defaults.
-        parts = {attr: cls(**values[section]) for section, (attr, cls) in _SECTIONS.items()}
-        return Scenario(**parts, defaulted=defaulted)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    # Each record fills the keys its section leaves out with its defaults.
+    parts = {attr: cls(**values[section]) for section, (attr, cls) in _SECTIONS.items()}
+    return Scenario(**parts, defaulted=defaulted)
 
 
 def load_scenario(path: str | Path, **run) -> Scenario:

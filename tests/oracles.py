@@ -423,7 +423,7 @@ def protocol_trials_per_trial(
     true_given_branch = np.array(
         [st.outcome_probabilities(b.state, script.qubits) for b in branches]
     )
-    readout = readout_channel(script, scenario.detectors)
+    readout = readout_channel(script, scenario)
     joint = weights[:, None, None] * readout[None, :, :] * true_given_branch[:, None, :]
     rng = np.random.default_rng(SeedSequence(entropy=seed, spawn_key=key))
     counts = rng.multinomial(n_trials, joint.ravel() / joint.sum()).reshape(joint.shape)

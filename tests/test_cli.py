@@ -969,6 +969,30 @@ def test_out_of_range_field_exits_2_at_load(data, sub):
             assert path in stderr.getvalue(), (path, raw, stderr.getvalue())
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "path",
+    [f"{section}.{key}" for section, keys in _SCHEMA.items() for key, default in keys.items()
+     if isinstance(default, float)],
+)
+def test_non_finite_field_exits_2(tmp_path, path, raw):
+    # A config file that sets a float field to nan, inf or -inf exits 2
+    # naming the field, except memory.tau_s = inf (no memory dephasing).
+    section, key = path.split(".")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["budget", "--config", str(cfg), "--out", str(out)])
+    if (path, raw) == ("memory.tau_s", "inf"):
+        assert code == 0
+    else:
+        assert code == 2
+        assert not out.exists()
+        assert path in stderr.getvalue(), stderr.getvalue()
+
+
 QUBIT = hs.sampled_from(["q1", "q2", "q3"])
 STEP = hs.one_of(
     hs.just("herald"),

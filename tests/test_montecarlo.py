@@ -27,6 +27,7 @@ from ionnet.scenario import (
     Scenario,
     ScriptError,
     WaitStep,
+    emit_scenario,
     load_scenario,
     loads_scenario,
     success_probability,
@@ -38,6 +39,11 @@ RNG = np.random.default_rng
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULTS = loads_scenario("")
 CALIBRATED = load_scenario(ROOT / "configs" / "calibrated_3q.cfg")
+
+
+def at(scenario: Scenario, **run) -> Scenario:
+    """``scenario`` with the ``[run]`` settings ``run``."""
+    return replace(scenario, run=replace(scenario.run, **run))
 
 
 def noiseless_config(**overrides) -> Scenario:
@@ -127,7 +133,7 @@ class TestSampleWaiting:
     def test_certain_success(self):
         b = LinkBudget(p_bell=1.0, p_pi=1.0, p_s_half=1.0, q_e=1.0, t_fib=1.0,
                        t_opt=1.0, solid_angle_fraction=1.0)
-        res = mc.run_protocol(pair_script(), noiseless_config(budget=b), 50, seed=0)
+        res = mc.run_protocol(pair_script(), at(noiseless_config(budget=b), n_trials=50, seed=0))
         np.testing.assert_allclose(res.herald_time, 1 / b.rep_rate, rtol=1e-15)
 
     def test_geometric_mean(self):
@@ -135,13 +141,13 @@ class TestSampleWaiting:
         b = LinkBudget(p_bell=0.5, p_pi=1.0, p_s_half=1.0, q_e=1.0, t_fib=1.0,
                        t_opt=1.0, solid_angle_fraction=1.0)
         n = 100_000
-        res = mc.run_protocol(pair_script(), noiseless_config(budget=b), n, seed=1)
+        res = mc.run_protocol(pair_script(), at(noiseless_config(budget=b), n_trials=n, seed=1))
         draws = attempts_of(res, b)
         sigma = math.sqrt(2.0) / math.sqrt(n)  # var of Geom(1/2) is 2
         assert abs(draws.mean() - 2.0) < 3 * sigma
 
     def test_default_budget_rate_and_ks(self):
-        res = mc.run_protocol(pair_script(), DEFAULTS, 20_000, seed=99)
+        res = mc.run_protocol(pair_script(), at(DEFAULTS, n_trials=20_000, seed=99))
         fit = fit_exponential_rate(res.herald_time)
         # mean wall time 1/4.55 with 3 sigma of the standard error
         assert abs(fit.rate - 4.5499) < 3 * fit.stderr + 0.05
@@ -150,7 +156,7 @@ class TestSampleWaiting:
     def test_zero_probability_rejected(self):
         cfg = noiseless_config(budget=LinkBudget(p_pi=0.0))
         with pytest.raises(ValueError, match="never herald"):
-            mc.run_protocol(pair_script(), cfg, 10, seed=0)
+            mc.run_protocol(pair_script(), at(cfg, n_trials=10, seed=0))
 
 
 class TestScriptValidation:
@@ -302,17 +308,17 @@ class TestExactBranches:
 
 class TestRunProtocol:
     def test_determinism(self):
-        cfg = DEFAULTS
-        r1 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=77)
-        r2 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=77)
+        cfg = at(DEFAULTS, n_trials=300, seed=77)
+        r1 = mc.run_protocol(three_qubit_script(0.3), cfg)
+        r2 = mc.run_protocol(three_qubit_script(0.3), cfg)
         for column in ("counts", "herald_time"):
             np.testing.assert_array_equal(getattr(r1, column), getattr(r2, column))
-        r3 = mc.run_protocol(three_qubit_script(0.3), cfg, 300, seed=78)
+        r3 = mc.run_protocol(three_qubit_script(0.3), at(cfg, seed=78))
         assert not np.array_equal(r1.counts, r3.counts)
 
     def test_wall_time_accounting(self):
         cfg = noiseless_config()
-        res = mc.run_protocol(three_qubit_script(), cfg, 50, seed=5)
+        res = mc.run_protocol(three_qubit_script(), at(cfg, n_trials=50, seed=5))
         attempts = attempts_of(res, cfg.budget)
         assert attempts.min() >= 1
         np.testing.assert_allclose(attempts, np.round(attempts), rtol=1e-12)
@@ -321,13 +327,13 @@ class TestRunProtocol:
             qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
             steps=(MSGateStep(("q1", "q2")), MeasureStep()),
         )
-        np.testing.assert_array_equal(mc.run_protocol(local, cfg, 20, seed=5).herald_time, 0.0)
+        np.testing.assert_array_equal(mc.run_protocol(local, at(cfg, n_trials=20, seed=5)).herald_time, 0.0)
 
     def test_sampled_matches_exact_populations(self):
         cfg = noiseless_config()
         n = 8000
         script = three_qubit_script()
-        res = mc.run_protocol(script, cfg, n, seed=3)
+        res = mc.run_protocol(script, at(cfg, n_trials=n, seed=3))
         sampled = res.counts.sum(axis=(0, 1)) / n
         exact_true = mean_outcomes(mc.exact_branches(script, cfg), script.qubits)
         for p, exact_p in zip(sampled, exact_true):
@@ -341,7 +347,7 @@ class TestRunProtocol:
         cfg = DEFAULTS
         script = three_qubit_script()
         n = 20_000
-        res = mc.run_protocol(script, cfg, n, seed=12)
+        res = mc.run_protocol(script, at(cfg, n_trials=n, seed=12))
         branches = mc.exact_branches(script, cfg)
         weights = np.array([b.weight for b in branches])
         freq = res.counts.sum(axis=(1, 2)) / n
@@ -359,7 +365,7 @@ class TestRunProtocol:
         cfg = noiseless_config()
         phi = 0.45
         script = three_qubit_script(phi)
-        res = mc.run_protocol(script, cfg, 10_000, seed=11)
+        res = mc.run_protocol(script, at(cfg, n_trials=10_000, seed=11))
         true = res.counts.sum(axis=(0, 1)).reshape(2, 2, 2)  # [q1, q2, q3]
         total = int(true[:, :, 1].sum())
         even = int(true[0, 0, 1] + true[1, 1, 1])
@@ -393,7 +399,7 @@ class TestRunProtocol:
         }[config]
         script = cfg.script(cfg.protocol.link if link_only else None)
         branches = mc.exact_branches(script, cfg)
-        res = mc.run_protocol(script, cfg, n_trials, seed, branches=branches)
+        res = mc.run_protocol(script, at(cfg, n_trials=n_trials, seed=seed), branches=branches)
         counts, herald_time = protocol_trials_per_trial(
             script, cfg, branches, n_trials, seed, mc.TRIAL_STREAM
         )
@@ -406,7 +412,7 @@ class TestRunProtocol:
         script = three_qubit_script(0.3)
         script = replace(script, steps=(HeraldStep(), *script.steps))
         branches = mc.exact_branches(script, DEFAULTS)
-        res = mc.run_protocol(script, DEFAULTS, 1000, 17, branches=branches)
+        res = mc.run_protocol(script, at(DEFAULTS, n_trials=1000, seed=17), branches=branches)
         counts, herald_time = protocol_trials_per_trial(
             script, DEFAULTS, branches, 1000, 17, mc.TRIAL_STREAM
         )
@@ -414,7 +420,7 @@ class TestRunProtocol:
         np.testing.assert_array_equal(res.herald_time, herald_time)
         # Two heralds take twice the attempts of one on average: a sum of
         # k geometric counts has mean k / p, within 5 standard errors.
-        one = mc.run_protocol(three_qubit_script(0.3), DEFAULTS, 1000, 17)
+        one = mc.run_protocol(three_qubit_script(0.3), at(DEFAULTS, n_trials=1000, seed=17))
         p = success_probability(DEFAULTS.budget)
         for k, run in ((2, res), (1, one)):
             attempts = run.herald_time * DEFAULTS.budget.rep_rate
@@ -428,6 +434,43 @@ class TestRunProtocol:
             ProtocolLayout(reinit_duration_s=-1.0)
 
 
+def engine_draws(engine: str, scenario: Scenario) -> tuple[np.ndarray, ...]:
+    """What one engine function draws for ``scenario`` on the three-qubit
+    script: the trials, the shots of the exact outcomes or a phase scan."""
+    script = three_qubit_script(0.3)
+    if engine == "run_protocol":
+        res = mc.run_protocol(script, scenario)
+        return res.counts, res.herald_time
+    if engine == "sample_outcomes":
+        return (mc.sample_outcomes(script, scenario, mc.exact_branches(script, scenario), 20, 0)[2],)
+    prefix = mc.propagate(script, scenario, script.steps[:3])
+    analysis = AnalysisStep(("q1", "q2"), math.pi / 2, np.linspace(0.0, math.pi, 4))
+    curve = mc.parity_scan(script, scenario, (analysis,), prefix, 20, 0, pair=("q1", "q2"))
+    return (curve["all"]["estimate"],)
+
+
+@pytest.mark.parametrize(
+    "engine, field",
+    [
+        ("run_protocol", "seed"),
+        ("run_protocol", "n_trials"),
+        ("sample_outcomes", "seed"),
+        ("sample_outcomes", "shots_per_point"),
+        ("parity_scan", "seed"),
+        ("parity_scan", "shots_per_point"),
+    ],
+)
+def test_run_is_its_config(engine, field):
+    # The engine draws with the scenario's [run] settings: the scenario
+    # and its emitted config draw alike, and a changed field draws anew.
+    scenario = at(DEFAULTS, seed=8, n_trials=300, shots_per_point=200)
+    draws = engine_draws(engine, scenario)
+    for got, want in zip(engine_draws(engine, loads_scenario(emit_scenario(scenario))), draws):
+        np.testing.assert_array_equal(got, want)
+    changed = at(scenario, **{field: getattr(scenario.run, field) + 1})
+    assert not all(map(np.array_equal, engine_draws(engine, changed), draws))
+
+
 class TestParityScan:
     def test_conditioned_and_unconditioned_curves(self):
         cfg = noiseless_config()
@@ -436,7 +479,7 @@ class TestParityScan:
         prefix = mc.propagate(script, cfg, script.steps[:3])
         analysis = AnalysisStep(("q1", "q2"), math.pi / 2, phis)
         curves = mc.parity_scan(
-            script, cfg, (analysis,), prefix, 4000, 5, 2,
+            script, at(cfg, shots_per_point=4000, seed=5), (analysis,), prefix, 2,
             pair=("q1", "q2"), condition_qubit="q3",
         )
         assert set(curves) == {"all", "q3=1", "q3=0"}
@@ -457,11 +500,6 @@ class TestParityScan:
             assert e > 0
             assert abs(v - r) < 4 * e
 
-    def test_script_without_analysis_step_rejected(self):
-        # No step takes the scanned phase, so there is nothing to scan.
-        with pytest.raises(ScriptError, match="no analysis step"):
-            mc.first_analysis(three_qubit_script())
-
     @pytest.mark.parametrize("phi_d", [0.0, math.pi], ids=["phid0", "phidpi"])
     def test_delay_scan_from_one_detector_phase(self, phi_d):
         # A delay scan from the branch of one detector phase: each exact
@@ -470,20 +508,21 @@ class TestParityScan:
         # counts drawn on the same key.
         script = pair_script()
         pair = ("q2", "q3")
+        cfg = at(DEFAULTS, shots_per_point=500, seed=3)
         delays = np.linspace(0.0, 3e-4, 7)
-        mine = [b for b in mc.exact_branches(script, DEFAULTS) if b.phi_d == phi_d]
+        mine = [b for b in mc.exact_branches(script, cfg) if b.phi_d == phi_d]
         analysis = AnalysisStep(pair, math.pi / 2, 0.0)
         steps = (WaitStep(delays), analysis)
-        curve = mc.parity_scan(script, DEFAULTS, steps, mine, 500, 3, 20, 1, pair=pair)["all"]
+        curve = mc.parity_scan(script, cfg, steps, mine, 20, 1, pair=pair)["all"]
         for delay, got in zip(delays, curve["exact_ideal_readout"]):
-            (point,) = mc.propagate(script, DEFAULTS, (WaitStep(float(delay)), analysis), mine)
+            (point,) = mc.propagate(script, cfg, (WaitStep(float(delay)), analysis), mine)
             assert abs(got - parity_expectation(point.state, pair)) <= 1e-12
-        scanned = mc.propagate(script, DEFAULTS, steps, mine)
-        counts = mc.sample_outcomes(script, DEFAULTS, scanned, 500, 3, 20, 1)[2]
+        scanned = mc.propagate(script, cfg, steps, mine)
+        counts = mc.sample_outcomes(script, cfg, scanned, 20, 1)[2]
         parity = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / 500
         np.testing.assert_array_equal(curve["estimate"], parity)
         with pytest.raises(ValueError, match="no branch"):
-            mc.parity_scan(script, DEFAULTS, steps, [], 500, 3, 20, 1, pair=pair)
+            mc.parity_scan(script, cfg, steps, [], 20, 1, pair=pair)
 
     def test_attached_to_protocol_result(self):
         from ionnet.protocols import modular_3q_experiment
@@ -553,7 +592,8 @@ class TestConditionalCorrelations:
             qubits=("q1", "q2"), modules={"A": ("q1", "q2")}, steps=(MeasureStep(),)
         )
         branch = mc.BranchState(phi_d=None, weight=1.0, state=st.basis_state([0, 0], ("q1", "q2")))
-        curve = mc.parity_scan(script, DEFAULTS, (), [branch], n, 1, pair=("q1", "q2"))["all"]
+        cfg = at(DEFAULTS, shots_per_point=n, seed=1)
+        curve = mc.parity_scan(script, cfg, (), [branch], pair=("q1", "q2"))["all"]
         np.testing.assert_array_equal(curve["estimate"], [1.0, -1.0, 0.0, 0.5])
         np.testing.assert_array_equal(
             curve["uncertainty"], 2 * mc.binomial_err((1 + curve["estimate"]) / 2, n)
@@ -614,7 +654,7 @@ class TestRngScheme:
             return real(*key)
 
         monkeypatch.setattr(mc, "rng_stream", counting)
-        mc.run_protocol(three_qubit_script(), DEFAULTS, 500, seed=4)
+        mc.run_protocol(three_qubit_script(), at(DEFAULTS, n_trials=500, seed=4))
         assert calls == [(4, mc.TRIAL_STREAM)]
 
     @staticmethod
@@ -624,9 +664,11 @@ class TestRngScheme:
         # read out by noiseless individual detectors (the identity channel).
         qubits = tuple(f"q{i}" for i in range(int(math.log2(probs.shape[-1]))))
         script = ProtocolScript(qubits=qubits, modules={"B": qubits}, steps=(MeasureStep(),))
-        scenario = replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0))
+        scenario = at(
+            replace(DEFAULTS, detectors=DetectorModel(0.0, 0.0)), shots_per_point=shots, seed=seed
+        )
         monkeypatch.setattr(mc, "outcome_table", lambda *args: (np.ones(1), probs[None]))
-        return mc.sample_outcomes(script, scenario, [], shots, seed, *key)[2]
+        return mc.sample_outcomes(script, scenario, [], *key)[2]
 
     @pytest.mark.parametrize("shots", [1, 7, 10_000])
     @pytest.mark.parametrize("points", [1, 5])

@@ -10,6 +10,7 @@ from hypothesis import strategies as hs
 from ionnet.records import fields, replace
 from ionnet.scenario import (
     _SCHEMA,
+    _SECTIONS,
     AnalysisStep,
     DetectorModel,
     GateSettings,
@@ -37,6 +38,12 @@ from ionnet.scenario import (
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
+FLOAT_PATHS = [
+    f"{section}.{key}"
+    for section, keys in _SCHEMA.items()
+    for key, default in keys.items()
+    if _kind(default) == "float"
+]
 
 
 class TestDefaults:
@@ -148,6 +155,24 @@ class TestValidation:
         s = loads_scenario("")
         with pytest.raises(ScenarioError, match="protocol script invalid"):
             replace(s, protocol=replace(s.protocol, steps=steps))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", FLOAT_PATHS)
+    def test_built_scenario_rejects_non_finite_settings(self, path, value):
+        # A float setting built in Python is checked as a loaded one is:
+        # only memory.tau_s = inf (no memory dephasing) is accepted.
+        section, key = path.split(".")
+        attr = _SECTIONS[section][0]
+        s = loads_scenario("")
+
+        def build():
+            return replace(s, **{attr: replace(getattr(s, attr), **{key: value})})
+
+        if (path, value) == ("memory.tau_s", math.inf):
+            assert build().memory.tau_s == math.inf
+        else:
+            with pytest.raises(ScenarioError, match=re.escape(path)):
+                build()
 
     def test_probability_out_of_range(self):
         with pytest.raises(ScenarioError, match="atom_photon_fidelity"):

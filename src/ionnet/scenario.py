@@ -11,17 +11,17 @@ The format is a minimal sectioned key-value text file:
 * protocol steps use numbered keys ``step.1``, ``step.2`` and so on;
   each such line becomes its step record where it is read.
 
-Unknown sections or keys and malformed steps are rejected with the
-offending line number. Whenever a scenario is built, loaded or not, its
-float settings are checked to be finite and its protocol script is
-checked; these and the range checks of each section raise
-``ScenarioError`` with the dotted field path.
-Each field left out takes its built-in default and is listed in
+Unknown sections or keys, values that do not parse as their kind's type
+and malformed steps are rejected with the offending line number. Each
+field left out takes its built-in default and is listed in
 ``Scenario.defaulted``. The config record classes are the schema: each
-section maps onto one record class and takes its keys, their order and
-their defaults from the class's fields. ``emit_scenario`` writes the
-fully resolved form, which parses back to an identical scenario (floats
-are emitted with ``repr`` so the round trip is exact).
+section maps onto one ``Section`` record class and takes its keys, their
+order, their defaults and their kinds from the class's fields. Whenever
+a section record is built, loaded or not, it checks each setting by its
+kind, and a scenario checks its protocol script; both raise
+``ScenarioError`` with the dotted field path. ``emit_scenario`` writes
+the fully resolved form, which parses back to an identical scenario
+(floats are emitted with ``repr`` so the round trip is exact).
 
 This module needs no numpy, and holds everything that loading a
 scenario or running ``budget`` and ``timing`` needs: the record class
@@ -53,6 +53,7 @@ __all__ = [
     "format_value",
     "RunSettings",
     "ProtocolLayout",
+    "Section",
     "CALIBRATED_MODE_OVERLAP",
     "LinkBudget",
     "LinkErrorModel",
@@ -88,8 +89,101 @@ class ScenarioError(ValueError):
 # w = (4*0.92 - 1)/3 the per-module Werner weight.
 CALIBRATED_MODE_OVERLAP = 0.9237467653169369
 
+# Largest trial or shot count that numpy draws: its samplers take a
+# signed 64-bit count.
+MAX_COUNT = 2**63 - 1
 
-class LinkBudget(Record):
+# The setting kinds. A section field names its kind as its annotation
+# (``p_bell: Probability = 0.5``); with postponed annotations that name
+# is the annotation's text, and each name is also an alias of its
+# config type for readers and type checkers.
+Real = Probability = Positive = NonNegative = Lifetime = float
+Count = Seed = int
+Topology = str
+Words = tuple[str, ...]
+
+# kind -> (config type, the values it accepts, the rule a rejected value
+# breaks).
+_SETTING_KINDS = {
+    "Real": (float, math.isfinite, "is not a finite number"),
+    "Probability": (float, lambda v: 0.0 <= v <= 1.0, "is not a probability in [0, 1]"),
+    "Positive": (float, lambda v: 0.0 < v < math.inf, "is not a finite number > 0"),
+    "NonNegative": (float, lambda v: 0.0 <= v < math.inf, "is not a finite number >= 0"),
+    "Lifetime": (float, lambda v: v > 0.0, "is not a time > 0 (inf: no decay)"),
+    "Count": (int, lambda v: 1 <= v <= MAX_COUNT, "is not a count from 1 to 2**63 - 1"),
+    "Seed": (int, lambda v: v >= 0, "is not a seed >= 0"),
+    "Topology": (str, lambda v: v in ("shared", "individual"), "is not 'shared' or 'individual'"),
+    "Words": (
+        tuple,
+        lambda v: bool(v) and all(isinstance(w, str) and w.split() == [w] for w in v),
+        "is not one or more words",
+    ),
+}
+
+
+def _parse_int(raw: str) -> int:
+    """A whole number, read exactly at any size (``1e30`` is 10**30)."""
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    # Exponent form, read as a fraction. Its module is imported here
+    # only: the import costs about 2 ms, which a config of plain
+    # integers does not pay. An exponent is held to int()'s 4300 digits.
+    from fractions import Fraction
+
+    exponent = raw.lower().partition("e")[2]
+    if "/" in raw or abs(int(exponent or 0)) > 4300:
+        raise ValueError
+    value = Fraction(raw)
+    if value.denominator != 1:
+        raise ValueError
+    return value.numerator
+
+
+# config type -> (its parser of a raw value, its name in messages).
+_CONFIG_TYPES = {
+    float: (float, "number"),
+    int: (_parse_int, "whole number"),
+    str: (str, "word"),
+    tuple: (lambda raw: tuple(raw.split()), "word list"),
+}
+
+
+class Section(Record):
+    """The record of one config section, named by ``section=`` in its
+    class statement. A field whose annotation names a setting kind is a
+    key of the section (``kinds`` maps each key to its kind); building a
+    record, loaded, built or ``replace``d, checks each key's value by its
+    kind. A field of another annotation (``ProtocolLayout.steps``) is no
+    key."""
+
+    def __init_subclass__(cls, section: str):
+        super().__init_subclass__()
+        cls.section = section
+        own = cls.__dict__.get("__annotations__", {})
+        cls.kinds = {name: kind for name, kind in own.items() if kind in _SETTING_KINDS}
+
+    def __post_init__(self):
+        for name, kind in self.kinds.items():
+            config_type, accepts, rule = _SETTING_KINDS[kind]
+            value = getattr(self, name)
+            # A float field also takes an int, and stores it as its float.
+            held = (int, float) if config_type is float else config_type
+            if isinstance(value, bool) or not isinstance(value, held):
+                type_name = _CONFIG_TYPES[config_type][1]
+                raise ScenarioError(f"{self.section}.{name} = {value!r} is not a {type_name}")
+            if config_type is float and type(value) is not float:
+                try:
+                    value = float(value)
+                except OverflowError:  # an int beyond the float range, as float() reads it
+                    value = math.inf if value > 0 else -math.inf
+                vars(self)[name] = value
+            if not accepts(value):
+                raise ScenarioError(f"{self.section}.{name} = {value!r} {rule}")
+
+
+class LinkBudget(Section, section="link_budget"):
     """Multiplicative factors of the coincidence probability.
 
     The per-photon factors (excitation, decay branch, detector quantum
@@ -98,30 +192,14 @@ class LinkBudget(Record):
     the remaining factor of one half.
     """
 
-    p_bell: float = 0.5
-    p_pi: float = 0.95
-    p_s_half: float = 0.995
-    q_e: float = 0.35
-    t_fib: float = 0.14
-    t_opt: float = 0.95
-    solid_angle_fraction: float = 0.1
-    rep_rate: float = 4.7e5
-
-    def __post_init__(self):
-        for name in (
-            "p_bell",
-            "p_pi",
-            "p_s_half",
-            "q_e",
-            "t_fib",
-            "t_opt",
-            "solid_angle_fraction",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ScenarioError(f"link_budget.{name} = {value} outside [0, 1]")
-        if self.rep_rate <= 0:
-            raise ScenarioError(f"link_budget.rep_rate = {self.rep_rate} must be positive")
+    p_bell: Probability = 0.5
+    p_pi: Probability = 0.95
+    p_s_half: Probability = 0.995
+    q_e: Probability = 0.35
+    t_fib: Probability = 0.14
+    t_opt: Probability = 0.95
+    solid_angle_fraction: Probability = 0.1
+    rep_rate: Positive = 4.7e5
 
 
 def success_probability(b: LinkBudget) -> float:
@@ -137,7 +215,7 @@ def expected_rate(b: LinkBudget) -> float:
     return success_probability(b) * b.rep_rate
 
 
-class LinkErrorModel(Record):
+class LinkErrorModel(Section, section="link_errors"):
     """Imperfections of one heralding attempt.
 
     ``atom_photon_fidelity`` is the fidelity of each module's
@@ -147,14 +225,8 @@ class LinkErrorModel(Record):
     beam-splitter. Detector dark counts are not modelled.
     """
 
-    atom_photon_fidelity: float = 0.92
-    mode_overlap: float = CALIBRATED_MODE_OVERLAP
-
-    def __post_init__(self):
-        for name in ("atom_photon_fidelity", "mode_overlap"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ScenarioError(f"link_errors.{name} = {value} outside [0, 1]")
+    atom_photon_fidelity: Probability = 0.92
+    mode_overlap: Probability = CALIBRATED_MODE_OVERLAP
 
     def werner_weight(self) -> float:
         """Mixing weight w with rho = w |psi><psi| + (1 - w) I/4."""
@@ -164,7 +236,7 @@ class LinkErrorModel(Record):
 _SQRT8 = 2.0 ** 1.5
 
 
-class GateSettings(Record):
+class GateSettings(Section, section="gate"):
     """The ``[gate]`` section: intramodular gate phase, gate noise and
     drive detuning (cyclic frequency, Hz).
 
@@ -173,18 +245,12 @@ class GateSettings(Record):
     rate delta / 2^(3/2).
     """
 
-    phi_a: float = 0.0
+    phi_a: Real = 0.0
     # Two-qubit depolarizing probability applied after each gate; 0.2
     # reproduces the measured entangling gate fidelity of 0.85:
     # F = 1 - 3 p / 4.
-    depolarizing_p: float = 0.2
-    detuning_hz: float = 2e4
-
-    def __post_init__(self):
-        if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ScenarioError(f"gate.depolarizing_p = {self.depolarizing_p} outside [0, 1]")
-        if not self.detuning_hz > 0:
-            raise ScenarioError(f"gate.detuning_hz = {self.detuning_hz} must be positive")
+    depolarizing_p: Probability = 0.2
+    detuning_hz: Positive = 2e4
 
     @property
     def gate_time_s(self) -> float:
@@ -206,7 +272,7 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 GEOMETRIC_PHASE_BOUND = 1e-2
 
 
-class PhaseLedger(Record):
+class PhaseLedger(Section, section="phase_ledger"):
     """The apparatus phase terms, with SI units.
 
     delta_omega_ab: difference of the qubit splittings, rad/s.
@@ -216,11 +282,11 @@ class PhaseLedger(Record):
     delta_phi_t: transfer-pulse phase difference, radians.
     """
 
-    delta_omega_ab: float = 2.0 * math.pi * 2.5e3
-    k: float = 0.33
-    delta_tau: float = 1e-10
-    delta_x: float = 0.03
-    delta_phi_t: float = 0.0
+    delta_omega_ab: Real = 2.0 * math.pi * 2.5e3
+    k: Real = 0.33
+    delta_tau: Real = 1e-10
+    delta_x: Real = 0.03
+    delta_phi_t: Real = 0.0
     c = SPEED_OF_LIGHT  # a constant, not a setting
 
     def geometric_phase(self) -> float:
@@ -247,7 +313,7 @@ class PhaseLedger(Record):
         return notes
 
 
-class MemoryDecoherence(Record):
+class MemoryDecoherence(Section, section="memory"):
     """Collective dephasing of a stored entangled pair.
 
     A single coherence time drives an exponential decay of the pair
@@ -256,31 +322,17 @@ class MemoryDecoherence(Record):
     primary casualty. Even-parity coherences use the same constant.
     """
 
-    tau_s: float = 1.12
-
-    def __post_init__(self):
-        if self.tau_s <= 0:
-            raise ScenarioError(f"memory.tau_s = {self.tau_s} must be positive")
+    tau_s: Lifetime = 1.12
 
 
-class DetectorModel(Record):
+class DetectorModel(Section, section="detectors"):
     """The ``[detectors]`` section: readout errors and, per module,
     whether its ions share one detector or each have their own."""
 
-    single_qubit_error: float = 0.01
-    two_qubit_overlap: float = 0.08
-    module_a: str = "shared"
-    module_b: str = "individual"
-
-    def __post_init__(self):
-        for name in ("single_qubit_error", "two_qubit_overlap"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ScenarioError(f"detectors.{name} = {value} outside [0, 1]")
-        for name in ("module_a", "module_b"):
-            kind = getattr(self, name)
-            if kind not in ("shared", "individual"):
-                raise ScenarioError(f"detectors.{name} = {kind} must be 'shared' or 'individual'")
+    single_qubit_error: Probability = 0.01
+    two_qubit_overlap: Probability = 0.08
+    module_a: Topology = "shared"
+    module_b: Topology = "individual"
 
     def is_shared(self, module: str) -> bool:
         if module not in ("A", "B"):
@@ -414,42 +466,24 @@ class ProtocolScript(Record):
         return tuple(groups)
 
 
-# Largest trial or shot count that numpy draws: its samplers take a
-# signed 64-bit count.
-MAX_COUNT = 2**63 - 1
+class RunSettings(Section, section="run"):
+    n_trials: Count = 2000
+    seed: Seed = 1
+    shots_per_point: Count = 10000
+    phi_points: Count = 12
+    delay_points: Count = 16
+    delay_max_s: Positive = 3.0
+    phase_scan_points: Count = 16
+    phase_scan_delay_s: Positive = 8e-4
+    qubit_separation_m: Positive = 1.0
 
 
-class RunSettings(Record):
-    n_trials: int = 2000
-    seed: int = 1
-    shots_per_point: int = 10000
-    phi_points: int = 12
-    delay_points: int = 16
-    delay_max_s: float = 3.0
-    phase_scan_points: int = 16
-    phase_scan_delay_s: float = 8e-4
-    qubit_separation_m: float = 1.0
-
-    def __post_init__(self):
-        for name in ("n_trials", "shots_per_point", "phi_points", "delay_points", "phase_scan_points"):
-            if getattr(self, name) < 1:
-                raise ScenarioError(f"run.{name} must be at least 1")
-        for name in ("n_trials", "shots_per_point"):
-            if getattr(self, name) > MAX_COUNT:
-                raise ScenarioError(f"run.{name} must be at most 2**63 - 1")
-        if self.seed < 0:
-            raise ScenarioError("run.seed must be non-negative")
-        for name in ("delay_max_s", "phase_scan_delay_s", "qubit_separation_m"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"run.{name} must be positive")
-
-
-class ProtocolLayout(Record):
-    qubits_a: tuple[str, ...] = ("q1", "q2")
-    qubits_b: tuple[str, ...] = ("q3",)
-    link: tuple[str, str] = ("q2", "q3")
-    crosstalk_depol: float = 0.0
-    reinit_duration_s: float = 0.0
+class ProtocolLayout(Section, section="protocol"):
+    qubits_a: Words = ("q1", "q2")
+    qubits_b: Words = ("q3",)
+    link: Words = ("q2", "q3")
+    crosstalk_depol: Probability = 0.0
+    reinit_duration_s: NonNegative = 0.0
     steps: tuple[Step, ...] = (
         HeraldStep(),
         ReinitStep("q1"),
@@ -459,6 +493,7 @@ class ProtocolLayout(Record):
     )
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.link) != 2:
             raise ScenarioError("protocol.link must name exactly two qubits")
         # The herald takes the first atom as the module-A emitter.
@@ -477,41 +512,24 @@ class ProtocolLayout(Record):
                     f"protocol.link = {a} {b}: step reinit {step.qubit} follows "
                     "a herald and discards the pair it heralded"
                 )
-        if not 0.0 <= self.crosstalk_depol <= 1.0:
-            raise ScenarioError(f"protocol.crosstalk_depol = {self.crosstalk_depol} outside [0, 1]")
-        if self.reinit_duration_s < 0:
-            raise ScenarioError(
-                f"protocol.reinit_duration_s = {self.reinit_duration_s} must be non-negative"
-            )
 
 
 # Section -> (Scenario attribute, record class), in emission order. The
-# class's fields are the section's keys, in order, with their defaults;
-# protocol steps use the step.N keys instead.
-_SECTIONS: dict[str, tuple[str, type[Record]]] = {
-    "link_budget": ("budget", LinkBudget),
-    "link_errors": ("link_errors", LinkErrorModel),
-    "gate": ("gate", GateSettings),
-    "phase_ledger": ("ledger", PhaseLedger),
-    "memory": ("memory", MemoryDecoherence),
-    "detectors": ("detectors", DetectorModel),
-    "protocol": ("protocol", ProtocolLayout),
-    "run": ("run", RunSettings),
+# class's setting fields are the section's keys, in order, with their
+# defaults; protocol steps use the step.N keys instead.
+_SECTIONS: dict[str, tuple[str, type[Section]]] = {
+    cls.section: (attr, cls)
+    for attr, cls in (
+        ("budget", LinkBudget),
+        ("link_errors", LinkErrorModel),
+        ("gate", GateSettings),
+        ("ledger", PhaseLedger),
+        ("memory", MemoryDecoherence),
+        ("detectors", DetectorModel),
+        ("protocol", ProtocolLayout),
+        ("run", RunSettings),
+    )
 }
-
-# Section -> key -> default. A key's kind follows the type of its
-# default: float, int, word (str) or words (tuple).
-_SCHEMA: dict[str, dict[str, object]] = {
-    section: {name: default for name, default in fields(cls).items() if name != "steps"}
-    for section, (_, cls) in _SECTIONS.items()
-}
-
-_KINDS = ((float, "float"), (int, "int"), (str, "word"), (tuple, "words"))
-
-
-def _kind(default: object) -> str:
-    return next(kind for cls, kind in _KINDS if isinstance(default, cls))
-
 
 # step verb -> the record of a step.N line's arguments. A wrong argument
 # count raises TypeError and a duration that is no float ValueError.
@@ -538,15 +556,8 @@ class Scenario(Record):
     defaulted: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Loaded, built or replaced, a scenario's settings and script are
-        # checked here; memory.tau_s = inf means no memory dephasing.
-        for section, (attr, _) in _SECTIONS.items():
-            for key, default in _SCHEMA[section].items():
-                value = getattr(getattr(self, attr), key)
-                if isinstance(default, float) and not (
-                    math.isfinite(value) or (key, value) == ("tau_s", math.inf)
-                ):
-                    raise ScenarioError(f"{section}.{key} = {value} is not a finite number")
+        # Each section record checked its settings when it was built;
+        # loaded, built or replaced, a scenario checks its script here.
         try:
             self.script()
         except ValueError as exc:
@@ -580,40 +591,11 @@ class Scenario(Record):
         )
 
 
-def _parse_value(kind: str, raw: str, path: str, lineno: int):
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            try:
-                return int(raw)  # exact at any size
-            except ValueError:
-                value = float(raw)  # "1e4"
-                if not value.is_integer():
-                    raise ValueError from None
-                return int(value)
-        if kind == "word":
-            parts = raw.split()
-            if len(parts) != 1:
-                raise ValueError
-            return parts[0]
-        if kind == "words":
-            parts = tuple(raw.split())
-            if not parts:
-                raise ValueError
-            return parts
-    except ValueError:
-        raise ScenarioError(
-            f"line {lineno}: cannot parse {path} value {raw!r} as {kind}"
-        ) from None
-    raise ScenarioError(f"internal schema error for {path}")  # pragma: no cover
-
-
 def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], set[str]]:
     """Raw parse: the values set per section (the protocol's step
     records in order, as ``steps``) and the dotted paths of the fields
     set."""
-    values: dict[str, dict[str, object]] = {sec: {} for sec in _SCHEMA}
+    values: dict[str, dict[str, object]] = {sec: {} for sec in _SECTIONS}
     steps: dict[int, Step] = {}
     seen: set[str] = set()
     section: str | None = None
@@ -623,7 +605,7 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], s
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in _SECTIONS:
                 raise ScenarioError(f"{source}:{lineno}: unknown section [{name}]")
             section = name
             continue
@@ -659,11 +641,18 @@ def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], s
                 ) from None
             seen.add("protocol.steps")
             continue
-        if key not in _SCHEMA[section]:
+        kind = _SECTIONS[section][1].kinds.get(key)
+        if kind is None:
             raise ScenarioError(f"{source}:{lineno}: unknown key {path}")
         if path in seen:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {path}")
-        values[section][key] = _parse_value(_kind(_SCHEMA[section][key]), raw, path, lineno)
+        parse, type_name = _CONFIG_TYPES[_SETTING_KINDS[kind][0]]
+        try:
+            values[section][key] = parse(raw)
+        except ValueError:
+            raise ScenarioError(
+                f"{source}:{lineno}: cannot parse {path} value {raw!r} as a {type_name}"
+            ) from None
         seen.add(path)
     if steps:
         values["protocol"]["steps"] = tuple(steps[i] for i in sorted(steps))
@@ -715,10 +704,10 @@ def format_value(value) -> str:
 def emit_scenario(s: Scenario) -> str:
     """Fully resolved canonical text form (parses back identically)."""
     lines = ["# resolved scenario configuration"]
-    for section, (attr, _) in _SECTIONS.items():
+    for section, (attr, cls) in _SECTIONS.items():
         part = getattr(s, attr)
         lines += ["", f"[{section}]"]
-        lines += [f"{key} = {format_value(getattr(part, key))}" for key in _SCHEMA[section]]
+        lines += [f"{key} = {format_value(getattr(part, key))}" for key in cls.kinds]
         steps = getattr(part, "steps", ())
         for i, step in enumerate(steps, start=1):
             words = (format_value(step.duration_s),) if isinstance(step, WaitStep) else _named(step)

@@ -22,7 +22,8 @@ from ionnet.cli import SUBCOMMANDS, driver, main, write_outputs
 from ionnet.fitting import KS_STAT_CRITICAL, MAX_TAU_REL_STDERR
 from ionnet.records import replace
 from ionnet.scenario import (
-    _SCHEMA,
+    _SECTIONS,
+    _SETTING_KINDS,
     ExperimentOutput,
     ScenarioError,
     emit_scenario,
@@ -166,9 +167,9 @@ def test_missing_config_exits_2(tmp_path, capsys, kind):
 @pytest.mark.parametrize(
     "flag, value, reason",
     [
-        ("--trials", "0", "run.n_trials must be at least 1"),
-        ("--shots", "0", "run.shots_per_point must be at least 1"),
-        ("--seed", "-1", "run.seed must be non-negative"),
+        ("--trials", "0", "run.n_trials = 0 is not a count from 1 to 2**63 - 1"),
+        ("--shots", "0", "run.shots_per_point = 0 is not a count from 1 to 2**63 - 1"),
+        ("--seed", "-1", "run.seed = -1 is not a seed >= 0"),
     ],
 )
 def test_bad_run_flag_exits_2(tmp_path, capsys, flag, value, reason):
@@ -188,7 +189,7 @@ BEYOND_INT64 = (2**63, 10**20)
 )
 def test_count_beyond_int64_flag_exits_2(tmp_path, capsys, sub, flag, key, count):
     # A flag sets [run], so RunSettings rejects it as it rejects the key.
-    reason = f"run.{key} must be at most 2**63 - 1"
+    reason = f"run.{key} = {count} is not a count from 1 to 2**63 - 1"
     assert_rejected(tmp_path, capsys, [sub, flag, str(count)], reason)
 
 
@@ -197,7 +198,7 @@ def test_count_beyond_int64_flag_exits_2(tmp_path, capsys, sub, flag, key, count
 def test_count_beyond_int64_in_run_section_exits_2(tmp_path, capsys, sub, key, count):
     cfg = tmp_path / "count.cfg"
     cfg.write_text(f"[run]\n{key} = {count}\n")
-    reason = f"run.{key} must be at most 2**63 - 1"
+    reason = f"run.{key} = {count} is not a count from 1 to 2**63 - 1"
     assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], reason)
 
 
@@ -624,6 +625,38 @@ def test_budget_timing_and_usage_errors_load_no_numpy(tmp_path, args, code):
     assert proc.returncode == code, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "raw, value", [("1e30", 10**30), ("12345678901234567e3", 12345678901234567 * 1000)]
+)
+def test_exponent_form_seed_is_read_exactly(tmp_path, raw, value):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"[run]\nseed = {raw}\n")
+    out = tmp_path / "out"
+    assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+    assert f"\nseed = {value}\n" in (out / "resolved_config.cfg").read_text()
+
+
+@pytest.mark.parametrize("raw", ["1.5", "nan", "inf", "1e-3"])
+def test_seed_that_is_no_whole_number_exits_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"[run]\nseed = {raw}\n")
+    reason = f"cannot parse run.seed value '{raw}' as a whole number"
+    assert_rejected(tmp_path, capsys, ["budget", "--config", str(cfg)], reason)
+
+
+def test_plain_integers_load_no_fractions(tmp_path):
+    # Only a whole number in exponent form needs the fractions module.
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text(f"[run]\nseed = {2**70}\nn_trials = 500\n")
+    probe = (
+        "import sys\nfrom ionnet.cli import main\n"
+        "code = main(sys.argv[1:])\nsys.exit(code or 'fractions' in sys.modules)\n"
+    )
+    for i, args in enumerate((["budget"], ["budget", "--config", str(cfg)])):
+        proc = run_python(probe, *args, "--out", str(tmp_path / f"out{i}"))
+        assert proc.returncode == 0, (args, proc.stderr)
+
+
 def test_package_import_loads_no_numpy_and_every_public_name_resolves():
     code = (
         "import sys, ionnet\n"
@@ -935,7 +968,7 @@ DEFAULT_TEXT = emit_scenario(loads_scenario(""))
 
 def test_out_of_range_table_covers_every_field():
     # Every field has out-of-range values except the free qubit lists.
-    fields = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
+    fields = {f"{section}.{key}" for section, (_, cls) in _SECTIONS.items() for key in cls.kinds}
     assert set(OUT_OF_RANGE) == fields - {"protocol.qubits_a", "protocol.qubits_b"}
 
 
@@ -972,8 +1005,8 @@ def test_out_of_range_field_exits_2_at_load(data, sub):
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "path",
-    [f"{section}.{key}" for section, keys in _SCHEMA.items() for key, default in keys.items()
-     if isinstance(default, float)],
+    [f"{section}.{key}" for section, (_, cls) in _SECTIONS.items() for key, kind in cls.kinds.items()
+     if _SETTING_KINDS[kind][0] is float],
 )
 def test_non_finite_field_exits_2(tmp_path, path, raw):
     # A config file that sets a float field to nan, inf or -inf exits 2

@@ -153,7 +153,7 @@ def test_layout_validation():
     bad = (DetectorGroup(module="A", positions=(0, 1, 2)),)
     with pytest.raises(ValueError):
         apply_readout((0, 1, 1), model, bad, rng)  # 3 ions on shared PMT
-    with pytest.raises(ValueError, match=r"^detectors\.module_a = both "):
+    with pytest.raises(ValueError, match=r"^detectors\.module_a = 'both' "):
         DetectorModel(module_a="both")
     with pytest.raises(ValueError, match=r"^detectors\.module_b = "):
         DetectorModel(module_b="")

@@ -107,7 +107,7 @@ def test_defaults_are_not_shared_mutable_objects():
 
 
 def test_package_records_generate_no_code():
-    assert len(package_records()) == 22
+    assert len(package_records()) == 23
     # pytest itself loads dataclasses, so the import is checked in a
     # fresh interpreter. vars() runs each lazily registered engine module.
     code = (

@@ -9,8 +9,8 @@ from hypothesis import strategies as hs
 
 from ionnet.records import fields, replace
 from ionnet.scenario import (
-    _SCHEMA,
     _SECTIONS,
+    _SETTING_KINDS,
     AnalysisStep,
     DetectorModel,
     GateSettings,
@@ -28,7 +28,6 @@ from ionnet.scenario import (
     Scenario,
     ScenarioError,
     WaitStep,
-    _kind,
     budget_report,
     emit_scenario,
     expected_rate,
@@ -40,9 +39,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 FLOAT_PATHS = [
     f"{section}.{key}"
-    for section, keys in _SCHEMA.items()
-    for key, default in keys.items()
-    if _kind(default) == "float"
+    for section, (_, cls) in _SECTIONS.items()
+    for key, kind in cls.kinds.items()
+    if _SETTING_KINDS[kind][0] is float
 ]
 
 
@@ -174,6 +173,28 @@ class TestValidation:
             with pytest.raises(ScenarioError, match=re.escape(path)):
                 build()
 
+    @pytest.mark.parametrize(
+        "path",
+        [f"{section}.{key}" for section, (_, cls) in _SECTIONS.items() for key in cls.kinds],
+    )
+    def test_built_record_checks_each_setting_by_its_kind(self, path):
+        # A section record made on its own or replaced into a scenario
+        # rejects a value of a wrong type or outside its kind's range,
+        # naming the setting.
+        section, key = path.split(".")
+        attr, cls = _SECTIONS[section]
+        kind = cls.kinds[key]
+        s = loads_scenario("")
+        bad = OUT_OF_KIND[kind] + WRONG_TYPE[_SETTING_KINDS[kind][0]]
+        for value in bad:
+            with pytest.raises(ScenarioError, match=rf"^{re.escape(path)} = "):
+                cls(**{key: value})
+            with pytest.raises(ScenarioError, match=rf"^{re.escape(path)} = "):
+                replace(s, **{attr: replace(getattr(s, attr), **{key: value})})
+        # memory.tau_s = inf means no memory dephasing.
+        if kind == "Lifetime":
+            assert replace(s, memory=cls(**{key: math.inf})).memory.tau_s == math.inf
+
     def test_probability_out_of_range(self):
         with pytest.raises(ScenarioError, match="atom_photon_fidelity"):
             loads_scenario("[link_errors]\natom_photon_fidelity = 1.2\n")
@@ -181,7 +202,8 @@ class TestValidation:
     @pytest.mark.parametrize("key", ["n_trials", "shots_per_point"])
     def test_count_numpy_cannot_draw(self, key):
         assert getattr(loads_scenario(f"[run]\n{key} = {2**63 - 1}\n").run, key) == 2**63 - 1
-        with pytest.raises(ScenarioError, match=rf"run\.{key} must be at most 2\*\*63 - 1"):
+        reason = rf"run\.{key} = {2**63} is not a count from 1 to 2\*\*63 - 1"
+        with pytest.raises(ScenarioError, match=reason):
             loads_scenario(f"[run]\n{key} = {2**63}\n")
 
     def test_missing_file(self):
@@ -225,6 +247,30 @@ class TestRoundTrip:
         s = loads_scenario(f"[run]\nseed = {2**60 + 1}\nn_trials = 1e3\n")
         assert (s.run.seed, s.run.n_trials) == (2**60 + 1, 1000)
 
+    @pytest.mark.parametrize(
+        "raw, value", [("1e30", 10**30), ("12345678901234567e3", 12345678901234567 * 1000)]
+    )
+    def test_exponent_form_integer_is_exact(self, raw, value):
+        assert loads_scenario(f"[run]\nseed = {raw}\n").run.seed == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=hs.deferred(lambda: scenarios()), data=hs.data())
+    def test_int_given_to_a_float_setting_round_trips(self, s, data):
+        # An int in a float setting is stored as its float, so the built
+        # scenario emits what its reload emits.
+        for section, (attr, cls) in _SECTIONS.items():
+            ints = {
+                key: data.draw(INT_OF_KIND[kind], label=f"{section}.{key}")
+                for key, kind in cls.kinds.items()
+                if kind in INT_OF_KIND and data.draw(hs.booleans())
+            }
+            part = replace(getattr(s, attr), **ints)
+            assert all(type(getattr(part, key)) is float for key in ints)
+            s = replace(s, **{attr: part})
+        back = loads_scenario(emit_scenario(s))
+        assert back == s
+        assert back.config_hash() == s.config_hash()
+
     @settings(max_examples=60, deadline=None)
     @given(s=hs.deferred(lambda: scenarios()))
     def test_random_scenario_round_trips(self, s):
@@ -233,6 +279,34 @@ class TestRoundTrip:
         assert back == s
         assert emit_scenario(back) == text
 
+
+# Values of each setting kind's type that it rejects.
+OUT_OF_KIND = {
+    "Real": [math.nan, math.inf, -math.inf],
+    "Probability": [-0.1, 1.5, 2, math.nan, math.inf],
+    "Positive": [0.0, -1.0, 0, math.nan, math.inf],
+    "NonNegative": [-1e-9, -1, math.nan, math.inf],
+    "Lifetime": [0.0, -2.0, 0, math.nan, -math.inf],
+    "Count": [0, -1, 2**63],
+    "Seed": [-1],
+    "Topology": ["both", "Shared", ""],
+    "Words": [(), ("q1 q2",), ("",), (1,)],
+}
+# Values of a wrong type, per config type.
+WRONG_TYPE = {
+    float: ["0.5", True, None, 1j, (0.5,)],
+    int: [1.5, 1.0, "3", True, None],
+    str: [1, None, ("shared",), b"shared"],
+    tuple: ["q1 q2", ["q1"], None],
+}
+# Ints that each float kind accepts.
+INT_OF_KIND = {
+    "Real": hs.integers(-(10**6), 10**6),
+    "Probability": hs.integers(0, 1),
+    "Positive": hs.integers(1, 10**6),
+    "NonNegative": hs.integers(0, 10**6),
+    "Lifetime": hs.integers(1, 10**6),
+}
 
 UNIT = hs.floats(0.0, 1.0)
 FINITE = hs.floats(allow_nan=False, allow_infinity=False)
@@ -382,9 +456,9 @@ def test_docs_field_table_matches_schema():
     rows = [row for row in _doc_table_rows() if row[1] != "step.N"]
     documented = [(section, key, kind) for section, key, kind, _ in rows]
     assert documented == [
-        (section, key, _kind(default))
-        for section, keys in _SCHEMA.items()
-        for key, default in keys.items()
+        (section, key, kind)
+        for section, (_, cls) in _SECTIONS.items()
+        for key, kind in cls.kinds.items()
     ]
     emitted, section = {}, None
     for line in emit_scenario(loads_scenario("")).splitlines():
@@ -402,8 +476,8 @@ def test_docs_field_table_matches_schema():
 
 
 def test_schema_sections_are_the_record_fields():
-    # Each section's keys, their order and their defaults are its record
-    # class's fields; the protocol steps are written as step.N keys.
+    # Each section's keys and their order are its record class's fields
+    # of a setting kind; the protocol steps are written as step.N keys.
     classes = {
         "link_budget": LinkBudget,
         "link_errors": LinkErrorModel,
@@ -414,8 +488,8 @@ def test_schema_sections_are_the_record_fields():
         "protocol": ProtocolLayout,
         "run": RunSettings,
     }
-    assert list(_SCHEMA) == list(classes)
+    assert [(section, cls) for section, (_, cls) in _SECTIONS.items()] == list(classes.items())
     for section, cls in classes.items():
-        want = {name: default for name, default in fields(cls).items() if name != "steps"}
-        assert list(_SCHEMA[section].items()) == list(want.items()), section
+        assert cls.section == section
+        assert list(cls.kinds) == [name for name in fields(cls) if name != "steps"], section
     assert "steps" in fields(ProtocolLayout)

@@ -29,15 +29,15 @@ __version__ = "0.1.0"
 
 # Defining module -> its public names, re-exported here.
 _EXPORTS = {
-    "states": ("QuantumState", "tensor", "fidelity", "partial_trace"),
+    "states": ("QuantumState", "tensor", "fidelity", "partial_trace", "free_evolution"),
     "photonics": ("emit_atom_photon", "qwp_map"),
     "gates": ("ms_gate", "rotation", "analysis_rotation", "spin_echo_ramsey"),
-    "phases": ("phi_ab", "free_evolution"),
     "detection": ("confusion_matrix",),
     "montecarlo": ("ProtocolResult", "run_protocol", "coherent_entanglement_distance"),
     "scenario": (
         "LinkBudget", "LinkErrorModel", "success_probability", "expected_rate",
-        "GateSettings", "PhaseLedger", "MemoryDecoherence", "DetectorModel", "DetectorGroup",
+        "GateSettings", "PhaseLedger", "phi_ab",
+        "MemoryDecoherence", "DetectorModel", "DetectorGroup",
         "ProtocolScript",
         "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",
     ),
@@ -48,7 +48,7 @@ __all__ = [*_HOME, "__version__"]
 
 # The modules that import numpy.
 _ENGINE = (
-    "states", "phases", "photonics", "gates", "detection", "fitting", "montecarlo", "protocols",
+    "states", "photonics", "gates", "detection", "fitting", "montecarlo", "protocols",
 )
 
 

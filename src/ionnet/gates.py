@@ -29,8 +29,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .phases import free_evolution
-from .states import QuantumState, StateError, apply_to_each, apply_unitary, depolarize
+from .states import (
+    QuantumState, StateError, apply_to_each, apply_unitary, depolarize, free_evolution,
+)
 
 __all__ = [
     "ms_unitary",

@@ -51,7 +51,6 @@ from numpy.random import PCG64, Generator, SeedSequence  # numpy loads it lazily
 from . import states as st
 from .detection import confusion_matrix
 from .gates import analysis_rotation, ms_gate
-from .phases import free_evolution
 from .photonics import conditional_herald_states, module_emission
 from .records import Record, replace
 from .scenario import (
@@ -67,6 +66,7 @@ from .scenario import (
     WaitStep,
     success_probability,
 )
+from .states import free_evolution
 
 __all__ = [
     "BranchState",

@@ -18,8 +18,9 @@ field left out takes its built-in default and is listed in
 section maps onto one ``Section`` record class and takes its keys, their
 order, their defaults and their kinds from the class's fields. Whenever
 a section record is built, loaded or not, it checks each setting by its
-kind, and a scenario checks its protocol script; both raise
-``ScenarioError`` with the dotted field path. ``emit_scenario`` writes
+kind, and a scenario checks each section's record class and its
+protocol script; each raises ``ScenarioError`` naming the field or
+section. ``emit_scenario`` writes
 the fully resolved form, which parses back to an identical scenario
 (floats are emitted with ``repr`` so the round trip is exact).
 
@@ -60,6 +61,7 @@ __all__ = [
     "GateSettings",
     "SPEED_OF_LIGHT",
     "PhaseLedger",
+    "phi_ab",
     "MemoryDecoherence",
     "DetectorModel",
     "DetectorGroup",
@@ -273,7 +275,11 @@ GEOMETRIC_PHASE_BOUND = 1e-2
 
 
 class PhaseLedger(Section, section="phase_ledger"):
-    """The apparatus phase terms, with SI units.
+    """The apparatus phase terms, with SI units. The phase of a heralded
+    pair is the herald's detector phase phi_d plus the four terms set
+    here: the Zeeman beat delta_omega_ab * t, the geometric terms
+    k*c*delta_tau and k*delta_x, and delta_phi_t. All are tracked in
+    full precision; only ``phi_ab`` reduces their sum to (-pi, pi].
 
     delta_omega_ab: difference of the qubit splittings, rad/s.
     k: wavenumber of the emission Zeeman splitting, 1/m.
@@ -311,6 +317,18 @@ class PhaseLedger(Section, section="phase_ledger"):
                 f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
             )
         return notes
+
+
+def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:
+    """Inter-module phase at time ``t`` after a herald with detector
+    phase ``phi_d``, reduced to (-pi, pi]."""
+    if t < 0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    total = ledger.herald_phase(phi_d) + ledger.delta_omega_ab * t
+    reduced = math.remainder(total, 2.0 * math.pi)
+    if reduced <= -math.pi:
+        reduced += 2.0 * math.pi
+    return reduced
 
 
 class MemoryDecoherence(Section, section="memory"):
@@ -557,7 +575,12 @@ class Scenario(Record):
 
     def __post_init__(self):
         # Each section record checked its settings when it was built;
-        # loaded, built or replaced, a scenario checks its script here.
+        # loaded, built or replaced, a scenario checks each section's
+        # record class and its script here.
+        for section, (attr, cls) in _SECTIONS.items():
+            if type(part := getattr(self, attr)) is not cls:
+                name = type(part).__name__
+                raise ScenarioError(f"[{section}] is a {name} record, not {cls.__name__}")
         try:
             self.script()
         except ValueError as exc:
@@ -747,8 +770,11 @@ def budget_report(scenario: Scenario) -> ExperimentOutput:
         "rep_rate_hz": scenario.budget.rep_rate,
         "coherence_time_s": scenario.memory.tau_s,
         "qubit_separation_m": scenario.run.qubit_separation_m,
-        "d_ent_m": d_ent,
     }
+    if math.isnan(d_ent):  # a zero rate times tau_s = inf
+        out.warnings.append("d_ent_m = 0 * inf (zero rate, tau_s = inf) is not reported")
+    else:
+        out.summary["d_ent_m"] = d_ent
     return out
 
 

@@ -22,8 +22,10 @@ register order) and applied as ``U @ rho @ U^dagger``, by
 ``apply_unitary``, ``apply_to_each`` (once per target) and the herald's
 stacked Kraus set alike. A phase gate and the pair dephasing multiply
 the state by a Schur factor (``_phase_factor``, ``_dephasing_factor``),
-and so does a whole free evolution, once, with the product of its
-factors (``phases.free_evolution``).
+and so does a whole free evolution (``free_evolution``), once, with the
+product of the phase factor of each B atom and the dephasing factor of
+each stored pair: the same map as applying them one after the other,
+up to rounding.
 
 Constants are built and checked once per process, in bounded caches,
 and shared read-only: the bit table ``_bits(n)``, the identities
@@ -53,6 +55,7 @@ from the exact distributions by the Monte Carlo engine.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -76,6 +79,7 @@ __all__ = [
     "partial_trace",
     "depolarize",
     "dephase_pair",
+    "free_evolution",
     "reset_subsystem",
     "replace_subsystems",
 ]
@@ -550,6 +554,40 @@ def _dephasing_factor(s: QuantumState, pair: Sequence[str], gamma) -> np.ndarray
     du = u[:, None] - u[None, :]
     dw = w[:, None] - w[None, :]
     return gamma[..., None, None] ** ((du * du + dw * dw) / 4.0)
+
+
+def free_evolution(
+    s: QuantumState,
+    t,
+    delta_omega_ab: float,
+    b_atoms: Sequence[str],
+    pairs: Sequence[Sequence[str]],
+    tau_s: float,
+) -> QuantumState:
+    """Evolve stored qubits for ``t`` seconds between operations; an
+    array of durations evolves one per point into a stack.
+
+    Each module is tracked in its own rotating frame, so the Zeeman beat
+    is a local Z phase e^{-i delta_omega_ab t} on every module-B atom in
+    ``b_atoms``; for a stored pair (module-A atom, module-B atom) it adds
+    the relative phase e^{i delta_omega_ab t} between |01> and |10>.
+    The coherences of every pair in ``pairs`` are dephased as by
+    ``dephase_pair`` with factor exp(-t/tau_s) (exactly 1 for an infinite
+    ``tau_s``); populations are preserved exactly. A zero duration
+    leaves its point unchanged.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"time must be non-negative, got {t}")
+    if not np.any(t):
+        return s
+    factors = [_phase_factor(s, q, -delta_omega_ab * t) for q in b_atoms]
+    gamma = np.exp(-t / tau_s)
+    factors += [_dephasing_factor(s, pair, gamma) for pair in pairs]
+    factors = [f for f in factors if f is not None]
+    if not factors:
+        return s
+    return QuantumState._of(s.labels, s.data * math.prod(factors))
 
 
 def reset_subsystem(s: QuantumState, label: str, bit: int = 0) -> QuantumState:

@@ -80,6 +80,32 @@ def test_budget_subcommand(tmp_path):
     assert (out / "resolved_config.cfg").exists()
 
 
+@pytest.mark.parametrize(
+    "text, d_ent",
+    [
+        ("[link_budget]\np_bell = 0\n", 0.0),
+        ("[memory]\ntau_s = inf\n", math.inf),
+        ("[link_budget]\np_bell = 0\n[memory]\ntau_s = inf\n", None),
+    ],
+    ids=["zero-rate", "no-decay", "zero-rate-no-decay"],
+)
+def test_budget_reports_no_undetermined_distance(tmp_path, capsys, text, d_ent):
+    # d_ent_m is rate * tau_s: a zero rate with an infinite tau_s is 0 * inf,
+    # which is left out with a warning rather than written as nan.
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out / "summary.txt")
+    warnings = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning:")]
+    if d_ent is None:
+        assert "d_ent_m" not in summary
+        assert len(warnings) == 1 and "d_ent_m" in warnings[0], warnings
+    else:
+        assert summary["d_ent_m"] == d_ent
+        assert warnings == []
+
+
 def test_timing_subcommand(tmp_path):
     out = tmp_path / "timing"
     assert main(["timing", "--out", str(out)]) == 0

@@ -3,8 +3,12 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import ionnet
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def listing_modules():
@@ -31,3 +35,11 @@ def test_each_public_name_is_listed_by_its_one_home_module():
     # the module that lists it.
     for name, home in ionnet._HOME.items():
         assert homes[name] == [f"ionnet.{home}"], name
+
+
+def test_readme_layout_lists_exactly_the_package_modules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", layout, flags=re.MULTILINE)
+    modules = [p.stem for p in (ROOT / "src" / "ionnet").glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(["ionnet", *(f"ionnet.{m}" for m in modules)])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ionnet import phases as ph
 from ionnet import states as st
 from ionnet.gates import rotation
-from ionnet.scenario import MemoryDecoherence, PhaseLedger
+from ionnet.scenario import MemoryDecoherence, PhaseLedger, phi_ab
+from ionnet.states import free_evolution
 
 from oracles import random_density
 
@@ -25,12 +25,12 @@ def odd_pair(phase=0.0, labels=("a", "b")):
 class TestPhiAB:
     def test_all_zero(self):
         ledger = PhaseLedger(delta_omega_ab=0, k=0, delta_tau=0, delta_x=0, delta_phi_t=0)
-        assert ph.phi_ab(ledger, 0.0, 0.0) == 0.0
+        assert phi_ab(ledger, 0.0, 0.0) == 0.0
 
     def test_beat_term(self):
         ledger = PhaseLedger(delta_omega_ab=2 * math.pi * 2.5e3, k=0, delta_tau=0, delta_x=0)
         # 2 pi x 2500 x 1e-4 = pi/2
-        assert ph.phi_ab(ledger, 0.0, 1e-4) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert phi_ab(ledger, 0.0, 1e-4) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_geometric_terms_are_small_at_defaults(self):
         ledger = PhaseLedger()
@@ -46,12 +46,12 @@ class TestPhiAB:
     def test_reduction_range(self):
         ledger = PhaseLedger(delta_omega_ab=1.0, k=0, delta_tau=0, delta_x=0)
         for t in np.linspace(0, 50, 400):
-            val = ph.phi_ab(ledger, math.pi, float(t))
+            val = phi_ab(ledger, math.pi, float(t))
             assert -math.pi < val <= math.pi + 1e-15
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ph.phi_ab(PhaseLedger(), 0.0, -0.1)
+            phi_ab(PhaseLedger(), 0.0, -0.1)
 
     @given(
         t1=hst.floats(min_value=0, max_value=10),
@@ -60,7 +60,7 @@ class TestPhiAB:
     @settings(max_examples=80, deadline=None)
     def test_affine_in_time(self, t1, t2):
         ledger = PhaseLedger()
-        diff = ph.phi_ab(ledger, 0.0, t1 + t2) - ph.phi_ab(ledger, 0.0, t2)
+        diff = phi_ab(ledger, 0.0, t1 + t2) - phi_ab(ledger, 0.0, t2)
         expect = ledger.delta_omega_ab * t1
         assert math.remainder(diff - expect, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
 
@@ -68,7 +68,7 @@ class TestPhiAB:
 def evolve(s, ledger, deco, t):
     """Free evolution of the stored pair ("a", "b"), "b" in module B."""
     tau_s = deco.tau_s if deco is not None else math.inf
-    return ph.free_evolution(s, t, ledger.delta_omega_ab, ["b"], [["a", "b"]], tau_s)
+    return free_evolution(s, t, ledger.delta_omega_ab, ["b"], [["a", "b"]], tau_s)
 
 
 PAIR_CASES = {
@@ -90,7 +90,7 @@ def test_free_evolution_is_phases_then_pair_dephasing(case, t, tau_s):
         want = st.apply_phase(want, q, -omega * np.asarray(t))
     for pair in pairs:
         want = st.dephase_pair(want, pair, np.exp(-np.asarray(t) / tau_s))
-    got = ph.free_evolution(s, t, omega, b_atoms, pairs, tau_s)
+    got = free_evolution(s, t, omega, b_atoms, pairs, tau_s)
     assert got.data.shape == want.data.shape
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
 

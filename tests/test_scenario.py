@@ -155,6 +155,18 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="protocol script invalid"):
             replace(s, protocol=replace(s.protocol, steps=steps))
 
+    @pytest.mark.parametrize("section", _SECTIONS)
+    def test_built_scenario_checks_each_section_record_class(self, section):
+        # A section given a record of another section's class is rejected
+        # when the scenario is built, naming the section and both classes.
+        s = loads_scenario("")
+        attr, cls = _SECTIONS[section]
+        sections = list(_SECTIONS.values())
+        other = sections[(sections.index((attr, cls)) + 1) % len(sections)][1]
+        reason = f"[{section}] is a {other.__name__} record, not {cls.__name__}"
+        with pytest.raises(ScenarioError, match=re.escape(reason)):
+            replace(s, **{attr: other()})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("path", FLOAT_PATHS)
     def test_built_scenario_rejects_non_finite_settings(self, path, value):

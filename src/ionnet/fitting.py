@@ -112,8 +112,9 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
         e = weight * np.exp(-t * np.exp(-log_tau))
         return e, amp * e - weighted_y
 
-    # Beyond this tau, exp(-t / tau) is 1 at every t in double precision.
-    log_tau_max = math.log(float(np.abs(t).max()) / np.finfo(float).eps)
+    # Beyond this tau, exp(-t / tau) is 1 at every t in double precision;
+    # a difference of logs stays finite up to the largest float t.
+    log_tau_max = math.log(float(np.abs(t).max())) - math.log(np.finfo(float).eps)
     span = t.max() - t.min()
     amp, log_tau = max(y.max(), 1e-6), math.log(span if span > 0 else 1.0)
     damping = 1e-3
@@ -150,7 +151,7 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
                 break
         else:
             raise RuntimeError(f"decay fit did not converge in {_MAX_EVALS} evaluations")
-        tau = float(np.exp(log_tau))
+        tau = np.exp(log_tau)  # a numpy float: tau**2 may overflow to inf
         jac = np.column_stack([e, amp * e * t / tau**2])  # in (A, tau)
         try:
             r_inv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
@@ -161,7 +162,7 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
             cov = cov * (ssr / (t.size - 2))
         perr = np.sqrt(np.diag(cov))
     return DecayFit(
-        tau=tau,
+        tau=float(tau),
         tau_stderr=float(perr[1]),
         amplitude=float(amp),
         amplitude_stderr=float(perr[0]),

@@ -43,7 +43,7 @@ generator of its shot stream, row after row.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence  # numpy loads it lazily otherwise
@@ -61,9 +61,7 @@ from .scenario import (
     ProtocolScript,
     ReinitStep,
     Scenario,
-    ScriptError,
     Step,
-    WaitStep,
     success_probability,
 )
 from .states import free_evolution
@@ -181,7 +179,8 @@ def propagate(
     the register in |0...0>), branching on herald outcomes.
 
     After each non-herald step the register evolves freely for the
-    step's duration, during which the link of a heralded branch dephases.
+    step's ``scenario.step_duration``, during which the link of a
+    heralded branch dephases.
     Steps with array parameters (``WaitStep.duration_s``,
     ``AnalysisStep.theta`` and ``phi``, all of one length P) turn each
     branch state into a stack of P states. Every returned state is
@@ -199,12 +198,12 @@ def propagate(
         if isinstance(step, HeraldStep):
             branches = _herald_branches(branches, script.link, scenario)
             continue
-        apply, dt = _step_action(step, script, scenario)
+        dt = scenario.step_duration(step)
         branches = [
             replace(
                 b,
                 state=free_evolution(
-                    apply(b.state), dt, delta_omega, b_atoms,
+                    _apply_step(step, b.state, script, scenario), dt, delta_omega, b_atoms,
                     link if b.phi_d is not None else (), tau_s,
                 ),
             )
@@ -218,35 +217,24 @@ def propagate(
     ]
 
 
-def _step_action(
-    step: Step, script: ProtocolScript, scenario: Scenario
-) -> tuple[Callable[[st.QuantumState], st.QuantumState], float]:
-    """State map of one non-herald step and the time it takes."""
+def _apply_step(
+    step: Step, state: st.QuantumState, script: ProtocolScript, scenario: Scenario
+) -> st.QuantumState:
+    """``state`` after the operation of a reinit, gate, analysis or wait
+    step, before the step's free evolution."""
     if isinstance(step, ReinitStep):
-        duration = scenario.protocol.reinit_duration_s
-        return (lambda s: _reinit(s, step.qubit, script, scenario)), duration
+        state = st.reset_subsystem(state, step.qubit, 0)
+        if scenario.protocol.crosstalk_depol > 0:
+            module = script.module_of(step.qubit)
+            for neighbour in script.modules[module]:
+                if neighbour != step.qubit and neighbour in state.labels:
+                    state = st.depolarize(state, [neighbour], scenario.protocol.crosstalk_depol)
+        return state
     if isinstance(step, MSGateStep):
-        gate = scenario.gate
-        return (
-            lambda s: ms_gate(s, list(step.pair), gate.phi_a, gate.depolarizing_p)
-        ), gate.gate_time_s
+        return ms_gate(state, list(step.pair), scenario.gate.phi_a, scenario.gate.depolarizing_p)
     if isinstance(step, AnalysisStep):
-        return (
-            lambda s: analysis_rotation(s, list(step.targets), step.theta, step.phi)
-        ), 0.0
-    if isinstance(step, WaitStep):
-        return (lambda s: s), step.duration_s
-    raise ScriptError(f"unhandled step {step}")  # pragma: no cover
-
-
-def _reinit(state: st.QuantumState, qubit: str, script: ProtocolScript, scenario: Scenario):
-    out = st.reset_subsystem(state, qubit, 0)
-    if scenario.protocol.crosstalk_depol > 0:
-        module = script.module_of(qubit)
-        for neighbour in script.modules[module]:
-            if neighbour != qubit and neighbour in out.labels:
-                out = st.depolarize(out, [neighbour], scenario.protocol.crosstalk_depol)
-    return out
+        return analysis_rotation(state, list(step.targets), step.theta, step.phi)
+    return state
 
 
 def _herald_branches(

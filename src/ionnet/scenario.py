@@ -613,6 +613,17 @@ class Scenario(Record):
             link=protocol.link if set(protocol.link) <= set(register) else None,
         )
 
+    def step_duration(self, step: Step) -> float | np.ndarray:
+        """The time ``step`` takes: a reinit's ``reinit_duration_s``, a gate's
+        ``gate_time_s``, a wait's duration (a scan's array as it is), else 0."""
+        if isinstance(step, ReinitStep):
+            return self.protocol.reinit_duration_s
+        if isinstance(step, MSGateStep):
+            return self.gate.gate_time_s
+        if isinstance(step, WaitStep):
+            return step.duration_s
+        return 0.0
+
 
 def _parse_text(text: str, source: str) -> tuple[dict[str, dict[str, object]], set[str]]:
     """Raw parse: the values set per section (the protocol's step
@@ -779,6 +790,9 @@ def budget_report(scenario: Scenario) -> ExperimentOutput:
 
 
 def timing_report(scenario: Scenario) -> ExperimentOutput:
+    """The gate's schedule, then the configured script's timeline: each
+    step's duration, and ``script_time_s`` from the last herald (or the
+    first step) to the measure."""
     gate = scenario.gate
     out = ExperimentOutput()
     out.summary = {
@@ -787,4 +801,9 @@ def timing_report(scenario: Scenario) -> ExperimentOutput:
         "phase_flip_time_s": gate.phase_flip_time_s,
         "sideband_rabi_hz": gate.sideband_rabi_hz,
     }
+    script_time = 0.0
+    for n, step in enumerate(scenario.protocol.steps, start=1):
+        duration = out.summary[f"step_{n}_{step.verb}_s"] = scenario.step_duration(step)
+        script_time = 0.0 if isinstance(step, HeraldStep) else script_time + duration
+    out.summary["script_time_s"] = script_time
     return out

@@ -112,6 +112,17 @@ def test_timing_subcommand(tmp_path):
     summary = read_summary(out / "summary.txt")
     assert summary["gate_time_s"] == pytest.approx(1e-4, rel=1e-12)
     assert summary["phase_flip_time_s"] == pytest.approx(5e-5, rel=1e-12)
+    # Then the default script's timeline.
+    lines = (out / "summary.txt").read_text().splitlines()
+    timeline = lines[lines.index("sideband_rabi_hz = 7071.067811865475") + 1:]
+    assert timeline == [
+        "step_1_herald_s = 0.0",
+        "step_2_reinit_s = 0.0",
+        "step_3_gate_s = 0.0001",
+        "step_4_analyze_s = 0.0",
+        "step_5_measure_s = 0.0",
+        "script_time_s = 0.0001",
+    ]
 
 
 def test_phase_scan_noiseless_offset(tmp_path):
@@ -408,6 +419,18 @@ def test_coherence_undetermined_tau_withholds_distance(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     warnings = [line for line in err if line.startswith("warning: ")]
     assert len(warnings) == 1 and "d_ent_m" in warnings[0]
+
+
+
+def test_coherence_on_a_delay_grid_to_the_float_limit_warns(tmp_path, capsys):
+    cfg = tmp_path / "delays.cfg"
+    cfg.write_text("[run]\ndelay_max_s = 1e300\n")
+    out = tmp_path / "coh"
+    argv = ["coherence", "--config", str(cfg), "--seed", "1", "--trials", "500", "--shots", "2000"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert read_summary(out / "summary.txt")["tau_fit_ok"] == "False"
+    warnings = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning: ")]
+    assert len(warnings) == 1 and "tau undetermined" in warnings[0]
 
 
 @pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])

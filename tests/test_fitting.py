@@ -4,6 +4,7 @@ the oracle, and the decay fit's stopping rules; and the Kolmogorov
 survival function against scipy's kstwo."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from ionnet import fitting
 from ionnet.fitting import (
     KS_STAT_CRITICAL,
+    MAX_TAU_REL_STDERR,
     fit_cosine,
     fit_exponential_decay,
     fit_exponential_rate,
@@ -166,6 +168,14 @@ class TestDecayFit:
         fit = fit_exponential_decay(t, y)
         assert math.isfinite(fit.tau) and fit.tau > 0
         assert fit.tau_stderr / fit.tau > 1.0
+
+    def test_delay_grid_to_the_float_limit_leaves_tau_undetermined(self):
+        # A grid up to 1e300 overflows max(t) / eps and tau**2 as floats.
+        t = np.linspace(0.0, 1e300, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_exponential_decay(t, 0.66 * np.exp(-t / 1.12), sigma=np.full(16, 0.01))
+        assert fit.tau > 0 and fit.tau_stderr / fit.tau > MAX_TAU_REL_STDERR
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(fitting, "_MAX_EVALS", 2)

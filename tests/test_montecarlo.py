@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ionnet import montecarlo as mc
 from ionnet import states as st
@@ -33,6 +34,7 @@ from ionnet.scenario import (
     success_probability,
 )
 from oracles import parity_expectation, protocol_trials_per_trial, sample_scan_per_row
+from test_scenario import protocols
 
 RNG = np.random.default_rng
 
@@ -226,6 +228,62 @@ class TestScriptValidation:
                 qubits=("q1", "q2"), modules={"A": ("q1",)},
                 steps=(MeasureStep(),),
             )
+
+
+class TestStepDurations:
+    """``propagate`` lets the register evolve for each step's
+    ``Scenario.step_duration``, once per step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=protocols().filter(lambda layout: layout.reinit_duration_s > 0))
+    def test_free_evolution_times_sum_to_the_timeline(self, layout):
+        scenario = replace(DEFAULTS, protocol=layout)
+        script = scenario.script()
+        times = []
+
+        def recorded(state, t, *args):
+            times.append(t)
+            return state
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "free_evolution", recorded)
+            # One branch throughout, so each step evolves the register once.
+            patch.setattr(mc, "_herald_branches", lambda branches, pair, scenario: branches)
+            mc.exact_branches(script, scenario)
+        timed = {ReinitStep: layout.reinit_duration_s, MSGateStep: scenario.gate.gate_time_s,
+                 AnalysisStep: 0.0}
+        assert times == [
+            step.duration_s if isinstance(step, WaitStep) else timed[type(step)]
+            for step in script.steps
+            if not isinstance(step, (HeraldStep, MeasureStep))
+        ]
+        assert sum(times) == sum(scenario.step_duration(step) for step in script.steps)
+
+    def test_scan_durations_pass_through(self):
+        durations = np.linspace(0.0, 1.0, 5)
+        assert DEFAULTS.step_duration(WaitStep(durations)) is durations
+
+    @pytest.mark.parametrize("phi_d", [0.0, math.pi])
+    def test_link_coherence_after_reinit_and_wait(self, phi_d):
+        # Between the herald and the measure the pair's |01><10| element
+        # turns by the beat and decays over the reinit's d and the wait's w.
+        # The beat angle is ~3e3 rad, whose rounding the tolerance allows.
+        d, w = 3e-4, 0.2
+        scenario = replace(DEFAULTS, protocol=ProtocolLayout(
+            crosstalk_depol=0.0, reinit_duration_s=d,
+            steps=(HeraldStep(), ReinitStep("q1"), WaitStep(w), MeasureStep()),
+        ))
+        script = scenario.script()
+        heralded = mc.propagate(script, scenario, script.steps[:1])
+        measured = mc.exact_branches(script, scenario)
+        t = d + w
+        beat = np.exp(-1j * scenario.ledger.delta_omega_ab * t)
+        factor = math.exp(-t / scenario.memory.tau_s) * beat
+        (before,) = [b for b in heralded if b.phi_d == phi_d]
+        (after,) = [b for b in measured if b.phi_d == phi_d]
+        coherence = [st.partial_trace(b.state, ["q2", "q3"]).data[1, 2] for b in (before, after)]
+        assert abs(coherence[1] - coherence[0] * factor) < 1e-12
+        assert abs(coherence[0]) > 0.3
 
 
 class TestExactBranches:

@@ -33,6 +33,7 @@ from ionnet.scenario import (
     expected_rate,
     load_scenario,
     loads_scenario,
+    timing_report,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +66,46 @@ class TestDefaults:
         base = budget_report(loads_scenario("")).summary["d_ent_m"]
         doubled = budget_report(loads_scenario("[memory]\ntau_s = 2.24\n")).summary["d_ent_m"]
         assert doubled == pytest.approx(2 * base, rel=1e-12)
+
+
+
+class TestTimeline:
+    def test_step_duration_is_each_kinds_configured_time(self):
+        s = loads_scenario("[protocol]\nreinit_duration_s = 3e-4\n[gate]\ndetuning_hz = 4e4\n")
+        assert s.step_duration(ReinitStep("q1")) == 3e-4
+        # A gate takes 2 / detuning_hz, the gate_time_s that timing reports.
+        gate_time = timing_report(s).summary["gate_time_s"]
+        assert s.step_duration(MSGateStep(("q1", "q2"))) == 2.0 / 4e4 == gate_time
+        assert s.step_duration(WaitStep(0.25)) == 0.25
+        for step in (HeraldStep(), AnalysisStep(("q1",), 1.0, 0.0), MeasureStep()):
+            assert s.step_duration(step) == 0.0
+
+    def test_timing_reports_each_step_and_the_time_after_the_last_herald(self):
+        steps = ["wait 2", "herald", "reinit q1", "herald", "wait 0.5", "gate q1 q2", "measure"]
+        text = "[protocol]\nreinit_duration_s = 0.001\n" + "".join(
+            f"step.{n} = {step}\n" for n, step in enumerate(steps, start=1)
+        )
+        summary = timing_report(loads_scenario(text)).summary
+        schedule = ["detuning_hz", "gate_time_s", "phase_flip_time_s", "sideband_rabi_hz"]
+        assert list(summary)[:4] == schedule
+        assert {k: v for k, v in summary.items() if k not in schedule} == {
+            "step_1_wait_s": 2.0,
+            "step_2_herald_s": 0.0,
+            "step_3_reinit_s": 0.001,
+            "step_4_herald_s": 0.0,
+            "step_5_wait_s": 0.5,
+            "step_6_gate_s": 1e-4,
+            "step_7_measure_s": 0.0,
+            "script_time_s": 0.5 + 1e-4,
+        }
+
+    def test_script_without_a_herald_times_every_step(self):
+        text = (
+            "[protocol]\nreinit_duration_s = 0.001\n"
+            "step.1 = reinit q1\nstep.2 = wait 0.5\nstep.3 = measure\n"
+        )
+        summary = timing_report(loads_scenario(text)).summary
+        assert summary["script_time_s"] == 0.001 + 0.5
 
 
 class TestValidation:

@@ -38,7 +38,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from ionnet import states as st
-from ionnet.photonics import conditional_herald_states, heralded_bell_ket, module_emission
+from ionnet.photonics import conditional_herald_states, heralded_bell_ket
 from ionnet.protocols import modular_3q_experiment
 from ionnet.scenario import LinkErrorModel, loads_scenario
 
@@ -61,10 +61,8 @@ def calibrate_mode_overlap() -> float:
 
     # cross-check with the full pipeline
     err = LinkErrorModel(atom_photon_fidelity=ATOM_PHOTON_FIDELITY, mode_overlap=v)
-    a = module_emission(err, "a", "pa")
-    b = module_emission(err, "b", "pb")
     fids = []
-    for phi_d, _, state in conditional_herald_states(a, b, err):
+    for phi_d, _, state in conditional_herald_states(err, ("a", "b")):
         target = heralded_bell_ket(("a", "b"), phi_d)
         fids.append(st.fidelity(state, target))
     print(f"pipeline herald fidelity = {float(np.mean(fids))!r} (target {TARGET_HERALD_FIDELITY})")

@@ -55,6 +55,10 @@ MUTANTS = (
            "module = script.module_of(step.qubit)",
            "module = next((m for m in script.modules if m != script.module_of(step.qubit)), "
            "script.module_of(step.qubit))"),
+    # The herald takes the link's atoms in swapped order: the module-B atom
+    # emits first, and the transfer phase lands on it.
+    Mutant("M13", "src/ionnet/photonics.py",
+           "atom_a, atom_b = link", "atom_b, atom_a = link"),
 )
 
 

@@ -95,8 +95,8 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
     log(tau), so tau stays positive and no step overshoots to tau ~ 0.
     With ``sigma`` the residuals are weighted by 1/sigma and the
     covariance inv(J^T J) of (A, tau) is absolute; without it the
-    covariance is scaled by SSR / (n - 2). Raises RuntimeError when the
-    fit does not converge.
+    covariance is scaled by SSR / (n - 2); a non-finite entry is an
+    infinite error. Raises RuntimeError when the fit does not converge.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -118,7 +118,7 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
     span = t.max() - t.min()
     amp, log_tau = max(y.max(), 1e-6), math.log(span if span > 0 else 1.0)
     damping = 1e-3
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         e, r = evaluate(amp, log_tau)
         ssr = float(r @ r)
         stale = True
@@ -151,7 +151,7 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
                 break
         else:
             raise RuntimeError(f"decay fit did not converge in {_MAX_EVALS} evaluations")
-        tau = np.exp(log_tau)  # a numpy float: tau**2 may overflow to inf
+        tau = np.exp(log_tau)  # a numpy float: tau**2 may overflow or underflow
         jac = np.column_stack([e, amp * e * t / tau**2])  # in (A, tau)
         try:
             r_inv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
@@ -160,6 +160,7 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
             cov = np.full((2, 2), np.inf)
         if sigma is None:
             cov = cov * (ssr / (t.size - 2))
+        cov[~np.isfinite(cov)] = np.inf
         perr = np.sqrt(np.diag(cov))
     return DecayFit(
         tau=float(tau),

@@ -51,7 +51,7 @@ from numpy.random import PCG64, Generator, SeedSequence  # numpy loads it lazily
 from . import states as st
 from .detection import confusion_matrix
 from .gates import analysis_rotation, ms_gate
-from .photonics import conditional_herald_states, module_emission
+from .photonics import conditional_herald_states
 from .records import Record, replace
 from .scenario import (
     AnalysisStep,
@@ -240,12 +240,8 @@ def _apply_step(
 def _herald_branches(
     branches: list[BranchState], pair: tuple[str, str], scenario: Scenario
 ) -> list[BranchState]:
-    qa, qb = pair
-    emission_a = module_emission(scenario.link_errors, qa, f"_ph_{qa}")
-    emission_b = module_emission(scenario.link_errors, qb, f"_ph_{qb}")
-    transfer_phase = scenario.ledger.herald_phase(0.0)
     conditional = conditional_herald_states(
-        emission_a, emission_b, scenario.link_errors, transfer_phase
+        scenario.link_errors, pair, scenario.ledger.herald_phase(0.0)
     )
     total = sum(p for _, p, _ in conditional)
     # The heralded pair replaces whatever the two qubits held before.

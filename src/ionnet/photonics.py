@@ -50,6 +50,7 @@ from .states import (
 )
 
 __all__ = [
+    "DETECTOR_PHASES",
     "DETECTOR_PAIRS",
     "emit_atom_photon",
     "ideal_emission_ket",
@@ -61,13 +62,11 @@ __all__ = [
     "heralded_bell_ket",
 ]
 
-# Valid coincidence pairs and their detector phases.
-DETECTOR_PAIRS: dict[tuple[int, int], float] = {
-    (1, 2): 0.0,
-    (3, 4): 0.0,
-    (1, 3): math.pi,
-    (2, 4): math.pi,
-}
+# The valid coincidence pairs of each detector phase; the phases in the
+# order of the herald's branches.
+_PAIRS_OF_PHASE = {0.0: ((1, 2), (3, 4)), math.pi: ((1, 3), (2, 4))}
+DETECTOR_PHASES = tuple(_PAIRS_OF_PHASE)
+DETECTOR_PAIRS = {pair: phi_d for phi_d, pairs in _PAIRS_OF_PHASE.items() for pair in pairs}
 
 
 def ideal_emission_ket(atom_label: str, photon_label: str) -> QuantumState:
@@ -108,16 +107,6 @@ def module_emission(
     return qwp_map(emit_atom_photon(error, atom_label, photon_label), photon_label)
 
 
-def _pol_kets() -> dict[str, np.ndarray]:
-    h = np.array([1.0, 0.0], dtype=complex)
-    v = np.array([0.0, 1.0], dtype=complex)
-    return {"H": h, "V": v}
-
-
-def _projector(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
-
-
 def bsm_kraus_operators(v: float) -> dict[tuple[int, int], list[np.ndarray]]:
     """Kraus operators on the two-photon polarization space per outcome.
 
@@ -127,54 +116,44 @@ def bsm_kraus_operators(v: float) -> dict[tuple[int, int], list[np.ndarray]]:
     """
     if not 0.0 <= v <= 1.0:
         raise StateError(f"mode overlap {v} outside [0, 1]")
-    kets = _pol_kets()
-    hv = np.outer(kets["H"], kets["V"]).ravel()
-    vh = np.outer(kets["V"], kets["H"]).ravel()
+    hv, vh = np.eye(4, dtype=complex)[1:3]
     psi_plus = (hv + vh) / math.sqrt(2.0)
     psi_minus = (hv - vh) / math.sqrt(2.0)
     coherent = math.sqrt(0.5) * v
     incoherent = 0.5 * math.sqrt(max(1.0 - v * v, 0.0))
     out: dict[tuple[int, int], list[np.ndarray]] = {}
     for pair, phase in DETECTOR_PAIRS.items():
-        bell = psi_plus if phase == 0.0 else psi_minus
-        ops = [coherent * _projector(bell)]
+        bell = psi_plus if phase == DETECTOR_PHASES[0] else psi_minus
+        ops = [coherent * np.outer(bell, bell.conj())]
         if incoherent > 0.0:
-            ops.append(incoherent * _projector(hv))
-            ops.append(incoherent * _projector(vh))
+            ops += [incoherent * np.outer(hv, hv.conj()), incoherent * np.outer(vh, vh.conj())]
         out[pair] = ops
     return out
 
 
 def conditional_herald_states(
-    atom_a_photon: QuantumState,
-    atom_b_photon: QuantumState,
-    error: LinkErrorModel,
-    transfer_phase: float = 0.0,
+    error: LinkErrorModel, link: Sequence[str], transfer_phase: float = 0.0
 ) -> list[tuple[float, float, QuantumState]]:
-    """Exact post-herald atom states, one ``(phi_d, prob, state)`` per
-    detector phase.
+    """Exact post-herald states of the ``link`` atoms (module A's first),
+    one ``(phi_d, prob, state)`` per detector phase, in the order of
+    ``DETECTOR_PHASES``.
 
     The two detector pairs of one phase carry the same Kraus operators,
     so the heralded state depends on the coincidence only through phi_d.
     Each phase's branch applies one pair's operators and counts them
     once per pair of that phase: exactly what adding the pairs gives.
-    Inputs are the (atom, photon) states of the two modules after the
-    wave plates. Probabilities are conditioned on both photons being
-    present (they sum to the herald fraction, 1/2 for ideal inputs).
-    The returned two-atom states have the photons traced out and the
-    transfer pulses applied; ``transfer_phase`` is the total static
-    phase the transfer pulses and geometry imprint on the A atom.
+    The photon modes the atoms emit into are traced out here again.
+    Probabilities are conditioned on both photons being present (they
+    sum to the herald fraction, 1/2 for ideal emissions). The states
+    have the transfer pulses applied; ``transfer_phase`` is the total
+    static phase the transfer pulses and geometry imprint on the A atom.
     """
-    if atom_a_photon.n_subsystems != 2 or atom_b_photon.n_subsystems != 2:
-        raise StateError("each module input must be one atom and one photon mode")
-    atom_a, photon_a = atom_a_photon.labels
-    atom_b, photon_b = atom_b_photon.labels
-    joint = tensor(atom_a_photon, atom_b_photon)
+    atom_a, atom_b = link
+    joint = _emission_register(error, atom_a, atom_b)
     kraus = bsm_kraus_operators(error.mode_overlap)
     results = []
-    for phi_d in sorted(set(DETECTOR_PAIRS.values())):
-        pairs = [pair for pair, phase in DETECTOR_PAIRS.items() if phase == phi_d]
-        prob, state = _project_photons(joint, (photon_a, photon_b), kraus[pairs[0]], len(pairs))
+    for phi_d, pairs in _PAIRS_OF_PHASE.items():
+        prob, state = _project_photons(joint, joint.labels[1::2], kraus[pairs[0]], len(pairs))
         if prob <= 0.0:
             continue
         atoms = partial_trace(state, [atom_a, atom_b])
@@ -182,6 +161,11 @@ def conditional_herald_states(
             atoms = apply_phase(atoms, atom_a, transfer_phase)
         results.append((phi_d, prob, atoms))
     return results
+
+
+def _emission_register(error: LinkErrorModel, atom_a: str, atom_b: str) -> QuantumState:
+    """The register (atom_a, photon_a, atom_b, photon_b) entering the fiber; q emits into _ph_q."""
+    return tensor(*(module_emission(error, q, f"_ph_{q}") for q in (atom_a, atom_b)))
 
 
 def _project_photons(

@@ -41,7 +41,7 @@ from .montecarlo import (
     sample_outcomes,
     share,
 )
-from .photonics import heralded_bell_ket
+from .photonics import DETECTOR_PHASES, heralded_bell_ket
 from .records import replace
 from .scenario import (
     AnalysisStep,
@@ -50,6 +50,7 @@ from .scenario import (
     MSGateStep,
     ProtocolLayout,
     ProtocolScript,
+    ReinitStep,
     Scenario,
     ScenarioError,
     WaitStep,
@@ -67,8 +68,8 @@ __all__ = [
 # rng spawn-key stream id of the scans' shot sampling
 _SHOT_STREAM = 20
 
-# The detector phase of each herald branch, and the key of its outputs.
-DETECTOR_PHASES = (("phid0", 0.0), ("phidpi", math.pi))
+# The key of each detector phase's outputs, with the phase, in branch order.
+_PHASE_KEYS = tuple(zip(("phid0", "phidpi"), DETECTOR_PHASES))
 
 
 def _fixed_script(scenario: Scenario, qubits: tuple[str, ...] | None = None) -> ProtocolScript:
@@ -99,6 +100,18 @@ def _fit_points(scenario: Scenario, grid: str) -> int:
     if points < MIN_FIT_POINTS:
         raise ScenarioError(f"a curve fit needs run.{grid} >= {MIN_FIT_POINTS}, got {points}")
     return points
+
+
+# The settings that the duration of a reinit or a gate step comes from.
+_DURATION_SOURCE = {ReinitStep: "protocol.reinit_duration_s", MSGateStep: "2 / gate.detuning_hz"}
+
+
+def _check_beat(scenario: Scenario, t: float, what: str) -> None:
+    """Reject evolving the register for the ``t`` s of ``what`` if delta_omega_ab * t overflows."""
+    omega = scenario.ledger.delta_omega_ab
+    if not math.isfinite(omega * t):
+        raise ScenarioError(f"the Zeeman beat phase overflows: phase_ledger.delta_omega_ab = "
+                            f"{omega!r} times the {t!r} s of {what}")
 
 
 def _population_table(counts, n, exact) -> dict[str, Sequence]:
@@ -146,7 +159,7 @@ def remote_bell_experiment(scenario: Scenario) -> ExperimentOutput:
 
     result = run_protocol(script, scenario, branches=branches)
     phi_d = np.array([b.phi_d for b in branches])
-    for key, want in DETECTOR_PHASES:
+    for key, want in _PHASE_KEYS:
         (branch,) = (b for b in branches if b.phi_d == want)
         target = heralded_bell_ket(pair, scenario.ledger.herald_phase(want))
         out.summary[f"fidelity_{key}"] = st.fidelity(branch.state, target)
@@ -155,9 +168,7 @@ def remote_bell_experiment(scenario: Scenario) -> ExperimentOutput:
         out.tables[f"populations_{key}"] = _population_table(
             counts, max(counts.sum(), 1), exact / exact.sum()
         )
-    out.summary["fidelity_mean"] = 0.5 * (
-        out.summary["fidelity_phid0"] + out.summary["fidelity_phidpi"]
-    )
+    out.summary["fidelity_mean"] = 0.5 * sum(out.summary[f"fidelity_{k}"] for k, _ in _PHASE_KEYS)
 
     exact_true = result.probs.sum(axis=(0, 1))
     out.summary["odd_parity_population_exact"] = parity_weights(exact_true, pair, pair)[1]
@@ -178,6 +189,7 @@ def phase_scan_experiment(scenario: Scenario) -> ExperimentOutput:
     qa, qb = scenario.protocol.link
     script = _fixed_script(scenario, (qa, qb))
     run, omega = scenario.run, scenario.ledger.delta_omega_ab
+    _check_beat(scenario, run.phase_scan_delay_s, "run.phase_scan_delay_s")
     delays = np.linspace(0.0, run.phase_scan_delay_s, _fit_points(scenario, "phase_scan_points"))
     beat = omega * delays
     try:  # the fit's own rank rule, on the phases it will be given
@@ -192,7 +204,7 @@ def phase_scan_experiment(scenario: Scenario) -> ExperimentOutput:
     steps = (WaitStep(delays), AnalysisStep((qa, qb), math.pi / 2.0, 0.0))
     out = ExperimentOutput()
     fits = {}
-    for branch_i, (key, want) in enumerate(DETECTOR_PHASES):
+    for branch_i, (key, want) in enumerate(_PHASE_KEYS):
         curve = parity_scan(
             script, scenario, steps, [b for b in heralded if b.phi_d == want],
             _SHOT_STREAM, branch_i, pair=(qa, qb),
@@ -238,18 +250,19 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
     ``_echo_steps`` of all delays at once; the surviving parity magnitude
     decays as exp(-delay/tau) because the static gradient phase cancels
     across the echo. The parity is sampled through the detector model
-    and the decay is fitted on the sampled magnitudes. When the fit
-    cannot determine tau, the distance figure built from it is left out.
+    and the decay is fitted on the sampled magnitudes. When a fit cannot
+    determine tau, d_ent_m (sampled) or tau_fit_exact_s (exact) is left out.
     """
     qa, qb = scenario.protocol.link
     run = scenario.run
     script = _fixed_script(scenario, (qa, qb))
     _check_rate_fit(scenario)
+    _check_beat(scenario, run.delay_max_s / 2.0, "each echo half of run.delay_max_s")
     delays = np.linspace(0.0, run.delay_max_s, _fit_points(scenario, "delay_points"))
     out = ExperimentOutput()
 
     branches = exact_branches(script, scenario)
-    phi_d = DETECTOR_PHASES[0][1]
+    phi_d = DETECTOR_PHASES[0]
     curve = parity_scan(
         script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == phi_d],
         _SHOT_STREAM, 0, pair=(qa, qb),
@@ -276,6 +289,10 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
             "coherence_amplitude": decay.amplitude,
         }
     )
+    if not decay_exact.tau_stderr / decay_exact.tau <= MAX_TAU_REL_STDERR:  # the sampled fit's rule
+        del out.summary["tau_fit_exact_s"]
+        out.warnings.append("the exact coherence decay fit leaves tau undetermined; "
+                            "tau_fit_exact_s is not reported")
 
     # Waiting-time distribution and rate, from sampled protocol trials.
     waits = run_protocol(script, scenario, branches=branches).herald_time
@@ -398,6 +415,9 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
             "modular-3q analyze steps must target exactly the module-A qubits "
             f"{' '.join(protocol.qubits_a)}"
         )
+    for n, step in enumerate(protocol.steps, start=1):
+        what = f"protocol.step.{n} ({_DURATION_SOURCE.get(type(step), step.verb)})"
+        _check_beat(scenario, scenario.step_duration(step), what)
     pair = analyses[0].targets
     remote = script.link[1]
     out = ExperimentOutput()

@@ -34,7 +34,12 @@ from ionnet import states as st
 from ionnet.detection import _validate_layout, apply_readout_array
 from ionnet.gates import ms_gate
 from ionnet.montecarlo import readout_channel
-from ionnet.photonics import DETECTOR_PAIRS, bsm_kraus_operators, conditional_herald_states
+from ionnet.photonics import (
+    DETECTOR_PAIRS,
+    _emission_register,
+    bsm_kraus_operators,
+    conditional_herald_states,
+)
 from ionnet.scenario import (
     DetectorGroup,
     DetectorModel,
@@ -149,17 +154,15 @@ def bsm_outcome_distribution(
 
 
 def herald_states_per_pair(
-    atom_a_photon: st.QuantumState,
-    atom_b_photon: st.QuantumState,
     error: LinkErrorModel,
+    link: Sequence[str],
     transfer_phase: float = 0.0,
 ) -> list[tuple[float, float, st.QuantumState]]:
     """``conditional_herald_states`` computed detector pair by detector
     pair: each Kraus operator of each pair applied on its own, the
     operators of a pair summed, and the pairs of a phase added."""
-    atom_a, photon_a = atom_a_photon.labels
-    atom_b, photon_b = atom_b_photon.labels
-    joint = st.tensor(atom_a_photon, atom_b_photon)
+    joint = _emission_register(error, *link)
+    atom_a, photon_a, atom_b, photon_b = joint.labels
     axes = [joint.axis(photon_a), joint.axis(photon_b)]
     n = joint.n_subsystems
     kraus = bsm_kraus_operators(error.mode_overlap)
@@ -247,20 +250,18 @@ def bsm(photons: st.QuantumState, v: float, rng: np.random.Generator) -> HeraldE
 
 
 def herald_remote_pair(
-    atom_a_photon: st.QuantumState,
-    atom_b_photon: st.QuantumState,
     error: LinkErrorModel,
+    link: Sequence[str],
     rng: np.random.Generator,
     transfer_phase: float = 0.0,
 ) -> tuple[float, st.QuantumState] | None:
-    """One coincidence attempt given both photons were collected.
+    """One coincidence attempt on ``link`` given both photons were
+    collected.
 
     Samples the interference outcome; on a valid coincidence returns
     the detector phase and the two-atom state, otherwise ``None``.
     """
-    branches = conditional_herald_states(
-        atom_a_photon, atom_b_photon, error, transfer_phase
-    )
+    branches = conditional_herald_states(error, link, transfer_phase)
     probs = np.array([p for _, p, _ in branches])
     p_none = max(1.0 - probs.sum(), 0.0)
     weights = np.append(probs, p_none)

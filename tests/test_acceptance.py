@@ -66,10 +66,8 @@ def test_criterion_2_monte_carlo_rate():
 
 def test_criterion_3_remote_fidelity_composition():
     err = LinkErrorModel()  # 0.92 per module, calibrated overlap
-    a = ph.module_emission(err, "qa", "pa")
-    b = ph.module_emission(err, "qb", "pb")
     fids = []
-    for phi_d, _, state in ph.conditional_herald_states(a, b, err):
+    for phi_d, _, state in ph.conditional_herald_states(err, ("qa", "qb")):
         target = ph.heralded_bell_ket(("qa", "qb"), phi_d)
         fids.append(st.fidelity(state, target))
     mean_f = float(np.mean(fids))

@@ -423,14 +423,54 @@ def test_coherence_undetermined_tau_withholds_distance(tmp_path, capsys):
 
 
 def test_coherence_on_a_delay_grid_to_the_float_limit_warns(tmp_path, capsys):
-    cfg = tmp_path / "delays.cfg"
-    cfg.write_text("[run]\ndelay_max_s = 1e300\n")
-    out = tmp_path / "coh"
-    argv = ["coherence", "--config", str(cfg), "--seed", "1", "--trials", "500", "--shots", "2000"]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert read_summary(out / "summary.txt")["tau_fit_ok"] == "False"
-    warnings = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning: ")]
-    assert len(warnings) == 1 and "tau undetermined" in warnings[0]
+    # Neither fit determines tau on a grid to the largest or the smallest
+    # floats: both taus built from them are withheld, each with a warning.
+    for delay_max in ("1e300", "1e-300"):
+        cfg = tmp_path / "delays.cfg"
+        cfg.write_text(f"[run]\ndelay_max_s = {delay_max}\n")
+        out = tmp_path / f"coh{delay_max}"
+        argv = ["coherence", "--config", str(cfg), "--seed", "1", "--trials", "500"]
+        assert main([*argv, "--shots", "2000", "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert summary["tau_fit_ok"] == "False" and summary["tau_fit_stderr"] == math.inf
+        assert "tau_fit_exact_s" not in summary and "d_ent_m" not in summary
+        warnings = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning: ")]
+        assert len(warnings) == 2 and all("tau undetermined" in w for w in warnings)
+        assert "tau_fit_exact_s" in warnings[0] and "d_ent_m" in warnings[1]
+
+
+# Each run would evolve the register for a time whose Zeeman beat phase
+# delta_omega_ab * t overflows a float.
+OVERFLOWING_BEATS = {
+    "echo-half": ("coherence", "[run]\ndelay_max_s = 1e305\n", "run.delay_max_s"),
+    "phase-scan-delay": ("phase-scan", "[run]\nphase_scan_delay_s = 1e305\n",
+                         "run.phase_scan_delay_s"),
+    "reinit": ("modular-3q", "[protocol]\nreinit_duration_s = 1e305\n",
+               "protocol.reinit_duration_s"),
+    "gate": ("modular-3q", "[gate]\ndetuning_hz = 1e-305\n", "gate.detuning_hz"),
+    "wait": ("modular-3q", "[protocol]\nstep.1 = herald\nstep.2 = wait 1e305\n"
+             "step.3 = reinit q1\nstep.4 = gate q1 q2\nstep.5 = analyze q1 q2\n"
+             "step.6 = measure\n", "protocol.step.2 (wait)"),
+}
+
+
+@pytest.mark.parametrize("sub, text, setting", OVERFLOWING_BEATS.values(), ids=OVERFLOWING_BEATS)
+def test_overflowing_beat_phase_exits_2_before_any_work(
+    tmp_path, capfd, monkeypatch, sub, text, setting
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run propagated a state")
+
+    for name in ("exact_branches", "propagate"):
+        monkeypatch.setattr(protocols, name, no_work)
+    cfg = tmp_path / "beat.cfg"
+    cfg.write_text(text)
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    # One line on stderr, from the C level too: no warning, no LAPACK note.
+    err = capfd.readouterr().err
+    assert err.startswith("error: the Zeeman beat phase overflows") and err.count("\n") == 1
+    assert "phase_ledger.delta_omega_ab = " in err and setting in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])

@@ -170,12 +170,17 @@ class TestDecayFit:
         assert fit.tau_stderr / fit.tau > 1.0
 
     def test_delay_grid_to_the_float_limit_leaves_tau_undetermined(self):
-        # A grid up to 1e300 overflows max(t) / eps and tau**2 as floats.
-        t = np.linspace(0.0, 1e300, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = fit_exponential_decay(t, 0.66 * np.exp(-t / 1.12), sigma=np.full(16, 0.01))
-        assert fit.tau > 0 and fit.tau_stderr / fit.tau > MAX_TAU_REL_STDERR
+        # A grid up to 1e300 overflows max(t) / eps and tau**2 as floats;
+        # one up to 1e-300 underflows tau**2 to 0. Weighted or not, the
+        # fit reports an infinite standard error (not inf * 0 = nan).
+        for t_max in (1e300, 1e-300):
+            t = np.linspace(0.0, t_max, 16)
+            for sigma in (np.full(16, 0.01), None):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    fit = fit_exponential_decay(t, 0.66 * np.exp(-t / 1.12), sigma=sigma)
+                assert fit.tau > 0 and fit.tau_stderr == math.inf, (t_max, sigma)
+                assert fit.tau_stderr / fit.tau > MAX_TAU_REL_STDERR
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(fitting, "_MAX_EVALS", 2)

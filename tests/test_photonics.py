@@ -27,6 +27,7 @@ from oracles import (
 )
 
 RNG = np.random.default_rng
+LINK = ("qa", "qb")
 
 # single-photon polarization states spanning the process space
 SINGLE_POL = {
@@ -209,37 +210,33 @@ class TestBSMOracle:
 class TestHerald:
     def test_ideal_limit(self):
         err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
-        a = ph.module_emission(err, "qa", "pa")
-        b = ph.module_emission(err, "qb", "pb")
-        for phi_d, prob, state in ph.conditional_herald_states(a, b, err):
+        for phi_d, prob, state in ph.conditional_herald_states(err, LINK):
             assert prob == pytest.approx(0.25, abs=1e-12)  # 1/8 per detector pair
-            target = ph.heralded_bell_ket(("qa", "qb"), phi_d)
+            target = ph.heralded_bell_ket(LINK, phi_d)
             assert st.fidelity(state, target) == pytest.approx(1.0, abs=1e-12)
+
+    def test_branches_follow_the_detector_phases(self):
+        got = [phi_d for phi_d, _, _ in ph.conditional_herald_states(LinkErrorModel(), LINK)]
+        assert got == list(ph.DETECTOR_PHASES) == sorted(set(ph.DETECTOR_PAIRS.values()))
 
     def test_calibrated_fidelity(self):
         err = LinkErrorModel()
-        a = ph.module_emission(err, "qa", "pa")
-        b = ph.module_emission(err, "qb", "pb")
-        for phi_d, _, state in ph.conditional_herald_states(a, b, err):
-            target = ph.heralded_bell_ket(("qa", "qb"), phi_d)
+        for phi_d, _, state in ph.conditional_herald_states(err, LINK):
+            target = ph.heralded_bell_ket(LINK, phi_d)
             assert abs(st.fidelity(state, target) - 0.79) < 0.02
 
     def test_branches_related_by_z(self):
         err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
-        a = ph.module_emission(err, "qa", "pa")
-        b = ph.module_emission(err, "qb", "pb")
-        branches = {phi_d: state for phi_d, _, state in ph.conditional_herald_states(a, b, err)}
+        branches = {phi_d: state for phi_d, _, state in ph.conditional_herald_states(err, LINK)}
         z_flipped = st.apply_unitary(branches[math.pi], np.diag([1, -1]), ["qa"])
-        target = ph.heralded_bell_ket(("qa", "qb"), 0.0)
+        target = ph.heralded_bell_ket(LINK, 0.0)
         assert st.fidelity(z_flipped, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_transfer_phase_applied(self):
         err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
-        a = ph.module_emission(err, "qa", "pa")
-        b = ph.module_emission(err, "qb", "pb")
         dphi = 0.37
-        for phi_d, _, state in ph.conditional_herald_states(a, b, err, transfer_phase=dphi):
-            target = ph.heralded_bell_ket(("qa", "qb"), phi_d + dphi)
+        for phi_d, _, state in ph.conditional_herald_states(err, LINK, transfer_phase=dphi):
+            target = ph.heralded_bell_ket(LINK, phi_d + dphi)
             assert st.fidelity(state, target) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("fidelity", [0.25, 0.5, 0.92, 1.0])
@@ -247,10 +244,8 @@ class TestHerald:
     @pytest.mark.parametrize("transfer_phase", [0.0, 0.7])
     def test_equals_per_pair_oracle_bit_for_bit(self, fidelity, overlap, transfer_phase):
         err = LinkErrorModel(atom_photon_fidelity=fidelity, mode_overlap=overlap)
-        a = ph.module_emission(err, "qa", "pa")
-        b = ph.module_emission(err, "qb", "pb")
-        got = ph.conditional_herald_states(a, b, err, transfer_phase)
-        want = herald_states_per_pair(a, b, err, transfer_phase)
+        got = ph.conditional_herald_states(err, LINK, transfer_phase)
+        want = herald_states_per_pair(err, LINK, transfer_phase)
         assert [(phi_d, prob) for phi_d, prob, _ in got] == [
             (phi_d, prob) for phi_d, prob, _ in want
         ]
@@ -261,9 +256,7 @@ class TestHerald:
     def test_states_physical_for_noisy_configs(self):
         for f, v in ((0.9, 0.8), (0.75, 0.5), (0.92, 1.0), (1.0, 0.6)):
             err = LinkErrorModel(atom_photon_fidelity=f, mode_overlap=v)
-            a = ph.module_emission(err, "qa", "pa")
-            b = ph.module_emission(err, "qb", "pb")
-            for _, prob, state in ph.conditional_herald_states(a, b, err):
+            for _, prob, state in ph.conditional_herald_states(err, LINK):
                 rho = state.data
                 assert prob > 0
                 assert abs(rho.trace().real - 1) < 1e-12
@@ -272,18 +265,16 @@ class TestHerald:
 
     def test_sampled_herald_event_consistency(self):
         err = LinkErrorModel()
-        a = ph.module_emission(err, "qa", "pa")
-        b = ph.module_emission(err, "qb", "pb")
         rng = RNG(5)
         seen_none = seen_event = False
         for _ in range(50):
-            res = herald_remote_pair(a, b, err, rng)
+            res = herald_remote_pair(err, LINK, rng)
             if res is None:
                 seen_none = True
                 continue
             seen_event = True
             phi_d, state = res
-            assert state.labels == ("qa", "qb")
+            assert state.labels == LINK
             assert phi_d in ph.DETECTOR_PAIRS.values()
         assert seen_none and seen_event
 

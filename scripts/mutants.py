@@ -59,6 +59,18 @@ MUTANTS = (
     # emits first, and the transfer phase lands on it.
     Mutant("M13", "src/ionnet/photonics.py",
            "atom_a, atom_b = link", "atom_b, atom_a = link"),
+    # A ledger whose herald phase overflows loads, and the engine builds a
+    # NaN phase factor of it.
+    Mutant("M14", "src/ionnet/scenario.py",
+           "if not all(math.isfinite(self.herald_phase(",
+           "if False and all(math.isfinite(self.herald_phase("),
+    # The dephasing factor divides the unclipped time by tau_s, which
+    # overflows for a vanishing coherence time.
+    Mutant("M15", "src/ionnet/states.py",
+           "np.exp(-np.minimum(t, 800.0 * tau_s) / tau_s)", "np.exp(-t / tau_s)"),
+    # A link budget whose waiting times overflow when summed runs.
+    Mutant("M16", "src/ionnet/protocols.py",
+           "> _MAX_LOG_WAIT_SUM:", "> math.inf:"),
 )
 
 

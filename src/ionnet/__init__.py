@@ -31,12 +31,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "states": ("QuantumState", "tensor", "fidelity", "partial_trace", "free_evolution"),
     "photonics": ("emit_atom_photon", "qwp_map"),
-    "gates": ("ms_gate", "rotation", "analysis_rotation", "spin_echo_ramsey"),
+    "gates": ("ms_gate", "analysis_rotation", "spin_echo_ramsey"),
     "detection": ("confusion_matrix",),
-    "montecarlo": ("ProtocolResult", "run_protocol", "coherent_entanglement_distance"),
+    "montecarlo": ("ProtocolResult", "run_protocol"),
     "scenario": (
         "LinkBudget", "LinkErrorModel", "success_probability", "expected_rate",
-        "GateSettings", "PhaseLedger", "phi_ab",
+        "coherent_entanglement_distance", "GateSettings", "PhaseLedger",
         "MemoryDecoherence", "DetectorModel", "DetectorGroup",
         "ProtocolScript",
         "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",

@@ -66,11 +66,11 @@ def driver(subcommand: str) -> Callable[[Scenario], ExperimentOutput]:
 SUMMARY_MARK = b"# ionnet "
 
 
-def _header(subcommand: str, seed: int, config_hash: str) -> list[str]:
+def _header(subcommand: str, seed: int, digest: str) -> list[str]:
     return [
         f"# ionnet {subcommand}",
         f"# seed = {seed}",
-        f"# config_sha256 = {config_hash}",
+        f"# config_sha256 = {digest}",
     ]
 
 
@@ -114,7 +114,7 @@ def _write_files(
     out_dir: Path, subcommand: str, scenario: Scenario, output: ExperimentOutput
 ) -> list[str]:
     text, seed = emit_scenario(scenario), scenario.run.seed
-    config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     names = ["resolved_config.cfg"]
     (out_dir / names[0]).write_text(text, encoding="utf-8")
 
@@ -122,13 +122,13 @@ def _write_files(
         cells = [_format_column(col) for col in table.values()]
         if len({len(col) for col in cells}) > 1:
             raise ValueError(f"table {name} has columns of unequal length")
-        lines = _header(subcommand, seed, config_hash)
+        lines = _header(subcommand, seed, digest)
         lines.append(",".join(table))
         lines.extend(map(",".join, zip(*cells)))
         names.append(f"{name}.csv")
         (out_dir / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = _header(subcommand, seed, config_hash)
+    lines = _header(subcommand, seed, digest)
     for key in output.summary:
         lines.append(f"{key} = {format_value(output.summary[key])}")
     for warning in scenario.ledger.warnings():

@@ -14,7 +14,7 @@ motional mode itself is not simulated.
 
 Phase conventions
 -----------------
-``rotation`` is the standard R(theta, phi) = exp(-i theta (cos phi X +
+``rotation_matrix`` is the standard R(theta, phi) = exp(-i theta (cos phi X +
 sin phi Y) / 2). Parity scans are phase-referenced to the entangling
 beams: ``analysis_rotation`` maps scan phase phi to the rotation axis
 angle pi/4 - phi, which makes the even-parity fringe of the gate output
@@ -37,7 +37,6 @@ __all__ = [
     "ms_unitary",
     "ms_gate",
     "rotation_matrix",
-    "rotation",
     "analysis_rotation",
     "spin_echo_ramsey",
 ]
@@ -89,11 +88,6 @@ def rotation_matrix(theta, phi) -> np.ndarray:
     ).astype(complex)
 
 
-def rotation(s: QuantumState, target: str, theta: float, phi: float) -> QuantumState:
-    """Single-qubit rotation about an equatorial axis."""
-    return apply_unitary(s, rotation_matrix(theta, phi), [target])
-
-
 def analysis_rotation(
     s: QuantumState, targets: Sequence[str], theta, phi
 ) -> QuantumState:
@@ -135,9 +129,6 @@ def spin_echo_ramsey(
         # so a static gradient cancels across the echo exactly.
         b_atom = pair[1:]
         out = free_evolution(out, half, gradient_rad_per_s, b_atom, [pair], coherence_time_s)
-        for t in pair:
-            out = rotation(out, t, math.pi, 0.0)
+        out = apply_to_each(out, rotation_matrix(math.pi, 0.0), pair)
         out = free_evolution(out, half, gradient_rad_per_s, b_atom, [pair], coherence_time_s)
-    for t in pair:
-        out = rotation(out, t, math.pi / 2.0, final_phase)
-    return out
+    return apply_to_each(out, rotation_matrix(math.pi / 2.0, final_phase), pair)

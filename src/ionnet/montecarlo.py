@@ -80,7 +80,6 @@ __all__ = [
     "parity_scan",
     "parity_weights",
     "share",
-    "coherent_entanglement_distance",
 ]
 
 TRIAL_STREAM = 0
@@ -330,7 +329,7 @@ def parity_scan(
         curves[name] = {
             "estimate": parity[0],
             # An empty condition has parity 0 and counts as one shot.
-            "uncertainty": 2.0 * binomial_err((1.0 + parity[0]) / 2.0, np.maximum(n[0], 1)),
+            "uncertainty": 2.0 * binomial_err((1.0 + parity[0]) / 2.0, n[0]),
             "exact_reported": parity[1],
             "exact_ideal_readout": parity[2],
         }
@@ -339,8 +338,10 @@ def parity_scan(
 
 def binomial_err(p, n):
     """Standard error of a frequency ``p`` of ``n`` draws, floored at one
-    draw's worth (1/n) so that p = 0 or 1 keeps an error bar; elementwise
-    on arrays. A parity ``par`` = 2 p - 1 has twice the error of p."""
+    draw's worth (1/n) so that p = 0 or 1 keeps an error bar; n = 0 (an
+    empty condition) counts as one draw. Elementwise on arrays. A parity
+    ``par`` = 2 p - 1 has twice the error of p."""
+    n = np.maximum(n, 1)
     return np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
@@ -371,10 +372,3 @@ def share(part, total):
     outcome meets); elementwise on arrays."""
     return np.divide(part, total, out=np.zeros(np.shape(total)), where=total > 0)
 
-
-def coherent_entanglement_distance(d_q: float, rate: float, tau: float) -> float:
-    """Figure of merit: qubit separation times rate times coherence time."""
-    for name, value in (("d_q", d_q), ("rate", rate), ("tau", tau)):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    return d_q * rate * tau

@@ -14,6 +14,7 @@ would fail on or ignore.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ from .fitting import (
 from .gates import ms_unitary
 from .montecarlo import (
     binomial_err,
-    coherent_entanglement_distance,
     exact_branches,
     parity_scan,
     parity_weights,
@@ -54,6 +54,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     WaitStep,
+    coherent_entanglement_distance,
     success_probability,
 )
 
@@ -67,6 +68,10 @@ __all__ = [
 
 # rng spawn-key stream id of the scans' shot sampling
 _SHOT_STREAM = 20
+
+# Largest log of the summed waiting times' expectation that a run
+# accepts: the float maximum over a margin of 1e3 for the sampled sum.
+_MAX_LOG_WAIT_SUM = math.log(sys.float_info.max / 1e3)
 
 # The key of each detector phase's outputs, with the phase, in branch order.
 _PHASE_KEYS = tuple(zip(("phid0", "phidpi"), DETECTOR_PHASES))
@@ -84,14 +89,24 @@ def _fixed_script(scenario: Scenario, qubits: tuple[str, ...] | None = None) -> 
 
 
 def _check_rate_fit(scenario: Scenario) -> None:
-    """Reject a run whose herald rate fit would get too few waiting times."""
-    n_trials = scenario.run.n_trials
+    """Reject a run whose herald rate fit would get too few waiting times,
+    or waiting times whose sum overflows."""
+    n_trials, rep_rate = scenario.run.n_trials, scenario.budget.rep_rate
     if n_trials < MIN_RATE_SAMPLES:
         raise ScenarioError(
             f"the herald rate fit needs at least {MIN_RATE_SAMPLES} trials, got {n_trials}"
         )
-    if success_probability(scenario.budget) == 0.0:
+    p = success_probability(scenario.budget)
+    if p == 0.0:
         raise ScenarioError("link_budget gives zero herald probability; nothing would herald")
+    # Each herald step's waiting time has mean 1 / (p * rep_rate), and that
+    # product may underflow to 0, so the expected sum is bounded in logs.
+    heralds = max(sum(isinstance(s, HeraldStep) for s in scenario.protocol.steps), 1)
+    if math.log(n_trials * heralds) - math.log(p) - math.log(rep_rate) > _MAX_LOG_WAIT_SUM:
+        raise ScenarioError(
+            f"link_budget.rep_rate = {rep_rate!r} is too slow: at a herald probability of "
+            f"{p!r}, the herald waiting times of {n_trials} trials would overflow when summed"
+        )
 
 
 def _fit_points(scenario: Scenario, grid: str) -> int:
@@ -445,9 +460,9 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
     out.summary.update(
         {
             "corr_even_given_remote1": even_1[0],
-            "corr_even_given_remote1_err": binomial_err(even_1[0], max(n_1[0], 1)),
+            "corr_even_given_remote1_err": binomial_err(even_1[0], n_1[0]),
             "corr_odd_given_remote0": odd_0[0],
-            "corr_odd_given_remote0_err": binomial_err(odd_0[0], max(n_0[0], 1)),
+            "corr_odd_given_remote0_err": binomial_err(odd_0[0], n_0[0]),
             "corr_even_given_remote1_exact": even_1[2],
             "corr_odd_given_remote0_exact": odd_0[2],
             "corr_even_given_remote1_ideal_readout": even_1[1],

@@ -28,13 +28,13 @@ This module needs no numpy, and holds everything that loading a
 scenario or running ``budget`` and ``timing`` needs: the record class
 of every section, the protocol step records and ``ProtocolScript`` with
 its checks, the link budget's arithmetic (``success_probability``,
-``expected_rate``), ``ExperimentOutput`` and the two reports. A setting
-that only one experiment reads is checked by that experiment's driver.
+``expected_rate``, ``coherent_entanglement_distance``), ``ExperimentOutput``
+and the two reports. A setting that only one experiment reads is checked
+by that experiment's driver.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Sequence
 from pathlib import Path
@@ -61,12 +61,12 @@ __all__ = [
     "GateSettings",
     "SPEED_OF_LIGHT",
     "PhaseLedger",
-    "phi_ab",
     "MemoryDecoherence",
     "DetectorModel",
     "DetectorGroup",
     "success_probability",
     "expected_rate",
+    "coherent_entanglement_distance",
     "ScriptError",
     "HeraldStep",
     "ReinitStep",
@@ -217,6 +217,15 @@ def expected_rate(b: LinkBudget) -> float:
     return success_probability(b) * b.rep_rate
 
 
+def coherent_entanglement_distance(d_q: float, rate: float, tau: float) -> float:
+    """Figure of merit d_ent_m: qubit separation ``d_q`` times entanglement
+    rate times coherence time ``tau``. A zero rate gives 0 (NaN with an
+    infinite ``tau``, which ``budget_report`` withholds)."""
+    if d_q <= 0 or tau <= 0 or rate < 0:
+        raise ValueError(f"need d_q > 0, tau > 0 and rate >= 0, got {d_q}, {tau} and {rate}")
+    return d_q * rate * tau
+
+
 class LinkErrorModel(Section, section="link_errors"):
     """Imperfections of one heralding attempt.
 
@@ -279,7 +288,8 @@ class PhaseLedger(Section, section="phase_ledger"):
     pair is the herald's detector phase phi_d plus the four terms set
     here: the Zeeman beat delta_omega_ab * t, the geometric terms
     k*c*delta_tau and k*delta_x, and delta_phi_t. All are tracked in
-    full precision; only ``phi_ab`` reduces their sum to (-pi, pi].
+    full precision, and the herald phase of each detector phase must be
+    finite: the engine turns it into a phase factor.
 
     delta_omega_ab: difference of the qubit splittings, rad/s.
     k: wavenumber of the emission Zeeman splitting, 1/m.
@@ -294,6 +304,16 @@ class PhaseLedger(Section, section="phase_ledger"):
     delta_x: Real = 0.03
     delta_phi_t: Real = 0.0
     c = SPEED_OF_LIGHT  # a constant, not a setting
+
+    def __post_init__(self):
+        super().__post_init__()
+        # The detector phases are 0 and pi (photonics.DETECTOR_PHASES).
+        if not all(math.isfinite(self.herald_phase(phi_d)) for phi_d in (0.0, math.pi)):
+            raise ScenarioError(
+                "the herald phase k*c*delta_tau + k*delta_x + delta_phi_t overflows: "
+                f"phase_ledger.k = {self.k!r}, delta_tau = {self.delta_tau!r}, "
+                f"delta_x = {self.delta_x!r}, delta_phi_t = {self.delta_phi_t!r}"
+            )
 
     def geometric_phase(self) -> float:
         """Static geometric contribution k*c*delta_tau + k*delta_x."""
@@ -317,18 +337,6 @@ class PhaseLedger(Section, section="phase_ledger"):
                 f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
             )
         return notes
-
-
-def phi_ab(ledger: PhaseLedger, phi_d: float, t: float) -> float:
-    """Inter-module phase at time ``t`` after a herald with detector
-    phase ``phi_d``, reduced to (-pi, pi]."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    total = ledger.herald_phase(phi_d) + ledger.delta_omega_ab * t
-    reduced = math.remainder(total, 2.0 * math.pi)
-    if reduced <= -math.pi:
-        reduced += 2.0 * math.pi
-    return reduced
 
 
 class MemoryDecoherence(Section, section="memory"):
@@ -586,9 +594,6 @@ class Scenario(Record):
         except ValueError as exc:
             raise ScenarioError(f"protocol script invalid: {exc}") from None
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(emit_scenario(self).encode("utf-8")).hexdigest()
-
     def qubits(self) -> tuple[str, ...]:
         return self.protocol.qubits_a + self.protocol.qubits_b
 
@@ -772,7 +777,9 @@ class ExperimentOutput:
 def budget_report(scenario: Scenario) -> ExperimentOutput:
     p = success_probability(scenario.budget)
     rate = expected_rate(scenario.budget)
-    d_ent = scenario.run.qubit_separation_m * rate * scenario.memory.tau_s
+    d_ent = coherent_entanglement_distance(
+        scenario.run.qubit_separation_m, rate, scenario.memory.tau_s
+    )
     out = ExperimentOutput()
     out.summary = {
         "success_probability": p,

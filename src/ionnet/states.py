@@ -582,7 +582,8 @@ def free_evolution(
     if not np.any(t):
         return s
     factors = [_phase_factor(s, q, -delta_omega_ab * t) for q in b_atoms]
-    gamma = np.exp(-t / tau_s)
+    # exp(-800) is 0 already; clipping t there keeps t / tau_s finite.
+    gamma = np.exp(-np.minimum(t, 800.0 * tau_s) / tau_s)
     factors += [_dephasing_factor(s, pair, gamma) for pair in pairs]
     factors = [f for f in factors if f is not None]
     if not factors:

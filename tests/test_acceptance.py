@@ -20,11 +20,11 @@ from ionnet import photonics as ph
 from ionnet import states as st
 from ionnet.cli import main as cli_main
 from ionnet.gates import analysis_rotation, ms_gate, spin_echo_ramsey
-from ionnet.montecarlo import coherent_entanglement_distance
 from ionnet.scenario import (
     GateSettings,
     LinkBudget,
     LinkErrorModel,
+    coherent_entanglement_distance,
     expected_rate,
     success_probability,
 )

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -473,6 +474,50 @@ def test_overflowing_beat_phase_exits_2_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_overflowing_herald_phase_exits_2_at_load(tmp_path, capfd, sub):
+    # k*delta_x = 1e600 is inf: the engine would make a NaN phase factor of it.
+    cfg = tmp_path / "ledger.cfg"
+    cfg.write_text("[phase_ledger]\nk = 1e300\ndelta_x = 1e300\n")
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: the herald phase ") and err.count("\n") == 1
+    for setting in ("phase_ledger.k = ", "delta_tau = ", "delta_x = ", "delta_phi_t = "):
+        assert setting in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
+def test_overflowing_waiting_times_exit_2_before_any_work(tmp_path, capfd, monkeypatch, sub):
+    # p * rep_rate underflows to 0: the waiting times would sum to inf.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run propagated a state")
+
+    for name in ("exact_branches", "propagate"):
+        monkeypatch.setattr(protocols, name, no_work)
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("[link_budget]\nrep_rate = 1e-320\n")
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: link_budget.rep_rate = 1e-320 ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "budget")]) == 0
+
+
+@pytest.mark.parametrize("sub", ["coherence", "modular-3q"])
+def test_vanishing_coherence_time_writes_finite_values(tmp_path, sub):
+    # delay / tau_s exceeds the float range; pytest's filterwarnings fails
+    # the run on an overflow warning.
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("[memory]\ntau_s = 1e-320\n")
+    out = tmp_path / "out"
+    argv = [sub, "--config", str(cfg), "--trials", "200", "--shots", "50", "--out", str(out)]
+    assert main(argv) == 0
+    for path in out.iterdir():
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text, path.name
+
+
 @pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
 def test_rate_fit_diagnostics_in_summary(tmp_path, sub):
     out = tmp_path / sub
@@ -549,10 +594,11 @@ def test_columns_written_as_format_value_writes_each_cell(tmp_path):
     scenario = loads_scenario("", seed=3)
     write_outputs(tmp_path, "budget", scenario, ExperimentOutput(tables={"t": table}, summary={}))
     rows = zip(*(np.asarray(col).tolist() for col in table.values()))
+    digest = hashlib.sha256((tmp_path / "resolved_config.cfg").read_bytes()).hexdigest()
     lines = [
         "# ionnet budget",
         "# seed = 3",
-        f"# config_sha256 = {scenario.config_hash()}",
+        f"# config_sha256 = {digest}",
         "f,i,p,s",
         *(",".join(format_value(v) for v in row) for row in rows),
     ]

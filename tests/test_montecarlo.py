@@ -28,6 +28,7 @@ from ionnet.scenario import (
     Scenario,
     ScriptError,
     WaitStep,
+    coherent_entanglement_distance,
     emit_scenario,
     load_scenario,
     loads_scenario,
@@ -683,23 +684,23 @@ class TestFitRate:
 
 class TestDent:
     def test_reference_value(self):
-        assert mc.coherent_entanglement_distance(1.0, 4.5, 1.12) == pytest.approx(
+        assert coherent_entanglement_distance(1.0, 4.5, 1.12) == pytest.approx(
             5.04, abs=1e-12
         )
 
     def test_unit_throughput(self):
-        assert mc.coherent_entanglement_distance(7.3, 2.0, 0.5) == pytest.approx(7.3)
+        assert coherent_entanglement_distance(7.3, 2.0, 0.5) == pytest.approx(7.3)
 
     def test_linear_in_tau(self):
-        one = mc.coherent_entanglement_distance(1.0, 4.5, 1.12)
-        two = mc.coherent_entanglement_distance(1.0, 4.5, 2.24)
+        one = coherent_entanglement_distance(1.0, 4.5, 1.12)
+        two = coherent_entanglement_distance(1.0, 4.5, 2.24)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            mc.coherent_entanglement_distance(0.0, 4.5, 1.12)
+            coherent_entanglement_distance(0.0, 4.5, 1.12)
         with pytest.raises(ValueError):
-            mc.coherent_entanglement_distance(1.0, -4.5, 1.12)
+            coherent_entanglement_distance(1.0, -4.5, 1.12)
 
 
 class TestRngScheme:

@@ -11,6 +11,7 @@ from ionnet.records import fields, replace
 from ionnet.scenario import (
     _SECTIONS,
     _SETTING_KINDS,
+    SPEED_OF_LIGHT,
     AnalysisStep,
     DetectorModel,
     GateSettings,
@@ -29,6 +30,7 @@ from ionnet.scenario import (
     ScenarioError,
     WaitStep,
     budget_report,
+    coherent_entanglement_distance,
     emit_scenario,
     expected_rate,
     load_scenario,
@@ -267,6 +269,41 @@ class TestValidation:
         s = loads_scenario("[phase_ledger]\ndelta_tau = 1e-8\n")
         assert any("delta_tau" in w for w in s.ledger.warnings())
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k = 1e300\ndelta_x = 1e300\n",  # inf
+            "k = 1e300\ndelta_tau = 1e10\n",  # k*c*delta_tau is inf
+            "k = 1e300\ndelta_tau = 1e10\ndelta_x = -1e300\n",  # inf - inf
+            "k = 1\ndelta_x = 1.7e308\ndelta_phi_t = 1.7e308\n",  # a finite sum's overflow
+        ],
+    )
+    def test_overflowing_herald_phase_rejected_by_name(self, text):
+        with pytest.raises(ScenarioError, match="the herald phase .* overflows") as exc:
+            loads_scenario("[phase_ledger]\n" + text)
+        for key in ("phase_ledger.k = ", "delta_tau = ", "delta_x = ", "delta_phi_t = "):
+            assert key in str(exc.value)
+
+    def test_large_finite_herald_phase_is_kept(self):
+        s = loads_scenario("[phase_ledger]\nk = 1e290\ndelta_x = 1e15\n")
+        assert s.ledger.herald_phase(math.pi) == pytest.approx(1e305)
+
+
+class TestEntanglementDistance:
+    def test_budget_reports_separation_times_rate_times_tau(self):
+        s = loads_scenario("[run]\nqubit_separation_m = 3.0\n")
+        assert budget_report(s).summary["d_ent_m"] == coherent_entanglement_distance(
+            3.0, expected_rate(s.budget), s.memory.tau_s
+        )
+
+    def test_zero_rate_gives_zero(self):
+        assert coherent_entanglement_distance(1.0, 0.0, 1.12) == 0.0
+        assert math.isnan(coherent_entanglement_distance(1.0, 0.0, math.inf))
+
+    def test_rejects_zero_tau(self):
+        with pytest.raises(ValueError, match="tau > 0"):
+            coherent_entanglement_distance(1.0, 4.5, 0.0)
+
 
 class TestRoundTrip:
     def test_emit_load_emit_is_identical(self):
@@ -286,7 +323,7 @@ class TestRoundTrip:
 
     def test_hash_is_stable(self):
         s = loads_scenario("")
-        assert s.config_hash() == loads_scenario(emit_scenario(s)).config_hash()
+        assert emit_scenario(s) == emit_scenario(loads_scenario(emit_scenario(s)))
 
     def test_wait_spellings_hash_alike(self):
         # A wait duration is kept in one canonical spelling, so two
@@ -294,7 +331,7 @@ class TestRoundTrip:
         base = "[protocol]\nstep.1 = herald\nstep.2 = wait {}\nstep.3 = measure\n"
         one, other = (loads_scenario(base.format(d)) for d in ("1e-3", "0.001"))
         assert one.protocol.steps[1] == WaitStep(0.001)
-        assert one.config_hash() == other.config_hash()
+        assert emit_scenario(one) == emit_scenario(other)
 
     def test_large_integer_is_exact(self):
         s = loads_scenario(f"[run]\nseed = {2**60 + 1}\nn_trials = 1e3\n")
@@ -317,12 +354,13 @@ class TestRoundTrip:
                 for key, kind in cls.kinds.items()
                 if kind in INT_OF_KIND and data.draw(hs.booleans())
             }
-            part = replace(getattr(s, attr), **ints)
+            part = getattr(s, attr)
+            part = ledger_or_rejection(part, **ints) if cls is PhaseLedger else replace(part, **ints)
             assert all(type(getattr(part, key)) is float for key in ints)
             s = replace(s, **{attr: part})
         back = loads_scenario(emit_scenario(s))
         assert back == s
-        assert back.config_hash() == s.config_hash()
+        assert emit_scenario(back) == emit_scenario(s)
 
     @settings(max_examples=60, deadline=None)
     @given(s=hs.deferred(lambda: scenarios()))
@@ -397,6 +435,21 @@ def protocols(draw):
     )
 
 
+def ledger_or_rejection(ledger: PhaseLedger, **values) -> PhaseLedger:
+    """``replace(ledger, **values)``; when its herald phase overflows,
+    check that the rejection names the four static terms and give
+    ``ledger`` back unchanged."""
+    new = {**{key: getattr(ledger, key) for key in PhaseLedger.kinds}, **values}
+    static = new["k"] * SPEED_OF_LIGHT * new["delta_tau"] + new["k"] * new["delta_x"]
+    if all(math.isfinite(phi_d + static + new["delta_phi_t"]) for phi_d in (0.0, math.pi)):
+        return replace(ledger, **values)
+    with pytest.raises(ScenarioError, match="the herald phase .* overflows") as exc:
+        replace(ledger, **values)
+    for key in ("k", "delta_tau", "delta_x", "delta_phi_t"):
+        assert f"{key} = {float(new[key])!r}" in str(exc.value)
+    return ledger
+
+
 @hs.composite
 def scenarios(draw):
     """A random valid scenario, as the config dataclasses build it."""
@@ -406,7 +459,11 @@ def scenarios(draw):
         budget=LinkBudget(**{f: draw(UNIT) for f in unit_fields}, rep_rate=draw(POSITIVE)),
         link_errors=LinkErrorModel(draw(UNIT), draw(UNIT)),
         gate=GateSettings(draw(FINITE), draw(UNIT), draw(POSITIVE)),
-        ledger=PhaseLedger(*(draw(FINITE) for _ in range(5))),
+        # A drawn ledger whose herald phase overflows is rejected by name,
+        # and the scenario keeps the default ledger.
+        ledger=ledger_or_rejection(
+            PhaseLedger(), **{key: draw(FINITE) for key in PhaseLedger.kinds}
+        ),
         memory=MemoryDecoherence(draw(hs.one_of(POSITIVE, hs.just(math.inf)))),
         detectors=DetectorModel(
             draw(UNIT),

@@ -551,6 +551,15 @@ class TestChannels:
             gamma * even.data[0, 3], abs=1e-14
         )
 
+    def test_vanishing_lifetime_decays_without_overflow(self):
+        # t / tau_s exceeds the float range at every delay after the first;
+        # pytest's filterwarnings fails the test on an overflow warning.
+        s = bell(phase=0.4)
+        out = st.free_evolution(s, np.linspace(0.0, 3.0, 4), 0.0, [], [("a", "b")], 1e-320)
+        np.testing.assert_array_equal(out.data[:, 1, 2], [s.data[1, 2], 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(np.diagonal(out.data, axis1=1, axis2=2),
+                                      np.tile(np.diag(s.data), (4, 1)))
+
 
 def _index(bits: dict, order) -> int:
     """Basis index of the bits ``bits[label]`` with ``order``'s first label

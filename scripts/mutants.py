@@ -71,6 +71,10 @@ MUTANTS = (
     # A link budget whose waiting times overflow when summed runs.
     Mutant("M16", "src/ionnet/protocols.py",
            "> _MAX_LOG_WAIT_SUM:", "> math.inf:"),
+    # A herald probability so small that a trial's attempt counts saturate
+    # at 2**63 - 1 runs, and its rate comes out silently wrong.
+    Mutant("M17", "src/ionnet/protocols.py",
+           ">= math.log(MAX_COUNT):", ">= math.inf:"),
 )
 
 

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .scenario import LinkErrorModel
+from .scenario import DETECTOR_PHASES, LinkErrorModel
 from .states import (
     QuantumState,
     StateError,
@@ -50,7 +50,6 @@ from .states import (
 )
 
 __all__ = [
-    "DETECTOR_PHASES",
     "DETECTOR_PAIRS",
     "emit_atom_photon",
     "ideal_emission_ket",
@@ -62,10 +61,9 @@ __all__ = [
     "heralded_bell_ket",
 ]
 
-# The valid coincidence pairs of each detector phase; the phases in the
-# order of the herald's branches.
-_PAIRS_OF_PHASE = {0.0: ((1, 2), (3, 4)), math.pi: ((1, 3), (2, 4))}
-DETECTOR_PHASES = tuple(_PAIRS_OF_PHASE)
+# The valid coincidence pairs of each detector phase, in the order of the
+# herald's branches.
+_PAIRS_OF_PHASE = dict(zip(DETECTOR_PHASES, (((1, 2), (3, 4)), ((1, 3), (2, 4)))))
 DETECTOR_PAIRS = {pair: phi_d for phi_d, pairs in _PAIRS_OF_PHASE.items() for pair in pairs}
 
 

@@ -41,9 +41,11 @@ from .montecarlo import (
     sample_outcomes,
     share,
 )
-from .photonics import DETECTOR_PHASES, heralded_bell_ket
+from .photonics import heralded_bell_ket
 from .records import replace
 from .scenario import (
+    DETECTOR_PHASES,
+    MAX_COUNT,
     AnalysisStep,
     ExperimentOutput,
     HeraldStep,
@@ -73,6 +75,10 @@ _SHOT_STREAM = 20
 # accepts: the float maximum over a margin of 1e3 for the sampled sum.
 _MAX_LOG_WAIT_SUM = math.log(sys.float_info.max / 1e3)
 
+# Tail margin of the herald attempt counts: all N geometric draws of a run
+# stay below (ln N + 21) / p but with a chance of at most e**-21 = 7.6e-10.
+_ATTEMPT_TAIL = 21.0
+
 # The key of each detector phase's outputs, with the phase, in branch order.
 _PHASE_KEYS = tuple(zip(("phid0", "phidpi"), DETECTOR_PHASES))
 
@@ -90,7 +96,8 @@ def _fixed_script(scenario: Scenario, qubits: tuple[str, ...] | None = None) -> 
 
 def _check_rate_fit(scenario: Scenario) -> None:
     """Reject a run whose herald rate fit would get too few waiting times,
-    or waiting times whose sum overflows."""
+    attempt counts that numpy cannot draw, or waiting times whose sum
+    overflows."""
     n_trials, rep_rate = scenario.run.n_trials, scenario.budget.rep_rate
     if n_trials < MIN_RATE_SAMPLES:
         raise ScenarioError(
@@ -99,9 +106,18 @@ def _check_rate_fit(scenario: Scenario) -> None:
     p = success_probability(scenario.budget)
     if p == 0.0:
         raise ScenarioError("link_budget gives zero herald probability; nothing would herald")
+    # A trial sums one int64 attempt count per herald step, which numpy
+    # saturates at MAX_COUNT; the bound is taken in logs, as p may be subnormal.
+    heralds = max(sum(isinstance(s, HeraldStep) for s in scenario.protocol.steps), 1)
+    attempts = heralds * (math.log(n_trials * heralds) + _ATTEMPT_TAIL)
+    if math.log(attempts) - math.log(p) >= math.log(MAX_COUNT):
+        raise ScenarioError(
+            f"link_budget gives a herald probability of {p!r}, too small to sample: in "
+            f"{n_trials} trials, the attempts at a trial's {heralds} herald step(s) could "
+            "reach the int64 limit 2**63 - 1"
+        )
     # Each herald step's waiting time has mean 1 / (p * rep_rate), and that
     # product may underflow to 0, so the expected sum is bounded in logs.
-    heralds = max(sum(isinstance(s, HeraldStep) for s in scenario.protocol.steps), 1)
     if math.log(n_trials * heralds) - math.log(p) - math.log(rep_rate) > _MAX_LOG_WAIT_SUM:
         raise ScenarioError(
             f"link_budget.rep_rate = {rep_rate!r} is too slow: at a herald probability of "

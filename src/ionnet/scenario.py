@@ -18,16 +18,16 @@ field left out takes its built-in default and is listed in
 section maps onto one ``Section`` record class and takes its keys, their
 order, their defaults and their kinds from the class's fields. Whenever
 a section record is built, loaded or not, it checks each setting by its
-kind, and a scenario checks each section's record class and its
-protocol script; each raises ``ScenarioError`` naming the field or
-section. ``emit_scenario`` writes
+kind, and the protocol layout checks its link and steps; a scenario
+checks each section's record class. Each raises ``ScenarioError``
+naming the field, section or ``step.N`` line. ``emit_scenario`` writes
 the fully resolved form, which parses back to an identical scenario
 (floats are emitted with ``repr`` so the round trip is exact).
 
 This module needs no numpy, and holds everything that loading a
 scenario or running ``budget`` and ``timing`` needs: the record class
-of every section, the protocol step records and ``ProtocolScript`` with
-its checks, the link budget's arithmetic (``success_probability``,
+of every section with its checks, the protocol step records and
+``ProtocolScript``, the link budget's arithmetic (``success_probability``,
 ``expected_rate``, ``coherent_entanglement_distance``), ``ExperimentOutput``
 and the two reports. A setting that only one experiment reads is checked
 by that experiment's driver.
@@ -60,6 +60,7 @@ __all__ = [
     "LinkErrorModel",
     "GateSettings",
     "SPEED_OF_LIGHT",
+    "DETECTOR_PHASES",
     "PhaseLedger",
     "MemoryDecoherence",
     "DetectorModel",
@@ -67,7 +68,6 @@ __all__ = [
     "success_probability",
     "expected_rate",
     "coherent_entanglement_distance",
-    "ScriptError",
     "HeraldStep",
     "ReinitStep",
     "MSGateStep",
@@ -278,6 +278,9 @@ class GateSettings(Section, section="gate"):
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
+# The detector phases phi_d of a herald, in the order of its branches.
+DETECTOR_PHASES = (0.0, math.pi)
+
 # The geometric terms are supposed to stay below 1e-2 rad; larger values
 # are allowed but flagged at configuration load.
 GEOMETRIC_PHASE_BOUND = 1e-2
@@ -307,8 +310,7 @@ class PhaseLedger(Section, section="phase_ledger"):
 
     def __post_init__(self):
         super().__post_init__()
-        # The detector phases are 0 and pi (photonics.DETECTOR_PHASES).
-        if not all(math.isfinite(self.herald_phase(phi_d)) for phi_d in (0.0, math.pi)):
+        if not all(math.isfinite(self.herald_phase(phi_d)) for phi_d in DETECTOR_PHASES):
             raise ScenarioError(
                 "the herald phase k*c*delta_tau + k*delta_x + delta_phi_t overflows: "
                 f"phase_ledger.k = {self.k!r}, delta_tau = {self.delta_tau!r}, "
@@ -373,10 +375,6 @@ class DetectorGroup(Record):
     positions: tuple[int, ...]
 
 
-class ScriptError(ValueError):
-    """Raised when a protocol script fails validation."""
-
-
 # A step record's ``verb`` is the word that names it in a step.N line.
 class HeraldStep(Record):
     verb = "herald"
@@ -424,13 +422,37 @@ def _named(step: Step, link: tuple[str, ...] = ()) -> tuple[str, ...]:
     return link if isinstance(step, HeraldStep) else ()
 
 
+def _step_line(step: Step) -> str:
+    """``step`` as its ``step.N`` line writes it."""
+    words = (format_value(step.duration_s),) if isinstance(step, WaitStep) else _named(step)
+    return " ".join((step.verb, *words))
+
+
+def _step_rule(step: Step, last: bool, modules: tuple[tuple[str, ...], ...]) -> str | None:
+    """The rule that ``step``, the ``last`` step or not, breaks over ``modules``, or None."""
+    if isinstance(step, MeasureStep) != last:
+        return ("is last" if last else "precedes the last step") + "; one measure ends the steps"
+    if unknown := [q for q in _named(step) if not any(q in qs for qs in modules)]:
+        return f"names {' '.join(unknown)}, which qubits_a and qubits_b do not declare"
+    if isinstance(step, MSGateStep) and not (
+        len(set(step.pair)) == 2 and any(set(step.pair) <= set(qs) for qs in modules)
+    ):
+        return "does not act on two qubits of one module, where the phonon bus acts"
+    if isinstance(step, AnalysisStep) and len(set(step.targets)) != len(step.targets):
+        return "names a qubit twice"
+    # A scan's array of durations goes to propagate only; it is never configured.
+    wait = step.duration_s if isinstance(step, WaitStep) else 0.0
+    if not (isinstance(wait, float) and 0.0 <= wait < math.inf):
+        return "is not a finite float time >= 0"
+    return None
+
+
 class ProtocolScript(Record):
     """Declared register plus the ordered step list.
 
     ``modules`` maps module names to the qubits they host (used for
     crosstalk and detector grouping); ``link`` is the (module-A atom,
-    module-B atom) pair every herald step entangles, None without one;
-    ``Scenario.script`` takes it from the checked ``protocol.link``.
+    module-B atom) pair every herald step entangles, None without one.
     """
 
     qubits: tuple[str, ...]
@@ -438,49 +460,11 @@ class ProtocolScript(Record):
     steps: tuple[Step, ...]
     link: tuple[str, str] | None = None
 
-    def __post_init__(self):
-        declared = set(self.qubits)
-        if len(declared) != len(self.qubits):
-            raise ScriptError(f"duplicate qubit declarations: {self.qubits}")
-        hosted = [q for qs in self.modules.values() for q in qs]
-        if sorted(hosted) != sorted(self.qubits):
-            raise ScriptError("modules must partition the declared qubits")
-        if not all(isinstance(step, Step) for step in self.steps):
-            raise ScriptError(f"every protocol step must be a step record: {self.steps}")
-        if not self.steps or not isinstance(self.steps[-1], MeasureStep):
-            raise ScriptError("script must end with exactly one measure step")
-        measures = [s for s in self.steps if isinstance(s, MeasureStep)]
-        if len(measures) != 1:
-            raise ScriptError("script must contain exactly one measure step")
-        for step in self.steps:
-            if isinstance(step, HeraldStep) and self.link is None:
-                raise ScriptError("herald step in a script without a link")
-            unknown = [q for q in _named(step, self.link) if q not in declared]
-            if unknown:
-                raise ScriptError(f"{step.verb} step references unknown qubits {unknown}")
-            if isinstance(step, MSGateStep):
-                if step.pair[0] == step.pair[1]:
-                    raise ScriptError(f"gate step needs two distinct qubits, got {step.pair}")
-                if self.module_of(step.pair[0]) != self.module_of(step.pair[1]):
-                    raise ScriptError(
-                        f"gate step on {step.pair} spans two modules; "
-                        "the phonon bus acts within one module"
-                    )
-            if isinstance(step, AnalysisStep) and len(set(step.targets)) != len(step.targets):
-                raise ScriptError(f"analysis step names a qubit twice: {step.targets}")
-            if isinstance(step, WaitStep):
-                # A scan's array of durations has a NaN min and max when it
-                # holds a NaN, and every comparison with NaN is false.
-                d = step.duration_s
-                low, high = (d.min(), d.max()) if hasattr(d, "min") else (d, d)
-                if not 0.0 <= low <= high < math.inf:
-                    raise ScriptError(f"wait duration {d} is not a finite time >= 0")
-
     def module_of(self, qubit: str) -> str:
         for module, qs in self.modules.items():
             if qubit in qs:
                 return module
-        raise ScriptError(f"qubit {qubit!r} not hosted by any module")
+        raise ValueError(f"qubit {qubit!r} not hosted by any module")
 
     def detector_layout(self) -> tuple[DetectorGroup, ...]:
         """Detector groups over bit positions in ``qubits`` order."""
@@ -520,6 +504,11 @@ class ProtocolLayout(Section, section="protocol"):
 
     def __post_init__(self):
         super().__post_init__()
+        qubits = self.qubits_a + self.qubits_b
+        if len(set(qubits)) != len(qubits):
+            raise ScenarioError(
+                f"protocol.qubits_a, qubits_b = {' '.join(qubits)} name a qubit twice"
+            )
         if len(self.link) != 2:
             raise ScenarioError("protocol.link must name exactly two qubits")
         # The herald takes the first atom as the module-A emitter.
@@ -529,9 +518,16 @@ class ProtocolLayout(Section, section="protocol"):
                 f"protocol.link = {a} {b} must join qubits of two modules, "
                 "a qubit of qubits_a first and one of qubits_b second"
             )
+        if not self.steps:
+            raise ScenarioError("protocol.step.1 is missing; one measure ends the steps")
         # Re-initializing a heralded atom throws the remote pair away.
         heralded = False
-        for step in self.steps:
+        for n, step in enumerate(self.steps, start=1):
+            if not isinstance(step, Step):
+                raise ScenarioError(f"protocol.step.{n} = {step!r} is not a step record")
+            rule = _step_rule(step, n == len(self.steps), (self.qubits_a, self.qubits_b))
+            if rule:
+                raise ScenarioError(f"protocol.step.{n} = {_step_line(step)} {rule}")
             heralded = heralded or isinstance(step, HeraldStep)
             if heralded and isinstance(step, ReinitStep) and step.qubit in self.link:
                 raise ScenarioError(
@@ -582,17 +578,12 @@ class Scenario(Record):
     defaulted: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Each section record checked its settings when it was built;
-        # loaded, built or replaced, a scenario checks each section's
-        # record class and its script here.
+        # Each section record checked itself when it was built; loaded,
+        # built or replaced, a scenario checks each section's record class.
         for section, (attr, cls) in _SECTIONS.items():
             if type(part := getattr(self, attr)) is not cls:
                 name = type(part).__name__
                 raise ScenarioError(f"[{section}] is a {name} record, not {cls.__name__}")
-        try:
-            self.script()
-        except ValueError as exc:
-            raise ScenarioError(f"protocol script invalid: {exc}") from None
 
     def qubits(self) -> tuple[str, ...]:
         return self.protocol.qubits_a + self.protocol.qubits_b
@@ -601,19 +592,17 @@ class Scenario(Record):
         """The configured protocol script over the register ``qubits``
         (by default every declared qubit), in that order: each module and
         the link keep what lies in the register, and a step is kept when
-        every declared qubit it names does (a herald names the link's
-        atoms)."""
+        every qubit it names does (a herald names the link's atoms). The
+        layout is checked, so the script is valid as built."""
         register = self.qubits() if qubits is None else tuple(qubits)
-        protocol, declared = self.protocol, set(self.qubits())
+        protocol = self.protocol
         modules = {"A": protocol.qubits_a, "B": protocol.qubits_b}
         modules = {m: tuple(q for q in qs if q in register) for m, qs in modules.items()}
         return ProtocolScript(
             qubits=register,
             modules={m: qs for m, qs in modules.items() if qs},
             steps=tuple(
-                step
-                for step in protocol.steps
-                if all(q in register or q not in declared for q in _named(step, protocol.link))
+                step for step in protocol.steps if set(_named(step, protocol.link)) <= set(register)
             ),
             link=protocol.link if set(protocol.link) <= set(register) else None,
         )
@@ -747,10 +736,8 @@ def emit_scenario(s: Scenario) -> str:
         part = getattr(s, attr)
         lines += ["", f"[{section}]"]
         lines += [f"{key} = {format_value(getattr(part, key))}" for key in cls.kinds]
-        steps = getattr(part, "steps", ())
-        for i, step in enumerate(steps, start=1):
-            words = (format_value(step.duration_s),) if isinstance(step, WaitStep) else _named(step)
-            lines.append(f"step.{i} = {' '.join((step.verb, *words))}")
+        steps = enumerate(getattr(part, "steps", ()), start=1)
+        lines += [f"step.{i} = {_step_line(step)}" for i, step in steps]
     return "\n".join(lines) + "\n"
 
 

@@ -28,6 +28,7 @@ from ionnet.scenario import (
     ExperimentOutput,
     ScenarioError,
     emit_scenario,
+    expected_rate,
     format_value,
     loads_scenario,
 )
@@ -502,6 +503,45 @@ def test_overflowing_waiting_times_exit_2_before_any_work(tmp_path, capfd, monke
     assert err.startswith("error: link_budget.rep_rate = 1e-320 ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
     assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "budget")]) == 0
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_protocol_step_rule_names_its_line(tmp_path, capsys, sub):
+    # The phonon bus acts within a module; the layout check runs in the load.
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("[protocol]\nstep.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure\n")
+    assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], "protocol.step.2 = gate q2 q3 ")
+
+
+@pytest.mark.parametrize("sub", ["remote-bell", "coherence", "modular-3q"])
+def test_saturating_attempt_counts_exit_2_before_any_work(tmp_path, capfd, monkeypatch, sub):
+    # p = 1.9e-19: a trial's int64 attempt count could reach 2**63 - 1,
+    # where numpy's geometric draw saturates and the rate comes out wrong.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run propagated a state")
+
+    for name in ("exact_branches", "propagate"):
+        monkeypatch.setattr(protocols, name, no_work)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[link_budget]\np_bell = 1e-14\n")
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: link_budget gives a herald probability of ")
+    assert err.endswith("2**63 - 1\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "budget")]) == 0
+
+
+def test_small_drawable_herald_probability_gives_its_rate(tmp_path):
+    # p = 1.9e-17 keeps every attempt count well below 2**63 - 1.
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[link_budget]\np_bell = 1e-12\n")
+    out = tmp_path / "out"
+    argv = ["remote-bell", "--config", str(cfg), "--trials", "200", "--shots", "50"]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = read_summary(out / "summary.txt")
+    expected = expected_rate(loads_scenario(cfg.read_text()).budget)
+    assert abs(float(summary["rate_per_s"]) - expected) < 5 * float(summary["rate_stderr"])
 
 
 @pytest.mark.parametrize("sub", ["coherence", "modular-3q"])

@@ -26,7 +26,7 @@ from ionnet.scenario import (
     ProtocolScript,
     ReinitStep,
     Scenario,
-    ScriptError,
+    ScenarioError,
     WaitStep,
     coherent_entanglement_distance,
     emit_scenario,
@@ -163,40 +163,24 @@ class TestSampleWaiting:
 
 
 class TestScriptValidation:
+    """The protocol rules, checked by ``ProtocolLayout`` whenever a layout
+    is built or loaded, each naming the ``protocol.step.N`` line it fails."""
+
     def test_requires_measure_last(self):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)},
-                steps=(MeasureStep(), ReinitStep("q1")),
-            )
+        with pytest.raises(ScenarioError, match=r"^protocol\.step\.2 = reinit q1 is last"):
+            ProtocolLayout(steps=(HeraldStep(), ReinitStep("q1")))
 
     def test_requires_single_measure(self):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)},
-                steps=(MeasureStep(), MeasureStep()),
-            )
+        with pytest.raises(ScenarioError, match=r"^protocol\.step\.1 = measure precedes the last"):
+            loads_scenario("[protocol]\nstep.1 = measure\nstep.2 = measure\n")
 
     def test_rejects_unknown_qubits(self):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)},
-                steps=(ReinitStep("qX"), MeasureStep()),
-            )
-
-    def test_rejects_unknown_link(self):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
-                steps=(HeraldStep(), MeasureStep()),
-            )
+        with pytest.raises(ScenarioError, match=r"^protocol\.step\.1 = reinit qX names qX,"):
+            ProtocolLayout(steps=(ReinitStep("qX"), MeasureStep()))
 
     def test_rejects_negative_wait(self):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)},
-                steps=(WaitStep(-1.0), MeasureStep()),
-            )
+        with pytest.raises(ScenarioError, match=r"^protocol\.step\.2 = wait -1\.0 is not a finite"):
+            loads_scenario("[protocol]\nstep.1 = herald\nstep.2 = wait -1\nstep.3 = measure\n")
 
     @pytest.mark.parametrize(
         "duration",
@@ -209,26 +193,19 @@ class TestScriptValidation:
         ],
     )
     def test_rejects_non_finite_wait(self, duration):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1",), modules={"A": ("q1",)},
-                steps=(WaitStep(duration), MeasureStep()),
-            )
+        # A scan's array of durations is never configured: only propagate takes one.
+        with pytest.raises(ScenarioError, match=r"(?s)^protocol\.step\.1 = wait .* is not a finite"):
+            ProtocolLayout(steps=(WaitStep(duration), MeasureStep()))
 
     def test_rejects_analysis_naming_a_qubit_twice(self):
         # Rotating q1 twice by pi/2 would act as a pi pulse.
-        with pytest.raises(ScriptError, match="names a qubit twice"):
-            ProtocolScript(
-                qubits=("q1", "q2"), modules={"A": ("q1", "q2")},
-                steps=(AnalysisStep(("q1", "q1"), math.pi / 2, 0.0), MeasureStep()),
-            )
+        with pytest.raises(ScenarioError, match="analyze q1 q1 names a qubit twice"):
+            ProtocolLayout(steps=(AnalysisStep(("q1", "q1"), math.pi / 2, 0.0), MeasureStep()))
 
     def test_modules_must_partition_qubits(self):
-        with pytest.raises(ScriptError):
-            ProtocolScript(
-                qubits=("q1", "q2"), modules={"A": ("q1",)},
-                steps=(MeasureStep(),),
-            )
+        # Each declared qubit lies in exactly one module.
+        with pytest.raises(ScenarioError, match="q1 q2 q3 q1 name a qubit twice"):
+            loads_scenario("[protocol]\nqubits_b = q3 q1\n")
 
 
 class TestStepDurations:

@@ -10,6 +10,7 @@ from ionnet import photonics as ph
 from ionnet import states as st
 from ionnet.scenario import (
     CALIBRATED_MODE_OVERLAP,
+    DETECTOR_PHASES,
     LinkBudget,
     LinkErrorModel,
     expected_rate,
@@ -217,7 +218,7 @@ class TestHerald:
 
     def test_branches_follow_the_detector_phases(self):
         got = [phi_d for phi_d, _, _ in ph.conditional_herald_states(LinkErrorModel(), LINK)]
-        assert got == list(ph.DETECTOR_PHASES) == sorted(set(ph.DETECTOR_PAIRS.values()))
+        assert got == list(DETECTOR_PHASES) == sorted(set(ph.DETECTOR_PAIRS.values()))
 
     def test_calibrated_fidelity(self):
         err = LinkErrorModel()

@@ -48,6 +48,31 @@ FLOAT_PATHS = [
 ]
 
 
+# Each step rule: the [protocol] text that breaks it, the same steps as
+# records, and the step.N line that the message names.
+STEP_RULES = {
+    "measure-last": ("step.1 = herald\nstep.2 = wait 0.5", (HeraldStep(), WaitStep(0.5)),
+                     "protocol.step.2 = wait 0.5"),
+    "one-measure": ("step.1 = measure\nstep.2 = measure", (MeasureStep(), MeasureStep()),
+                    "protocol.step.1 = measure"),
+    "declared-qubits": ("step.1 = reinit q9\nstep.2 = measure", (ReinitStep("q9"), MeasureStep()),
+                        "protocol.step.1 = reinit q9"),
+    "gate-two-qubits": ("step.1 = gate q2 q2\nstep.2 = measure",
+                        (MSGateStep(("q2", "q2")), MeasureStep()), "protocol.step.1 = gate q2 q2"),
+    "gate-one-module": ("step.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure",
+                        (HeraldStep(), MSGateStep(("q2", "q3")), MeasureStep()),
+                        "protocol.step.2 = gate q2 q3"),
+    "analyze-distinct": ("step.1 = analyze q1 q2 q1\nstep.2 = measure",
+                         (AnalysisStep(("q1", "q2", "q1"), math.pi / 2.0, 0.0), MeasureStep()),
+                         "protocol.step.1 = analyze q1 q2 q1"),
+    "wait-nonnegative": ("step.1 = herald\nstep.2 = wait -2e-3\nstep.3 = measure",
+                         (HeraldStep(), WaitStep(-2e-3), MeasureStep()),
+                         "protocol.step.2 = wait -0.002"),
+    "wait-finite": ("step.1 = wait inf\nstep.2 = measure", (WaitStep(math.inf), MeasureStep()),
+                    "protocol.step.1 = wait inf"),
+}
+
+
 class TestDefaults:
     def test_empty_config_gives_working_defaults(self):
         s = loads_scenario("")
@@ -160,8 +185,10 @@ class TestValidation:
         "text, match",
         [
             # the phonon bus only exists within a module
-            ("step.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure", "spans two modules"),
-            ("step.1 = gate q1 q1\nstep.2 = measure", "two distinct qubits"),
+            ("step.1 = herald\nstep.2 = gate q2 q3\nstep.3 = measure",
+             r"^protocol\.step\.2 = gate q2 q3 does not act on two qubits of one module"),
+            ("step.1 = gate q1 q1\nstep.2 = measure",
+             r"^protocol\.step\.1 = gate q1 q1 does not act on two qubits of one module"),
             ("step.1 = analyze q1 q1\nstep.2 = measure", "names a qubit twice"),
             ("link = q1 q2\nstep.1 = measure", "must join qubits of two modules"),
             ("link = q1 q9\nstep.1 = measure", "must join qubits of two modules"),
@@ -183,20 +210,34 @@ class TestValidation:
             loads_scenario(f"[protocol]\n{text}\n")
 
     @pytest.mark.parametrize(
-        "steps",
+        "steps, reason",
         [
-            (("gate", "q1"), ("measure",)),
-            (("herald", "x", "y"), ("measure",)),
-            (HeraldStep(), MSGateStep(("q1", "q3")), MeasureStep()),
-            (HeraldStep(), AnalysisStep(("q9",), math.pi / 2.0, 0.0), MeasureStep()),
-            (HeraldStep(),),
+            ((("gate", "q1"), ("measure",)), "protocol.step.1 = ('gate', 'q1') is not a step record"),
+            ((("herald", "x", "y"), ("measure",)), "protocol.step.1 = ('herald', 'x', 'y') is not"),
+            ((HeraldStep(), MSGateStep(("q1", "q3")), MeasureStep()),
+             "protocol.step.2 = gate q1 q3 does not act on two qubits of one module"),
+            ((HeraldStep(), AnalysisStep(("q9",), math.pi / 2.0, 0.0), MeasureStep()),
+             "protocol.step.2 = analyze q9 names q9,"),
+            ((HeraldStep(),), "protocol.step.1 = herald is last; one measure ends the steps"),
+            ((), "protocol.step.1 is missing; one measure ends the steps"),
         ],
     )
-    def test_built_scenario_checks_its_script(self, steps):
-        # A scenario built in Python is checked as a loaded one is.
+    def test_built_scenario_checks_its_script(self, steps, reason):
+        # A protocol built in Python is checked as a loaded one is.
         s = loads_scenario("")
-        with pytest.raises(ScenarioError, match="protocol script invalid"):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(reason)}"):
             replace(s, protocol=replace(s.protocol, steps=steps))
+
+    @pytest.mark.parametrize("text, steps, line", STEP_RULES.values(), ids=STEP_RULES)
+    def test_each_step_rule_names_its_line_alike_loaded_or_built(self, text, steps, line):
+        # The message names the step.N line as emit_scenario writes it,
+        # and a loaded protocol fails with the message of the built one.
+        with pytest.raises(ScenarioError) as loaded:
+            loads_scenario(f"[protocol]\n{text}\n")
+        with pytest.raises(ScenarioError) as built:
+            ProtocolLayout(steps=steps)
+        assert str(loaded.value) == str(built.value)
+        assert str(built.value).startswith(f"{line} ")
 
     @pytest.mark.parametrize("section", _SECTIONS)
     def test_built_scenario_checks_each_section_record_class(self, section):

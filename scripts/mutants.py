@@ -75,6 +75,16 @@ MUTANTS = (
     # at 2**63 - 1 runs, and its rate comes out silently wrong.
     Mutant("M17", "src/ionnet/protocols.py",
            ">= math.log(MAX_COUNT):", ">= math.inf:"),
+    # A register that names an undeclared qubit gives a script whose qubit
+    # lies in no module.
+    Mutant("M18", "src/ionnet/scenario.py",
+           "if undeclared := [q for q in register if q not in self.qubits()]:",
+           "if undeclared := []:"),
+    # The excitation term is only ever (k*c)*delta_tau, so a ledger whose
+    # k*c overflows is rejected although its herald phase is finite.
+    Mutant("M19", "src/ionnet/scenario.py",
+           "return phase if math.isfinite(phase) else self.k * (self.c * self.delta_tau)",
+           "return phase"),
 )
 
 

@@ -40,9 +40,9 @@ MIN_FIT_POINTS = 3
 # not depend on n. The rate fit's ``ok`` is False above it.
 KS_STAT_CRITICAL = 1.308
 
-# Largest relative standard error of a decay-fit tau that still counts
-# as determined. A well-sampled decay fits to a few percent (0.016 at
-# the default scenario); a tau far above the delay grid gives ~1e2.
+# Largest relative standard error of a decay-fit tau that still counts as
+# determined; the decay fit's ``ok`` is False above it. A well-sampled decay
+# fits to a few percent (0.016 at the default scenario); ~1e2 if tau is far above the grid.
 MAX_TAU_REL_STDERR = 0.5
 
 
@@ -76,6 +76,7 @@ class DecayFit(Record):
     tau_stderr: float
     amplitude: float
     amplitude_stderr: float
+    ok: bool
 
 
 # Levenberg-Marquardt stopping rules: the fit ends at a step below
@@ -162,11 +163,13 @@ def fit_exponential_decay(t, y, sigma=None) -> DecayFit:
             cov = cov * (ssr / (t.size - 2))
         cov[~np.isfinite(cov)] = np.inf
         perr = np.sqrt(np.diag(cov))
+        ok = bool(perr[1] / tau <= MAX_TAU_REL_STDERR)
     return DecayFit(
         tau=float(tau),
         tau_stderr=float(perr[1]),
         amplitude=float(amp),
         amplitude_stderr=float(perr[0]),
+        ok=ok,
     )
 
 

@@ -137,12 +137,14 @@ def _fit_points(scenario: Scenario, grid: str) -> int:
 _DURATION_SOURCE = {ReinitStep: "protocol.reinit_duration_s", MSGateStep: "2 / gate.detuning_hz"}
 
 
-def _check_beat(scenario: Scenario, t: float, what: str) -> None:
-    """Reject evolving the register for the ``t`` s of ``what`` if delta_omega_ab * t overflows."""
+def _check_beat(scenario: Scenario, steps: Sequence, what: str) -> None:
+    """Reject ``steps`` (``what``) if delta_omega_ab times a step's time overflows."""
     omega = scenario.ledger.delta_omega_ab
-    if not math.isfinite(omega * t):
-        raise ScenarioError(f"the Zeeman beat phase overflows: phase_ledger.delta_omega_ab = "
-                            f"{omega!r} times the {t!r} s of {what}")
+    for step in steps:
+        t = float(np.max(scenario.step_duration(step)))
+        if not math.isfinite(omega * t):
+            raise ScenarioError(f"the Zeeman beat phase overflows: phase_ledger.delta_omega_ab = "
+                                f"{omega!r} times the {t!r} s of {what}")
 
 
 def _population_table(counts, n, exact) -> dict[str, Sequence]:
@@ -220,8 +222,9 @@ def phase_scan_experiment(scenario: Scenario) -> ExperimentOutput:
     qa, qb = scenario.protocol.link
     script = _fixed_script(scenario, (qa, qb))
     run, omega = scenario.run, scenario.ledger.delta_omega_ab
-    _check_beat(scenario, run.phase_scan_delay_s, "run.phase_scan_delay_s")
     delays = np.linspace(0.0, run.phase_scan_delay_s, _fit_points(scenario, "phase_scan_points"))
+    steps = (WaitStep(delays), AnalysisStep((qa, qb)))
+    _check_beat(scenario, steps, "run.phase_scan_delay_s")
     beat = omega * delays
     try:  # the fit's own rank rule, on the phases it will be given
         fit_cosine(beat, np.zeros_like(beat), harmonic=1)
@@ -232,7 +235,6 @@ def phase_scan_experiment(scenario: Scenario) -> ExperimentOutput:
             f"{run.phase_scan_points} and run.phase_scan_delay_s = {run.phase_scan_delay_s!r}: {exc}"
         ) from None
     heralded = exact_branches(script, scenario)
-    steps = (WaitStep(delays), AnalysisStep((qa, qb), math.pi / 2.0, 0.0))
     out = ExperimentOutput()
     fits = {}
     for branch_i, (key, want) in enumerate(_PHASE_KEYS):
@@ -270,7 +272,7 @@ def _echo_steps(pair: tuple[str, str], delay) -> tuple:
     delay = np.asarray(delay, dtype=float)
     half = WaitStep(delay / 2.0)
     echo = AnalysisStep(pair, np.where(delay > 0.0, math.pi, 0.0), math.pi / 4.0)
-    return (half, echo, half, AnalysisStep(pair, math.pi / 2.0, math.pi / 4.0))
+    return (half, echo, half, AnalysisStep(pair, phi=math.pi / 4.0))
 
 
 def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
@@ -288,14 +290,15 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
     run = scenario.run
     script = _fixed_script(scenario, (qa, qb))
     _check_rate_fit(scenario)
-    _check_beat(scenario, run.delay_max_s / 2.0, "each echo half of run.delay_max_s")
     delays = np.linspace(0.0, run.delay_max_s, _fit_points(scenario, "delay_points"))
+    steps = _echo_steps((qa, qb), delays)
+    _check_beat(scenario, steps, "each echo half of run.delay_max_s")
     out = ExperimentOutput()
 
     branches = exact_branches(script, scenario)
     phi_d = DETECTOR_PHASES[0]
     curve = parity_scan(
-        script, scenario, _echo_steps((qa, qb), delays), [b for b in branches if b.phi_d == phi_d],
+        script, scenario, steps, [b for b in branches if b.phi_d == phi_d],
         _SHOT_STREAM, 0, pair=(qa, qb),
     )["all"]
     par, err, par_exact = curve["estimate"], curve["uncertainty"], curve["exact_reported"]
@@ -308,19 +311,18 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
     decay = fit_exponential_decay(delays, np.abs(par), sigma=err)
     decay_exact = fit_exponential_decay(delays, np.abs(par_exact))
     rel_stderr = decay.tau_stderr / decay.tau
-    tau_ok = rel_stderr <= MAX_TAU_REL_STDERR
     out.summary.update(
         {
             "tau_fit_s": decay.tau,
             "tau_fit_stderr": decay.tau_stderr,
             "tau_fit_rel_stderr": rel_stderr,
-            "tau_fit_ok": tau_ok,
+            "tau_fit_ok": decay.ok,
             "tau_fit_exact_s": decay_exact.tau,
             "tau_configured_s": scenario.memory.tau_s,
             "coherence_amplitude": decay.amplitude,
         }
     )
-    if not decay_exact.tau_stderr / decay_exact.tau <= MAX_TAU_REL_STDERR:  # the sampled fit's rule
+    if not decay_exact.ok:
         del out.summary["tau_fit_exact_s"]
         out.warnings.append("the exact coherence decay fit leaves tau undetermined; "
                             "tau_fit_exact_s is not reported")
@@ -338,7 +340,7 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
         "fitted_cdf": [1.0 - math.exp(-rate.rate * t) for t in grid.tolist()],
     }
     out.summary["shots_per_point"] = run.shots_per_point
-    if tau_ok:
+    if decay.ok:
         out.summary["d_ent_m"] = coherent_entanglement_distance(
             run.qubit_separation_m, rate.rate, decay.tau
         )
@@ -353,20 +355,19 @@ def coherence_experiment(scenario: Scenario) -> ExperimentOutput:
 def local_gate_experiment(scenario: Scenario) -> ExperimentOutput:
     """Populations and parity oscillation of the local entangling gate.
 
-    The script is the configured one over the gate's two qubits, from
-    its gate step on: the populations propagate the gate step alone,
-    and the parity scan runs the steps after it from the gated state.
+    The script is the configured one over the gate's two qubits: the
+    populations propagate its gate step alone, and the parity scan runs
+    the steps after it from the gated state.
     """
-    qa, qb = next(s.pair for s in _fixed_script(scenario).steps if isinstance(s, MSGateStep))
+    gate = next(s for s in _fixed_script(scenario).steps if isinstance(s, MSGateStep))
+    qa, qb = gate.pair
     run = scenario.run
     phis = np.linspace(0.0, math.pi, _fit_points(scenario, "phi_points"), endpoint=False)
     script = scenario.script((qa, qb))
-    start = next(k for k, s in enumerate(script.steps) if isinstance(s, MSGateStep))
-    script = replace(script, steps=script.steps[start:])
     out = ExperimentOutput()
 
     # populations without analysis pulse
-    (branch,) = propagate(script, scenario, script.steps[:1])
+    (branch,) = propagate(script, scenario, (gate,))
     (true_diag,), (reported,), (counts,) = sample_outcomes(
         script, scenario, [branch], _SHOT_STREAM, 0
     )
@@ -380,8 +381,8 @@ def local_gate_experiment(scenario: Scenario) -> ExperimentOutput:
 
     # parity oscillation versus analysis phase
     scan = parity_scan(
-        script, scenario, _phase_scanned(script.steps[1:], phis), [branch],
-        _SHOT_STREAM + 1, pair=(qa, qb),
+        script, scenario, _phase_scanned(script.steps[script.steps.index(gate) + 1:], phis),
+        [branch], _SHOT_STREAM + 1, pair=(qa, qb),
     )["all"]
     curve = {"phi_rad": phis, **scan}
     out.tables["parity"] = curve
@@ -396,11 +397,15 @@ def local_gate_experiment(scenario: Scenario) -> ExperimentOutput:
             "shots_per_point": run.shots_per_point,
         }
     )
-    # fidelity from measured quantities: even populations and fringe amplitude
-    out.summary["gate_fidelity_from_parity"] = 0.5 * (
-        out.summary["even_population_exact"] + fit_ideal.amplitude
+    out.summary["gate_fidelity_from_parity"] = _fidelity_from_parity(
+        out.summary["even_population_exact"], fit_ideal
     )
     return out
+
+
+def _fidelity_from_parity(even_population: float, fringe: CosineFit) -> float:
+    """Bell-pair fidelity as half the even population plus half the fringe amplitude."""
+    return 0.5 * (even_population + fringe.amplitude)
 
 
 def _phase_scanned(steps: Sequence, phis: np.ndarray) -> list:
@@ -448,7 +453,7 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
         )
     for n, step in enumerate(protocol.steps, start=1):
         what = f"protocol.step.{n} ({_DURATION_SOURCE.get(type(step), step.verb)})"
-        _check_beat(scenario, scenario.step_duration(step), what)
+        _check_beat(scenario, (step,), what)
     pair = analyses[0].targets
     remote = script.link[1]
     out = ExperimentOutput()
@@ -457,12 +462,9 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
     scanned = script.steps.index(analyses[0])
     prefix = propagate(script, scenario, script.steps[:scanned])
 
-    # Correlation run (Fig-4c style; the script without analysis pulses).
-    no_analysis = replace(
-        script, steps=tuple(s for s in script.steps if not isinstance(s, AnalysisStep))
-    )
-    branches = propagate(no_analysis, scenario, no_analysis.steps[scanned:], prefix)
-    result = run_protocol(no_analysis, scenario, branches=branches)
+    # Correlation run (Fig-4c style; the rest without analysis pulses).
+    rest = [s for s in script.steps[scanned:] if not isinstance(s, AnalysisStep)]
+    result = run_protocol(script, scenario, branches=propagate(script, scenario, rest, prefix))
     counts = result.counts.sum(axis=(0, 2))
     rep_diag = result.probs.sum(axis=(0, 2))
     # Even share given remote 1 and odd share given remote 0, of the
@@ -516,15 +518,9 @@ def modular_3q_experiment(scenario: Scenario) -> ExperimentOutput:
         }
     )
 
-    # Conditional even-branch fidelity from measured quantities:
-    # half the conditional even population plus half the fringe amplitude.
-    pop_even_1 = out.summary["corr_even_given_remote1_exact"]
-    out.summary["conditional_fidelity_exact"] = 0.5 * pop_even_1 + 0.5 * fit1_exact.amplitude
-    pop_even_1_true = out.summary["corr_even_given_remote1_exact_ideal"]
-    out.summary["conditional_fidelity_ideal_readout"] = (
-        0.5 * pop_even_1_true + 0.5 * fit1_true.amplitude
-    )
-    out.summary["conditional_fidelity_sampled"] = (
-        0.5 * out.summary["corr_even_given_remote1"] + 0.5 * fit1.amplitude
-    )
+    # Conditional even-branch fidelity from measured quantities.
+    for name, even, fit in (("exact", even_1[2], fit1_exact),
+                            ("ideal_readout", even_1[3], fit1_true),
+                            ("sampled", even_1[0], fit1)):
+        out.summary[f"conditional_fidelity_{name}"] = _fidelity_from_parity(even, fit)
     return out

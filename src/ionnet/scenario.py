@@ -317,9 +317,16 @@ class PhaseLedger(Section, section="phase_ledger"):
                 f"delta_x = {self.delta_x!r}, delta_phi_t = {self.delta_phi_t!r}"
             )
 
+    @property
+    def excitation_phase(self) -> float:
+        """The excitation-time term k*c*delta_tau, as k*(c*delta_tau) where
+        (k*c)*delta_tau overflows."""
+        phase = self.k * self.c * self.delta_tau
+        return phase if math.isfinite(phase) else self.k * (self.c * self.delta_tau)
+
     def geometric_phase(self) -> float:
         """Static geometric contribution k*c*delta_tau + k*delta_x."""
-        return self.k * self.c * self.delta_tau + self.k * self.delta_x
+        return self.excitation_phase + self.k * self.delta_x
 
     def herald_phase(self, phi_d: float) -> float:
         """Phase of the pair at its herald: phi_d plus the static terms."""
@@ -328,9 +335,9 @@ class PhaseLedger(Section, section="phase_ledger"):
     def warnings(self) -> list[str]:
         """Soft invariant checks, reported at configuration load."""
         notes = []
-        if abs(self.k * self.c * self.delta_tau) >= GEOMETRIC_PHASE_BOUND:
+        if abs(self.excitation_phase) >= GEOMETRIC_PHASE_BOUND:
             notes.append(
-                f"excitation-time phase k*c*delta_tau = {self.k * self.c * self.delta_tau:.3g} "
+                f"excitation-time phase k*c*delta_tau = {self.excitation_phase:.3g} "
                 f"rad is not small (expected < {GEOMETRIC_PHASE_BOUND})"
             )
         if abs(self.k * self.delta_x) >= GEOMETRIC_PHASE_BOUND:
@@ -395,8 +402,8 @@ class MSGateStep(Record):
 class AnalysisStep(Record):
     verb = "analyze"
     targets: tuple[str, ...]
-    theta: float | np.ndarray
-    phi: float | np.ndarray
+    theta: float | np.ndarray = math.pi / 2.0
+    phi: float | np.ndarray = 0.0
 
 
 class WaitStep(Record):
@@ -498,7 +505,7 @@ class ProtocolLayout(Section, section="protocol"):
         HeraldStep(),
         ReinitStep("q1"),
         MSGateStep(("q1", "q2")),
-        AnalysisStep(("q1", "q2"), math.pi / 2.0, 0.0),
+        AnalysisStep(("q1", "q2")),
         MeasureStep(),
     )
 
@@ -560,7 +567,7 @@ _STEPS = {
     "herald": HeraldStep,
     "reinit": ReinitStep,
     "gate": lambda a, b: MSGateStep((a, b)),
-    "analyze": lambda first, *rest: AnalysisStep((first, *rest), math.pi / 2.0, 0.0),
+    "analyze": lambda first, *rest: AnalysisStep((first, *rest)),
     "wait": lambda duration: WaitStep(float(duration)),
     "measure": MeasureStep,
 }
@@ -593,8 +600,12 @@ class Scenario(Record):
         (by default every declared qubit), in that order: each module and
         the link keep what lies in the register, and a step is kept when
         every qubit it names does (a herald names the link's atoms). The
-        layout is checked, so the script is valid as built."""
+        layout is checked, so the script is valid as built; a register
+        that names an undeclared qubit raises ValueError."""
         register = self.qubits() if qubits is None else tuple(qubits)
+        if undeclared := [q for q in register if q not in self.qubits()]:
+            raise ValueError(f"the register names {' '.join(undeclared)}, "
+                             "which qubits_a and qubits_b do not declare")
         protocol = self.protocol
         modules = {"A": protocol.qubits_a, "B": protocol.qubits_b}
         modules = {m: tuple(q for q in qs if q in register) for m, qs in modules.items()}

@@ -475,6 +475,25 @@ def test_overflowing_beat_phase_exits_2_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+def test_echo_beat_is_checked_over_each_half_of_the_delay(tmp_path):
+    # delta_omega_ab times 1.5e304 s overflows, times each echo half does
+    # not: the run evolves the pair for half the delay at a time.
+    cfg = tmp_path / "beat.cfg"
+    cfg.write_text("[run]\ndelay_max_s = 1.5e304\n")
+    argv = ["coherence", "--config", str(cfg), "--trials", "200", "--shots", "50"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_finite_herald_phase_beyond_k_times_c_runs(tmp_path, sub):
+    # (k*c)*delta_tau overflows, k*(c*delta_tau) = 3e298 does not: the
+    # herald phase, about 1e305, is finite.
+    cfg = tmp_path / "ledger.cfg"
+    cfg.write_text("[phase_ledger]\nk = 1e300\ndelta_x = 1e5\n")
+    argv = [sub, "--config", str(cfg), "--trials", "200", "--shots", "50"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_overflowing_herald_phase_exits_2_at_load(tmp_path, capfd, sub):
     # k*delta_x = 1e600 is inf: the engine would make a NaN phase factor of it.

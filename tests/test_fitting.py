@@ -154,12 +154,14 @@ class TestDecayFit:
         assert fit.amplitude == pytest.approx(popt[0], rel=1e-6)
         assert fit.tau_stderr == pytest.approx(perr[1], rel=1e-5)
         assert fit.amplitude_stderr == pytest.approx(perr[0], rel=1e-5)
+        assert fit.ok is (fit.tau_stderr / fit.tau <= MAX_TAU_REL_STDERR)
 
     def test_exact_decay_recovered(self):
         t = np.linspace(0.0, 3.0, 40)
         fit = fit_exponential_decay(t, 0.8 * np.exp(-t / 1.12))
         assert fit.tau == pytest.approx(1.12, rel=1e-12)
         assert fit.amplitude == pytest.approx(0.8, rel=1e-12)
+        assert fit.ok is True
 
     def test_undetermined_tau_stays_positive_and_says_so(self):
         # Rising data: the least-squares tau runs off to infinity.
@@ -168,6 +170,7 @@ class TestDecayFit:
         fit = fit_exponential_decay(t, y)
         assert math.isfinite(fit.tau) and fit.tau > 0
         assert fit.tau_stderr / fit.tau > 1.0
+        assert fit.ok is False
 
     def test_delay_grid_to_the_float_limit_leaves_tau_undetermined(self):
         # A grid up to 1e300 overflows max(t) / eps and tau**2 as floats;
@@ -181,6 +184,7 @@ class TestDecayFit:
                     fit = fit_exponential_decay(t, 0.66 * np.exp(-t / 1.12), sigma=sigma)
                 assert fit.tau > 0 and fit.tau_stderr == math.inf, (t_max, sigma)
                 assert fit.tau_stderr / fit.tau > MAX_TAU_REL_STDERR
+                assert fit.ok is False
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(fitting, "_MAX_EVALS", 2)

@@ -329,6 +329,22 @@ class TestValidation:
         s = loads_scenario("[phase_ledger]\nk = 1e290\ndelta_x = 1e15\n")
         assert s.ledger.herald_phase(math.pi) == pytest.approx(1e305)
 
+    @pytest.mark.parametrize("text, excitation", [
+        ("k = 1e300\ndelta_x = 1e5\n", 1e300 * (SPEED_OF_LIGHT * 1e-10)),
+        ("k = 1e300\ndelta_tau = 0.0\ndelta_x = 1e5\n", 0.0),  # not inf * 0
+    ])
+    def test_excitation_term_is_kept_where_k_times_c_overflows(self, text, excitation):
+        ledger = loads_scenario("[phase_ledger]\n" + text).ledger
+        assert ledger.excitation_phase == excitation
+        assert ledger.herald_phase(0.0) == pytest.approx(1e305)
+        assert not any("inf" in w or "nan" in w for w in ledger.warnings())
+
+    def test_excitation_term_is_k_times_c_times_delta_tau_in_that_order(self):
+        # The other order rounds the default term differently.
+        ledger = PhaseLedger()
+        assert ledger.excitation_phase == ledger.k * SPEED_OF_LIGHT * ledger.delta_tau
+        assert ledger.excitation_phase != ledger.k * (SPEED_OF_LIGHT * ledger.delta_tau)
+
 
 class TestEntanglementDistance:
     def test_budget_reports_separation_times_rate_times_tau(self):
@@ -481,7 +497,11 @@ def ledger_or_rejection(ledger: PhaseLedger, **values) -> PhaseLedger:
     check that the rejection names the four static terms and give
     ``ledger`` back unchanged."""
     new = {**{key: getattr(ledger, key) for key in PhaseLedger.kinds}, **values}
-    static = new["k"] * SPEED_OF_LIGHT * new["delta_tau"] + new["k"] * new["delta_x"]
+    # The excitation term is (k*c)*delta_tau, or k*(c*delta_tau) where that overflows.
+    excitation = new["k"] * SPEED_OF_LIGHT * new["delta_tau"]
+    if not math.isfinite(excitation):
+        excitation = new["k"] * (SPEED_OF_LIGHT * new["delta_tau"])
+    static = excitation + new["k"] * new["delta_x"]
     if all(math.isfinite(phi_d + static + new["delta_phi_t"]) for phi_d in (0.0, math.pi)):
         return replace(ledger, **values)
     with pytest.raises(ScenarioError, match="the herald phase .* overflows") as exc:
@@ -566,6 +586,13 @@ class TestScriptRestriction:
         assert [type(step) for step in script.steps] == [
             ReinitStep, MSGateStep, AnalysisStep, MeasureStep,
         ]
+
+    @pytest.mark.parametrize("register, undeclared", [
+        (("q9", "q2"), "q9"), (("q1", "q4", "q3", "q9"), "q4 q9"),
+    ])
+    def test_register_naming_an_undeclared_qubit_rejected(self, register, undeclared):
+        with pytest.raises(ValueError, match=f"names {undeclared}, which qubits_a and qubits_b"):
+            loads_scenario("").script(register)
 
     @pytest.mark.parametrize(
         "register", [r for n in range(4) for r in itertools.permutations(("q1", "q2", "q3"), n)]

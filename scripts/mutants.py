@@ -85,6 +85,14 @@ MUTANTS = (
     Mutant("M19", "src/ionnet/scenario.py",
            "return phase if math.isfinite(phase) else self.k * (self.c * self.delta_tau)",
            "return phase"),
+    # The wave plate puts its phase on V instead of H.
+    Mutant("M20", "src/ionnet/photonics.py",
+           "np.diag([1j, 1.0])", "np.diag([1.0, 1j])"),
+    # The herald builds its register on the link's labels, so a qubit named
+    # like one of its photons collides with it.
+    Mutant("M21", "src/ionnet/photonics.py",
+           "joint = _emission_register(error)",
+           "joint = tensor(*(module_emission(error, q, f\"_ph_{q}\") for q in link))"),
 )
 
 

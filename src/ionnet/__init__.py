@@ -8,8 +8,9 @@ system.
 
 Importing the package loads no numpy. The engine modules, which import
 it, are registered in ``sys.modules`` as lazy modules and run on their
-first attribute access; the public names below resolve on first use
-(PEP 562). So the scenario, ``budget`` and ``timing`` run without numpy.
+first attribute access. So the scenario, ``budget`` and ``timing`` run
+without numpy. Each public name is imported from the module that
+defines it; the package itself re-exports none.
 """
 
 import os
@@ -26,25 +27,6 @@ import importlib.util
 import sys
 
 __version__ = "0.1.0"
-
-# Defining module -> its public names, re-exported here.
-_EXPORTS = {
-    "states": ("QuantumState", "tensor", "fidelity", "partial_trace", "free_evolution"),
-    "photonics": ("emit_atom_photon", "qwp_map"),
-    "gates": ("ms_gate", "analysis_rotation", "spin_echo_ramsey"),
-    "detection": ("confusion_matrix",),
-    "montecarlo": ("ProtocolResult", "run_protocol"),
-    "scenario": (
-        "LinkBudget", "LinkErrorModel", "success_probability", "expected_rate",
-        "coherent_entanglement_distance", "GateSettings", "PhaseLedger",
-        "MemoryDecoherence", "DetectorModel", "DetectorGroup",
-        "ProtocolScript",
-        "Scenario", "ScenarioError", "load_scenario", "loads_scenario", "emit_scenario",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_HOME, "__version__"]
 
 # The modules that import numpy.
 _ENGINE = (
@@ -66,8 +48,3 @@ for _name in _ENGINE:
     globals()[_name] = _register_lazily(_name)
 del _name
 
-
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -70,10 +70,7 @@ def ms_gate(
     pair = list(pair)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise StateError(f"gate needs two distinct labels, got {pair}")
-    out = apply_unitary(s, ms_unitary(phi_a), pair)
-    if depolarizing_p == 0.0:
-        return out
-    return depolarize(out, pair, depolarizing_p)
+    return depolarize(apply_unitary(s, ms_unitary(phi_a), pair), pair, depolarizing_p)
 
 
 def rotation_matrix(theta, phi) -> np.ndarray:

@@ -223,11 +223,10 @@ def _apply_step(
     step, before the step's free evolution."""
     if isinstance(step, ReinitStep):
         state = st.reset_subsystem(state, step.qubit, 0)
-        if scenario.protocol.crosstalk_depol > 0:
-            module = script.module_of(step.qubit)
-            for neighbour in script.modules[module]:
-                if neighbour != step.qubit and neighbour in state.labels:
-                    state = st.depolarize(state, [neighbour], scenario.protocol.crosstalk_depol)
+        module = script.module_of(step.qubit)
+        for neighbour in script.modules[module]:
+            if neighbour != step.qubit:
+                state = st.depolarize(state, [neighbour], scenario.protocol.crosstalk_depol)
         return state
     if isinstance(step, MSGateStep):
         return ms_gate(state, list(step.pair), scenario.gate.phi_a, scenario.gate.depolarizing_p)

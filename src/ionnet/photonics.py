@@ -43,18 +43,12 @@ from .states import (
     _apply_matrix_density,
     apply_phase,
     apply_unitary,
-    mixed_state,
     partial_trace,
-    pure_state,
     tensor,
 )
 
 __all__ = [
     "DETECTOR_PAIRS",
-    "emit_atom_photon",
-    "ideal_emission_ket",
-    "qwp_map",
-    "qwp_matrix",
     "module_emission",
     "bsm_kraus_operators",
     "conditional_herald_states",
@@ -67,42 +61,22 @@ _PAIRS_OF_PHASE = dict(zip(DETECTOR_PHASES, (((1, 2), (3, 4)), ((1, 3), (2, 4)))
 DETECTOR_PAIRS = {pair: phi_d for phi_d, pairs in _PAIRS_OF_PHASE.items() for pair in pairs}
 
 
-def ideal_emission_ket(atom_label: str, photon_label: str) -> QuantumState:
-    """(|0>|sigma-> - |1>|sigma+>)/sqrt(2) on (atom, photon)."""
-    amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    return pure_state(amps, [atom_label, photon_label])
-
-
-def emit_atom_photon(
-    error: LinkErrorModel, atom_label: str = "atom", photon_label: str = "photon"
-) -> QuantumState:
-    """Excite one atom and collect its photon.
-
-    Returns the Werner state w |psi><psi| + (1 - w) I/4 around the ideal
-    atom-photon singlet; w is chosen so the state fidelity equals the
-    configured ``atom_photon_fidelity`` exactly.
-    """
-    ideal = ideal_emission_ket(atom_label, photon_label)
-    w = error.werner_weight()
-    rho = w * ideal.data + (1.0 - w) * np.eye(4) / 4.0
-    return mixed_state(rho, [atom_label, photon_label])
-
-
-def qwp_matrix() -> np.ndarray:
-    """Quarter-wave plate: sigma+ -> i H, sigma- -> V."""
-    return np.diag([1j, 1.0]).astype(complex)
-
-
-def qwp_map(s: QuantumState, photon_label: str) -> QuantumState:
-    """Circular-to-linear polarization mapping on one photon mode."""
-    return apply_unitary(s, qwp_matrix(), [photon_label])
-
-
 def module_emission(
     error: LinkErrorModel, atom_label: str, photon_label: str
 ) -> QuantumState:
-    """Emission followed by the wave plate: the state entering the fiber."""
-    return qwp_map(emit_atom_photon(error, atom_label, photon_label), photon_label)
+    """One atom excited and its photon collected, after the wave plate:
+    the state of (atom, photon) entering the fiber.
+
+    The Werner state w |psi><psi| + (1 - w) I/4 around the ideal
+    atom-photon singlet, with w chosen so the state fidelity equals the
+    configured ``atom_photon_fidelity`` exactly, then the quarter-wave
+    plate diag(i, 1) (sigma+ -> i H, sigma- -> V) on the photon.
+    """
+    labels = [atom_label, photon_label]
+    singlet = QuantumState(labels, np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0))
+    w = error.werner_weight()
+    emitted = QuantumState(labels, w * singlet.data + (1.0 - w) * np.eye(4) / 4.0)
+    return apply_unitary(emitted, np.diag([1j, 1.0]), [photon_label])
 
 
 def bsm_kraus_operators(v: float) -> dict[tuple[int, int], list[np.ndarray]]:
@@ -140,30 +114,33 @@ def conditional_herald_states(
     so the heralded state depends on the coincidence only through phi_d.
     Each phase's branch applies one pair's operators and counts them
     once per pair of that phase: exactly what adding the pairs gives.
-    The photon modes the atoms emit into are traced out here again.
+    The atoms and the photon modes they emit into are built on the
+    herald's own labels, so no qubit name can collide with a photon's;
+    the photons are traced out here again and the pair is returned on
+    the ``link`` labels.
     Probabilities are conditioned on both photons being present (they
     sum to the herald fraction, 1/2 for ideal emissions). The states
     have the transfer pulses applied; ``transfer_phase`` is the total
     static phase the transfer pulses and geometry imprint on the A atom.
     """
     atom_a, atom_b = link
-    joint = _emission_register(error, atom_a, atom_b)
+    joint = _emission_register(error)
     kraus = bsm_kraus_operators(error.mode_overlap)
     results = []
     for phi_d, pairs in _PAIRS_OF_PHASE.items():
         prob, state = _project_photons(joint, joint.labels[1::2], kraus[pairs[0]], len(pairs))
         if prob <= 0.0:
             continue
-        atoms = partial_trace(state, [atom_a, atom_b])
+        atoms = QuantumState._of((atom_a, atom_b), partial_trace(state, joint.labels[::2]).data)
         if transfer_phase != 0.0:
             atoms = apply_phase(atoms, atom_a, transfer_phase)
         results.append((phi_d, prob, atoms))
     return results
 
 
-def _emission_register(error: LinkErrorModel, atom_a: str, atom_b: str) -> QuantumState:
-    """The register (atom_a, photon_a, atom_b, photon_b) entering the fiber; q emits into _ph_q."""
-    return tensor(*(module_emission(error, q, f"_ph_{q}") for q in (atom_a, atom_b)))
+def _emission_register(error: LinkErrorModel) -> QuantumState:
+    """The register (atom_a, photon_a, atom_b, photon_b) entering the fiber."""
+    return tensor(*(module_emission(error, f"atom_{m}", f"photon_{m}") for m in "ab"))
 
 
 def _project_photons(
@@ -185,7 +162,7 @@ def _project_photons(
     prob = float(out.trace().real)
     if prob <= 0.0:
         return 0.0, joint
-    return prob, mixed_state(out / prob, joint.labels)
+    return prob, QuantumState(joint.labels, out / prob)
 
 
 def heralded_bell_ket(pair: Sequence[str], phase: float) -> QuantumState:
@@ -193,5 +170,5 @@ def heralded_bell_ket(pair: Sequence[str], phase: float) -> QuantumState:
     amps = np.zeros(4, dtype=complex)
     amps[1] = 1.0 / math.sqrt(2.0)
     amps[2] = np.exp(1j * phase) / math.sqrt(2.0)
-    return pure_state(amps, list(pair))
+    return QuantumState(pair, amps)
 

@@ -376,7 +376,7 @@ def local_gate_experiment(scenario: Scenario) -> ExperimentOutput:
     out.summary["even_population_reported"] = float(parity_weights(reported, (qa, qb), (qa, qb))[0])
 
     # the gate applied to |00>
-    target = st.pure_state(ms_unitary(scenario.gate.phi_a)[:, 0], (qa, qb))
+    target = st.QuantumState((qa, qb), ms_unitary(scenario.gate.phi_a)[:, 0])
     out.summary["gate_fidelity_exact"] = st.fidelity(branch.state, target)
 
     # parity oscillation versus analysis phase

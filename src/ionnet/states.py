@@ -5,8 +5,8 @@ dimension 2, identified by string labels. Every state is stored as a
 ``2**n x 2**n`` density matrix; an amplitude vector given to a
 constructor is checked for unit norm and stored as |psi><psi|. The
 first label is the most significant bit of the basis index. Everything
-is dense and exact, so the register size is capped (default 6
-subsystems).
+is dense and exact, so a register holds at most ``MAX_SUBSYSTEMS``
+(6) subsystems.
 
 A state may carry leading batch axes: data of shape ``(P, d, d)`` is a
 stack of P density matrices over one register, one per point of a
@@ -61,14 +61,12 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MAX_SUBSYSTEMS",
+    "MAX_SUBSYSTEMS",
     "STATE_ATOL",
     "UNITARY_ATOL",
     "StateError",
     "QuantumState",
     "basis_state",
-    "pure_state",
-    "mixed_state",
     "maximally_mixed",
     "tensor",
     "apply_unitary",
@@ -84,7 +82,7 @@ __all__ = [
     "replace_subsystems",
 ]
 
-DEFAULT_MAX_SUBSYSTEMS = 6
+MAX_SUBSYSTEMS = 6
 
 # Double precision leaves ample headroom at these dimensions.
 # STATE_ATOL bounds the norm, Hermiticity and trace errors a constructor accepts.
@@ -101,15 +99,15 @@ class StateError(ValueError):
     """Raised on invalid register operations or malformed state data."""
 
 
-def _check_labels(labels: Sequence[str], max_subsystems: int) -> tuple[str, ...]:
+def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(labels)
     if not labels:
         raise StateError("register needs at least one subsystem")
     if len(set(labels)) != len(labels):
         raise StateError(f"duplicate subsystem labels: {labels}")
-    if len(labels) > max_subsystems:
+    if len(labels) > MAX_SUBSYSTEMS:
         raise StateError(
-            f"register of {len(labels)} subsystems exceeds the cap of {max_subsystems}"
+            f"register of {len(labels)} subsystems exceeds the cap of {MAX_SUBSYSTEMS}"
         )
     return labels
 
@@ -140,8 +138,9 @@ class QuantumState:
     Parameters
     ----------
     labels :
-        Subsystem identifiers, one per two-level system. Order fixes the
-        basis convention: the first label is the most significant bit.
+        Subsystem identifiers, one per two-level system, at most
+        ``MAX_SUBSYSTEMS``. Order fixes the basis convention: the first
+        label is the most significant bit.
     data :
         Amplitude vector (length ``2**n``), stored as its density
         matrix, or density matrix (``2**n x 2**n``), or a stack of
@@ -152,14 +151,12 @@ class QuantumState:
         Cholesky factorization of the shifted stack; only a stack that
         fails it has its eigenvalues computed, and the error names the
         lowest.
-    max_subsystems :
-        Register cap. Constructors reject larger registers.
     """
 
     __slots__ = ("_labels", "_data")
 
-    def __init__(self, labels: Sequence[str], data, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS):
-        labels = _check_labels(labels, max_subsystems)
+    def __init__(self, labels: Sequence[str], data):
+        labels = _check_labels(labels)
         dim = 2 ** len(labels)
         arr = np.asarray(data, dtype=complex)
         # Each tolerance test is written so that NaN fails it.
@@ -254,14 +251,6 @@ def _basis_state(bits: tuple[int, ...], labels: tuple[str, ...]) -> QuantumState
     return QuantumState(labels, amps)
 
 
-def pure_state(amplitudes, labels: Sequence[str]) -> QuantumState:
-    return QuantumState(labels, np.asarray(amplitudes, dtype=complex))
-
-
-def mixed_state(rho, labels: Sequence[str]) -> QuantumState:
-    return QuantumState(labels, np.asarray(rho, dtype=complex))
-
-
 def maximally_mixed(labels: Sequence[str]) -> QuantumState:
     return _maximally_mixed(tuple(labels))
 
@@ -305,13 +294,13 @@ def _matrix_form(t: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(t.shape[: t.ndim - 2 * n] + (dim, dim))
 
 
-def tensor(a: QuantumState, b: QuantumState, max_subsystems: int = DEFAULT_MAX_SUBSYSTEMS) -> QuantumState:
+def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     """Tensor product of two registers with disjoint labels (a stack
     when either factor is one)."""
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise StateError(f"label collision in tensor product: {sorted(overlap)}")
-    labels = _check_labels(a.labels + b.labels, max_subsystems)
+    labels = _check_labels(a.labels + b.labels)
     out = np.einsum("...ij,...kl->...ikjl", a.data, b.data)
     dim = 2 ** len(labels)
     return QuantumState._of(labels, out.reshape(out.shape[:-4] + (dim, dim)))
@@ -496,7 +485,7 @@ def replace_subsystems(s: QuantumState, fresh: QuantumState) -> QuantumState:
     axes = [s.axis(lbl) for lbl in fresh.labels]  # validates labels
     others = [lbl for lbl in s.labels if lbl not in fresh.labels]
     if others:
-        fresh = tensor(partial_trace(s, others), fresh, max_subsystems=s.n_subsystems)
+        fresh = tensor(partial_trace(s, others), fresh)
     rho = _permute_density(fresh, s.labels)
     batch = np.broadcast_shapes(s.batch_shape, fresh.batch_shape)
     return QuantumState._of(s.labels, np.broadcast_to(rho, batch + rho.shape[-2:]))

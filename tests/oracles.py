@@ -140,7 +140,7 @@ def bsm_outcome_distribution(
     rho = st.partial_trace(s, photon_labels)
     # partial_trace keeps register order; realign to the requested order.
     if rho.labels != tuple(photon_labels):
-        rho = st.mixed_state(st._permute_density(rho, photon_labels), photon_labels)
+        rho = st.QuantumState(photon_labels, st._permute_density(rho, photon_labels))
     probs: dict[tuple[int, int] | None, float] = {}
     total = 0.0
     for pair, kraus in bsm_kraus_operators(v).items():
@@ -161,7 +161,7 @@ def herald_states_per_pair(
     """``conditional_herald_states`` computed detector pair by detector
     pair: each Kraus operator of each pair applied on its own, the
     operators of a pair summed, and the pairs of a phase added."""
-    joint = _emission_register(error, *link)
+    joint = _emission_register(error)
     atom_a, photon_a, atom_b, photon_b = joint.labels
     axes = [joint.axis(photon_a), joint.axis(photon_b)]
     n = joint.n_subsystems
@@ -175,9 +175,10 @@ def herald_states_per_pair(
         prob = float(out.trace().real)
         if prob <= 0.0:
             continue
-        atoms = st.partial_trace(st.mixed_state(out / prob, joint.labels), [atom_a, atom_b])
+        atoms = st.partial_trace(st.QuantumState(joint.labels, out / prob), [atom_a, atom_b])
+        atoms = st.QuantumState._of(tuple(link), atoms.data)
         if transfer_phase != 0.0:
-            atoms = st.apply_phase(atoms, atom_a, transfer_phase)
+            atoms = st.apply_phase(atoms, link[0], transfer_phase)
         results.append((phi_d, prob, atoms))
     return results
 
@@ -298,7 +299,7 @@ def measure(
     proj = np.zeros_like(t)
     proj[tuple(sel)] = t[tuple(sel)]
     rho = proj.reshape(s.dim, s.dim)
-    collapsed = st.QuantumState(s.labels, rho / rho.trace(), max_subsystems=n)
+    collapsed = st.QuantumState(s.labels, rho / rho.trace())
     return bits, collapsed, prob
 
 

@@ -89,7 +89,7 @@ def test_criterion_4_local_gate():
     assert worst < 1e-10
     # calibrated noise: fidelity and even-parity population
     noisy = ms_gate(st.basis_state([0, 0], ["q1", "q2"]), ["q1", "q2"], 0.0, GateSettings().depolarizing_p)
-    target = st.pure_state(np.array([1, 0, 0, -1j]) / math.sqrt(2), ["q1", "q2"])
+    target = st.QuantumState(["q1", "q2"], np.array([1, 0, 0, -1j]) / math.sqrt(2))
     f = st.fidelity(noisy, target)
     probs = st.outcome_probabilities(noisy, ["q1", "q2"])
     even = probs[0] + probs[3]
@@ -102,7 +102,7 @@ def test_criterion_5_coherence():
     # echo cancellation without decoherence, to 1e-10
     amps = np.zeros(4, dtype=complex)
     amps[1] = amps[2] = 1.0 / math.sqrt(2)
-    pair = st.pure_state(amps, ["a", "b"])
+    pair = st.QuantumState(["a", "b"], amps)
     base = spin_echo_ramsey(pair, ["a", "b"], 0.0, 2 * math.pi * 2.5e3, 0.2)
     p0 = parity_expectation(base, ["a", "b"])
     for delay in (0.05, 0.8, 1.7, 3.0):
@@ -155,7 +155,7 @@ def test_criterion_8_oracle_equivalence():
     for v in (1.0, 0.9, 0.5, 0.0):
         for n1, n2 in itertools.product(single, repeat=2):
             amp = np.outer(single[n1], single[n2])
-            s = st.pure_state(amp.reshape(-1), ["p1", "p2"])
+            s = st.QuantumState(["p1", "p2"], amp.reshape(-1))
             got = bsm_outcome_distribution(s, ["p1", "p2"], v)
             want = fock_bsm_distribution(amp, v)
             for key, value in want.items():

@@ -172,14 +172,14 @@ def stacks(draw):
     points = draw(hs.integers(1, 3))
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     data = np.array([random_density(2**n, rng, rank=2) for _ in range(points)])
-    return st.mixed_state(data, LABELS[:n]), rng
+    return st.QuantumState(LABELS[:n], data), rng
 
 
 def kernel_cases(s, rng):
     """(name, batched output, per-point outputs) for every batched kernel."""
     points = s.batch_shape[0]
     labels = s.labels
-    one = [st.mixed_state(rho, labels) for rho in s.data]
+    one = [st.QuantumState(labels, rho) for rho in s.data]
     target = labels[rng.integers(len(labels))]
     u = np.array([haar_unitary(2, rng) for _ in range(points)])
     phase = rng.uniform(-math.pi, math.pi, points)
@@ -207,14 +207,13 @@ def kernel_cases(s, rng):
         ]
         keep = [lbl for lbl in labels if lbl != target]
         yield "partial trace", st.partial_trace(s, keep), [st.partial_trace(x, keep) for x in one]
-        fresh_pair = st.mixed_state(random_density(4, rng), pair)
+        fresh_pair = st.QuantumState(pair, random_density(4, rng))
         yield "replace", st.replace_subsystems(s, fresh_pair), [
             st.replace_subsystems(x, fresh_pair) for x in one
         ]
-    fresh = st.basis_state([1], ["extra"])
-    yield "tensor", st.tensor(s, fresh, max_subsystems=7), [
-        st.tensor(x, fresh, max_subsystems=7) for x in one
-    ]
+    if len(labels) < st.MAX_SUBSYSTEMS:
+        fresh = st.basis_state([1], ["extra"])
+        yield "tensor", st.tensor(s, fresh), [st.tensor(x, fresh) for x in one]
 
 
 @settings(max_examples=30, deadline=None)
@@ -233,7 +232,7 @@ def test_kernels_broadcast_over_the_stack(case):
 
 def test_unbatched_state_takes_a_per_point_parameter():
     # A per-point phase on a single (pure) state gives a stack.
-    plus = st.pure_state(np.full(4, 0.5), ["a", "b"])
+    plus = st.QuantumState(["a", "b"], np.full(4, 0.5))
     phases = np.array([0.0, 0.5, 2.0])
     out = st.apply_phase(plus, "b", phases)
     assert out.batch_shape == (3,)
@@ -256,7 +255,7 @@ GOOD = np.eye(2, dtype=complex) / 2
 )
 def test_construction_checks_every_state_of_a_stack(bad, message):
     with pytest.raises(st.StateError, match=message):
-        st.mixed_state(np.array([GOOD, bad]), ["a"])
+        st.QuantumState(["a"], np.array([GOOD, bad]))
 
 
 def trig_interpolant(samples, phis):

@@ -620,6 +620,15 @@ def test_protocol_value_out_of_range_exits_2(tmp_path, capsys, sub, setting):
     assert_rejected(tmp_path, capsys, [sub, "--config", str(cfg)], f"protocol.{key} = ")
 
 
+@pytest.mark.parametrize("sub", ["remote-bell", "phase-scan", "coherence", "modular-3q"])
+def test_qubit_named_like_a_herald_photon_runs(tmp_path, sub):
+    # The herald's photons carry labels of their own, so no qubit name
+    # collides with them.
+    cfg = tmp_path / "photon-name.cfg"
+    cfg.write_text("[protocol]\nqubits_b = _ph_q2\nlink = q2 _ph_q2\n")
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_numpy_floats_written_as_plain_numbers(tmp_path):
     output = ExperimentOutput(
         tables={"t": {"x": [np.float64(0.05)], "y": [np.float64(1e-12)]}},
@@ -852,14 +861,15 @@ def test_plain_integers_load_no_fractions(tmp_path):
 
 
 def test_package_import_loads_no_numpy_and_every_public_name_resolves():
+    # The engine modules are lazy: each one's public names resolve on first access.
     code = (
         "import sys, ionnet\n"
         "assert 'numpy' not in sys.modules\n"
-        "missing = [n for n in ionnet.__all__ if not hasattr(ionnet, n)]\n"
-        "assert not missing, missing\n"
-        "names = {}\n"
-        "exec('from ionnet import *', names)\n"
-        "assert set(ionnet.__all__) <= set(names)\n"
+        "for name in ionnet._ENGINE:\n"
+        "    module = getattr(ionnet, name)\n"
+        "    missing = [n for n in module.__all__ if not hasattr(module, n)]\n"
+        "    assert not missing, (name, missing)\n"
+        "assert 'numpy' in sys.modules\n"
     )
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
@@ -918,6 +928,30 @@ def test_in_process_main_leaves_the_collector_alone(tmp_path):
     proc = run_python(IN_PROCESS_PROBE, str(tmp_path / "a"), str(tmp_path / "b"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "freezes 1 True", proc.stdout
+
+
+# Prints how many objects the two young generations hold when the
+# console run starts its scenario load, after the engine import.
+YOUNG_AT_LOAD_PROBE = """
+import gc, sys
+from ionnet import cli
+load = cli.loads_scenario
+def probe(*args, **kwargs):
+    print("young", len(gc.get_objects(0)) + len(gc.get_objects(1)))
+    return load(*args, **kwargs)
+cli.loads_scenario = probe
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("sub", ["budget", "remote-bell"])
+def test_run_starts_with_the_import_out_of_the_young_generations(tmp_path, sub):
+    # So no collection during the run traces the objects the import made,
+    # and whether one falls inside the run does not depend on their number.
+    proc = run_python(YOUNG_AT_LOAD_PROBE, sub, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    young = [line for line in proc.stdout.splitlines() if line.startswith("young ")]
+    assert len(young) == 1 and int(young[0].split()[1]) < 100, proc.stdout
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)

@@ -16,7 +16,7 @@ RNG = np.random.default_rng
 
 def even_bell(phi_a, labels=("q1", "q2")):
     amps = np.array([1.0, 0.0, 0.0, -1j * np.exp(-1j * phi_a)]) / math.sqrt(2.0)
-    return st.pure_state(amps, labels)
+    return st.QuantumState(labels, amps)
 
 
 class TestMSGate:
@@ -109,7 +109,7 @@ class TestParityConvention:
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0 / math.sqrt(2)
         amps[2] = np.exp(0.9j) / math.sqrt(2)
-        s = st.pure_state(amps, ["a", "b"])
+        s = st.QuantumState(["a", "b"], amps)
         pars = []
         for phi in (0.0, 0.3, 1.0, 2.2):
             out = g.analysis_rotation(s, ["a", "b"], math.pi / 2, phi)
@@ -140,7 +140,7 @@ class TestSpinEcho:
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0 / math.sqrt(2)
         amps[2] = np.exp(1j * phase) / math.sqrt(2)
-        return st.pure_state(amps, ["a", "b"])
+        return st.QuantumState(["a", "b"], amps)
 
     def test_zero_delay_equals_plain_analysis(self):
         s = self.make_pair()

@@ -91,7 +91,7 @@ def tripartite_target(phi_a: float, phi_ab: float) -> st.QuantumState:
     amps[0b111] = -0.5j * np.exp(-1j * phi_a)
     amps[0b010] = 0.5 * np.exp(1j * phi_ab)
     amps[0b100] = -0.5j * np.exp(1j * phi_ab)
-    return st.pure_state(amps, ["q1", "q2", "q3"])
+    return st.QuantumState(["q1", "q2", "q3"], amps)
 
 
 def pair_script() -> ProtocolScript:
@@ -118,7 +118,7 @@ def per_pair_heralds(cfg: Scenario) -> list[tuple[float, float, np.ndarray]]:
             atoms += np.einsum("xyac,iajcIAJC,xyAC->ijIJ", k, rho, k.conj())
         atoms = atoms.reshape(4, 4)
         prob = atoms.trace().real
-        state = st.apply_phase(st.mixed_state(atoms / prob, ["q2", "q3"]), "q2", transfer)
+        state = st.apply_phase(st.QuantumState(["q2", "q3"], atoms / prob), "q2", transfer)
         out.append((DETECTOR_PAIRS[pair], prob, state.data))
     return out
 

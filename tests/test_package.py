@@ -1,4 +1,5 @@
-"""Every public name of the package has exactly one home module."""
+"""Every public name of the package has exactly one home module, and
+the package itself re-exports none."""
 
 import importlib
 import inspect
@@ -31,10 +32,8 @@ def test_each_public_name_is_listed_by_its_one_home_module():
         assert foreign == [], here
         assert set(unlisted) <= set(module.__all__), here
     assert {n: m for n, m in homes.items() if len(m) > 1} == {}
-    # The package's own names are its one re-export table, each mapped to
-    # the module that lists it.
-    for name, home in ionnet._HOME.items():
-        assert homes[name] == [f"ionnet.{home}"], name
+    # A name is read from its home module only, never from the package.
+    assert [n for n in homes if hasattr(ionnet, n)] == []
 
 
 def test_readme_layout_lists_exactly_the_package_modules():

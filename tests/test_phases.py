@@ -17,7 +17,7 @@ def odd_pair(phase=0.0, labels=("a", "b")):
     amps = np.zeros(4, dtype=complex)
     amps[1] = 1.0 / math.sqrt(2)
     amps[2] = np.exp(1j * phase) / math.sqrt(2)
-    return st.pure_state(amps, labels)
+    return st.QuantumState(labels, amps)
 
 
 class TestPhiAB:
@@ -53,7 +53,7 @@ PAIR_CASES = {
 def test_free_evolution_is_phases_then_pair_dephasing(case, t, tau_s):
     labels, b_atoms, pairs = PAIR_CASES[case]
     rng = RNG(len(labels))
-    s = st.mixed_state(random_density(2 ** len(labels), rng), labels)
+    s = st.QuantumState(labels, random_density(2 ** len(labels), rng))
     omega = 2 * math.pi * 2.5e3
     want = s
     for q in b_atoms:

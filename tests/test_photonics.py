@@ -90,54 +90,40 @@ class TestBudget:
         assert success_probability(reduced) <= success_probability(base) + 1e-18
 
 
+# (|0>|V> - i |1>|H>)/sqrt(2): the atom-photon singlet after the wave plate.
+EMITTED = st.QuantumState(["a", "p"], np.array([0, 1, -1j, 0]) / math.sqrt(2))
+
+
 class TestEmission:
     def test_perfect_emission_is_pure(self):
         err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
-        s = ph.emit_atom_photon(err, "a", "p")
+        s = ph.module_emission(err, "a", "p")
         assert purity(s) == pytest.approx(1.0, abs=1e-12)
-        assert st.fidelity(s, ph.ideal_emission_ket("a", "p")) == pytest.approx(1.0, abs=1e-12)
+        assert st.fidelity(s, EMITTED) == pytest.approx(1.0, abs=1e-12)
 
     def test_configured_fidelity_is_exact(self):
-        s = ph.emit_atom_photon(LinkErrorModel(), "a", "p")
-        f = st.fidelity(s, ph.ideal_emission_ket("a", "p"))
+        s = ph.module_emission(LinkErrorModel(), "a", "p")
+        f = st.fidelity(s, EMITTED)
         assert abs(f - 0.92) < 1e-10
 
     def test_fully_depolarizing_channel(self):
         err = LinkErrorModel(atom_photon_fidelity=0.25, mode_overlap=1.0)
-        s = ph.emit_atom_photon(err, "a", "p")
+        s = ph.module_emission(err, "a", "p")
         np.testing.assert_allclose(s.data, np.eye(4) / 4, atol=1e-12)
-        assert st.fidelity(s, ph.ideal_emission_ket("a", "p")) == pytest.approx(0.25, abs=1e-12)
-
-
-class TestWavePlate:
-    def test_sigma_plus_maps_to_horizontal(self):
-        s = st.basis_state([0], ["p"])  # sigma+
-        out = ph.qwp_map(st.tensor(st.basis_state([0], ["a"]), s), "p")
-        target = st.tensor(st.basis_state([0], ["a"]), st.basis_state([0], ["p"]))
-        assert st.fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
-
-    def test_twice_is_not_identity_but_inverse_is(self):
-        u = ph.qwp_matrix()
-        assert np.abs(u @ u - np.eye(2)).max() > 0.5
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
-        s = ph.ideal_emission_ket("a", "p")
-        roundtrip = st.apply_unitary(ph.qwp_map(s, "p"), ph.qwp_matrix().conj().T, ["p"])
-        assert st.fidelity(roundtrip, s) == pytest.approx(1.0, abs=1e-12)
+        assert st.fidelity(s, EMITTED) == pytest.approx(0.25, abs=1e-12)
 
     def test_post_waveplate_state(self):
+        # The wave plate (sigma+ -> i H, sigma- -> V) turns the singlet's
+        # coherence <0 sigma-|rho|1 sigma+> = -1/2 into <0V|rho|1H> = i/2.
         err = LinkErrorModel(atom_photon_fidelity=1.0, mode_overlap=1.0)
         s = ph.module_emission(err, "a", "p")
-        target = st.pure_state(np.array([0, 1, -1j, 0]) / math.sqrt(2), ["a", "p"])
-        assert st.fidelity(s, target) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(st.StateError):
-            ph.qwp_map(ph.ideal_emission_ket("a", "p"), "nope")
+        assert s.data[1, 2] == pytest.approx(0.5j, abs=1e-12)
+        assert st.fidelity(s, EMITTED) == pytest.approx(1.0, abs=1e-12)
 
 
 def photon_pair_state(name1: str, name2: str) -> st.QuantumState:
     amps = np.kron(SINGLE_POL[name1], SINGLE_POL[name2])
-    return st.pure_state(amps, ["p1", "p2"])
+    return st.QuantumState(["p1", "p2"], amps)
 
 
 class TestBSMOracle:
@@ -170,7 +156,7 @@ class TestBSMOracle:
 
     def test_antisymmetric_state_heralds_on_cross_pairs(self):
         amps = (np.kron(SINGLE_POL["H"], SINGLE_POL["V"]) - np.kron(SINGLE_POL["V"], SINGLE_POL["H"])) / math.sqrt(2)
-        s = st.pure_state(amps, ["p1", "p2"])
+        s = st.QuantumState(["p1", "p2"], amps)
         dist = bsm_outcome_distribution(s, ["p1", "p2"], 1.0)
         assert dist[(1, 3)] == pytest.approx(0.5, abs=1e-12)
         assert dist[(2, 4)] == pytest.approx(0.5, abs=1e-12)

@@ -109,7 +109,7 @@ def test_echo_steps_match_spin_echo_ramsey_on_any_pair_state(seed):
     rng = np.random.default_rng(seed)
     pair = CALIBRATED.protocol.link
     script = CALIBRATED.script(CALIBRATED.protocol.link)
-    stored = BranchState(phi_d=0.0, weight=1.0, state=st.mixed_state(random_density(4, rng), pair))
+    stored = BranchState(phi_d=0.0, weight=1.0, state=st.QuantumState(pair, random_density(4, rng)))
     for delay in (0.0, 0.3, 2.9):
         echoed = spin_echo_ramsey(
             stored.state, pair, delay, CALIBRATED.ledger.delta_omega_ab, 0.0,

@@ -21,7 +21,7 @@ def bell(phase=0.0, labels=("a", "b"), odd=True):
     else:
         amps[0] = 1.0
         amps[3] = np.exp(1j * phase)
-    return st.pure_state(amps / math.sqrt(2.0), labels)
+    return st.QuantumState(labels, amps / math.sqrt(2.0))
 
 
 class TestConstruction:
@@ -30,14 +30,7 @@ class TestConstruction:
         amps = np.zeros(2**7)
         amps[0] = 1.0
         with pytest.raises(st.StateError):
-            st.pure_state(amps, labels)
-
-    def test_cap_is_configurable(self):
-        labels = [f"q{i}" for i in range(7)]
-        amps = np.zeros(2**7)
-        amps[0] = 1.0
-        s = st.QuantumState(labels, amps, max_subsystems=8)
-        assert s.n_subsystems == 7
+            st.QuantumState(labels, amps)
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(st.StateError):
@@ -45,34 +38,34 @@ class TestConstruction:
 
     def test_amplitudes_stored_as_projector(self):
         amps = np.array([0.6, 0.8j])
-        s = st.pure_state(amps, ["a"])
+        s = st.QuantumState(["a"], amps)
         np.testing.assert_allclose(s.data, np.outer(amps, amps.conj()), atol=1e-15)
 
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(st.StateError):
-            st.pure_state([1.0, 1.0], ["a"])
+            st.QuantumState(["a"], [1.0, 1.0])
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(st.StateError):
-            st.mixed_state(rho, ["a"])
+            st.QuantumState(["a"], rho)
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
         with pytest.raises(st.StateError):
-            st.mixed_state(rho, ["a"])
+            st.QuantumState(["a"], rho)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(st.StateError):
-            st.mixed_state(np.eye(2, dtype=complex), ["a"])
+            st.QuantumState(["a"], np.eye(2, dtype=complex))
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: st.mixed_state(np.full((2, 2), np.nan), ["a"]),
-            lambda: st.pure_state([math.nan, 1.0], ["a"]),
-            lambda: st.mixed_state(np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)]), ["a"]),
-            lambda: st.mixed_state(np.diag([math.inf, 0.0]), ["a"]),
+            lambda: st.QuantumState(["a"], np.full((2, 2), np.nan)),
+            lambda: st.QuantumState(["a"], [math.nan, 1.0]),
+            lambda: st.QuantumState(["a"], np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)])),
+            lambda: st.QuantumState(["a"], np.diag([math.inf, 0.0])),
         ],
         ids=["nan-matrix", "nan-amplitude", "nan-in-stack", "inf-diagonal"],
     )
@@ -102,7 +95,7 @@ class TestPositivity:
         stack = np.stack([random_density(4, rng) for _ in range(16)])
         stack[9] = with_spectrum([0.5, 0.3, 0.2 + 2e-10, -2e-10], rng)
         with pytest.raises(st.StateError, match="negative eigenvalue") as info:
-            st.mixed_state(stack, ["a", "b"])
+            st.QuantumState(["a", "b"], stack)
         assert lowest_named(str(info.value)) == pytest.approx(-2e-10, abs=1e-15)
 
     def test_eigenvalue_above_floor_accepted(self):
@@ -110,21 +103,21 @@ class TestPositivity:
         stack = np.stack(
             [random_density(4, rng), with_spectrum([0.6, 0.3, 0.1 + 5e-11, -5e-11], rng)]
         )
-        s = st.mixed_state(stack, ["a", "b"])
+        s = st.QuantumState(["a", "b"], stack)
         assert s.batch_shape == (2,)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_pure_states_accepted(self, dim):
+    def test_rank_one_states_accepted(self, dim):
         rng = RNG(dim)
         labels = ["a", "b", "c"][: dim.bit_length() - 1]
         stack = np.stack([np.outer(psi, psi.conj()) for psi in
                           (random_pure(dim, rng) for _ in range(32))])
-        assert st.mixed_state(stack, labels).batch_shape == (32,)
+        assert st.QuantumState(labels, stack).batch_shape == (32,)
 
     def test_scan_stack_accepted(self):
         rng = RNG(96)
         stack = np.stack([random_density(8, rng, rank=1 + i % 8) for i in range(96)])
-        assert st.mixed_state(stack, ["a", "b", "c"]).batch_shape == (96,)
+        assert st.QuantumState(["a", "b", "c"], stack).batch_shape == (96,)
 
 
 @given(
@@ -147,7 +140,7 @@ def test_positivity_rule_matches_eigenvalues(seed, n, points, exponent, below):
     labels = [f"q{i}" for i in range(n)]
     expected = np.linalg.eigvalsh(stack).min() >= st.EIGENVALUE_FLOOR
     try:
-        st.mixed_state(stack, labels)
+        st.QuantumState(labels, stack)
         accepted = True
     except st.StateError:
         accepted = False
@@ -160,7 +153,7 @@ class TestTensor:
         np.testing.assert_allclose(out.data, np.diag([1, 0, 0, 0]), atol=1e-15)
 
     def test_superposition_distributes(self):
-        plus = st.pure_state(np.array([1, 1]) / math.sqrt(2), ["a"])
+        plus = st.QuantumState(["a"], np.array([1, 1]) / math.sqrt(2))
         one = st.basis_state([1], ["b"])
         out = st.tensor(plus, one)
         psi = np.array([0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)])
@@ -169,7 +162,7 @@ class TestTensor:
     def test_mixed_kron_oracle(self):
         rng = RNG(0)
         rho = random_density(2, rng)
-        a = st.mixed_state(rho, ["a"])
+        a = st.QuantumState(["a"], rho)
         b = st.basis_state([0], ["b"])
         out = st.tensor(a, b)
         expected = np.kron(rho, np.array([[1, 0], [0, 0]], dtype=complex))
@@ -220,7 +213,7 @@ class TestApplyUnitary:
         rng = RNG(hash((n, tuple(targets))) % 2**32)
         labels = ["a", "b", "c"][:n]
         psi = random_pure(2**n, rng)
-        s = st.pure_state(psi, labels)
+        s = st.QuantumState(labels, psi)
         u = haar_unitary(2 ** len(targets), rng)
         out = st.apply_unitary(s, u, targets)
         # Frobenius norm sqrt(tr rho^2): the state stays pure
@@ -228,7 +221,7 @@ class TestApplyUnitary:
 
     def test_apply_to_each_is_one_apply_unitary_per_target(self):
         rng = RNG(6)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         u = np.stack([haar_unitary(2, rng) for _ in range(5)])
         expected = st.apply_unitary(st.apply_unitary(s, u, ["c"]), u, ["a"])
         out = st.apply_to_each(s, u, ["c", "a"])
@@ -243,7 +236,7 @@ class TestApplyUnitary:
 
     def test_trace_preserved_mixed(self):
         rng = RNG(5)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         u = haar_unitary(4, rng)
         out = st.apply_unitary(s, u, ["c", "a"])
         assert abs(out.data.trace().real - 1.0) < 1e-12
@@ -359,7 +352,7 @@ class TestMeasure:
         # Werner state: p * Bell + (1 - p) * I/4
         p = 0.3
         rho = p * bell(odd=False).data + (1 - p) * np.eye(4) / 4
-        s = st.mixed_state(rho, ["a", "b"])
+        s = st.QuantumState(["a", "b"], rho)
         expected = np.diag(rho).real
         rng = RNG(17)
         n = 100_000
@@ -386,7 +379,7 @@ class TestMeasure:
         # chi-square goodness of fit at 3 sigma over >= 1e4 shots
         rng = RNG(41)
         amps = np.array([0.5, 0.5j, -0.5, 0.5]) / 1.0
-        s = st.pure_state(amps, ["a", "b"])
+        s = st.QuantumState(["a", "b"], amps)
         expected = st.outcome_probabilities(s, ["a", "b"])
         n = 20_000
         outcomes = rng.choice(4, size=n, p=expected)
@@ -399,11 +392,11 @@ class TestMeasure:
 class TestFidelity:
     def test_self_fidelity(self):
         rng = RNG(2)
-        s = st.pure_state(random_pure(4, rng), ["a", "b"])
+        s = st.QuantumState(["a", "b"], random_pure(4, rng))
         assert st.fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_squared(self):
-        target = st.pure_state(np.array([1, 0, 0, -1j]) / math.sqrt(2), ["a", "b"])
+        target = st.QuantumState(["a", "b"], np.array([1, 0, 0, -1j]) / math.sqrt(2))
         s = st.basis_state([0, 0], ["a", "b"])
         assert st.fidelity(s, target) == pytest.approx(0.5, abs=1e-12)
 
@@ -411,13 +404,13 @@ class TestFidelity:
     def test_depolarized_bell(self, p):
         b = bell(odd=False)
         rho = (1 - p) * b.data + p * np.eye(4) / 4
-        s = st.mixed_state(rho, ["a", "b"])
+        s = st.QuantumState(["a", "b"], rho)
         assert st.fidelity(s, b) == pytest.approx((1 - p) + p / 4, abs=1e-12)
 
     def test_global_phase_invariance(self):
         amps = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        s = st.pure_state(amps, ["a", "b"])
-        t = st.pure_state(np.exp(0.7j) * amps, ["a", "b"])
+        s = st.QuantumState(["a", "b"], amps)
+        t = st.QuantumState(["a", "b"], np.exp(0.7j) * amps)
         assert st.fidelity(s, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_target_rejected(self):
@@ -438,7 +431,7 @@ class TestParity:
 
     def test_matches_probability_sum(self):
         rng = RNG(9)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         p = st.outcome_probabilities(s, ["a", "c"])
         expect = p[0] + p[3] - p[1] - p[2]
         assert parity_expectation(s, ["a", "c"]) == pytest.approx(expect, abs=1e-12)
@@ -460,7 +453,7 @@ class TestPartialTrace:
 
     def test_nested_equals_direct(self):
         rng = RNG(21)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         direct = st.partial_trace(s, ["a"])
         nested = st.partial_trace(st.partial_trace(s, ["a", "b"]), ["a"])
         np.testing.assert_allclose(direct.data, nested.data, atol=1e-12)
@@ -472,8 +465,8 @@ class TestPartialTrace:
 
     def test_tensor_then_trace_recovers_factors(self):
         rng = RNG(31)
-        a = st.pure_state(random_pure(2, rng), ["a"])
-        b = st.pure_state(random_pure(4, rng), ["b", "c"])
+        a = st.QuantumState(["a"], random_pure(2, rng))
+        b = st.QuantumState(["b", "c"], random_pure(4, rng))
         joint = st.tensor(a, b)
         np.testing.assert_allclose(
             st.partial_trace(joint, ["a"]).data, a.data, atol=1e-12
@@ -490,7 +483,7 @@ class TestChannels:
 
     def test_partial_depolarize_preserves_other_marginal(self):
         rng = RNG(4)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         out = st.depolarize(s, ["b"], 0.37)
         np.testing.assert_allclose(
             st.partial_trace(s, ["a", "c"]).data,
@@ -505,7 +498,7 @@ class TestChannels:
 
     def test_dephase_preserves_populations(self):
         rng = RNG(6)
-        s = st.mixed_state(random_density(4, rng), ["a", "b"])
+        s = st.QuantumState(["a", "b"], random_density(4, rng))
         out = st.dephase_pair(s, ["a", "b"], 0.5)
         np.testing.assert_allclose(
             np.diag(out.data), np.diag(s.data), atol=1e-14
@@ -513,7 +506,7 @@ class TestChannels:
 
     def test_dephase_semigroup(self):
         rng = RNG(7)
-        s = st.mixed_state(random_density(4, rng), ["a", "b"])
+        s = st.QuantumState(["a", "b"], random_density(4, rng))
         g1, g2 = 0.8, 0.55
         once = st.dephase_pair(s, ["a", "b"], g1 * g2)
         twice = st.dephase_pair(st.dephase_pair(s, ["a", "b"], g1), ["a", "b"], g2)
@@ -592,8 +585,8 @@ class TestReplaceSubsystems:
     )
     def test_product_of_marginals_in_register_order(self, targets):
         rng = RNG(len(targets) + 10 * ord(targets[0]))
-        s = st.mixed_state(random_density(16, rng), self.LABELS)
-        fresh = st.mixed_state(random_density(2 ** len(targets), rng), targets)
+        s = st.QuantumState(self.LABELS, random_density(16, rng))
+        fresh = st.QuantumState(targets, random_density(2 ** len(targets), rng))
         out = st.replace_subsystems(s, fresh)
         assert out.labels == self.LABELS
         others = [lbl for lbl in self.LABELS if lbl not in targets]
@@ -615,7 +608,7 @@ class TestReplaceSubsystems:
 
     def test_reset_and_depolarize_are_replacements(self):
         rng = RNG(23)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         np.testing.assert_array_equal(
             st.reset_subsystem(s, "b", 1).data,
             st.replace_subsystems(s, st.basis_state([1], ["b"])).data,
@@ -640,7 +633,7 @@ class TestEmbeddedChannels:
         # (1/16) sum_P P rho P over all two-qubit Paulis equals the
         # replacement channel with p = 1
         rng = RNG(14)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         out = st.depolarize(s, ["a", "c"], 1.0)
         i2 = np.eye(2, dtype=complex)
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -656,7 +649,7 @@ class TestEmbeddedChannels:
 
     def test_depolarize_interpolates(self):
         rng = RNG(15)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         p = 0.37
         out = st.depolarize(s, ["b", "c"], p)
         full = st.depolarize(s, ["b", "c"], 1.0)
@@ -665,14 +658,14 @@ class TestEmbeddedChannels:
 
     def test_dephase_pair_order_invariant(self):
         rng = RNG(16)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         fwd = st.dephase_pair(s, ["a", "c"], 0.4)
         rev = st.dephase_pair(s, ["c", "a"], 0.4)
         np.testing.assert_allclose(fwd.data, rev.data, atol=1e-13)
 
     def test_unitary_on_reversed_targets_matches_permutation_oracle(self):
         rng = RNG(18)
-        s = st.mixed_state(random_density(8, rng), ["a", "b", "c"])
+        s = st.QuantumState(["a", "b", "c"], random_density(8, rng))
         u = haar_unitary(4, rng)
         out = st.apply_unitary(s, u, ["c", "a"])
         # oracle: swap the tensor factors of u, then act on (a, c) in order
